@@ -10,15 +10,17 @@
 //
 // Kernels are matched by name; kernels present in only one record are
 // reported but never fail the gate (new kernels appear, old ones retire).
-// End-to-end kernels listed in -skip (default: the reconfiguration runs)
-// are reported without ns/op gating: single-shot wall-clock times are too
-// noisy for a percentage threshold on shared CI runners.
+// The gating metadata comes from the new record's own kernels: one marked
+// ungated (an end-to-end wall-clock run) is reported without ns/op gating,
+// because such times are too noisy for a percentage threshold on shared CI
+// runners.
 //
 // Kernels carrying a Metric (block moves, rounds-to-completion,
 // moves-per-round) are additionally gated on the metric itself — metrics
 // are deterministic DES counts, immune to runner noise, so they are gated
-// even for -skip kernels. Metrics regress by growing, except those listed
-// in -metric-asc (e.g. moves_per_round_k4), which regress by shrinking.
+// even for ungated kernels. A metric regresses by growing, unless its
+// kernel marks it higher-is-better (e.g. moves_per_round_k4), in which
+// case it regresses by shrinking.
 package main
 
 import (
@@ -26,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/experiments"
 )
@@ -54,11 +55,6 @@ func main() {
 		oldPath    = flag.String("old", "", "previous bench record (baseline)")
 		newPath    = flag.String("new", "", "current bench record")
 		maxRegress = flag.Float64("max-regress", 10, "tolerated slowdown of a gated kernel, percent")
-		skip       = flag.String("skip",
-			"fig10_reconfiguration,rounds_to_completion_serial,rounds_to_completion_k4,moves_per_round_k4,ridge_rounds_to_completion_k4,ridge_serial_rounds_budget,rounds_to_completion_k16,moves_per_round_k16,server_throughput_32c,server_phase_enqueue,server_phase_flush,server_phase_run,server_phase_respond,server_cache_hot,server_slo_p95,gate_affinity_hot,gate_drain_zero_loss",
-			"comma-separated kernels whose ns/op is reported but not gated (metrics still gate)")
-		metricAsc = flag.String("metric-asc", "moves_per_round_k4,moves_per_round_k16,server_throughput_32c,server_cache_hot,server_slo_p95,gate_affinity_hot,gate_drain_zero_loss",
-			"comma-separated kernels whose metric regresses by shrinking instead of growing")
 	)
 	flag.Parse()
 	if *oldPath == "" || *newPath == "" {
@@ -75,19 +71,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(1)
 	}
-	ungated := map[string]bool{}
-	for _, n := range strings.Split(*skip, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			ungated[n] = true
-		}
-	}
-	asc := map[string]bool{}
-	for _, n := range strings.Split(*metricAsc, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			asc[n] = true
-		}
-	}
-
 	failed := 0
 	fmt.Printf("%-36s %14s %14s %9s\n", "KERNEL", "OLD ns/op", "NEW ns/op", "DELTA")
 	for _, name := range newOrder {
@@ -100,7 +83,7 @@ func main() {
 		delta := (nw.NsPerOp - ol.NsPerOp) / ol.NsPerOp * 100
 		verdict := ""
 		switch {
-		case ungated[name]:
+		case nw.Ungated:
 			verdict = "(not gated)"
 		case delta > *maxRegress:
 			verdict = "REGRESSED"
@@ -111,7 +94,7 @@ func main() {
 		if ol.Metric != 0 && nw.Metric != 0 {
 			mDelta := (nw.Metric - ol.Metric) / ol.Metric * 100
 			mVerdict := ""
-			if asc[name] {
+			if nw.HigherIsBetter {
 				if mDelta < -*maxRegress {
 					mVerdict = "METRIC REGRESSED"
 					failed++

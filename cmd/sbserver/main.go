@@ -1,10 +1,10 @@
-// Command sbserver serves reconfiguration-as-a-service: scenario-run
-// requests from concurrent clients are coalesced into Engine.RunBatch
-// dispatches and their observer event streams are answered live over
-// NDJSON or SSE. Deterministic (DES) runs are memoized in a
-// content-addressed result cache and concurrent identical requests share
-// one engine run (singleflight); every response says how it was served in
-// its X-Cache header. With -slo set, an AIMD admission controller adapts
+// Command sbserver serves reconfiguration-as-a-service: each admitted
+// scenario-run request from concurrent clients runs on the engine at once,
+// and its observer event stream is answered live over NDJSON or SSE.
+// Deterministic (DES) runs are memoized in a content-addressed result
+// cache and concurrent identical requests share one engine run
+// (singleflight); every response says how it was served in its X-Cache
+// header. With -slo set, an AIMD admission controller adapts
 // the pending-request limit to keep the run-phase p95 within the target,
 // shedding overload as 429s, with the bulk class (?class=bulk) degrading
 // first. See internal/server for the service itself and
@@ -12,15 +12,16 @@
 //
 // Usage:
 //
-//	sbserver [-addr :8080] [-batch 8] [-batch-wait 2ms] [-queue 64]
-//	         [-workers 0] [-seed 1] [-drain 10s] [-slo 0]
+//	sbserver [-addr :8080] [-queue 64] [-seed 1] [-drain 10s] [-slo 0]
 //	         [-cache-bytes 67108864] [-bulk-share 0.5] [-peer-probe]
 //
-// With -peer-probe (on by default), a replica running behind cmd/sbgate
+// With -peer-probe (off by default), a replica running behind cmd/sbgate
 // honours the gateway's X-Peer-Probe header: on an engine-path cache miss
 // it first asks the named peer's /v1/peek for the recording, adopting a
 // warm result instead of re-running the engine — the mechanism behind
-// lossless drain hand-offs and scale-in cache warm-up.
+// lossless drain hand-offs and scale-in cache warm-up. Set it only on
+// replicas that clients reach through the gateway alone: the header names
+// the server to trust, so a direct client could plant a forged recording.
 //
 // SIGINT/SIGTERM starts a graceful shutdown: new requests are refused
 // with 503 while in-flight runs get -drain to finish; whatever is still
@@ -45,27 +46,21 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		batch     = flag.Int("batch", 8, "coalescing batch size (requests per RunBatch dispatch)")
-		batchWait = flag.Duration("batch-wait", 2*time.Millisecond, "max wait for a short batch to fill")
 		queue     = flag.Int("queue", 64, "admission queue capacity (overflow answers 429)")
-		workers   = flag.Int("workers", 0, "RunBatch worker pool width (0 = GOMAXPROCS)")
 		seed      = flag.Int64("seed", 1, "engine base seed (per-request seeds override)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
 		slo       = flag.Duration("slo", 0, "target p95 for the interactive run phase (0 = static admission)")
 		cacheB    = flag.Int64("cache-bytes", 64<<20, "result cache budget in bytes (negative disables)")
 		bulkShare = flag.Float64("bulk-share", 0.5, "fraction of the admission limit the bulk class may use")
-		peerProbe = flag.Bool("peer-probe", true, "honour X-Peer-Probe headers (cache peering behind sbgate)")
+		peerProbe = flag.Bool("peer-probe", false, "honour X-Peer-Probe headers (cache peering behind sbgate only)")
 		peerTO    = flag.Duration("peer-timeout", 750*time.Millisecond, "per peer-probe budget")
 	)
 	flag.Parse()
 
 	s := server.New(server.Config{
-		BatchSize: *batch,
-		BatchWait: *batchWait,
-		QueueCap:  *queue,
-		Workers:   *workers,
-		Seed:      *seed,
-		SLO:       *slo,
+		QueueCap: *queue,
+		Seed:     *seed,
+		SLO:      *slo,
 		CacheBytes: func() int64 {
 			if *cacheB == 0 {
 				return -1 // flag 0 means "no cache", Config 0 means "default"
@@ -80,8 +75,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "sbserver: listening on %s (batch=%d wait=%v queue=%d slo=%v cache=%dB)\n",
-		*addr, *batch, *batchWait, *queue, *slo, *cacheB)
+	fmt.Fprintf(os.Stderr, "sbserver: listening on %s (queue=%d slo=%v cache=%dB peer-probe=%v)\n",
+		*addr, *queue, *slo, *cacheB, *peerProbe)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)

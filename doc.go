@@ -207,15 +207,14 @@
 // against one warm engine pair. POST /v1/runs takes a RunSpec — a scenario
 // name from the shared internal/scenario registry plus integer params, the
 // parallel-moves width k, a shard count, a seed and a backend ("des",
-// deterministic, the default; or "async") — and requests coalesce through a
-// generic channel batcher (server.Batcher: size + max-wait flush,
-// per-request response channels) before fanning into Engine.RunBatch, so a
-// burst of requests shares one batch dispatch instead of paying per-request
-// engine entry. Admission is a bounded pending-queue: beyond the cap the
-// server answers 429 immediately rather than queueing unboundedly, and each
-// request carries its client's context — a dropped connection cancels that
-// instance mid-run and the engine hands back a connected, fully rolled-back
-// surface while the rest of the batch completes untouched.
+// deterministic, the default; or "async") — and each admitted request runs
+// at once on its own goroutine as a one-instance Engine.RunBatch, so it is
+// answered at its own run end. Admission is a bounded pending count, and
+// it is the only bound on runs in flight: beyond the limit the server
+// answers 429 immediately rather than queueing unboundedly, and each
+// request carries its client's context — a dropped connection cancels
+// that run mid-flight and the engine hands back a connected, fully
+// rolled-back surface while every other run completes untouched.
 //
 // A run streams NDJSON by default (?stream=sse or an Accept:
 // text/event-stream header switches framing, ?stream=none answers with the
@@ -245,21 +244,20 @@
 // ?class=bulk at half the limit) let parameter sweeps soak idle capacity
 // without starving interactive traffic.
 //
-// Every request is timed through four phases (enqueue → flush → run →
-// respond) aggregated as fixed-bucket streaming histograms with
-// interpolated p50/p95 in /metrics, alongside per-class request counters,
-// cache and admission state, and the engine-level stats.SessionSummary
-// (successes, hops, rounds, moves-per-round and wave histograms), as JSON
-// or ?format=prometheus. Shutdown is graceful: SIGTERM flips /healthz to
-// 503 and refuses new work, the batchers flush their remainder, in-flight
-// runs drain under a deadline, and past the deadline the server
-// force-cancels the batch context — rollback semantics again guarantee
-// clean surfaces. cmd/sbload is the closed-loop load generator (N clients
-// x M runs each, full-stream reads, per-class and X-Cache tallies, Zipf
-// spec mixes, latency percentiles); the server_throughput_32c,
-// server_cache_hot and server_slo_p95 kernels in BENCH_N.json record its
-// runs/sec and SLO tail behaviour, gated by benchdiff.
-// cmd/sbserver/README.md has a curl quickstart.
+// Every request is timed through three phases (enqueue → run → respond)
+// aggregated as fixed-bucket streaming histograms with interpolated
+// p50/p95 in /metrics, alongside per-class request counters, cache and
+// admission state, and the engine-level stats.SessionSummary (successes,
+// hops, rounds, moves-per-round and wave histograms), as JSON or
+// ?format=prometheus. Shutdown is graceful: SIGTERM flips /healthz to 503
+// and refuses new work, in-flight runs drain under a deadline, and past
+// the deadline the server force-cancels their shared run context —
+// rollback semantics again guarantee clean surfaces. cmd/sbload is the
+// closed-loop load generator (N clients x M runs each, full-stream reads,
+// per-class and X-Cache tallies, Zipf spec mixes, latency percentiles);
+// the server_throughput_32c, server_cache_hot and server_slo_p95 kernels
+// in BENCH_N.json record its runs/sec and SLO tail behaviour, gated by
+// benchdiff. cmd/sbserver/README.md has a curl quickstart.
 //
 // # Scaling out: cmd/sbgate
 //
@@ -274,10 +272,12 @@
 // propagation, stamps X-Replica and X-Spec-Key on every response, and
 // names a peer (X-Peer-Probe) that a replica missing a deterministic run
 // probes over GET /v1/peek to adopt a still-warm recording (X-Cache:
-// peer) before paying for the engine. Draining replicas (healthz 503)
-// leave the rotation in-band: a refused deterministic run provably never
-// started, so the gateway retries it on the ring successor and a
-// scale-down loses zero requests — gate_drain_zero_loss in BENCH_N.json
+// peer) before paying for the engine — replicas opt in with -peer-probe,
+// since a client that can reach them directly could name a peer it
+// controls. Draining replicas (healthz 503) leave the rotation in-band: a
+// refused deterministic run provably never started, so the gateway
+// retries it on the ring successor and a scale-down loses zero requests
+// — gate_drain_zero_loss in BENCH_N.json
 // gates completed at 100%, and gate_affinity_hot gates the
 // affinity-routed fleet at >= 2.5x a single capacity-constrained
 // replica's throughput. The gateway's /metrics merges replica phase

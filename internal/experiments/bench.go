@@ -24,6 +24,14 @@ type BenchResult struct {
 	// the Fig. 10 run); zero when the kernel has none.
 	Metric     float64 `json:"metric,omitempty"`
 	MetricName string  `json:"metric_name,omitempty"`
+	// Ungated marks an end-to-end wall-clock kernel: benchdiff reports its
+	// ns/op without gating it, because such a sample is too noisy for a
+	// percentage threshold on shared runners. Its Metric is still gated.
+	Ungated bool `json:"ungated,omitempty"`
+	// HigherIsBetter marks a Metric that regresses by shrinking
+	// (throughput, moves per round, completion percentage); any other
+	// Metric regresses by growing.
+	HigherIsBetter bool `json:"higher_is_better,omitempty"`
 }
 
 // BenchRecord is the document emitted by `sbbench -json`: a timestamped,
@@ -191,6 +199,7 @@ func RunBenchJSONWith(opts BenchOpts) ([]byte, error) {
 		Ops:        1,
 		Metric:     float64(res.Hops),
 		MetricName: "block_moves",
+		Ungated:    true,
 	})
 
 	// Batch-election kernels (parallel-moves round pipeline). Two regimes on
@@ -247,19 +256,19 @@ func RunBenchJSONWith(opts BenchOpts) ([]byte, error) {
 	}
 	rec.Results = append(rec.Results,
 		BenchResult{Name: "rounds_to_completion_serial", NsPerOp: float64(dt1.Nanoseconds()), Ops: 1,
-			Metric: float64(stairSerial.Rounds), MetricName: "rounds"},
+			Metric: float64(stairSerial.Rounds), MetricName: "rounds", Ungated: true},
 		BenchResult{Name: "rounds_to_completion_k4", NsPerOp: float64(dt2.Nanoseconds()), Ops: 1,
-			Metric: float64(stairK4.Rounds), MetricName: "rounds"},
+			Metric: float64(stairK4.Rounds), MetricName: "rounds", Ungated: true},
 		BenchResult{Name: "moves_per_round_k4", NsPerOp: float64(dt2.Nanoseconds()), Ops: 1,
-			Metric: stairK4.MovesPerRound(), MetricName: "moves_per_round"},
+			Metric: stairK4.MovesPerRound(), MetricName: "moves_per_round", Ungated: true, HigherIsBetter: true},
 		BenchResult{Name: "ridge_rounds_to_completion_k4", NsPerOp: float64(dt3.Nanoseconds()), Ops: 1,
-			Metric: float64(ridgeK4.Rounds), MetricName: "rounds"},
+			Metric: float64(ridgeK4.Rounds), MetricName: "rounds", Ungated: true},
 		BenchResult{Name: "ridge_serial_rounds_budget", NsPerOp: float64(dt4.Nanoseconds()), Ops: 1,
-			Metric: float64(ridgeSerial.Rounds), MetricName: "rounds_budget_exhausted"},
+			Metric: float64(ridgeSerial.Rounds), MetricName: "rounds_budget_exhausted", Ungated: true},
 		BenchResult{Name: "rounds_to_completion_k16", NsPerOp: float64(dt5.Nanoseconds()), Ops: 1,
-			Metric: float64(stairK16.Rounds), MetricName: "rounds"},
+			Metric: float64(stairK16.Rounds), MetricName: "rounds", Ungated: true},
 		BenchResult{Name: "moves_per_round_k16", NsPerOp: float64(dt5.Nanoseconds()), Ops: 1,
-			Metric: stairK16.MovesPerRound(), MetricName: "moves_per_round"},
+			Metric: stairK16.MovesPerRound(), MetricName: "moves_per_round", Ungated: true, HigherIsBetter: true},
 	)
 	if stairK4.Rounds >= stairSerial.Rounds {
 		return nil, fmt.Errorf("bench: batch rounds %d did not improve on serial %d", stairK4.Rounds, stairSerial.Rounds)
@@ -301,7 +310,7 @@ func RunBenchJSONWith(opts BenchOpts) ([]byte, error) {
 
 	// Service front-end kernels: runs/sec at 32 concurrent closed-loop
 	// clients against an in-process sbserver, plus the per-request phase
-	// latency split (enqueue/flush/run/respond).
+	// latency split (enqueue/run/respond).
 	srv, err := serverKernels()
 	if err != nil {
 		return nil, err

@@ -189,11 +189,13 @@ func gateAffinityKernel() (BenchResult, error) {
 			fleet.RunsPerSec, base.RunsPerSec, speedup)
 	}
 	return BenchResult{
-		Name:       "gate_affinity_hot",
-		NsPerOp:    float64(fleet.ElapsedNS) / float64(fleet.Completed),
-		Ops:        fleet.Completed,
-		Metric:     speedup,
-		MetricName: "speedup_x",
+		Name:           "gate_affinity_hot",
+		NsPerOp:        float64(fleet.ElapsedNS) / float64(fleet.Completed),
+		Ops:            fleet.Completed,
+		Metric:         speedup,
+		MetricName:     "speedup_x",
+		Ungated:        true,
+		HigherIsBetter: true,
 	}, nil
 }
 
@@ -284,10 +286,12 @@ func gateDrainKernel() (BenchResult, error) {
 		return BenchResult{}, fmt.Errorf("bench: drain produced no gateway retries — the drained replica was never in rotation")
 	}
 	return BenchResult{
-		Name:       "gate_drain_zero_loss",
-		NsPerOp:    float64(rep.ElapsedNS) / float64(rep.Completed),
-		Ops:        rep.Completed,
-		Metric:     100 * float64(rep.Completed) / float64(total),
-		MetricName: "completed_pct",
+		Name:           "gate_drain_zero_loss",
+		NsPerOp:        float64(rep.ElapsedNS) / float64(rep.Completed),
+		Ops:            rep.Completed,
+		Metric:         100 * float64(rep.Completed) / float64(total),
+		MetricName:     "completed_pct",
+		Ungated:        true,
+		HigherIsBetter: true,
 	}, nil
 }

@@ -13,15 +13,14 @@ import (
 
 // serverKernels measures the service front-end end to end, three ways:
 //
-//   - server_throughput_32c: an in-process sbserver (default batching:
-//     8-wide, 2ms max wait) under the closed-loop load generator — 32
-//     concurrent clients, 8 sequential fig10 runs each, every client
-//     reading its full NDJSON event stream, with ?cache=bypass so every
-//     request actually executes on the engine. The headline metric is
-//     runs/sec at that concurrency (gated ascending by benchdiff); the
-//     server_phase_* kernels record the per-request latency split the
-//     /metrics endpoint aggregates: queue wait (enqueue), dispatch
-//     (flush), engine run, and response write.
+//   - server_throughput_32c: an in-process sbserver (default config) under
+//     the closed-loop load generator — 32 concurrent clients, 8 sequential
+//     fig10 runs each, every client reading its full NDJSON event stream,
+//     with ?cache=bypass so every request actually executes on the engine.
+//     The headline metric is runs/sec at that concurrency (gated ascending
+//     by benchdiff); the server_phase_* kernels record the per-request
+//     latency split the /metrics endpoint aggregates: admission to run
+//     start (enqueue), engine run, and response write.
 //
 //   - server_cache_hot: the same 32x8 load with the result cache active
 //     and warm — every request replays the memoized run. The kernel
@@ -61,14 +60,16 @@ func serverKernels() ([]BenchResult, error) {
 	}
 
 	results := []BenchResult{{
-		Name:       fmt.Sprintf("server_throughput_%dc", clients),
-		NsPerOp:    float64(rep.ElapsedNS) / float64(rep.Completed),
-		Ops:        rep.Completed,
-		Metric:     rep.RunsPerSec,
-		MetricName: "runs_per_sec",
+		Name:           fmt.Sprintf("server_throughput_%dc", clients),
+		NsPerOp:        float64(rep.ElapsedNS) / float64(rep.Completed),
+		Ops:            rep.Completed,
+		Metric:         rep.RunsPerSec,
+		MetricName:     "runs_per_sec",
+		Ungated:        true,
+		HigherIsBetter: true,
 	}}
 	snap := s.Metrics().Snapshot()
-	for _, phase := range []string{"enqueue", "flush", "run", "respond"} {
+	for _, phase := range []string{"enqueue", "run", "respond"} {
 		a := snap.Latency[phase]
 		if a.Count == 0 {
 			return nil, fmt.Errorf("bench: server phase %q has no samples", phase)
@@ -77,6 +78,7 @@ func serverKernels() ([]BenchResult, error) {
 			Name:    "server_phase_" + phase,
 			NsPerOp: float64(a.MeanNS),
 			Ops:     int(a.Count),
+			Ungated: true,
 		})
 	}
 
@@ -143,11 +145,13 @@ func serverCacheHotKernel(clients, perClient int, bypassRunsPerSec float64) (Ben
 			rep.RunsPerSec, bypassRunsPerSec)
 	}
 	return BenchResult{
-		Name:       "server_cache_hot",
-		NsPerOp:    float64(rep.ElapsedNS) / float64(rep.Completed),
-		Ops:        rep.Completed,
-		Metric:     rep.RunsPerSec,
-		MetricName: "runs_per_sec",
+		Name:           "server_cache_hot",
+		NsPerOp:        float64(rep.ElapsedNS) / float64(rep.Completed),
+		Ops:            rep.Completed,
+		Metric:         rep.RunsPerSec,
+		MetricName:     "runs_per_sec",
+		Ungated:        true,
+		HigherIsBetter: true,
 	}, nil
 }
 
@@ -191,10 +195,12 @@ func serverSLOKernel() (BenchResult, error) {
 	}
 	total := clients * perClient
 	return BenchResult{
-		Name:       "server_slo_p95",
-		NsPerOp:    float64(runP95),
-		Ops:        total,
-		Metric:     100 * float64(rep.Completed) / float64(total),
-		MetricName: "completed_pct",
+		Name:           "server_slo_p95",
+		NsPerOp:        float64(runP95),
+		Ops:            total,
+		Metric:         100 * float64(rep.Completed) / float64(total),
+		MetricName:     "completed_pct",
+		Ungated:        true,
+		HigherIsBetter: true,
 	}, nil
 }

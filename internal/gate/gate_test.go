@@ -231,7 +231,7 @@ func TestGateDrainRetryAndPeerAdoption(t *testing.T) {
 // surface back — the admission slot drains and the run is recorded as
 // canceled, exactly as with a direct client.
 func TestGateStreamCancellationThroughProxy(t *testing.T) {
-	_, gw, srvs, _ := fleet(t, 1, server.Config{Workers: 2, BatchSize: 2, BatchWait: time.Millisecond})
+	_, gw, srvs, _ := fleet(t, 1, server.Config{})
 	s := srvs[0]
 	// top=24 runs ~300ms: long enough that a disconnect propagating back
 	// through two hops (client->gateway, gateway->replica) still lands

@@ -51,16 +51,11 @@ const (
 	admissionMinWin  = 16  // observations before the first adjustment
 	adjustEvery      = 8   // observations between adjustments
 	admissionBackoff = 0.7 // multiplicative-decrease factor
+	admissionFloor   = 8   // lowest adaptive limit (capped at the queue cap)
 )
 
-func newAdmission(slo time.Duration, queueCap, batchSize int, bulkShare float64) *admission {
-	minLimit := batchSize
-	if minLimit < 2 {
-		minLimit = 2
-	}
-	if minLimit > queueCap {
-		minLimit = queueCap
-	}
+func newAdmission(slo time.Duration, queueCap int, bulkShare float64) *admission {
+	minLimit := min(admissionFloor, queueCap)
 	if bulkShare <= 0 || bulkShare > 1 {
 		bulkShare = 0.5
 	}

@@ -16,7 +16,7 @@ func feed(a *admission, n int, d time.Duration) {
 // windowed p95 overshoots the SLO, recovers additively once it is back
 // within, and never leaves [minLimit, maxLimit].
 func TestAdmissionAIMD(t *testing.T) {
-	a := newAdmission(10*time.Millisecond, 64, 8, 0.5)
+	a := newAdmission(10*time.Millisecond, 64, 0.5)
 	if got := a.limitFor(classInteractive); got != 64 {
 		t.Fatalf("initial limit = %d, want the static cap 64", got)
 	}
@@ -51,7 +51,7 @@ func TestAdmissionAIMD(t *testing.T) {
 // TestAdmissionStaticWithoutSLO: SLO zero keeps the controller inert — the
 // limit is the queue cap no matter what latencies flow past.
 func TestAdmissionStaticWithoutSLO(t *testing.T) {
-	a := newAdmission(0, 32, 8, 0.5)
+	a := newAdmission(0, 32, 0.5)
 	feed(a, 1000, time.Hour)
 	if got := a.limitFor(classInteractive); got != 32 {
 		t.Errorf("limit = %d after huge latencies with no SLO, want static 32", got)
@@ -64,7 +64,7 @@ func TestAdmissionStaticWithoutSLO(t *testing.T) {
 // TestAdmissionCeiling: within-SLO traffic cannot push the limit past the
 // queue cap.
 func TestAdmissionCeiling(t *testing.T) {
-	a := newAdmission(time.Second, 16, 8, 0.5)
+	a := newAdmission(time.Second, 16, 0.5)
 	feed(a, admissionWindow*4, time.Millisecond)
 	if got := a.limitFor(classInteractive); got != 16 {
 		t.Errorf("limit = %d after fast traffic, want capped at 16", got)

@@ -174,7 +174,7 @@ func TestResultCacheLRU(t *testing.T) {
 // engine run — every client gets the complete, byte-identical stream, and
 // the engine executes once.
 func TestServerSingleflightCoalescing(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 2})
+	s, ts := testServer(t, Config{})
 	const n = 8
 	spec := RunSpec{Scenario: "slope", Params: scenario.Params{"top": 12}}
 

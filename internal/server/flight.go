@@ -10,8 +10,8 @@ import (
 // flight is one in-flight engine run that concurrent identical specs share:
 // the first request with a given cache key becomes the leader and submits
 // the single runReq; every later identical request attaches as a follower
-// and tails the flight's append-only event history instead of enqueueing a
-// duplicate RunBatch instance. The run's lifetime is tied to the set of
+// and tails the flight's append-only event history instead of starting a
+// duplicate engine run. The run's lifetime is tied to the set of
 // attached clients, not to the leader alone — the run context cancels only
 // when the last client detaches, so a leader disconnect cannot kill a run
 // other clients are still streaming.

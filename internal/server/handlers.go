@@ -402,7 +402,7 @@ func (s *Server) respondResult(w http.ResponseWriter, r *http.Request, req *runR
 // followed by the terminal result or error record. Drained slices are
 // recycled back to the spool so the steady-state path does not allocate; a
 // mid-stream client disconnect cancels the run through the instance
-// context; the dispatcher still delivers the outcome, which is consumed
+// context; execute still delivers the outcome, which is consumed
 // here so the admission slot accounting stays exact.
 func (s *Server) respondStream(w http.ResponseWriter, r *http.Request, req *runReq, sse bool) {
 	write, flush := streamWriter(w, sse)
@@ -425,7 +425,7 @@ func (s *Server) respondStream(w http.ResponseWriter, r *http.Request, req *runR
 		case <-req.spool.wake:
 		case <-clientGone:
 			// The instance context is this request's context: the engine
-			// aborts the run and the dispatcher delivers a cancellation
+			// aborts the run and execute delivers a cancellation
 			// outcome. Consume it and give up on the response.
 			<-req.done
 			req.spool.release()

@@ -3,8 +3,8 @@ package server
 import "time"
 
 // The service's latency histograms use one fixed, log-spaced bucket layout:
-// upper bounds doubling from 16µs, which spans sub-batch-wait dispatch
-// times up to minute-scale runs in histBuckets buckets. Fixed buckets keep
+// upper bounds doubling from 16µs, which spans microsecond enqueue waits
+// up to minute-scale runs in histBuckets buckets. Fixed buckets keep
 // the fold O(1) per sample and make snapshots mergeable; the resolution
 // (2x per bucket, interpolated) is plenty for an admission controller that
 // only needs to know which side of the SLO the p95 sits on.

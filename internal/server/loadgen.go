@@ -97,10 +97,9 @@ type LoadReport struct {
 }
 
 // RunLoad runs the closed-loop load: every client retries nothing and
-// pipelines nothing — one request in flight per client, the service's
-// batcher does the coalescing. An admission refusal (429/503) counts as
-// rejected, a stream that ends without a successful result record as
-// failed.
+// pipelines nothing — one request in flight per client. An admission
+// refusal (429/503) counts as rejected, a stream that ends without a
+// successful result record as failed.
 func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 	if cfg.Clients < 1 || cfg.PerClient < 1 {
 		return LoadReport{}, fmt.Errorf("server: load needs clients >= 1 and per-client >= 1")

@@ -27,11 +27,6 @@ func MergeSnapshots(snaps []MetricsSnapshot) MetricsSnapshot {
 		out.Canceled += s.Canceled
 		out.Failed += s.Failed
 		out.Rejected += s.Rejected
-		out.Batches += s.Batches
-		out.Batched += s.Batched
-		if s.MaxBatch > out.MaxBatch {
-			out.MaxBatch = s.MaxBatch
-		}
 		for name, c := range s.Classes {
 			t := out.Classes[name]
 			t.Accepted += c.Accepted

@@ -11,18 +11,18 @@ import (
 	"repro/internal/stats"
 )
 
-// The request lifecycle phases the service times, in order: queue wait
-// (Submit -> batch flush), dispatch (flush -> RunBatch start), the engine
-// run itself, and respond (run end -> response written).
+// The request lifecycle phases the service times, in order: enqueue
+// (admission -> engine run start), the engine run itself, and respond (run
+// end -> response written). The names and order are part of the /metrics
+// layout MergeSnapshots relies on (pinned by testdata/metrics_layout.json).
 const (
 	phaseEnqueue = iota
-	phaseFlush
 	phaseRun
 	phaseRespond
 	numPhases
 )
 
-var phaseNames = [numPhases]string{"enqueue", "flush", "run", "respond"}
+var phaseNames = [numPhases]string{"enqueue", "run", "respond"}
 
 // latencyAgg is one phase's aggregate: the flat fields plus streaming
 // p50/p95 estimates from the fixed-bucket histogram behind them (min, max
@@ -94,11 +94,11 @@ type ClassCounters struct {
 }
 
 // Metrics aggregates the service's counters: request outcomes (total and
-// per priority class), cache traffic, batching shape, per-phase latency
-// histograms and the engine-level session summary (every instance's
-// observer events fold into one stats.SessionSummary, so the /metrics
-// engine block reports rounds, moves, messages and the moves-per-round
-// histogram across all served runs).
+// per priority class), cache traffic, per-phase latency histograms and
+// the engine-level session summary (every instance's observer events fold
+// into one stats.SessionSummary, so the /metrics engine block reports
+// rounds, moves, messages and the moves-per-round histogram across all
+// served runs).
 type Metrics struct {
 	mu        sync.Mutex
 	started   time.Time
@@ -107,9 +107,6 @@ type Metrics struct {
 	canceled  uint64 // client disconnected before the response finished
 	failed    uint64 // responses that delivered an error outcome
 	rejected  uint64 // refused at admission (limit reached or draining)
-	batches   uint64 // RunBatch dispatches
-	batched   uint64 // requests across all dispatches
-	maxBatch  int
 	classes   [numClasses]ClassCounters
 	coalesced uint64 // requests served as singleflight followers
 	bypass    uint64 // requests that opted out of the cache (or async)
@@ -169,22 +166,11 @@ func (m *Metrics) recordPeer() {
 	m.mu.Unlock()
 }
 
-func (m *Metrics) recordBatch(n int) {
-	m.mu.Lock()
-	m.batches++
-	m.batched += uint64(n)
-	if n > m.maxBatch {
-		m.maxBatch = n
-	}
-	m.mu.Unlock()
-}
-
-// recordPhases files an engine request's enqueue/flush/run phase durations
-// (the dispatcher calls it once per executed runReq).
+// recordPhases files an engine request's enqueue and run phase durations
+// (execute calls it once per admitted runReq).
 func (m *Metrics) recordPhases(r *runReq) {
 	m.mu.Lock()
-	m.phases[phaseEnqueue].add(r.tFlush.Sub(r.tEnqueue))
-	m.phases[phaseFlush].add(r.tRunStart.Sub(r.tFlush))
+	m.phases[phaseEnqueue].add(r.tRunStart.Sub(r.tEnqueue))
 	m.phases[phaseRun].add(r.tRunEnd.Sub(r.tRunStart))
 	m.mu.Unlock()
 }
@@ -224,14 +210,18 @@ type MetricsSnapshot struct {
 	Canceled  uint64                   `json:"canceled"`
 	Failed    uint64                   `json:"failed"`
 	Rejected  uint64                   `json:"rejected"`
-	Batches   uint64                   `json:"batches"`
-	Batched   uint64                   `json:"batched_runs"`
-	MaxBatch  int                      `json:"max_batch"`
 	Classes   map[string]ClassCounters `json:"classes"`
 	Cache     CacheSnapshot            `json:"cache"`
 	Admission AdmissionSnapshot        `json:"admission"`
 	Latency   map[string]latencyAgg    `json:"latency_ns"`
 	Engine    stats.SessionSummary     `json:"engine"`
+
+	// Deprecated: Batches is always zero; requests no longer batch. It is
+	// kept only because e2ebench/serve.go still reads it.
+	Batches uint64 `json:"-"`
+	// Deprecated: Batched is always zero; requests no longer batch. It is
+	// kept only because e2ebench/serve.go still reads it.
+	Batched uint64 `json:"-"`
 }
 
 // Snapshot returns a consistent copy of every counter.
@@ -244,9 +234,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		Canceled:  m.canceled,
 		Failed:    m.failed,
 		Rejected:  m.rejected,
-		Batches:   m.batches,
-		Batched:   m.batched,
-		MaxBatch:  m.maxBatch,
 		Classes:   make(map[string]ClassCounters, numClasses),
 		Latency:   make(map[string]latencyAgg, numPhases),
 		Engine:    m.engine,
@@ -337,9 +324,6 @@ func (s MetricsSnapshot) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE sbserver_admission_limit gauge\nsbserver_admission_limit %d\n", s.Admission.Limit)
 	fmt.Fprintf(w, "# TYPE sbserver_admission_bulk_limit gauge\nsbserver_admission_bulk_limit %d\n", s.Admission.BulkLimit)
 	fmt.Fprintf(w, "# TYPE sbserver_admission_window_p95_ns gauge\nsbserver_admission_window_p95_ns %d\n", s.Admission.WindowP95NS)
-	fmt.Fprintf(w, "# TYPE sbserver_batches_total counter\nsbserver_batches_total %d\n", s.Batches)
-	fmt.Fprintf(w, "# TYPE sbserver_batched_runs_total counter\nsbserver_batched_runs_total %d\n", s.Batched)
-	fmt.Fprintf(w, "# TYPE sbserver_batch_size_max gauge\nsbserver_batch_size_max %d\n", s.MaxBatch)
 	fmt.Fprintf(w, "# TYPE sbserver_phase_latency_ns histogram\n")
 	for _, name := range phaseNames {
 		a := s.Latency[name]

@@ -1,3 +1,22 @@
+// Package server is the reconfiguration-as-a-service front-end over
+// core.Engine: an HTTP service that accepts scenario-run requests from many
+// concurrent clients, runs each admitted request on the engine as soon as
+// admission lets it in, streams each run's observer events back over
+// NDJSON or SSE, and records flat per-request phase timings plus aggregate
+// engine counters behind a /metrics endpoint.
+//
+// The package splits along the request's path through the service:
+//
+//   - stream.go   — the wire schema (RunSpec in, event/result records out)
+//     and the per-request event spool
+//   - server.go   — engines, admission, dispatch, graceful shutdown
+//   - admission.go — the SLO-driven admission limit and priority classes
+//   - cache.go, flight.go, peer.go — the result cache, singleflight and
+//     cross-replica cache peering
+//   - handlers.go — the HTTP surface
+//   - metrics.go  — per-phase latency and engine-counter aggregation
+//   - loadgen.go  — the closed-loop load generator behind cmd/sbload and
+//     the server throughput bench kernels
 package server
 
 import (
@@ -13,24 +32,29 @@ import (
 	"repro/internal/scenario"
 )
 
+var (
+	// ErrQueueFull reports an admission rejection: the request's class is
+	// at its admission limit. The HTTP layer maps it to 429.
+	ErrQueueFull = errors.New("server: request queue full")
+	// ErrStopped reports a submission after Shutdown began. The HTTP layer
+	// maps it to 503 (the server is draining).
+	ErrStopped = errors.New("server: shutting down")
+)
+
 // Config tunes the service. The zero value is usable: every field derives
 // the documented default.
 type Config struct {
-	// BatchSize is the coalescing width: a batch dispatches to
-	// Engine.RunBatch as soon as this many requests are pending
-	// (default 8).
+	// Deprecated: BatchSize is ignored; every admitted request runs on its
+	// own. It is kept only because e2ebench/serve.go still sets it.
 	BatchSize int
-	// BatchWait is how long a shorter batch waits for company before
-	// dispatching anyway (default 2ms).
+	// Deprecated: BatchWait is ignored; every admitted request runs on its
+	// own. It is kept only because e2ebench/serve.go still sets it.
 	BatchWait time.Duration
 	// QueueCap bounds the requests admitted but not yet answered; an
 	// overflowing submission is rejected with 429 (default 64). It is the
 	// admission controller's ceiling: with an SLO configured the live
-	// limit adapts between BatchSize and QueueCap.
+	// limit adapts between min(8, QueueCap) and QueueCap.
 	QueueCap int
-	// Workers is the per-dispatch Engine.RunBatch worker pool width
-	// (default: the engine's own default, GOMAXPROCS).
-	Workers int
 	// Seed is the engines' base seed; per-request seeds override it
 	// (default 1, the evaluation's golden seed).
 	Seed int64
@@ -51,19 +75,15 @@ type Config struct {
 	// miss, when the request carries an X-Peer-Probe header (set by the
 	// sbgate affinity router), the replica probes that peer's /v1/peek
 	// before paying for a run. Off by default — a lone replica has no
-	// peers and shouldn't honour probe headers from arbitrary clients.
+	// peers and shouldn't honour probe headers from arbitrary clients: a
+	// client naming a server it controls could plant a forged recording
+	// that every later client is served as a cache hit.
 	PeerProbe bool
 	// PeerTimeout bounds one peer probe (default 750ms).
 	PeerTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
-	if c.BatchSize <= 0 {
-		c.BatchSize = 8
-	}
-	if c.BatchWait <= 0 {
-		c.BatchWait = 2 * time.Millisecond
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 64
 	}
@@ -93,12 +113,12 @@ type runReq struct {
 
 	spool  *eventSpool     // live event stream, nil when not streaming
 	flight *flight         // shared run, nil on the uncacheable path
-	done   chan runOutcome // buffered(1): dispatcher never blocks on it
+	done   chan runOutcome // buffered(1): execute never blocks on it
 
-	tEnqueue, tFlush, tRunStart, tRunEnd time.Time
+	tEnqueue, tRunStart, tRunEnd time.Time
 }
 
-// runOutcome is the dispatcher's answer.
+// runOutcome is the engine's answer to one request.
 type runOutcome struct {
 	res core.Result
 	err error
@@ -107,34 +127,35 @@ type runOutcome struct {
 // timing renders the request's completed phases for the result record.
 func (r *runReq) timing() wireTiming {
 	return wireTiming{
-		EnqueueNS: int64(r.tFlush.Sub(r.tEnqueue)),
-		FlushNS:   int64(r.tRunStart.Sub(r.tFlush)),
+		EnqueueNS: int64(r.tRunStart.Sub(r.tEnqueue)),
 		RunNS:     int64(r.tRunEnd.Sub(r.tRunStart)),
 	}
 }
 
 // Server is the reconfiguration service: one engine per backend (backend
-// choice is an engine-level option, so DES and Async requests dispatch to
-// their own engines), a per-class batcher coalescing admitted requests,
-// the content-addressed result cache with its singleflight table, the
-// admission controller, and the metrics registry.
+// choice is an engine-level option, so DES and Async requests run on their
+// own engines), the content-addressed result cache with its singleflight
+// table, the admission controller, and the metrics registry.
 type Server struct {
-	cfg      Config
-	engines  map[string]*core.Engine
-	batchers [numClasses]*Batcher[*runReq]
-	cache    *resultCache
-	flights  *flightTable
-	ctrl     *admission
-	metrics  *Metrics
-	mux      *http.ServeMux
+	cfg     Config
+	engines map[string]*core.Engine
+	cache   *resultCache
+	flights *flightTable
+	ctrl    *admission
+	metrics *Metrics
+	mux     *http.ServeMux
 
 	runCtx context.Context // cancelled to force-abort in-flight runs
 	force  context.CancelFunc
 
 	peerClient *http.Client // peering probes; short-lived, bounded by PeerTimeout
 
-	pending  [numClasses]atomic.Int64 // admitted, outcome not yet delivered
-	inflight sync.WaitGroup           // one per admitted request; Wait = drained
+	pending [numClasses]atomic.Int64 // admitted, outcome not yet delivered
+	// drainMu orders admissions against Shutdown: submit checks draining
+	// and adds to inflight under it, Shutdown sets draining under it, so
+	// no request is admitted once Shutdown has started waiting on inflight.
+	drainMu  sync.Mutex
+	inflight sync.WaitGroup // one per admitted request; Wait = drained
 	draining atomic.Bool
 }
 
@@ -146,7 +167,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		cache:   newResultCache(cfg.CacheBytes),
 		flights: newFlightTable(),
-		ctrl:    newAdmission(cfg.SLO, cfg.QueueCap, cfg.BatchSize, cfg.BulkShare),
+		ctrl:    newAdmission(cfg.SLO, cfg.QueueCap, cfg.BulkShare),
 		metrics: newMetrics(),
 		mux:     http.NewServeMux(),
 		peerClient: &http.Client{Transport: &http.Transport{
@@ -156,22 +177,11 @@ func New(cfg Config) *Server {
 	}
 	s.metrics.cache = s.cache
 	s.metrics.ctrl = s.ctrl
-	engineOpts := func(extra ...core.Option) []core.Option {
-		opts := []core.Option{core.WithSeed(cfg.Seed)}
-		if cfg.Workers > 0 {
-			opts = append(opts, core.WithWorkers(cfg.Workers))
-		}
-		return append(opts, extra...)
-	}
 	s.engines = map[string]*core.Engine{
-		backendDES:   core.NewEngine(lib, engineOpts()...),
-		backendAsync: core.NewEngine(lib, engineOpts(core.WithBackend(core.Async))...),
+		backendDES:   core.NewEngine(lib, core.WithSeed(cfg.Seed)),
+		backendAsync: core.NewEngine(lib, core.WithSeed(cfg.Seed), core.WithBackend(core.Async)),
 	}
 	s.runCtx, s.force = context.WithCancel(context.Background())
-	for c := 0; c < numClasses; c++ {
-		s.batchers[c] = NewBatcher(cfg.BatchSize, cfg.BatchWait, cfg.QueueCap,
-			func(batch []*runReq) { go s.execute(batch) })
-	}
 	s.routes()
 	return s
 }
@@ -182,11 +192,13 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Metrics exposes the registry (the bench kernels read it in-process).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// submit admits one request: counted against its class's live admission
-// limit, then queued on the class batcher. On success the request WILL
-// receive exactly one outcome on req.done; every error path here releases
-// the admission slot.
+// submit admits one request, counted against its class's live admission
+// limit, and starts its run. On success the request WILL receive exactly
+// one outcome on req.done; every error path here releases the admission
+// slot.
 func (s *Server) submit(req *runReq) error {
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
 	if s.draining.Load() {
 		return ErrStopped
 	}
@@ -197,80 +209,47 @@ func (s *Server) submit(req *runReq) error {
 	}
 	s.inflight.Add(1)
 	req.tEnqueue = time.Now()
-	if err := s.batchers[req.class].Submit(req); err != nil {
-		s.pending[req.class].Add(-1)
-		s.inflight.Done()
-		return err
-	}
+	go s.execute(req)
 	return nil
 }
 
-// execute dispatches one flushed batch into RunBatch, grouped by backend
-// (requests of both backends can share a batch; the groups run in turn on
-// this goroutine while other flushes proceed independently). Every request
+// execute runs one admitted request on its backend's engine. The request
 // gets its outcome delivered, its event sink closed or completed, and its
 // admission slot released — also on force-shutdown, where RunBatch returns
-// the context error per instance.
-func (s *Server) execute(batch []*runReq) {
-	now := time.Now()
-	for _, r := range batch {
-		r.tFlush = now
+// the context error.
+func (s *Server) execute(r *runReq) {
+	// Tee the instance's live events into the metrics summary and, when
+	// anyone is listening, its spool or shared flight.
+	var obs core.Observer = s.metrics
+	switch {
+	case r.flight != nil:
+		obs = core.MultiObserver(r.flight, s.metrics)
+	case r.spool != nil:
+		obs = core.MultiObserver(r.spool, s.metrics)
 	}
-	s.metrics.recordBatch(len(batch))
-
-	var order []string
-	groups := make(map[string][]*runReq, 2)
-	for _, r := range batch {
-		if _, ok := groups[r.backend]; !ok {
-			order = append(order, r.backend)
-		}
-		groups[r.backend] = append(groups[r.backend], r)
+	r.tRunStart = time.Now()
+	results, _ := s.engines[r.backend].RunBatch(s.runCtx, []core.Instance{{
+		Name:     r.scen.Name,
+		Surface:  r.scen.Surface,
+		Config:   r.cfg,
+		Seed:     r.seed,
+		Ctx:      r.ctx,
+		Observer: obs,
+	}})
+	r.tRunEnd = time.Now()
+	out := runOutcome{res: results[0].Result, err: results[0].Err}
+	s.metrics.recordPhases(r)
+	if out.err == nil && r.class == classInteractive {
+		s.ctrl.observe(r.tRunEnd.Sub(r.tRunStart))
 	}
-	for _, backend := range order {
-		reqs := groups[backend]
-		insts := make([]core.Instance, len(reqs))
-		for i, r := range reqs {
-			// Tee the instance's live events into the metrics summary and,
-			// when anyone is listening, its spool or shared flight.
-			var obs core.Observer = s.metrics
-			switch {
-			case r.flight != nil:
-				obs = core.MultiObserver(r.flight, s.metrics)
-			case r.spool != nil:
-				obs = core.MultiObserver(r.spool, s.metrics)
-			}
-			insts[i] = core.Instance{
-				Name:     r.scen.Name,
-				Surface:  r.scen.Surface,
-				Config:   r.cfg,
-				Seed:     r.seed,
-				Ctx:      r.ctx,
-				Observer: obs,
-			}
-		}
-		start := time.Now()
-		for _, r := range reqs {
-			r.tRunStart = start
-		}
-		results, _ := s.engines[backend].RunBatch(s.runCtx, insts)
-		end := time.Now()
-		for i, r := range reqs {
-			r.tRunEnd = end
-			out := runOutcome{res: results[i].Result, err: results[i].Err}
-			s.metrics.recordPhases(r)
-			if out.err == nil && r.class == classInteractive {
-				s.ctrl.observe(r.tRunEnd.Sub(r.tRunStart))
-			}
-			if r.flight != nil {
-				s.finishFlight(r, out)
-			} else if r.spool != nil {
-				r.spool.close()
-			}
-			r.done <- out
-			s.pending[r.class].Add(-1)
-			s.inflight.Done()
-		}
+	if r.flight != nil {
+		s.finishFlight(r, out)
+	} else if r.spool != nil {
+		r.spool.close()
 	}
+	r.done <- out
+	s.pending[r.class].Add(-1)
+	s.inflight.Done()
 }
 
 // finishFlight completes a shared run: a successful deterministic run is
@@ -297,17 +276,16 @@ func (s *Server) finishFlight(r *runReq, out runOutcome) {
 }
 
 // Shutdown drains the service gracefully: new submissions are refused with
-// 503, the batchers flush what they already queued, and in-flight runs get
-// until ctx's deadline to finish — their clients receive complete results.
-// If the deadline expires first the remaining runs are force-cancelled;
-// the engine rolls each surface back to an atomic motion boundary, so even
-// an aborted request's surface is left connected and physically valid.
-// Returns ctx.Err() when the force path was taken, nil on a clean drain.
+// 503 and in-flight runs get until ctx's deadline to finish — their
+// clients receive complete results. If the deadline expires first the
+// remaining runs are force-cancelled; the engine rolls each surface back
+// to an atomic motion boundary, so even an aborted request's surface is
+// left connected and physically valid. Returns ctx.Err() when the force
+// path was taken, nil on a clean drain.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.drainMu.Lock()
 	s.draining.Store(true)
-	for c := 0; c < numClasses; c++ {
-		s.batchers[c].Stop()
-	}
+	s.drainMu.Unlock()
 	drained := make(chan struct{})
 	go func() {
 		s.inflight.Wait()

@@ -51,7 +51,6 @@ type streamRecord struct {
 	Error   string `json:"error"`
 	Timing  struct {
 		EnqueueNS int64 `json:"enqueue_ns"`
-		FlushNS   int64 `json:"flush_ns"`
 		RunNS     int64 `json:"run_ns"`
 	} `json:"timing"`
 }
@@ -59,10 +58,19 @@ type streamRecord struct {
 // postRun issues one run request and decodes the full NDJSON stream.
 func postRun(t *testing.T, ts *httptest.Server, spec RunSpec) (int, []streamRecord) {
 	t.Helper()
-	body, _ := json.Marshal(spec)
-	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
+	status, recs, err := streamRun(ts.URL+"/v1/runs", spec)
 	if err != nil {
-		t.Fatalf("POST /v1/runs: %v", err)
+		t.Fatal(err)
+	}
+	return status, recs
+}
+
+// streamRun is postRun for any goroutine: it reports failures as an error.
+func streamRun(url string, spec RunSpec) (int, []streamRecord, error) {
+	body, _ := json.Marshal(spec)
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, fmt.Errorf("POST %s: %w", url, err)
 	}
 	defer resp.Body.Close()
 	var recs []streamRecord
@@ -74,11 +82,11 @@ func postRun(t *testing.T, ts *httptest.Server, spec RunSpec) (int, []streamReco
 		}
 		var rec streamRecord
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
+			return 0, nil, fmt.Errorf("bad stream line %q: %w", sc.Text(), err)
 		}
 		recs = append(recs, rec)
 	}
-	return resp.StatusCode, recs
+	return resp.StatusCode, recs, sc.Err()
 }
 
 // TestServerRunEndToEnd: a streamed fig10 run returns the live event
@@ -101,7 +109,7 @@ func TestServerRunEndToEnd(t *testing.T) {
 	if last.Hops != 109 {
 		t.Errorf("fig10 over the service moved %d blocks, want the golden 109", last.Hops)
 	}
-	if last.Timing.RunNS <= 0 || last.Timing.EnqueueNS < 0 || last.Timing.FlushNS < 0 {
+	if last.Timing.RunNS <= 0 || last.Timing.EnqueueNS < 0 {
 		t.Errorf("implausible phase timing %+v", last.Timing)
 	}
 	kinds := map[string]bool{}
@@ -248,7 +256,7 @@ func TestServerBackpressure(t *testing.T) {
 }
 
 // TestServerMetricsEndpoint: after a served run the snapshot carries the
-// request counters, all four phase latencies and the folded engine
+// request counters, all three phase latencies and the folded engine
 // summary; ?format=prometheus renders the text exposition.
 func TestServerMetricsEndpoint(t *testing.T) {
 	s, ts := testServer(t, Config{})
@@ -264,10 +272,10 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if snap.Requests < 1 || snap.Completed < 1 || snap.Batches < 1 {
+	if snap.Requests < 1 || snap.Completed < 1 {
 		t.Errorf("counters not advanced: %+v", snap)
 	}
-	for _, phase := range []string{"enqueue", "flush", "run", "respond"} {
+	for _, phase := range phaseNames {
 		if snap.Latency[phase].Count < 1 {
 			t.Errorf("phase %q has no samples", phase)
 		}
@@ -295,11 +303,11 @@ func TestServerMetricsEndpoint(t *testing.T) {
 }
 
 // TestServerCancellationUnderLoad: half the clients of a loaded server
-// disconnect mid-run. Their runs are aborted (freeing worker slots), the
-// batcher keeps flushing, and every surviving stream stays ordered and
-// completes successfully; a follow-up request still gets served.
+// disconnect mid-run. Their runs are aborted (freeing admission slots),
+// and every surviving stream stays ordered and completes successfully; a
+// follow-up request still gets served.
 func TestServerCancellationUnderLoad(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 2, BatchSize: 2, BatchWait: time.Millisecond})
+	s, ts := testServer(t, Config{})
 	const n = 6
 	spec, _ := json.Marshal(RunSpec{Scenario: "slope", Params: scenario.Params{"top": 12}})
 
@@ -376,7 +384,7 @@ func TestServerCancellationUnderLoad(t *testing.T) {
 		t.Errorf("completed=%d canceled=%d, want %d and %d", snap.Completed, snap.Canceled, n/2, n/2)
 	}
 
-	// Worker slots freed: one more run completes normally.
+	// Admission slots freed: one more run completes normally.
 	if status, recs := postRun(t, ts, RunSpec{Scenario: "fig10"}); status != http.StatusOK ||
 		len(recs) == 0 || !recs[len(recs)-1].Success {
 		t.Fatalf("follow-up run after cancellations failed: status=%d", status)
@@ -387,7 +395,7 @@ func TestServerCancellationUnderLoad(t *testing.T) {
 // in-flight run finish — its client receives the complete result — and
 // later submissions are refused with 503.
 func TestServerGracefulShutdownDrain(t *testing.T) {
-	s, ts := testServer(t, Config{BatchSize: 1, BatchWait: time.Millisecond})
+	s, ts := testServer(t, Config{})
 	type answer struct {
 		status int
 		rec    streamRecord
@@ -430,13 +438,126 @@ func TestServerGracefulShutdownDrain(t *testing.T) {
 	}
 }
 
+// TestServerRequestsCompleteIndependently: fig10 posted together with a
+// run about 60x longer answers at its own run end. Its terminal record
+// arrives while the long run is still streaming, and its run_ns is its own
+// run's time, not the long run's.
+func TestServerRequestsCompleteIndependently(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	type answer struct {
+		status int
+		recs   []streamRecord
+		err    error
+	}
+	start := make(chan struct{})
+	post := func(spec RunSpec, out chan<- answer) {
+		<-start
+		status, recs, err := streamRun(ts.URL+"/v1/runs", spec)
+		out <- answer{status, recs, err}
+	}
+	longCh, figCh := make(chan answer, 1), make(chan answer, 1)
+	go post(RunSpec{Scenario: "slope", Params: scenario.Params{"top": 24}}, longCh)
+	go post(RunSpec{Scenario: "fig10"}, figCh)
+	close(start)
+
+	fig := <-figCh
+	select {
+	case <-longCh:
+		t.Fatal("fig10 answered only after the long run had finished")
+	default:
+	}
+	long := <-longCh
+	var res [2]streamRecord
+	for i, a := range []answer{fig, long} {
+		if a.err != nil || a.status != http.StatusOK || len(a.recs) == 0 {
+			t.Fatalf("run %d: status=%d err=%v records=%d", i, a.status, a.err, len(a.recs))
+		}
+		if res[i] = a.recs[len(a.recs)-1]; res[i].Type != "result" || !res[i].Success {
+			t.Fatalf("run %d: terminal record %+v, want a successful result", i, res[i])
+		}
+	}
+	if res[0].Hops != 109 {
+		t.Errorf("fig10 moved %d blocks, want the golden 109", res[0].Hops)
+	}
+	if figNS, longNS := res[0].Timing.RunNS, res[1].Timing.RunNS; figNS*10 > longNS {
+		t.Errorf("fig10 run_ns=%d against the long run's %d, want its own far shorter run time", figNS, longNS)
+	}
+}
+
+// TestServerShutdownRacesSubmissions: clients keep posting while Shutdown
+// runs. Every request is either refused with 503 or answered with a
+// complete 200 result, and Shutdown returns only once every admitted
+// request has had its outcome delivered.
+func TestServerShutdownRacesSubmissions(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	const clients = 8
+	var wg sync.WaitGroup
+	defer wg.Wait() // every client stops at its first 503
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; ; i++ {
+				// Fresh seeds make every request an engine run; odd clients
+				// take the uncacheable path, even ones the singleflight path.
+				spec := RunSpec{Scenario: "fig10", Seed: int64(c*10_000 + i)}
+				path := "/v1/runs?stream=none"
+				if c%2 == 1 {
+					path += "&cache=bypass"
+				}
+				body, _ := json.Marshal(spec)
+				resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("client %d: %v", c, err)
+					return
+				}
+				var rec streamRecord
+				decErr := json.NewDecoder(resp.Body).Decode(&rec)
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusServiceUnavailable {
+					return
+				}
+				if resp.StatusCode != http.StatusOK || decErr != nil || rec.Type != "result" || !rec.Success {
+					t.Errorf("client %d: status=%d record=%+v err=%v, want 503 or a complete 200 result",
+						c, resp.StatusCode, rec, decErr)
+					return
+				}
+			}
+		}()
+	}
+
+	// Shut down while every client is mid-loop.
+	deadline := time.Now().Add(30 * time.Second)
+	for s.Metrics().Snapshot().Completed < clients && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("drain shutdown returned %v, want nil", err)
+	}
+	if n := totalPending(s); n != 0 {
+		t.Errorf("pending = %d when Shutdown returned, want 0", n)
+	}
+	drained := make(chan struct{})
+	go func() {
+		s.inflight.Wait()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Error("inflight still non-zero 5s after Shutdown returned")
+	}
+}
+
 // TestServerShutdownForceCancelRollsBack: when the drain deadline has
 // already passed, Shutdown force-cancels the in-flight run; the request
 // gets an error outcome and its surface is left connected with every
 // block accounted for (the engine rolls back to an atomic motion
 // boundary).
 func TestServerShutdownForceCancelRollsBack(t *testing.T) {
-	s := New(Config{BatchSize: 1, BatchWait: time.Millisecond})
+	s := New(Config{})
 	scen, cfg, backend, err := buildSpec(RunSpec{Scenario: "slope", Params: scenario.Params{"top": 16}})
 	if err != nil {
 		t.Fatal(err)

@@ -100,12 +100,11 @@ func toWire(ev core.Event) wireEvent {
 }
 
 // wireTiming is the flat per-request phase timing echoed in every result
-// record: queue wait (submit -> flush), dispatch (flush -> run start) and
-// the run itself. The respond phase (run end -> response written) cannot be
-// part of the payload it times; /metrics aggregates it.
+// record: enqueue (admission -> run start) and the run itself. The respond
+// phase (run end -> response written) cannot be part of the payload it
+// times; /metrics aggregates it.
 type wireTiming struct {
 	EnqueueNS int64 `json:"enqueue_ns"`
-	FlushNS   int64 `json:"flush_ns"`
 	RunNS     int64 `json:"run_ns"`
 }
 
@@ -182,7 +181,7 @@ func putSpoolBuf(buf []core.Event) {
 // unbounded on purpose: a slow or stalled client must never block the
 // engine's run (the engine-side OnEvent only appends under a mutex), so
 // flow control happens at admission (queue cap), not mid-run. Closed by
-// the dispatcher when the run's outcome is delivered.
+// execute when the run's outcome is delivered.
 //
 // Backing slices are pooled: the drainer hands each drained slice back via
 // recycle once rendered, so producer and consumer ping-pong between two
