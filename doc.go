@@ -144,12 +144,12 @@
 // rerunning a DFS per candidate: a connectivity-constrained verdict is
 // O(window) for single-displacement motions (every slide, carry and
 // teleport) — including cut-vertex movers, which are classified against the
-// DFS piece labels (parent, subtree size) retained from the Tarjan pass
-// instead of rerunning the overlay DFS — allocation-free, with a
-// scratch-buffer DFS fallback only for multi-cell deltas and fault-injected
+// DFS piece labels (parent, subtree size) retained from the Tarjan pass —
+// allocation-free, with a what-if Tarjan pass over the delta overlaid, on
+// reusable scratch, only for multi-cell deltas and fault-injected
 // fragmented surfaces. Connected() remains the reference oracle, with a
-// differential property test pinning the cache to it across randomized
-// motion/fault sequences. Surface.Apply is atomic under failure: Validate
+// property test pinning the cache to it across randomized motion/fault
+// sequences. Surface.Apply is atomic under failure: Validate
 // replays multi-step move schedules against the evolving occupancy before
 // anything mutates, and the executor keeps an undo log, so a rejected
 // application leaves no partial state behind. The same undo log now backs
@@ -160,12 +160,13 @@
 //
 // # Sharded surfaces: column bands and boundary composition
 //
-// At the paper's §VI scale (10^6-10^7 modules) the monolithic articulation
-// cache is the last O(N) cost on the event path: one occupancy mutation
+// The articulation cache is a layout of column bands, each owning a lazy
+// band-local Tarjan core (internal/lattice/shard.go); a new surface holds
+// one full-width band. At the paper's §VI scale (10^6-10^7 modules) that
+// one band is the last O(N) cost on the event path: one occupancy mutation
 // invalidates it, and the next constrained verdict pays a full-surface
 // Tarjan rebuild. core.WithShards(n) (lattice.Surface.EnableSharding)
-// partitions the surface into fixed-width column bands, each owning a lazy
-// band-local Tarjan core (internal/lattice/shard.go), composed globally
+// partitions the surface into n fixed-width column bands, composed globally
 // through a boundary contraction graph (contraction.go): one node per
 // band-local component, one union-find edge per occupied cell pair facing
 // each other across an internal band boundary. A mutation dirties one band
@@ -178,15 +179,17 @@
 // rungs only answer when their verdict cannot be wrong, otherwise they fall
 // through: (1) band-local fast paths, O(window) — an interior non-articulation
 // mover, or an in-band articulation mover whose destination re-covers every
-// separated DFS piece; (2) the contraction graph's cached component count
-// for occupancy-preserving deltas; (3) a bounded overlay rebuild — what-if
-// band cores for the bands the delta actually touches, composed with every
-// untouched band's cached labels and boundary edges — exact for arbitrary
-// deltas and never O(surface). Sharding therefore changes where verdicts
+// separated DFS piece (on one band the core spans the surface, so its
+// articulation verdicts are final either way); (2) the contraction graph's
+// cached component count for occupancy-preserving deltas; (3) a bounded
+// overlay rebuild — what-if band cores for the bands the delta actually
+// touches, composed with every untouched band's cached labels and boundary
+// edges — exact for arbitrary deltas and never O(surface) once the surface
+// has more than one band. The band count therefore changes where verdicts
 // are computed, never what they are: the golden differential and a
-// band-edge-concentrated property test pin the sharded subsystem to the
-// monolithic oracle, and runs under WithShards are bit-identical to
-// unsharded ones.
+// band-edge-concentrated property test over band counts from one up pin the
+// ladder to the Connected() oracle, and runs under WithShards are
+// bit-identical to one-band runs.
 //
 // core.WithShardDrive(workers) additionally shards the DES itself: one
 // event scheduler per band, advanced in virtual-time epochs of the latency

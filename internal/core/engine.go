@@ -48,9 +48,10 @@ type BackendParams struct {
 	OnApply     func(lattice.ApplyResult)
 	Logf        func(string, ...any)
 
-	// Shards is the column-band count of the surface's sharded connectivity
-	// cache (0/1 = monolithic). The session layer has already enabled it on
-	// the surface; backends only need it to size shard-aware structures.
+	// Shards is the column-band count of the surface's connectivity cache
+	// (0/1 = one full-width band). The session layer has already laid the
+	// bands out on the surface; backends only need it to size shard-aware
+	// structures.
 	Shards int
 	// ShardDrive asks the DES backend to run one event scheduler per column
 	// band, synchronised at virtual-time epoch barriers (sim.Config.ShardDrive).
@@ -182,7 +183,7 @@ func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 // per-event validation cost flat as the surface grows (§VI scale). Sharding
 // changes only where connectivity verdicts are computed, never what they
 // are, so runs — on either backend — are bit-identical to the unsharded
-// engine. n <= 1 keeps the monolithic cache.
+// engine. n <= 1 keeps the surface's single full-width band.
 func WithShards(n int) Option { return func(o *options) { o.shards = n } }
 
 // WithShardDrive additionally gives each column band its own DES event
@@ -302,7 +303,7 @@ func (e *Engine) runInstance(ctx context.Context, surf *lattice.Surface, cfg Con
 	constraints := BuildConstraints(cfg, surf, e.lib)
 	// Shard the surface before warming so the boot-time build already runs
 	// band by band. Surfaces pre-sharded by the caller keep their layout.
-	if e.opts.shards > 1 && surf.ShardCount() == 0 {
+	if e.opts.shards > 1 && surf.ShardCount() <= 1 {
 		if err := surf.EnableSharding(e.opts.shards); err != nil {
 			return Result{}, err
 		}

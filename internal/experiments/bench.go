@@ -165,9 +165,9 @@ func RunBenchJSONWith(opts BenchOpts) ([]byte, error) {
 		}),
 	)
 
-	// The articulation-mover connectivity verdict: retained piece labels
-	// against the overlay-DFS fallback the same query used to take (the
-	// "articulation fallback labelling" ROADMAP item).
+	// The articulation-mover connectivity verdict on the retained piece
+	// labels (rung 1 of the ladder); BenchmarkArticulationMoveCheck in
+	// internal/lattice sets it against the what-if overlay of rung 3.
 	artic, err := articFixture()
 	if err != nil {
 		return nil, err
@@ -286,7 +286,7 @@ func RunBenchJSONWith(opts BenchOpts) ([]byte, error) {
 
 	// Sharded-surface kernels (§VI scale). The 2e6-module pair is the
 	// headline: the cost one occupancy mutation re-imposes on the next
-	// connectivity query, monolithic cache vs column-band shards. The
+	// connectivity query, one full-width band vs column-band shards. The
 	// sharded per-event kernels then ride the same fixed-height, fixed
 	// band-width fixture family, so flatness across 5e5 -> 8e6 modules
 	// (-scale) is visible as near-identical ns/op.
@@ -355,7 +355,7 @@ type shardWorkload struct {
 }
 
 // shardFixture fills cols x shardFixH modules and shards the surface into
-// cols/shardBandW column bands (0 bands = monolithic).
+// cols/shardBandW column bands (0 bands keeps the one full-width band).
 func shardFixture(cols, bands int) (*shardWorkload, error) {
 	surf, err := lattice.NewSurface(cols, shardFixH+6)
 	if err != nil {
@@ -410,9 +410,11 @@ func appMoving(lib *rules.Library, surf *lattice.Surface, from, to geom.Vec) (ru
 }
 
 // shardRebuildKernels is the headline pair at 2e6 modules: the cost of the
-// first connectivity query after an occupancy mutation, paying a full
-// monolithic Tarjan rebuild vs a single-band rebuild plus the contraction
-// recompute. The target regime is the band fraction (20 bands -> ~20x).
+// first connectivity query after an occupancy mutation, paying a
+// full-surface Tarjan rebuild on an unsharded (one-band) surface
+// (mono_rebuild_2e6) vs one narrow band's rebuild plus the contraction
+// recompute (shard_rebuild_2e6). The target regime is the band fraction
+// (20 bands -> ~20x).
 func shardRebuildKernels() ([]BenchResult, error) {
 	const cols = 3000 // ~2e6 modules
 	kernel := func(name string, bands int) (BenchResult, error) {
@@ -421,8 +423,8 @@ func shardRebuildKernels() ([]BenchResult, error) {
 			return BenchResult{}, err
 		}
 		res := timeKernel(name, func() {
-			// Toggle the probe: the Place dirties its band (or the whole
-			// monolithic cache), and the warm pays the rebuild.
+			// Toggle the probe: the Place dirties its band (the whole
+			// surface when unsharded), and the warm pays the rebuild.
 			pid, err := fx.surf.Place(fx.probe)
 			if err != nil {
 				panic(err)

@@ -211,7 +211,7 @@ func (s *Surface) validate(app rules.Application, c Constraints) (violation, geo
 	//    No clone — the veto pass reuses the same scratch-backed execution
 	//    the real Apply uses, so a vetoed candidate allocates nothing.
 	if c.Veto != nil {
-		wasValid := s.conn.valid
+		wasValid := s.shconn.valid
 		if v, at := s.executeCore(app, nil); v != vOK {
 			// Unreachable after the physics checks above; roll back and
 			// degrade to the underlying violation.
@@ -219,13 +219,13 @@ func (s *Surface) validate(app rules.Application, c Constraints) (violation, geo
 			return v, at, nil
 		}
 		err := c.Veto(s)
-		rebuilt := s.conn.valid // a veto that rebuilt saw post-move state
+		rebuilt := s.shconn.valid // a veto that rebuilt saw post-move state
 		s.rollbackCells()
 		if wasValid && !rebuilt {
 			// The rollback restored the exact pre-move occupancy, so the
-			// cache contents are still correct; only the valid flag was
+			// cache contents are still correct; only the valid flags were
 			// cleared by the temporary mutations.
-			s.conn.valid = true
+			s.shconn.revalidate()
 		}
 		if err != nil {
 			return vVetoed, geom.Vec{}, err
@@ -551,13 +551,13 @@ func (s *Surface) MoveTeleport(id BlockID, to geom.Vec, c Constraints) error {
 		// Same undo discipline as the rule-application veto: move in place,
 		// inspect, move back, and keep the connectivity cache warm (the
 		// teleport there and back restores the exact occupancy).
-		wasValid := s.conn.valid
+		wasValid := s.shconn.valid
 		s.teleport(id, from, to)
 		err := c.Veto(s)
-		rebuilt := s.conn.valid
+		rebuilt := s.shconn.valid
 		s.teleport(id, to, from)
 		if wasValid && !rebuilt {
-			s.conn.valid = true
+			s.shconn.revalidate()
 		}
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrVetoed, err)

@@ -23,22 +23,22 @@ import (
 //   - connCore is one Tarjan articulation pass over a column band [x0, x1):
 //     component count, component labels, an articulation-point bitset and the
 //     DFS piece labels (parent + subtree size), all in flat int32 scratch with
-//     no per-node allocation. The monolithic connState runs one core over the
-//     full width; the sharded layer (shard.go) runs one core per column band
-//     and composes them through the boundary contraction graph
-//     (contraction.go).
-//
-//   - connState caches one full-width core for the *current* occupancy. It is
-//     rebuilt lazily and invalidated by every setOcc/clearOcc. Because a round
-//     of the algorithm validates many candidates between consecutive surface
+//     no per-node allocation. Every surface keeps its cores in one band
+//     layout (shardedConn, shard.go): a single full-width band by default,
+//     n column bands under EnableSharding(n), composed through the boundary
+//     contraction graph (contraction.go). A core is rebuilt lazily and
+//     invalidated by every setOcc/clearOcc in its columns. Because a round of
+//     the algorithm validates many candidates between consecutive surface
 //     mutations, the rebuild amortises to a small constant per validation.
 //
-//   - connectedAfterMove answers "is the occupancy still one component after
-//     simultaneously clearing `removed` and filling `added` cells?" For the
-//     common single-displacement case (every slide, every carry and every
-//     teleport nets one cell removed and one added) the answer is O(window):
-//     if the vacated cell is not an articulation point the remainder is
-//     connected, and the destination only needs any remaining 4-neighbour.
+//   - connectedAfterMove answers "is the occupancy still one 4-connected
+//     component after simultaneously clearing `removed` and filling `added`
+//     cells?" by climbing the band layout's escalation ladder (shard.go). For
+//     the common single-displacement case (every slide, every carry and
+//     every teleport nets one cell removed and one added) the answer is
+//     O(window): if the vacated cell is not an articulation point the
+//     remainder is connected, and the destination only needs any remaining
+//     4-neighbour.
 //
 //   - when the vacated cell IS an articulation point, the piece labels
 //     retained from the Tarjan pass answer the question in O(window) too
@@ -46,15 +46,16 @@ import (
 //     subtrees of its separating DFS children plus (for a non-root) the rest;
 //     the move preserves connectivity iff the destination's remaining
 //     neighbours cover every piece, and membership of a neighbour in a child
-//     subtree is one disc-interval test. Only multi-cell deltas and
-//     fault-injected already-disconnected surfaces still fall back to a DFS
-//     over the row bitsets with the delta overlaid, run entirely on reusable
-//     scratch (no Clone, no map, zero allocations once warm).
+//     subtree is one disc-interval test. Multi-cell deltas and fault-injected
+//     already-disconnected surfaces take the what-if overlay (overlayComps):
+//     a Tarjan pass over the bands the delta touches with the delta overlaid,
+//     run entirely on reusable scratch (no Clone, no map, zero allocations
+//     once warm).
 //
-// Connected() in surface.go stays as the reference oracle; the differential
-// property tests in connectivity_test.go and shard_property_test.go pin both
-// the monolithic and the sharded subsystem to it across randomized
-// place/remove/apply/teleport sequences.
+// Connected() in surface.go stays as the reference oracle; the property
+// tests in connectivity_test.go and shard_test.go pin the ladder to it, over
+// band counts that include one, across randomized place/remove/apply/teleport
+// sequences.
 
 // connCore is one Tarjan articulation pass over the column band [x0, x1) of
 // a surface: the subgraph induced by the occupied cells of those columns,
@@ -81,9 +82,9 @@ type connCore struct {
 	frames []apFrame
 
 	// ovR/ovA, when non-nil, overlay a move delta on the occupancy the pass
-	// reads: removed cells read empty, added cells occupied. The sharded
-	// escalation path (shard.go) uses them to rebuild a what-if band core
-	// without mutating the surface; they are nil on every cached core.
+	// reads: removed cells read empty, added cells occupied. Rung 3 of the
+	// ladder (overlayComps, shard.go) uses them to rebuild a what-if band
+	// core without mutating the surface; they are nil on every cached core.
 	ovR, ovA []geom.Vec
 }
 
@@ -97,62 +98,21 @@ type apFrame struct {
 	children int16
 }
 
-// connState is the lazily maintained monolithic connectivity cache of a
-// Surface: one full-width connCore plus the overlay-DFS query scratch. The
-// zero value is an invalid (empty) cache; Clone intentionally does not copy
-// it, so clones rebuild on first use.
-type connState struct {
-	valid bool
-	core  connCore
-
-	// Query scratch (overlay DFS), sized like occ / w*h on first use.
-	visited []uint64
-	stack   []int32
-}
-
 // invalidateConnAt drops the cached connectivity state covering cell v;
-// called by every occupancy mutation (setOcc/clearOcc). The monolithic cache
-// always invalidates whole; the sharded cache invalidates only the owning
-// column band plus the boundary edges it feeds.
-func (s *Surface) invalidateConnAt(v geom.Vec) {
-	s.conn.valid = false
-	if s.shconn != nil {
-		s.shconn.invalidateCol(v.X)
-	}
-}
+// called by every occupancy mutation (setOcc/clearOcc). Only the owning
+// column band is dropped, plus the boundary edges its labels feed.
+func (s *Surface) invalidateConnAt(v geom.Vec) { s.shconn.invalidateCol(v.X) }
 
 // invalidateConnCols drops the cached connectivity state for every column of
 // [x0, x1] at once (bulk mutations such as FillRect).
-func (s *Surface) invalidateConnCols(x0, x1 int) {
-	s.conn.valid = false
-	if s.shconn != nil {
-		s.shconn.invalidateCols(x0, x1)
-	}
-}
+func (s *Surface) invalidateConnCols(x0, x1 int) { s.shconn.invalidateCols(x0, x1) }
 
 // WarmConnectivity builds the connectivity cache now instead of lazily on
-// the first constrained validation. Harnesses call it once after loading a
-// scenario so the O(N) rebuild happens at boot, not inside the first
-// measured election round. With sharding enabled it builds every band cache
-// and the boundary contraction graph.
-func (s *Surface) WarmConnectivity() {
-	if s.shconn != nil {
-		s.shconn.ensure(s)
-		return
-	}
-	s.ensureConn()
-}
-
-// ensureConn rebuilds the monolithic component count and articulation bitset
-// if any occupancy mutation invalidated them.
-func (s *Surface) ensureConn() {
-	if s.conn.valid {
-		return
-	}
-	s.conn.core.x0, s.conn.core.x1 = 0, s.w
-	s.conn.core.rebuild(s)
-	s.conn.valid = true
-}
+// the first constrained validation: every band core and the boundary
+// contraction graph. Harnesses call it once after loading a scenario so the
+// O(N) rebuild happens at boot, not inside the first measured election
+// round.
+func (s *Surface) WarmConnectivity() { s.shconn.ensure(s) }
 
 // rebuild runs one iterative Tarjan articulation-point pass over the
 // occupied cells of the band. All state lives in flat reusable arrays; the
@@ -190,76 +150,102 @@ func (c *connCore) rebuild(s *Surface) {
 	c.frames = c.frames[:0]
 	timer := int32(1)
 
-	for start := 0; start < cells; start++ {
-		if !c.occLocal(s, int32(start)) || c.disc[start] != 0 {
-			continue
+	// Seed components from the row bitsets, so empty words cost one load
+	// instead of a per-cell test. Cells the overlay removes fail occLocal;
+	// cells it adds are not in the bitsets and seed last.
+	for y := 0; y < s.h; y++ {
+		row := s.occ[y*s.occW : (y+1)*s.occW]
+		for wi := c.x0 >> 6; wi <= (c.x1-1)>>6; wi++ {
+			lo := max(c.x0-wi<<6, 0)
+			hi := min(c.x1-wi<<6, 64)
+			word := row[wi] & (^uint64(0) << uint(lo)) & (^uint64(0) >> uint(64-hi))
+			for word != 0 {
+				x := wi<<6 + bits.TrailingZeros64(word)
+				word &= word - 1
+				timer = c.dfsFrom(s, int32(y*c.bw+x-c.x0), timer)
+			}
 		}
-		label := int32(c.comps)
-		c.comps++
-		c.disc[start] = timer
-		c.low[start] = timer
-		c.parent[start] = -1
-		c.size[start] = 1
-		c.comp[start] = label
-		timer++
-		c.frames = append(c.frames, apFrame{cell: int32(start), parent: -1})
-		for len(c.frames) > 0 {
-			f := &c.frames[len(c.frames)-1]
-			if f.nextDir < 4 {
-				d := f.nextDir
-				f.nextDir++
-				nb := c.neighbor(s, f.cell, d)
-				if nb < 0 || !c.occLocal(s, nb) || nb == f.parent {
-					continue
-				}
-				if c.disc[nb] != 0 {
-					// Back edge (or an already-finished descendant, whose
-					// disc can never lower low below the proper back-edge
-					// value): update the low link.
-					if c.disc[nb] < c.low[f.cell] {
-						c.low[f.cell] = c.disc[nb]
-					}
-					continue
-				}
-				c.disc[nb] = timer
-				c.low[nb] = timer
-				c.parent[nb] = f.cell
-				c.size[nb] = 1
-				c.comp[nb] = label
-				timer++
-				c.frames = append(c.frames, apFrame{cell: nb, parent: f.cell})
-				continue
-			}
-			// Cell fully explored: pop and fold its low link into the parent.
-			cell, parent, children := f.cell, f.parent, f.children
-			c.frames = c.frames[:len(c.frames)-1]
-			if parent < 0 {
-				// Component root: articulation iff it has >= 2 DFS children.
-				if children >= 2 {
-					c.setArtic(cell)
-				}
-				continue
-			}
-			pf := &c.frames[len(c.frames)-1] // stack discipline: parent frame is below
-			pf.children++
-			c.size[parent] += c.size[cell]
-			if c.low[cell] < c.low[parent] {
-				c.low[parent] = c.low[cell]
-			}
-			if pf.parent >= 0 && c.low[cell] >= c.disc[parent] {
-				// No back edge from cell's subtree climbs above parent:
-				// removing parent separates that subtree.
-				c.setArtic(parent)
-			}
+	}
+	for _, v := range c.ovA {
+		if v.X >= c.x0 && v.X < c.x1 {
+			timer = c.dfsFrom(s, c.localIdx(v), timer)
 		}
 	}
 }
 
-// neighbor returns the band-local index of the d-th 4-neighbour of the
-// band-local cell li, or -1 when it lies beyond the band (or the surface
-// edge). Direction order matches geom.Dirs (E, N, W, S); only locality
-// matters here.
-func (c *connCore) neighbor(s *Surface, li int32, d int8) int32 {
+// dfsFrom runs the Tarjan DFS of one component from the band-local cell
+// start, unless start is empty (under the overlay) or already labelled, and
+// returns the advanced DFS timer.
+func (c *connCore) dfsFrom(s *Surface, start, timer int32) int32 {
+	if c.disc[start] != 0 || !c.occLocal(s, start) {
+		return timer
+	}
+	label := int32(c.comps)
+	c.comps++
+	c.disc[start] = timer
+	c.low[start] = timer
+	c.parent[start] = -1
+	c.size[start] = 1
+	c.comp[start] = label
+	timer++
+	c.frames = append(c.frames, apFrame{cell: start, parent: -1})
+	for len(c.frames) > 0 {
+		f := &c.frames[len(c.frames)-1]
+		if f.nextDir < 4 {
+			d := f.nextDir
+			f.nextDir++
+			nb := c.occupiedNeighbor(s, f.cell, d)
+			if nb < 0 || nb == f.parent {
+				continue
+			}
+			if c.disc[nb] != 0 {
+				// Back edge (or an already-finished descendant, whose
+				// disc can never lower low below the proper back-edge
+				// value): update the low link.
+				if c.disc[nb] < c.low[f.cell] {
+					c.low[f.cell] = c.disc[nb]
+				}
+				continue
+			}
+			c.disc[nb] = timer
+			c.low[nb] = timer
+			c.parent[nb] = f.cell
+			c.size[nb] = 1
+			c.comp[nb] = label
+			timer++
+			c.frames = append(c.frames, apFrame{cell: nb, parent: f.cell})
+			continue
+		}
+		// Cell fully explored: pop and fold its low link into the parent.
+		cell, parent, children := f.cell, f.parent, f.children
+		c.frames = c.frames[:len(c.frames)-1]
+		if parent < 0 {
+			// Component root: articulation iff it has >= 2 DFS children.
+			if children >= 2 {
+				c.setArtic(cell)
+			}
+			continue
+		}
+		pf := &c.frames[len(c.frames)-1] // stack discipline: parent frame is below
+		pf.children++
+		c.size[parent] += c.size[cell]
+		if c.low[cell] < c.low[parent] {
+			c.low[parent] = c.low[cell]
+		}
+		if pf.parent >= 0 && c.low[cell] >= c.disc[parent] {
+			// No back edge from cell's subtree climbs above parent:
+			// removing parent separates that subtree.
+			c.setArtic(parent)
+		}
+	}
+	return timer
+}
+
+// occupiedNeighbor returns the band-local index of the d-th 4-neighbour of
+// the band-local cell li, or -1 when it lies beyond the band (or the surface
+// edge) or is empty under the what-if overlay (if any). Direction order
+// matches geom.Dirs (E, N, W, S); only locality matters here.
+func (c *connCore) occupiedNeighbor(s *Surface, li int32, d int8) int32 {
 	x := c.x0 + int(li)%c.bw
 	y := int(li) / c.bw
 	switch d {
@@ -272,7 +258,7 @@ func (c *connCore) neighbor(s *Surface, li int32, d int8) int32 {
 	default:
 		y--
 	}
-	if x < c.x0 || x >= c.x1 || y < 0 || y >= s.h {
+	if x < c.x0 || x >= c.x1 || y < 0 || y >= s.h || !c.occAt(s, x, y) {
 		return -1
 	}
 	return int32(y*c.bw + (x - c.x0))
@@ -281,8 +267,12 @@ func (c *connCore) neighbor(s *Surface, li int32, d int8) int32 {
 // occLocal reports whether the band-local cell li is occupied, with the
 // what-if overlay (if any) applied.
 func (c *connCore) occLocal(s *Surface, li int32) bool {
-	x := c.x0 + int(li)%c.bw
-	y := int(li) / c.bw
+	return c.occAt(s, c.x0+int(li)%c.bw, int(li)/c.bw)
+}
+
+// occAt reports whether the band cell (x, y) is occupied, with the what-if
+// overlay (if any) applied.
+func (c *connCore) occAt(s *Surface, x, y int) bool {
 	if c.ovR != nil || c.ovA != nil {
 		return s.occAfter(geom.V(x, y), c.ovR, c.ovA)
 	}
@@ -310,11 +300,6 @@ func (c *connCore) isArtic(v geom.Vec) bool {
 // compAt returns the band-local component label of the occupied cell v.
 func (c *connCore) compAt(v geom.Vec) int32 { return c.comp[c.localIdx(v)] }
 
-// isArtic reports whether v is a cached articulation point of its component
-// on the monolithic cache. Only meaningful for occupied cells after
-// ensureConn.
-func (s *Surface) isArtic(v geom.Vec) bool { return s.conn.core.isArtic(v) }
-
 // ConnectedAfterDisplacement reports whether the ensemble remains one
 // 4-connected component after moving the occupant of `from` onto the empty
 // in-bounds cell `to`, without mutating the surface. It is the exported
@@ -337,51 +322,17 @@ func (s *Surface) ConnectedAfterDisplacement(from, to geom.Vec) bool {
 // component after simultaneously clearing the removed cells and filling the
 // added cells. removed must be currently occupied cells, added currently
 // empty ones, and the two sets disjoint — exactly the net delta a validated
-// motion produces (see netDelta in apply.go). The semantics match
-// Connected() evaluated on the post-move surface, including degenerate
-// inputs: <= 1 block after the move counts as connected, and moves applied
-// to an already-disconnected surface (fault injection) may reconnect it.
-//
-// With sharding enabled the question is answered by the owning band's cache
-// plus the boundary contraction graph (shard.go); the escalation ladder there
-// bounds every verdict by the band size, never the surface size.
+// motion produces (netDeltaSingleStep, replayMoves in apply.go). The
+// semantics match Connected() evaluated on the post-move surface, including
+// degenerate inputs: <= 1 block after the move counts as connected, and
+// moves applied to an already-disconnected surface (fault injection) may
+// reconnect it. The band layout's escalation ladder (shard.go) answers every
+// other input, bounded by the band size, never the surface size.
 func (s *Surface) connectedAfterMove(removed, added []geom.Vec) bool {
-	n := s.nblk - len(removed) + len(added)
-	if n <= 1 {
+	if s.nblk-len(removed)+len(added) <= 1 {
 		return true
 	}
-	if s.shconn != nil {
-		return s.shconn.connectedAfterMove(s, removed, added)
-	}
-	if len(removed) == 0 && len(added) == 0 {
-		// Pure rotation of occupancy (e.g. a handover cycle): the occupancy,
-		// and with it connectivity, is unchanged.
-		s.ensureConn()
-		return s.conn.core.comps <= 1
-	}
-	if len(removed) == 1 && len(added) == 1 {
-		s.ensureConn()
-		if s.conn.core.comps == 1 {
-			if !s.isArtic(removed[0]) {
-				// The remainder is connected and non-empty; the ensemble stays
-				// connected iff the destination touches any remaining block.
-				u, v := removed[0], added[0]
-				for _, nb := range geom.Neighbors4(v) {
-					if nb != u && s.Occupied(nb) {
-						return true
-					}
-				}
-				return false
-			}
-			// Articulation mover: the move may still be legal (a corner hop
-			// can bridge the pieces it creates). The piece labels retained
-			// from the Tarjan pass answer this exactly in O(window).
-			return s.conn.core.articMoveFast(s, removed[0], added[0])
-		}
-		// Already-fragmented surface (fault injection): the move may
-		// reconnect pieces; only the exact overlay DFS can tell.
-	}
-	return s.connectedAfterDFS(removed, added, n)
+	return s.shconn.connectedAfterMove(s, removed, added)
 }
 
 // articMoveFast decides connectivity for a single-displacement move whose
@@ -398,9 +349,10 @@ func (s *Surface) connectedAfterMove(removed, added []geom.Vec) bool {
 //
 // On a band core the analysis sees only in-band cells: a true verdict means
 // the band-local component survives intact and is exact; a false verdict may
-// miss reconnection through neighbouring bands, so the sharded caller treats
-// false as "escalate", never as a final answer. On the monolithic (full
-// width) core both verdicts are exact. d must lie inside the band.
+// miss reconnection through neighbouring bands, so with more than one band
+// the caller treats false as "escalate", never as a final answer. On a
+// full-width core (a one-band surface) both verdicts are exact. d must lie
+// inside the band.
 func (c *connCore) articMoveFast(s *Surface, v, d geom.Vec) bool {
 	// The core is valid (ensured by the caller), so disc doubles as the
 	// band-local occupancy: nonzero iff the cell held a block at rebuild.
@@ -460,83 +412,21 @@ func (c *connCore) articMoveFast(s *Surface, v, d geom.Vec) bool {
 
 // occAfter is the post-move occupancy: the row bitsets with the delta
 // overlaid. The delta slices are tiny (rule move lists), so linear scans
-// beat any indexed structure.
+// beat any indexed structure; removed cells are occupied and added cells
+// empty, so only one of the two lists needs scanning.
 func (s *Surface) occAfter(v geom.Vec, removed, added []geom.Vec) bool {
-	for _, r := range removed {
-		if r == v {
-			return false
+	if s.Occupied(v) {
+		for _, r := range removed {
+			if r == v {
+				return false
+			}
 		}
+		return true
 	}
 	for _, a := range added {
 		if a == v {
 			return true
 		}
 	}
-	return s.Occupied(v)
-}
-
-// connectedAfterDFS is the exact fallback: a DFS over the row bitsets with
-// the delta overlaid, entirely on reusable scratch — no Clone, no map, no
-// allocation once the scratch is warm. n is the post-move block count (>= 2).
-func (s *Surface) connectedAfterDFS(removed, added []geom.Vec, n int) bool {
-	c := &s.conn
-	words := s.occW * s.h
-	if cap(c.visited) < words {
-		c.visited = make([]uint64, words)
-	} else {
-		c.visited = c.visited[:words]
-		for i := range c.visited {
-			c.visited[i] = 0
-		}
-	}
-	c.stack = c.stack[:0]
-
-	// Pick a start cell of the post-move occupancy.
-	start := geom.Vec{X: -1}
-	if len(added) > 0 {
-		start = added[0]
-	} else {
-	scan:
-		for y := 0; y < s.h; y++ {
-			for w := 0; w < s.occW; w++ {
-				word := s.occ[y*s.occW+w]
-				for word != 0 {
-					x := w<<6 + bits.TrailingZeros64(word)
-					word &= word - 1
-					v := geom.V(x, y)
-					if s.occAfter(v, removed, added) {
-						start = v
-						break scan
-					}
-				}
-			}
-		}
-	}
-	if start.X < 0 {
-		return true // no occupied cell survives; n <= 1 was handled earlier
-	}
-
-	c.visited[start.Y*s.occW+start.X>>6] |= 1 << (uint(start.X) & 63)
-	c.stack = append(c.stack, int32(start.Y*s.w+start.X))
-	count := 0
-	for len(c.stack) > 0 {
-		cell := c.stack[len(c.stack)-1]
-		c.stack = c.stack[:len(c.stack)-1]
-		count++
-		v := geom.V(int(cell)%s.w, int(cell)/s.w)
-		for _, nb := range geom.Neighbors4(v) {
-			if !s.InBounds(nb) {
-				continue
-			}
-			if c.visited[nb.Y*s.occW+nb.X>>6]>>(uint(nb.X)&63)&1 != 0 {
-				continue
-			}
-			if !s.occAfter(nb, removed, added) {
-				continue
-			}
-			c.visited[nb.Y*s.occW+nb.X>>6] |= 1 << (uint(nb.X) & 63)
-			c.stack = append(c.stack, int32(nb.Y*s.w+nb.X))
-		}
-	}
-	return count == n
+	return false
 }

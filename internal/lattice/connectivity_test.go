@@ -31,16 +31,43 @@ func oracleConnectedAfter(t *testing.T, s *Surface, removed, added []geom.Vec) b
 	return c.Connected()
 }
 
+// oracleApplications returns the candidates of block id that the
+// clone+execute+Connected() oracle admits under RequireConnectivity: the
+// physics-valid applications, in ApplicationsFor's order, after which the
+// ensemble is one component.
+func oracleApplications(t *testing.T, s *Surface, id BlockID, lib *rules.Library) []rules.Application {
+	t.Helper()
+	all, err := s.ApplicationsFor(id, lib, Constraints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []rules.Application
+	for _, app := range all {
+		after := s.Clone()
+		if err := after.execute(app); err != nil {
+			t.Fatal(err)
+		}
+		if after.Connected() {
+			want = append(want, app)
+		}
+	}
+	return want
+}
+
 // TestConnectedAfterMoveMatchesOracle pins the incremental checker to the
 // Clone()+Connected() DFS oracle across randomized surfaces and randomized
 // occupancy deltas: single displacements (the fast path), multi-cell deltas,
 // pure fault-injection removals (empty added set), and queries against
-// surfaces already fragmented by removals. Surfaces mutate between queries
-// so the setOcc/clearOcc invalidation is exercised too.
+// surfaces already fragmented by removals, on one to four column bands.
+// Surfaces mutate between queries so the setOcc/clearOcc invalidation is
+// exercised too.
 func TestConnectedAfterMoveMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 40; trial++ {
 		s := randomConnectedSurface(t, rng, 14, 10, 4+rng.Intn(20))
+		if err := s.EnableSharding(1 + trial%4); err != nil {
+			t.Fatal(err)
+		}
 		if trial%3 == 0 && s.NumBlocks() > 2 {
 			// Fragment some trials: the checker must agree with the oracle
 			// on disconnected surfaces as well (moves may reconnect them).
@@ -155,8 +182,7 @@ func TestValidateConnectivityMatchesCloneOracle(t *testing.T) {
 // connected even though (1,0) is the cut vertex.
 func TestArticulationMoverCanStillMove(t *testing.T) {
 	s := mustSurface(t, 5, 5, geom.V(0, 0), geom.V(1, 0), geom.V(1, 1))
-	s.ensureConn()
-	if !s.isArtic(geom.V(1, 0)) {
+	if !s.IsArticulation(geom.V(1, 0)) {
 		t.Fatal("(1,0) should be an articulation point of the L-tromino")
 	}
 	removed := []geom.Vec{geom.V(1, 0)}
@@ -171,9 +197,11 @@ func TestArticulationMoverCanStillMove(t *testing.T) {
 }
 
 // TestConstrainedValidateZeroAllocs asserts the connectivity-constrained
-// boolean verdict allocates nothing, on both the O(window) fast path
-// (non-articulation mover) and the overlay-DFS fallback (articulation
-// mover, checked through the unexported core so no error is materialised).
+// boolean verdict allocates nothing: on the O(window) fast path
+// (non-articulation mover), on the piece labels (articulation mover), and
+// on rung 3's what-if overlay (multi-cell deltas on one and on three bands),
+// the last two checked through the unexported core so no error is
+// materialised.
 func TestConstrainedValidateZeroAllocs(t *testing.T) {
 	s, err := NewSurface(8, 5)
 	if err != nil {
@@ -194,11 +222,22 @@ func TestConstrainedValidateZeroAllocs(t *testing.T) {
 		t.Errorf("connectivity-constrained Validate allocates %v/op, want 0", n)
 	}
 
-	// Fallback path: the L-tromino cut vertex forces the overlay DFS.
-	l := mustSurface(t, 6, 6, geom.V(0, 0), geom.V(1, 0), geom.V(1, 1))
+	// The L-tromino cut vertex is answered from the piece labels; the
+	// multi-cell deltas take the overlay, on one band and across three
+	// 2-column bands (the split delta touches bands 0 and 2).
+	tromino := []geom.Vec{geom.V(0, 0), geom.V(1, 0), geom.V(1, 1)}
+	l := mustSurface(t, 6, 6, tromino...)
+	banded := mustSurface(t, 6, 6, tromino...)
+	if err := banded.EnableSharding(3); err != nil {
+		t.Fatal(err)
+	}
 	removed := []geom.Vec{geom.V(1, 0)}
 	bridge := []geom.Vec{geom.V(0, 1)}
 	island := []geom.Vec{geom.V(4, 4)}
+	growR := []geom.Vec{geom.V(1, 1)}
+	growA := []geom.Vec{geom.V(0, 1), geom.V(2, 0)}
+	splitR := []geom.Vec{geom.V(1, 0), geom.V(1, 1)}
+	splitA := []geom.Vec{geom.V(0, 1), geom.V(4, 4)}
 	if n := testing.AllocsPerRun(200, func() {
 		if !l.connectedAfterMove(removed, bridge) {
 			t.Fatal("bridge move must stay connected")
@@ -206,8 +245,16 @@ func TestConstrainedValidateZeroAllocs(t *testing.T) {
 		if l.connectedAfterMove(removed, island) {
 			t.Fatal("island move must disconnect")
 		}
+		for _, surf := range [...]*Surface{l, banded} {
+			if !surf.connectedAfterMove(growR, growA) {
+				t.Fatal("multi-cell grow must stay connected")
+			}
+			if surf.connectedAfterMove(splitR, splitA) {
+				t.Fatal("multi-cell split must disconnect")
+			}
+		}
 	}); n != 0 {
-		t.Errorf("overlay-DFS fallback allocates %v/op, want 0", n)
+		t.Errorf("articulation and overlay verdicts allocate %v/op, want 0", n)
 	}
 }
 
@@ -221,26 +268,13 @@ func TestConstrainedApplicationsFor(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		s := randomConnectedSurface(t, rng, 10, 10, 5+rng.Intn(8))
 		for _, id := range s.Blocks() {
-			unconstrained, err := s.ApplicationsFor(id, lib, Constraints{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			constrained, err := s.ApplicationsFor(id, lib, Constraints{RequireConnectivity: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// The constrained list must be exactly the oracle-surviving
 			// subsequence of the unconstrained list.
-			var want []rules.Application
-			for _, app := range unconstrained {
-				after := s.Clone()
-				if err := after.execute(app); err != nil {
-					t.Fatal(err)
-				}
-				if after.Connected() {
-					want = append(want, app)
-				}
-			}
+			want := oracleApplications(t, s, id, lib)
 			if len(constrained) != len(want) {
 				t.Fatalf("block %d: constrained %v, oracle wants %v", id, constrained, want)
 			}
@@ -344,10 +378,9 @@ func BenchmarkApplicationsForConstrained(b *testing.B) {
 	})
 }
 
-// TestArticulationMoveFastPath pins the piece-label fast path on the
-// shapes that used to fall back to the overlay DFS: articulation movers
-// whose destination does or does not bridge the pieces their departure
-// creates, including a DFS-root articulation point.
+// TestArticulationMoveFastPath pins the piece-label fast path on
+// articulation movers whose destination does or does not bridge the pieces
+// their departure creates, including a DFS-root articulation point.
 func TestArticulationMoveFastPath(t *testing.T) {
 	// A 1-high chain: every interior cell is an articulation point.
 	chain := func(t *testing.T, extra ...geom.Vec) *Surface {
@@ -400,9 +433,10 @@ func TestArticulationMoveFastPath(t *testing.T) {
 }
 
 // BenchmarkArticulationMoveCheck measures the cut-vertex mover verdict:
-// the retained piece labels (this PR) against the overlay-DFS fallback the
-// same query used to take. sbbench tracks the fast path across PRs as the
-// artic_fastpath kernel; the overlay-DFS baseline lives only here.
+// the retained piece labels (rung 1) against rung 3's what-if overlay, the
+// Tarjan pass over the band with the delta overlaid that multi-cell deltas
+// take. sbbench tracks the fast path across PRs as the artic_fastpath
+// kernel; the overlay baseline lives only here.
 func BenchmarkArticulationMoveCheck(b *testing.B) {
 	s, err := NewSurface(64, 4)
 	if err != nil {
@@ -436,11 +470,10 @@ func BenchmarkArticulationMoveCheck(b *testing.B) {
 			}
 		}
 	})
-	b.Run("overlay-dfs", func(b *testing.B) {
+	b.Run("overlay-comps", func(b *testing.B) {
 		b.ReportAllocs()
-		n := s.NumBlocks()
 		for i := 0; i < b.N; i++ {
-			if !s.connectedAfterDFS(removed, added, n) {
+			if s.shconn.overlayComps(s, removed, added) != 1 {
 				b.Fatal("must stay connected")
 			}
 		}

@@ -9,7 +9,7 @@ import (
 
 // The boundary contraction graph.
 //
-// Global connectivity of a sharded surface is the connectivity of a much
+// Global connectivity of a banded surface is the connectivity of a much
 // smaller graph: contract every band-local component to one node, and add an
 // edge for every pair of laterally adjacent occupied cells that face each
 // other across an internal band boundary. The surface is one 4-connected
@@ -23,8 +23,10 @@ import (
 // is invalidated only when one of its two adjacent bands rebuilds (its labels
 // are meaningless afterwards); the union-find is recomputed whole on every
 // rebuild, which is O(nodes + edges) — negligible next to a band pass.
+//
+// The graph's own validity is the band layout's all-valid flag
+// (shardedConn.valid): any band invalidation clears it.
 type contraction struct {
-	valid bool
 	comps int // global 4-connected component count
 
 	// nodeBase[i] is the first union-find slot of band i's component labels;
@@ -49,9 +51,6 @@ type edgePair struct{ a, b int32 }
 // invalidated boundary edge lists, then recompute the union-find whole.
 // Bands must all be valid (ensure runs them first).
 func (ct *contraction) rebuild(s *Surface, sc *shardedConn) {
-	if ct.valid {
-		return
-	}
 	ns := len(sc.shards)
 	if cap(ct.nodeBase) < ns+1 {
 		ct.nodeBase = make([]int32, ns+1)
@@ -83,7 +82,6 @@ func (ct *contraction) rebuild(s *Surface, sc *shardedConn) {
 		}
 	}
 	ct.comps = comps
-	ct.valid = true
 }
 
 // scan rebuilds the deduplicated edge list across the boundary between the

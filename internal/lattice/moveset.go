@@ -16,8 +16,8 @@ type PlannedMove struct {
 // the source must still be occupied, the destination in bounds and empty —
 // and every intermediate surface must stay connected, answered by the same
 // bounded connectivity what-if the single-move path uses (connectedAfterMove,
-// shard-local under EnableSharding). Nothing mutates: the overlay is a pair
-// of net-delta slices, exactly the shape connectedAfterMove consumes.
+// local to the bands the wave touches). Nothing mutates: the overlay is a
+// pair of net-delta slices, exactly the shape connectedAfterMove consumes.
 //
 // The check is a planning aid, not the safety guard: every admitted hop is
 // still validated against the live surface when it executes. A prefix that

@@ -99,31 +99,30 @@ func TestValidateMoveSetNoMutation(t *testing.T) {
 	}
 }
 
-// TestValidateMoveSetSharded: the batched what-if must agree with the
-// monolithic verdict under column-band sharding (it reuses the same bounded
-// overlay rebuild).
-func TestValidateMoveSetSharded(t *testing.T) {
-	mk := func() *Surface { return rowSurface(t, 12, 6) }
+// TestValidateMoveSetBands: the batched what-if answers the same prefixes on
+// one band and across band boundaries (it reuses the bounded overlay).
+func TestValidateMoveSetBands(t *testing.T) {
 	wave := []PlannedMove{
 		{From: geom.V(6, 2), To: geom.V(7, 2)},
 		{From: geom.V(5, 2), To: geom.V(6, 2)},
 		{From: geom.V(4, 2), To: geom.V(5, 2)},
 	}
-	mono := mk()
-	sharded := mk()
-	if err := sharded.EnableSharding(3); err != nil {
-		t.Fatal(err)
-	}
-	if a, b := mono.ValidateMoveSet(wave), sharded.ValidateMoveSet(wave); a != b || a != 3 {
-		t.Errorf("mono=%d sharded=%d, want 3/3", a, b)
-	}
-	// A disconnecting wave must be cut at the same prefix on both.
+	// The second step strands (3,3): the wave is cut after its first step.
 	split := []PlannedMove{
 		{From: geom.V(6, 2), To: geom.V(7, 2)},
 		{From: geom.V(3, 2), To: geom.V(3, 3)},
 		{From: geom.V(3, 3), To: geom.V(3, 4)},
 	}
-	if a, b := mk().ValidateMoveSet(split), sharded.ValidateMoveSet(split); a != b {
-		t.Errorf("mono=%d sharded=%d for the splitting wave", a, b)
+	for _, bands := range []int{1, 3} {
+		s := rowSurface(t, 12, 6)
+		if err := s.EnableSharding(bands); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.ValidateMoveSet(wave); got != 3 {
+			t.Errorf("bands=%d: conveyor wave validated prefix %d, want 3", bands, got)
+		}
+		if got := s.ValidateMoveSet(split); got != 1 {
+			t.Errorf("bands=%d: splitting wave validated prefix %d, want 1", bands, got)
+		}
 	}
 }

@@ -2,19 +2,21 @@ package lattice
 
 import "repro/internal/geom"
 
-// Sharded connectivity (§VI scale).
+// The band layout: every surface's connectivity cache (§VI scale).
 //
-// At 10^6–10^7 modules the monolithic connState is the last O(N) cost on the
-// event path: any occupancy mutation invalidates the whole cache and the next
-// constrained validation pays a full-surface Tarjan rebuild (~160ms at 2e6
-// modules). shardedConn partitions the surface into fixed-width column bands,
-// each owning its own lazy connCore, and composes global connectivity through
-// the boundary contraction graph (contraction.go): one node per band-local
-// component, one edge per adjacent occupied cell pair across an internal band
-// boundary. A mutation then invalidates one band (plus the two boundary edge
-// lists its labels feed), and the next rebuild costs O(bandWidth x H) — a
-// constant once the band width is fixed — plus a contraction recompute that
-// touches only the dirty boundaries.
+// shardedConn partitions the surface into fixed-width column bands, each
+// owning its own lazy connCore, and composes global connectivity through the
+// boundary contraction graph (contraction.go): one node per band-local
+// component, one edge per adjacent occupied cell pair across an internal
+// band boundary. NewSurface installs one full-width band, which is exact on
+// its own; EnableSharding(n) lays out n bands. At 10^6–10^7 modules one band
+// is the last O(N) cost on the event path: any occupancy mutation
+// invalidates it and the next constrained validation pays a full-surface
+// Tarjan rebuild (~100ms at 2e6 modules in BENCH_10). With n bands a mutation
+// invalidates one band (plus the two boundary edge lists its labels feed),
+// and the next rebuild costs O(bandWidth x H) — a constant once the band
+// width is fixed — plus a contraction recompute that touches only the dirty
+// boundaries.
 //
 // Queries climb an escalation ladder, cheapest exact rung first:
 //
@@ -23,13 +25,17 @@ import "repro/internal/geom"
 //     changing any band's component structure or any boundary edge, so the
 //     global verdict follows from the destination's neighbourhood alone.
 //     Likewise a band-local articulation mover whose destination re-covers
-//     every separated piece (connCore.articMoveFast) is exactly safe.
+//     every separated piece (connCore.articMoveFast) is exactly safe. On one
+//     band every cell is interior and the core is the whole surface, so
+//     articMoveFast's false verdict and the band's articulation bit are
+//     exact as well and answer directly.
 //  2. contraction graph, O(nodes + edges): occupancy-preserving deltas and
 //     component counting answer from the cached union-find.
 //  3. bounded overlay rebuild (overlayComps), O(bandWidth x H + boundary
 //     scans): a what-if connCore per band actually touched by the delta,
 //     composed with every other band's cached labels. Exact for every input,
-//     and never O(surface).
+//     including multi-cell deltas and fragmented surfaces; on one band it is
+//     a what-if Tarjan pass over the surface.
 //
 // The ladder never answers from a heuristic: rungs 1–2 only return when
 // their verdict is exact, otherwise they fall through to rung 3.
@@ -37,6 +43,10 @@ type shardedConn struct {
 	bw     int // nominal band width; the last band may be narrower
 	shards []shardState
 	contr  contraction
+	// valid reports that every band core, every boundary edge list and the
+	// contraction graph match the current occupancy: a warm ensure is one
+	// branch, and a rolled-back veto can restore the whole cache at once.
+	valid bool
 
 	// Escalation scratch: what-if band cores and the union-find arrays of
 	// overlayComps, reused across queries.
@@ -54,7 +64,7 @@ type shardState struct {
 }
 
 // newShardedConn lays out ceil(w/bands)-wide column bands over s. The caller
-// (EnableSharding, Clone) owns installing it on the surface.
+// (NewSurface, EnableSharding, Clone) owns installing it on the surface.
 func newShardedConn(s *Surface, bands int) *shardedConn {
 	if bands < 1 {
 		bands = 1
@@ -74,18 +84,18 @@ func newShardedConn(s *Surface, bands int) *shardedConn {
 	return sc
 }
 
-// EnableSharding partitions the surface's connectivity cache into `bands`
-// column bands composed through the boundary contraction graph. Sharding
-// changes only where connectivity queries are answered from — never their
-// verdicts (the differential property tests pin both subsystems to the DFS
-// oracle) — so it is safe to enable on any surface at any time. Typical use
-// is via core.WithShards at session construction.
+// EnableSharding replaces the surface's connectivity cache with `bands`
+// column bands composed through the boundary contraction graph (a new
+// surface holds one band). The band count changes only where connectivity
+// queries are answered from — never their verdicts (the property tests pin
+// every band count to the DFS oracle) — so it is safe to change on any
+// surface at any time. Typical use is via core.WithShards at session
+// construction.
 func (s *Surface) EnableSharding(bands int) error {
 	if bands < 1 {
 		return errInvalidBands(bands)
 	}
 	s.shconn = newShardedConn(s, bands)
-	s.conn.valid = false
 	return nil
 }
 
@@ -99,39 +109,29 @@ func (e *shardConfigError) Error() string {
 	return "lattice: sharding needs at least 1 band"
 }
 
-// DisableSharding reverts to the monolithic connectivity cache.
-func (s *Surface) DisableSharding() {
-	s.shconn = nil
-	s.conn.valid = false
-}
+// ShardCount returns the number of column bands (1 unless EnableSharding
+// laid out more).
+func (s *Surface) ShardCount() int { return len(s.shconn.shards) }
 
-// ShardCount returns the number of column bands, or 0 when the surface runs
-// the monolithic cache.
-func (s *Surface) ShardCount() int {
-	if s.shconn == nil {
+// shardOf maps a column to its band index. One band skips the division:
+// rung 1 and every setOcc/clearOcc go through here.
+func (sc *shardedConn) shardOf(x int) int {
+	if len(sc.shards) == 1 {
 		return 0
 	}
-	return len(s.shconn.shards)
+	return x / sc.bw
 }
 
-// shardOf maps a column to its band index.
-func (sc *shardedConn) shardOf(x int) int { return x / sc.bw }
-
-// ShardOf returns the band index owning column x (0 when unsharded). The
-// sharded sim drive uses it to pin hosts to band schedulers.
-func (s *Surface) ShardOf(x int) int {
-	if s.shconn == nil {
-		return 0
-	}
-	return s.shconn.shardOf(x)
-}
+// ShardOf returns the band index owning column x (always 0 on one band).
+// The sharded sim drive uses it to pin hosts to band schedulers.
+func (s *Surface) ShardOf(x int) int { return s.shconn.shardOf(x) }
 
 // invalidateCol drops the band cache owning column x, and the boundary edge
 // lists derived from its labels.
 func (sc *shardedConn) invalidateCol(x int) {
 	si := sc.shardOf(x)
+	sc.valid = false
 	sc.shards[si].valid = false
-	sc.contr.valid = false
 	if si > 0 {
 		sc.contr.edges[si-1].valid = false
 	}
@@ -142,6 +142,7 @@ func (sc *shardedConn) invalidateCol(x int) {
 
 // invalidateCols drops every band cache overlapping columns [x0, x1].
 func (sc *shardedConn) invalidateCols(x0, x1 int) {
+	sc.valid = false
 	for si := sc.shardOf(x0); si <= sc.shardOf(x1); si++ {
 		sc.shards[si].valid = false
 		if si > 0 {
@@ -151,12 +152,19 @@ func (sc *shardedConn) invalidateCols(x0, x1 int) {
 			sc.contr.edges[si].valid = false
 		}
 	}
-	sc.contr.valid = false
 }
 
 // ensure rebuilds every invalidated band core and then the contraction
-// graph. Cost is proportional to the dirty bands only.
+// graph. Cost is proportional to the dirty bands only; a warm cache costs
+// one branch.
 func (sc *shardedConn) ensure(s *Surface) {
+	if !sc.valid {
+		sc.rebuild(s)
+	}
+}
+
+// rebuild is ensure's cold path.
+func (sc *shardedConn) rebuild(s *Surface) {
 	for i := range sc.shards {
 		sh := &sc.shards[i]
 		if !sh.valid {
@@ -165,6 +173,21 @@ func (sc *shardedConn) ensure(s *Surface) {
 		}
 	}
 	sc.contr.rebuild(s, sc)
+	sc.valid = true
+}
+
+// revalidate marks every band core, edge list and the contraction graph
+// valid again. Only sound when the occupancy is exactly the one they were
+// last built from: the in-place vetoes (apply.go) call it after rolling a
+// motion back, when the cache was warm before and nothing rebuilt it since.
+func (sc *shardedConn) revalidate() {
+	for i := range sc.shards {
+		sc.shards[i].valid = true
+	}
+	for i := range sc.contr.edges {
+		sc.contr.edges[i].valid = true
+	}
+	sc.valid = true
 }
 
 // hasCrossEdge reports whether cell v sits on an internal band boundary
@@ -173,9 +196,9 @@ func hasCrossEdge(s *Surface, core *connCore, v geom.Vec) bool {
 	return (v.X == core.x0 && core.x0 > 0) || (v.X == core.x1-1 && core.x1 < s.w)
 }
 
-// connectedAfterMove is the sharded answer to Surface.connectedAfterMove:
-// does the occupancy stay one 4-connected component after the delta? The
-// caller has already handled the <= 1 block degenerate case.
+// connectedAfterMove is the ladder behind Surface.connectedAfterMove: does
+// the occupancy stay one 4-connected component after the delta? The caller
+// has already handled the <= 1 block degenerate case.
 func (sc *shardedConn) connectedAfterMove(s *Surface, removed, added []geom.Vec) bool {
 	sc.ensure(s)
 	if len(removed) == 0 && len(added) == 0 {
@@ -199,14 +222,17 @@ func (sc *shardedConn) connectedAfterMove(s *Surface, removed, added []geom.Vec)
 				}
 				return false
 			}
-			if d.X >= core.x0 && d.X < core.x1 && core.articMoveFast(s, u, d) {
-				// Band-local articulation mover whose destination re-covers
-				// every separated piece: the band component survives as one
-				// piece with its boundary contacts intact (u was interior),
-				// and d can only add edges. Exact true; a false verdict could
-				// miss reconnection through neighbouring bands, so it falls
+			if d.X >= core.x0 && d.X < core.x1 {
+				// Band-local articulation mover. True means d re-covers every
+				// separated piece: the band component survives as one piece
+				// with its boundary contacts intact (u was interior), and d
+				// can only add edges. On one band the core is the whole
+				// surface, so false is exact too; with more bands it could
+				// miss reconnection through a neighbouring band, so it falls
 				// through to the overlay.
-				return true
+				if ok := core.articMoveFast(s, u, d); ok || len(sc.shards) == 1 {
+					return ok
+				}
 			}
 		}
 	}
@@ -214,11 +240,15 @@ func (sc *shardedConn) connectedAfterMove(s *Surface, removed, added []geom.Vec)
 	return sc.overlayComps(s, removed, added) <= 1
 }
 
-// isArticulation is the sharded answer to Surface.IsArticulation: would
+// isArticulation is the ladder behind Surface.IsArticulation: would
 // removing the occupant of v alone split its component?
 func (sc *shardedConn) isArticulation(s *Surface, v geom.Vec) bool {
 	sc.ensure(s)
 	core := &sc.shards[sc.shardOf(v.X)].core
+	if len(sc.shards) == 1 {
+		// The band is the whole surface: its articulation bit is exact.
+		return core.isArtic(v)
+	}
 	if !core.isArtic(v) {
 		if !hasCrossEdge(s, core, v) {
 			// Interior non-articulation cell: its band component survives its

@@ -1,6 +1,8 @@
 package lattice
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -99,14 +101,14 @@ func TestFillRectRejectsBadInput(t *testing.T) {
 }
 
 // TestEnableShardingLayout checks the band layout arithmetic and the Clone
-// propagation of the sharding configuration.
+// propagation of the band count.
 func TestEnableShardingLayout(t *testing.T) {
 	s, err := NewSurface(100, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.ShardCount() != 0 {
-		t.Fatalf("unsharded surface reports %d shards", s.ShardCount())
+	if s.ShardCount() != 1 {
+		t.Fatalf("new surface reports %d bands, want 1", s.ShardCount())
 	}
 	if err := s.EnableSharding(0); err == nil {
 		t.Fatal("EnableSharding(0) accepted")
@@ -137,22 +139,6 @@ func TestEnableShardingLayout(t *testing.T) {
 	if clone.ShardCount() != s.ShardCount() {
 		t.Fatalf("clone has %d shards, want %d", clone.ShardCount(), s.ShardCount())
 	}
-	s.DisableSharding()
-	if s.ShardCount() != 0 {
-		t.Fatal("DisableSharding left sharding on")
-	}
-}
-
-// shardPair builds a monolithic surface and a sharded deep copy of it; every
-// mutation in the differential walk below is applied to both.
-func shardPair(t *testing.T, rng *rand.Rand, w, h, n, bands int) (*Surface, *Surface) {
-	t.Helper()
-	mono := randomConnectedSurface(t, rng, w, h, n)
-	shard := mono.Clone()
-	if err := shard.EnableSharding(bands); err != nil {
-		t.Fatal(err)
-	}
-	return mono, shard
 }
 
 // boundaryBiasedCell draws a cell whose column clusters around the sharding
@@ -174,119 +160,200 @@ func boundaryBiasedCell(rng *rand.Rand, s *Surface, sc *shardedConn) geom.Vec {
 	return geom.V(x, rng.Intn(s.Height()))
 }
 
-// TestShardedConnectivityMatchesMonolith is the differential property test
-// of the sharded subsystem: over randomized surfaces whose mutations and
-// queries concentrate on band-edge columns, every observable connectivity
-// verdict — ConnectedAfterDisplacement, IsArticulation, constrained Validate
-// over rule windows (radius up to 3, straddling two bands), and the global
-// Connected view after fault-injection removals — must agree with the
-// monolithic cache, which is itself pinned to the DFS oracle elsewhere.
-func TestShardedConnectivityMatchesMonolith(t *testing.T) {
+// TestConnectivityLadderMatchesOracle is the property test of the
+// connectivity ladder: over randomized surfaces laid out in 1 to 6 column
+// bands, whose mutations and queries concentrate on band-edge columns, every
+// observable connectivity verdict must agree with the clone+DFS oracle, also
+// after fault-injection removals fragment the ensemble. The verdicts are
+// ConnectedAfterDisplacement, IsArticulation, the constrained
+// ApplicationsFor enumeration (rule windows up to radius 3 straddle two
+// bands) and the contraction graph's global component view.
+func TestConnectivityLadderMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	lib := rules.StandardLibrary()
 	cons := Constraints{RequireConnectivity: true}
 	for trial := 0; trial < 30; trial++ {
 		w := 16 + rng.Intn(20)
 		h := 8 + rng.Intn(8)
-		bands := 2 + rng.Intn(6)
-		mono, shard := shardPair(t, rng, w, h, 30+rng.Intn(60), bands)
-		sc := shard.shconn
+		s := randomConnectedSurface(t, rng, w, h, 30+rng.Intn(60))
+		if err := s.EnableSharding(1 + trial%6); err != nil {
+			t.Fatal(err)
+		}
+		sc := s.shconn
 		for step := 0; step < 120; step++ {
-			// Random mutation, boundary-biased, applied to both surfaces.
+			// Random mutation, boundary-biased.
 			switch op := rng.Intn(10); {
 			case op < 4: // place
-				v := boundaryBiasedCell(rng, mono, sc)
-				if !mono.Occupied(v) {
-					id := mono.nextID()
-					if err := mono.PlaceWithID(id, v); err != nil {
-						t.Fatal(err)
-					}
-					if err := shard.PlaceWithID(id, v); err != nil {
+				if v := boundaryBiasedCell(rng, s, sc); !s.Occupied(v) {
+					if _, err := s.Place(v); err != nil {
 						t.Fatal(err)
 					}
 				}
 			case op < 7: // fault-injection removal
-				v := boundaryBiasedCell(rng, mono, sc)
-				if id, ok := mono.BlockAt(v); ok {
-					if err := mono.Remove(id); err != nil {
-						t.Fatal(err)
-					}
-					if err := shard.Remove(id); err != nil {
+				if id, ok := s.BlockAt(boundaryBiasedCell(rng, s, sc)); ok {
+					if err := s.Remove(id); err != nil {
 						t.Fatal(err)
 					}
 				}
 			default: // validated rule application on a boundary-biased block
-				v := boundaryBiasedCell(rng, mono, sc)
-				id, ok := mono.BlockAt(v)
+				id, ok := s.BlockAt(boundaryBiasedCell(rng, s, sc))
 				if !ok {
 					continue
 				}
-				apps, err := mono.ApplicationsFor(id, lib, cons)
-				if err != nil || len(apps) == 0 {
-					continue
-				}
-				app := apps[rng.Intn(len(apps))]
-				// The sharded surface must accept the exact same application.
-				if err := shard.Validate(app, cons); err != nil {
-					t.Fatalf("trial %d step %d: sharded Validate rejects %v accepted by monolith: %v",
-						trial, step, app, err)
-				}
-				if _, err := mono.Apply(app, cons); err != nil {
+				apps, err := s.ApplicationsFor(id, lib, cons)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := shard.Apply(app, cons); err != nil {
+				if len(apps) == 0 {
+					continue
+				}
+				if _, err := s.Apply(apps[rng.Intn(len(apps))], cons); err != nil {
 					t.Fatal(err)
 				}
 			}
 
-			// Differential queries.
 			for q := 0; q < 6; q++ {
-				from := boundaryBiasedCell(rng, mono, sc)
-				to := boundaryBiasedCell(rng, mono, sc)
-				got := shard.ConnectedAfterDisplacement(from, to)
-				want := mono.ConnectedAfterDisplacement(from, to)
+				from := boundaryBiasedCell(rng, s, sc)
+				to := boundaryBiasedCell(rng, s, sc)
+				got := s.ConnectedAfterDisplacement(from, to)
+				want := s.Occupied(from) && !s.Occupied(to) &&
+					oracleConnectedAfter(t, s, []geom.Vec{from}, []geom.Vec{to})
 				if got != want {
-					t.Fatalf("trial %d step %d: ConnectedAfterDisplacement(%v,%v) sharded=%v mono=%v",
+					t.Fatalf("trial %d step %d: ConnectedAfterDisplacement(%v,%v) = %v, oracle %v",
 						trial, step, from, to, got, want)
 				}
 			}
 			for q := 0; q < 6; q++ {
-				v := boundaryBiasedCell(rng, mono, sc)
-				got := shard.IsArticulation(v)
-				want := mono.IsArticulation(v)
-				if got != want {
-					t.Fatalf("trial %d step %d: IsArticulation(%v) sharded=%v mono=%v",
+				v := boundaryBiasedCell(rng, s, sc)
+				if got, want := s.IsArticulation(v), oracleIsArticulation(t, s, v); got != want {
+					t.Fatalf("trial %d step %d: IsArticulation(%v) = %v, oracle %v",
 						trial, step, v, got, want)
 				}
 			}
-			// Candidate enumeration with straddling windows: a block near a
-			// boundary column validates through OccWindow footprints covering
-			// both bands (library radii reach rules.MaxWindowRadius).
-			v := boundaryBiasedCell(rng, mono, sc)
-			if id, ok := mono.BlockAt(v); ok {
-				ma, err1 := mono.ApplicationsFor(id, lib, cons)
-				sa, err2 := shard.ApplicationsFor(id, lib, cons)
-				if (err1 == nil) != (err2 == nil) || len(ma) != len(sa) {
-					t.Fatalf("trial %d step %d: ApplicationsFor(%d) diverges: %d (err %v) vs %d (err %v)",
-						trial, step, id, len(ma), err1, len(sa), err2)
+			if id, ok := s.BlockAt(boundaryBiasedCell(rng, s, sc)); ok {
+				got, err := s.ApplicationsFor(id, lib, cons)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for i := range ma {
-					if ma[i].Anchor != sa[i].Anchor || ma[i].Rule != sa[i].Rule {
-						t.Fatalf("trial %d step %d: application %d diverges: %v vs %v",
-							trial, step, i, ma[i], sa[i])
+				want := oracleApplications(t, s, id, lib)
+				if len(got) != len(want) {
+					t.Fatalf("trial %d step %d: ApplicationsFor(%d) = %v, oracle %v",
+						trial, step, id, got, want)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d step %d: application %d = %v, oracle %v",
+							trial, step, i, got[i], want[i])
 					}
 				}
 			}
-			if got, want := shard.Connected(), mono.Connected(); got != want {
-				t.Fatalf("trial %d step %d: Connected sharded=%v mono=%v", trial, step, got, want)
+			// An occupancy-preserving delta answers from the contraction
+			// graph's component count.
+			if got, want := s.connectedAfterMove(nil, nil), s.Connected(); got != want {
+				t.Fatalf("trial %d step %d: contraction graph says connected=%v, oracle %v",
+					trial, step, got, want)
 			}
 		}
 	}
 }
 
-// nextID exposes the next fresh id for the differential walk (both surfaces
-// must agree on ids so rule applications and removals transfer verbatim).
-func (s *Surface) nextID() BlockID { return s.next }
+// oracleIsArticulation answers IsArticulation with the reference machinery:
+// v is a cut vertex iff removing its block from a clone raises the
+// component count. Counting, rather than asking Connected(), keeps the
+// oracle exact on surfaces that fault injection already fragmented.
+func oracleIsArticulation(t *testing.T, s *Surface, v geom.Vec) bool {
+	t.Helper()
+	id, ok := s.BlockAt(v)
+	if !ok {
+		return false
+	}
+	after := s.Clone()
+	if err := after.Remove(id); err != nil {
+		t.Fatal(err)
+	}
+	return componentCount(after) > componentCount(s)
+}
+
+// componentCount counts the 4-connected components with a map-based flood
+// from every unvisited block.
+func componentCount(s *Surface) int {
+	seen := map[geom.Vec]bool{}
+	n := 0
+	for _, start := range s.Positions() {
+		if seen[start] {
+			continue
+		}
+		n++
+		seen[start] = true
+		stack := []geom.Vec{start}
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, nb := range geom.Neighbors4(v) {
+				if s.Occupied(nb) && !seen[nb] {
+					seen[nb] = true
+					stack = append(stack, nb)
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestVetoKeepsBandsWarm: the in-place vetoes of Validate and MoveTeleport
+// apply the motion, run the veto and roll it back. A veto that reads no
+// connectivity must leave a warm cache warm — every band, every boundary
+// edge list and the contraction graph — so the next query rebuilds nothing,
+// and the revalidated cache must still answer like a fresh one.
+func TestVetoKeepsBandsWarm(t *testing.T) {
+	errNo := errors.New("no")
+	cons := Constraints{
+		RequireConnectivity: true,
+		Veto:                func(*Surface) error { return errNo },
+	}
+	for _, bands := range []int{1, 3} {
+		t.Run(fmt.Sprintf("bands=%d", bands), func(t *testing.T) {
+			s := rowSurface(t, 12, 6)
+			if err := s.EnableSharding(bands); err != nil {
+				t.Fatal(err)
+			}
+			s.WarmConnectivity()
+			mover, _ := s.BlockAt(geom.V(6, 2))
+			if err := s.Validate(slideApp(geom.V(6, 2)), cons); !errors.Is(err, ErrVetoed) {
+				t.Fatalf("Validate: %v, want ErrVetoed", err)
+			}
+			assertBandsWarm(t, s, "Validate")
+			if err := s.MoveTeleport(mover, geom.V(7, 2), cons); !errors.Is(err, ErrVetoed) {
+				t.Fatalf("MoveTeleport: %v, want ErrVetoed", err)
+			}
+			assertBandsWarm(t, s, "MoveTeleport")
+			fresh := s.Clone()
+			for _, v := range s.Positions() {
+				if got, want := s.IsArticulation(v), fresh.IsArticulation(v); got != want {
+					t.Fatalf("revalidated cache: IsArticulation(%v) = %v, fresh cache %v", v, got, want)
+				}
+			}
+		})
+	}
+}
+
+func assertBandsWarm(t *testing.T, s *Surface, after string) {
+	t.Helper()
+	sc := s.shconn
+	if !sc.valid {
+		t.Errorf("after %s: contraction graph invalid", after)
+	}
+	for i := range sc.shards {
+		if !sc.shards[i].valid {
+			t.Errorf("after %s: band %d invalid", after, i)
+		}
+	}
+	for i := range sc.contr.edges {
+		if !sc.contr.edges[i].valid {
+			t.Errorf("after %s: boundary edge list %d invalid", after, i)
+		}
+	}
+}
 
 // TestShardedGlobalCompCount pins the contraction graph's component count to
 // a direct flood count over configurations engineered to span bands: combs,

@@ -12,10 +12,11 @@
 // incrementally maintained articulation-point cache over the row bitsets
 // (connectivity.go): the boolean verdict of a connectivity-constrained
 // Validate is allocation-free and O(window) for single-displacement motions,
-// with Connected() kept as the reference DFS oracle. At mega-surface scale
-// the cache shards into fixed-width column bands composed through a boundary
-// contraction graph (shard.go, contraction.go), so a mutation invalidates one
-// band instead of the whole surface. And Apply is atomic under failure:
+// with Connected() kept as the reference DFS oracle. The cache is one layout
+// of column bands composed through a boundary contraction graph (shard.go,
+// contraction.go): one full-width band by default, and at mega-surface
+// scale fixed-width bands, so a mutation invalidates one band instead of the
+// whole surface. And Apply is atomic under failure:
 // Validate replays the full move schedule against the evolving occupancy
 // before anything mutates, and execution keeps an undo log, so a rejected or
 // failed application leaves grid, bitsets, positions and counters exactly as
@@ -79,12 +80,11 @@ type Surface struct {
 	hops         int // elementary block moves executed (Remark 4 metric)
 	applications int // rule applications executed
 
-	// conn is the lazily maintained monolithic connectivity cache
-	// (connectivity.go): component count and articulation-point bitset,
-	// invalidated by every occupancy mutation. Clone deliberately leaves it
-	// zero. When shconn is non-nil the surface is sharded into column bands
-	// (shard.go) and conn is bypassed.
-	conn   connState
+	// shconn is the lazily maintained connectivity cache: column bands of
+	// component labels and articulation bitsets (shard.go), one band unless
+	// EnableSharding laid out more. Each band is invalidated by the
+	// occupancy mutations in its columns. Clone copies the band count, not
+	// the contents.
 	shconn *shardedConn
 	// scratch holds the reusable buffers of the validation and execution
 	// paths (apply.go), so the boolean Validate verdict allocates nothing.
@@ -97,14 +97,16 @@ func NewSurface(w, h int) (*Surface, error) {
 		return nil, fmt.Errorf("lattice: invalid dimensions %dx%d", w, h)
 	}
 	occW := (w + 63) / 64
-	return &Surface{
+	s := &Surface{
 		w:    w,
 		h:    h,
 		grid: make([]BlockID, w*h),
 		occ:  make([]uint64, occW*h),
 		occW: occW,
 		next: 1,
-	}, nil
+	}
+	s.shconn = newShardedConn(s, 1)
+	return s, nil
 }
 
 // posOf reads the dense position register.
@@ -391,19 +393,12 @@ func (s *Surface) AppendPositions(dst []geom.Vec) []geom.Vec {
 // articulation point of the block ensemble: removing its occupant alone
 // would split the (single-component) surface. Unoccupied cells report false.
 // The answer comes from the incremental connectivity cache; after the
-// amortised rebuild it is O(1) per query. On a sharded surface the band-local
-// bitset answers "not an articulation point" for interior cells in O(1), and
-// only band-splitting or boundary-column cells escalate to the
-// contraction-graph recomputation (O(band), never O(N)).
+// amortised rebuild it is O(1) per query on one band. With more bands the
+// band-local bitset answers "not an articulation point" for interior cells
+// in O(1), and only band-splitting or boundary-column cells escalate to the
+// what-if overlay (O(band), never O(N)).
 func (s *Surface) IsArticulation(v geom.Vec) bool {
-	if !s.Occupied(v) {
-		return false
-	}
-	if s.shconn != nil {
-		return s.shconn.isArticulation(s, v)
-	}
-	s.ensureConn()
-	return s.isArtic(v)
+	return s.Occupied(v) && s.shconn.isArticulation(s, v)
 }
 
 // Neighbors returns the per-side neighbour table of block id: for each of
@@ -477,8 +472,8 @@ func (s *Surface) reachableFrom(start geom.Vec) int {
 func (s *Surface) idx(v geom.Vec) int { return v.Y*s.w + v.X }
 
 // Clone returns a deep copy of the surface (counters included). The
-// connectivity caches are deliberately not copied — clones rebuild on first
-// use — but the sharding layout (band count) is preserved.
+// connectivity cache is deliberately not copied — clones rebuild on first
+// use — but its band count is preserved.
 func (s *Surface) Clone() *Surface {
 	out := &Surface{
 		w: s.w, h: s.h,
@@ -491,8 +486,6 @@ func (s *Surface) Clone() *Surface {
 		hops:         s.hops,
 		applications: s.applications,
 	}
-	if s.shconn != nil {
-		out.shconn = newShardedConn(out, len(s.shconn.shards))
-	}
+	out.shconn = newShardedConn(out, len(s.shconn.shards))
 	return out
 }

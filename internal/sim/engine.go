@@ -222,7 +222,7 @@ func NewEngine(surf *lattice.Surface, lib *rules.Library, factory exec.CodeFacto
 			rng:  rand.New(rand.NewSource(cfg.Seed ^ int64(id)*0x7f4a7c15)),
 		}
 	}
-	if cfg.Shards > 1 && surf.ShardCount() == 0 {
+	if cfg.Shards > 1 && surf.ShardCount() <= 1 {
 		if err := surf.EnableSharding(cfg.Shards); err != nil {
 			return nil, err
 		}

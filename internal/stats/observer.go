@@ -68,16 +68,16 @@ func (h *Hist) UnmarshalJSON(data []byte) error {
 // the histograms marshal deterministically (Hist), so a summary can be
 // embedded verbatim in service responses and the sbserver /metrics document.
 type SessionSummary struct {
-	Rounds         int    `json:"rounds"`         // elections opened (EventRoundStarted)
-	EscapeRounds   int    `json:"escape_rounds"`  // opened above TierDecreasing
-	Decided        int    `json:"decided"`        // elections that elected a block
-	Empty          int    `json:"empty"`          // elections that found nobody electable
-	MovesElected   int    `json:"moves_elected"`  // admitted winners across all elections (batch move-sets)
-	BatchRounds    int    `json:"batch_rounds"`   // elections that admitted more than one winner
-	Motions        int    `json:"motions"`        // rule applications executed
-	Carries        int    `json:"carries"`        // of which carrying rules
-	Terminations   int    `json:"terminations"`   // Root completion reports seen (one per instance)
-	Successes      int    `json:"successes"`      // of which successful
+	Rounds         int    `json:"rounds"`        // elections opened (EventRoundStarted)
+	EscapeRounds   int    `json:"escape_rounds"` // opened above TierDecreasing
+	Decided        int    `json:"decided"`       // elections that elected a block
+	Empty          int    `json:"empty"`         // elections that found nobody electable
+	MovesElected   int    `json:"moves_elected"` // admitted winners across all elections (batch move-sets)
+	BatchRounds    int    `json:"batch_rounds"`  // elections that admitted more than one winner
+	Motions        int    `json:"motions"`       // rule applications executed
+	Carries        int    `json:"carries"`       // of which carrying rules
+	Terminations   int    `json:"terminations"`  // Root completion reports seen (one per instance)
+	Successes      int    `json:"successes"`     // of which successful
 	MessagesSent   uint64 `json:"messages_sent"`
 	MessagesDrop   uint64 `json:"messages_dropped"`
 	EngineEvents   uint64 `json:"engine_events"`

@@ -9,9 +9,9 @@ package repro
 //	go test -tags scale -bench LargeSurface -benchtime 1x -run xxx .
 //
 // They exercise the paths the ROADMAP flags at this size: the lazy
-// connectivity rebuild (monolithic vs column-band sharded), the per-event
-// constrained verdict that must stay flat as the surface grows, and the
-// session layer's batch runner. The sharded fixtures share the flatness
+// connectivity rebuild (one full-width band vs column-band sharded), the
+// per-event constrained verdict that must stay flat as the surface grows,
+// and the session layer's batch runner. The sharded fixtures share the flatness
 // geometry of the sbbench kernels: fixed fill height and band width, so a
 // bigger surface means more bands, not bigger ones.
 
@@ -60,8 +60,9 @@ func largeSurface() (*lattice.Surface, error) {
 }
 
 // BenchmarkLargeSurfaceRebuildConn measures one full connectivity rebuild
-// (component count + articulation bitset) over ~2e6 modules: the cost the
-// monolithic lazy cache pays after an occupancy mutation invalidates it.
+// (component count + articulation bitset) over ~2e6 modules: the cost an
+// unsharded surface's single full-width band pays after an occupancy
+// mutation invalidates it.
 func BenchmarkLargeSurfaceRebuildConn(b *testing.B) {
 	surf, err := largeSurface()
 	if err != nil {
@@ -165,7 +166,7 @@ func shardBenchSurface(b *testing.B, cols int) (*lattice.Surface, lattice.BlockI
 // BenchmarkLargeSurfaceShardRebuild measures the cost the sharded cache
 // pays after a mutation: one band rebuild plus the contraction recompute,
 // at every scale of the sweep. Flat ns/op across the sub-benchmarks is the
-// headline (the monolithic RebuildConn above grows linearly instead).
+// headline (the one-band RebuildConn above grows linearly instead).
 func BenchmarkLargeSurfaceShardRebuild(b *testing.B) {
 	for _, sc := range shardScales {
 		sc := sc
