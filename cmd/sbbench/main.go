@@ -1,8 +1,8 @@
 // Command sbbench regenerates the paper's evaluation artefacts: every
 // table, figure, remark and lemma has an experiment that reruns its
-// workload and prints the measured rows next to the paper's claims. The
-// per-experiment index lives in DESIGN.md §4; the recorded
-// measured-vs-paper outcomes live in EXPERIMENTS.md.
+// workload and prints the measured rows next to the paper's claims:
+// -list is the per-experiment index and -exp all the measured-vs-paper
+// record. The module map is the repository's doc.go.
 //
 // Usage:
 //

@@ -191,18 +191,6 @@
 // ladder to the Connected() oracle, and runs under WithShards are
 // bit-identical to one-band runs.
 //
-// core.WithShardDrive(workers) additionally shards the DES itself: one
-// event scheduler per band, advanced in virtual-time epochs of the latency
-// model's minimum link delay, with cross-band messages travelling through
-// mailboxes drained at epoch barriers (a message needs at least one epoch
-// to cross a link, so barrier delivery is never late). Hosts are pinned to
-// their band's scheduler and re-pinned at barriers when a motion crosses a
-// boundary. With workers <= 1 the bands advance sequentially and runs stay
-// deterministic per seed; with workers > 1 epochs execute on a pool guarded
-// by a surface RWMutex, and Engine.RunBatch sizes each instance's epoch
-// parallelism from its own pool's spare capacity, so the shards of one huge
-// instance spread across the batch workers.
-//
 // # Reconfiguration as a service: cmd/sbserver
 //
 // internal/server puts the session API behind a long-running HTTP front-end
@@ -296,6 +284,8 @@
 //	go run ./cmd/sbbench -exp all      # regenerate the paper's evaluation
 //	go run ./cmd/sbrules -list         # inspect the motion-rule system
 //
-// DESIGN.md maps every paper artefact to its module and experiment;
-// EXPERIMENTS.md records measured-vs-paper outcomes.
+// This comment is the module map. sbbench -list names the experiment
+// behind every paper artefact, sbbench -exp all prints each one's measured
+// rows next to the paper's claims, and sbbench -exp envelope maps the
+// solvable envelope of the greedy election.
 package repro

@@ -25,7 +25,7 @@ func fig10(t *testing.T) *scenario.Scenario {
 // run must terminate with a block on O and the 11-cell shortest column
 // standing; the move count must be in the same regime as the paper's 55
 // block moves (our measured choreography differs because the initial blob
-// layout is not published; see EXPERIMENTS.md).
+// layout is not published; see scenario.Fig10).
 func TestFig10Reconfiguration(t *testing.T) {
 	s := fig10(t)
 	rec := trace.NewRecorder(s.Surface, s.Input, s.Output, false)
@@ -229,7 +229,7 @@ func TestTowerScales(t *testing.T) {
 }
 
 // TestGreedyEnvelopeCharacterization documents the known limitation of the
-// paper's greedy election (DESIGN.md "solvable envelope"): blobs wider than
+// paper's greedy election (sbbench -exp envelope): blobs wider than
 // the column-adjacent families livelock and the Root gives up. This is a
 // characterization test: if a future planner improvement makes these pass,
 // the expectations here should be flipped and the docs updated.
@@ -254,6 +254,6 @@ func TestGreedyEnvelopeCharacterization(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	if res.Success {
-		t.Log("three-wide blob now solves; update DESIGN.md envelope notes")
+		t.Log("three-wide blob now solves; update the envelope in internal/experiments/envelope.go")
 	}
 }

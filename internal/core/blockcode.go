@@ -905,8 +905,7 @@ func (b *BlockCode) onMoveDoneFlood(env exec.Env, from lattice.BlockID, m msg.Me
 // election triggered (a carried helper may be a relay). Sequencing
 // therefore keys on the MoveDone floods, which survive any topology change
 // of a still-connected ensemble; the SelectAck remains the paper's
-// election-termination signal and is tracked on a best-effort basis (see
-// DESIGN.md).
+// election-termination signal and is tracked on a best-effort basis.
 func (b *BlockCode) maybeAdvance(env exec.Env) {
 	if b.movesReported < len(b.moveSet) {
 		return

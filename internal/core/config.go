@@ -63,7 +63,7 @@ type Config struct {
 	// StrictEq8 applies eq. (8) literally: any block sharing a row or
 	// column with O freezes, wherever it stands. The default (false)
 	// restricts freezing to the I–O rectangle, so blocks outside the region
-	// of graph G are not stranded (see DESIGN.md, interpretation choices).
+	// of graph G are not stranded.
 	StrictEq8 bool
 
 	// TieBreak orders equally distant candidates; TieRandom reproduces the

@@ -42,23 +42,10 @@ type BackendParams struct {
 	Seed        int64
 	Latency     sim.LatencyModel
 	BufferCap   int
-	MaxEvents   uint64
 	Timeout     time.Duration
 	Constraints lattice.Constraints
 	OnApply     func(lattice.ApplyResult)
 	Logf        func(string, ...any)
-
-	// Shards is the column-band count of the surface's connectivity cache
-	// (0/1 = one full-width band). The session layer has already laid the
-	// bands out on the surface; backends only need it to size shard-aware
-	// structures.
-	Shards int
-	// ShardDrive asks the DES backend to run one event scheduler per column
-	// band, synchronised at virtual-time epoch barriers (sim.Config.ShardDrive).
-	ShardDrive bool
-	// ShardWorkers is the epoch parallelism of the sharded drive (<= 1 =
-	// sequential, deterministic).
-	ShardWorkers int
 }
 
 // BackendFactory builds the Backend for one run. DES and Async are the two
@@ -69,18 +56,14 @@ type BackendFactory func(p BackendParams) (Backend, error)
 // substitute of §V-E): virtual time, seeded latency, reproducible runs.
 func DES(p BackendParams) (Backend, error) {
 	return sim.NewEngine(p.Surface, p.Library, p.Factory, sim.Config{
-		Input:        p.Config.Input,
-		Output:       p.Config.Output,
-		Seed:         p.Seed,
-		Latency:      p.Latency,
-		BufferCap:    p.BufferCap,
-		Constraints:  p.Constraints,
-		OnApply:      p.OnApply,
-		Logf:         p.Logf,
-		MaxEvents:    p.MaxEvents,
-		Shards:       p.Shards,
-		ShardDrive:   p.ShardDrive,
-		ShardWorkers: p.ShardWorkers,
+		Input:       p.Config.Input,
+		Output:      p.Config.Output,
+		Seed:        p.Seed,
+		Latency:     p.Latency,
+		BufferCap:   p.BufferCap,
+		Constraints: p.Constraints,
+		OnApply:     p.OnApply,
+		Logf:        p.Logf,
 	})
 }
 
@@ -105,7 +88,6 @@ type options struct {
 	backend   BackendFactory
 	seed      int64
 	latency   sim.LatencyModel
-	maxEvents uint64
 	timeout   time.Duration
 	bufferCap int
 	wrap      func(exec.CodeFactory) exec.CodeFactory
@@ -114,10 +96,7 @@ type options struct {
 	debugLog  bool
 	workers   int
 	parallel  int
-
-	shards       int
-	shardDrive   bool
-	shardWorkers int
+	shards    int
 }
 
 // Option tunes an Engine at construction.
@@ -135,12 +114,9 @@ func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
 // latency is real goroutine scheduling and ignores this.
 func WithLatency(m sim.LatencyModel) Option { return func(o *options) { o.latency = m } }
 
-// WithMaxEvents bounds a DES run's event count (0 = unbounded).
-func WithMaxEvents(n uint64) Option { return func(o *options) { o.maxEvents = n } }
-
 // WithTimeout sets the Async backend's wall-clock safety bound (default
-// 60s). DES runs bound themselves by events and rounds; use a context
-// deadline for wall-clock control there.
+// 60s). DES runs bound themselves by rounds; use a context deadline for
+// wall-clock control there.
 func WithTimeout(d time.Duration) Option { return func(o *options) { o.timeout = d } }
 
 // WithBufferCap sets the per-side reception buffer capacity (Fig. 8).
@@ -185,21 +161,6 @@ func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 // are, so runs — on either backend — are bit-identical to the unsharded
 // engine. n <= 1 keeps the surface's single full-width band.
 func WithShards(n int) Option { return func(o *options) { o.shards = n } }
-
-// WithShardDrive additionally gives each column band its own DES event
-// scheduler, advanced in virtual-time epochs of the latency model's minimum
-// link delay with mailbox barriers in between (requires WithShards(n >= 2);
-// DES backend only — Async already runs one goroutine per block). workers is
-// the number of bands driven concurrently inside an epoch: <= 1 runs the
-// bands sequentially and stays deterministic per seed; 0 lets RunBatch size
-// it from the spare capacity of its worker pool, so the shards of one huge
-// instance spread across the pool. Cross-band motion notifications may skew
-// by less than one epoch (within Assumption 3's finite-delay envelope), so
-// the drive trades the single-heap event order for scalability; use plain
-// WithShards when bit-identical timing matters.
-func WithShardDrive(workers int) Option {
-	return func(o *options) { o.shardDrive = true; o.shardWorkers = workers }
-}
 
 // Engine is the unified session layer over the execution backends: one
 // construction, any number of Run/RunBatch sessions. The Engine is
@@ -266,14 +227,12 @@ func (r *sessionRecorder) snapshot() (fired, success bool, rounds int) {
 // The returned Result carries the full metric set of the run, including the
 // backend's virtual-time/event totals.
 func (e *Engine) Run(ctx context.Context, surf *lattice.Surface, cfg Config) (Result, error) {
-	return e.runInstance(ctx, surf, cfg, 0, e.opts.shardWorkers, newEmitter(e.opts.observer, -1, &e.obsMu))
+	return e.runInstance(ctx, surf, cfg, 0, newEmitter(e.opts.observer, -1, &e.obsMu))
 }
 
 // runInstance is the shared session core behind Run and RunBatch.
-// shardWorkers is the resolved epoch parallelism of the sharded drive for
-// this instance (RunBatch sizes it from its pool's spare capacity).
 func (e *Engine) runInstance(ctx context.Context, surf *lattice.Surface, cfg Config,
-	seedOverride int64, shardWorkers int, em *emitter) (Result, error) {
+	seedOverride int64, em *emitter) (Result, error) {
 	if e == nil || e.lib == nil {
 		return Result{}, fmt.Errorf("core: engine requires a rule library")
 	}
@@ -329,21 +288,17 @@ func (e *Engine) runInstance(ctx context.Context, surf *lattice.Surface, cfg Con
 	}
 
 	backend, err := e.opts.backend(BackendParams{
-		Surface:      surf,
-		Library:      e.lib,
-		Factory:      factory,
-		Config:       cfg,
-		Seed:         seed,
-		Latency:      e.opts.latency,
-		BufferCap:    e.opts.bufferCap,
-		MaxEvents:    e.opts.maxEvents,
-		Timeout:      e.opts.timeout,
-		Constraints:  constraints,
-		OnApply:      onApply,
-		Logf:         logf,
-		Shards:       e.opts.shards,
-		ShardDrive:   e.opts.shardDrive,
-		ShardWorkers: shardWorkers,
+		Surface:     surf,
+		Library:     e.lib,
+		Factory:     factory,
+		Config:      cfg,
+		Seed:        seed,
+		Latency:     e.opts.latency,
+		BufferCap:   e.opts.bufferCap,
+		Timeout:     e.opts.timeout,
+		Constraints: constraints,
+		OnApply:     onApply,
+		Logf:        logf,
 	})
 	if err != nil {
 		return Result{}, err
@@ -437,11 +392,6 @@ type BatchResult struct {
 // Cancelling the context stops handing out new instances and cancels the
 // in-flight runs; RunBatch then returns the context error alongside the
 // per-instance outcomes.
-//
-// Under WithShardDrive(0) the pool's spare capacity is redistributed
-// downward: with fewer instances than workers, each instance's sharded
-// drive gets pool/instances epoch workers, so one huge sharded instance
-// spreads its bands across the whole pool instead of idling it.
 func (e *Engine) RunBatch(ctx context.Context, insts []Instance) ([]BatchResult, error) {
 	out := make([]BatchResult, len(insts))
 	if len(insts) == 0 {
@@ -450,11 +400,6 @@ func (e *Engine) RunBatch(ctx context.Context, insts []Instance) ([]BatchResult,
 	workers := e.opts.workers
 	if workers <= 0 {
 		workers = gorun.GOMAXPROCS(0)
-	}
-	shardWorkers := e.opts.shardWorkers
-	if e.opts.shardDrive && shardWorkers == 0 {
-		// Place shards of each instance across the pool's spare capacity.
-		shardWorkers = max(workers/len(insts), 1)
 	}
 	if workers > len(insts) {
 		workers = len(insts)
@@ -505,7 +450,7 @@ func (e *Engine) RunBatch(ctx context.Context, insts []Instance) ([]BatchResult,
 					// cancellation deterministically.
 					runCtx = instanceCtx{Context: merged, inst: ins.Ctx}
 				}
-				res, err := e.runInstance(runCtx, ins.Surface, ins.Config, ins.Seed, shardWorkers, em)
+				res, err := e.runInstance(runCtx, ins.Surface, ins.Config, ins.Seed, em)
 				if stop != nil {
 					stop()
 					cancel(nil)

@@ -24,7 +24,8 @@ import (
 // The paper's own worked example is same-column; its predecessor [14]
 // covered general position precisely because blocks there moved without
 // support. If a richer rule set ever makes these pass, flip the
-// expectations and update DESIGN.md.
+// expectations and update the solvable envelope in
+// internal/experiments/envelope.go.
 func TestGeneralPositionCharacterization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow characterization")
@@ -53,7 +54,7 @@ func TestGeneralPositionCharacterization(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if res.Success {
-			t.Errorf("%s: general position now solves (%v); update DESIGN.md", c.name, res)
+			t.Errorf("%s: general position now solves (%v); update the envelope in internal/experiments/envelope.go", c.name, res)
 		}
 	}
 }

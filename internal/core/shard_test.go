@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lattice"
 	"repro/internal/rules"
-	"repro/internal/scenario"
 )
 
 // TestFig10ShardsBitIdentical: column-band sharding changes where
@@ -109,60 +108,5 @@ func TestGoldenDifferentialWithShards(t *testing.T) {
 	}
 	if replayed == 0 {
 		t.Fatal("golden file holds no DES runs to replay")
-	}
-}
-
-// TestTowerShardDrive: the tower workload completes under the sharded DES
-// drive, sequentially (deterministic epochs) and with parallel epoch
-// workers (the -race-valuable mode).
-func TestTowerShardDrive(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		scs, err := scenario.TowerSweep([]int{12})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := scs[0]
-		res, err := core.NewEngine(rules.StandardLibrary(), core.WithSeed(1),
-			core.WithShards(4), core.WithShardDrive(workers)).
-			Run(context.Background(), s.Surface, s.Config())
-		if err != nil || !res.Success || !res.PathBuilt {
-			t.Errorf("workers=%d: %+v err=%v", workers, res, err)
-		}
-		if res.MessagesDropped != 0 {
-			t.Errorf("workers=%d: dropped %d messages", workers, res.MessagesDropped)
-		}
-	}
-}
-
-// TestRunBatchShardPlacement: with one huge instance and a four-worker
-// pool, WithShardDrive(0) spreads the instance's bands across the pool's
-// spare capacity instead of idling three workers.
-func TestRunBatchShardPlacement(t *testing.T) {
-	scs, err := scenario.TowerSweep([]int{12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := core.NewEngine(rules.StandardLibrary(), core.WithSeed(1),
-		core.WithWorkers(4), core.WithShards(4), core.WithShardDrive(0))
-	out, err := eng.RunBatch(context.Background(), []core.Instance{
-		{Name: scs[0].Name, Surface: scs[0].Surface, Config: scs[0].Config()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0].Err != nil || !out[0].Result.Success {
-		t.Errorf("batch: %+v", out)
-	}
-}
-
-// TestShardDriveNeedsShards pins the option contract: the sharded drive
-// without band partitioning is a configuration error, not a silent
-// fallback.
-func TestShardDriveNeedsShards(t *testing.T) {
-	s := fig10(t)
-	_, err := core.NewEngine(rules.StandardLibrary(), core.WithShardDrive(0)).
-		Run(context.Background(), s.Surface, s.Config())
-	if err == nil {
-		t.Fatal("WithShardDrive without WithShards accepted")
 	}
 }

@@ -50,12 +50,11 @@ func runWaveScenario(t *testing.T, build func() (*scenario.Scenario, error), opt
 }
 
 // TestWaveShardsBitIdentical pins the sharded connectivity cache under wave
-// admission: a WithParallelMoves(4) run over column-band shards — both
-// inline and with a dedicated shard-drive pool — must be bit-identical to
-// the monolithic batch run, because sharding replaces only the articulation
-// cache while occupancy (and with it every footprint, what-if and cavity
-// verdict the admission ladder takes) is always full-surface. Compared:
-// event count, hops, rounds, messages, virtual time, the complete
+// admission: a WithParallelMoves(4) run over eight column bands must be
+// bit-identical to the one-band run, because sharding replaces only the
+// articulation cache while occupancy (and with it every footprint, what-if
+// and cavity verdict the admission ladder takes) is always full-surface.
+// Compared: event count, hops, rounds, messages, virtual time, the complete
 // election-winner sequence and the final surface.
 func TestWaveShardsBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
@@ -68,53 +67,33 @@ func TestWaveShardsBitIdentical(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			mono := runWaveScenario(t, tc.build)
-			for _, v := range []struct {
-				name string
-				opts []core.Option
-				// The shard-drive pool migrates band hosts between workers
-				// mid-run, which perturbs driver-level accounting (event
-				// count, message count, virtual time) on a scheduling-
-				// dependent margin; the inline variant pins those too. The
-				// protocol level — rounds, hops, the winner sequence and
-				// the final surface — must be bit-identical either way.
-				pinDriver bool
-			}{
-				{"shards", []core.Option{core.WithShards(8)}, true},
-				{"shard-drive", []core.Option{core.WithShards(8), core.WithShardDrive(2)}, false},
-			} {
-				v := v
-				t.Run(v.name, func(t *testing.T) {
-					got := runWaveScenario(t, tc.build, v.opts...)
-					if mono.res.Hops != got.res.Hops || mono.res.Rounds != got.res.Rounds {
-						t.Errorf("sharded batch run diverged from monolithic:\n  mono    %+v\n  sharded %+v",
-							mono.res, got.res)
+			t.Run("shards", func(t *testing.T) {
+				got := runWaveScenario(t, tc.build, core.WithShards(8))
+				if mono.res.Hops != got.res.Hops || mono.res.Rounds != got.res.Rounds ||
+					mono.res.Events != got.res.Events ||
+					mono.res.MessagesSent != got.res.MessagesSent ||
+					mono.res.VirtualTime != got.res.VirtualTime {
+					t.Errorf("sharded batch run diverged from one band:\n  one band %+v\n  sharded  %+v",
+						mono.res, got.res)
+				}
+				if len(got.winners) != len(mono.winners) {
+					t.Fatalf("saw %d elections, one band had %d", len(got.winners), len(mono.winners))
+				}
+				for i := range got.winners {
+					if got.winners[i] != mono.winners[i] {
+						t.Fatalf("election %d elected %d, one band elected %d",
+							i, got.winners[i], mono.winners[i])
 					}
-					if v.pinDriver &&
-						(mono.res.Events != got.res.Events ||
-							mono.res.MessagesSent != got.res.MessagesSent ||
-							mono.res.VirtualTime != got.res.VirtualTime) {
-						t.Errorf("sharded DES accounting diverged from monolithic:\n  mono    %+v\n  sharded %+v",
-							mono.res, got.res)
+				}
+				if len(got.final) != len(mono.final) {
+					t.Fatalf("final surface holds %d cells, one band %d", len(got.final), len(mono.final))
+				}
+				for i := range got.final {
+					if got.final[i] != mono.final[i] {
+						t.Fatalf("final cell %d = %s, one band %s", i, got.final[i], mono.final[i])
 					}
-					if len(got.winners) != len(mono.winners) {
-						t.Fatalf("saw %d elections, monolithic had %d", len(got.winners), len(mono.winners))
-					}
-					for i := range got.winners {
-						if got.winners[i] != mono.winners[i] {
-							t.Fatalf("election %d elected %d, monolithic elected %d",
-								i, got.winners[i], mono.winners[i])
-						}
-					}
-					if len(got.final) != len(mono.final) {
-						t.Fatalf("final surface holds %d cells, monolithic %d", len(got.final), len(mono.final))
-					}
-					for i := range got.final {
-						if got.final[i] != mono.final[i] {
-							t.Fatalf("final cell %d = %s, monolithic %s", i, got.final[i], mono.final[i])
-						}
-					}
-				})
-			}
+				}
+			})
 		})
 	}
 }

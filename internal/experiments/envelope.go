@@ -11,11 +11,12 @@ import (
 	"repro/internal/stats"
 )
 
-// Envelope maps the solvable envelope of the greedy election (DESIGN.md,
-// "known limitation"): for a gallery of initial blob families it reports
-// whether the algorithm completes. Column-adjacent families succeed; wider
-// blobs livelock and the Root gives up — a genuine property of the paper's
-// greedy election that the lemma's proof sketch does not cover.
+// Envelope maps the solvable envelope of the greedy election, a known
+// limitation of the paper's protocol: for a gallery of initial blob
+// families it reports whether the algorithm completes. Column-adjacent
+// families succeed; wider blobs livelock and the Root gives up — a genuine
+// property of the paper's greedy election that the lemma's proof sketch
+// does not cover.
 func Envelope() (string, error) {
 	type family struct {
 		name    string
@@ -68,12 +69,12 @@ func Envelope() (string, error) {
 		solved := res.Success && res.PathBuilt
 		t.AddRow(f.name, res.Blocks, solved, f.expect, f.remarks)
 		if solved != f.expect {
-			return t.String(), fmt.Errorf("envelope: %s solved=%t, expected %t (update DESIGN.md)",
+			return t.String(), fmt.Errorf("envelope: %s solved=%t, expected %t (update the families in internal/experiments/envelope.go)",
 				f.name, solved, f.expect)
 		}
 	}
 	return t.String() + "\nthe failures are a documented property of the paper's greedy election\n" +
-		"(see DESIGN.md, 'known limitation'), not an implementation defect: each\n" +
+		"(the known limitation this table maps), not an implementation defect: each\n" +
 		"mechanism ablation in -exp ablate shows the implementation is as strong as\n" +
 		"its specification allows.\n", nil
 }

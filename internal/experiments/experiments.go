@@ -1,6 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (the per-experiment index lives in DESIGN.md §4 and the
-// measured-vs-paper record in EXPERIMENTS.md). Each experiment renders a
+// evaluation (All is the per-experiment index, and sbbench -exp all prints
+// the measured-vs-paper record). Each experiment renders a
 // plain-text report; cmd/sbbench exposes them on the command line and the
 // repository-level benchmarks re-run their cores under testing.B.
 package experiments
@@ -50,7 +50,7 @@ func All() []Experiment {
 		{"baseline", "§I-II: constrained vs free motion ([14])", Baseline},
 		{"ablate", "ablations: every mechanism is load-bearing", Ablations},
 		{"faults", "§VI future work: sensor faults and block crashes", Faults},
-		{"envelope", "solvable envelope of the greedy election (DESIGN.md)", Envelope},
+		{"envelope", "solvable envelope of the greedy election", Envelope},
 	}
 }
 
@@ -220,7 +220,8 @@ func Fig10() (string, error) {
 	b.WriteString(t.String())
 	fmt.Fprintf(&b, "\nsession stream: %s\n", sum)
 	b.WriteString("note: the paper's exact initial layout is unpublished; the measured move\n" +
-		"count shares the paper's order of magnitude (tens of moves), see EXPERIMENTS.md.\n")
+		"count shares the paper's order of magnitude (tens of moves); scenario.Fig10\n" +
+		"documents the substituted layout.\n")
 	if !res.Success || !res.PathBuilt {
 		return b.String(), fmt.Errorf("fig10: reconfiguration failed: %v", res)
 	}

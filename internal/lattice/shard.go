@@ -122,10 +122,6 @@ func (sc *shardedConn) shardOf(x int) int {
 	return x / sc.bw
 }
 
-// ShardOf returns the band index owning column x (always 0 on one band).
-// The sharded sim drive uses it to pin hosts to band schedulers.
-func (s *Surface) ShardOf(x int) int { return s.shconn.shardOf(x) }
-
 // invalidateCol drops the band cache owning column x, and the boundary edge
 // lists derived from its labels.
 func (sc *shardedConn) invalidateCol(x int) {

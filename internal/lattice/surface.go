@@ -57,8 +57,7 @@ var posNone = geom.Vec{X: -1, Y: -1}
 
 // Surface is the modular surface state. It is not safe for concurrent use;
 // execution engines serialise access (the DES by construction, the goroutine
-// runtime through a mutex in its adapter, the sharded DES through the epoch
-// surface lock).
+// runtime through a mutex in its adapter).
 //
 // Occupancy is stored twice: the id grid (who is where) and a row bitset
 // (occ, one bit per cell, occW words per row). The bitset is the substrate

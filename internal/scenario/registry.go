@@ -15,9 +15,10 @@ type Params map[string]int
 // parameters are integers — every generator family in the evaluation is
 // integer-parametric — and Default is applied when the caller omits the
 // key. Semantic constraints (evenness, capacity bounds, Lemma 1
-// preconditions) stay with the generator functions, which already report
-// precise errors; the registry rejects only unknown parameter names, so a
-// typo fails loudly instead of silently running the default.
+// preconditions, the MaxBlocks/MaxCells size budget) stay with the
+// generator functions, which already report precise errors; the registry
+// rejects only unknown parameter names, so a typo fails loudly instead of
+// silently running the default.
 type ParamSpec struct {
 	Name    string `json:"name"`
 	Doc     string `json:"doc"`

@@ -13,6 +13,17 @@ import (
 	"repro/internal/lattice"
 )
 
+// Size budget of a generated instance. Every generator checks its block
+// count against MaxBlocks before it lays the blocks out, and New checks the
+// surface's cells against MaxCells before it allocates the surface, so an
+// oversized request fails with an error instead of exhausting memory. The
+// largest registry use in this repository, slope top=30, takes 1,365 cells
+// and 465 blocks.
+const (
+	MaxCells  = 1 << 22
+	MaxBlocks = 1 << 16
+)
+
 // Scenario is a ready-to-run instance: a populated surface plus the I/O
 // cells of the trajectory optimisation problem.
 type Scenario struct {
@@ -44,7 +55,16 @@ func (s *Scenario) Clone() *Scenario {
 
 // New assembles a scenario from explicit block positions; ids are assigned
 // in slice order starting at 1 (matching the numbered blocks of Fig. 10).
+// Instances over MaxBlocks blocks or MaxCells cells are rejected.
 func New(name string, w, h int, blocks []geom.Vec, input, output geom.Vec) (*Scenario, error) {
+	if len(blocks) > MaxBlocks {
+		return nil, fmt.Errorf("scenario %q: %d blocks exceed the budget of %d", name, len(blocks), MaxBlocks)
+	}
+	// Divide rather than multiply: huge dimensions must not overflow into a
+	// small product. Non-positive ones are NewSurface's to reject.
+	if w > 0 && h > MaxCells/w {
+		return nil, fmt.Errorf("scenario %q: %dx%d surface exceeds the budget of %d cells", name, w, h, MaxCells)
+	}
 	surf, err := lattice.NewSurface(w, h)
 	if err != nil {
 		return nil, err
@@ -71,7 +91,6 @@ func New(name string, w, h int, blocks []geom.Vec, input, output geom.Vec) (*Sce
 // crossings that need the carrying rule, and one block ending off the path
 // as the stranded final support (the paper's "block #2 does not belong to
 // the shortest path from I to O but it is essential to the construction").
-// See DESIGN.md (substitutions) for why the layout is a staircase.
 func Fig10() (*Scenario, error) {
 	// A three-step staircase at the bottom of an 8x13 surface:
 	//
@@ -110,6 +129,9 @@ func Blob(name string, w, h int, origin geom.Vec, inputX, rise int) (*Scenario, 
 	}
 	if inputX < 0 || inputX >= w {
 		return nil, fmt.Errorf("scenario: inputX %d outside blob width %d", inputX, w)
+	}
+	if h > MaxBlocks/w {
+		return nil, fmt.Errorf("scenario: %dx%d blob exceeds the budget of %d blocks", w, h, MaxBlocks)
 	}
 	var blocks []geom.Vec
 	for y := 0; y < h; y++ {
@@ -153,7 +175,7 @@ func TowerSweep(ns []int) ([]*Scenario, error) {
 // Staircase builds a column-adjacent staircase: the path column of height
 // heights[0] with I at its base, plus lanes of the remaining heights
 // directly east of it. This is the family on which the greedy distributed
-// algorithm provably makes progress (see DESIGN.md, "solvable envelope"):
+// algorithm provably makes progress (see sbbench -exp envelope):
 // climbers ascend the face of the column, pairs carry each other over the
 // top corner, and blocks join the path where they align with O.
 func Staircase(name string, heights []int, rise int) (*Scenario, error) {
@@ -168,6 +190,9 @@ func Staircase(name string, heights []int, rise int) (*Scenario, error) {
 	for lane, h := range heights {
 		if h < 1 {
 			return nil, fmt.Errorf("scenario: staircase lane %d has height %d", lane, h)
+		}
+		if h > MaxBlocks-n {
+			return nil, fmt.Errorf("scenario: staircase exceeds the budget of %d blocks", MaxBlocks)
 		}
 		for y := 0; y < h; y++ {
 			blocks = append(blocks, geom.V(2+lane, y))
@@ -206,6 +231,9 @@ func SlopeStaircase(top, rise int) (*Scenario, error) {
 	if rise < 1 {
 		return nil, fmt.Errorf("scenario: slope staircase rise %d must be >= 1", rise)
 	}
+	if top > MaxBlocks || top*(top+1)/2 > MaxBlocks {
+		return nil, fmt.Errorf("scenario: slope staircase top %d exceeds the budget of %d blocks", top, MaxBlocks)
+	}
 	if max := top*(top+1)/2 - 2; rise > max {
 		return nil, fmt.Errorf("scenario: slope staircase rise %d exceeds the capacity %d of a top-%d slope", rise, max, top)
 	}
@@ -243,6 +271,9 @@ func WideRidgeSized(w, rise int) (*Scenario, error) {
 	}
 	if rise < 1 {
 		return nil, fmt.Errorf("scenario: wide ridge rise %d must be >= 1", rise)
+	}
+	if w-6 > MaxBlocks { // every column from 3 to w-4 holds a block
+		return nil, fmt.Errorf("scenario: wide ridge width %d exceeds the budget of %d blocks", w, MaxBlocks)
 	}
 	cx := w / 2
 	heights := func(dx int) int {

@@ -10,7 +10,7 @@ import (
 
 // TestFig10Invariants pins every property the paper states for the §V-D
 // example (the figure's pixel layout is not published; these invariants
-// are; see DESIGN.md).
+// are; see Fig10 for the substituted layout).
 func TestFig10Invariants(t *testing.T) {
 	s, err := Fig10()
 	if err != nil {
@@ -184,6 +184,42 @@ func TestGeneratorDegenerateParams(t *testing.T) {
 		}
 		if err := s.Validate(); err != nil {
 			t.Errorf("%s: invalid instance: %v", c.name, err)
+		}
+	}
+}
+
+// TestGeneratorsRejectOversized: every generator refuses an instance over
+// MaxBlocks or MaxCells with a budget error before it allocates, including
+// parameters so large that the block count or surface area would overflow
+// an int. The sbserver request schema reaches these generators with
+// unbounded client integers.
+func TestGeneratorsRejectOversized(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func() (*Scenario, error)
+	}{
+		{"new surface cells", func() (*Scenario, error) {
+			return New("wide", 1<<12, 1<<11, []geom.Vec{geom.V(0, 0), geom.V(1, 0)}, geom.V(0, 0), geom.V(1, 0))
+		}},
+		{"blob blocks", func() (*Scenario, error) { return Build("blob", Params{"w": 300, "h": 300, "rise": 302}) }},
+		{"blob cells", func() (*Scenario, error) { return Build("blob", Params{"w": 2, "h": 2, "rise": 1 << 30}) }},
+		{"blob overflow", func() (*Scenario, error) { return Build("blob", Params{"w": 1 << 40, "h": 1 << 40}) }},
+		{"tower blocks", func() (*Scenario, error) { return Build("tower", Params{"n": 1 << 20}) }},
+		{"tower overflow", func() (*Scenario, error) { return Build("tower", Params{"n": 1 << 62}) }},
+		// top=400 holds 400*401/2 = 80,200 blocks.
+		{"slope blocks", func() (*Scenario, error) { return Build("slope", Params{"top": 400}) }},
+		{"slope overflow", func() (*Scenario, error) { return Build("slope", Params{"top": 1 << 62}) }},
+		{"ridge blocks", func() (*Scenario, error) { return Build("ridge", Params{"width": 1 << 20}) }},
+		// 3020 blocks, but 3001 x 2005 cells.
+		{"ridge cells", func() (*Scenario, error) { return Build("ridge", Params{"width": 3001, "rise": 2000}) }},
+		{"ridge overflow", func() (*Scenario, error) { return Build("ridge", Params{"width": 1 << 62}) }},
+		{"stair blocks", func() (*Scenario, error) { return Parse("stair:40000,40000", 0) }},
+		{"stair overflow", func() (*Scenario, error) { return Staircase("s", []int{1 << 62, 1 << 62}, 1) }},
+	}
+	for _, c := range cases {
+		_, err := c.build()
+		if err == nil || !strings.Contains(err.Error(), "budget") {
+			t.Errorf("%s: err = %v, want a budget error", c.name, err)
 		}
 	}
 }

@@ -214,6 +214,42 @@ func TestServerValidation(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOversizedSpec: a spec over the scenario size budget is a
+// client error, answered 400 before any surface is built, and the replica
+// keeps serving: fig10 right after still makes its 109 block moves. The
+// 300x300 blob (90,000 blocks) is over scenario.MaxBlocks yet cheap enough
+// to build that a server without the budget answers 200 and starts the
+// run; a much larger one would exhaust the replica's memory instead.
+func TestServerRejectsOversizedSpec(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	body, _ := json.Marshal(RunSpec{Scenario: "blob", Params: scenario.Params{"w": 300, "h": 300, "rise": 302}})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/runs", bytes.NewReader(body))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized spec: status = %d, want 400", resp.StatusCode)
+	} else {
+		var rec streamRecord
+		if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil ||
+			rec.Type != "error" || !strings.Contains(rec.Error, "budget") {
+			t.Errorf("oversized spec: record = %+v (decode err %v), want a budget error", rec, err)
+		}
+	}
+	resp.Body.Close() // a started run loses its only client and is cancelled
+
+	status, recs := postRun(t, ts, RunSpec{Scenario: "fig10"})
+	if status != http.StatusOK || len(recs) == 0 {
+		t.Fatalf("fig10 after the oversized spec: status = %d, %d records", status, len(recs))
+	}
+	if last := recs[len(recs)-1]; last.Type != "result" || !last.Success || last.Hops != 109 {
+		t.Errorf("fig10 after the oversized spec: %+v, want a 109-hop success", last)
+	}
+}
+
 // TestServerBackpressure: a full admission queue answers 429 without
 // queueing; a draining server answers 503 and fails health checks.
 func TestServerBackpressure(t *testing.T) {

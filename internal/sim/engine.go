@@ -34,23 +34,6 @@ type Config struct {
 	OnApply func(lattice.ApplyResult)
 	// Logf, when non-nil, receives per-block debug lines.
 	Logf func(format string, args ...any)
-	// MaxEvents bounds a Drive call (0 = unbounded; the algorithm layer's
-	// round cap guarantees termination).
-	MaxEvents uint64
-	// Shards, when > 1, partitions the surface's connectivity cache into
-	// that many column bands (lattice.EnableSharding). This changes only
-	// where connectivity verdicts are computed, never their values or the
-	// event order: runs are bit-identical to the unsharded engine.
-	Shards int
-	// ShardDrive switches the event core to one scheduler per column band,
-	// synchronised at virtual-time epoch barriers (sharded.go). Requires
-	// Shards > 1. Event timing across bands may differ from the single
-	// scheduler by up to one epoch; physics invariants are unaffected.
-	ShardDrive bool
-	// ShardWorkers drives the band schedulers of one epoch on up to this
-	// many goroutines (<= 1: sequential and deterministic). Only meaningful
-	// with ShardDrive.
-	ShardWorkers int
 }
 
 // Engine hosts BlockCodes on a surface and simulates their execution.
@@ -80,11 +63,6 @@ type Engine struct {
 	// deliver/moved/neighborhood hot paths schedule without allocating once
 	// the pool has warmed to the peak queue depth.
 	pool []*engEvent
-
-	// rt, when non-nil, is the sharded drive: one scheduler per column band
-	// with epoch barriers (sharded.go). All scheduling and metrics indirect
-	// through it; nil keeps the classic single-scheduler paths untouched.
-	rt *shardRT
 }
 
 // evKind discriminates the engine's typed scheduler events.
@@ -101,7 +79,6 @@ const (
 type engEvent struct {
 	eng      *Engine
 	kind     evKind
-	band     int32 // band scheduler the event is enqueued on (sharded drive)
 	h        *host // start / moved / neighborhood target
 	from, to lattice.BlockID
 	side     geom.Dir
@@ -110,31 +87,9 @@ type engEvent struct {
 	vTo      geom.Vec
 }
 
-// target resolves the host whose state firing this event touches: the pinned
-// h for start/moved/neighborhood events, the receiver for deliveries (nil
-// when the receiver no longer exists).
-func (ev *engEvent) target() *host {
-	if ev.kind == evDeliver {
-		return ev.eng.hosts[ev.to]
-	}
-	return ev.h
-}
-
 // Fire implements Event: dispatch, then return to the arena.
 func (ev *engEvent) Fire() {
 	e := ev.eng
-	if rt := e.rt; rt != nil {
-		if h := ev.target(); h != nil && h.shard != ev.band {
-			// The target migrated to another band after this event was
-			// queued (e.g. a latency-delayed delivery outliving a move
-			// across a boundary). Bounce it through the host's current band
-			// mailbox so a host's events never execute on a stale band's
-			// worker; the next barrier re-enqueues it there, clamped to
-			// that band's clock like any deferred cross-band event.
-			rt.mailTo(h.shard, rt.scheds[ev.band].Now(), ev)
-			return
-		}
-	}
 	switch ev.kind {
 	case evStart:
 		ev.h.code.OnStart(ev.h)
@@ -145,21 +100,13 @@ func (ev *engEvent) Fire() {
 	case evNeighborhood:
 		ev.h.code.OnNeighborhoodChanged(ev.h)
 	}
-	if e.rt != nil && e.rt.workers > 1 {
-		return // parallel drive: events are not pooled (see newEvent)
-	}
 	ev.h = nil
 	ev.m = msg.Message{}
 	e.pool = append(e.pool, ev)
 }
 
-// newEvent takes an event from the arena (or grows it). The parallel sharded
-// drive bypasses the arena: shard workers fire events concurrently, and a
-// fresh allocation is cheaper than a contended pool.
+// newEvent takes an event from the arena (or grows it).
 func (e *Engine) newEvent(kind evKind) *engEvent {
-	if e.rt != nil && e.rt.workers > 1 {
-		return &engEvent{eng: e, kind: kind}
-	}
 	if n := len(e.pool); n > 0 {
 		ev := e.pool[n-1]
 		e.pool = e.pool[:n-1]
@@ -176,11 +123,6 @@ type host struct {
 	code exec.BlockCode
 	bufs *msg.Buffers
 	rng  *rand.Rand
-	// shard is the column band whose scheduler runs this host's events under
-	// the sharded drive. The assignment is pinned for a whole epoch (a host
-	// that migrates across a band boundary is reassigned at the next
-	// barrier), so one host never executes on two shard workers at once.
-	shard int32
 }
 
 // NewEngine builds an engine over the given surface and rule library. The
@@ -222,20 +164,6 @@ func NewEngine(surf *lattice.Surface, lib *rules.Library, factory exec.CodeFacto
 			rng:  rand.New(rand.NewSource(cfg.Seed ^ int64(id)*0x7f4a7c15)),
 		}
 	}
-	if cfg.Shards > 1 && surf.ShardCount() <= 1 {
-		if err := surf.EnableSharding(cfg.Shards); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.ShardDrive {
-		if surf.ShardCount() < 2 {
-			return nil, fmt.Errorf("sim: ShardDrive requires Shards > 1 (have %d bands)", surf.ShardCount())
-		}
-		e.rt = newShardRT(e)
-		for _, h := range e.hosts {
-			h.shard = e.rt.shardOf(h.Position())
-		}
-	}
 	return e, nil
 }
 
@@ -247,29 +175,14 @@ func (e *Engine) Boot() error {
 	for _, id := range ids {
 		ev := e.newEvent(evStart)
 		ev.h = e.hosts[id]
-		e.scheduleFor(ev.h, 0, ev)
+		e.sched.Schedule(0, ev)
 	}
 	return nil
 }
 
-// scheduleFor schedules ev, due d ticks from now, on the scheduler running
-// h's events: the global one, or h's band scheduler under the sharded drive
-// (boot path: the bands' clocks have not started, so d is absolute).
-func (e *Engine) scheduleFor(h *host, d Time, ev *engEvent) {
-	if e.rt != nil {
-		e.rt.scheduleFrom(nil, h, d, ev)
-		return
-	}
-	e.sched.Schedule(d, ev)
-}
-
 // Run drives the simulation until quiescence or maxEvents (0 = unbounded).
-// It returns the number of events processed by this call. Under the sharded
-// drive the bound is honoured at epoch granularity.
+// It returns the number of events processed by this call.
 func (e *Engine) Run(maxEvents uint64) uint64 {
-	if e.rt != nil {
-		return e.rt.run(maxEvents)
-	}
 	return e.sched.Run(maxEvents)
 }
 
@@ -278,31 +191,17 @@ func (e *Engine) Run(maxEvents uint64) uint64 {
 // enough that cancellation lands promptly.
 const driveChunk = 4096
 
-// Drive runs the simulation until quiescence, the configured MaxEvents
-// bound, or context cancellation. Cancellation is checked between events
-// only — an Apply in flight always completes — so the surface is left in a
-// physically consistent (connected, fully rolled-back) state.
+// Drive runs the simulation until quiescence or context cancellation (the
+// algorithm layer's round cap guarantees termination). Cancellation is
+// checked between events only — an Apply in flight always completes — so
+// the surface is left in a physically consistent (connected, fully
+// rolled-back) state.
 func (e *Engine) Drive(ctx context.Context) error {
-	if e.rt != nil {
-		return e.rt.drive(ctx)
-	}
-	var total uint64
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		chunk := uint64(driveChunk)
-		if max := e.cfg.MaxEvents; max > 0 {
-			if total >= max {
-				return nil
-			}
-			if left := max - total; left < chunk {
-				chunk = left
-			}
-		}
-		n := e.sched.Run(chunk)
-		total += n
-		if n < chunk {
+		if e.Run(driveChunk) < driveChunk {
 			return nil // quiesced
 		}
 	}
@@ -310,16 +209,12 @@ func (e *Engine) Drive(ctx context.Context) error {
 
 // Metrics implements the measurement half of the core.Backend seam.
 func (e *Engine) Metrics() exec.Metrics {
-	events, vtime := e.sched.Processed(), int64(e.sched.Now())
-	if e.rt != nil {
-		events, vtime = e.rt.metrics()
-	}
 	return exec.Metrics{
 		MessagesSent:      e.sent,
 		MessagesDelivered: e.deliver,
 		MessagesDropped:   e.dropped,
-		Events:            events,
-		VirtualTime:       vtime,
+		Events:            e.sched.Processed(),
+		VirtualTime:       int64(e.sched.Now()),
 	}
 }
 
@@ -344,10 +239,7 @@ func (e *Engine) MessagesDropped() uint64 { return e.dropped }
 func (h *host) ID() lattice.BlockID { return h.id }
 
 func (h *host) Position() geom.Vec {
-	e := h.eng
-	e.rlockSurf()
-	v, ok := e.surf.PositionOf(h.id)
-	e.runlockSurf()
+	v, ok := h.eng.surf.PositionOf(h.id)
 	if !ok {
 		panic(fmt.Sprintf("sim: block %d vanished from the surface", h.id))
 	}
@@ -358,10 +250,7 @@ func (h *host) Input() geom.Vec  { return h.eng.cfg.Input }
 func (h *host) Output() geom.Vec { return h.eng.cfg.Output }
 
 func (h *host) Neighbors() [geom.NumDirs]lattice.BlockID {
-	e := h.eng
-	e.rlockSurf()
-	nt, err := e.surf.Neighbors(h.id)
-	e.runlockSurf()
+	nt, err := h.eng.surf.Neighbors(h.id)
 	if err != nil {
 		panic(err)
 	}
@@ -370,14 +259,9 @@ func (h *host) Neighbors() [geom.NumDirs]lattice.BlockID {
 
 func (h *host) Send(to lattice.BlockID, m msg.Message) error {
 	e := h.eng
-	e.rlockSurf()
 	side, err := portBetween(e.surf, h.id, to)
-	e.runlockSurf()
 	if err != nil {
 		return err
-	}
-	if e.rt != nil {
-		return e.rt.send(h, to, side, m)
 	}
 	e.sent++
 	ev := e.newEvent(evDeliver)
@@ -394,11 +278,11 @@ func (h *host) Send(to lattice.BlockID, m msg.Message) error {
 func (e *Engine) deliverTo(from, to lattice.BlockID, side geom.Dir, m msg.Message) {
 	h, ok := e.hosts[to]
 	if !ok {
-		e.addCount(&e.dropped)
+		e.dropped++
 		return
 	}
 	if !h.bufs.Push(msg.Inbound{From: from, Side: side, Msg: m}) {
-		e.addCount(&e.dropped)
+		e.dropped++
 		return
 	}
 	for {
@@ -406,7 +290,7 @@ func (e *Engine) deliverTo(from, to lattice.BlockID, side geom.Dir, m msg.Messag
 		if !ok {
 			return
 		}
-		e.addCount(&e.deliver)
+		e.deliver++
 		h.code.OnMessage(h, in.From, in.Msg)
 	}
 }
@@ -432,10 +316,7 @@ func portBetween(surf *lattice.Surface, from, to lattice.BlockID) (geom.Dir, err
 
 func (h *host) Sense(v geom.Vec) bool {
 	e := h.eng
-	e.rlockSurf()
 	p, ok := e.surf.PositionOf(h.id)
-	occ := e.surf.Occupied(v)
-	e.runlockSurf()
 	if !ok {
 		panic(fmt.Sprintf("sim: block %d vanished from the surface", h.id))
 	}
@@ -443,44 +324,24 @@ func (h *host) Sense(v geom.Vec) bool {
 		panic(fmt.Sprintf("sim: block %d sensing %v beyond radius %d from %v",
 			h.id, v, e.radius, p))
 	}
-	return occ
+	return e.surf.Occupied(v)
 }
 
 func (h *host) SensingRadius() int { return h.eng.radius }
 
-// CutVertex takes the exclusive surface lock: IsArticulation reads through
-// the lazy connectivity caches, which mutate on first use after an
-// invalidation.
 func (h *host) CutVertex() bool {
-	e := h.eng
-	e.wlockSurf()
-	defer e.wunlockSurf()
-	v, ok := e.surf.PositionOf(h.id)
-	if !ok {
-		panic(fmt.Sprintf("sim: block %d vanished from the surface", h.id))
-	}
-	return e.surf.IsArticulation(v)
+	return h.eng.surf.IsArticulation(h.Position())
 }
 
-// ValidateMoveSet takes the exclusive surface lock like CutVertex: the
-// batched what-if reads through the lazy connectivity caches.
 func (h *host) ValidateMoveSet(moves []lattice.PlannedMove) int {
-	e := h.eng
-	e.wlockSurf()
-	defer e.wunlockSurf()
-	return e.surf.ValidateMoveSet(moves)
+	return h.eng.surf.ValidateMoveSet(moves)
 }
 
 func (h *host) Library() *rules.Library { return h.eng.lib }
 
 func (h *host) Move(app rules.Application) error {
 	e := h.eng
-	e.wlockSurf()
-	defer e.wunlockSurf()
-	pos, ok := e.surf.PositionOf(h.id)
-	if !ok {
-		panic(fmt.Sprintf("sim: block %d vanished from the surface", h.id))
-	}
+	pos := h.Position()
 	if _, ok := app.MoveOf(pos); !ok {
 		return fmt.Errorf("sim: block %d at %v is not a mover of %s", h.id, pos, app)
 	}
@@ -491,16 +352,7 @@ func (h *host) Move(app rules.Application) error {
 	if e.cfg.OnApply != nil {
 		e.cfg.OnApply(res)
 	}
-	e.notifyAfterMotion(h, res)
-	if e.rt != nil {
-		// Every displaced block may have crossed a band boundary, not just
-		// the host that invoked the move (carrying rules drag passengers).
-		for _, id := range res.Moved {
-			if mh, ok := e.hosts[id]; ok {
-				e.rt.noteMigration(mh)
-			}
-		}
-	}
+	e.notifyAfterMotion(res)
 	return nil
 }
 
@@ -509,10 +361,8 @@ func (h *host) Move(app rules.Application) error {
 // change, preserving deterministic order. The block-set bookkeeping runs on
 // the engine's reusable scratch buffers (an epoch-stamped dense id array
 // instead of a per-motion map) and the notifications on pooled typed events,
-// so the whole path performs no transient allocations. mover anchors the
-// virtual time under the sharded drive; notifications whose target lives in
-// another band travel through that band's mailbox.
-func (e *Engine) notifyAfterMotion(mover *host, res lattice.ApplyResult) {
+// so the whole path performs no transient allocations.
+func (e *Engine) notifyAfterMotion(res lattice.ApplyResult) {
 	e.nextEpoch()
 	for _, id := range res.Moved {
 		e.mark(id) // movers are excluded from the observer scan
@@ -530,24 +380,13 @@ func (e *Engine) notifyAfterMotion(mover *host, res lattice.ApplyResult) {
 		}
 		ev := e.newEvent(evMoved)
 		ev.h, ev.vFrom, ev.vTo = e.hosts[id], from, to
-		e.scheduleAfterMotion(mover, ev)
+		e.sched.Schedule(0, ev)
 	}
 	for _, id := range e.affectedBlocks(e.changedBuf) {
 		ev := e.newEvent(evNeighborhood)
 		ev.h = e.hosts[id]
-		e.scheduleAfterMotion(mover, ev)
+		e.sched.Schedule(0, ev)
 	}
-}
-
-// scheduleAfterMotion places a zero-delay post-motion notification on the
-// right scheduler: the global one, or (sharded drive) the target host's band
-// relative to the mover's clock.
-func (e *Engine) scheduleAfterMotion(mover *host, ev *engEvent) {
-	if e.rt != nil {
-		e.rt.scheduleFrom(mover, ev.h, 0, ev)
-		return
-	}
-	e.sched.Schedule(0, ev)
 }
 
 // affectedBlocks lists blocks whose sensing window covers one of the
@@ -604,12 +443,8 @@ func (h *host) Rand() *rand.Rand { return h.rng }
 
 func (h *host) Logf(format string, args ...any) {
 	if h.eng.cfg.Logf != nil {
-		now := h.eng.sched.Now()
-		if h.eng.rt != nil {
-			now = h.eng.rt.scheds[h.shard].Now()
-		}
 		h.eng.cfg.Logf("[t=%d b=%d] "+format,
-			append([]any{now, h.id}, args...)...)
+			append([]any{h.eng.sched.Now(), h.id}, args...)...)
 	}
 }
 

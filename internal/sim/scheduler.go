@@ -162,15 +162,6 @@ func (s *Scheduler) RunUntil(t Time) uint64 {
 	return n
 }
 
-// NextAt returns the due time of the earliest pending event. The sharded
-// drive uses it to find the next non-empty virtual-time epoch.
-func (s *Scheduler) NextAt() (Time, bool) {
-	if len(s.heap) == 0 {
-		return 0, false
-	}
-	return s.heap[0].t, true
-}
-
 // shrinkMinCap is the heap capacity below which maybeShrink never bothers:
 // small queues re-grow cheaply and the waste is bounded anyway.
 const shrinkMinCap = 1024
@@ -251,9 +242,6 @@ type FixedLatency Time
 // Delay implements LatencyModel.
 func (f FixedLatency) Delay(*rand.Rand) Time { return Time(f) }
 
-// MinDelay implements MinDelayer.
-func (f FixedLatency) MinDelay() Time { return Time(f) }
-
 // UniformLatency delivers messages after a delay drawn uniformly from
 // [Min, Max]: the asynchronous-communication model of Assumption 3 ("all
 // communications between adjacent blocks occur in finite time", with no
@@ -268,30 +256,4 @@ func (u UniformLatency) Delay(rng *rand.Rand) Time {
 		return u.Min
 	}
 	return u.Min + Time(rng.Int63n(int64(u.Max-u.Min+1)))
-}
-
-// MinDelay implements MinDelayer.
-func (u UniformLatency) MinDelay() Time { return u.Min }
-
-// MinDelayer is the optional lower-bound side of a LatencyModel. The sharded
-// drive sizes its virtual-time epochs by it: with epoch width <= the minimum
-// link delay, a message sent inside one epoch can only be due in a later
-// one, so cross-shard mailboxes drained at epoch barriers never deliver
-// late. Models without a declared bound — or declaring MinDelay() == 0 —
-// get the floor width 1; a cross-band send that draws a zero delay under
-// such a model then no longer outruns its epoch, and instead rides the
-// same defer-and-clamp path as zero-delay motion notifications (see the
-// sharded drive comment), arriving less than one epoch late.
-type MinDelayer interface {
-	MinDelay() Time
-}
-
-// minDelay resolves the epoch lower bound of a latency model.
-func minDelay(m LatencyModel) Time {
-	if md, ok := m.(MinDelayer); ok {
-		if d := md.MinDelay(); d > 1 {
-			return d
-		}
-	}
-	return 1
 }

@@ -107,6 +107,58 @@ func TestSchedulerRunUntil(t *testing.T) {
 	}
 }
 
+// TestSchedulerHeapShrinks pins the retention fix: after a large burst
+// drains, Run rebounds the heap's backing array instead of pinning the
+// peak-sized allocation for the scheduler's lifetime.
+func TestSchedulerHeapShrinks(t *testing.T) {
+	s := NewScheduler(1)
+	const burst = 100_000
+	for i := 0; i < burst; i++ {
+		s.After(Time(i), func() {})
+	}
+	if cap(s.heap) < burst {
+		t.Fatalf("heap capacity %d never reached the burst size", cap(s.heap))
+	}
+	if got := s.Run(0); got != burst {
+		t.Fatalf("Run processed %d events, want %d", got, burst)
+	}
+	if cap(s.heap) >= burst/4 {
+		t.Fatalf("heap capacity %d retained after drain (want < %d)", cap(s.heap), burst/4)
+	}
+	// The scheduler must remain fully functional on the rebounded array.
+	fired := 0
+	for i := 0; i < 2000; i++ {
+		s.After(Time(i), func() { fired++ })
+	}
+	if got := s.Run(0); got != 2000 || fired != 2000 {
+		t.Fatalf("post-shrink run processed %d (fired %d), want 2000", got, fired)
+	}
+}
+
+// TestSchedulerShrinkKeepsPending verifies the shrink copies live items: a
+// RunUntil that leaves events pending must not lose or reorder them.
+func TestSchedulerShrinkKeepsPending(t *testing.T) {
+	s := NewScheduler(1)
+	var order []int
+	for i := 0; i < 50_000; i++ {
+		i := i
+		s.After(Time(i), func() { order = append(order, i) })
+	}
+	s.RunUntil(49_900) // drains all but the tail, triggering the shrink
+	if got := len(order); got != 49_900 {
+		t.Fatalf("RunUntil processed %d, want 49900", got)
+	}
+	s.Run(0)
+	if got := len(order); got != 50_000 {
+		t.Fatalf("total processed %d, want 50000", got)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("event %d fired out of order (got %d)", i, v)
+		}
+	}
+}
+
 // TestSchedulerHeapStress exercises the heap with random times and checks
 // global ordering.
 func TestSchedulerHeapStress(t *testing.T) {
