@@ -8,6 +8,10 @@
 //
 //	benchdiff -old prev/BENCH_1.json -new BENCH_2.json -max-regress 10
 //
+// Both records' hosts (Go version, platform, GOMAXPROCS, CPU count and
+// model) print above the table, so a delta measured across machines is
+// visible as such; the host never changes the verdict.
+//
 // Kernels are matched by name; kernels present in only one record are
 // reported but never fail the gate (new kernels appear, old ones retire).
 // The gating metadata comes from the new record's own kernels: one marked
@@ -32,14 +36,14 @@ import (
 	"repro/internal/experiments"
 )
 
-func load(path string) (map[string]experiments.BenchResult, []string, error) {
+func load(path string) (experiments.BenchRecord, map[string]experiments.BenchResult, []string, error) {
+	var rec experiments.BenchRecord
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return rec, nil, nil, err
 	}
-	var rec experiments.BenchRecord
 	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
+		return rec, nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	out := make(map[string]experiments.BenchResult, len(rec.Results))
 	var order []string
@@ -47,7 +51,15 @@ func load(path string) (map[string]experiments.BenchResult, []string, error) {
 		out[r.Name] = r
 		order = append(order, r.Name)
 	}
-	return out, order, nil
+	return rec, out, order, nil
+}
+
+// host renders a record's host fields on one line. A record written before
+// sbbench recorded GOMAXPROCS, the CPU count and the CPU model shows zeros
+// and an empty model.
+func host(rec experiments.BenchRecord) string {
+	return fmt.Sprintf("%s %s/%s gomaxprocs=%d numcpu=%d cpu=%q",
+		rec.GoVersion, rec.GOOS, rec.GOARCH, rec.GOMAXPROCS, rec.NumCPU, rec.CPU)
 }
 
 func main() {
@@ -61,16 +73,17 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	oldRes, _, err := load(*oldPath)
+	oldRec, oldRes, _, err := load(*oldPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(1)
 	}
-	newRes, newOrder, err := load(*newPath)
+	newRec, newRes, newOrder, err := load(*newPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(1)
 	}
+	fmt.Printf("old host: %s\nnew host: %s\n\n", host(oldRec), host(newRec))
 	failed := 0
 	fmt.Printf("%-36s %14s %14s %9s\n", "KERNEL", "OLD ns/op", "NEW ns/op", "DELTA")
 	for _, name := range newOrder {

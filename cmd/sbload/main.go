@@ -3,8 +3,8 @@
 // NDJSON event stream of every run, and the aggregate — runs/sec,
 // completion counts per priority class, cache hit tallies (from the
 // X-Cache header), latency percentiles — prints as one JSON report.
-// The same kernel (internal/server.RunLoad against an in-process server)
-// backs the server_* bench entries of BENCH_10.json.
+// The same kernel (internal/server.RunLoad) drives the gate_* bench entries
+// of the sbbench record against an in-process fleet.
 //
 // The workload shape is tunable: -zipf-n spreads requests over N seed
 // variants of the spec drawn Zipf-skewed (a hot head exercising the result
@@ -20,7 +20,7 @@
 // Usage:
 //
 //	sbload -url http://localhost:8080 -clients 32 -per-client 8 \
-//	       -scenario fig10 [-param top=12 ...] [-k 4] [-backend des] \
+//	       -scenario fig10 [-param top=12 ...] [-k 4] [-shards 2] [-seed 7] \
 //	       [-zipf-n 64 -zipf-s 1.5] [-bulk-frac 0.25] [-cache bypass] \
 //	       [-targets http://127.0.0.1:8081,http://127.0.0.1:8082]
 package main
@@ -69,7 +69,6 @@ func main() {
 		k         = flag.Int("k", 0, "parallel-moves batch width (0 = serial)")
 		shards    = flag.Int("shards", 0, "surface shard bands (0 = unsharded)")
 		seed      = flag.Int64("seed", 0, "per-run seed override (0 = server default)")
-		backend   = flag.String("backend", "", "engine backend: des (default) or async")
 		class     = flag.String("class", "", "priority class for every request: interactive (default) or bulk")
 		bulkFrac  = flag.Float64("bulk-frac", 0, "fraction of requests demoted to ?class=bulk")
 		zipfN     = flag.Int("zipf-n", 0, "spread load over N Zipf-distributed seed variants (0 = one spec)")
@@ -98,7 +97,6 @@ func main() {
 			K:        *k,
 			Shards:   *shards,
 			Seed:     *seed,
-			Backend:  *backend,
 		},
 		Class:        *class,
 		BulkFraction: *bulkFrac,

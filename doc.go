@@ -195,12 +195,14 @@
 //
 // internal/server puts the session API behind a long-running HTTP front-end
 // (cmd/sbserver) so many concurrent clients can submit reconfiguration runs
-// against one warm engine pair. POST /v1/runs takes a RunSpec — a scenario
-// name from the shared internal/scenario registry plus integer params, the
-// parallel-moves width k, a shard count, a seed and a backend ("des",
-// deterministic, the default; or "async") — and each admitted request runs
-// at once on its own goroutine as a one-instance Engine.RunBatch, so it is
-// answered at its own run end. Admission is a bounded pending count, and
+// against one warm engine. POST /v1/runs takes a RunSpec — a scenario name
+// from the shared internal/scenario registry plus integer params, the
+// parallel-moves width k, a shard count and a seed — and each admitted
+// request runs at once on its own goroutine as a one-instance
+// Engine.RunBatch on the DES, so it is answered at its own run end. The
+// spec's backend field accepts only "des", the default: the goroutine
+// runtime stays a library backend (examples/asyncrt, smartconvey -engine
+// async) and is never served. Admission is a bounded pending count, and
 // it is the only bound on runs in flight: beyond the limit the server
 // answers 429 immediately rather than queueing unboundedly, and each
 // request carries its client's context — a dropped connection cancels
@@ -245,10 +247,11 @@
 // the deadline the server force-cancels their shared run context —
 // rollback semantics again guarantee clean surfaces. cmd/sbload is the
 // closed-loop load generator (N clients x M runs each, full-stream reads,
-// per-class and X-Cache tallies, Zipf spec mixes, latency percentiles);
-// the server_throughput_32c, server_cache_hot and server_slo_p95 kernels
-// in BENCH_N.json record its runs/sec and SLO tail behaviour, gated by
-// benchdiff. cmd/sbserver/README.md has a curl quickstart.
+// per-class and X-Cache tallies, Zipf spec mixes, latency percentiles).
+// The end-to-end benchmark (BENCHMARK.json, e2ebench/) measures the
+// service: serve_fig10_cold times engine runs through one replica and
+// gate_fig10_hot times cache hits through sbgate.
+// cmd/sbserver/README.md has a curl quickstart.
 //
 // # Scaling out: cmd/sbgate
 //

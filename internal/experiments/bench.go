@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -36,14 +38,31 @@ type BenchResult struct {
 
 // BenchRecord is the document emitted by `sbbench -json`: a timestamped,
 // machine-readable snapshot of the hot-path kernels, so the performance
-// trajectory of the repository can be tracked across PRs.
+// trajectory of the repository can be tracked across PRs. The host fields
+// say what the kernels ran on, so records from different machines are not
+// compared blindly.
 type BenchRecord struct {
-	Schema    string        `json:"schema"`
-	Timestamp string        `json:"timestamp"`
-	GoVersion string        `json:"go_version"`
-	GOOS      string        `json:"goos"`
-	GOARCH    string        `json:"goarch"`
-	Results   []BenchResult `json:"results"`
+	Schema     string        `json:"schema"`
+	Timestamp  string        `json:"timestamp"`
+	GoVersion  string        `json:"go_version"`
+	GOOS       string        `json:"goos"`
+	GOARCH     string        `json:"goarch"`
+	GOMAXPROCS int           `json:"gomaxprocs"`
+	NumCPU     int           `json:"numcpu"`
+	CPU        string        `json:"cpu"`
+	Results    []BenchResult `json:"results"`
+}
+
+// cpuModel is the first "model name" of /proc/cpuinfo, or "unknown" where
+// that file does not exist or names no model.
+func cpuModel() string {
+	data, _ := os.ReadFile("/proc/cpuinfo") // unreadable reads as no model line
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 // timeKernel runs fn in batches until the total run time reaches ~50ms and
@@ -108,11 +127,14 @@ func RunBenchJSONWith(opts BenchOpts) ([]byte, error) {
 	}
 
 	rec := BenchRecord{
-		Schema:    "sbbench/1",
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
+		Schema:     "sbbench/1",
+		Timestamp:  time.Now().UTC().Format(time.RFC3339),
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		CPU:        cpuModel(),
 	}
 	rec.Results = append(rec.Results,
 		timeKernel("table2_overlap", func() {
@@ -307,15 +329,6 @@ func RunBenchJSONWith(opts BenchOpts) ([]byte, error) {
 		}
 		rec.Results = append(rec.Results, ks...)
 	}
-
-	// Service front-end kernels: runs/sec at 32 concurrent closed-loop
-	// clients against an in-process sbserver, plus the per-request phase
-	// latency split (enqueue/run/respond).
-	srv, err := serverKernels()
-	if err != nil {
-		return nil, err
-	}
-	rec.Results = append(rec.Results, srv...)
 
 	// Horizontal-tier kernels: spec-affinity cache partitioning across a
 	// gateway-fronted fleet, and zero-loss drain-aware rebalancing.

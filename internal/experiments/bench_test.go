@@ -6,7 +6,8 @@ import (
 )
 
 // TestRunBenchJSON checks the machine-readable bench record is well-formed:
-// valid JSON, schema-tagged, and covering every hot-path kernel.
+// valid JSON, schema-tagged, naming its host, and covering every hot-path
+// kernel and both gateway kernels.
 func TestRunBenchJSON(t *testing.T) {
 	data, err := RunBenchJSON()
 	if err != nil {
@@ -19,6 +20,10 @@ func TestRunBenchJSON(t *testing.T) {
 	if rec.Schema != "sbbench/1" {
 		t.Errorf("schema = %q, want sbbench/1", rec.Schema)
 	}
+	if rec.GOMAXPROCS < 1 || rec.NumCPU < 1 || rec.CPU == "" {
+		t.Errorf("host fields gomaxprocs=%d numcpu=%d cpu=%q, want positive counts and a model",
+			rec.GOMAXPROCS, rec.NumCPU, rec.CPU)
+	}
 	want := map[string]bool{
 		"table2_overlap":                  false,
 		"applications_for_predicate":      false,
@@ -28,6 +33,8 @@ func TestRunBenchJSON(t *testing.T) {
 		"validate_connectivity_clone_dfs": false,
 		"applications_for_connectivity":   false,
 		"fig10_reconfiguration":           false,
+		"gate_affinity_hot":               false,
+		"gate_drain_zero_loss":            false,
 	}
 	for _, r := range rec.Results {
 		if _, ok := want[r.Name]; ok {

@@ -143,9 +143,10 @@ func gwError(w http.ResponseWriter, status int, format string, args ...any) {
 // (speckey), hashed onto the ring, and sent to the first accepting
 // replica in ring order. A refusal that provably did not execute —
 // a dial error (never reached it) or a 503 (refused at admission while
-// draining) — moves a deterministic spec to the next candidate, so a
-// scale-down loses nothing; responses already streaming bytes are past
-// the point of no return and are never retried. The X-Peer-Probe header
+// draining) — moves the spec to the next candidate (every run is a
+// deterministic DES run, so a retry is safe), and a scale-down loses
+// nothing; responses already streaming bytes are past the point of no
+// return and are never retried. The X-Peer-Probe header
 // names the key's nearest other non-down replica: on a cache miss the
 // target probes it before running the engine, which is exactly the warm
 // previous owner during a drain hand-off.
@@ -169,7 +170,6 @@ func (g *Gateway) handleRuns(w http.ResponseWriter, r *http.Request) {
 		gwError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	backend, _ := spec.ResolveBackend() // Key succeeded, so this cannot fail
 	order := g.ring.ordered(speckey.Hash(key))
 
 	tried := 0
@@ -191,12 +191,6 @@ func (g *Gateway) handleRuns(w http.ResponseWriter, r *http.Request) {
 			return
 		default:
 			g.markRefused(rp, isDialError(err))
-			if backend != speckey.BackendDES && !isDialError(err) {
-				// A non-deterministic run refused in-protocol: surface it
-				// rather than guess at idempotency.
-				gwError(w, http.StatusServiceUnavailable, "replica %s refused: %v", rp.url, err)
-				return
-			}
 			rp.retries.Add(1)
 			g.retriesTotal.Add(1)
 		}

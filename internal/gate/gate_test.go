@@ -168,6 +168,26 @@ func TestGateGoldenThroughGateway(t *testing.T) {
 	}
 }
 
+// TestGateRejectsBadSpec: a spec the replicas would refuse gets its 400 at
+// the gateway, which shares their key function, without reaching any
+// replica. The goroutine runtime ("async") is a library backend only, so
+// it is one such spec.
+func TestGateRejectsBadSpec(t *testing.T) {
+	g, gw, _, _ := fleet(t, 2, server.Config{})
+	for _, spec := range []speckey.Spec{
+		{Scenario: "fig10", Backend: "async"},
+		{Scenario: "no-such-scenario"},
+	} {
+		status, _, body := postThrough(t, gw, spec, "")
+		if status != http.StatusBadRequest || !bytes.Contains(body, []byte(`"type":"error"`)) {
+			t.Errorf("spec %+v: status=%d body=%s, want a 400 error record", spec, status, body)
+		}
+	}
+	if routed := g.Metrics().RoutedTotal; routed != 0 {
+		t.Errorf("gateway routed %d bad specs to replicas, want 0", routed)
+	}
+}
+
 // TestGateDrainRetryAndPeerAdoption: drain the replica owning a warm key,
 // then request that key again. The gateway retries the refusal on the
 // ring successor, which adopts the recording from the draining (still

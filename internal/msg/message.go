@@ -89,9 +89,11 @@ const (
 )
 
 // MaxBatch is the largest top-K candidate list an Ack can carry, and with it
-// the largest admissible core.WithParallelMoves width: the wire format
-// reserves exactly MaxBatch candidate slots so messages stay byte-bounded
-// (Smart Blocks have small memories).
+// the largest admissible core.WithParallelMoves width. The wire format is
+// variable-length (WireVersion 2 included): it carries only the NumCands
+// entries a message holds, and bounds that list at MaxBatch entries so
+// every message stays within MaxWireSize (Smart Blocks have small
+// memories).
 const MaxBatch = 16
 
 // Footprint is the cell set a planned move writes, carried in a candidate's

@@ -41,8 +41,8 @@ func entryBytes(e *cacheEntry) int64 {
 }
 
 // resultCache is the content-addressed result cache: a byte-accounted LRU
-// over canonical RunSpec keys. Identical spec+seed+backend runs on the DES
-// are deterministic, so a hit is semantically exact — the service replays
+// over canonical RunSpec keys. Identical spec+seed runs on the DES are
+// deterministic, so a hit is semantically exact — the service replays
 // the recorded run instead of re-executing it.
 type resultCache struct {
 	mu       sync.Mutex

@@ -36,7 +36,9 @@ func postRaw(t *testing.T, ts *httptest.Server, path string, spec RunSpec) (int,
 // from the result cache — X-Cache flips from miss to hit and the replayed
 // NDJSON stream is byte-identical to the engine-served one, including the
 // recorded phase timings. A differently-spelled but semantically equal
-// spec (defaults written out, k=0 for absent) hits the same entry.
+// spec (defaults written out, k=0 for absent) hits the same entry. The SSE
+// stream and the single ?stream=none record replay byte-identically too,
+// each checked on a fresh seed so that its miss is served live.
 func TestServerCacheHitBitIdentical(t *testing.T) {
 	s, ts := testServer(t, Config{})
 	st1, xc1, body1 := postRaw(t, ts, "/v1/runs", RunSpec{Scenario: "fig10"})
@@ -78,12 +80,28 @@ func TestServerCacheHitBitIdentical(t *testing.T) {
 		t.Fatalf("stream=none: status=%d X-Cache=%q, want 200 hit", st4, xc4)
 	}
 
-	snap := s.Metrics().Snapshot()
-	if snap.Cache.Hits != 3 || snap.Cache.Misses == 0 {
-		t.Errorf("cache counters hits=%d misses=%d, want 3 hits", snap.Cache.Hits, snap.Cache.Misses)
+	for i, shape := range []string{"sse", "none"} {
+		spec := RunSpec{Scenario: "fig10", Seed: int64(100 + i)}
+		path := "/v1/runs?stream=" + shape
+		stMiss, xcMiss, miss := postRaw(t, ts, path, spec)
+		if stMiss != http.StatusOK || xcMiss != xcacheMiss {
+			t.Fatalf("stream=%s first run: status=%d X-Cache=%q, want 200 miss", shape, stMiss, xcMiss)
+		}
+		stHit, xcHit, hit := postRaw(t, ts, path, spec)
+		if stHit != http.StatusOK || xcHit != xcacheHit {
+			t.Fatalf("stream=%s second run: status=%d X-Cache=%q, want 200 hit", shape, stHit, xcHit)
+		}
+		if !bytes.Equal(miss, hit) {
+			t.Fatalf("stream=%s hit is not byte-identical to its miss:\nlen %d vs %d", shape, len(miss), len(hit))
+		}
 	}
-	if snap.Engine.Successes != 1 {
-		t.Errorf("engine ran %d times, want 1 (hits must not re-execute)", snap.Engine.Successes)
+
+	snap := s.Metrics().Snapshot()
+	if snap.Cache.Hits != 5 || snap.Cache.Misses == 0 {
+		t.Errorf("cache counters hits=%d misses=%d, want 5 hits", snap.Cache.Hits, snap.Cache.Misses)
+	}
+	if snap.Engine.Successes != 3 {
+		t.Errorf("engine ran %d times, want 3 (hits must not re-execute)", snap.Engine.Successes)
 	}
 }
 
@@ -101,11 +119,6 @@ func TestServerCacheBypass(t *testing.T) {
 	if snap.Cache.Bypass != 2 || snap.Cache.Hits != 0 || snap.Engine.Successes != 2 {
 		t.Errorf("bypass=%d hits=%d engine=%d, want 2/0/2",
 			snap.Cache.Bypass, snap.Cache.Hits, snap.Engine.Successes)
-	}
-	// The async backend is inherently uncacheable: always bypass.
-	st, xc, _ := postRaw(t, ts, "/v1/runs", RunSpec{Scenario: "fig10", Backend: "async"})
-	if st != http.StatusOK || xc != xcacheBypass {
-		t.Fatalf("async run: status=%d X-Cache=%q, want bypass", st, xc)
 	}
 }
 
@@ -316,11 +329,6 @@ func TestCacheKeyEquivalence(t *testing.T) {
 		if got := key(diff); got == want {
 			t.Errorf("spec %+v collides with the base key %q", diff, want)
 		}
-	}
-	async := base
-	async.Backend = backendAsync
-	if asyncKey, err := async.Key(1); err != nil || asyncKey == want {
-		t.Errorf("backend not part of the key (err=%v)", err)
 	}
 }
 

@@ -95,20 +95,20 @@ const (
 	headerXCache   = "X-Cache"
 	xcacheHit      = "hit"       // replayed from the result cache
 	xcacheMiss     = "miss"      // ran on the engine (and, if it succeeds, fills the cache)
-	xcacheBypass   = "bypass"    // uncacheable: ?cache=bypass or the async backend
+	xcacheBypass   = "bypass"    // ?cache=bypass: run on the engine, cache untouched
 	xcacheCoalesce = "coalesced" // attached to an identical in-flight run
 	xcachePeer     = "peer"      // adopted from a peer replica's cache (no engine run)
 )
 
 // handleRuns admits one run request and answers it. The fast paths come
-// first: a deterministic (DES, non-bypass) spec is canonicalized into its
-// cache key; a cache hit replays the recorded run without touching the
-// engine, and a spec identical to an in-flight run attaches to that flight
-// as a follower instead of enqueueing a duplicate. Only a leader — the
-// first request for its key — pays admission (429 over the class limit,
-// 503 draining) and an engine run. Uncacheable requests keep the original
-// private-spool path. Every response carries X-Cache: hit, miss, bypass or
-// coalesced.
+// first: every run is a deterministic DES run, so a spec is canonicalized
+// into its cache key; a cache hit replays the recorded run without touching
+// the engine, and a spec identical to an in-flight run attaches to that
+// flight as a follower instead of enqueueing a duplicate. Only a leader —
+// the first request for its key — pays admission (429 over the class
+// limit, 503 draining) and an engine run. ?cache=bypass requests keep the
+// private-spool path. Every response carries X-Cache: hit, miss, bypass,
+// coalesced or peer.
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
@@ -125,7 +125,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	scen, cfg, backend, err := buildSpec(spec)
+	scen, cfg, err := buildSpec(spec)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -149,81 +149,77 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(headerSpecKey, key)
 	}
 
-	// Only DES runs are pure functions of their spec; async runs race on
-	// wall-clock scheduling, so they are never cached or coalesced.
-	if backend == backendDES && !cacheBypassed(r) {
-		if keyErr == nil {
-			if e, ok := s.cache.get(key); ok {
+	// A DES run is a pure function of its key, so it is cached and
+	// coalesced unless the client opted out.
+	if !cacheBypassed(r) && keyErr == nil {
+		if e, ok := s.cache.get(key); ok {
+			s.metrics.recordAccept(class)
+			w.Header().Set(headerXCache, xcacheHit)
+			s.respondCached(w, r, class, e, mode)
+			return
+		}
+		f, leader := s.flights.join(key, scen.Name)
+		if !leader {
+			s.metrics.recordAccept(class)
+			s.metrics.recordCoalesced()
+			w.Header().Set(headerXCache, xcacheCoalesce)
+			s.respondFlight(w, r, f, class, mode, nil)
+			return
+		}
+		// Leader on a cold key: before paying for an engine run, ask the
+		// peer the gateway named (the key's previous ring owner) whether
+		// it still holds the recording. On a probe hit the adopted entry
+		// completes the flight exactly as a finished run would — it fills
+		// the local cache, feeds the shared event history, and any
+		// coalesced followers replay it; on any probe failure we fall
+		// through to the engine path unchanged.
+		if peer := r.Header.Get(headerPeerProbe); peer != "" && s.cfg.PeerProbe {
+			if e, ok := s.probePeer(r.Context(), peer, key); ok {
+				s.cache.put(e)
+				for _, ev := range e.events {
+					f.OnEvent(ev)
+				}
+				s.flights.remove(f.key)
+				f.complete(runOutcome{res: e.res}, e.timing)
 				s.metrics.recordAccept(class)
-				w.Header().Set(headerXCache, xcacheHit)
-				s.respondCached(w, r, class, e, mode)
-				return
-			}
-			f, leader := s.flights.join(key, scen.Name)
-			if !leader {
-				s.metrics.recordAccept(class)
-				s.metrics.recordCoalesced()
-				w.Header().Set(headerXCache, xcacheCoalesce)
+				s.metrics.recordPeer()
+				w.Header().Set(headerXCache, xcachePeer)
 				s.respondFlight(w, r, f, class, mode, nil)
 				return
 			}
-			// Leader on a cold key: before paying for an engine run, ask the
-			// peer the gateway named (the key's previous ring owner) whether
-			// it still holds the recording. On a probe hit the adopted entry
-			// completes the flight exactly as a finished run would — it fills
-			// the local cache, feeds the shared event history, and any
-			// coalesced followers replay it; on any probe failure we fall
-			// through to the engine path unchanged.
-			if peer := r.Header.Get(headerPeerProbe); peer != "" && s.cfg.PeerProbe {
-				if e, ok := s.probePeer(r.Context(), peer, key); ok {
-					s.cache.put(e)
-					for _, ev := range e.events {
-						f.OnEvent(ev)
-					}
-					s.flights.remove(f.key)
-					f.complete(runOutcome{res: e.res}, e.timing)
-					s.metrics.recordAccept(class)
-					s.metrics.recordPeer()
-					w.Header().Set(headerXCache, xcachePeer)
-					s.respondFlight(w, r, f, class, mode, nil)
-					return
-				}
-			}
-			req := &runReq{
-				ctx:     f.runCtx,
-				scen:    scen,
-				cfg:     cfg,
-				seed:    spec.Seed,
-				backend: backend,
-				class:   class,
-				flight:  f,
-				done:    make(chan runOutcome, 1),
-			}
-			if err := s.submit(req); err != nil {
-				// Unindex and fail the flight before answering: any follower
-				// that raced in gets the same rejection outcome.
-				s.flights.remove(f.key)
-				f.complete(runOutcome{err: err}, wireTiming{})
-				f.detach()
-				s.rejectRequest(w, class, err)
-				return
-			}
-			s.metrics.recordAccept(class)
-			w.Header().Set(headerXCache, xcacheMiss)
-			s.respondFlight(w, r, f, class, mode, req)
+		}
+		req := &runReq{
+			ctx:    f.runCtx,
+			scen:   scen,
+			cfg:    cfg,
+			seed:   spec.Seed,
+			class:  class,
+			flight: f,
+			done:   make(chan runOutcome, 1),
+		}
+		if err := s.submit(req); err != nil {
+			// Unindex and fail the flight before answering: any follower
+			// that raced in gets the same rejection outcome.
+			s.flights.remove(f.key)
+			f.complete(runOutcome{err: err}, wireTiming{})
+			f.detach()
+			s.rejectRequest(w, class, err)
 			return
 		}
+		s.metrics.recordAccept(class)
+		w.Header().Set(headerXCache, xcacheMiss)
+		s.respondFlight(w, r, f, class, mode, req)
+		return
 	}
 
-	// Uncacheable path: a private run with a private spool.
+	// Bypass path: a private run with a private spool.
 	req := &runReq{
-		ctx:     r.Context(),
-		scen:    scen,
-		cfg:     cfg,
-		seed:    spec.Seed,
-		backend: backend,
-		class:   class,
-		done:    make(chan runOutcome, 1),
+		ctx:   r.Context(),
+		scen:  scen,
+		cfg:   cfg,
+		seed:  spec.Seed,
+		class: class,
+		done:  make(chan runOutcome, 1),
 	}
 	if mode != "none" {
 		req.spool = newEventSpool()

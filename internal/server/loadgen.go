@@ -45,11 +45,11 @@ type LoadConfig struct {
 	// flatter, higher concentrates on the head).
 	ZipfS float64
 	// CacheMode is passed through as ?cache=<mode>; "bypass" makes every
-	// request run on the engine (the throughput kernels use it so identical
-	// specs measure execution, not replay).
+	// request run on the engine, so identical specs measure execution, not
+	// replay.
 	CacheMode string
-	// Client optionally overrides the HTTP client (the bench kernels pass
-	// an in-process transport).
+	// Client optionally overrides the HTTP client (tests pass their
+	// httptest server's client).
 	Client *http.Client
 }
 

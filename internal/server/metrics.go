@@ -109,7 +109,7 @@ type Metrics struct {
 	rejected  uint64 // refused at admission (limit reached or draining)
 	classes   [numClasses]ClassCounters
 	coalesced uint64 // requests served as singleflight followers
-	bypass    uint64 // requests that opted out of the cache (or async)
+	bypass    uint64 // requests that opted out of the cache
 	peers     uint64 // requests answered by adopting a peer replica's recording
 	phases    [numPhases]latencyAgg
 	engine    stats.SessionSummary

@@ -9,14 +9,14 @@
 //
 //   - stream.go   — the wire schema (RunSpec in, event/result records out)
 //     and the per-request event spool
-//   - server.go   — engines, admission, dispatch, graceful shutdown
+//   - server.go   — the engine, admission, dispatch, graceful shutdown
 //   - admission.go — the SLO-driven admission limit and priority classes
 //   - cache.go, flight.go, peer.go — the result cache, singleflight and
 //     cross-replica cache peering
 //   - handlers.go — the HTTP surface
 //   - metrics.go  — per-phase latency and engine-counter aggregation
 //   - loadgen.go  — the closed-loop load generator behind cmd/sbload and
-//     the server throughput bench kernels
+//     the gateway bench kernels
 package server
 
 import (
@@ -55,7 +55,7 @@ type Config struct {
 	// admission controller's ceiling: with an SLO configured the live
 	// limit adapts between min(8, QueueCap) and QueueCap.
 	QueueCap int
-	// Seed is the engines' base seed; per-request seeds override it
+	// Seed is the engine's base seed; per-request seeds override it
 	// (default 1, the evaluation's golden seed).
 	Seed int64
 	// SLO is the target p95 for the interactive run phase. Non-zero
@@ -100,19 +100,18 @@ func (c Config) withDefaults() Config {
 }
 
 // runReq is one admitted engine request on its way through the service:
-// the built instance, its event sink (a private spool for uncacheable
+// the built instance, its event sink (a private spool for ?cache=bypass
 // runs, the shared flight for cacheable ones), the response rendezvous,
 // and the phase timestamps.
 type runReq struct {
-	ctx     context.Context // cancelling aborts the run (flight or client ctx)
-	scen    *scenario.Scenario
-	cfg     core.Config
-	seed    int64
-	backend string
-	class   int
+	ctx   context.Context // cancelling aborts the run (flight or client ctx)
+	scen  *scenario.Scenario
+	cfg   core.Config
+	seed  int64
+	class int
 
 	spool  *eventSpool     // live event stream, nil when not streaming
-	flight *flight         // shared run, nil on the uncacheable path
+	flight *flight         // shared run, nil on the bypass path
 	done   chan runOutcome // buffered(1): execute never blocks on it
 
 	tEnqueue, tRunStart, tRunEnd time.Time
@@ -132,13 +131,12 @@ func (r *runReq) timing() wireTiming {
 	}
 }
 
-// Server is the reconfiguration service: one engine per backend (backend
-// choice is an engine-level option, so DES and Async requests run on their
-// own engines), the content-addressed result cache with its singleflight
-// table, the admission controller, and the metrics registry.
+// Server is the reconfiguration service: one DES engine, the
+// content-addressed result cache with its singleflight table, the
+// admission controller, and the metrics registry.
 type Server struct {
 	cfg     Config
-	engines map[string]*core.Engine
+	engine  *core.Engine
 	cache   *resultCache
 	flights *flightTable
 	ctrl    *admission
@@ -162,9 +160,9 @@ type Server struct {
 // New builds a server over the standard rule library.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	lib := rules.StandardLibrary()
 	s := &Server{
 		cfg:     cfg,
+		engine:  core.NewEngine(rules.StandardLibrary(), core.WithSeed(cfg.Seed)),
 		cache:   newResultCache(cfg.CacheBytes),
 		flights: newFlightTable(),
 		ctrl:    newAdmission(cfg.SLO, cfg.QueueCap, cfg.BulkShare),
@@ -177,10 +175,6 @@ func New(cfg Config) *Server {
 	}
 	s.metrics.cache = s.cache
 	s.metrics.ctrl = s.ctrl
-	s.engines = map[string]*core.Engine{
-		backendDES:   core.NewEngine(lib, core.WithSeed(cfg.Seed)),
-		backendAsync: core.NewEngine(lib, core.WithSeed(cfg.Seed), core.WithBackend(core.Async)),
-	}
 	s.runCtx, s.force = context.WithCancel(context.Background())
 	s.routes()
 	return s
@@ -213,7 +207,7 @@ func (s *Server) submit(req *runReq) error {
 	return nil
 }
 
-// execute runs one admitted request on its backend's engine. The request
+// execute runs one admitted request on the engine. The request
 // gets its outcome delivered, its event sink closed or completed, and its
 // admission slot released — also on force-shutdown, where RunBatch returns
 // the context error.
@@ -228,7 +222,7 @@ func (s *Server) execute(r *runReq) {
 		obs = core.MultiObserver(r.spool, s.metrics)
 	}
 	r.tRunStart = time.Now()
-	results, _ := s.engines[r.backend].RunBatch(s.runCtx, []core.Instance{{
+	results, _ := s.engine.RunBatch(s.runCtx, []core.Instance{{
 		Name:     r.scen.Name,
 		Surface:  r.scen.Surface,
 		Config:   r.cfg,

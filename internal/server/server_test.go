@@ -134,24 +134,21 @@ func TestServerRunEndToEnd(t *testing.T) {
 }
 
 // TestServerResultOnly: ?stream=none answers with the single result
-// record, on both backends.
+// record.
 func TestServerResultOnly(t *testing.T) {
 	_, ts := testServer(t, Config{})
-	for _, backend := range []string{"", "async"} {
-		body, _ := json.Marshal(RunSpec{Scenario: "fig10", Backend: backend})
-		resp, err := http.Post(ts.URL+"/v1/runs?stream=none", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rec streamRecord
-		if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
-			t.Fatalf("backend %q: decode: %v", backend, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || rec.Type != "result" || !rec.Success {
-			t.Fatalf("backend %q: status=%d record=%+v, want a 200 success result",
-				backend, resp.StatusCode, rec)
-		}
+	body, _ := json.Marshal(RunSpec{Scenario: "fig10"})
+	resp, err := http.Post(ts.URL+"/v1/runs?stream=none", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var rec streamRecord
+	if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK || rec.Type != "result" || !rec.Success {
+		t.Fatalf("status=%d record=%+v, want a 200 success result", resp.StatusCode, rec)
 	}
 }
 
@@ -177,12 +174,14 @@ func TestServerSSE(t *testing.T) {
 }
 
 // TestServerValidation: client errors come back as 400 with a JSON error
-// record; the scenario listing serves the registry.
+// record; the scenario listing serves the registry. The server runs only
+// the DES, so a spec naming the goroutine runtime ("async") is one of them.
 func TestServerValidation(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	for _, spec := range []RunSpec{
 		{Scenario: "no-such-scenario"},
 		{Scenario: "fig10", Backend: "quantum"},
+		{Scenario: "fig10", Backend: "async"},
 		{Scenario: "tower", Params: scenario.Params{"blocks": 8}}, // unknown param
 		{Scenario: "tower", Params: scenario.Params{"n": 7}},      // generator rejects odd towers
 		{Scenario: "fig10", K: -1},
@@ -594,18 +593,17 @@ func TestServerShutdownRacesSubmissions(t *testing.T) {
 // boundary).
 func TestServerShutdownForceCancelRollsBack(t *testing.T) {
 	s := New(Config{})
-	scen, cfg, backend, err := buildSpec(RunSpec{Scenario: "slope", Params: scenario.Params{"top": 16}})
+	scen, cfg, err := buildSpec(RunSpec{Scenario: "slope", Params: scenario.Params{"top": 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	blocks := scen.Surface.NumBlocks()
 	req := &runReq{
-		ctx:     context.Background(),
-		scen:    scen,
-		cfg:     cfg,
-		backend: backend,
-		spool:   newEventSpool(),
-		done:    make(chan runOutcome, 1),
+		ctx:   context.Background(),
+		scen:  scen,
+		cfg:   cfg,
+		spool: newEventSpool(),
+		done:  make(chan runOutcome, 1),
 	}
 	if err := s.submit(req); err != nil {
 		t.Fatal(err)
@@ -634,23 +632,48 @@ func TestServerShutdownForceCancelRollsBack(t *testing.T) {
 }
 
 // TestLoadgen: the closed-loop generator drives the service end to end
-// and accounts for every request.
+// and accounts for every request, in three shapes. Cached is a small load
+// on one spec. Bypass has 32 clients each make one engine run at once on
+// the default config, and all of them must complete: admission must not
+// refuse them and no run may fail. SLO mixes a quarter bulk requests into
+// 16 engine runs under a 5 s run-phase SLO: overload may shed as 429s but
+// never as failures, and interactive requests are never refused.
 func TestLoadgen(t *testing.T) {
-	_, ts := testServer(t, Config{})
-	rep, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:   ts.URL,
-		Clients:   4,
-		PerClient: 2,
-		Spec:      RunSpec{Scenario: "fig10"},
-		Client:    ts.Client(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests != 8 || rep.Completed != 8 || rep.Failed != 0 || rep.Rejected != 0 {
-		t.Fatalf("load report %+v, want 8/8 completed", rep)
-	}
-	if rep.RunsPerSec <= 0 || rep.Events == 0 || rep.P95NS < rep.P50NS {
-		t.Errorf("implausible load report %+v", rep)
+	for _, tc := range []struct {
+		name        string
+		cfg         Config
+		load        LoadConfig
+		allComplete bool // no request may be refused either
+	}{
+		{name: "cached", load: LoadConfig{Clients: 4, PerClient: 2}, allComplete: true},
+		{name: "bypass", load: LoadConfig{Clients: 32, PerClient: 1, CacheMode: "bypass"}, allComplete: true},
+		{name: "slo", cfg: Config{SLO: 5 * time.Second},
+			load: LoadConfig{Clients: 16, PerClient: 1, CacheMode: "bypass", BulkFraction: 0.25}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := testServer(t, tc.cfg)
+			lc := tc.load
+			lc.BaseURL, lc.Client, lc.Spec = ts.URL, ts.Client(), RunSpec{Scenario: "fig10"}
+			rep, err := RunLoad(context.Background(), lc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := lc.Clients * lc.PerClient
+			if rep.Requests != total || rep.Failed != 0 {
+				t.Fatalf("load report %+v, want %d requests and no failures", rep, total)
+			}
+			if inter := rep.PerClass["interactive"]; inter.Rejected > 0 {
+				t.Errorf("%d interactive requests refused", inter.Rejected)
+			}
+			if tc.allComplete && (rep.Completed != total || rep.Rejected != 0) {
+				t.Errorf("load report %+v, want %d/%d completed", rep, total, total)
+			}
+			if lc.CacheMode == "bypass" && rep.Bypassed != rep.Completed {
+				t.Errorf("%d of %d completed requests bypassed the cache, want all", rep.Bypassed, rep.Completed)
+			}
+			if rep.RunsPerSec <= 0 || rep.Events == 0 || rep.P95NS < rep.P50NS {
+				t.Errorf("implausible load report %+v", rep)
+			}
+		})
 	}
 }

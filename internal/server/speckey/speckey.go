@@ -34,32 +34,26 @@ type Spec struct {
 	Shards int `json:"shards,omitempty"`
 	// Seed overrides the engine seed for this run (0 = engine default).
 	Seed int64 `json:"seed,omitempty"`
-	// Backend selects the execution backend: "des" (default, the
-	// deterministic discrete-event simulator) or "async" (the goroutine
-	// runtime).
+	// Backend names the execution backend. The service runs only "des"
+	// (the default), the deterministic discrete-event simulator; the
+	// goroutine runtime stays a library backend (core.Async).
 	Backend string `json:"backend,omitempty"`
 	// MaxRounds caps the number of elections (0 derives the engine's
 	// default safety bound).
 	MaxRounds int `json:"max_rounds,omitempty"`
 }
 
-// Backend names accepted by Spec.
-const (
-	BackendDES   = "des"
-	BackendAsync = "async"
-)
+// BackendDES is the one backend name Spec accepts.
+const BackendDES = "des"
 
 // ResolveBackend normalizes the spec's backend name (empty means DES) and
-// rejects unknown ones.
+// rejects every other one.
 func (sp Spec) ResolveBackend() (string, error) {
 	switch sp.Backend {
-	case "":
+	case "", BackendDES:
 		return BackendDES, nil
-	case BackendDES, BackendAsync:
-		return sp.Backend, nil
 	default:
-		return "", fmt.Errorf("speckey: unknown backend %q (want %q or %q)",
-			sp.Backend, BackendDES, BackendAsync)
+		return "", fmt.Errorf("speckey: unknown backend %q (want %q)", sp.Backend, BackendDES)
 	}
 }
 
@@ -67,12 +61,12 @@ func (sp Spec) ResolveBackend() (string, error) {
 // scenario invocation (defaults filled, declaration order) plus every run
 // knob that shapes the outcome, with semantically equivalent spellings
 // normalized — k<=1 is the serial protocol, shards<=1 is unsharded, seed 0
-// is the server's base seed, an empty backend is the DES. On the DES
-// backend a run is a pure function of this key, which is what makes the
-// result cache and the singleflight table exact rather than approximate,
-// and what makes the key a correct affinity-routing hash: equal keys mean
-// byte-identical responses, so they may be served by whichever replica
-// already holds the recording.
+// is the server's base seed, an empty backend is the DES. A DES run is a
+// pure function of this key, which is what makes the result cache and the
+// singleflight table exact rather than approximate, and what makes the key
+// a correct affinity-routing hash: equal keys mean byte-identical
+// responses, so they may be served by whichever replica already holds the
+// recording.
 func (sp Spec) Key(baseSeed int64) (string, error) {
 	backend, err := sp.ResolveBackend()
 	if err != nil {

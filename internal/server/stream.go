@@ -17,37 +17,31 @@ import (
 // from the identical schema and cannot drift.
 type RunSpec = speckey.Spec
 
-// Backend names accepted by RunSpec.
-const (
-	backendDES   = speckey.BackendDES
-	backendAsync = speckey.BackendAsync
-)
-
 // buildSpec resolves the spec against the scenario registry into a runnable
 // instance: a fresh surface (pre-sharded when requested — the engine keeps
-// caller-provided shard layouts), the run configuration, and the
-// normalised backend name. All failures here are client errors (400).
-func buildSpec(sp RunSpec) (*scenario.Scenario, core.Config, string, error) {
-	backend, err := sp.ResolveBackend()
-	if err != nil {
-		return nil, core.Config{}, "", err
+// caller-provided shard layouts) and the run configuration. Every run is a
+// DES run, so a spec naming any other backend is refused. All failures here
+// are client errors (400).
+func buildSpec(sp RunSpec) (*scenario.Scenario, core.Config, error) {
+	if _, err := sp.ResolveBackend(); err != nil {
+		return nil, core.Config{}, err
 	}
 	if sp.K < 0 || sp.Shards < 0 || sp.MaxRounds < 0 {
-		return nil, core.Config{}, "", fmt.Errorf("server: negative k/shards/max_rounds")
+		return nil, core.Config{}, fmt.Errorf("server: negative k/shards/max_rounds")
 	}
 	scen, err := scenario.Build(sp.Scenario, sp.Params)
 	if err != nil {
-		return nil, core.Config{}, "", err
+		return nil, core.Config{}, err
 	}
 	if sp.Shards > 1 {
 		if err := scen.Surface.EnableSharding(sp.Shards); err != nil {
-			return nil, core.Config{}, "", err
+			return nil, core.Config{}, err
 		}
 	}
 	cfg := scen.Config()
 	cfg.ParallelMoves = sp.K
 	cfg.MaxRounds = sp.MaxRounds
-	return scen, cfg, backend, nil
+	return scen, cfg, nil
 }
 
 // wireEvent is one streamed observer event: a flattened core.Event with
