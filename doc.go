@@ -204,32 +204,36 @@
 // runtime stays a library backend (examples/asyncrt, smartconvey -engine
 // async) and is never served. Admission is a bounded pending count, and
 // it is the only bound on runs in flight: beyond the limit the server
-// answers 429 immediately rather than queueing unboundedly, and each
-// request carries its client's context — a dropped connection cancels
-// that run mid-flight and the engine hands back a connected, fully
-// rolled-back surface while every other run completes untouched.
+// answers 429 immediately rather than queueing unboundedly. Every engine
+// run is a flight — the server's record of one run, its event history and
+// the clients attached to it — whose context derives from the server's
+// run context: when a run's last client disconnects (or Shutdown forces
+// it) that run alone is cancelled mid-flight, and the engine hands back a
+// connected, fully rolled-back surface while every other run completes
+// untouched.
 //
 // A run streams NDJSON by default (?stream=sse or an Accept:
 // text/event-stream header switches framing, ?stream=none answers with the
 // single result record): the session's core.Observer events — round
 // started, election decided with the admitted move-set, motion applied,
-// termination, message totals — as they happen, through an unbounded
-// per-request spool (pooled backing arrays, allocation-free at steady
-// state) so a slow reader never stalls the engine, terminated by a result
-// (or error) record.
+// termination, message totals — as they happen, through the flight's
+// unbounded append-only event history (pooled backing arrays) so a slow
+// reader never stalls the engine, terminated by a result (or error)
+// record.
 //
 // DES runs are pure functions of their spec, and the service exploits
 // that twice. A content-addressed result cache (byte-accounted LRU,
 // -cache-bytes budget) memoizes each completed run under its canonical
 // key — scenario params default-filled in declaration order, k/shards/seed
-// normalized — so an identical spec replays the recorded event spool and
+// normalized — so an identical spec replays the recorded events and
 // result byte-identically without touching the engine; the X-Cache
 // response header says how a run was served (hit, miss, bypass,
-// coalesced) and ?cache=bypass opts out. Concurrent identical specs
-// coalesce in flight (singleflight): the first request leads the one
-// engine run and every follower tails its append-only event history from
-// index zero, with the run's lifetime tied to the set of attached clients
-// — it cancels only when the last one disconnects. Admission is
+// coalesced) and ?cache=bypass opts out with a private flight that no
+// other request joins and no cache entry records. Concurrent identical
+// specs coalesce in flight (singleflight): the first request leads the
+// one engine run and every follower tails its append-only event history
+// from index zero, with the run's lifetime tied to the set of attached
+// clients — it cancels only when the last one disconnects. Admission is
 // SLO-driven: with -slo set, an AIMD controller (additive +1,
 // multiplicative x0.7) adapts the pending-request limit to keep the
 // windowed run-phase p95 inside the target, shedding overload as cheap
@@ -245,9 +249,10 @@
 // ?format=prometheus. Shutdown is graceful: SIGTERM flips /healthz to 503
 // and refuses new work, in-flight runs drain under a deadline, and past
 // the deadline the server force-cancels their shared run context —
-// rollback semantics again guarantee clean surfaces. cmd/sbload is the
-// closed-loop load generator (N clients x M runs each, full-stream reads,
-// per-class and X-Cache tallies, Zipf spec mixes, latency percentiles).
+// rollback semantics again guarantee clean surfaces, and a force-cancelled
+// ?stream=none run answers 503. cmd/sbload is the closed-loop load
+// generator (N clients x M runs each, full-stream reads, per-class and
+// X-Cache tallies, Zipf spec mixes, latency percentiles).
 // The end-to-end benchmark (BENCHMARK.json, e2ebench/) measures the
 // service: serve_fig10_cold times engine runs through one replica and
 // gate_fig10_hot times cache hits through sbgate.

@@ -355,12 +355,6 @@ type Instance struct {
 	// Seed overrides the engine seed for this instance (0 = engine seed),
 	// so a sweep can vary seeds without rebuilding engines.
 	Seed int64
-	// Ctx optionally scopes this instance alone: the run is cancelled when
-	// either the batch context or Ctx is done, so one caller of a shared
-	// batch (a server request whose client disconnected) can abort its own
-	// run — surface rolled back, worker slot freed — without touching the
-	// rest of the batch. Nil means the batch context alone governs.
-	Ctx context.Context
 	// Observer optionally receives this instance's events live, as the run
 	// produces them (stamped with the instance index, delivery serialised),
 	// unlike the engine-wide observer whose per-instance streams RunBatch
@@ -431,30 +425,7 @@ func (e *Engine) RunBatch(ctx context.Context, insts []Instance) ([]BatchResult,
 					target = ins.Observer
 				}
 				em := newEmitter(target, i, nil)
-				runCtx := ctx
-				var cancel context.CancelCauseFunc
-				var stop func() bool
-				if ins.Ctx != nil {
-					// Merge the per-instance context into the batch context:
-					// whichever is done first cancels the run, and an
-					// instance-level cancellation carries its own cause.
-					var merged context.Context
-					merged, cancel = context.WithCancelCause(ctx)
-					stop = context.AfterFunc(ins.Ctx, func() {
-						cancel(context.Cause(ins.Ctx))
-					})
-					// The AfterFunc fires on its own goroutine, which a
-					// busy single-CPU box can starve for the whole run;
-					// instanceCtx makes Err() consult the instance context
-					// directly so the DES's polled checks see the
-					// cancellation deterministically.
-					runCtx = instanceCtx{Context: merged, inst: ins.Ctx}
-				}
-				res, err := e.runInstance(runCtx, ins.Surface, ins.Config, ins.Seed, em)
-				if stop != nil {
-					stop()
-					cancel(nil)
-				}
+				res, err := e.runInstance(ctx, ins.Surface, ins.Config, ins.Seed, em)
 				out[i] = BatchResult{Instance: i, Name: ins.Name, Result: res, Err: err}
 				if e.opts.observer != nil {
 					e.obsMu.Lock()
@@ -484,25 +455,6 @@ feed:
 		}
 	}
 	return out, ctx.Err()
-}
-
-// instanceCtx merges an Instance.Ctx into the batch context. Done() comes
-// from the embedded merged context (closed by the AfterFunc bridge when
-// either parent is done), but Err() additionally consults the instance
-// context synchronously: backends that poll Err() between event chunks then
-// observe an instance-level cancellation immediately, without depending on
-// the bridge goroutine being scheduled.
-type instanceCtx struct {
-	context.Context
-	inst context.Context
-}
-
-// Err implements context.Context.
-func (c instanceCtx) Err() error {
-	if err := c.Context.Err(); err != nil {
-		return err
-	}
-	return c.inst.Err()
 }
 
 // batchScratch is the per-worker reusable state of RunBatch: the observer

@@ -621,83 +621,3 @@ func TestEngineRunBatchInstanceObserver(t *testing.T) {
 		seen[inst] = true
 	}
 }
-
-// TestEngineRunBatchInstanceCtx: cancelling one instance's context aborts
-// that run alone — its surface comes back rolled-back and connected, the
-// worker slot is reused for the remaining instances, and the batch itself
-// (whose context stays live) reports no error.
-func TestEngineRunBatchInstanceCtx(t *testing.T) {
-	const n = 6
-	const victim = 1
-	insts := make([]core.Instance, n)
-	blocks := make([]int, n)
-	victimCtx, cancelVictim := context.WithCancel(context.Background())
-	defer cancelVictim()
-	var once sync.Once
-	for i := range insts {
-		s, err := scenario.Fig10()
-		if err != nil {
-			t.Fatal(err)
-		}
-		blocks[i] = s.Surface.NumBlocks()
-		insts[i] = core.Instance{Surface: s.Surface, Config: s.Config(), Seed: 1}
-		if i == victim {
-			insts[i].Ctx = victimCtx
-			// Cancel on the victim's first applied motion: the run is then
-			// provably mid-flight, not unstarted.
-			insts[i].Observer = core.ObserverFunc(func(ev core.Event) {
-				if ev.Kind == core.EventMotionApplied {
-					once.Do(cancelVictim)
-				}
-			})
-		}
-	}
-	eng := core.NewEngine(rules.StandardLibrary(), core.WithWorkers(2))
-	brs, err := eng.RunBatch(context.Background(), insts)
-	if err != nil {
-		t.Fatalf("batch context was never cancelled, got %v", err)
-	}
-	for i, br := range brs {
-		checkSurfaceIntegrity(t, insts[i].Surface, blocks[i])
-		if i == victim {
-			if !errors.Is(br.Err, context.Canceled) {
-				t.Errorf("victim err = %v, want context.Canceled", br.Err)
-			}
-			continue
-		}
-		if br.Err != nil || !br.Result.Success {
-			t.Errorf("instance %d: err=%v res=%v (victim cancellation leaked?)", i, br.Err, br.Result)
-		}
-	}
-}
-
-// TestEngineRunBatchInstanceCtxPreCancelled: an instance submitted with an
-// already-cancelled context never runs, while the rest of the batch is
-// unaffected.
-func TestEngineRunBatchInstanceCtxPreCancelled(t *testing.T) {
-	dead, cancel := context.WithCancel(context.Background())
-	cancel()
-	insts := make([]core.Instance, 2)
-	for i := range insts {
-		s, err := scenario.Fig10()
-		if err != nil {
-			t.Fatal(err)
-		}
-		insts[i] = core.Instance{Surface: s.Surface, Config: s.Config(), Seed: 1}
-	}
-	insts[0].Ctx = dead
-	brs, err := core.NewEngine(rules.StandardLibrary()).RunBatch(context.Background(), insts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(brs[0].Err, context.Canceled) {
-		t.Errorf("pre-cancelled instance err = %v, want context.Canceled", brs[0].Err)
-	}
-	if brs[0].Result.Success {
-		t.Error("pre-cancelled instance reports success")
-	}
-	if brs[1].Err != nil || !brs[1].Result.Success {
-		t.Errorf("live instance: err=%v res=%v", brs[1].Err, brs[1].Result)
-	}
-	checkSurfaceIntegrity(t, insts[0].Surface, 12)
-}

@@ -141,12 +141,13 @@ func gwError(w http.ResponseWriter, status int, format string, args ...any) {
 //
 // The spec is canonicalized with the replicas' own key function
 // (speckey), hashed onto the ring, and sent to the first accepting
-// replica in ring order. A refusal that provably did not execute —
+// replica in ring order. A refusal that delivered no part of the run —
 // a dial error (never reached it) or a 503 (refused at admission while
-// draining) — moves the spec to the next candidate (every run is a
-// deterministic DES run, so a retry is safe), and a scale-down loses
-// nothing; responses already streaming bytes are past the point of no
-// return and are never retried. The X-Peer-Probe header
+// draining, or a result-only run force-cancelled by the replica's
+// shutdown) — moves the spec to the next candidate (every run is a pure,
+// deterministic DES run, so re-running one is safe), and a scale-down
+// loses nothing; responses already streaming bytes are past the point of
+// no return and are never retried. The X-Peer-Probe header
 // names the key's nearest other non-down replica: on a cache miss the
 // target probes it before running the engine, which is exactly the warm
 // previous owner during a drain hand-off.
@@ -222,7 +223,8 @@ func (g *Gateway) peerFor(order []int, i int) string {
 	return ""
 }
 
-// errRefused marks an in-protocol 503 (admission refusal while draining).
+// errRefused marks an in-protocol 503: the replica delivered no part of
+// the run (refused at admission, or force-cancelled a result-only run).
 var errRefused = fmt.Errorf("gate: refused (503)")
 
 // proxyRun sends one attempt to one replica and streams the response.

@@ -9,7 +9,7 @@ import (
 )
 
 // cacheEntry is one memoized run: the flattened result plus the compacted
-// observer event spool, so a hit can serve the plain-JSON response and
+// observer event history, so a hit can serve the plain-JSON response and
 // replay the NDJSON/SSE stream byte-identically to the engine-served one
 // (the stored timing block is the original run's, replayed verbatim —
 // cached responses are recordings, and re-rendering the same records

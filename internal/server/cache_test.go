@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"sync"
 	"testing"
 
@@ -106,18 +107,35 @@ func TestServerCacheHitBitIdentical(t *testing.T) {
 }
 
 // TestServerCacheBypass: ?cache=bypass runs on the engine every time and
-// never fills or reads the cache.
+// never fills or reads the cache: a bypass run before the miss leaves the
+// miss cold, one after it still runs the engine. In every response shape a
+// bypass body equals the miss body of the same spec, timing masked.
 func TestServerCacheBypass(t *testing.T) {
 	s, ts := testServer(t, Config{})
-	for i := 0; i < 2; i++ {
-		st, xc, _ := postRaw(t, ts, "/v1/runs?cache=bypass", RunSpec{Scenario: "fig10"})
-		if st != http.StatusOK || xc != xcacheBypass {
-			t.Fatalf("bypass run %d: status=%d X-Cache=%q", i, st, xc)
+	timing := regexp.MustCompile(`"timing":\{[^}]*\}`)
+	for i, shape := range []string{"ndjson", "sse", "none"} {
+		spec := RunSpec{Scenario: "fig10", Seed: int64(200 + i)}
+		path := "/v1/runs?stream=" + shape
+		var bodies []string
+		for _, step := range []struct{ path, xcache string }{
+			{path + "&cache=bypass", xcacheBypass},
+			{path, xcacheMiss},
+			{path + "&cache=bypass", xcacheBypass},
+		} {
+			st, xc, body := postRaw(t, ts, step.path, spec)
+			if st != http.StatusOK || xc != step.xcache {
+				t.Fatalf("%s: status=%d X-Cache=%q, want 200 %s", step.path, st, xc, step.xcache)
+			}
+			bodies = append(bodies, timing.ReplaceAllString(string(body), `"timing":{}`))
+		}
+		if bodies[0] != bodies[1] || bodies[2] != bodies[1] {
+			t.Errorf("stream=%s: bypass bodies differ from the miss body (timing masked): %d, %d vs %d bytes",
+				shape, len(bodies[0]), len(bodies[2]), len(bodies[1]))
 		}
 	}
 	snap := s.Metrics().Snapshot()
-	if snap.Cache.Bypass != 2 || snap.Cache.Hits != 0 || snap.Engine.Successes != 2 {
-		t.Errorf("bypass=%d hits=%d engine=%d, want 2/0/2",
+	if snap.Cache.Bypass != 6 || snap.Cache.Hits != 0 || snap.Engine.Successes != 9 {
+		t.Errorf("bypass=%d hits=%d engine=%d, want 6/0/9",
 			snap.Cache.Bypass, snap.Cache.Hits, snap.Engine.Successes)
 	}
 }
@@ -351,33 +369,4 @@ func TestServerDifferentialDeterminism(t *testing.T) {
 	if r1, r2 := strip(b1), strip(b2); r1 != r2 {
 		t.Fatalf("equal keys, different results:\n%s\n%s", r1, r2)
 	}
-}
-
-// TestEventSpoolSteadyStateAllocs pins the pooled spool path: once warm,
-// an OnEvent burst plus drain/recycle allocates nothing.
-func TestEventSpoolSteadyStateAllocs(t *testing.T) {
-	sp := newEventSpool()
-	ev := core.Event{Kind: core.EventRoundStarted, Round: 1}
-	// Warm the buffers past the initial growth.
-	for i := 0; i < 300; i++ {
-		sp.OnEvent(ev)
-	}
-	raw, _ := sp.drain()
-	sp.recycle(raw)
-
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 64; i++ {
-			sp.OnEvent(ev)
-		}
-		raw, _ := sp.drain()
-		sp.recycle(raw)
-		select {
-		case <-sp.wake:
-		default:
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state spool cycle allocates %.1f times, want 0", allocs)
-	}
-	sp.release()
 }

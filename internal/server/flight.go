@@ -7,18 +7,21 @@ import (
 	"repro/internal/core"
 )
 
-// flight is one in-flight engine run that concurrent identical specs share:
-// the first request with a given cache key becomes the leader and submits
-// the single runReq; every later identical request attaches as a follower
-// and tails the flight's append-only event history instead of starting a
-// duplicate engine run. The run's lifetime is tied to the set of
-// attached clients, not to the leader alone — the run context cancels only
-// when the last client detaches, so a leader disconnect cannot kill a run
-// other clients are still streaming.
+// flight is one engine run and the clients attached to it. A cacheable run
+// is a shared flight: the first request with a given cache key becomes the
+// leader and submits the single runReq; every later identical request
+// attaches as a follower and tails the flight's append-only event history
+// instead of starting a duplicate engine run. A ?cache=bypass run is a
+// private flight: never indexed, never cached, its one client the leader.
+// The run's lifetime is tied to the set of attached clients, not to the
+// leader alone — the run context cancels when the last client detaches (so
+// a leader disconnect cannot kill a run other clients are still streaming)
+// or when Shutdown force-cancels the server's run context it derives from.
 type flight struct {
 	key      string
 	scenName string
-	runCtx   context.Context // the engine instance's context
+	private  bool            // ?cache=bypass: fills no cache entry, is in no flight table
+	ctx      context.Context // the engine run's context
 	cancel   context.CancelFunc
 
 	mu       sync.Mutex
@@ -69,13 +72,13 @@ func (f *flight) unsubscribe(id int) {
 // tail returns the events from index `from` on (a stable view: the backing
 // array is only appended to, and released to the pool only after the last
 // attached client detaches) plus whether the flight has completed.
-func (f *flight) tail(from int) (evs []core.Event, completed bool, out runOutcome) {
+func (f *flight) tail(from int) (evs []core.Event, completed bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if from < len(f.events) {
 		evs = f.events[from:len(f.events):len(f.events)]
 	}
-	return evs, f.done, f.out
+	return evs, f.done
 }
 
 // outcome returns the completed flight's result and timing — valid once
@@ -89,7 +92,7 @@ func (f *flight) outcome() (runOutcome, wireTiming) {
 // detach drops one attached client. When the last client leaves an
 // unfinished flight its run is cancelled (nobody wants the answer any
 // more); when the last client leaves a finished one the event buffer goes
-// back to the spool pool.
+// back to the pool.
 func (f *flight) detach() {
 	f.mu.Lock()
 	f.refs--
@@ -106,8 +109,11 @@ func (f *flight) detach() {
 	f.release()
 }
 
-// complete records the outcome, wakes every subscriber and, if no client is
-// attached any more, releases the buffer.
+// complete records the outcome, wakes every subscriber, cancels the
+// flight's context and, if no client is attached any more, releases the
+// buffer. The cancel matters even after a clean run: until it is called the
+// context stays registered with the server's run context, so every
+// finished flight would leak one child there.
 func (f *flight) complete(out runOutcome, timing wireTiming) {
 	f.mu.Lock()
 	f.done = true
@@ -122,12 +128,13 @@ func (f *flight) complete(out runOutcome, timing wireTiming) {
 	orphaned := f.refs <= 0
 	f.mu.Unlock()
 	close(f.doneCh)
+	f.cancel()
 	if orphaned {
 		f.release()
 	}
 }
 
-// release returns the event buffer to the spool pool (once).
+// release returns the event buffer to the pool (once).
 func (f *flight) release() {
 	f.mu.Lock()
 	buf := f.events
@@ -136,7 +143,7 @@ func (f *flight) release() {
 	f.events = nil
 	f.mu.Unlock()
 	if !already && buf != nil {
-		putSpoolBuf(buf)
+		putEventBuf(buf)
 	}
 }
 
@@ -154,14 +161,33 @@ func (f *flight) compactEvents() []core.Event {
 	return out
 }
 
-// flightTable indexes the in-flight runs by cache key.
-type flightTable struct {
-	mu sync.Mutex
-	m  map[string]*flight
+// newFlight builds a flight with its creator attached as the leader; the
+// caller must detach exactly once. Its context derives from parent, the
+// server's run context, so Shutdown's force-cancel reaches every run.
+func newFlight(parent context.Context, key, scenName string, private bool) *flight {
+	ctx, cancel := context.WithCancel(parent)
+	return &flight{
+		key:      key,
+		scenName: scenName,
+		private:  private,
+		ctx:      ctx,
+		cancel:   cancel,
+		events:   getEventBuf(),
+		subs:     make(map[int]chan struct{}),
+		refs:     1,
+		doneCh:   make(chan struct{}),
+	}
 }
 
-func newFlightTable() *flightTable {
-	return &flightTable{m: make(map[string]*flight)}
+// flightTable indexes the shared in-flight runs by cache key.
+type flightTable struct {
+	ctx context.Context // parent of every flight's context
+	mu  sync.Mutex
+	m   map[string]*flight
+}
+
+func newFlightTable(ctx context.Context) *flightTable {
+	return &flightTable{ctx: ctx, m: make(map[string]*flight)}
 }
 
 // join attaches to the flight for key, creating it (leader=true) when none
@@ -176,17 +202,7 @@ func (t *flightTable) join(key, scenName string) (f *flight, leader bool) {
 		f.mu.Unlock()
 		return f, false
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	f = &flight{
-		key:      key,
-		scenName: scenName,
-		runCtx:   ctx,
-		cancel:   cancel,
-		events:   getSpoolBuf(),
-		subs:     make(map[int]chan struct{}),
-		refs:     1,
-		doneCh:   make(chan struct{}),
-	}
+	f = newFlight(t.ctx, key, scenName, false)
 	t.m[key] = f
 	return f, true
 }

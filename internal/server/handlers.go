@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -78,12 +77,14 @@ func cacheBypassed(r *http.Request) bool {
 	return false
 }
 
-// outcomeOf classifies a delivered outcome for the per-class counters.
+// outcomeOf classifies a delivered outcome for the per-class counters. A
+// run is canceled only when its own client went away; a run the server
+// force-cancelled at shutdown failed.
 func outcomeOf(r *http.Request, err error) int {
 	switch {
 	case err == nil:
 		return outcomeCompleted
-	case r.Context().Err() != nil, errors.Is(err, context.Canceled):
+	case r.Context().Err() != nil:
 		return outcomeCanceled
 	default:
 		return outcomeFailed
@@ -106,9 +107,10 @@ const (
 // the engine, and a spec identical to an in-flight run attaches to that
 // flight as a follower instead of enqueueing a duplicate. Only a leader —
 // the first request for its key — pays admission (429 over the class
-// limit, 503 draining) and an engine run. ?cache=bypass requests keep the
-// private-spool path. Every response carries X-Cache: hit, miss, bypass,
-// coalesced or peer.
+// limit, 503 draining) and an engine run. A ?cache=bypass request leads a
+// private flight of its own. Every engine run is answered by respondFlight,
+// and every response carries X-Cache: hit, miss, bypass, coalesced or
+// peer.
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
@@ -151,6 +153,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 
 	// A DES run is a pure function of its key, so it is cached and
 	// coalesced unless the client opted out.
+	var f *flight
 	if !cacheBypassed(r) && keyErr == nil {
 		if e, ok := s.cache.get(key); ok {
 			s.metrics.recordAccept(class)
@@ -158,7 +161,8 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 			s.respondCached(w, r, class, e, mode)
 			return
 		}
-		f, leader := s.flights.join(key, scen.Name)
+		var leader bool
+		f, leader = s.flights.join(key, scen.Name)
 		if !leader {
 			s.metrics.recordAccept(class)
 			s.metrics.recordCoalesced()
@@ -188,57 +192,26 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		req := &runReq{
-			ctx:    f.runCtx,
-			scen:   scen,
-			cfg:    cfg,
-			seed:   spec.Seed,
-			class:  class,
-			flight: f,
-			done:   make(chan runOutcome, 1),
-		}
-		if err := s.submit(req); err != nil {
-			// Unindex and fail the flight before answering: any follower
-			// that raced in gets the same rejection outcome.
-			s.flights.remove(f.key)
-			f.complete(runOutcome{err: err}, wireTiming{})
-			f.detach()
-			s.rejectRequest(w, class, err)
-			return
-		}
-		s.metrics.recordAccept(class)
-		w.Header().Set(headerXCache, xcacheMiss)
-		s.respondFlight(w, r, f, class, mode, req)
-		return
+	} else {
+		f = newFlight(s.runCtx, key, scen.Name, true)
 	}
-
-	// Bypass path: a private run with a private spool.
-	req := &runReq{
-		ctx:   r.Context(),
-		scen:  scen,
-		cfg:   cfg,
-		seed:  spec.Seed,
-		class: class,
-		done:  make(chan runOutcome, 1),
-	}
-	if mode != "none" {
-		req.spool = newEventSpool()
-	}
+	req := &runReq{scen: scen, cfg: cfg, seed: spec.Seed, class: class, flight: f}
 	if err := s.submit(req); err != nil {
+		// Fail the flight before answering: any follower that raced in
+		// gets the same refusal.
+		s.finishFlight(f, runOutcome{err: err}, wireTiming{})
+		f.detach()
 		s.rejectRequest(w, class, err)
 		return
 	}
 	s.metrics.recordAccept(class)
-	s.metrics.recordBypass()
-	w.Header().Set(headerXCache, xcacheBypass)
-	switch mode {
-	case "none":
-		s.respondResult(w, r, req)
-	case "sse":
-		s.respondStream(w, r, req, true)
-	default:
-		s.respondStream(w, r, req, false)
+	xcache := xcacheMiss
+	if f.private {
+		s.metrics.recordBypass()
+		xcache = xcacheBypass
 	}
+	w.Header().Set(headerXCache, xcache)
+	s.respondFlight(w, r, f, class, mode, req)
 }
 
 // rejectRequest files and writes an admission refusal.
@@ -302,144 +275,80 @@ func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, class int
 	s.metrics.recordRespond(time.Since(start))
 }
 
-// respondFlight serves a request attached to a shared run — the leader
-// (req non-nil) and every coalesced follower (req nil) tail the same
+// respondFlight answers a request attached to a flight: the leader (req
+// non-nil) and every coalesced follower (req nil) tail the same
 // append-only event history, so each client gets the full stream from
-// index zero regardless of when it attached. A client disconnect detaches
-// that client alone; the run is cancelled only when the last one leaves.
+// index zero regardless of when it attached. The status is committed only
+// once the flight has an event or an outcome: a flight whose leader was
+// refused at admission has neither, so each of its clients is refused
+// too (429 or 503) and may retry. A client disconnect detaches that client
+// alone; the run is cancelled only when the last one leaves.
 func (s *Server) respondFlight(w http.ResponseWriter, r *http.Request, f *flight, class int, mode string, req *runReq) {
 	defer f.detach()
-	clientGone := r.Context().Done()
-
-	if mode == "none" {
-		select {
-		case <-f.doneCh:
-		case <-clientGone:
-			s.metrics.recordDone(class, outcomeCanceled)
-			return
-		}
-		out, timing := f.outcome()
-		if out.err != nil {
-			status := http.StatusInternalServerError
-			if outcomeOf(r, out.err) == outcomeCanceled {
-				status = 499 // client closed request; the write goes nowhere
-			}
-			httpError(w, status, "run failed: %v", out.err)
-		} else {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(resultRecord(f.scenName, out.res, timing))
-		}
-		s.finishShared(class, req, out.err, r)
-		return
+	var wake chan struct{} // nil under ?stream=none: only the outcome matters
+	if mode != "none" {
+		var id int
+		id, wake = f.subscribe()
+		defer f.unsubscribe(id)
 	}
-
-	write, flush := streamWriter(w, mode == "sse")
-	id, wake := f.subscribe()
-	defer f.unsubscribe(id)
-	next := 0
-	for {
-		evs, completed, _ := f.tail(next)
-		for _, ev := range evs {
-			write(toWire(ev))
-		}
-		next += len(evs)
-		if len(evs) > 0 {
+	var write func(any)
+	var flush func()
+	for next := 0; ; {
+		evs, completed := f.tail(next)
+		if mode != "none" && len(evs) > 0 {
+			if write == nil {
+				write, flush = streamWriter(w, mode == "sse")
+			}
+			for _, ev := range evs {
+				write(toWire(ev))
+			}
 			flush()
+			next += len(evs)
 		}
 		if completed {
 			break
 		}
 		select {
 		case <-wake:
-		case <-clientGone:
+		case <-f.doneCh:
+		case <-r.Context().Done():
 			s.metrics.recordDone(class, outcomeCanceled)
 			return
 		}
 	}
+
 	out, timing := f.outcome()
-	if out.err != nil {
-		write(wireError{Type: "error", Error: out.err.Error()})
-	} else {
-		write(resultRecord(f.scenName, out.res, timing))
-	}
-	flush()
-	s.finishShared(class, req, out.err, r)
-}
-
-// finishShared files a shared-run response's terminal accounting.
-func (s *Server) finishShared(class int, req *runReq, err error, r *http.Request) {
-	s.metrics.recordDone(class, outcomeOf(r, err))
-	if req != nil && !req.tRunEnd.IsZero() {
-		s.metrics.recordRespond(time.Since(req.tRunEnd))
-	}
-}
-
-// respondResult blocks for the outcome and writes the single result (or
-// error) record.
-func (s *Server) respondResult(w http.ResponseWriter, r *http.Request, req *runReq) {
-	out := <-req.done
-	outcome := outcomeOf(r, out.err)
-	if out.err != nil {
+	switch {
+	case errors.Is(out.err, ErrQueueFull), errors.Is(out.err, ErrStopped):
+		s.rejectRequest(w, class, out.err)
+		return
+	case mode == "none" && out.err != nil:
 		status := http.StatusInternalServerError
-		if outcome == outcomeCanceled {
+		switch {
+		case r.Context().Err() != nil:
 			status = 499 // client closed request; the write goes nowhere
+		case s.runCtx.Err() != nil:
+			status = http.StatusServiceUnavailable // force-cancelled by Shutdown
 		}
 		httpError(w, status, "run failed: %v", out.err)
-	} else {
+	case mode == "none":
 		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(resultRecord(req.scen.Name, out.res, req.timing()))
+		_ = json.NewEncoder(w).Encode(resultRecord(f.scenName, out.res, timing))
+	default:
+		if write == nil {
+			write, flush = streamWriter(w, mode == "sse")
+		}
+		if out.err != nil {
+			write(wireError{Type: "error", Error: out.err.Error()})
+		} else {
+			write(resultRecord(f.scenName, out.res, timing))
+		}
+		flush()
 	}
-	s.metrics.recordDone(req.class, outcome)
-	s.metrics.recordRespond(time.Since(req.tRunEnd))
-}
-
-// respondStream writes the live event stream from the request's private
-// spool — one JSON record per NDJSON line, or one SSE data frame each —
-// followed by the terminal result or error record. Drained slices are
-// recycled back to the spool so the steady-state path does not allocate; a
-// mid-stream client disconnect cancels the run through the instance
-// context; execute still delivers the outcome, which is consumed
-// here so the admission slot accounting stays exact.
-func (s *Server) respondStream(w http.ResponseWriter, r *http.Request, req *runReq, sse bool) {
-	write, flush := streamWriter(w, sse)
-	clientGone := r.Context().Done()
-	open := true
-	for open {
-		raw, stillOpen := req.spool.drain()
-		open = stillOpen
-		for _, ev := range raw {
-			write(toWire(ev))
-		}
-		if len(raw) > 0 {
-			flush()
-		}
-		req.spool.recycle(raw)
-		if !open {
-			break
-		}
-		select {
-		case <-req.spool.wake:
-		case <-clientGone:
-			// The instance context is this request's context: the engine
-			// aborts the run and execute delivers a cancellation
-			// outcome. Consume it and give up on the response.
-			<-req.done
-			req.spool.release()
-			s.metrics.recordDone(req.class, outcomeCanceled)
-			return
-		}
+	s.metrics.recordDone(class, outcomeOf(r, out.err))
+	if req != nil {
+		s.metrics.recordRespond(time.Since(req.tRunEnd))
 	}
-
-	out := <-req.done
-	if out.err != nil {
-		write(wireError{Type: "error", Error: out.err.Error()})
-	} else {
-		write(resultRecord(req.scen.Name, out.res, req.timing()))
-	}
-	flush()
-	req.spool.release()
-	s.metrics.recordDone(req.class, outcomeOf(r, out.err))
-	s.metrics.recordRespond(time.Since(req.tRunEnd))
 }
 
 // handleScenarios lists the scenario registry.

@@ -177,7 +177,8 @@ func (m *Metrics) recordPhases(r *runReq) {
 
 // recordDone files one response's outcome. Unlike the phase records (which
 // exist only for engine runs), every served request — leader, follower,
-// cache hit or bypass — is recorded here exactly once.
+// cache hit or bypass — is recorded here exactly once; only a follower of
+// a leader refused at admission is filed by recordReject instead.
 func (m *Metrics) recordDone(class, outcome int) {
 	m.mu.Lock()
 	switch outcome {

@@ -8,11 +8,11 @@
 // The package splits along the request's path through the service:
 //
 //   - stream.go   — the wire schema (RunSpec in, event/result records out)
-//     and the per-request event spool
 //   - server.go   — the engine, admission, dispatch, graceful shutdown
 //   - admission.go — the SLO-driven admission limit and priority classes
-//   - cache.go, flight.go, peer.go — the result cache, singleflight and
-//     cross-replica cache peering
+//   - flight.go   — the flight: one engine run, its event history and the
+//     clients attached to it; every engine run is one
+//   - cache.go, peer.go — the result cache and cross-replica cache peering
 //   - handlers.go — the HTTP surface
 //   - metrics.go  — per-phase latency and engine-counter aggregation
 //   - loadgen.go  — the closed-loop load generator behind cmd/sbload and
@@ -100,19 +100,15 @@ func (c Config) withDefaults() Config {
 }
 
 // runReq is one admitted engine request on its way through the service:
-// the built instance, its event sink (a private spool for ?cache=bypass
-// runs, the shared flight for cacheable ones), the response rendezvous,
-// and the phase timestamps.
+// the built instance, the flight that carries its run (the flight's context
+// cancels it, the flight records its events and outcome), and the phase
+// timestamps.
 type runReq struct {
-	ctx   context.Context // cancelling aborts the run (flight or client ctx)
-	scen  *scenario.Scenario
-	cfg   core.Config
-	seed  int64
-	class int
-
-	spool  *eventSpool     // live event stream, nil when not streaming
-	flight *flight         // shared run, nil on the bypass path
-	done   chan runOutcome // buffered(1): execute never blocks on it
+	scen   *scenario.Scenario
+	cfg    core.Config
+	seed   int64
+	class  int
+	flight *flight
 
 	tEnqueue, tRunStart, tRunEnd time.Time
 }
@@ -143,7 +139,7 @@ type Server struct {
 	metrics *Metrics
 	mux     *http.ServeMux
 
-	runCtx context.Context // cancelled to force-abort in-flight runs
+	runCtx context.Context // every flight's parent; cancelled to force-abort in-flight runs
 	force  context.CancelFunc
 
 	peerClient *http.Client // peering probes; short-lived, bounded by PeerTimeout
@@ -164,7 +160,6 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		engine:  core.NewEngine(rules.StandardLibrary(), core.WithSeed(cfg.Seed)),
 		cache:   newResultCache(cfg.CacheBytes),
-		flights: newFlightTable(),
 		ctrl:    newAdmission(cfg.SLO, cfg.QueueCap, cfg.BulkShare),
 		metrics: newMetrics(),
 		mux:     http.NewServeMux(),
@@ -176,6 +171,7 @@ func New(cfg Config) *Server {
 	s.metrics.cache = s.cache
 	s.metrics.ctrl = s.ctrl
 	s.runCtx, s.force = context.WithCancel(context.Background())
+	s.flights = newFlightTable(s.runCtx)
 	s.routes()
 	return s
 }
@@ -187,9 +183,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // submit admits one request, counted against its class's live admission
-// limit, and starts its run. On success the request WILL receive exactly
-// one outcome on req.done; every error path here releases the admission
-// slot.
+// limit, and starts its run. On success the request's flight WILL be
+// completed with exactly one outcome; every error path here releases the
+// admission slot.
 func (s *Server) submit(req *runReq) error {
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()
@@ -207,28 +203,19 @@ func (s *Server) submit(req *runReq) error {
 	return nil
 }
 
-// execute runs one admitted request on the engine. The request
-// gets its outcome delivered, its event sink closed or completed, and its
-// admission slot released — also on force-shutdown, where RunBatch returns
+// execute runs one admitted request on the engine under its flight's
+// context. The flight gets the live events (teed into the metrics summary)
+// and the outcome, and the admission slot is released — also on
+// force-shutdown or when the last client detaches, where RunBatch returns
 // the context error.
 func (s *Server) execute(r *runReq) {
-	// Tee the instance's live events into the metrics summary and, when
-	// anyone is listening, its spool or shared flight.
-	var obs core.Observer = s.metrics
-	switch {
-	case r.flight != nil:
-		obs = core.MultiObserver(r.flight, s.metrics)
-	case r.spool != nil:
-		obs = core.MultiObserver(r.spool, s.metrics)
-	}
 	r.tRunStart = time.Now()
-	results, _ := s.engine.RunBatch(s.runCtx, []core.Instance{{
+	results, _ := s.engine.RunBatch(r.flight.ctx, []core.Instance{{
 		Name:     r.scen.Name,
 		Surface:  r.scen.Surface,
 		Config:   r.cfg,
 		Seed:     r.seed,
-		Ctx:      r.ctx,
-		Observer: obs,
+		Observer: core.MultiObserver(r.flight, s.metrics),
 	}})
 	r.tRunEnd = time.Now()
 	out := runOutcome{res: results[0].Result, err: results[0].Err}
@@ -236,46 +223,43 @@ func (s *Server) execute(r *runReq) {
 	if out.err == nil && r.class == classInteractive {
 		s.ctrl.observe(r.tRunEnd.Sub(r.tRunStart))
 	}
-	if r.flight != nil {
-		s.finishFlight(r, out)
-	} else if r.spool != nil {
-		r.spool.close()
-	}
-	r.done <- out
+	s.finishFlight(r.flight, out, r.timing())
 	s.pending[r.class].Add(-1)
 	s.inflight.Done()
 }
 
-// finishFlight completes a shared run: a successful deterministic run is
-// compacted into the result cache FIRST, then the flight is unindexed
-// (an identical request arriving in between attaches to the finished
-// flight and replays it — never a duplicate engine run), and finally the
-// flight wakes its tailing clients with the outcome.
-func (s *Server) finishFlight(r *runReq, out runOutcome) {
-	timing := r.timing()
-	canceled := out.err != nil &&
-		(errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded) ||
-			r.ctx.Err() != nil || s.runCtx.Err() != nil)
-	if out.err == nil && !canceled {
-		s.cache.put(&cacheEntry{
-			key:      r.flight.key,
-			scenName: r.scen.Name,
-			res:      out.res,
-			timing:   timing,
-			events:   r.flight.compactEvents(),
-		})
+// finishFlight completes a flight. For a shared flight a successful run is
+// compacted into the result cache FIRST, then the flight is unindexed (an
+// identical request arriving in between attaches to the finished flight
+// and replays it — never a duplicate engine run). A private flight touches
+// neither: the table entry under its key, if any, is another client's
+// shared flight. Finally the flight wakes its tailing clients with the
+// outcome.
+func (s *Server) finishFlight(f *flight, out runOutcome, timing wireTiming) {
+	if !f.private {
+		if out.err == nil {
+			s.cache.put(&cacheEntry{
+				key:      f.key,
+				scenName: f.scenName,
+				res:      out.res,
+				timing:   timing,
+				events:   f.compactEvents(),
+			})
+		}
+		s.flights.remove(f.key)
 	}
-	s.flights.remove(r.flight.key)
-	r.flight.complete(out, timing)
+	f.complete(out, timing)
 }
 
 // Shutdown drains the service gracefully: new submissions are refused with
 // 503 and in-flight runs get until ctx's deadline to finish — their
 // clients receive complete results. If the deadline expires first the
-// remaining runs are force-cancelled; the engine rolls each surface back
-// to an atomic motion boundary, so even an aborted request's surface is
-// left connected and physically valid. Returns ctx.Err() when the force
-// path was taken, nil on a clean drain.
+// remaining runs are force-cancelled through the run context every
+// flight's context derives from; the engine rolls each surface back to an
+// atomic motion boundary, so even an aborted request's surface is left
+// connected and physically valid. A force-cancelled run's client gets 503
+// under ?stream=none and an error record on a stream. Returns ctx.Err()
+// when the force path was taken, nil on a clean drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.drainMu.Lock()
 	s.draining.Store(true)

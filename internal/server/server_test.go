@@ -338,138 +338,176 @@ func TestServerMetricsEndpoint(t *testing.T) {
 }
 
 // TestServerCancellationUnderLoad: half the clients of a loaded server
-// disconnect mid-run. Their runs are aborted (freeing admission slots),
-// and every surviving stream stays ordered and completes successfully; a
-// follow-up request still gets served.
+// disconnect mid-run, and every surviving stream stays ordered and
+// completes successfully; a follow-up request still gets served. On the
+// cacheable path the identical specs share one run, which goes on for the
+// clients still attached. Under ?cache=bypass every client owns its run,
+// so a disconnect aborts that client's run and nothing else: exactly the
+// three survivors' runs succeed on the engine.
 func TestServerCancellationUnderLoad(t *testing.T) {
-	s, ts := testServer(t, Config{})
-	const n = 6
-	spec, _ := json.Marshal(RunSpec{Scenario: "slope", Params: scenario.Params{"top": 12}})
+	for _, tc := range []struct {
+		name, path string
+		bypass     bool
+	}{
+		{name: "cacheable", path: "/v1/runs"},
+		{name: "bypass", path: "/v1/runs?cache=bypass", bypass: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := testServer(t, Config{})
+			const n = 6
+			spec, _ := json.Marshal(RunSpec{Scenario: "slope", Params: scenario.Params{"top": 12}})
 
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/runs", bytes.NewReader(spec))
-			req.Header.Set("Content-Type", "application/json")
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
-				return
-			}
-			sc := bufio.NewScanner(resp.Body)
-			sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-			lastRound, sawResult := 0, false
-			for sc.Scan() {
-				var rec streamRecord
-				if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-					continue
-				}
-				if rec.Kind == "round-started" {
-					if rec.Round < lastRound {
-						errs[i] = fmt.Errorf("rounds regressed: %d after %d", rec.Round, lastRound)
+			var wg sync.WaitGroup
+			errs := make([]error, n)
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+tc.path, bytes.NewReader(spec))
+					req.Header.Set("Content-Type", "application/json")
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						errs[i] = err
 						return
 					}
-					lastRound = rec.Round
-				}
-				if i%2 == 1 {
-					cancel() // disconnect after the first streamed record
-					return
-				}
-				if rec.Type == "result" {
-					sawResult = rec.Success
-				}
-				if rec.Type == "error" {
-					errs[i] = fmt.Errorf("stream error: %s", rec.Error)
-					return
+					defer resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						errs[i] = fmt.Errorf("status %d", resp.StatusCode)
+						return
+					}
+					sc := bufio.NewScanner(resp.Body)
+					sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+					lastRound, sawResult := 0, false
+					for sc.Scan() {
+						var rec streamRecord
+						if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+							continue
+						}
+						if rec.Kind == "round-started" {
+							if rec.Round < lastRound {
+								errs[i] = fmt.Errorf("rounds regressed: %d after %d", rec.Round, lastRound)
+								return
+							}
+							lastRound = rec.Round
+						}
+						if i%2 == 1 {
+							cancel() // disconnect after the first streamed record
+							return
+						}
+						if rec.Type == "result" {
+							sawResult = rec.Success
+						}
+						if rec.Type == "error" {
+							errs[i] = fmt.Errorf("stream error: %s", rec.Error)
+							return
+						}
+					}
+					if !sawResult {
+						errs[i] = fmt.Errorf("stream ended without a successful result")
+					}
+				}(i)
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Errorf("client %d: %v", i, err)
 				}
 			}
-			if !sawResult {
-				errs[i] = fmt.Errorf("stream ended without a successful result")
+
+			// The aborted runs must release their admission slots and be
+			// recorded as cancellations, not completions.
+			deadline := time.Now().Add(10 * time.Second)
+			for totalPending(s) != 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
 			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("client %d: %v", i, err)
-		}
-	}
+			if got := totalPending(s); got != 0 {
+				t.Fatalf("pending = %d after all clients finished, want 0", got)
+			}
+			snap := s.Metrics().Snapshot()
+			if snap.Completed != n/2 || snap.Canceled != n/2 {
+				t.Errorf("completed=%d canceled=%d, want %d and %d", snap.Completed, snap.Canceled, n/2, n/2)
+			}
+			if tc.bypass && snap.Engine.Successes != n/2 {
+				t.Errorf("engine successes = %d, want %d: one per client that stayed", snap.Engine.Successes, n/2)
+			}
 
-	// The aborted runs must release their admission slots and be recorded
-	// as cancellations, not completions.
-	deadline := time.Now().Add(10 * time.Second)
-	for totalPending(s) != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := totalPending(s); got != 0 {
-		t.Fatalf("pending = %d after all clients finished, want 0", got)
-	}
-	snap := s.Metrics().Snapshot()
-	if snap.Completed != n/2 || snap.Canceled != n/2 {
-		t.Errorf("completed=%d canceled=%d, want %d and %d", snap.Completed, snap.Canceled, n/2, n/2)
-	}
-
-	// Admission slots freed: one more run completes normally.
-	if status, recs := postRun(t, ts, RunSpec{Scenario: "fig10"}); status != http.StatusOK ||
-		len(recs) == 0 || !recs[len(recs)-1].Success {
-		t.Fatalf("follow-up run after cancellations failed: status=%d", status)
+			// Admission slots freed: one more run completes normally.
+			if status, recs := postRun(t, ts, RunSpec{Scenario: "fig10"}); status != http.StatusOK ||
+				len(recs) == 0 || !recs[len(recs)-1].Success {
+				t.Fatalf("follow-up run after cancellations failed: status=%d", status)
+			}
+		})
 	}
 }
 
 // TestServerGracefulShutdownDrain: Shutdown with headroom lets the
-// in-flight run finish — its client receives the complete result — and
-// later submissions are refused with 503.
+// in-flight ?stream=none run finish — its client receives the complete
+// result. Shutdown past its deadline force-cancels the run instead: the
+// client, still connected, gets 503 and the run counts as failed, not as a
+// client cancellation. Either way later submissions are refused with 503.
 func TestServerGracefulShutdownDrain(t *testing.T) {
-	s, ts := testServer(t, Config{})
-	type answer struct {
-		status int
-		rec    streamRecord
-	}
-	got := make(chan answer, 1)
-	go func() {
-		body, _ := json.Marshal(RunSpec{Scenario: "slope", Params: scenario.Params{"top": 12}})
-		resp, err := http.Post(ts.URL+"/v1/runs?stream=none", "application/json", bytes.NewReader(body))
-		if err != nil {
-			got <- answer{}
-			return
-		}
-		defer resp.Body.Close()
-		var rec streamRecord
-		_ = json.NewDecoder(resp.Body).Decode(&rec)
-		got <- answer{resp.StatusCode, rec}
-	}()
-	// Wait until the run is admitted, then drain with generous headroom.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Metrics().Snapshot().Requests == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatalf("drain shutdown returned %v, want nil", err)
-	}
-	a := <-got
-	if a.status != http.StatusOK || a.rec.Type != "result" || !a.rec.Success {
-		t.Fatalf("drained run answered status=%d record=%+v, want a complete 200 result", a.status, a.rec)
-	}
-	body, _ := json.Marshal(RunSpec{Scenario: "fig10"})
-	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("post-shutdown status = %d, want 503", resp.StatusCode)
+	for _, tc := range []struct {
+		name              string
+		top               int
+		grace             time.Duration
+		status            int
+		completed, failed uint64
+	}{
+		{name: "drain", top: 12, grace: 30 * time.Second, status: http.StatusOK, completed: 1},
+		{name: "force", top: 24, status: http.StatusServiceUnavailable, failed: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := testServer(t, Config{})
+			type answer struct {
+				status int
+				rec    streamRecord
+			}
+			got := make(chan answer, 1)
+			go func() {
+				body, _ := json.Marshal(RunSpec{Scenario: "slope", Params: scenario.Params{"top": tc.top}})
+				resp, err := http.Post(ts.URL+"/v1/runs?stream=none", "application/json", bytes.NewReader(body))
+				if err != nil {
+					got <- answer{}
+					return
+				}
+				defer resp.Body.Close()
+				var rec streamRecord
+				_ = json.NewDecoder(resp.Body).Decode(&rec)
+				got <- answer{resp.StatusCode, rec}
+			}()
+			// Wait until the run is admitted, then shut down.
+			deadline := time.Now().Add(5 * time.Second)
+			for s.Metrics().Snapshot().Requests == 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), tc.grace)
+			defer cancel()
+			if err := s.Shutdown(ctx); (err == nil) != (tc.grace > 0) {
+				t.Fatalf("shutdown returned %v with %v grace", err, tc.grace)
+			}
+			a := <-got
+			if a.status != tc.status {
+				t.Fatalf("in-flight run answered status=%d record=%+v, want %d", a.status, a.rec, tc.status)
+			}
+			if tc.status == http.StatusOK && (a.rec.Type != "result" || !a.rec.Success) {
+				t.Fatalf("drained run answered record=%+v, want a complete result", a.rec)
+			}
+			if snap := s.Metrics().Snapshot(); snap.Completed != tc.completed || snap.Failed != tc.failed || snap.Canceled != 0 {
+				t.Errorf("completed=%d failed=%d canceled=%d, want %d/%d/0",
+					snap.Completed, snap.Failed, snap.Canceled, tc.completed, tc.failed)
+			}
+			body, _ := json.Marshal(RunSpec{Scenario: "fig10"})
+			resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("post-shutdown status = %d, want 503", resp.StatusCode)
+			}
+		})
 	}
 }
 
@@ -587,10 +625,10 @@ func TestServerShutdownRacesSubmissions(t *testing.T) {
 }
 
 // TestServerShutdownForceCancelRollsBack: when the drain deadline has
-// already passed, Shutdown force-cancels the in-flight run; the request
-// gets an error outcome and its surface is left connected with every
-// block accounted for (the engine rolls back to an atomic motion
-// boundary).
+// already passed, Shutdown force-cancels the in-flight run of a private
+// flight; the flight completes with an error outcome and its surface is
+// left connected with every block accounted for (the engine rolls back to
+// an atomic motion boundary).
 func TestServerShutdownForceCancelRollsBack(t *testing.T) {
 	s := New(Config{})
 	scen, cfg, err := buildSpec(RunSpec{Scenario: "slope", Params: scenario.Params{"top": 16}})
@@ -598,19 +636,14 @@ func TestServerShutdownForceCancelRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	blocks := scen.Surface.NumBlocks()
-	req := &runReq{
-		ctx:   context.Background(),
-		scen:  scen,
-		cfg:   cfg,
-		spool: newEventSpool(),
-		done:  make(chan runOutcome, 1),
-	}
-	if err := s.submit(req); err != nil {
+	f := newFlight(s.runCtx, "", scen.Name, true)
+	_, wake := f.subscribe()
+	if err := s.submit(&runReq{scen: scen, cfg: cfg, flight: f}); err != nil {
 		t.Fatal(err)
 	}
-	// First spool wake-up: the run is producing events, i.e. in flight.
+	// First wake-up: the run is producing events, i.e. in flight.
 	select {
-	case <-req.spool.wake:
+	case <-wake:
 	case <-time.After(10 * time.Second):
 		t.Fatal("run produced no events within 10s")
 	}
@@ -619,8 +652,8 @@ func TestServerShutdownForceCancelRollsBack(t *testing.T) {
 	if err := s.Shutdown(expired); err == nil {
 		t.Fatal("force shutdown returned nil, want the deadline error")
 	}
-	out := <-req.done
-	if out.err == nil {
+	<-f.doneCh
+	if out, _ := f.outcome(); out.err == nil {
 		t.Fatal("force-cancelled run returned a nil error")
 	}
 	if !scen.Surface.Connected() {
@@ -628,6 +661,61 @@ func TestServerShutdownForceCancelRollsBack(t *testing.T) {
 	}
 	if got := scen.Surface.NumBlocks(); got != blocks {
 		t.Errorf("force-cancelled surface has %d blocks, want %d", got, blocks)
+	}
+}
+
+// TestServerRefusedLeaderFollowers: a leader joins its flight before
+// admission, so a follower can attach to a flight whose leader is then
+// refused. In every response shape the follower gets the leader's refusal
+// — 429 for a full queue, 503 while draining — counted rejected, so a
+// gateway may retry it. The completed flight's context is done, so it no
+// longer hangs off the server's run context.
+func TestServerRefusedLeaderFollowers(t *testing.T) {
+	for _, refusal := range []struct {
+		err    error
+		status int
+	}{{ErrQueueFull, http.StatusTooManyRequests}, {ErrStopped, http.StatusServiceUnavailable}} {
+		for _, mode := range []string{"ndjson", "sse", "none"} {
+			s, ts := testServer(t, Config{})
+			spec := RunSpec{Scenario: "fig10"}
+			key, err := spec.Key(s.cfg.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, leader := s.flights.join(key, spec.Scenario)
+			if !leader {
+				t.Fatal("the test did not lead the flight")
+			}
+			status := make(chan int, 1)
+			go func() {
+				body, _ := json.Marshal(spec)
+				resp, err := http.Post(ts.URL+"/v1/runs?stream="+mode, "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					status <- 0
+					return
+				}
+				resp.Body.Close()
+				status <- resp.StatusCode
+			}()
+			deadline := time.Now().Add(5 * time.Second)
+			for s.Metrics().Snapshot().Cache.Coalesced == 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			// What handleRuns does when submit refuses the leader.
+			s.finishFlight(f, runOutcome{err: refusal.err}, wireTiming{})
+			f.detach()
+			if got := <-status; got != refusal.status {
+				t.Errorf("%v, stream=%s: follower status = %d, want %d", refusal.err, mode, got, refusal.status)
+			}
+			if snap := s.Metrics().Snapshot(); snap.Rejected != 1 || snap.Failed != 0 {
+				t.Errorf("%v, stream=%s: rejected=%d failed=%d, want 1 and 0",
+					refusal.err, mode, snap.Rejected, snap.Failed)
+			}
+			if f.ctx.Err() == nil {
+				t.Errorf("%v, stream=%s: the completed flight's context is not done", refusal.err, mode)
+			}
+		}
 	}
 }
 

@@ -148,122 +148,22 @@ func resultRecord(name string, res core.Result, t wireTiming) wireResult {
 	}
 }
 
-// spoolBufPool pools the event-slice backing arrays of spools and flights.
-// The server throughput path creates one spool (or flight) per request and
-// appends a few hundred events to it; recycling the arrays keeps that path
-// allocation-free at steady state (pinned by
-// TestEventSpoolSteadyStateAllocs).
-var spoolBufPool = sync.Pool{
+// eventBufPool pools the event-slice backing arrays of flights. The
+// server creates one flight per engine run and appends a few hundred events
+// to it; recycling the arrays spares that path the slice growth.
+var eventBufPool = sync.Pool{
 	New: func() any { return make([]core.Event, 0, 256) },
 }
 
-func getSpoolBuf() []core.Event { return spoolBufPool.Get().([]core.Event)[:0] }
+func getEventBuf() []core.Event { return eventBufPool.Get().([]core.Event)[:0] }
 
-// putSpoolBuf resets and returns a buffer to the pool. Elements are zeroed
+// putEventBuf resets and returns a buffer to the pool. Elements are zeroed
 // first so pooled arrays don't pin engine-side payload slices (winner
 // lists, debug text) across requests.
-func putSpoolBuf(buf []core.Event) {
+func putEventBuf(buf []core.Event) {
 	buf = buf[:cap(buf)]
 	for i := range buf {
 		buf[i] = core.Event{}
 	}
-	spoolBufPool.Put(buf[:0]) //nolint:staticcheck // slices are pointer-shaped enough here
+	eventBufPool.Put(buf[:0]) //nolint:staticcheck // slices are pointer-shaped enough here
 }
-
-// eventSpool buffers one request's live observer events between the engine
-// worker producing them and the HTTP handler draining them. It is
-// unbounded on purpose: a slow or stalled client must never block the
-// engine's run (the engine-side OnEvent only appends under a mutex), so
-// flow control happens at admission (queue cap), not mid-run. Closed by
-// execute when the run's outcome is delivered.
-//
-// Backing slices are pooled: the drainer hands each drained slice back via
-// recycle once rendered, so producer and consumer ping-pong between two
-// arrays instead of allocating per drain; release returns everything to
-// the package pool when the request is done.
-type eventSpool struct {
-	mu     sync.Mutex
-	buf    []core.Event // current append target
-	spare  []core.Event // recycled, ready to become buf
-	closed bool
-	wake   chan struct{} // cap 1: level-triggered "new events or closed"
-}
-
-func newEventSpool() *eventSpool {
-	return &eventSpool{buf: getSpoolBuf(), wake: make(chan struct{}, 1)}
-}
-
-// OnEvent implements core.Observer for the engine side.
-func (s *eventSpool) OnEvent(ev core.Event) {
-	s.mu.Lock()
-	if s.buf == nil {
-		if s.spare != nil {
-			s.buf, s.spare = s.spare, nil
-		} else {
-			s.buf = getSpoolBuf()
-		}
-	}
-	s.buf = append(s.buf, ev)
-	s.mu.Unlock()
-	s.signal()
-}
-
-// close marks the stream complete and wakes the drainer one last time.
-func (s *eventSpool) close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.signal()
-}
-
-func (s *eventSpool) signal() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
-// drain takes every buffered event; open reports whether more may come.
-// The caller owns the returned slice until it hands it back via recycle.
-func (s *eventSpool) drain() (evs []core.Event, open bool) {
-	s.mu.Lock()
-	evs, s.buf = s.buf, nil
-	open = !s.closed
-	s.mu.Unlock()
-	return evs, open
-}
-
-// recycle hands a drained slice back for reuse by the next appends.
-func (s *eventSpool) recycle(evs []core.Event) {
-	if evs == nil {
-		return
-	}
-	evs = evs[:0]
-	s.mu.Lock()
-	if s.spare == nil {
-		s.spare = evs
-		evs = nil
-	}
-	s.mu.Unlock()
-	if evs != nil {
-		putSpoolBuf(evs)
-	}
-}
-
-// release returns the spool's buffers to the pool. Only the single drainer
-// may call it, after the stream has fully ended.
-func (s *eventSpool) release() {
-	s.mu.Lock()
-	buf, spare := s.buf, s.spare
-	s.buf, s.spare = nil, nil
-	s.mu.Unlock()
-	if buf != nil {
-		putSpoolBuf(buf)
-	}
-	if spare != nil {
-		putSpoolBuf(spare)
-	}
-}
-
-// interface check
-var _ core.Observer = (*eventSpool)(nil)
