@@ -65,9 +65,6 @@ func main() {
 
 	rec := trace.NewRecorder(s.Surface, s.Input, s.Output, *frames)
 	opts := []core.Option{core.WithSeed(*seed), core.WithObserver(rec)}
-	if *parallel > 1 {
-		opts = append(opts, core.WithParallelMoves(*parallel))
-	}
 	switch *engine {
 	case "des":
 		// DES is the default backend.
@@ -83,8 +80,10 @@ func main() {
 		defer cancel()
 		opts = append(opts, core.WithTimeout(*timeout))
 	}
+	cfg := s.Config()
+	cfg.ParallelMoves = *parallel
 	eng := core.NewEngine(rules.StandardLibrary(), opts...)
-	res, err := eng.Run(ctx, s.Surface, s.Config())
+	res, err := eng.Run(ctx, s.Surface, cfg)
 	if err != nil {
 		fail(err)
 	}

@@ -42,27 +42,29 @@
 //
 // One session API drives both execution backends. core.NewEngine(lib,
 // opts...) builds an immutable, reusable engine over a rule library;
-// functional options select the backend (core.DES, the deterministic
-// discrete-event simulator, or core.Async, the goroutine runtime),
-// the seed, the DES latency model, a fault-injection factory wrap, a round
-// cap, and an Observer. Engine.Run(ctx, surf, cfg) executes Algorithm 1
-// under a context — cancellation and deadlines stop the backend between
-// events, so the surface always comes back connected and fully rolled back
-// — and returns the unified Result with the backend's virtual-time and
-// event metrics filled in (virtual ticks on the DES, wall-clock
-// nanoseconds and dispatched events on the runtime). Both backends
-// implement the same three-method Backend seam (Boot, Drive, Metrics);
-// nothing outside their own packages constructs sim.Engine or
-// runtime.Engine directly.
+// functional options hold the engine-wide choices: the backend (core.DES,
+// the deterministic discrete-event simulator, or core.Async, the goroutine
+// runtime), the seed, the DES latency model, the async wall-clock bound, a
+// fault-injection factory wrap, an Observer and the RunBatch worker count.
+// A run's own settings have one home each: the batch width K and the
+// election budget live in core.Config (ParallelMoves, MaxRounds), and the
+// band layout on the surface (lattice.Surface.EnableSharding, called before
+// Run). Engine.Run(ctx, surf, cfg) executes Algorithm 1 under a context —
+// cancellation and deadlines stop the backend between events, so the
+// surface always comes back connected and fully rolled back — and returns
+// the unified Result with the backend's virtual-time and event metrics
+// filled in (virtual ticks on the DES, wall-clock nanoseconds and
+// dispatched events on the runtime). Both backends implement the same
+// three-method Backend seam (Boot, Drive, Metrics); nothing outside their
+// own packages constructs sim.Engine or runtime.Engine directly.
 //
-// Instead of ad-hoc OnApply/Logf callbacks, a session streams structured
-// events — round started, election decided, motion applied, termination,
-// message totals — to a core.Observer. trace.Recorder records storyboards
-// from the stream, stats.SessionSummary aggregates it, faults.Monitor
-// watches fault studies through it, and convey.Builder bridges a
-// successful session straight into the part-conveying phase. Delivery is
-// serialised by the session, so observers need no locking even on the
-// goroutine backend.
+// A session streams structured events — round started, election decided,
+// motion applied, termination, message totals — to a core.Observer.
+// trace.Recorder records storyboards from the stream, stats.SessionSummary
+// aggregates it, faults.Monitor watches fault studies through it, and
+// convey.Builder bridges a successful session straight into the
+// part-conveying phase. Delivery is serialised by the session, so observers
+// need no locking even on the goroutine backend.
 //
 // Engine.RunBatch(ctx, instances) fans independent scenarios across a
 // worker pool (WithWorkers), reusing per-worker scratch and delivering
@@ -74,16 +76,16 @@
 // # Parallel moves: batch election rounds
 //
 // The paper's protocol elects exactly one block per round, so
-// reconfiguration time is Θ(n) rounds even when far-apart blocks could
-// move simultaneously. core.WithParallelMoves(k) (or Config.ParallelMoves)
-// turns each election into a batch: the Dijkstra-Scholten fold carries a
-// top-K candidate list instead of a single (distance, id) maximum — each
-// ack's candidates record the bidder's position, whether it is a cut
-// vertex of the ensemble (exec.Env.CutVertex, answered by the lattice's
-// articulation cache), and the planned destination and cell footprint of
-// its best move (msg.Footprint: the From/To cells the move writes, as a
-// window bitboard) — and the Root admits up to k winners through a
-// two-pass footprint admission ladder:
+// reconfiguration time is Θ(n) rounds even when far-apart blocks could move
+// simultaneously. Config.ParallelMoves = k turns each election into a
+// batch: the Dijkstra-Scholten fold carries a top-K candidate list instead
+// of a single (distance, id) maximum — each ack's candidates record the
+// bidder's position, whether it is a cut vertex of the ensemble
+// (exec.Env.CutVertex, answered by the lattice's articulation cache), and
+// the planned destination and cell footprint of its best move
+// (msg.Footprint: the From/To cells the move writes, as a window bitboard)
+// — and the Root admits up to k winners through a two-pass footprint
+// admission ladder:
 //
 // Pass 1 admits window-disjoint winners (wave stamp 0): a candidate joins
 // when no admitted winner's written cells fall inside its sensing window
@@ -165,15 +167,16 @@
 // one full-width band. At the paper's §VI scale (10^6-10^7 modules) that
 // one band is the last O(N) cost on the event path: one occupancy mutation
 // invalidates it, and the next constrained verdict pays a full-surface
-// Tarjan rebuild. core.WithShards(n) (lattice.Surface.EnableSharding)
-// partitions the surface into n fixed-width column bands, composed globally
-// through a boundary contraction graph (contraction.go): one node per
-// band-local component, one union-find edge per occupied cell pair facing
-// each other across an internal band boundary. A mutation dirties one band
-// plus the edge lists its labels feed, so the steady-state per-event cost
-// is O(bandWidth x height) — a constant once the band width is fixed,
-// regardless of how many bands the surface grows (BENCH_5.json records the
-// flat 5e5 -> 8e6 sweep and the band-fraction rebuild speedup at 2e6).
+// Tarjan rebuild. lattice.Surface.EnableSharding(n), called before
+// Engine.Run, partitions the surface into n fixed-width column bands,
+// composed globally through a boundary contraction graph (contraction.go):
+// one node per band-local component, one union-find edge per occupied cell
+// pair facing each other across an internal band boundary. A mutation
+// dirties one band plus the edge lists its labels feed, so the steady-state
+// per-event cost is O(bandWidth x height) — a constant once the band width
+// is fixed, regardless of how many bands the surface grows (BENCH_5.json
+// records the flat 5e5 -> 8e6 sweep and the band-fraction rebuild speedup
+// at 2e6).
 //
 // Queries climb an escalation ladder whose every rung is exact — the lower
 // rungs only answer when their verdict cannot be wrong, otherwise they fall
@@ -188,29 +191,28 @@
 // has more than one band. The band count therefore changes where verdicts
 // are computed, never what they are: the golden differential and a
 // band-edge-concentrated property test over band counts from one up pin the
-// ladder to the Connected() oracle, and runs under WithShards are
+// ladder to the Connected() oracle, and runs over several bands are
 // bit-identical to one-band runs.
 //
 // # Reconfiguration as a service: cmd/sbserver
 //
 // internal/server puts the session API behind a long-running HTTP front-end
 // (cmd/sbserver) so many concurrent clients can submit reconfiguration runs
-// against one warm engine. POST /v1/runs takes a RunSpec — a scenario name
-// from the shared internal/scenario registry plus integer params, the
+// against one warm rule library. POST /v1/runs takes a RunSpec — a scenario
+// name from the shared internal/scenario registry plus integer params, the
 // parallel-moves width k, a shard count and a seed — and each admitted
-// request runs at once on its own goroutine as a one-instance
-// Engine.RunBatch on the DES, so it is answered at its own run end. The
-// spec's backend field accepts only "des", the default: the goroutine
-// runtime stays a library backend (examples/asyncrt, smartconvey -engine
-// async) and is never served. Admission is a bounded pending count, and
-// it is the only bound on runs in flight: beyond the limit the server
-// answers 429 immediately rather than queueing unboundedly. Every engine
-// run is a flight — the server's record of one run, its event history and
-// the clients attached to it — whose context derives from the server's
-// run context: when a run's last client disconnects (or Shutdown forces
-// it) that run alone is cancelled mid-flight, and the engine hands back a
-// connected, fully rolled-back surface while every other run completes
-// untouched.
+// request runs at once on its own goroutine as one Engine.Run on the DES,
+// so it is answered at its own run end. The spec's backend field accepts
+// only "des", the default: the goroutine runtime stays a library backend
+// (examples/asyncrt, smartconvey -engine async) and is never served.
+// Admission is a bounded pending count, and it is the only bound on runs in
+// flight: beyond the limit the server answers 429 immediately rather than
+// queueing unboundedly. Every engine run is a flight — the server's record
+// of one run, its event history and the clients attached to it — whose
+// context derives from the server's run context: when a run's last client
+// disconnects (or Shutdown forces it) that run alone is cancelled
+// mid-flight, and the engine hands back a connected, fully rolled-back
+// surface while every other run completes untouched.
 //
 // A run streams NDJSON by default (?stream=sse or an Accept:
 // text/event-stream header switches framing, ?stream=none answers with the

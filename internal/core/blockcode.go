@@ -160,14 +160,10 @@ func (b *BlockCode) avoidCell(tier msg.Tier) *geom.Vec {
 	return &v
 }
 
-// NewFactory returns the exec.CodeFactory for one run of the algorithm.
-// term receives the Root's completion report (may be nil).
-func NewFactory(cfg Config, term exec.Termination) exec.CodeFactory {
-	return newObservedFactory(cfg, term, nil)
-}
-
-// newObservedFactory is NewFactory with the session's observer emitter
-// attached: the Root's election milestones stream through it.
+// newObservedFactory returns the exec.CodeFactory for one run of the
+// algorithm. term receives the Root's completion report; em, the session's
+// observer emitter (nil when nobody listens), streams the Root's election
+// milestones.
 func newObservedFactory(cfg Config, term exec.Termination, em *emitter) exec.CodeFactory {
 	sh := &shared{cfg: cfg.WithDefaults(), term: term, emit: em}
 	return func(id lattice.BlockID) exec.BlockCode {
@@ -200,7 +196,6 @@ func (b *BlockCode) startElection(env exec.Env, tier msg.Tier) {
 		return
 	}
 	if b.electionsLeft == 0 {
-		env.Logf("round budget exhausted, giving up")
 		b.finish(env, false)
 		return
 	}
@@ -220,7 +215,6 @@ func (b *BlockCode) startElection(env exec.Env, tier msg.Tier) {
 	b.sh.emit.emit(Event{Kind: EventRoundStarted, Round: int(b.round), Tier: tier,
 		Batch: b.sh.cfg.parallelK()})
 	if err := b.ds.BeginRoot(b.round); err != nil {
-		env.Logf("BeginRoot: %v", err)
 		b.finish(env, false)
 		return
 	}
@@ -264,8 +258,6 @@ func (b *BlockCode) OnMessage(env exec.Env, from lattice.BlockID, m msg.Message)
 		b.onMoveDoneFlood(env, from, m)
 	case msg.TypeFinished:
 		b.onFinishedFlood(env, from, m)
-	default:
-		env.Logf("unknown message %v from %d", m.Type, from)
 	}
 }
 
@@ -274,7 +266,6 @@ func (b *BlockCode) OnMessage(env exec.Env, from lattice.BlockID, m msg.Message)
 func (b *BlockCode) onActivate(env exec.Env, from lattice.BlockID, m msg.Message) {
 	class, err := b.ds.OnActivate(m.Round, from)
 	if err != nil {
-		env.Logf("activate: %v", err)
 		return
 	}
 	switch class {
@@ -298,9 +289,7 @@ func (b *BlockCode) onActivate(env exec.Env, from lattice.BlockID, m msg.Message
 			fwd.IDShortest = b.id
 		}
 		sent := b.sendToNeighbors(env, fwd, from)
-		if done, err := b.ds.RecordSent(sent); err != nil {
-			env.Logf("record sent: %v", err)
-		} else if done {
+		if done, err := b.ds.RecordSent(sent); err == nil && done {
 			b.ackFather(env)
 		}
 	case dsterm.Redundant, dsterm.Stale:
@@ -336,7 +325,6 @@ func (b *BlockCode) foldWidth() int {
 func (b *BlockCode) onAck(env exec.Env, from lattice.BlockID, m msg.Message) {
 	done, err := b.ds.OnAck(m.Round)
 	if err != nil {
-		env.Logf("ack: %v", err)
 		return
 	}
 	if m.NumCands > 0 {
@@ -419,11 +407,9 @@ func (b *BlockCode) onElectionComplete(env exec.Env) {
 		}
 		b.emptyStreak++
 		if b.emptyStreak < emptyLadderRetries {
-			env.Logf("empty election ladder %d/%d; retrying", b.emptyStreak, emptyLadderRetries)
 			b.startElection(env, msg.TierDecreasing)
 			return
 		}
-		env.Logf("no electable block after %d ladders; stopping", b.emptyStreak)
 		b.finish(env, false)
 		return
 	}
@@ -447,7 +433,6 @@ func (b *BlockCode) onElectionComplete(env exec.Env) {
 		via, ok := b.agg.ViaFor(id)
 		if !ok || via == lattice.None {
 			// The Root itself won — impossible, it always bids Neutral.
-			env.Logf("root won its own election; protocol error")
 			b.finish(env, false)
 			return
 		}
@@ -641,13 +626,11 @@ func (b *BlockCode) onSelect(env exec.Env, from lattice.BlockID, m msg.Message) 
 		return
 	}
 	if m.Round != b.round {
-		env.Logf("select for round %d during %d", m.Round, b.round)
 		return
 	}
 	if m.IDShortest != b.id {
 		via, ok := b.agg.ViaFor(m.IDShortest)
 		if !ok || via == lattice.None {
-			env.Logf("select for %d but no route", m.IDShortest)
 			return
 		}
 		_ = env.Send(via, m)
@@ -671,7 +654,6 @@ func (b *BlockCode) onGoFlood(env exec.Env, from lattice.BlockID, m msg.Message)
 	b.selectRound, b.seenSelect, b.goMsg = m.Round, true, m
 	b.sendToNeighbors(env, m, from)
 	if m.Round != b.round {
-		env.Logf("go flood for round %d during %d", m.Round, b.round)
 		return
 	}
 	for _, c := range m.Cands[:m.NumCands] {
@@ -788,7 +770,6 @@ func (b *BlockCode) performHop(env exec.Env, tier msg.Tier, waveMember bool) {
 			b.hasNoReturn = true
 			b.noReturnTo = from
 			b.hopFailStreak = 0
-			env.Logf("hop %s -> %s via %s (bid)", from, to, b.bidApp.Rule.Name)
 			b.floodMoveDone(env, from, to, true)
 			return
 		}
@@ -803,7 +784,6 @@ func (b *BlockCode) performHop(env exec.Env, tier msg.Tier, waveMember bool) {
 			b.hasNoReturn = true
 			b.noReturnTo = from
 			b.hopFailStreak = 0
-			env.Logf("hop %s -> %s via %s", from, to, c.App.Rule.Name)
 			b.floodMoveDone(env, from, to, true)
 			return
 		}
@@ -811,7 +791,6 @@ func (b *BlockCode) performHop(env exec.Env, tier msg.Tier, waveMember bool) {
 	}
 	b.sh.cfg.Counters.MoveFailures.Add(1)
 	if waveMember {
-		env.Logf("wave hop lapsed; %d candidates rejected", len(cands))
 		b.floodMoveDone(env, from, from, false)
 		return
 	}
@@ -827,7 +806,6 @@ func (b *BlockCode) performHop(env exec.Env, tier msg.Tier, waveMember bool) {
 		backoff = suppressionRounds << shift
 	}
 	b.suppressedFor = backoff
-	env.Logf("all %d candidates rejected; suppressed for %d rounds", len(cands), backoff)
 	b.floodMoveDone(env, from, from, false)
 }
 

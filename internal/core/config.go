@@ -101,10 +101,9 @@ type Config struct {
 	Counters *Counters
 }
 
-// WithDefaults fills unset fields with the documented defaults.
-// ParallelMoves deliberately keeps its zero value here ("unset"), so the
-// engine-level WithParallelMoves option can still apply; the protocol reads
-// the width through parallelK.
+// WithDefaults fills unset fields with the documented defaults and caps
+// ParallelMoves at msg.MaxBatch. A zero ParallelMoves stays zero, which the
+// protocol reads (through parallelK) as the serial width 1.
 func (c Config) WithDefaults() Config {
 	if c.Counters == nil {
 		c.Counters = &Counters{}

@@ -41,11 +41,9 @@ type BackendParams struct {
 	Config      Config
 	Seed        int64
 	Latency     sim.LatencyModel
-	BufferCap   int
 	Timeout     time.Duration
 	Constraints lattice.Constraints
 	OnApply     func(lattice.ApplyResult)
-	Logf        func(string, ...any)
 }
 
 // BackendFactory builds the Backend for one run. DES and Async are the two
@@ -60,10 +58,8 @@ func DES(p BackendParams) (Backend, error) {
 		Output:      p.Config.Output,
 		Seed:        p.Seed,
 		Latency:     p.Latency,
-		BufferCap:   p.BufferCap,
 		Constraints: p.Constraints,
 		OnApply:     p.OnApply,
-		Logf:        p.Logf,
 	})
 }
 
@@ -75,31 +71,26 @@ func Async(p BackendParams) (Backend, error) {
 		Input:       p.Config.Input,
 		Output:      p.Config.Output,
 		Seed:        p.Seed,
-		BufferCap:   p.BufferCap,
 		Constraints: p.Constraints,
 		OnApply:     p.OnApply,
-		Logf:        p.Logf,
 		Timeout:     p.Timeout,
 	})
 }
 
 // options is the resolved functional-option set of an Engine.
 type options struct {
-	backend   BackendFactory
-	seed      int64
-	latency   sim.LatencyModel
-	timeout   time.Duration
-	bufferCap int
-	wrap      func(exec.CodeFactory) exec.CodeFactory
-	roundCap  int
-	observer  Observer
-	debugLog  bool
-	workers   int
-	parallel  int
-	shards    int
+	backend  BackendFactory
+	seed     int64
+	latency  sim.LatencyModel
+	timeout  time.Duration
+	wrap     func(exec.CodeFactory) exec.CodeFactory
+	observer Observer
+	workers  int
 }
 
-// Option tunes an Engine at construction.
+// Option tunes an Engine at construction. Options hold engine-wide
+// choices only; a run's own settings (the batch width K, the election
+// budget) live in its Config and its band layout on its Surface.
 type Option func(*options)
 
 // WithBackend selects the execution backend (default DES).
@@ -119,26 +110,11 @@ func WithLatency(m sim.LatencyModel) Option { return func(o *options) { o.latenc
 // wall-clock control there.
 func WithTimeout(d time.Duration) Option { return func(o *options) { o.timeout = d } }
 
-// WithBufferCap sets the per-side reception buffer capacity (Fig. 8).
-func WithBufferCap(n int) Option { return func(o *options) { o.bufferCap = n } }
-
 // WithFaultWrap decorates the BlockCode factory before the backend boots;
 // the fault-injection layer (internal/faults) hooks in here.
 func WithFaultWrap(w func(exec.CodeFactory) exec.CodeFactory) Option {
 	return func(o *options) { o.wrap = w }
 }
-
-// WithRoundCap caps the number of elections when the run's Config leaves
-// MaxRounds zero (which otherwise derives a generous instance-size bound).
-func WithRoundCap(n int) Option { return func(o *options) { o.roundCap = n } }
-
-// WithParallelMoves sets the election batch width K for runs whose Config
-// leaves ParallelMoves zero: each round the Root admits up to K
-// non-interfering winners (disjoint sensing windows, no cut vertices beyond
-// the serial winner) that all hop in the same round. K = 1 (the default) is
-// the paper-faithful serial protocol; K is capped at msg.MaxBatch. An
-// explicit Config.ParallelMoves still wins, mirroring WithRoundCap.
-func WithParallelMoves(k int) Option { return func(o *options) { o.parallel = k } }
 
 // WithObserver attaches the structured event stream consumer: round starts,
 // election outcomes, applied motions, termination, message totals. The
@@ -146,21 +122,8 @@ func WithParallelMoves(k int) Option { return func(o *options) { o.parallel = k 
 // even under the Async backend or RunBatch.
 func WithObserver(obs Observer) Option { return func(o *options) { o.observer = obs } }
 
-// WithDebugLog additionally streams per-block debug lines as EventLog
-// entries to the observer (chatty; off by default).
-func WithDebugLog() Option { return func(o *options) { o.debugLog = true } }
-
 // WithWorkers sets the RunBatch worker-pool size (default GOMAXPROCS).
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
-
-// WithShards partitions every run's surface into n column bands with
-// boundary-composed connectivity (lattice.Surface.EnableSharding): occupancy
-// mutations then invalidate one band instead of the whole cache, keeping
-// per-event validation cost flat as the surface grows (§VI scale). Sharding
-// changes only where connectivity verdicts are computed, never what they
-// are, so runs — on either backend — are bit-identical to the unsharded
-// engine. n <= 1 keeps the surface's single full-width band.
-func WithShards(n int) Option { return func(o *options) { o.shards = n } }
 
 // Engine is the unified session layer over the execution backends: one
 // construction, any number of Run/RunBatch sessions. The Engine is
@@ -220,12 +183,12 @@ func (r *sessionRecorder) snapshot() (fired, success bool, rounds int) {
 	return r.fired, r.success, r.rounds
 }
 
-// Run executes Algorithm 1 on surf until termination, the round cap, or
-// context cancellation/deadline. The surface is mutated in place (final
-// configuration); on cancellation it is left connected and fully rolled
-// back — Surface.Apply is atomic and the backends only stop between events.
-// The returned Result carries the full metric set of the run, including the
-// backend's virtual-time/event totals.
+// Run executes Algorithm 1 on surf until termination, the election budget
+// (Config.MaxRounds), or context cancellation/deadline. The surface is
+// mutated in place (final configuration); on cancellation it is left
+// connected and fully rolled back — Surface.Apply is atomic and the
+// backends only stop between events. The returned Result carries the full
+// metric set of the run, including the backend's virtual-time/event totals.
 func (e *Engine) Run(ctx context.Context, surf *lattice.Surface, cfg Config) (Result, error) {
 	return e.runInstance(ctx, surf, cfg, 0, newEmitter(e.opts.observer, -1, &e.obsMu))
 }
@@ -242,12 +205,6 @@ func (e *Engine) runInstance(ctx context.Context, surf *lattice.Surface, cfg Con
 	if err := ValidateInstance(surf, cfg); err != nil {
 		return Result{}, err
 	}
-	if cfg.MaxRounds == 0 && e.opts.roundCap > 0 {
-		cfg.MaxRounds = e.opts.roundCap
-	}
-	if cfg.ParallelMoves == 0 && e.opts.parallel > 0 {
-		cfg.ParallelMoves = e.opts.parallel
-	}
 	cfg = cfg.WithRunDefaults(surf)
 
 	seed := seedOverride
@@ -260,13 +217,6 @@ func (e *Engine) runInstance(ctx context.Context, surf *lattice.Surface, cfg Con
 
 	rec := &sessionRecorder{}
 	constraints := BuildConstraints(cfg, surf, e.lib)
-	// Shard the surface before warming so the boot-time build already runs
-	// band by band. Surfaces pre-sharded by the caller keep their layout.
-	if e.opts.shards > 1 && surf.ShardCount() <= 1 {
-		if err := surf.EnableSharding(e.opts.shards); err != nil {
-			return Result{}, err
-		}
-	}
 	// Build the connectivity cache at boot: the first constrained Validate
 	// of every round then runs on warm articulation state instead of paying
 	// the O(N) rebuild inside the measured run.
@@ -277,14 +227,8 @@ func (e *Engine) runInstance(ctx context.Context, surf *lattice.Surface, cfg Con
 	}
 
 	var onApply func(lattice.ApplyResult)
-	var logf func(string, ...any)
 	if em != nil {
 		onApply = func(r lattice.ApplyResult) { em.emit(Event{Kind: EventMotionApplied, Apply: r}) }
-		if e.opts.debugLog {
-			logf = func(format string, args ...any) {
-				em.emit(Event{Kind: EventLog, Text: fmt.Sprintf(format, args...)})
-			}
-		}
 	}
 
 	backend, err := e.opts.backend(BackendParams{
@@ -294,11 +238,9 @@ func (e *Engine) runInstance(ctx context.Context, surf *lattice.Surface, cfg Con
 		Config:      cfg,
 		Seed:        seed,
 		Latency:     e.opts.latency,
-		BufferCap:   e.opts.bufferCap,
 		Timeout:     e.opts.timeout,
 		Constraints: constraints,
 		OnApply:     onApply,
-		Logf:        logf,
 	})
 	if err != nil {
 		return Result{}, err
@@ -355,13 +297,6 @@ type Instance struct {
 	// Seed overrides the engine seed for this instance (0 = engine seed),
 	// so a sweep can vary seeds without rebuilding engines.
 	Seed int64
-	// Observer optionally receives this instance's events live, as the run
-	// produces them (stamped with the instance index, delivery serialised),
-	// unlike the engine-wide observer whose per-instance streams RunBatch
-	// buffers and flushes contiguously at instance completion. A service
-	// streaming events to a waiting client hooks in here; both observers
-	// may be set at once.
-	Observer Observer
 }
 
 // BatchResult is one instance's outcome within a RunBatch.
@@ -411,20 +346,11 @@ func (e *Engine) RunBatch(ctx context.Context, insts []Instance) ([]BatchResult,
 				// Buffer engine-observer events into the worker's private
 				// scratch (own lock — only this instance's backend goroutines
 				// contend), then flush under the engine-wide observer lock so
-				// streams of different instances never interleave. The
-				// instance's own observer, when set, sees the same stamped
-				// events live instead — it is private to the instance, so
-				// there is no interleaving to prevent.
-				var target Observer
-				switch {
-				case e.opts.observer != nil && ins.Observer != nil:
-					target = MultiObserver(scratch.observer(), ins.Observer)
-				case e.opts.observer != nil:
-					target = scratch.observer()
-				case ins.Observer != nil:
-					target = ins.Observer
+				// streams of different instances never interleave.
+				var em *emitter
+				if e.opts.observer != nil {
+					em = newEmitter(scratch.observer(), i, nil)
 				}
-				em := newEmitter(target, i, nil)
 				res, err := e.runInstance(ctx, ins.Surface, ins.Config, ins.Seed, em)
 				out[i] = BatchResult{Instance: i, Name: ins.Name, Result: res, Err: err}
 				if e.opts.observer != nil {

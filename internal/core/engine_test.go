@@ -37,7 +37,7 @@ func checkSurfaceIntegrity(t *testing.T, surf *lattice.Surface, wantBlocks int) 
 	}
 }
 
-// TestEngineSerialWidthIsDefault: WithParallelMoves(1) is the same
+// TestEngineSerialWidthIsDefault: Config.ParallelMoves = 1 is the same
 // computation as the default (unset) width — identical results, messages
 // and virtual time on identical seeds. The full differential against the
 // recorded pre-refactor protocol lives in parallel_test.go.
@@ -55,8 +55,10 @@ func TestEngineSerialWidthIsDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := core.NewEngine(rules.StandardLibrary(), core.WithSeed(1), core.WithParallelMoves(1))
-	res, err := eng.Run(context.Background(), s2.Surface, s2.Config())
+	cfg := s2.Config()
+	cfg.ParallelMoves = 1
+	eng := core.NewEngine(rules.StandardLibrary(), core.WithSeed(1))
+	res, err := eng.Run(context.Background(), s2.Surface, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,15 +413,17 @@ func TestEngineRunBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestEngineWithRoundCap: the option caps elections when the config leaves
-// MaxRounds zero, and an explicit config cap still wins.
+// TestEngineWithRoundCap: Config.MaxRounds caps the elections, and a capped
+// run still terminates cleanly.
 func TestEngineWithRoundCap(t *testing.T) {
 	s, err := scenario.Fig10()
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := core.NewEngine(rules.StandardLibrary(), core.WithRoundCap(3))
-	res, err := eng.Run(context.Background(), s.Surface, s.Config())
+	cfg := s.Config()
+	cfg.MaxRounds = 3
+	eng := core.NewEngine(rules.StandardLibrary())
+	res, err := eng.Run(context.Background(), s.Surface, cfg)
 	if err != nil {
 		t.Fatalf("a capped run still terminates cleanly: %v", err)
 	}
@@ -541,83 +545,5 @@ func TestConfigWithRunDefaults(t *testing.T) {
 	}
 	if got.Counters == nil {
 		t.Error("WithRunDefaults must fill Counters like WithDefaults")
-	}
-}
-
-// TestEngineRunBatchInstanceObserver: an Instance.Observer receives its own
-// instance's events live — stamped with the instance index, terminated by a
-// message-stats entry — independently of the engine-wide observer, whose
-// per-instance streams stay contiguous as before.
-func TestEngineRunBatchInstanceObserver(t *testing.T) {
-	const n = 4
-	type stream struct {
-		mu     sync.Mutex
-		events []core.Event
-	}
-	streams := make([]*stream, n)
-	insts := make([]core.Instance, n)
-	for i := range insts {
-		s, err := scenario.Fig10()
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := &stream{}
-		streams[i] = st
-		insts[i] = core.Instance{
-			Surface: s.Surface,
-			Config:  s.Config(),
-			Seed:    int64(i + 1),
-			Observer: core.ObserverFunc(func(ev core.Event) {
-				st.mu.Lock()
-				st.events = append(st.events, ev)
-				st.mu.Unlock()
-			}),
-		}
-	}
-	var mu sync.Mutex
-	var engineOrder []int
-	engineCount := map[int]int{}
-	eng := core.NewEngine(rules.StandardLibrary(),
-		core.WithWorkers(2),
-		core.WithObserver(core.ObserverFunc(func(ev core.Event) {
-			mu.Lock()
-			engineCount[ev.Instance]++
-			if len(engineOrder) == 0 || engineOrder[len(engineOrder)-1] != ev.Instance {
-				engineOrder = append(engineOrder, ev.Instance)
-			}
-			mu.Unlock()
-		})))
-	brs, err := eng.RunBatch(context.Background(), insts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, br := range brs {
-		if br.Err != nil || !br.Result.Success {
-			t.Fatalf("instance %d: err=%v res=%v", i, br.Err, br.Result)
-		}
-		st := streams[i]
-		if len(st.events) == 0 {
-			t.Fatalf("instance %d: its observer saw no events", i)
-		}
-		for _, ev := range st.events {
-			if ev.Instance != i {
-				t.Fatalf("instance %d observer got an event stamped %d", i, ev.Instance)
-			}
-		}
-		if last := st.events[len(st.events)-1]; last.Kind != core.EventMessageStats {
-			t.Errorf("instance %d stream ends with %v, want message-stats", i, last.Kind)
-		}
-		// Both observers see the same stream for the instance.
-		if engineCount[i] != len(st.events) {
-			t.Errorf("instance %d: engine observer saw %d events, instance observer %d",
-				i, engineCount[i], len(st.events))
-		}
-	}
-	seen := map[int]bool{}
-	for _, inst := range engineOrder {
-		if seen[inst] {
-			t.Errorf("engine observer stream of instance %d interleaved", inst)
-		}
-		seen[inst] = true
 	}
 }

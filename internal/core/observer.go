@@ -29,10 +29,6 @@ const (
 	// EventMessageStats fires once when the backend drains, carrying the
 	// engine-level message and event totals of the run.
 	EventMessageStats
-	// EventLog carries a formatted per-block debug line (the Logf channel
-	// of the legacy API). Only emitted when the session was built with
-	// debug logging enabled.
-	EventLog
 )
 
 // String implements fmt.Stringer.
@@ -48,8 +44,6 @@ func (k EventKind) String() string {
 		return "terminated"
 	case EventMessageStats:
 		return "message-stats"
-	case EventLog:
-		return "log"
 	}
 	return "unknown"
 }
@@ -106,15 +100,11 @@ type Event struct {
 	// elapsed wall-clock nanoseconds on the goroutine runtime
 	// (MessageStats).
 	VirtualTime int64
-
-	// Text is the formatted debug line (Log).
-	Text string
 }
 
-// Observer consumes the structured event stream of a session. It replaces
-// the legacy OnApply/Logf callback pair: trace recording, statistics,
-// fault monitoring and the experiment harness all hook in through this one
-// interface.
+// Observer consumes the structured event stream of a session: trace
+// recording, statistics, fault monitoring, the experiment harness and the
+// server's flights all hook in through this one interface.
 //
 // Events of one DES run arrive strictly ordered. Under the Async backend,
 // events originate on several goroutines; the session serialises delivery,

@@ -18,18 +18,23 @@ import (
 // event count and virtual time, and keep the benchmarked 109 block moves
 // (the block_moves metric gated by benchdiff since BENCH_4.json).
 func TestFig10ShardsBitIdentical(t *testing.T) {
-	run := func(opts ...core.Option) core.Result {
+	run := func(bands int) core.Result {
 		s := fig10(t)
-		opts = append([]core.Option{core.WithSeed(1)}, opts...)
-		res, err := core.NewEngine(rules.StandardLibrary(), opts...).
+		if err := s.Surface.EnableSharding(bands); err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.NewEngine(rules.StandardLibrary(), core.WithSeed(1)).
 			Run(context.Background(), s.Surface, s.Config())
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got := s.Surface.ShardCount(); got != bands {
+			t.Fatalf("surface has %d bands, want %d", got, bands)
+		}
 		return res
 	}
-	mono := run()
-	sharded := run(core.WithShards(4))
+	mono := run(1)
+	sharded := run(4)
 	if mono.Events != sharded.Events || mono.Hops != sharded.Hops ||
 		mono.Rounds != sharded.Rounds || mono.MessagesSent != sharded.MessagesSent ||
 		mono.VirtualTime != sharded.VirtualTime {
@@ -42,9 +47,10 @@ func TestFig10ShardsBitIdentical(t *testing.T) {
 }
 
 // TestGoldenDifferentialWithShards replays every DES golden run of
-// testdata/serial_golden.json with WithShards(3): the election-winner
-// sequence, round/hop totals and final surface must match the recorded
-// monolithic protocol exactly.
+// testdata/serial_golden.json over three column bands
+// (Surface.EnableSharding(3)): the election-winner sequence, round/hop
+// totals and final surface must match the recorded monolithic protocol
+// exactly.
 func TestGoldenDifferentialWithShards(t *testing.T) {
 	data, err := os.ReadFile("testdata/serial_golden.json")
 	if err != nil {
@@ -63,17 +69,20 @@ func TestGoldenDifferentialWithShards(t *testing.T) {
 		g := g
 		t.Run(fmt.Sprintf("%s/seed=%d", g.Scenario, g.Seed), func(t *testing.T) {
 			s := goldenScenario(t, g.Scenario)
+			if err := s.Surface.EnableSharding(3); err != nil {
+				t.Fatal(err)
+			}
+			cfg := s.Config()
+			cfg.ParallelMoves = 1
 			var winners []lattice.BlockID
 			res, err := core.NewEngine(rules.StandardLibrary(),
 				core.WithSeed(g.Seed),
-				core.WithParallelMoves(1),
-				core.WithShards(3),
 				core.WithObserver(core.ObserverFunc(func(ev core.Event) {
 					if ev.Kind == core.EventElectionDecided {
 						winners = append(winners, ev.Winner)
 					}
 				})),
-			).Run(context.Background(), s.Surface, s.Config())
+			).Run(context.Background(), s.Surface, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -88,9 +88,11 @@ func TestTruncatedElectionStillElectsGlobalBest(t *testing.T) {
 
 	var first *core.Event
 	var stats *core.Event
+	// K is set on a copy: the oracle below reads the serial cfg.
+	batchCfg := cfg
+	batchCfg.ParallelMoves = 4
 	res, err := core.NewEngine(rules.StandardLibrary(),
 		core.WithSeed(1),
-		core.WithParallelMoves(4),
 		core.WithObserver(core.ObserverFunc(func(ev core.Event) {
 			switch ev.Kind {
 			case core.EventElectionDecided:
@@ -103,7 +105,7 @@ func TestTruncatedElectionStillElectsGlobalBest(t *testing.T) {
 				stats = &e
 			}
 		})),
-	).Run(context.Background(), s.Surface, cfg)
+	).Run(context.Background(), s.Surface, batchCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,31 +11,37 @@ import (
 )
 
 // waveRun captures everything a batch run can diverge on: the DES metric
-// block, the election-winner sequence and the final surface.
+// block, the election-winner sequence and the final surface, plus the
+// surface's band count.
 type waveRun struct {
 	res     core.Result
 	winners []lattice.BlockID
 	final   []string
+	bands   int
 }
 
-func runWaveScenario(t *testing.T, build func() (*scenario.Scenario, error), opts ...core.Option) waveRun {
+// runWaveScenario runs the built instance at batch width 4 after
+// Surface.EnableSharding(bands).
+func runWaveScenario(t *testing.T, build func() (*scenario.Scenario, error), bands int) waveRun {
 	t.Helper()
 	s, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Surface.EnableSharding(bands); err != nil {
+		t.Fatal(err)
+	}
 	var out waveRun
-	opts = append([]core.Option{
+	cfg := s.Config()
+	cfg.ParallelMoves = 4
+	res, err := core.NewEngine(rules.StandardLibrary(),
 		core.WithSeed(1),
-		core.WithParallelMoves(4),
 		core.WithObserver(core.ObserverFunc(func(ev core.Event) {
 			if ev.Kind == core.EventElectionDecided {
 				out.winners = append(out.winners, ev.Winner)
 			}
 		})),
-	}, opts...)
-	res, err := core.NewEngine(rules.StandardLibrary(), opts...).
-		Run(context.Background(), s.Surface, s.Config())
+	).Run(context.Background(), s.Surface, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,6 +49,7 @@ func runWaveScenario(t *testing.T, build func() (*scenario.Scenario, error), opt
 		t.Fatalf("batch run failed after %d rounds", res.Rounds)
 	}
 	out.res = res
+	out.bands = s.Surface.ShardCount()
 	for _, p := range s.Surface.Positions() {
 		out.final = append(out.final, p.String())
 	}
@@ -50,10 +57,11 @@ func runWaveScenario(t *testing.T, build func() (*scenario.Scenario, error), opt
 }
 
 // TestWaveShardsBitIdentical pins the sharded connectivity cache under wave
-// admission: a WithParallelMoves(4) run over eight column bands must be
-// bit-identical to the one-band run, because sharding replaces only the
-// articulation cache while occupancy (and with it every footprint, what-if
-// and cavity verdict the admission ladder takes) is always full-surface.
+// admission: a Config.ParallelMoves = 4 run on a surface sharded with
+// EnableSharding(8) must be bit-identical to the one-band run, because
+// sharding replaces only the articulation cache while occupancy (and with it
+// every footprint, what-if and cavity verdict the admission ladder takes) is
+// always full-surface.
 // Compared: event count, hops, rounds, messages, virtual time, the complete
 // election-winner sequence and the final surface.
 func TestWaveShardsBitIdentical(t *testing.T) {
@@ -66,9 +74,12 @@ func TestWaveShardsBitIdentical(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			mono := runWaveScenario(t, tc.build)
+			mono := runWaveScenario(t, tc.build, 1)
 			t.Run("shards", func(t *testing.T) {
-				got := runWaveScenario(t, tc.build, core.WithShards(8))
+				got := runWaveScenario(t, tc.build, 8)
+				if mono.bands != 1 || got.bands < 2 {
+					t.Fatalf("band counts %d (one band) / %d (sharded)", mono.bands, got.bands)
+				}
 				if mono.res.Hops != got.res.Hops || mono.res.Rounds != got.res.Rounds ||
 					mono.res.Events != got.res.Events ||
 					mono.res.MessagesSent != got.res.MessagesSent ||

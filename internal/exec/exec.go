@@ -85,9 +85,6 @@ type Env interface {
 	// the engine seed and the block id); the Root uses it for the paper's
 	// random tie-break among equally distant blocks.
 	Rand() *rand.Rand
-	// Logf emits a debug line tagged with the block id, the analogue of
-	// VisibleSim's per-block debugging text (§V-E). Engines may discard it.
-	Logf(format string, args ...any)
 }
 
 // BlockCode is the per-block program, named after VisibleSim's concept of

@@ -229,7 +229,7 @@ func RunBenchJSONWith(opts BenchOpts) ([]byte, error) {
 	// benchdiff — rounds are exact counts, not timings):
 	//
 	//   - the 65-column slope-1 staircase, where both protocols complete:
-	//     rounds-to-completion serial vs WithParallelMoves(4), plus the
+	//     rounds-to-completion serial vs Config.ParallelMoves = 4, plus the
 	//     realised moves-per-round of the batch run;
 	//   - the 71-column symmetric ridge, where the serial protocol livelocks
 	//     between the two flanks and only the batch pipeline completes: its
@@ -240,13 +240,11 @@ func RunBenchJSONWith(opts BenchOpts) ([]byte, error) {
 		if err != nil {
 			return core.Result{}, 0, err
 		}
-		opts := []core.Option{core.WithSeed(1), core.WithRoundCap(cap)}
-		if k > 1 {
-			opts = append(opts, core.WithParallelMoves(k))
-		}
+		cfg := ws.Config()
+		cfg.ParallelMoves, cfg.MaxRounds = k, cap
 		t0 := time.Now()
-		res, err := core.NewEngine(rules.StandardLibrary(), opts...).
-			Run(context.Background(), ws.Surface, ws.Config())
+		res, err := core.NewEngine(rules.StandardLibrary(), core.WithSeed(1)).
+			Run(context.Background(), ws.Surface, cfg)
 		if err != nil {
 			return core.Result{}, 0, fmt.Errorf("bench: %s: %w", name, err)
 		}

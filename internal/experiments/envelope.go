@@ -54,15 +54,17 @@ func Envelope() (string, error) {
 	}
 	t := stats.NewTable("solvable envelope of the greedy election (characterisation)",
 		"family", "N", "solved", "expected", "note")
-	// One session engine, a WithRoundCap budget instead of per-config
-	// mutation: the livelocking families stop at the cap.
-	eng := core.NewEngine(rules.StandardLibrary(), core.WithRoundCap(700))
+	// One session engine; a 700-election budget stops the livelocking
+	// families.
+	eng := core.NewEngine(rules.StandardLibrary())
 	for _, f := range families {
 		s, err := f.mk()
 		if err != nil {
 			return "", fmt.Errorf("envelope %s: %w", f.name, err)
 		}
-		res, err := eng.Run(context.Background(), s.Surface, s.Config())
+		cfg := s.Config()
+		cfg.MaxRounds = 700
+		res, err := eng.Run(context.Background(), s.Surface, cfg)
 		if err != nil {
 			return "", fmt.Errorf("envelope %s: %w", f.name, err)
 		}

@@ -141,16 +141,16 @@ func runBatchStair(t *testing.T, wrap func(exec.CodeFactory) exec.CodeFactory) (
 	}
 	mon := &Monitor{}
 	opts := []core.Option{
-		core.WithParallelMoves(4),
 		core.WithSeed(1),
-		core.WithRoundCap(600),
 		core.WithObserver(mon),
 	}
 	if wrap != nil {
 		opts = append(opts, core.WithFaultWrap(wrap))
 	}
+	cfg := s.Config()
+	cfg.ParallelMoves, cfg.MaxRounds = 4, 600
 	res, err := core.NewEngine(rules.StandardLibrary(), opts...).
-		Run(context.Background(), s.Surface, s.Config())
+		Run(context.Background(), s.Surface, cfg)
 	if err != nil {
 		t.Fatalf("staircase run: %v", err)
 	}

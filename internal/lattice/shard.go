@@ -89,8 +89,9 @@ func newShardedConn(s *Surface, bands int) *shardedConn {
 // surface holds one band). The band count changes only where connectivity
 // queries are answered from — never their verdicts (the property tests pin
 // every band count to the DFS oracle) — so it is safe to change on any
-// surface at any time. Typical use is via core.WithShards at session
-// construction.
+// surface at any time. It is the one setter of a run's band layout: a
+// caller shards the surface before handing it to core.Engine.Run, as the
+// server does for a spec's shard count.
 func (s *Surface) EnableSharding(bands int) error {
 	if bands < 1 {
 		return errInvalidBands(bands)

@@ -89,7 +89,7 @@ const (
 )
 
 // MaxBatch is the largest top-K candidate list an Ack can carry, and with it
-// the largest admissible core.WithParallelMoves width. The wire format is
+// the largest admissible core.Config.ParallelMoves width. The wire format is
 // variable-length (WireVersion 2 included): it carries only the NumCands
 // entries a message holds, and bounds that list at MaxBatch entries so
 // every message stays within MaxWireSize (Smart Blocks have small

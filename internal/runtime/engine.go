@@ -40,8 +40,6 @@ type Config struct {
 	// OnApply observes executed motions (called with the surface lock held;
 	// keep it fast and do not touch the engine from it).
 	OnApply func(lattice.ApplyResult)
-	// Logf receives debug lines (must be safe for concurrent use).
-	Logf func(string, ...any)
 	// Timeout is the wall-clock safety bound for Run (default 60s).
 	Timeout time.Duration
 }
@@ -456,12 +454,6 @@ func (h *host) Move(app rules.Application) error {
 }
 
 func (h *host) Rand() *rand.Rand { return h.rng }
-
-func (h *host) Logf(format string, args ...any) {
-	if h.eng.cfg.Logf != nil {
-		h.eng.cfg.Logf("[b=%d] "+format, append([]any{h.id}, args...)...)
-	}
-}
 
 var _ exec.Env = (*host)(nil)
 var _ exec.Termination = (*Engine)(nil)

@@ -221,7 +221,7 @@ func Staircase(name string, heights []int, rise int) (*Scenario, error) {
 // O `rise` rows above I. Every step corner along the face is a
 // simultaneously mobile block, and corners five or more lanes apart have
 // disjoint sensing windows — the workload on which batch elections
-// (core.WithParallelMoves) admit several winners per round. Plateau-free
+// (core.Config.ParallelMoves) admit several winners per round. Plateau-free
 // slope-1 is also the widest shape the serial protocol is known to solve:
 // wider steps introduce retreat oscillations that livelock it.
 func SlopeStaircase(top, rise int) (*Scenario, error) {

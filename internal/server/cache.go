@@ -25,9 +25,9 @@ type cacheEntry struct {
 }
 
 // entryBytes estimates an entry's retained footprint: the structs
-// themselves plus the out-of-line payloads (winner lists, wave stamps,
-// debug text). An estimate is all byte-accounting needs — the budget
-// bounds memory to the right order of magnitude, not exactly.
+// themselves plus the out-of-line payloads (winner lists, wave stamps). An
+// estimate is all byte-accounting needs — the budget bounds memory to the
+// right order of magnitude, not exactly.
 func entryBytes(e *cacheEntry) int64 {
 	n := int64(unsafe.Sizeof(cacheEntry{})) + int64(len(e.key)+len(e.scenName))
 	base := int64(unsafe.Sizeof(core.Event{}))
@@ -35,7 +35,6 @@ func entryBytes(e *cacheEntry) int64 {
 		n += base
 		n += int64(cap(ev.Winners)) * 4
 		n += int64(cap(ev.WaveStamps))
-		n += int64(len(ev.Text))
 	}
 	return n
 }

@@ -353,6 +353,8 @@ func TestCacheKeyEquivalence(t *testing.T) {
 // TestServerDifferentialDeterminism: two semantically equal specs served
 // with the cache disabled (so both actually execute) produce byte-identical
 // result records modulo timing — the determinism claim the cache rests on.
+// A spec without a seed runs on the server's base seed, so under
+// Config.Seed = 7 it equals the spec with seed 7 and differs from seed 1.
 func TestServerDifferentialDeterminism(t *testing.T) {
 	_, ts := testServer(t, Config{CacheBytes: -1})
 	strip := func(body []byte) string {
@@ -368,5 +370,19 @@ func TestServerDifferentialDeterminism(t *testing.T) {
 	_, _, b2 := postRaw(t, ts, "/v1/runs?stream=none", RunSpec{Scenario: "slope", Params: scenario.Params{"top": 8, "rise": 0}, K: 1, Shards: 1})
 	if r1, r2 := strip(b1), strip(b2); r1 != r2 {
 		t.Fatalf("equal keys, different results:\n%s\n%s", r1, r2)
+	}
+
+	_, ts7 := testServer(t, Config{Seed: 7, CacheBytes: -1})
+	slope := func(seed int64) RunSpec {
+		return RunSpec{Scenario: "slope", Params: scenario.Params{"top": 8}, Seed: seed}
+	}
+	_, _, unseeded := postRaw(t, ts7, "/v1/runs?stream=none", slope(0))
+	_, _, seed7 := postRaw(t, ts7, "/v1/runs?stream=none", slope(7))
+	_, _, seed1 := postRaw(t, ts7, "/v1/runs?stream=none", slope(1))
+	if r0, r7 := strip(unseeded), strip(seed7); r0 != r7 {
+		t.Errorf("an unseeded spec under base seed 7 differs from seed 7:\n%s\n%s", r0, r7)
+	}
+	if r0, r1 := strip(unseeded), strip(seed1); r0 == r1 {
+		t.Errorf("an unseeded spec under base seed 7 ran as seed 1: %s", r0)
 	}
 }

@@ -191,27 +191,39 @@ func newFlightTable(ctx context.Context) *flightTable {
 }
 
 // join attaches to the flight for key, creating it (leader=true) when none
-// is in flight. The returned flight always has the caller counted in refs;
-// the caller must detach exactly once.
+// is in flight or the indexed one is abandoned: its last client detached
+// before it had an outcome, so its run is being cancelled and a follower
+// would only inherit the cancellation. The returned flight always has the
+// caller counted in refs; the caller must detach exactly once.
 func (t *flightTable) join(key, scenName string) (f *flight, leader bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if f, ok := t.m[key]; ok {
 		f.mu.Lock()
-		f.refs++
+		live := f.refs > 0 || f.done
+		if live {
+			f.refs++
+		}
 		f.mu.Unlock()
-		return f, false
+		if live {
+			return f, false
+		}
 	}
 	f = newFlight(t.ctx, key, scenName, false)
 	t.m[key] = f
 	return f, true
 }
 
-// remove unindexes the flight so later identical requests start fresh (or
-// hit the cache the completing run just filled).
-func (t *flightTable) remove(key string) {
+// remove unindexes f so later identical requests start fresh (or hit the
+// cache the completing run just filled) — but only while f is still the
+// table's flight for its key: an abandoned flight's completion must not
+// unindex the fresh flight that replaced it, and a private flight is never
+// indexed at all.
+func (t *flightTable) remove(f *flight) {
 	t.mu.Lock()
-	delete(t.m, key)
+	if t.m[f.key] == f {
+		delete(t.m, f.key)
+	}
 	t.mu.Unlock()
 }
 

@@ -183,7 +183,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 				for _, ev := range e.events {
 					f.OnEvent(ev)
 				}
-				s.flights.remove(f.key)
+				s.flights.remove(f)
 				f.complete(runOutcome{res: e.res}, e.timing)
 				s.metrics.recordAccept(class)
 				s.metrics.recordPeer()

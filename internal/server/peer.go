@@ -49,7 +49,6 @@ type peekEvent struct {
 	Sent       uint64  `json:"s,omitempty"`
 	Events     uint64  `json:"e,omitempty"`
 	Virtual    int64   `json:"v,omitempty"`
-	Text       string  `json:"x,omitempty"`
 }
 
 func toPeekEvent(ev core.Event) peekEvent {
@@ -68,7 +67,6 @@ func toPeekEvent(ev core.Event) peekEvent {
 		Sent:       ev.Sent,
 		Events:     ev.Events,
 		Virtual:    ev.VirtualTime,
-		Text:       ev.Text,
 	}
 }
 
@@ -86,7 +84,6 @@ func (pe peekEvent) event() core.Event {
 		Sent:        pe.Sent,
 		Events:      pe.Events,
 		VirtualTime: pe.Virtual,
-		Text:        pe.Text,
 	}
 	ev.Apply.Hops = pe.Hops
 	ev.Apply.IsCarrying = pe.Carry

@@ -1,14 +1,15 @@
 // Package server is the reconfiguration-as-a-service front-end over
 // core.Engine: an HTTP service that accepts scenario-run requests from many
-// concurrent clients, runs each admitted request on the engine as soon as
-// admission lets it in, streams each run's observer events back over
+// concurrent clients, runs each admitted request as one Engine.Run as soon
+// as admission lets it in, streams each run's observer events back over
 // NDJSON or SSE, and records flat per-request phase timings plus aggregate
 // engine counters behind a /metrics endpoint.
 //
 // The package splits along the request's path through the service:
 //
 //   - stream.go   — the wire schema (RunSpec in, event/result records out)
-//   - server.go   — the engine, admission, dispatch, graceful shutdown
+//   - server.go   — admission, dispatch (one Engine.Run per admitted
+//     request), graceful shutdown
 //   - admission.go — the SLO-driven admission limit and priority classes
 //   - flight.go   — the flight: one engine run, its event history and the
 //     clients attached to it; every engine run is one
@@ -127,12 +128,12 @@ func (r *runReq) timing() wireTiming {
 	}
 }
 
-// Server is the reconfiguration service: one DES engine, the
-// content-addressed result cache with its singleflight table, the
-// admission controller, and the metrics registry.
+// Server is the reconfiguration service: the rule library every run's DES
+// engine is built over, the content-addressed result cache with its
+// singleflight table, the admission controller, and the metrics registry.
 type Server struct {
 	cfg     Config
-	engine  *core.Engine
+	lib     *rules.Library
 	cache   *resultCache
 	flights *flightTable
 	ctrl    *admission
@@ -158,7 +159,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		engine:  core.NewEngine(rules.StandardLibrary(), core.WithSeed(cfg.Seed)),
+		lib:     rules.StandardLibrary(),
 		cache:   newResultCache(cfg.CacheBytes),
 		ctrl:    newAdmission(cfg.SLO, cfg.QueueCap, cfg.BulkShare),
 		metrics: newMetrics(),
@@ -203,22 +204,23 @@ func (s *Server) submit(req *runReq) error {
 	return nil
 }
 
-// execute runs one admitted request on the engine under its flight's
-// context. The flight gets the live events (teed into the metrics summary)
-// and the outcome, and the admission slot is released — also on
-// force-shutdown or when the last client detaches, where RunBatch returns
-// the context error.
+// execute runs one admitted request with Engine.Run under its flight's
+// context, seeded with the spec's seed or, when the spec has none, the
+// server's base seed. The flight gets the live events (teed into the
+// metrics summary) and the outcome, and the admission slot is released —
+// also on force-shutdown or when the last client detaches, where Run
+// returns the context error.
 func (s *Server) execute(r *runReq) {
+	seed := r.seed
+	if seed == 0 {
+		seed = s.cfg.Seed
+	}
 	r.tRunStart = time.Now()
-	results, _ := s.engine.RunBatch(r.flight.ctx, []core.Instance{{
-		Name:     r.scen.Name,
-		Surface:  r.scen.Surface,
-		Config:   r.cfg,
-		Seed:     r.seed,
-		Observer: core.MultiObserver(r.flight, s.metrics),
-	}})
+	res, err := core.NewEngine(s.lib, core.WithSeed(seed),
+		core.WithObserver(core.MultiObserver(r.flight, s.metrics))).
+		Run(r.flight.ctx, r.scen.Surface, r.cfg)
 	r.tRunEnd = time.Now()
-	out := runOutcome{res: results[0].Result, err: results[0].Err}
+	out := runOutcome{res: res, err: err}
 	s.metrics.recordPhases(r)
 	if out.err == nil && r.class == classInteractive {
 		s.ctrl.observe(r.tRunEnd.Sub(r.tRunStart))
@@ -231,23 +233,21 @@ func (s *Server) execute(r *runReq) {
 // finishFlight completes a flight. For a shared flight a successful run is
 // compacted into the result cache FIRST, then the flight is unindexed (an
 // identical request arriving in between attaches to the finished flight
-// and replays it — never a duplicate engine run). A private flight touches
-// neither: the table entry under its key, if any, is another client's
-// shared flight. Finally the flight wakes its tailing clients with the
-// outcome.
+// and replays it — never a duplicate engine run). A private flight fills
+// no cache entry, and remove leaves the table alone for it: the entry
+// under its key, if any, is another client's shared flight. Finally the
+// flight wakes its tailing clients with the outcome.
 func (s *Server) finishFlight(f *flight, out runOutcome, timing wireTiming) {
-	if !f.private {
-		if out.err == nil {
-			s.cache.put(&cacheEntry{
-				key:      f.key,
-				scenName: f.scenName,
-				res:      out.res,
-				timing:   timing,
-				events:   f.compactEvents(),
-			})
-		}
-		s.flights.remove(f.key)
+	if !f.private && out.err == nil {
+		s.cache.put(&cacheEntry{
+			key:      f.key,
+			scenName: f.scenName,
+			res:      out.res,
+			timing:   timing,
+			events:   f.compactEvents(),
+		})
 	}
+	s.flights.remove(f)
 	f.complete(out, timing)
 }
 

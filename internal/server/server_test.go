@@ -719,6 +719,41 @@ func TestServerRefusedLeaderFollowers(t *testing.T) {
 	}
 }
 
+// TestFlightTableReplacesAbandonedFlight: when the last client of an
+// unfinished flight detaches, its run is cancelled, but the flight stays
+// indexed until the run returns. An identical request arriving in that
+// window must lead a fresh flight, not follow the cancelled one, and the
+// abandoned run's completion must leave the fresh flight indexed.
+func TestFlightTableReplacesAbandonedFlight(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	const key = "abandoned-flight-key"
+	old, leader := s.flights.join(key, "fig10")
+	if !leader {
+		t.Fatal("the first join did not lead")
+	}
+	old.detach() // the only client leaves: the run is cancelled
+	if old.ctx.Err() == nil {
+		t.Fatal("detaching the last client did not cancel the run")
+	}
+	fresh, leader := s.flights.join(key, "fig10")
+	if !leader || fresh == old {
+		t.Fatalf("a join after abandonment followed the cancelled flight (leader=%t)", leader)
+	}
+	if fresh.ctx.Err() != nil {
+		t.Fatal("the fresh flight's context is already done")
+	}
+	// The abandoned run returns with its cancellation.
+	s.finishFlight(old, runOutcome{err: context.Canceled}, wireTiming{})
+	again, leader := s.flights.join(key, "fig10")
+	if leader || again != fresh {
+		t.Fatalf("completing the abandoned flight unindexed the fresh one (leader=%t)", leader)
+	}
+	again.detach()
+	s.finishFlight(fresh, runOutcome{err: context.Canceled}, wireTiming{})
+	fresh.detach()
+}
+
 // TestLoadgen: the closed-loop generator drives the service end to end
 // and accounts for every request, in three shapes. Cached is a small load
 // on one spec. Bypass has 32 clients each make one engine run at once on

@@ -18,8 +18,8 @@ import (
 type RunSpec = speckey.Spec
 
 // buildSpec resolves the spec against the scenario registry into a runnable
-// instance: a fresh surface (pre-sharded when requested — the engine keeps
-// caller-provided shard layouts) and the run configuration. Every run is a
+// instance: a fresh surface (sharded when requested — the surface holds a
+// run's band layout) and the run configuration. Every run is a
 // DES run, so a spec naming any other backend is refused. All failures here
 // are client errors (400).
 func buildSpec(sp RunSpec) (*scenario.Scenario, core.Config, error) {
@@ -63,7 +63,6 @@ type wireEvent struct {
 	Sent     uint64 `json:"sent,omitempty"`
 	Events   uint64 `json:"events,omitempty"`
 	Virtual  int64  `json:"virtual_time,omitempty"`
-	Text     string `json:"text,omitempty"`
 }
 
 // toWire flattens a core event into its stream record.
@@ -87,8 +86,6 @@ func toWire(ev core.Event) wireEvent {
 		w.Success, w.Rounds = &s, ev.Rounds
 	case core.EventMessageStats:
 		w.Sent, w.Events, w.Virtual = ev.Sent, ev.Events, ev.VirtualTime
-	case core.EventLog:
-		w.Text = ev.Text
 	}
 	return w
 }
@@ -159,7 +156,7 @@ func getEventBuf() []core.Event { return eventBufPool.Get().([]core.Event)[:0] }
 
 // putEventBuf resets and returns a buffer to the pool. Elements are zeroed
 // first so pooled arrays don't pin engine-side payload slices (winner
-// lists, debug text) across requests.
+// lists, wave stamps) across requests.
 func putEventBuf(buf []core.Event) {
 	buf = buf[:cap(buf)]
 	for i := range buf {

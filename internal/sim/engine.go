@@ -32,8 +32,6 @@ type Config struct {
 	// OnApply, when non-nil, observes every executed rule application (the
 	// trace recorder and the statistics harness hook in here).
 	OnApply func(lattice.ApplyResult)
-	// Logf, when non-nil, receives per-block debug lines.
-	Logf func(format string, args ...any)
 }
 
 // Engine hosts BlockCodes on a surface and simulates their execution.
@@ -440,12 +438,5 @@ func (e *Engine) mark(id lattice.BlockID) bool {
 }
 
 func (h *host) Rand() *rand.Rand { return h.rng }
-
-func (h *host) Logf(format string, args ...any) {
-	if h.eng.cfg.Logf != nil {
-		h.eng.cfg.Logf("[t=%d b=%d] "+format,
-			append([]any{h.eng.sched.Now(), h.id}, args...)...)
-	}
-}
 
 var _ exec.Env = (*host)(nil)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -277,25 +276,6 @@ func TestMoveRejectsNonMover(t *testing.T) {
 	app := rules.Application{Rule: rules.EastSliding(), Anchor: geom.V(1, 1)}
 	if err := env.Move(app); err == nil || !strings.Contains(err.Error(), "not a mover") {
 		t.Errorf("non-mover move: %v", err)
-	}
-}
-
-func TestLogfTagging(t *testing.T) {
-	surf := pairSurface(t)
-	var lines []string
-	eng, _ := NewEngine(surf, rules.StandardLibrary(), func(id lattice.BlockID) exec.BlockCode {
-		return exec.BlockCodeFuncs{Start: func(e exec.Env) { e.Logf("hello %d", 42) }}
-	}, Config{Input: geom.V(1, 1), Output: geom.V(5, 5), Seed: 1,
-		Logf: func(f string, a ...any) { lines = append(lines, fmt.Sprintf(f, a...)) }})
-	eng.Boot()
-	eng.Run(0)
-	if len(lines) != 2 {
-		t.Fatalf("lines = %v", lines)
-	}
-	for _, l := range lines {
-		if !strings.Contains(l, "hello 42") || !strings.Contains(l, "b=") {
-			t.Errorf("line %q lacks tag or payload", l)
-		}
 	}
 }
 

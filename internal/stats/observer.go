@@ -148,7 +148,7 @@ func (s *SessionSummary) OnEvent(ev core.Event) {
 
 // MovesPerRound is the realised batch parallelism: admitted winners per
 // decided election (1.0 for the serial protocol, up to K for
-// core.WithParallelMoves(K) workloads with enough non-interfering movers).
+// Config.ParallelMoves = K workloads with enough non-interfering movers).
 func (s *SessionSummary) MovesPerRound() float64 {
 	if s.Decided == 0 {
 		return 0
