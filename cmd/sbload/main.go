@@ -20,7 +20,7 @@
 // Usage:
 //
 //	sbload -url http://localhost:8080 -clients 32 -per-client 8 \
-//	       -scenario fig10 [-param top=12 ...] [-k 4] [-shards 2] [-seed 7] \
+//	       -scenario fig10 [-param top=12 ...] [-k 4] [-seed 7] \
 //	       [-zipf-n 64 -zipf-s 1.5] [-bulk-frac 0.25] [-cache bypass] \
 //	       [-targets http://127.0.0.1:8081,http://127.0.0.1:8082]
 package main
@@ -67,7 +67,6 @@ func main() {
 		perClient = flag.Int("per-client", 8, "sequential requests per client")
 		scen      = flag.String("scenario", "fig10", "scenario generator name")
 		k         = flag.Int("k", 0, "parallel-moves batch width (0 = serial)")
-		shards    = flag.Int("shards", 0, "surface shard bands (0 = unsharded)")
 		seed      = flag.Int64("seed", 0, "per-run seed override (0 = server default)")
 		class     = flag.String("class", "", "priority class for every request: interactive (default) or bulk")
 		bulkFrac  = flag.Float64("bulk-frac", 0, "fraction of requests demoted to ?class=bulk")
@@ -95,7 +94,6 @@ func main() {
 			Scenario: *scen,
 			Params:   params.p,
 			K:        *k,
-			Shards:   *shards,
 			Seed:     *seed,
 		},
 		Class:        *class,

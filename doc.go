@@ -48,12 +48,12 @@
 // fault-injection factory wrap, an Observer and the RunBatch worker count.
 // A run's own settings have one home each: the batch width K and the
 // election budget live in core.Config (ParallelMoves, MaxRounds), and the
-// band layout on the surface (lattice.Surface.EnableSharding, called before
-// Run). Engine.Run(ctx, surf, cfg) executes Algorithm 1 under a context —
-// cancellation and deadlines stop the backend between events, so the
-// surface always comes back connected and fully rolled back — and returns
-// the unified Result with the backend's virtual-time and event metrics
-// filled in (virtual ticks on the DES, wall-clock nanoseconds and
+// surface picks its band layout from its width (lattice.BandWidth), so no
+// caller sets one. Engine.Run(ctx, surf, cfg) executes Algorithm 1 under a
+// context — cancellation and deadlines stop the backend between events, so
+// the surface always comes back connected and fully rolled back — and
+// returns the unified Result with the backend's virtual-time and event
+// metrics filled in (virtual ticks on the DES, wall-clock nanoseconds and
 // dispatched events on the runtime). Both backends implement the same
 // three-method Backend seam (Boot, Drive, Metrics); nothing outside their
 // own packages constructs sim.Engine or runtime.Engine directly.
@@ -163,20 +163,23 @@
 // # Sharded surfaces: column bands and boundary composition
 //
 // The articulation cache is a layout of column bands, each owning a lazy
-// band-local Tarjan core (internal/lattice/shard.go); a new surface holds
-// one full-width band. At the paper's §VI scale (10^6-10^7 modules) that
-// one band is the last O(N) cost on the event path: one occupancy mutation
-// invalidates it, and the next constrained verdict pays a full-surface
-// Tarjan rebuild. lattice.Surface.EnableSharding(n), called before
-// Engine.Run, partitions the surface into n fixed-width column bands,
+// band-local Tarjan core (internal/lattice/shard.go). At the paper's §VI
+// scale (10^6-10^7 modules) one full-width band would be the last O(N)
+// cost on the event path: one occupancy mutation invalidates it, and the
+// next constrained verdict pays a full-surface Tarjan rebuild. So
+// lattice.NewSurface partitions a surface w columns wide into
+// ceil(w/lattice.BandWidth) equal column bands of at most 150 columns,
 // composed globally through a boundary contraction graph (contraction.go):
 // one node per band-local component, one union-find edge per occupied cell
-// pair facing each other across an internal band boundary. A mutation
-// dirties one band plus the edge lists its labels feed, so the steady-state
-// per-event cost is O(bandWidth x height) — a constant once the band width
-// is fixed, regardless of how many bands the surface grows (BENCH_5.json
-// records the flat 5e5 -> 8e6 sweep and the band-fraction rebuild speedup
-// at 2e6).
+// pair facing each other across an internal band boundary. Every registry
+// scenario at its default parameters is narrower than that and keeps one
+// band; Surface.EnableSharding(n) overrides the layout for the tests and
+// reference kernels that compare band counts. A mutation dirties one band
+// plus the edge lists its labels feed, so the steady-state per-event cost
+// is O(bandWidth x height) — a constant, since the band width is bounded,
+// regardless of how many bands the surface grows (BENCH_5.json records the
+// flat 5e5 -> 8e6 sweep, and BENCH_10 an 18x cheaper rebuild at 2e6 on
+// 150-column bands than on one band).
 //
 // Queries climb an escalation ladder whose every rung is exact — the lower
 // rungs only answer when their verdict cannot be wrong, otherwise they fall
@@ -200,10 +203,12 @@
 // (cmd/sbserver) so many concurrent clients can submit reconfiguration runs
 // against one warm rule library. POST /v1/runs takes a RunSpec — a scenario
 // name from the shared internal/scenario registry plus integer params, the
-// parallel-moves width k, a shard count and a seed — and each admitted
-// request runs at once on its own goroutine as one Engine.Run on the DES,
-// so it is answered at its own run end. The spec's backend field accepts
-// only "des", the default: the goroutine runtime stays a library backend
+// parallel-moves width k, a seed and a round budget, exactly the inputs
+// that change a DES result — and each admitted request runs at once on its
+// own goroutine as one Engine.Run on the DES, so it is answered at its own
+// run end. Replica and gateway decode the body with one strict decoder
+// (speckey.Decode): any other field, a negative value or data after the
+// object gets a 400. The goroutine runtime stays a library backend
 // (examples/asyncrt, smartconvey -engine async) and is never served.
 // Admission is a bounded pending count, and it is the only bound on runs in
 // flight: beyond the limit the server answers 429 immediately rather than
@@ -226,9 +231,11 @@
 // DES runs are pure functions of their spec, and the service exploits
 // that twice. A content-addressed result cache (byte-accounted LRU,
 // -cache-bytes budget) memoizes each completed run under its canonical
-// key — scenario params default-filled in declaration order, k/shards/seed
-// normalized — so an identical spec replays the recorded events and
-// result byte-identically without touching the engine; the X-Cache
+// key — scenario params default-filled in declaration order, then k, seed
+// and the round budget, with k<=1 and seed 0 normalized
+// (fig10{}|k=1|seed=1|rounds=0) — so an identical spec replays the
+// recorded events and result byte-identically without touching the
+// engine; the X-Cache
 // response header says how a run was served (hit, miss, bypass,
 // coalesced) and ?cache=bypass opts out with a private flight that no
 // other request joins and no cache entry records. Concurrent identical

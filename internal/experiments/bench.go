@@ -339,14 +339,11 @@ func RunBenchJSONWith(opts BenchOpts) ([]byte, error) {
 	return json.MarshalIndent(rec, "", "  ")
 }
 
-// The shard fixture family: fill height and band width are fixed, so a
-// surface grows only by adding columns (= bands) and the sharded per-event
-// cost O(bandWidth x height) is the same constant at every scale. 750
-// columns ~ 5e5 modules, 3000 ~ 2e6, 12000 ~ 8e6.
-const (
-	shardFixH  = 667 // fill rows of every shard fixture
-	shardBandW = 150 // columns per band
-)
+// The shard fixture family: fill height and band width (lattice.BandWidth)
+// are fixed, so a surface grows only by adding columns (= bands) and the
+// sharded per-event cost O(bandWidth x height) is the same constant at
+// every scale. 750 columns ~ 5e5 modules, 3000 ~ 2e6, 12000 ~ 8e6.
+const shardFixH = 667 // fill rows of every shard fixture
 
 // shardScale is one point of the flatness sweep.
 type shardScale struct {
@@ -365,8 +362,10 @@ type shardWorkload struct {
 	probe      geom.Vec
 }
 
-// shardFixture fills cols x shardFixH modules and shards the surface into
-// cols/shardBandW column bands (0 bands keeps the one full-width band).
+// shardFixture fills cols x shardFixH modules and lays the surface out in
+// `bands` column bands: cols/lattice.BandWidth for the sharded kernels, 1
+// for the one-band reference kernel. The layout is set explicitly and
+// checked, because NewSurface would band a wide fixture on its own.
 func shardFixture(cols, bands int) (*shardWorkload, error) {
 	surf, err := lattice.NewSurface(cols, shardFixH+6)
 	if err != nil {
@@ -375,17 +374,15 @@ func shardFixture(cols, bands int) (*shardWorkload, error) {
 	if _, err := surf.FillRect(geom.RectSpanning(geom.V(0, 0), geom.V(cols-1, shardFixH-1))); err != nil {
 		return nil, err
 	}
-	if bands > 0 {
-		if err := surf.EnableSharding(bands); err != nil {
-			return nil, err
-		}
+	if err := surf.EnableSharding(bands); err != nil {
+		return nil, err
+	}
+	if got := surf.ShardCount(); got != bands {
+		return nil, fmt.Errorf("bench: shard fixture has %d bands, want %d", got, bands)
 	}
 	lib := rules.StandardLibrary()
 	// Rider mid-band on the flat top; probe mid-band 0, far from the rider.
-	bw := shardBandW
-	if bands <= 0 {
-		bw = cols
-	}
+	bw := cols / bands
 	pos := geom.V((cols/bw/2)*bw+bw/2, shardFixH)
 	w := &shardWorkload{probe: geom.V(bw/4, shardFixH)}
 	if w.rider, err = surf.Place(pos); err != nil {
@@ -422,7 +419,7 @@ func appMoving(lib *rules.Library, surf *lattice.Surface, from, to geom.Vec) (ru
 
 // shardRebuildKernels is the headline pair at 2e6 modules: the cost of the
 // first connectivity query after an occupancy mutation, paying a
-// full-surface Tarjan rebuild on an unsharded (one-band) surface
+// full-surface Tarjan rebuild on a one-band surface
 // (mono_rebuild_2e6) vs one narrow band's rebuild plus the contraction
 // recompute (shard_rebuild_2e6). The target regime is the band fraction
 // (20 bands -> ~20x).
@@ -435,7 +432,7 @@ func shardRebuildKernels() ([]BenchResult, error) {
 		}
 		res := timeKernel(name, func() {
 			// Toggle the probe: the Place dirties its band (the whole
-			// surface when unsharded), and the warm pays the rebuild.
+			// surface on one band), and the warm pays the rebuild.
 			pid, err := fx.surf.Place(fx.probe)
 			if err != nil {
 				panic(err)
@@ -449,11 +446,11 @@ func shardRebuildKernels() ([]BenchResult, error) {
 		res.MetricName = "modules"
 		return res, nil
 	}
-	mono, err := kernel("mono_rebuild_2e6", 0)
+	mono, err := kernel("mono_rebuild_2e6", 1)
 	if err != nil {
 		return nil, err
 	}
-	shard, err := kernel("shard_rebuild_2e6", cols/shardBandW)
+	shard, err := kernel("shard_rebuild_2e6", cols/lattice.BandWidth)
 	if err != nil {
 		return nil, err
 	}
@@ -466,7 +463,7 @@ func shardRebuildKernels() ([]BenchResult, error) {
 // Remark 1 guard (shard_apply_*, two applies per op). With height and band
 // width fixed, both must stay flat across the 5e5 -> 8e6 sweep.
 func shardEventKernels(sc shardScale) ([]BenchResult, error) {
-	fx, err := shardFixture(sc.cols, sc.cols/shardBandW)
+	fx, err := shardFixture(sc.cols, sc.cols/lattice.BandWidth)
 	if err != nil {
 		return nil, err
 	}

@@ -22,8 +22,6 @@ const (
 	headerSpecKey   = "X-Spec-Key"
 	headerReplica   = "X-Replica"    // which replica served this response
 	headerPeerProbe = "X-Peer-Probe" // peer URL the replica may consult on a miss
-
-	maxSpecBody = 1 << 20
 )
 
 // Config tunes the gateway.
@@ -139,31 +137,30 @@ func gwError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // handleRuns routes one run by spec affinity and proxies the stream.
 //
-// The spec is canonicalized with the replicas' own key function
-// (speckey), hashed onto the ring, and sent to the first accepting
-// replica in ring order. A refusal that delivered no part of the run —
-// a dial error (never reached it) or a 503 (refused at admission while
-// draining, or a result-only run force-cancelled by the replica's
-// shutdown) — moves the spec to the next candidate (every run is a pure,
-// deterministic DES run, so re-running one is safe), and a scale-down
-// loses nothing; responses already streaming bytes are past the point of
-// no return and are never retried. The X-Peer-Probe header
-// names the key's nearest other non-down replica: on a cache miss the
-// target probes it before running the engine, which is exactly the warm
-// previous owner during a drain hand-off.
+// The spec is decoded and canonicalized with the replicas' own decoder and
+// key function (speckey), so a body a replica would refuse gets its 400
+// here without reaching one. The key is hashed onto the ring, and the body
+// is sent to the first accepting replica in ring order. A refusal that
+// delivered no part of the run — a dial error (never reached it) or a 503
+// (refused at admission while draining, or a result-only run
+// force-cancelled by the replica's shutdown) — moves the spec to the next
+// candidate (every run is a pure, deterministic DES run, so re-running one
+// is safe), and a scale-down loses nothing; responses already streaming
+// bytes are past the point of no return and are never retried. The
+// X-Peer-Probe header names the key's nearest other non-down replica: on a
+// cache miss the target probes it before running the engine, which is
+// exactly the warm previous owner during a drain hand-off.
 func (g *Gateway) handleRuns(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		gwError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBody))
+	// The tee keeps the bytes Decode read, to forward them unchanged: once
+	// Decode succeeds they hold the whole spec object.
+	var body bytes.Buffer
+	spec, err := speckey.Decode(io.TeeReader(r.Body, &body))
 	if err != nil {
-		gwError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	var spec speckey.Spec
-	if err := json.Unmarshal(body, &spec); err != nil {
-		gwError(w, http.StatusBadRequest, "bad request body: %v", err)
+		gwError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	key, err := spec.Key(g.cfg.Seed)
@@ -180,7 +177,7 @@ func (g *Gateway) handleRuns(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		tried++
-		status, sent, err := g.proxyRun(w, r, rp, g.peerFor(order, i), key, body)
+		status, sent, err := g.proxyRun(w, r, rp, g.peerFor(order, i), key, body.Bytes())
 		switch {
 		case err == nil && status != http.StatusServiceUnavailable:
 			return // proxied to completion (whatever the status — 429s etc. pass through)

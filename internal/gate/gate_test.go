@@ -168,19 +168,34 @@ func TestGateGoldenThroughGateway(t *testing.T) {
 	}
 }
 
-// TestGateRejectsBadSpec: a spec the replicas would refuse gets its 400 at
-// the gateway, which shares their key function, without reaching any
-// replica. The goroutine runtime ("async") is a library backend only, so
-// it is one such spec.
+// TestGateRejectsBadSpec: a body the replicas would refuse gets its 400 at
+// the gateway, which shares their decoder and key function, without
+// reaching any replica: a field the spec does not hold (shards, backend,
+// a misspelt seed), a negative value, data after the object, or an
+// unknown scenario.
 func TestGateRejectsBadSpec(t *testing.T) {
 	g, gw, _, _ := fleet(t, 2, server.Config{})
-	for _, spec := range []speckey.Spec{
-		{Scenario: "fig10", Backend: "async"},
-		{Scenario: "no-such-scenario"},
+	for _, body := range []string{
+		`{"scenario":"fig10","shards":2}`,
+		`{"scenario":"fig10","backend":"des"}`,
+		`{"scenario":"fig10","backend":"async"}`,
+		`{"scenario":"fig10","seeds":7}`,
+		`{"scenario":"fig10","k":-1}`,
+		`{"scenario":"fig10","max_rounds":-3}`,
+		`{"scenario":"fig10"} x`,
+		`{"scenario":"no-such-scenario"}`,
 	} {
-		status, _, body := postThrough(t, gw, spec, "")
-		if status != http.StatusBadRequest || !bytes.Contains(body, []byte(`"type":"error"`)) {
-			t.Errorf("spec %+v: status=%d body=%s, want a 400 error record", spec, status, body)
+		resp, err := http.Post(gw.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(data, []byte(`"type":"error"`)) {
+			t.Errorf("body %s: status=%d response=%s, want a 400 error record", body, resp.StatusCode, data)
+		}
+		if rep := resp.Header.Get(headerReplica); rep != "" {
+			t.Errorf("body %s: answered by replica %s, want the gateway", body, rep)
 		}
 	}
 	if routed := g.Metrics().RoutedTotal; routed != 0 {

@@ -24,8 +24,8 @@ import (
 //     component count, component labels, an articulation-point bitset and the
 //     DFS piece labels (parent + subtree size), all in flat int32 scratch with
 //     no per-node allocation. Every surface keeps its cores in one band
-//     layout (shardedConn, shard.go): a single full-width band by default,
-//     n column bands under EnableSharding(n), composed through the boundary
+//     layout (shardedConn, shard.go): ceil(w/BandWidth) column bands, one
+//     on a surface at most BandWidth wide, composed through the boundary
 //     contraction graph (contraction.go). A core is rebuilt lazily and
 //     invalidated by every setOcc/clearOcc in its columns. Because a round of
 //     the algorithm validates many candidates between consecutive surface

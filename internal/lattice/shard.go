@@ -8,15 +8,16 @@ import "repro/internal/geom"
 // owning its own lazy connCore, and composes global connectivity through the
 // boundary contraction graph (contraction.go): one node per band-local
 // component, one edge per adjacent occupied cell pair across an internal
-// band boundary. NewSurface installs one full-width band, which is exact on
-// its own; EnableSharding(n) lays out n bands. At 10^6–10^7 modules one band
-// is the last O(N) cost on the event path: any occupancy mutation
-// invalidates it and the next constrained validation pays a full-surface
-// Tarjan rebuild (~100ms at 2e6 modules in BENCH_10). With n bands a mutation
-// invalidates one band (plus the two boundary edge lists its labels feed),
-// and the next rebuild costs O(bandWidth x H) — a constant once the band
-// width is fixed — plus a contraction recompute that touches only the dirty
-// boundaries.
+// band boundary. NewSurface lays out ceil(w/BandWidth) equal bands, so a
+// surface up to BandWidth columns wide holds one full-width band, which is
+// exact on its own; EnableSharding(n) overrides the layout with n bands. One
+// band over 10^6–10^7 modules would be the last O(N) cost on the event path:
+// any occupancy mutation invalidates it and the next constrained validation
+// pays a full-surface Tarjan rebuild (~100ms at 2e6 modules in BENCH_10).
+// With bands a mutation invalidates one band (plus the two boundary edge
+// lists its labels feed), and the next rebuild costs O(bandWidth x H) — a
+// constant, since the band width is bounded — plus a contraction recompute
+// that touches only the dirty boundaries.
 //
 // Queries climb an escalation ladder, cheapest exact rung first:
 //
@@ -63,6 +64,12 @@ type shardState struct {
 	core  connCore
 }
 
+// BandWidth is the widest band NewSurface lays out. At this width a 2e6-module
+// rebuild costs one eighteenth of the one-band rebuild (BENCH_10's
+// shard_rebuild_2e6 vs mono_rebuild_2e6), while every registry scenario at
+// its default parameters stays on one band, where rung 1 answers exactly.
+const BandWidth = 150
+
 // newShardedConn lays out ceil(w/bands)-wide column bands over s. The caller
 // (NewSurface, EnableSharding, Clone) owns installing it on the surface.
 func newShardedConn(s *Surface, bands int) *shardedConn {
@@ -85,13 +92,12 @@ func newShardedConn(s *Surface, bands int) *shardedConn {
 }
 
 // EnableSharding replaces the surface's connectivity cache with `bands`
-// column bands composed through the boundary contraction graph (a new
-// surface holds one band). The band count changes only where connectivity
-// queries are answered from — never their verdicts (the property tests pin
-// every band count to the DFS oracle) — so it is safe to change on any
-// surface at any time. It is the one setter of a run's band layout: a
-// caller shards the surface before handing it to core.Engine.Run, as the
-// server does for a spec's shard count.
+// column bands composed through the boundary contraction graph, overriding
+// the layout NewSurface picked from the width. The band count changes only
+// where connectivity queries are answered from — never their verdicts (the
+// property tests pin every band count to the DFS oracle) — so it is safe to
+// change on any surface at any time. Tests that compare band counts and the
+// one-band reference kernels call it; no run needs to.
 func (s *Surface) EnableSharding(bands int) error {
 	if bands < 1 {
 		return errInvalidBands(bands)
@@ -110,8 +116,7 @@ func (e *shardConfigError) Error() string {
 	return "lattice: sharding needs at least 1 band"
 }
 
-// ShardCount returns the number of column bands (1 unless EnableSharding
-// laid out more).
+// ShardCount returns the number of column bands.
 func (s *Surface) ShardCount() int { return len(s.shconn.shards) }
 
 // shardOf maps a column to its band index. One band skips the division:

@@ -141,6 +141,31 @@ func TestEnableShardingLayout(t *testing.T) {
 	}
 }
 
+// TestNewSurfaceBandLayout pins the layout NewSurface picks from the width:
+// ceil(w/BandWidth) equal bands, kept by Clone.
+func TestNewSurfaceBandLayout(t *testing.T) {
+	for _, tc := range []struct{ w, bands, bw int }{
+		{1, 1, 1},
+		{BandWidth, 1, BandWidth},
+		{BandWidth + 1, 2, 76},
+		{3000, 20, BandWidth},
+	} {
+		s, err := NewSurface(tc.w, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.ShardCount(); got != tc.bands {
+			t.Errorf("width %d: %d bands, want %d", tc.w, got, tc.bands)
+		}
+		if s.shconn.bw != tc.bw {
+			t.Errorf("width %d: band width %d, want %d", tc.w, s.shconn.bw, tc.bw)
+		}
+		if got := s.Clone().ShardCount(); got != tc.bands {
+			t.Errorf("width %d: clone has %d bands, want %d", tc.w, got, tc.bands)
+		}
+	}
+}
+
 // boundaryBiasedCell draws a cell whose column clusters around the sharding
 // boundaries of sc (±2 columns) with probability ~3/4, exercising the
 // contraction-graph and escalation paths far more often than uniform

@@ -14,13 +14,12 @@
 // Validate is allocation-free and O(window) for single-displacement motions,
 // with Connected() kept as the reference DFS oracle. The cache is one layout
 // of column bands composed through a boundary contraction graph (shard.go,
-// contraction.go): one full-width band by default, and at mega-surface
-// scale fixed-width bands, so a mutation invalidates one band instead of the
-// whole surface. And Apply is atomic under failure:
-// Validate replays the full move schedule against the evolving occupancy
-// before anything mutates, and execution keeps an undo log, so a rejected or
-// failed application leaves grid, bitsets, positions and counters exactly as
-// they were.
+// contraction.go): bands of at most BandWidth columns, so on a wide
+// surface a mutation invalidates one band instead of the whole surface. And
+// Apply is atomic under failure: Validate replays the full move schedule
+// against the evolving occupancy before anything mutates, and execution
+// keeps an undo log, so a rejected or failed application leaves grid,
+// bitsets, positions and counters exactly as they were.
 package lattice
 
 import (
@@ -80,17 +79,18 @@ type Surface struct {
 	applications int // rule applications executed
 
 	// shconn is the lazily maintained connectivity cache: column bands of
-	// component labels and articulation bitsets (shard.go), one band unless
-	// EnableSharding laid out more. Each band is invalidated by the
-	// occupancy mutations in its columns. Clone copies the band count, not
-	// the contents.
+	// component labels and articulation bitsets (shard.go), ceil(w/BandWidth)
+	// of them unless EnableSharding laid out others. Each band is
+	// invalidated by the occupancy mutations in its columns. Clone copies the
+	// band count, not the contents.
 	shconn *shardedConn
 	// scratch holds the reusable buffers of the validation and execution
 	// paths (apply.go), so the boolean Validate verdict allocates nothing.
 	scratch applyScratch
 }
 
-// NewSurface returns an empty surface of the given dimensions.
+// NewSurface returns an empty surface of the given dimensions, its
+// connectivity cache laid out in ceil(w/BandWidth) equal column bands.
 func NewSurface(w, h int) (*Surface, error) {
 	if w < 1 || h < 1 {
 		return nil, fmt.Errorf("lattice: invalid dimensions %dx%d", w, h)
@@ -104,7 +104,7 @@ func NewSurface(w, h int) (*Surface, error) {
 		occW: occW,
 		next: 1,
 	}
-	s.shconn = newShardedConn(s, 1)
+	s.shconn = newShardedConn(s, (w+BandWidth-1)/BandWidth)
 	return s, nil
 }
 

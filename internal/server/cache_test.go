@@ -66,7 +66,7 @@ func TestServerCacheHitBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	st3, xc3, body3 := postRaw(t, ts, "/v1/runs", RunSpec{Scenario: "fig10", Params: params, K: 0, Shards: 1})
+	st3, xc3, body3 := postRaw(t, ts, "/v1/runs", RunSpec{Scenario: "fig10", Params: params, K: 0})
 	if st3 != http.StatusOK || xc3 != xcacheHit {
 		t.Fatalf("respelled run: status=%d X-Cache=%q, want 200 hit", st3, xc3)
 	}
@@ -330,7 +330,6 @@ func TestCacheKeyEquivalence(t *testing.T) {
 		{Scenario: "slope"}, // default params
 		{Scenario: "slope", Params: scenario.Params{"rise": 0}},      // explicit default
 		{Scenario: "slope", Params: scenario.Params{"top": 8}, K: 1}, // k=1 == serial == k=0
-		{Scenario: "slope", Shards: 1},                               // shards=1 == unsharded
 		{Scenario: "slope", Seed: 1},                                 // seed 0 -> base seed 1
 	} {
 		if got := key(same); got != want {
@@ -340,7 +339,6 @@ func TestCacheKeyEquivalence(t *testing.T) {
 	for _, diff := range []RunSpec{
 		{Scenario: "slope", Params: scenario.Params{"top": 9}},
 		{Scenario: "slope", K: 4},
-		{Scenario: "slope", Shards: 2},
 		{Scenario: "slope", Seed: 2},
 		{Scenario: "slope", MaxRounds: 10},
 	} {
@@ -367,7 +365,7 @@ func TestServerDifferentialDeterminism(t *testing.T) {
 		return string(out)
 	}
 	_, _, b1 := postRaw(t, ts, "/v1/runs?stream=none", RunSpec{Scenario: "slope", Params: scenario.Params{"top": 8}})
-	_, _, b2 := postRaw(t, ts, "/v1/runs?stream=none", RunSpec{Scenario: "slope", Params: scenario.Params{"top": 8, "rise": 0}, K: 1, Shards: 1})
+	_, _, b2 := postRaw(t, ts, "/v1/runs?stream=none", RunSpec{Scenario: "slope", Params: scenario.Params{"top": 8, "rise": 0}, K: 1})
 	if r1, r2 := strip(b1), strip(b2); r1 != r2 {
 		t.Fatalf("equal keys, different results:\n%s\n%s", r1, r2)
 	}

@@ -4,12 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
 
 	"repro/internal/scenario"
+	"repro/internal/server/speckey"
 )
 
 // routes wires the HTTP surface:
@@ -121,10 +121,9 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var spec RunSpec
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	spec, err := speckey.Decode(r.Body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	scen, cfg, err := buildSpec(spec)

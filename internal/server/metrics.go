@@ -67,16 +67,6 @@ func (a *latencyAgg) finalize() {
 	a.P95NS = a.hist.quantile(0.95)
 }
 
-// restoreHist rebuilds the internal histogram from the serialized bucket
-// counts — a decoded snapshot (the gateway's view of a replica) has only
-// the JSON fields, and quantile math needs the hist back.
-func (a *latencyAgg) restoreHist() {
-	a.hist = latencyHist{count: a.Count, sum: a.SumNS, min: a.MinNS, max: a.MaxNS}
-	if len(a.BucketsNS) == histBuckets {
-		copy(a.hist.counts[:], a.BucketsNS)
-	}
-}
-
 // Request outcome kinds recorded at respond time.
 const (
 	outcomeCompleted = iota

@@ -174,20 +174,26 @@ func TestServerSSE(t *testing.T) {
 }
 
 // TestServerValidation: client errors come back as 400 with a JSON error
-// record; the scenario listing serves the registry. The server runs only
-// the DES, so a spec naming the goroutine runtime ("async") is one of them.
+// record; the scenario listing serves the registry. A body naming a field
+// the spec does not hold is one of them: shards and backend change no
+// result, and a misspelt field must not silently run the defaults.
 func TestServerValidation(t *testing.T) {
 	_, ts := testServer(t, Config{})
-	for _, spec := range []RunSpec{
-		{Scenario: "no-such-scenario"},
-		{Scenario: "fig10", Backend: "quantum"},
-		{Scenario: "fig10", Backend: "async"},
-		{Scenario: "tower", Params: scenario.Params{"blocks": 8}}, // unknown param
-		{Scenario: "tower", Params: scenario.Params{"n": 7}},      // generator rejects odd towers
-		{Scenario: "fig10", K: -1},
+	for _, body := range []string{
+		`{"scenario":"no-such-scenario"}`,
+		`{"scenario":"tower","params":{"blocks":8}}`, // unknown param
+		`{"scenario":"tower","params":{"n":7}}`,      // generator rejects odd towers
+		// Fields the spec does not hold, a misspelt seed, negative values
+		// and data after the object.
+		`{"scenario":"fig10","shards":2}`,
+		`{"scenario":"fig10","backend":"des"}`,
+		`{"scenario":"fig10","backend":"async"}`,
+		`{"scenario":"fig10","seeds":7}`,
+		`{"scenario":"fig10","k":-1}`,
+		`{"scenario":"fig10","max_rounds":-3}`,
+		`{"scenario":"fig10"} x`,
 	} {
-		body, _ := json.Marshal(spec)
-		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +201,7 @@ func TestServerValidation(t *testing.T) {
 		_ = json.NewDecoder(resp.Body).Decode(&rec)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || rec.Type != "error" {
-			t.Errorf("spec %+v: status=%d record=%+v, want 400 error", spec, resp.StatusCode, rec)
+			t.Errorf("body %s: status=%d record=%+v, want 400 error", body, resp.StatusCode, rec)
 		}
 	}
 

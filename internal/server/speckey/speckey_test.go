@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -26,25 +28,23 @@ type goldenGroup struct {
 const goldenBaseSeed = 1
 
 // goldenMatrix enumerates the equivalence classes: default spellings vs
-// explicit defaults, k/shards/seed/backend normalization, and distinct
-// specs that must NOT collide.
+// explicit defaults, k/seed normalization, and distinct specs that must NOT
+// collide.
 func goldenMatrix() []goldenGroup {
 	return []goldenGroup{
 		{Name: "fig10-default", Specs: []Spec{
 			{Scenario: "fig10"},
 			{Scenario: "fig10", K: 1},
-			{Scenario: "fig10", Shards: 1},
-			{Scenario: "fig10", Backend: "des"},
 			{Scenario: "fig10", Seed: goldenBaseSeed}, // seed 0 means the base seed
-			{Scenario: "fig10", K: 1, Shards: 1, Seed: goldenBaseSeed, Backend: "des"},
+			{Scenario: "fig10", K: 1, Seed: goldenBaseSeed},
 		}},
-		{Name: "fig10-k4-sharded", Specs: []Spec{
-			{Scenario: "fig10", K: 4, Shards: 8},
-			{Scenario: "fig10", K: 4, Shards: 8, Backend: "des", Seed: goldenBaseSeed},
+		{Name: "fig10-k4", Specs: []Spec{
+			{Scenario: "fig10", K: 4},
+			{Scenario: "fig10", K: 4, Seed: goldenBaseSeed},
 		}},
 		{Name: "fig10-seed7", Specs: []Spec{
 			{Scenario: "fig10", Seed: 7},
-			{Scenario: "fig10", K: 0, Seed: 7, Backend: "des"},
+			{Scenario: "fig10", K: 0, Seed: 7},
 		}},
 		{Name: "fig10-rounds200", Specs: []Spec{
 			{Scenario: "fig10", MaxRounds: 200},
@@ -152,18 +152,44 @@ func TestGoldenKeys(t *testing.T) {
 	}
 }
 
-// TestKeyErrors: canonicalization fails loudly on unknown scenarios,
-// parameters and backends instead of minting a routable key. The goroutine
-// runtime is a library backend only, so "async" is unknown here too.
+// TestKeyErrors: canonicalization fails loudly on unknown scenarios and
+// parameters instead of minting a routable key.
 func TestKeyErrors(t *testing.T) {
 	for _, sp := range []Spec{
 		{Scenario: "no-such-scenario"},
 		{Scenario: "slope", Params: map[string]int{"bogus": 1}},
-		{Scenario: "fig10", Backend: "quantum"},
-		{Scenario: "fig10", Backend: "async"},
 	} {
 		if key, err := sp.Key(1); err == nil {
 			t.Errorf("spec %+v minted key %q, want error", sp, key)
+		}
+	}
+}
+
+// TestDecode: a body is exactly one JSON object naming only Spec's fields,
+// with no negative k or max_rounds. A field the spec does not hold — shards
+// and backend included, which change no result — or a misspelt one is an
+// error, not a silently ignored default.
+func TestDecode(t *testing.T) {
+	sp, err := Decode(strings.NewReader(
+		`{"scenario":"slope","params":{"top":12},"k":4,"seed":7,"max_rounds":200}` + "\n"))
+	want := Spec{Scenario: "slope", Params: map[string]int{"top": 12}, K: 4, Seed: 7, MaxRounds: 200}
+	if err != nil || !reflect.DeepEqual(sp, want) {
+		t.Fatalf("Decode = %+v, %v; want %+v", sp, err, want)
+	}
+	for _, body := range []string{
+		`{"scenario":"fig10","shards":2}`,
+		`{"scenario":"fig10","backend":"des"}`,
+		`{"scenario":"fig10","backend":"async"}`,
+		`{"scenario":"fig10","seeds":7}`,
+		`{"scenario":"fig10","k":-1}`,
+		`{"scenario":"fig10","max_rounds":-3}`,
+		`{"scenario":"fig10"}{"scenario":"fig10"}`,
+		`{"scenario":"fig10"} x`,
+		`{"scenario":"fig10"`,
+		``,
+	} {
+		if sp, err := Decode(strings.NewReader(body)); err == nil {
+			t.Errorf("Decode(%q) = %+v, want an error", body, sp)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/core"
@@ -10,33 +9,20 @@ import (
 )
 
 // RunSpec is the request schema of POST /v1/runs: a scenario-registry
-// lookup plus the per-run engine knobs the service exposes. It is an alias
-// of speckey.Spec — the canonicalization (the result cache's content
-// address AND the gateway's affinity-routing hash) lives in
-// internal/server/speckey so replica and gateway derive the identical key
-// from the identical schema and cannot drift.
+// lookup plus the per-run inputs that change a DES result. It is an alias
+// of speckey.Spec — the decoder and the canonicalization (the result
+// cache's content address AND the gateway's affinity-routing hash) live in
+// internal/server/speckey so replica and gateway accept the same bodies and
+// derive the identical key from the identical schema.
 type RunSpec = speckey.Spec
 
-// buildSpec resolves the spec against the scenario registry into a runnable
-// instance: a fresh surface (sharded when requested — the surface holds a
-// run's band layout) and the run configuration. Every run is a
-// DES run, so a spec naming any other backend is refused. All failures here
-// are client errors (400).
+// buildSpec resolves a decoded spec against the scenario registry into a
+// runnable instance: a fresh surface and the run configuration. All
+// failures here are client errors (400).
 func buildSpec(sp RunSpec) (*scenario.Scenario, core.Config, error) {
-	if _, err := sp.ResolveBackend(); err != nil {
-		return nil, core.Config{}, err
-	}
-	if sp.K < 0 || sp.Shards < 0 || sp.MaxRounds < 0 {
-		return nil, core.Config{}, fmt.Errorf("server: negative k/shards/max_rounds")
-	}
 	scen, err := scenario.Build(sp.Scenario, sp.Params)
 	if err != nil {
 		return nil, core.Config{}, err
-	}
-	if sp.Shards > 1 {
-		if err := scen.Surface.EnableSharding(sp.Shards); err != nil {
-			return nil, core.Config{}, err
-		}
 	}
 	cfg := scen.Config()
 	cfg.ParallelMoves = sp.K

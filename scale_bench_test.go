@@ -42,7 +42,9 @@ var (
 	largeErr  error
 )
 
-// largeSurface builds the ~2e6-module surface once per process.
+// largeSurface builds the ~2e6-module surface once per process, on one
+// full-width band: NewSurface would band it by width, and RebuildConn
+// times the one-band rebuild.
 func largeSurface() (*lattice.Surface, error) {
 	largeOnce.Do(func() {
 		surf, err := lattice.NewSurface(largeW, largeFillH+6)
@@ -54,15 +56,22 @@ func largeSurface() (*lattice.Surface, error) {
 			largeErr = err
 			return
 		}
+		if err := surf.EnableSharding(1); err != nil {
+			largeErr = err
+			return
+		}
+		if n := surf.ShardCount(); n != 1 {
+			largeErr = fmt.Errorf("large surface has %d bands, want 1", n)
+			return
+		}
 		largeSurf = surf
 	})
 	return largeSurf, largeErr
 }
 
 // BenchmarkLargeSurfaceRebuildConn measures one full connectivity rebuild
-// (component count + articulation bitset) over ~2e6 modules: the cost an
-// unsharded surface's single full-width band pays after an occupancy
-// mutation invalidates it.
+// (component count + articulation bitset) over ~2e6 modules: the cost a
+// single full-width band pays after an occupancy mutation invalidates it.
 func BenchmarkLargeSurfaceRebuildConn(b *testing.B) {
 	surf, err := largeSurface()
 	if err != nil {
@@ -123,12 +132,10 @@ func BenchmarkLargeSurfaceValidate(b *testing.B) {
 	}
 }
 
-// Sharded flatness fixtures: height and band width fixed, width (= band
-// count) grows. 750 cols ≈ 5e5 modules, 3000 ≈ 2e6, 12000 ≈ 8e6.
-const (
-	shardBenchH  = 667
-	shardBenchBW = 150
-)
+// Sharded flatness fixtures: height and band width (lattice.BandWidth)
+// fixed, width (= band count) grows. 750 cols ≈ 5e5 modules, 3000 ≈ 2e6,
+// 12000 ≈ 8e6.
+const shardBenchH = 667
 
 var shardScales = []struct {
 	label string
@@ -139,9 +146,9 @@ var shardScales = []struct {
 	{"8e6", 12000},
 }
 
-// shardBenchSurface fills cols x shardBenchH modules, shards the surface
-// into cols/shardBenchBW bands, and returns it warmed with a rider block
-// mid-band on the flat top.
+// shardBenchSurface fills cols x shardBenchH modules on a surface that
+// NewSurface lays out in cols/lattice.BandWidth bands, and returns it warmed
+// with a rider block mid-band on the flat top.
 func shardBenchSurface(b *testing.B, cols int) (*lattice.Surface, lattice.BlockID) {
 	b.Helper()
 	surf, err := lattice.NewSurface(cols, shardBenchH+6)
@@ -151,10 +158,10 @@ func shardBenchSurface(b *testing.B, cols int) (*lattice.Surface, lattice.BlockI
 	if _, err := surf.FillRect(geom.RectSpanning(geom.V(0, 0), geom.V(cols-1, shardBenchH-1))); err != nil {
 		b.Fatal(err)
 	}
-	if err := surf.EnableSharding(cols / shardBenchBW); err != nil {
-		b.Fatal(err)
+	if got := surf.ShardCount(); got != cols/lattice.BandWidth {
+		b.Fatalf("%d columns laid out in %d bands, want %d", cols, got, cols/lattice.BandWidth)
 	}
-	mid := (cols/shardBenchBW/2)*shardBenchBW + shardBenchBW/2
+	mid := (cols/lattice.BandWidth/2)*lattice.BandWidth + lattice.BandWidth/2
 	id, err := surf.Place(geom.V(mid, shardBenchH))
 	if err != nil {
 		b.Fatal(err)
@@ -172,7 +179,7 @@ func BenchmarkLargeSurfaceShardRebuild(b *testing.B) {
 		sc := sc
 		b.Run(sc.label, func(b *testing.B) {
 			surf, _ := shardBenchSurface(b, sc.cols)
-			probe := geom.V(shardBenchBW/4, shardBenchH)
+			probe := geom.V(lattice.BandWidth/4, shardBenchH)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				id, err := surf.Place(probe)
@@ -206,7 +213,7 @@ func BenchmarkLargeSurfaceShardValidate(b *testing.B) {
 				b.Fatalf("rider has no constrained applications (err=%v)", err)
 			}
 			app := apps[0]
-			probe := geom.V(shardBenchBW/4, shardBenchH)
+			probe := geom.V(lattice.BandWidth/4, shardBenchH)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
