@@ -56,7 +56,9 @@
 // metrics filled in (virtual ticks on the DES, wall-clock nanoseconds and
 // dispatched events on the runtime). Both backends implement the same
 // three-method Backend seam (Boot, Drive, Metrics); nothing outside their
-// own packages constructs sim.Engine or runtime.Engine directly.
+// own packages constructs sim.Engine or runtime.Engine directly. The model
+// delivers one message per event, as if each reception buffer of the
+// paper's memory organisation (§V-B, Fig. 8) were drained on arrival.
 //
 // A session streams structured events — round started, election decided,
 // motion applied, termination, message totals — to a core.Observer.

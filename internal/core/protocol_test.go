@@ -32,7 +32,7 @@ func TestElectionActivatesEveryBlock(t *testing.T) {
 
 // TestMessageConservation: the election protocol's message flow is
 // self-consistent — everything sent is delivered (transfer-at-send ports,
-// no buffer overflow in a healthy run).
+// no drops in a healthy run).
 func TestMessageConservation(t *testing.T) {
 	scs, err := scenario.TowerSweep([]int{12})
 	if err != nil {

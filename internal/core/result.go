@@ -25,8 +25,9 @@ type Result struct {
 	Applications int
 	// MessagesSent is the total block-to-block message count (Remark 3).
 	MessagesSent uint64
-	// MessagesDropped counts messages lost to buffer overflow (0 in a
-	// healthy run).
+	// MessagesDropped counts messages the backend never delivered: a
+	// receiver with no host on the DES, a full block event channel on the
+	// goroutine runtime (0 in a healthy run).
 	MessagesDropped uint64
 	// Counters is the algorithm-level metric snapshot (Remark 2 et al.).
 	Counters CounterValues

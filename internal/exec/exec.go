@@ -93,8 +93,8 @@ type Env interface {
 type BlockCode interface {
 	// OnStart runs once when the system boots, before any message flows.
 	OnStart(env Env)
-	// OnMessage runs for each message popped from the block's reception
-	// buffers (Fig. 8).
+	// OnMessage runs once for each message delivered to the block, as it
+	// arrives.
 	OnMessage(env Env, from lattice.BlockID, m msg.Message)
 	// OnMoved runs after the host block was physically displaced, whether
 	// as the initiating mover or as a carried helper.
@@ -127,8 +127,9 @@ type Metrics struct {
 	MessagesSent uint64
 	// MessagesDelivered counts messages handed to BlockCodes.
 	MessagesDelivered uint64
-	// MessagesDropped counts messages lost to buffer or channel overflow,
-	// or to a receiver that left the surface while the message was in flight.
+	// MessagesDropped counts messages never handed to a BlockCode: on the
+	// DES, a receiver with no host; on the goroutine runtime, a full event
+	// channel.
 	MessagesDropped uint64
 	// Events counts executed engine events: scheduler events on the DES,
 	// per-block dispatched events (start, message, moved, neighborhood) on

@@ -19,9 +19,6 @@ func RectSpanning(a, b Vec) Rect {
 	}
 }
 
-// NewRect returns the canonical rectangle with the given opposite corners.
-func NewRect(a, b Vec) Rect { return RectSpanning(a, b) }
-
 // Contains reports whether v lies inside r (bounds inclusive).
 func (r Rect) Contains(v Vec) bool {
 	return v.X >= r.Min.X && v.X <= r.Max.X && v.Y >= r.Min.Y && v.Y <= r.Max.Y

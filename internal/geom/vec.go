@@ -87,7 +87,7 @@ func abs(a int) int {
 // Dir is one of the four cardinal directions. Blocks have sensors,
 // electro-permanent magnet actuators and one communication port on each of
 // their four lateral sides (paper §II), so every per-side datum in the system
-// (neighbour tables, reception buffers, links) is indexed by Dir.
+// (neighbour tables, links) is indexed by Dir.
 type Dir int
 
 // The four sides of a block, in counter-clockwise order starting east.

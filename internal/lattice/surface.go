@@ -163,11 +163,6 @@ func (s *Surface) Width() int { return s.w }
 // Height returns the surface height H.
 func (s *Surface) Height() int { return s.h }
 
-// Bounds returns the surface extent as a rectangle.
-func (s *Surface) Bounds() geom.Rect {
-	return geom.Rect{Min: geom.V(0, 0), Max: geom.V(s.w-1, s.h-1)}
-}
-
 // InBounds reports whether v is a cell of the surface.
 func (s *Surface) InBounds(v geom.Vec) bool {
 	return v.X >= 0 && v.X < s.w && v.Y >= 0 && v.Y < s.h
@@ -338,9 +333,6 @@ func (s *Surface) rowBits(y, x0, size int) uint64 {
 	}
 	return bits
 }
-
-// Occ returns the occupancy predicate used by the rules engine.
-func (s *Surface) Occ() func(geom.Vec) bool { return s.Occupied }
 
 // BlockAt returns the block occupying v, if any.
 func (s *Surface) BlockAt(v geom.Vec) (BlockID, bool) {

@@ -1,7 +1,6 @@
 // Package msg defines the messages blocks exchange over their four lateral
-// communication ports and the per-side reception buffers of the paper's
-// memory organisation (§V-B, Figs. 8–9). The election messages follow the
-// paper's formats:
+// communication ports (§V-B). The election messages follow the paper's
+// formats:
 //
 //	Activate[Father, Son, O, ShortestDistance, IDshortest]
 //	Ack[Son, Father, ShortestDistance, IDshortest]

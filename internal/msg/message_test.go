@@ -185,86 +185,6 @@ func TestMessageStringPerType(t *testing.T) {
 	}
 }
 
-func TestBuffersPerSideFIFO(t *testing.T) {
-	b, err := NewBuffers(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(side geom.Dir, round uint32) Inbound {
-		return Inbound{From: 1, Side: side, Msg: Message{Type: TypeActivate, Round: round}}
-	}
-	// Two messages on the north side keep their order.
-	b.Push(mk(geom.North, 1))
-	b.Push(mk(geom.North, 2))
-	first, ok := b.Pop()
-	if !ok || first.Msg.Round != 1 {
-		t.Fatalf("first pop = %+v,%v", first, ok)
-	}
-	second, ok := b.Pop()
-	if !ok || second.Msg.Round != 2 {
-		t.Fatalf("second pop = %+v,%v", second, ok)
-	}
-	if _, ok := b.Pop(); ok {
-		t.Error("empty buffers must report false")
-	}
-}
-
-func TestBuffersRoundRobin(t *testing.T) {
-	b, _ := NewBuffers(8)
-	for i := 0; i < 3; i++ {
-		b.Push(Inbound{Side: geom.East, Msg: Message{Type: TypeAck, Round: uint32(100 + i)}})
-		b.Push(Inbound{Side: geom.West, Msg: Message{Type: TypeAck, Round: uint32(200 + i)}})
-	}
-	var sides []geom.Dir
-	for {
-		in, ok := b.Pop()
-		if !ok {
-			break
-		}
-		sides = append(sides, in.Side)
-	}
-	if len(sides) != 6 {
-		t.Fatalf("popped %d messages", len(sides))
-	}
-	// Round-robin service alternates between the two active sides.
-	for i := 1; i < len(sides); i++ {
-		if sides[i] == sides[i-1] {
-			t.Errorf("sides not alternating: %v", sides)
-			break
-		}
-	}
-}
-
-func TestBuffersOverflowDrops(t *testing.T) {
-	b, _ := NewBuffers(2)
-	in := Inbound{Side: geom.South, Msg: Message{Type: TypeAck}}
-	if !b.Push(in) || !b.Push(in) {
-		t.Fatal("first two pushes must succeed")
-	}
-	if b.Push(in) {
-		t.Error("third push must fail at capacity 2")
-	}
-	if b.Drops() != 1 {
-		t.Errorf("Drops = %d, want 1", b.Drops())
-	}
-	if b.Len() != 2 || b.LenSide(geom.South) != 2 {
-		t.Errorf("Len = %d, LenSide = %d", b.Len(), b.LenSide(geom.South))
-	}
-	// Invalid side is also a drop.
-	if b.Push(Inbound{Side: geom.Dir(9)}) {
-		t.Error("invalid side must be rejected")
-	}
-	if b.Drops() != 2 {
-		t.Errorf("Drops = %d, want 2", b.Drops())
-	}
-}
-
-func TestNewBuffersValidation(t *testing.T) {
-	if _, err := NewBuffers(0); err == nil {
-		t.Error("capacity 0 must be rejected")
-	}
-}
-
 // TestUnmarshalNeverPanics: arbitrary wire bytes either decode or return an
 // error; they never panic (a block cannot crash on a corrupted frame).
 func TestUnmarshalNeverPanics(t *testing.T) {

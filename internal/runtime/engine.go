@@ -1,10 +1,11 @@
 // Package runtime is the second execution engine: real asynchrony. Every
-// block runs as its own goroutine; lateral ports are channels feeding the
-// per-side reception buffers of Fig. 8; the shared surface is the physical
-// world, guarded by a lock the way physics guards atomicity. The same
-// BlockCode that runs on the deterministic DES (internal/sim) runs here
-// unchanged — goroutines and channels map directly to the paper's
-// per-module processes and finite-delay links (Assumption 3).
+// block runs as its own goroutine; lateral ports post into the receiver's
+// event channel, whose goroutine hands each message to OnMessage as it takes
+// it; the shared surface is the physical world, guarded by a lock the way
+// physics guards atomicity. The same BlockCode that runs on the
+// deterministic DES (internal/sim) runs here unchanged — goroutines and
+// channels map directly to the paper's per-module processes and
+// finite-delay links (Assumption 3).
 package runtime
 
 import (
@@ -32,9 +33,6 @@ type Config struct {
 	// ChannelCap is the capacity of each block's event channel (default
 	// 4096); overflowing events are dropped and counted.
 	ChannelCap int
-	// BufferCap is the per-side reception buffer capacity (Fig. 8);
-	// default msg.DefaultBufferCap.
-	BufferCap int
 	// Constraints are the physics checks applied to motions.
 	Constraints lattice.Constraints
 	// OnApply observes executed motions (called with the surface lock held;
@@ -57,7 +55,6 @@ const (
 type event struct {
 	kind         eventKind
 	from         lattice.BlockID
-	side         geom.Dir
 	m            msg.Message
 	mvFrom, mvTo geom.Vec
 }
@@ -96,7 +93,6 @@ type host struct {
 	id   lattice.BlockID
 	code exec.BlockCode
 	ch   chan event
-	bufs *msg.Buffers
 	rng  *rand.Rand
 }
 
@@ -107,9 +103,6 @@ func NewEngine(surf *lattice.Surface, lib *rules.Library, factory exec.CodeFacto
 	}
 	if cfg.ChannelCap <= 0 {
 		cfg.ChannelCap = 4096
-	}
-	if cfg.BufferCap <= 0 {
-		cfg.BufferCap = msg.DefaultBufferCap
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 60 * time.Second
@@ -124,16 +117,11 @@ func NewEngine(surf *lattice.Surface, lib *rules.Library, factory exec.CodeFacto
 		stop:   make(chan struct{}),
 	}
 	for _, id := range surf.Blocks() {
-		bufs, err := msg.NewBuffers(cfg.BufferCap)
-		if err != nil {
-			return nil, err
-		}
 		e.hosts[id] = &host{
 			eng:  e,
 			id:   id,
 			code: factory(id),
 			ch:   make(chan event, cfg.ChannelCap),
-			bufs: bufs,
 			rng:  rand.New(rand.NewSource(cfg.Seed ^ int64(id)*0x51d2fa7)),
 		}
 	}
@@ -187,8 +175,8 @@ func (e *Engine) Boot() error {
 // context cancellation, then stops every block goroutine and waits for them
 // to exit. A Move in flight always completes under the surface lock, so on
 // any exit path the surface is physically consistent (connected, fully
-// rolled back). Channels are never closed: late posts simply land in buffers
-// nobody drains.
+// rolled back). Channels are never closed: late posts simply stay in
+// channels nobody drains.
 func (e *Engine) Drive(ctx context.Context) error {
 	if !e.booted {
 		return fmt.Errorf("runtime: Drive before Boot")
@@ -244,7 +232,7 @@ func (e *Engine) MessagesSent() uint64 { return e.sent.Load() }
 // MessagesDelivered returns messages handed to BlockCodes.
 func (e *Engine) MessagesDelivered() uint64 { return e.delivered.Load() }
 
-// MessagesDropped returns events lost to channel or buffer overflow.
+// MessagesDropped returns events lost to a full event channel.
 func (e *Engine) MessagesDropped() uint64 { return e.dropped.Load() }
 
 // Surface exposes the shared surface; callers must not use it while Run is
@@ -264,18 +252,8 @@ func (h *host) loop() {
 			case evStart:
 				h.code.OnStart(h)
 			case evMessage:
-				if !h.bufs.Push(msg.Inbound{From: ev.from, Side: ev.side, Msg: ev.m}) {
-					h.eng.dropped.Add(1)
-					continue
-				}
-				for {
-					in, ok := h.bufs.Pop()
-					if !ok {
-						break
-					}
-					h.eng.delivered.Add(1)
-					h.code.OnMessage(h, in.From, in.Msg)
-				}
+				h.eng.delivered.Add(1)
+				h.code.OnMessage(h, ev.from, ev.m)
 			case evMoved:
 				h.code.OnMoved(h, ev.mvFrom, ev.mvTo)
 			case evNeighborhood:
@@ -333,8 +311,7 @@ func (h *host) Send(to lattice.BlockID, m msg.Message) error {
 	if !ok1 || !ok2 {
 		return fmt.Errorf("runtime: sender or receiver off-surface")
 	}
-	side, ok := geom.DirOf(pt, pf)
-	if !ok {
+	if _, ok := geom.DirOf(pt, pf); !ok {
 		return fmt.Errorf("runtime: blocks %d and %d are not adjacent", h.id, to)
 	}
 	target, ok := e.hosts[to]
@@ -342,7 +319,7 @@ func (h *host) Send(to lattice.BlockID, m msg.Message) error {
 		return fmt.Errorf("runtime: unknown block %d", to)
 	}
 	e.sent.Add(1)
-	target.post(event{kind: evMessage, from: h.id, side: side, m: m})
+	target.post(event{kind: evMessage, from: h.id, m: m})
 	return nil
 }
 

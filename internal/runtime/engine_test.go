@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/geom"
 	"repro/internal/lattice"
+	"repro/internal/msg"
 	"repro/internal/rules"
 	"repro/internal/runtime"
 	"repro/internal/scenario"
@@ -92,5 +94,64 @@ func TestAsyncMessageCountsPlausible(t *testing.T) {
 	}
 	if res.MessagesSent == 0 {
 		t.Error("no messages sent")
+	}
+}
+
+// TestBurstDeliveredWithoutDrops: a burst of sends from one neighbour goes
+// through the block goroutines' message path, and every message reaches
+// OnMessage in send order; none is dropped.
+func TestBurstDeliveredWithoutDrops(t *testing.T) {
+	surf, err := lattice.NewSurface(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []geom.Vec{geom.V(1, 1), geom.V(2, 1)} {
+		if _, err := surf.Place(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const burst = 8
+	var eng *runtime.Engine
+	var got []uint32 // written only by the receiver's goroutine
+	factory := func(lattice.BlockID) exec.BlockCode {
+		return exec.BlockCodeFuncs{
+			Start: func(e exec.Env) {
+				if e.Position() != geom.V(1, 1) {
+					return
+				}
+				nb := e.Neighbors()[geom.East]
+				for i := 0; i < burst; i++ {
+					if err := e.Send(nb, msg.Message{Type: msg.TypeAck, Round: uint32(i)}); err != nil {
+						t.Error(err)
+					}
+				}
+			},
+			Message: func(_ exec.Env, _ lattice.BlockID, m msg.Message) {
+				got = append(got, m.Round)
+				if len(got) == burst {
+					eng.Finish(true, 0)
+				}
+			},
+		}
+	}
+	eng, err = runtime.NewEngine(surf, rules.StandardLibrary(), factory, runtime.Config{
+		Input:   geom.V(1, 1),
+		Output:  geom.V(5, 5),
+		Timeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if eng.MessagesSent() != burst || eng.MessagesDelivered() != burst || eng.MessagesDropped() != 0 {
+		t.Errorf("sent %d, delivered %d, dropped %d; want %d, %d, 0",
+			eng.MessagesSent(), eng.MessagesDelivered(), eng.MessagesDropped(), burst, burst)
+	}
+	for i, r := range got {
+		if r != uint32(i) {
+			t.Fatalf("delivery order %v, want send order", got)
+		}
 	}
 }

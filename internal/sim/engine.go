@@ -22,9 +22,6 @@ type Config struct {
 	Seed int64
 	// Latency is the link latency model; nil defaults to FixedLatency(1000).
 	Latency LatencyModel
-	// BufferCap is the per-side reception buffer capacity; 0 defaults to
-	// msg.DefaultBufferCap.
-	BufferCap int
 	// Constraints are the physics-level checks applied to every motion
 	// (connectivity, frozen blocks, blocking veto); supplied by the
 	// algorithm layer.
@@ -79,7 +76,6 @@ type engEvent struct {
 	kind     evKind
 	h        *host // start / moved / neighborhood target
 	from, to lattice.BlockID
-	side     geom.Dir
 	m        msg.Message
 	vFrom    geom.Vec
 	vTo      geom.Vec
@@ -92,7 +88,7 @@ func (ev *engEvent) Fire() {
 	case evStart:
 		ev.h.code.OnStart(ev.h)
 	case evDeliver:
-		e.deliverTo(ev.from, ev.to, ev.side, ev.m)
+		e.deliverTo(ev.from, ev.to, ev.m)
 	case evMoved:
 		ev.h.code.OnMoved(ev.h, ev.vFrom, ev.vTo)
 	case evNeighborhood:
@@ -119,7 +115,6 @@ type host struct {
 	eng  *Engine
 	id   lattice.BlockID
 	code exec.BlockCode
-	bufs *msg.Buffers
 	rng  *rand.Rand
 }
 
@@ -131,9 +126,6 @@ func NewEngine(surf *lattice.Surface, lib *rules.Library, factory exec.CodeFacto
 	}
 	if cfg.Latency == nil {
 		cfg.Latency = FixedLatency(1000)
-	}
-	if cfg.BufferCap == 0 {
-		cfg.BufferCap = msg.DefaultBufferCap
 	}
 	e := &Engine{
 		sched:  NewScheduler(cfg.Seed),
@@ -150,15 +142,10 @@ func NewEngine(surf *lattice.Surface, lib *rules.Library, factory exec.CodeFacto
 		e.seen = make([]uint32, int(ids[len(ids)-1])+1)
 	}
 	for _, id := range ids {
-		bufs, err := msg.NewBuffers(cfg.BufferCap)
-		if err != nil {
-			return nil, err
-		}
 		e.hosts[id] = &host{
 			eng:  e,
 			id:   id,
 			code: factory(id),
-			bufs: bufs,
 			rng:  rand.New(rand.NewSource(cfg.Seed ^ int64(id)*0x7f4a7c15)),
 		}
 	}
@@ -228,8 +215,8 @@ func (e *Engine) MessagesSent() uint64 { return e.sent }
 // MessagesDelivered returns the number of messages handed to BlockCodes.
 func (e *Engine) MessagesDelivered() uint64 { return e.deliver }
 
-// MessagesDropped returns messages lost to buffer overflow or to the
-// receiver moving away while the message was in flight.
+// MessagesDropped returns messages whose receiver has no host on this
+// engine when they arrive.
 func (e *Engine) MessagesDropped() uint64 { return e.dropped }
 
 // --- exec.Env implementation -----------------------------------------------
@@ -257,13 +244,12 @@ func (h *host) Neighbors() [geom.NumDirs]lattice.BlockID {
 
 func (h *host) Send(to lattice.BlockID, m msg.Message) error {
 	e := h.eng
-	side, err := portBetween(e.surf, h.id, to)
-	if err != nil {
+	if err := portBetween(e.surf, h.id, to); err != nil {
 		return err
 	}
 	e.sent++
 	ev := e.newEvent(evDeliver)
-	ev.from, ev.to, ev.side, ev.m = h.id, to, side, m
+	ev.from, ev.to, ev.m = h.id, to, m
 	e.sched.Schedule(e.cfg.Latency.Delay(e.sched.Rand()), ev)
 	return nil
 }
@@ -273,43 +259,31 @@ func (h *host) Send(to lattice.BlockID, m msg.Message) error {
 // contact, and the configured latency models the receiver-side queueing and
 // processing delay. A message therefore survives the sender moving away
 // after the send (e.g. the elected block's SelectAck racing its own hop).
-func (e *Engine) deliverTo(from, to lattice.BlockID, side geom.Dir, m msg.Message) {
+// Each message is its own event and is handed to OnMessage as it lands.
+func (e *Engine) deliverTo(from, to lattice.BlockID, m msg.Message) {
 	h, ok := e.hosts[to]
 	if !ok {
 		e.dropped++
 		return
 	}
-	if !h.bufs.Push(msg.Inbound{From: from, Side: side, Msg: m}) {
-		e.dropped++
-		return
-	}
-	for {
-		in, ok := h.bufs.Pop()
-		if !ok {
-			return
-		}
-		e.deliver++
-		h.code.OnMessage(h, in.From, in.Msg)
-	}
+	e.deliver++
+	h.code.OnMessage(h, from, m)
 }
 
-// portBetween returns the side of `from` that faces `to`, or an error if
-// the blocks are not in lateral contact.
-func portBetween(surf *lattice.Surface, from, to lattice.BlockID) (geom.Dir, error) {
+// portBetween returns an error unless the blocks are in lateral contact.
+func portBetween(surf *lattice.Surface, from, to lattice.BlockID) error {
 	pf, ok := surf.PositionOf(from)
 	if !ok {
-		return 0, fmt.Errorf("sim: sender %d not on surface", from)
+		return fmt.Errorf("sim: sender %d not on surface", from)
 	}
 	pt, ok := surf.PositionOf(to)
 	if !ok {
-		return 0, fmt.Errorf("sim: receiver %d not on surface", to)
+		return fmt.Errorf("sim: receiver %d not on surface", to)
 	}
-	// The side of the receiver on which the message arrives.
-	d, ok := geom.DirOf(pt, pf)
-	if !ok {
-		return 0, fmt.Errorf("sim: blocks %d and %d are not adjacent", from, to)
+	if _, ok := geom.DirOf(pt, pf); !ok {
+		return fmt.Errorf("sim: blocks %d and %d are not adjacent", from, to)
 	}
-	return d, nil
+	return nil
 }
 
 func (h *host) Sense(v geom.Vec) bool {

@@ -13,7 +13,7 @@ import (
 
 // pingPong is a toy BlockCode: the block at the input cell sends a counter
 // to its east neighbour; each receiver bumps the counter and sends it back;
-// after N exchanges it stops. It exercises ports, buffers and determinism.
+// after N exchanges it stops. It exercises ports, delivery and determinism.
 type pingPong struct {
 	limit  int
 	gotMax uint32
@@ -279,36 +279,30 @@ func TestMoveRejectsNonMover(t *testing.T) {
 	}
 }
 
-// TestBufferOverflowDrops: a receiver whose per-side buffer is saturated
-// within one delivery instant drops the excess, and the engine counts it.
-func TestBufferOverflowDrops(t *testing.T) {
+// TestBurstDeliveredWithoutDrops: a burst of sends from one neighbour with
+// identical latency lands at one instant, and every message reaches
+// OnMessage in send order; none is dropped.
+func TestBurstDeliveredWithoutDrops(t *testing.T) {
 	surf := pairSurface(t)
-	// The sender fires a burst of messages with identical latency so they
-	// all land at the same instant; the receiver's handler re-buffers by
-	// never draining (we make OnMessage recurse into more sends? simpler:
-	// capacity 1 and two sends in one instant).
 	var sender exec.Env
+	var got []uint32
 	eng, err := NewEngine(surf, rules.StandardLibrary(), func(id lattice.BlockID) exec.BlockCode {
-		return exec.BlockCodeFuncs{Start: func(e exec.Env) {
-			if e.Position() == geom.V(1, 1) {
-				sender = e
-			}
-		}}
+		return exec.BlockCodeFuncs{
+			Start: func(e exec.Env) {
+				if e.Position() == geom.V(1, 1) {
+					sender = e
+				}
+			},
+			Message: func(_ exec.Env, _ lattice.BlockID, m msg.Message) { got = append(got, m.Round) },
+		}
 	}, Config{Input: geom.V(1, 1), Output: geom.V(5, 5), Seed: 1,
-		BufferCap: 1, Latency: FixedLatency(100)})
+		Latency: FixedLatency(100)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.Boot()
 	eng.Run(0)
 	nb := sender.Neighbors()[geom.East]
-	// Two sends, same latency, same delivery instant. The first is pushed
-	// and immediately drained (handler runs in the same event), so the
-	// second fits too: no drop. To saturate we need the push to happen
-	// while the buffer still holds the first: the drain loop empties it
-	// each event, so overflow requires capacity 0 < 1 messages in one
-	// event... the engine drains per delivery, making overflow impossible
-	// by construction. Assert exactly that: burst delivery never drops.
 	for i := 0; i < 8; i++ {
 		if err := sender.Send(nb, msg.Message{Type: msg.TypeAck, Round: uint32(i)}); err != nil {
 			t.Fatal(err)
@@ -316,10 +310,15 @@ func TestBufferOverflowDrops(t *testing.T) {
 	}
 	eng.Run(0)
 	if eng.MessagesDropped() != 0 {
-		t.Errorf("drops = %d; per-delivery draining should prevent overflow", eng.MessagesDropped())
+		t.Errorf("drops = %d, want 0", eng.MessagesDropped())
 	}
 	if eng.MessagesDelivered() != 8 {
 		t.Errorf("delivered = %d, want 8", eng.MessagesDelivered())
+	}
+	for i, r := range got {
+		if r != uint32(i) {
+			t.Fatalf("delivery order %v, want send order", got)
+		}
 	}
 }
 

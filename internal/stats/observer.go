@@ -156,17 +156,6 @@ func (s *SessionSummary) MovesPerRound() float64 {
 	return float64(s.MovesElected) / float64(s.Decided)
 }
 
-// MaxWave is the longest ordered conveyor wave any round admitted.
-func (s *SessionSummary) MaxWave() int {
-	max := 0
-	for l := range s.WaveHist {
-		if l > max {
-			max = l
-		}
-	}
-	return max
-}
-
 // String renders a one-line digest.
 func (s *SessionSummary) String() string {
 	return fmt.Sprintf("rounds=%d (escape %d, empty %d) motions=%d (carries %d) moves/round=%.2f msgs=%d done=%d/%d",
