@@ -92,7 +92,10 @@ type BlockCode struct {
 	// a still-connected ensemble. seenSelect dedups the flood per round.
 	selectRound uint32
 	seenSelect  bool
-	goMsg       msg.Message
+	// goMsg is the round's GO as this block sent or received it. Its
+	// candidate list is the Root's array, shared by every block (on the
+	// goroutine runtime, across goroutines), so it is only ever read.
+	goMsg msg.Message
 
 	// Deferred wave execution: a winner whose GO entry carries wave stamp
 	// s > 1 acknowledges the Root immediately but holds its hop until the
@@ -327,8 +330,8 @@ func (b *BlockCode) onAck(env exec.Env, from lattice.BlockID, m msg.Message) {
 	if err != nil {
 		return
 	}
-	if m.NumCands > 0 {
-		for _, c := range m.Cands[:m.NumCands] {
+	if len(m.Cands) > 0 {
+		for _, c := range m.Cands {
 			kept := b.agg.Fold(election.Candidate{
 				Distance: c.Distance,
 				Priority: election.PriorityFor(b.sh.cfg.TieBreak, m.Round, c.ID),
@@ -375,13 +378,12 @@ func (b *BlockCode) ackFather(env exec.Env) {
 		ShortestDistance: best.Distance, IDShortest: best.ID,
 	}
 	if b.sh.cfg.parallelK() > 1 {
-		n := b.agg.Len()
-		for i := 0; i < n; i++ {
+		m.Cands = make([]msg.Cand, b.agg.Len())
+		for i := range m.Cands {
 			c := b.agg.At(i)
 			m.Cands[i] = msg.Cand{ID: c.ID, Distance: c.Distance, Pos: c.Pos,
 				Cut: c.Cut, To: c.To, Fp: c.Fp}
 		}
-		m.NumCands = uint8(n)
 	}
 	_ = env.Send(b.father, m)
 	b.ds.Disengage()
@@ -448,7 +450,7 @@ func (b *BlockCode) onElectionComplete(env exec.Env) {
 	// reaches every block of an always-connected ensemble.
 	goMsg := msg.Message{
 		Type: msg.TypeSelect, Round: b.round, Tier: b.tier,
-		IDShortest: best.ID, NumCands: uint8(len(b.moveSet)),
+		IDShortest: best.ID, Cands: make([]msg.Cand, len(b.moveSet)),
 	}
 	for i, id := range b.moveSet {
 		// Each GO entry carries the winner's wave ordering stamp; executors
@@ -618,10 +620,10 @@ func (b *BlockCode) admitWinners(env exec.Env, dst []lattice.BlockID) []lattice.
 
 // onSelect handles the second election phase. A serial Select (no candidate
 // list) is routed down the father/son tree exactly as the paper specifies.
-// A batch GO (NumCands > 0) is a flood: forward once per round, and hop if
-// this block is in the move-set.
+// A batch GO (a non-empty candidate list) is a flood: forward once per round,
+// and hop if this block is in the move-set.
 func (b *BlockCode) onSelect(env exec.Env, from lattice.BlockID, m msg.Message) {
-	if m.NumCands > 0 {
+	if len(m.Cands) > 0 {
 		b.onGoFlood(env, from, m)
 		return
 	}
@@ -656,7 +658,7 @@ func (b *BlockCode) onGoFlood(env exec.Env, from lattice.BlockID, m msg.Message)
 	if m.Round != b.round {
 		return
 	}
-	for _, c := range m.Cands[:m.NumCands] {
+	for _, c := range m.Cands {
 		if c.ID != b.id {
 			continue
 		}
@@ -691,7 +693,7 @@ func (b *BlockCode) tryPendingHop(env exec.Env) {
 		return
 	}
 	m := b.goMsg
-	for _, c := range m.Cands[:m.NumCands] {
+	for _, c := range m.Cands {
 		if c.ID == b.id || c.Wave >= b.pendingHopStamp {
 			continue
 		}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/lattice"
@@ -89,10 +90,10 @@ const (
 
 // MaxBatch is the largest top-K candidate list an Ack can carry, and with it
 // the largest admissible core.Config.ParallelMoves width. The wire format is
-// variable-length (WireVersion 2 included): it carries only the NumCands
-// entries a message holds, and bounds that list at MaxBatch entries so
-// every message stays within MaxWireSize (Smart Blocks have small
-// memories).
+// variable-length (WireVersion 2 included): it carries only the
+// len(Message.Cands) entries a message holds, and bounds that list at
+// MaxBatch entries so every message stays within MaxWireSize (Smart Blocks
+// have small memories).
 const MaxBatch = 16
 
 // Footprint is the cell set a planned move writes, carried in a candidate's
@@ -209,12 +210,16 @@ type Message struct {
 	ShortestDistance int32           // current best distance to O
 	IDShortest       lattice.BlockID // block achieving ShortestDistance
 
-	// Top-K candidate list (Ack, parallel-moves runs): the subtree's best
-	// NumCands candidates in election order. NumCands 0 means a neutral or
-	// serial-protocol ack; the legacy ShortestDistance/IDShortest pair always
-	// mirrors Cands[0] when NumCands > 0.
-	NumCands uint8
-	Cands    [MaxBatch]Cand
+	// Top-K candidate list (Ack and batch GO, parallel-moves runs): exactly
+	// the entries carried, in election order, at most MaxBatch of them. It
+	// is nil for every other message; an empty list means a neutral or
+	// serial-protocol ack, and the legacy ShortestDistance/IDShortest pair
+	// always mirrors Cands[0] when the list is not empty. A list is never
+	// written after it is sent: copies of a message share its backing
+	// array, and blocks retain and re-send the GO flood they received, so
+	// one array is read by many blocks (and, on the goroutine runtime, by
+	// many goroutines).
+	Cands []Cand
 
 	// Flood fields (MoveDone/Finished).
 	Mover    lattice.BlockID // block that moved (MoveDone)
@@ -229,9 +234,9 @@ func (m Message) String() string {
 		return fmt.Sprintf("Activate[r%d %d->%d O=%s d=%s id=%d]",
 			m.Round, m.Father, m.Son, m.Output, distString(m.ShortestDistance), m.IDShortest)
 	case TypeAck:
-		if m.NumCands > 0 {
+		if len(m.Cands) > 0 {
 			return fmt.Sprintf("Ack[r%d %d->%d d=%s id=%d cands=%d]",
-				m.Round, m.Son, m.Father, distString(m.ShortestDistance), m.IDShortest, m.NumCands)
+				m.Round, m.Son, m.Father, distString(m.ShortestDistance), m.IDShortest, len(m.Cands))
 		}
 		return fmt.Sprintf("Ack[r%d %d->%d d=%s id=%d]",
 			m.Round, m.Son, m.Father, distString(m.ShortestDistance), m.IDShortest)
@@ -248,6 +253,16 @@ func (m Message) String() string {
 	return fmt.Sprintf("Message{%v}", m.Type)
 }
 
+// Equal reports whether m and o carry the same header fields and the same
+// candidate list. A nil list equals an empty one: neither is on the wire.
+func (m Message) Equal(o Message) bool {
+	return m.Type == o.Type && m.Round == o.Round && m.Tier == o.Tier &&
+		m.Father == o.Father && m.Son == o.Son && m.Output == o.Output &&
+		m.ShortestDistance == o.ShortestDistance && m.IDShortest == o.IDShortest &&
+		m.Mover == o.Mover && m.From == o.From && m.To == o.To &&
+		m.Success == o.Success && slices.Equal(m.Cands, o.Cands)
+}
+
 func distString(d int32) string {
 	if d == InfiniteDistance {
 		return "inf"
@@ -256,7 +271,7 @@ func distString(d int32) string {
 }
 
 // BaseWireSize is the encoded size of a Message carrying no candidate list:
-// the fixed 44-byte header of the serial protocol plus the NumCands count
+// the fixed 44-byte header of the serial protocol plus the candidate count
 // byte. Each candidate entry adds CandWireSize bytes.
 const (
 	BaseWireSize = 45
@@ -272,16 +287,17 @@ const (
 
 // WireSize returns the encoded size of m in bytes: the base header plus the
 // candidate list actually carried. Every message is bounded by MaxWireSize.
-func (m Message) WireSize() int { return BaseWireSize + int(m.NumCands)*CandWireSize }
+func (m Message) WireSize() int { return BaseWireSize + len(m.Cands)*CandWireSize }
 
 // MarshalBinary encodes m into the variable-length wire format: the 44-byte
-// serial header, the candidate count, then NumCands packed candidate entries.
+// serial header, the candidate count, then len(m.Cands) packed candidate
+// entries.
 func (m Message) MarshalBinary() ([]byte, error) {
 	if !m.Type.Valid() {
 		return nil, fmt.Errorf("msg: cannot marshal invalid type %d", m.Type)
 	}
-	if int(m.NumCands) > MaxBatch {
-		return nil, fmt.Errorf("msg: candidate list of %d exceeds MaxBatch %d", m.NumCands, MaxBatch)
+	if len(m.Cands) > MaxBatch {
+		return nil, fmt.Errorf("msg: candidate list of %d exceeds MaxBatch %d", len(m.Cands), MaxBatch)
 	}
 	b := make([]byte, m.WireSize())
 	b[0] = byte(m.Type)
@@ -299,9 +315,8 @@ func (m Message) MarshalBinary() ([]byte, error) {
 	binary.LittleEndian.PutUint32(b[32:], uint32(m.Mover))
 	putVec(b[36:], m.From)
 	putVec(b[40:], m.To)
-	b[44] = m.NumCands
-	for i := 0; i < int(m.NumCands); i++ {
-		c := m.Cands[i]
+	b[44] = uint8(len(m.Cands))
+	for i, c := range m.Cands {
 		off := BaseWireSize + i*CandWireSize
 		binary.LittleEndian.PutUint32(b[off:], uint32(c.ID))
 		binary.LittleEndian.PutUint32(b[off+4:], uint32(c.Distance))
@@ -318,7 +333,9 @@ func (m Message) MarshalBinary() ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalBinary decodes the wire format.
+// UnmarshalBinary decodes the wire format. The candidate list is allocated
+// only when the frame carries one, so a frame without candidates decodes to
+// a nil list.
 func (m *Message) UnmarshalBinary(data []byte) error {
 	if len(data) < BaseWireSize {
 		return fmt.Errorf("msg: wire size %d below the %d-byte base", len(data), BaseWireSize)
@@ -350,8 +367,10 @@ func (m *Message) UnmarshalBinary(data []byte) error {
 	m.Mover = lattice.BlockID(binary.LittleEndian.Uint32(data[32:]))
 	m.From = getVec(data[36:])
 	m.To = getVec(data[40:])
-	m.NumCands = uint8(n)
-	for i := 0; i < n; i++ {
+	if n > 0 {
+		m.Cands = make([]Cand, n)
+	}
+	for i := range m.Cands {
 		off := BaseWireSize + i*CandWireSize
 		m.Cands[i] = Cand{
 			ID:       lattice.BlockID(binary.LittleEndian.Uint32(data[off:])),

@@ -2,9 +2,11 @@ package msg
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/lattice"
@@ -32,8 +34,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 		{
 			Type: TypeAck, Round: 4, Father: 2, Son: 9,
 			ShortestDistance: 3, IDShortest: 9,
-			NumCands: 2,
-			Cands: [MaxBatch]Cand{
+			Cands: []Cand{
 				{ID: 9, Distance: 3, Pos: geom.V(4, 5)},
 				{ID: 11, Distance: 4, Pos: geom.V(9, 1), Cut: true},
 			},
@@ -41,8 +42,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 		{
 			Type: TypeAck, Round: 6, Father: 1, Son: 3,
 			ShortestDistance: 2, IDShortest: 3,
-			NumCands: 1,
-			Cands: [MaxBatch]Cand{
+			Cands: []Cand{
 				{ID: 3, Distance: 2, Pos: geom.V(4, 5), To: geom.V(5, 5), Wave: 2,
 					Fp: Footprint{Anchor: geom.V(4, 5), Radius: 1, Write: 0x28}},
 			},
@@ -63,7 +63,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 		if err := back.UnmarshalBinary(data); err != nil {
 			t.Fatalf("%v: unmarshal: %v", m, err)
 		}
-		if back != m {
+		if !back.Equal(m) {
 			t.Errorf("round trip changed message:\n got %+v\nwant %+v", back, m)
 		}
 	}
@@ -86,8 +86,8 @@ func TestMarshalRoundTripProperty(t *testing.T) {
 			To:               geom.V(rng.Intn(4000)-2000, rng.Intn(4000)-2000),
 			Success:          rng.Intn(2) == 1,
 		}
-		m.NumCands = uint8(rng.Intn(MaxBatch + 1))
-		for i := 0; i < int(m.NumCands); i++ {
+		m.Cands = make([]Cand, rng.Intn(MaxBatch+1))
+		for i := range m.Cands {
 			m.Cands[i] = Cand{
 				ID:       lattice.BlockID(rng.Int31()),
 				Distance: rng.Int31(),
@@ -110,7 +110,7 @@ func TestMarshalRoundTripProperty(t *testing.T) {
 		if err := back.UnmarshalBinary(data); err != nil {
 			return false
 		}
-		return back == m
+		return back.Equal(m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -145,9 +145,95 @@ func TestMarshalErrors(t *testing.T) {
 	if err := m.UnmarshalBinary(staleVer); err == nil {
 		t.Error("foreign wire version must fail")
 	}
-	over := Message{Type: TypeAck, NumCands: MaxBatch + 1}
+	over := Message{Type: TypeAck, Cands: make([]Cand, MaxBatch+1)}
 	if _, err := over.MarshalBinary(); err == nil {
 		t.Error("candidate count beyond MaxBatch must not marshal")
+	}
+}
+
+// TestMessageSize pins the in-memory size of a Message: every Send,
+// scheduled event and delivery copies one, so the candidate list lives
+// behind a slice header instead of inline.
+func TestMessageSize(t *testing.T) {
+	if got := unsafe.Sizeof(Message{}); got > 128 {
+		t.Errorf("unsafe.Sizeof(Message{}) = %d bytes, want <= 128", got)
+	}
+}
+
+func TestMessageEqual(t *testing.T) {
+	base := Message{
+		Type: TypeAck, Round: 4, Tier: TierRetreat,
+		Father: 2, Son: 9, Output: geom.V(1, 2),
+		ShortestDistance: 3, IDShortest: 9,
+		Cands: []Cand{{ID: 9, Distance: 3, Pos: geom.V(4, 5)}, {ID: 11, Distance: 4}},
+		Mover: 5, From: geom.V(3, 4), To: geom.V(3, 5), Success: true,
+	}
+	if !base.Equal(base) {
+		t.Fatal("a message must equal itself")
+	}
+	twin := base
+	twin.Cands = append([]Cand(nil), base.Cands...)
+	if !base.Equal(twin) {
+		t.Error("equal lists in different arrays must compare equal")
+	}
+	cases := []struct {
+		name string
+		edit func(*Message)
+	}{
+		{"Type", func(m *Message) { m.Type = TypeSelect }},
+		{"Round", func(m *Message) { m.Round++ }},
+		{"Tier", func(m *Message) { m.Tier = TierDesperate }},
+		{"Father", func(m *Message) { m.Father++ }},
+		{"Son", func(m *Message) { m.Son++ }},
+		{"Output", func(m *Message) { m.Output.X++ }},
+		{"ShortestDistance", func(m *Message) { m.ShortestDistance++ }},
+		{"IDShortest", func(m *Message) { m.IDShortest++ }},
+		{"Mover", func(m *Message) { m.Mover++ }},
+		{"From", func(m *Message) { m.From.Y++ }},
+		{"To", func(m *Message) { m.To.X++ }},
+		{"Success", func(m *Message) { m.Success = false }},
+		{"Cands entry", func(m *Message) {
+			m.Cands = append([]Cand(nil), m.Cands...)
+			m.Cands[1].Wave = 1
+		}},
+		{"Cands length", func(m *Message) { m.Cands = m.Cands[:1] }},
+		{"Cands nil", func(m *Message) { m.Cands = nil }},
+	}
+	for _, c := range cases {
+		m := base
+		c.edit(&m)
+		if base.Equal(m) || m.Equal(base) {
+			t.Errorf("%s differs, yet Equal reports true", c.name)
+		}
+	}
+	// Equal names its fields by hand, so every field of Message needs a
+	// case above: a new field fails here until it has one, and the case
+	// fails until Equal compares the field.
+	covered := map[string]bool{}
+	for _, c := range cases {
+		covered[strings.Fields(c.name)[0]] = true
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Message{})) {
+		if !covered[f.Name] {
+			t.Errorf("Message.%s has no case here; does Equal compare it?", f.Name)
+		}
+	}
+	// The decoder returns a nil list for a frame without candidates, so a
+	// nil list must equal an empty one.
+	empty := Message{Type: TypeAck, Cands: []Cand{}}
+	data, err := empty.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Message
+	if err := back.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if back.Cands != nil {
+		t.Errorf("decoded a %d-entry non-nil list from a frame without candidates", len(back.Cands))
+	}
+	if !back.Equal(empty) || !empty.Equal(back) {
+		t.Error("a nil list must equal an empty list")
 	}
 }
 

@@ -283,7 +283,15 @@ func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, class int
 // too (429 or 503) and may retry. A client disconnect detaches that client
 // alone; the run is cancelled only when the last one leaves.
 func (s *Server) respondFlight(w http.ResponseWriter, r *http.Request, f *flight, class int, mode string, req *runReq) {
-	defer f.detach()
+	left := false // the client disconnected before the outcome
+	defer func() {
+		f.detach()
+		// Counted after the detach, so once a cancellation shows in the
+		// metrics, a private run's context is already cancelled.
+		if left {
+			s.metrics.recordDone(class, outcomeCanceled)
+		}
+	}()
 	var wake chan struct{} // nil under ?stream=none: only the outcome matters
 	if mode != "none" {
 		var id int
@@ -311,7 +319,7 @@ func (s *Server) respondFlight(w http.ResponseWriter, r *http.Request, f *flight
 		case <-wake:
 		case <-f.doneCh:
 		case <-r.Context().Done():
-			s.metrics.recordDone(class, outcomeCanceled)
+			left = true
 			return
 		}
 	}

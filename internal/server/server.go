@@ -145,6 +145,11 @@ type Server struct {
 
 	peerClient *http.Client // peering probes; short-lived, bounded by PeerTimeout
 
+	// observe, when non-nil, sees each run's events after the flight and
+	// the metrics have. It is nil in production; tests use it to hold a run
+	// at an event.
+	observe core.Observer
+
 	pending [numClasses]atomic.Int64 // admitted, outcome not yet delivered
 	// drainMu orders admissions against Shutdown: submit checks draining
 	// and adds to inflight under it, Shutdown sets draining under it, so
@@ -217,7 +222,7 @@ func (s *Server) execute(r *runReq) {
 	}
 	r.tRunStart = time.Now()
 	res, err := core.NewEngine(s.lib, core.WithSeed(seed),
-		core.WithObserver(core.MultiObserver(r.flight, s.metrics))).
+		core.WithObserver(core.MultiObserver(r.flight, s.metrics, s.observe))).
 		Run(r.flight.ctx, r.scen.Surface, r.cfg)
 	r.tRunEnd = time.Now()
 	out := runOutcome{res: res, err: err}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/scenario"
 )
 
@@ -349,7 +350,10 @@ func TestServerMetricsEndpoint(t *testing.T) {
 // cacheable path the identical specs share one run, which goes on for the
 // clients still attached. Under ?cache=bypass every client owns its run,
 // so a disconnect aborts that client's run and nothing else: exactly the
-// three survivors' runs succeed on the engine.
+// three survivors' runs succeed on the engine. Every run is held at its
+// first event until the three disconnects are recorded, so a leaving
+// client's run is still in the engine when its disconnect lands (a run
+// that finished first would rightly count as a completion).
 func TestServerCancellationUnderLoad(t *testing.T) {
 	for _, tc := range []struct {
 		name, path string
@@ -360,6 +364,11 @@ func TestServerCancellationUnderLoad(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, ts := testServer(t, Config{})
+			// Slope top=12 takes about 71,500 events, so a released run
+			// that was cancelled meets the DES's next context check (one
+			// every 4,096 events) long before it could finish.
+			release := make(chan struct{})
+			s.observe = core.ObserverFunc(func(core.Event) { <-release })
 			const n = 6
 			spec, _ := json.Marshal(RunSpec{Scenario: "slope", Params: scenario.Params{"top": 12}})
 
@@ -415,6 +424,14 @@ func TestServerCancellationUnderLoad(t *testing.T) {
 					}
 				}(i)
 			}
+			// A cancellation is counted only after its client detached, so
+			// once all three show, each leaving client's private run already
+			// has its context cancelled.
+			deadline := time.Now().Add(10 * time.Second)
+			for s.Metrics().Snapshot().Canceled < n/2 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
 			wg.Wait()
 			for i, err := range errs {
 				if err != nil {
@@ -424,7 +441,7 @@ func TestServerCancellationUnderLoad(t *testing.T) {
 
 			// The aborted runs must release their admission slots and be
 			// recorded as cancellations, not completions.
-			deadline := time.Now().Add(10 * time.Second)
+			deadline = time.Now().Add(10 * time.Second)
 			for totalPending(s) != 0 && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}

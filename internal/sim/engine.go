@@ -94,6 +94,8 @@ func (ev *engEvent) Fire() {
 	case evNeighborhood:
 		ev.h.code.OnNeighborhoodChanged(ev.h)
 	}
+	// Clear the target and message, so a pooled event keeps neither a host
+	// nor a candidate list reachable.
 	ev.h = nil
 	ev.m = msg.Message{}
 	e.pool = append(e.pool, ev)
