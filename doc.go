@@ -45,7 +45,7 @@
 // functional options hold the engine-wide choices: the backend (core.DES,
 // the deterministic discrete-event simulator, or core.Async, the goroutine
 // runtime), the seed, the DES latency model, the async wall-clock bound, a
-// fault-injection factory wrap, an Observer and the RunBatch worker count.
+// fault-injection factory wrap and an Observer.
 // A run's own settings have one home each: the batch width K and the
 // election budget live in core.Config (ParallelMoves, MaxRounds), and the
 // surface picks its band layout from its width (lattice.BandWidth), so no
@@ -65,15 +65,14 @@
 // trace.Recorder records storyboards from the stream, stats.SessionSummary
 // aggregates it, faults.Monitor watches fault studies through it, and
 // convey.Builder bridges a successful session straight into the
-// part-conveying phase. Delivery is serialised by the session, so observers
-// need no locking even on the goroutine backend.
+// part-conveying phase. Delivery is serialised by the engine, so observers
+// need no locking even on the goroutine backend or across concurrent Run
+// calls on one engine.
 //
-// Engine.RunBatch(ctx, instances) fans independent scenarios across a
-// worker pool (WithWorkers), reusing per-worker scratch and delivering
-// each instance's events contiguously with Event.Instance stamped; results
-// come back in input order with per-instance seeds honoured, so sweeps are
-// reproducible regardless of placement. The legacy core.Run/core.RunAsync
-// shims are gone; the session API is the only entry point.
+// Engine.Run is the only entry point. An Engine is safe for concurrent
+// use, and a DES run is a pure function of its surface, Config and seed,
+// so a sweep is one Run per scenario, serial or each on a goroutine of its
+// own (BenchmarkLargeSurfaceBatch runs 16, GOMAXPROCS at a time).
 //
 // # Parallel moves: batch election rounds
 //
@@ -288,13 +287,14 @@
 // refused deterministic run provably never started, so the gateway
 // retries it on the ring successor and a scale-down loses zero requests
 // — gate_drain_zero_loss in BENCH_N.json
-// gates completed at 100%, and gate_affinity_hot gates the
-// affinity-routed fleet at >= 2.5x a single capacity-constrained
-// replica's throughput. The gateway's /metrics merges replica phase
-// histograms bucket-wise exactly (the fixed bucket layout makes fleet
-// p50/p95 well-defined) alongside per-replica routing state, as JSON or
-// Prometheus; cmd/sbload -targets spreads the same closed-loop load
-// round-robin over bare replicas for the affinity-blind baseline.
+// gates completed at 100%, and gate_affinity_hot gates that the
+// affinity-routed fleet answers every request of a working set from cache
+// where a single replica with the same cache budget misses. The gateway's
+// /metrics merges replica phase histograms bucket-wise exactly (the fixed
+// bucket layout makes fleet p50/p95 well-defined) alongside per-replica
+// routing state, as JSON or Prometheus; cmd/sbload -targets spreads the
+// same closed-loop load round-robin over bare replicas for the
+// affinity-blind baseline.
 // cmd/sbgate/README.md has a two-replica quickstart.
 //
 // Start with examples/quickstart, or run:

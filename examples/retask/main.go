@@ -5,11 +5,7 @@
 // shift" and the "afternoon shift" — and reports the cost of each
 // deployment.
 //
-// The two deployments are independent instances of one session engine, so
-// they go through Engine.RunBatch: the worker pool runs them concurrently,
-// results come back in input order, and each instance's observer events
-// (were an Observer attached) would arrive contiguously with the instance
-// index stamped.
+// One session engine serves both deployments, one Engine.Run each.
 //
 // (Rebuilding directly from a finished column is deliberately not shown:
 // a bare 1-wide column is exactly the blocking shape Remark 1 warns about —
@@ -30,7 +26,7 @@ import (
 
 func main() {
 	// One session engine serves every deployment of the day.
-	eng := core.NewEngine(rules.StandardLibrary(), core.WithSeed(1), core.WithWorkers(2))
+	eng := core.NewEngine(rules.StandardLibrary(), core.WithSeed(1))
 
 	shifts := []struct {
 		name string
@@ -42,35 +38,24 @@ func main() {
 		{"afternoon shift", 10},
 	}
 
-	// The same 12-block staircase blob each time, as its own instance.
-	scs := make([]*scenario.Scenario, len(shifts))
-	insts := make([]core.Instance, len(shifts))
-	for i, sh := range shifts {
+	for _, sh := range shifts {
+		// The same 12-block staircase blob each time.
 		s, err := scenario.Staircase("blob", []int{5, 5, 2}, sh.rise)
 		if err != nil {
 			log.Fatal(err)
 		}
-		scs[i] = s
-		insts[i] = core.Instance{Name: sh.name, Surface: s.Surface, Config: s.Config()}
-	}
-
-	results, err := eng.RunBatch(context.Background(), insts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i, br := range results {
-		s := scs[i]
+		res, err := eng.Run(context.Background(), s.Surface, s.Config())
 		fmt.Printf("=== %s: output at %s (%d cells above the input) ===\n",
-			br.Name, s.Output, shifts[i].rise)
-		if br.Err != nil {
-			log.Fatalf("%s deployment failed: %v", br.Name, br.Err)
+			sh.name, s.Output, sh.rise)
+		if err != nil {
+			log.Fatalf("%s deployment failed: %v", sh.name, err)
 		}
-		if !br.Result.Success {
-			log.Fatalf("%s deployment failed: %v", br.Name, br.Result)
+		if !res.Success {
+			log.Fatalf("%s deployment failed: %v", sh.name, res)
 		}
 		fmt.Println(trace.Render(s.Surface, s.Input, s.Output))
 		fmt.Printf("deployed with %d elections and %d block moves\n\n",
-			br.Result.Rounds, br.Result.Hops)
+			res.Rounds, res.Hops)
 	}
 
 	fmt.Println("the same blocks served both layouts; a monolithic conveyor would have")

@@ -129,8 +129,7 @@ func (c Config) parallelK() int {
 
 // WithRunDefaults fills the instance-dependent defaults on top of
 // WithDefaults: the MaxRounds election cap derived from the instance size.
-// Engine.Run (single sessions and RunBatch instances alike) funnels every
-// run through this one derivation.
+// Engine.Run funnels every run through this one derivation.
 func (c Config) WithRunDefaults(surf *lattice.Surface) Config {
 	c = c.WithDefaults()
 	if c.MaxRounds == 0 {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	gorun "runtime"
 	"sync"
 	"time"
 
@@ -85,7 +84,6 @@ type options struct {
 	timeout  time.Duration
 	wrap     func(exec.CodeFactory) exec.CodeFactory
 	observer Observer
-	workers  int
 }
 
 // Option tunes an Engine at construction. Options hold engine-wide
@@ -119,17 +117,14 @@ func WithFaultWrap(w func(exec.CodeFactory) exec.CodeFactory) Option {
 // WithObserver attaches the structured event stream consumer: round starts,
 // election outcomes, applied motions, termination, message totals. The
 // session serialises delivery, so the observer needs no internal locking
-// even under the Async backend or RunBatch.
+// even under the Async backend or concurrent Run calls.
 func WithObserver(obs Observer) Option { return func(o *options) { o.observer = obs } }
 
-// WithWorkers sets the RunBatch worker-pool size (default GOMAXPROCS).
-func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
-
 // Engine is the unified session layer over the execution backends: one
-// construction, any number of Run/RunBatch sessions. The Engine is
-// immutable after NewEngine and safe for concurrent use; each session owns
-// its surface, and event delivery to the engine's observer is serialised
-// across sessions (obsMu), so the observer needs no locking of its own.
+// construction, any number of Run sessions. The Engine is immutable after
+// NewEngine and safe for concurrent use; each session owns its surface,
+// and event delivery to the engine's observer is serialised across
+// concurrent sessions (obsMu), so the observer needs no locking of its own.
 type Engine struct {
 	lib   *rules.Library
 	opts  options
@@ -190,12 +185,6 @@ func (r *sessionRecorder) snapshot() (fired, success bool, rounds int) {
 // backends only stop between events. The returned Result carries the full
 // metric set of the run, including the backend's virtual-time/event totals.
 func (e *Engine) Run(ctx context.Context, surf *lattice.Surface, cfg Config) (Result, error) {
-	return e.runInstance(ctx, surf, cfg, 0, newEmitter(e.opts.observer, -1, &e.obsMu))
-}
-
-// runInstance is the shared session core behind Run and RunBatch.
-func (e *Engine) runInstance(ctx context.Context, surf *lattice.Surface, cfg Config,
-	seedOverride int64, em *emitter) (Result, error) {
 	if e == nil || e.lib == nil {
 		return Result{}, fmt.Errorf("core: engine requires a rule library")
 	}
@@ -206,15 +195,12 @@ func (e *Engine) runInstance(ctx context.Context, surf *lattice.Surface, cfg Con
 		return Result{}, err
 	}
 	cfg = cfg.WithRunDefaults(surf)
-
-	seed := seedOverride
-	if seed == 0 {
-		seed = e.opts.seed
-	}
+	seed := e.opts.seed
 	if seed == 0 {
 		seed = 1
 	}
 
+	em := newEmitter(e.opts.observer, &e.obsMu)
 	rec := &sessionRecorder{}
 	constraints := BuildConstraints(cfg, surf, e.lib)
 	// Build the connectivity cache at boot: the first constrained Validate
@@ -284,122 +270,4 @@ func (e *Engine) runInstance(ctx context.Context, surf *lattice.Surface, cfg Con
 		return res, fmt.Errorf("core: simulation quiesced without termination report (%d events)", m.Events)
 	}
 	return res, nil
-}
-
-// Instance is one scenario of a batch: a surface plus its algorithm config.
-type Instance struct {
-	// Name labels the instance in results (optional).
-	Name string
-	// Surface is the instance's own surface; instances must not share one.
-	Surface *lattice.Surface
-	// Config is the algorithm configuration (I, O, knobs).
-	Config Config
-	// Seed overrides the engine seed for this instance (0 = engine seed),
-	// so a sweep can vary seeds without rebuilding engines.
-	Seed int64
-}
-
-// BatchResult is one instance's outcome within a RunBatch.
-type BatchResult struct {
-	// Instance is the index into the submitted slice.
-	Instance int
-	// Name echoes the instance label.
-	Name string
-	// Result is the run's metric set (partially filled when Err is set).
-	Result Result
-	// Err is the instance's failure, nil on success. An instance never
-	// started because the context was cancelled carries the context error.
-	Err error
-}
-
-// RunBatch runs independent instances across a worker pool (WithWorkers,
-// default GOMAXPROCS) and returns one entry per instance, in input order.
-// Each worker reuses its scratch across the instances it runs — most
-// importantly the observer event buffer: events of one instance are
-// buffered and flushed to the engine observer contiguously with
-// Event.Instance stamped, so batch consumers never see interleaved streams.
-// Cancelling the context stops handing out new instances and cancels the
-// in-flight runs; RunBatch then returns the context error alongside the
-// per-instance outcomes.
-func (e *Engine) RunBatch(ctx context.Context, insts []Instance) ([]BatchResult, error) {
-	out := make([]BatchResult, len(insts))
-	if len(insts) == 0 {
-		return out, ctx.Err()
-	}
-	workers := e.opts.workers
-	if workers <= 0 {
-		workers = gorun.GOMAXPROCS(0)
-	}
-	if workers > len(insts) {
-		workers = len(insts)
-	}
-
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var scratch batchScratch
-			for i := range idx {
-				ins := insts[i]
-				// Buffer engine-observer events into the worker's private
-				// scratch (own lock — only this instance's backend goroutines
-				// contend), then flush under the engine-wide observer lock so
-				// streams of different instances never interleave.
-				var em *emitter
-				if e.opts.observer != nil {
-					em = newEmitter(scratch.observer(), i, nil)
-				}
-				res, err := e.runInstance(ctx, ins.Surface, ins.Config, ins.Seed, em)
-				out[i] = BatchResult{Instance: i, Name: ins.Name, Result: res, Err: err}
-				if e.opts.observer != nil {
-					e.obsMu.Lock()
-					scratch.flushTo(e.opts.observer)
-					e.obsMu.Unlock()
-				}
-			}
-		}()
-	}
-
-	assigned := make([]bool, len(insts))
-feed:
-	for i := range insts {
-		select {
-		case idx <- i:
-			assigned[i] = true
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-
-	for i := range insts {
-		if !assigned[i] {
-			out[i] = BatchResult{Instance: i, Name: insts[i].Name, Err: ctx.Err()}
-		}
-	}
-	return out, ctx.Err()
-}
-
-// batchScratch is the per-worker reusable state of RunBatch: the observer
-// event buffer grows to the largest instance once and is reused for every
-// subsequent instance the worker picks up.
-type batchScratch struct {
-	buf []Event
-}
-
-// observer returns a buffering Observer writing into the scratch.
-func (s *batchScratch) observer() Observer {
-	s.buf = s.buf[:0]
-	return ObserverFunc(func(ev Event) { s.buf = append(s.buf, ev) })
-}
-
-// flushTo delivers the buffered events and resets the buffer.
-func (s *batchScratch) flushTo(obs Observer) {
-	for _, ev := range s.buf {
-		obs.OnEvent(ev)
-	}
-	s.buf = s.buf[:0]
 }

@@ -253,9 +253,6 @@ func TestEngineObserverStream(t *testing.T) {
 			case core.EventMessageStats:
 				stats++
 			}
-			if ev.Instance != -1 {
-				t.Errorf("single-run event stamped with instance %d, want -1", ev.Instance)
-			}
 		})))
 	res, err := eng.Run(context.Background(), s.Surface, s.Config())
 	if err != nil {
@@ -275,141 +272,6 @@ func TestEngineObserverStream(t *testing.T) {
 	}
 	if stats != 1 {
 		t.Errorf("observed %d message-stats events, want 1", stats)
-	}
-}
-
-// TestEngineRunBatch: a mixed batch fans out across the worker pool and
-// comes back in input order with per-instance seeds honoured; the shared
-// observer sees each instance's events contiguously and stamped.
-func TestEngineRunBatch(t *testing.T) {
-	const n = 8
-	insts := make([]core.Instance, n)
-	for i := range insts {
-		s, err := scenario.Fig10()
-		if err != nil {
-			t.Fatal(err)
-		}
-		insts[i] = core.Instance{
-			Name:    fmt.Sprintf("fig10-seed-%d", i+1),
-			Surface: s.Surface,
-			Config:  s.Config(),
-			Seed:    int64(i + 1),
-		}
-	}
-	var mu sync.Mutex
-	perInstance := map[int]int{}
-	var streamOrder []int
-	eng := core.NewEngine(rules.StandardLibrary(),
-		core.WithWorkers(4),
-		core.WithObserver(core.ObserverFunc(func(ev core.Event) {
-			mu.Lock()
-			perInstance[ev.Instance]++
-			if len(streamOrder) == 0 || streamOrder[len(streamOrder)-1] != ev.Instance {
-				streamOrder = append(streamOrder, ev.Instance)
-			}
-			mu.Unlock()
-		})))
-	brs, err := eng.RunBatch(context.Background(), insts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(brs) != n {
-		t.Fatalf("got %d results, want %d", len(brs), n)
-	}
-	for i, br := range brs {
-		if br.Instance != i || br.Name != insts[i].Name {
-			t.Errorf("result %d out of order: %+v", i, br)
-		}
-		if br.Err != nil {
-			t.Errorf("%s: %v", br.Name, br.Err)
-		}
-		if !br.Result.Success || !br.Result.PathBuilt {
-			t.Errorf("%s did not solve: %v", br.Name, br.Result)
-		}
-		if perInstance[i] == 0 {
-			t.Errorf("no events observed for instance %d", i)
-		}
-	}
-	// Same seed => same run, wherever the worker pool placed it.
-	if brs[0].Result.Hops == 0 {
-		t.Error("batch result carries no hops")
-	}
-	seen := map[int]bool{}
-	for _, inst := range streamOrder {
-		if seen[inst] {
-			t.Errorf("instance %d's events interleaved with another instance", inst)
-		}
-		seen[inst] = true
-	}
-}
-
-// TestEngineRunBatchDeterministicPlacement: the same instance+seed yields
-// the same result no matter the worker count.
-func TestEngineRunBatchDeterministicPlacement(t *testing.T) {
-	run := func(workers int) []core.BatchResult {
-		insts := make([]core.Instance, 4)
-		for i := range insts {
-			s, err := scenario.Fig10()
-			if err != nil {
-				t.Fatal(err)
-			}
-			insts[i] = core.Instance{Surface: s.Surface, Config: s.Config(), Seed: int64(i + 1)}
-		}
-		brs, err := core.NewEngine(rules.StandardLibrary(), core.WithWorkers(workers)).
-			RunBatch(context.Background(), insts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return brs
-	}
-	serial := run(1)
-	parallel := run(4)
-	for i := range serial {
-		if serial[i].Result.Hops != parallel[i].Result.Hops ||
-			serial[i].Result.Rounds != parallel[i].Result.Rounds {
-			t.Errorf("instance %d: workers=1 %v vs workers=4 %v",
-				i, serial[i].Result, parallel[i].Result)
-		}
-	}
-}
-
-// TestEngineRunBatchCancellation: cancelling a batch stops handing out
-// instances; unstarted ones report the context error and started ones are
-// left on valid surfaces.
-func TestEngineRunBatchCancellation(t *testing.T) {
-	const n = 6
-	insts := make([]core.Instance, n)
-	blocks := make([]int, n)
-	for i := range insts {
-		s, err := scenario.Fig10()
-		if err != nil {
-			t.Fatal(err)
-		}
-		blocks[i] = s.Surface.NumBlocks()
-		insts[i] = core.Instance{Surface: s.Surface, Config: s.Config(), Seed: 1}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var once sync.Once
-	eng := core.NewEngine(rules.StandardLibrary(),
-		core.WithWorkers(2),
-		core.WithObserver(core.ObserverFunc(func(ev core.Event) {
-			if ev.Kind == core.EventMotionApplied {
-				once.Do(cancel)
-			}
-		})))
-	brs, err := eng.RunBatch(ctx, insts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("batch err = %v, want context.Canceled", err)
-	}
-	cancelled := 0
-	for i, br := range brs {
-		if br.Err != nil {
-			cancelled++
-		}
-		checkSurfaceIntegrity(t, insts[i].Surface, blocks[i])
-	}
-	if cancelled == 0 {
-		t.Error("no instance reported the cancellation")
 	}
 }
 
@@ -435,73 +297,74 @@ func TestEngineWithRoundCap(t *testing.T) {
 	}
 }
 
-// TestEngineRunBatchRace exercises concurrent sessions over one engine
-// value under the race detector (the CI -race job): shared engine, shared
-// observer, separate surfaces.
-func TestEngineRunBatchRace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	summary := &countingObserver{}
-	insts := make([]core.Instance, 6)
-	for i := range insts {
+// TestEngineConcurrentRunsShareObserver: simultaneous Run sessions share
+// an engine's lock-free observer, and running concurrently changes no
+// result. Seeds 1-4 each get an engine (the seed is engine-wide) whose two
+// concurrent sessions deliver to one unlocked observer; the engine
+// serialises delivery across its sessions, so under -race this must stay
+// clean. Every concurrent Result must equal a serial Run of its seed.
+func TestEngineConcurrentRunsShareObserver(t *testing.T) {
+	const seeds, perEngine = 4, 2
+	run := func(eng *core.Engine) (core.Result, error) {
 		s, err := scenario.Fig10()
 		if err != nil {
-			t.Fatal(err)
+			return core.Result{}, err
 		}
-		insts[i] = core.Instance{Surface: s.Surface, Config: s.Config(), Seed: int64(i%3 + 1)}
+		return eng.Run(context.Background(), s.Surface, s.Config())
 	}
-	eng := core.NewEngine(rules.StandardLibrary(),
-		core.WithWorkers(3), core.WithObserver(summary))
-	brs, err := eng.RunBatch(context.Background(), insts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, br := range brs {
-		if br.Err != nil || !br.Result.Success {
-			t.Errorf("%d: err=%v res=%v", br.Instance, br.Err, br.Result)
+	serial := make([]core.Result, seeds)
+	for i := range serial {
+		res, err := run(core.NewEngine(rules.StandardLibrary(), core.WithSeed(int64(i+1))))
+		if err != nil || !res.Success {
+			t.Fatalf("serial seed %d: err=%v res=%v", i+1, err, res)
 		}
+		serial[i] = res
 	}
-	if summary.terminations != len(insts) {
-		t.Errorf("observer saw %d terminations, want %d", summary.terminations, len(insts))
-	}
-}
 
-// TestEngineConcurrentRunsShareObserver: several simultaneous Run sessions
-// on one engine deliver to a shared lock-free observer; the engine
-// serialises delivery across sessions, so under -race this must stay
-// clean.
-func TestEngineConcurrentRunsShareObserver(t *testing.T) {
-	summary := &countingObserver{}
-	eng := core.NewEngine(rules.StandardLibrary(), core.WithObserver(summary))
-	const sessions = 4
+	summaries := make([]*countingObserver, seeds)
+	results := make([][perEngine]core.Result, seeds)
 	var wg sync.WaitGroup
-	for i := 0; i < sessions; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s, err := scenario.Fig10()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			res, err := eng.Run(context.Background(), s.Surface, s.Config())
-			if err != nil || !res.Success {
-				t.Errorf("concurrent session: err=%v res=%v", err, res)
-			}
-		}()
+	for i := range summaries {
+		summaries[i] = &countingObserver{}
+		eng := core.NewEngine(rules.StandardLibrary(),
+			core.WithSeed(int64(i+1)), core.WithObserver(summaries[i]))
+		for j := 0; j < perEngine; j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := run(eng)
+				if err != nil || !res.Success {
+					t.Errorf("concurrent seed %d: err=%v res=%v", i+1, err, res)
+				}
+				results[i][j] = res
+			}()
+		}
 	}
 	wg.Wait()
-	if summary.terminations != sessions {
-		t.Errorf("observer saw %d terminations, want %d", summary.terminations, sessions)
+	for i, want := range serial {
+		if summaries[i].terminations != perEngine {
+			t.Errorf("seed %d: observer saw %d terminations, want %d",
+				i+1, summaries[i].terminations, perEngine)
+		}
+		for _, got := range results[i] {
+			if got.Rounds != want.Rounds || got.Hops != want.Hops ||
+				got.MessagesSent != want.MessagesSent || got.Events != want.Events ||
+				got.VirtualTime != want.VirtualTime {
+				t.Errorf("seed %d: concurrent run diverged from the serial run:\nserial     %+v\nconcurrent %+v",
+					i+1, want, got)
+			}
+		}
 	}
 }
 
-// countingObserver counts terminations without internal locking: the
-// session contract says delivery is serialised even across a batch.
-type countingObserver struct{ terminations int }
+// countingObserver counts events and terminations without internal
+// locking: the session contract says delivery is serialised across an
+// engine's concurrent sessions. Every event writes, so -race sees sessions
+// that deliver unserialised.
+type countingObserver struct{ events, terminations int }
 
 func (c *countingObserver) OnEvent(ev core.Event) {
+	c.events++
 	if ev.Kind == core.EventTerminated {
 		c.terminations++
 	}

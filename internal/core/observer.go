@@ -52,9 +52,6 @@ func (k EventKind) String() string {
 // are meaningful; unrelated fields are zero.
 type Event struct {
 	Kind EventKind
-	// Instance is the index of the originating instance in a RunBatch
-	// (-1 for single Engine.Run sessions).
-	Instance int
 
 	// Round is the election counter (RoundStarted, ElectionDecided).
 	Round int
@@ -149,35 +146,29 @@ func (m multiObserver) OnEvent(ev Event) {
 // emitter serialises event delivery to one observer. The DES never
 // contends within a run, but under the Async backend the Root's hooks and
 // the surface-locked Move path race, and concurrent sessions of one Engine
-// share the engine's observer — the mutex (shared across every emitter
-// that targets the same observer) is what lets a plain slice buffer or
+// share the engine's observer — the mutex (the Engine's obsMu, shared by
+// every emitter of its sessions) is what lets a plain slice buffer or
 // recorder be used as an Observer unchanged.
 type emitter struct {
-	mu       *sync.Mutex
-	obs      Observer
-	instance int
+	mu  *sync.Mutex
+	obs Observer
 }
 
-// newEmitter returns an emitter, or nil when there is nobody to notify
-// (callers skip event construction entirely on a nil emitter). mu is the
-// delivery lock to share with other emitters targeting the same observer;
-// nil allocates a private one.
-func newEmitter(obs Observer, instance int, mu *sync.Mutex) *emitter {
+// newEmitter returns an emitter delivering under mu, or nil when there is
+// nobody to notify (callers skip event construction entirely on a nil
+// emitter).
+func newEmitter(obs Observer, mu *sync.Mutex) *emitter {
 	if obs == nil {
 		return nil
 	}
-	if mu == nil {
-		mu = &sync.Mutex{}
-	}
-	return &emitter{mu: mu, obs: obs, instance: instance}
+	return &emitter{mu: mu, obs: obs}
 }
 
-// emit stamps the instance index and delivers the event.
+// emit delivers the event.
 func (e *emitter) emit(ev Event) {
 	if e == nil {
 		return
 	}
-	ev.Instance = e.instance
 	e.mu.Lock()
 	e.obs.OnEvent(ev)
 	e.mu.Unlock()

@@ -237,31 +237,22 @@ type SweepResult struct {
 	Rounds   int
 }
 
-// Sweep runs the tower family at the given sizes (shared by Remarks 2-4).
-// The points are independent scenarios, so they fan out across the session
-// engine's worker pool; results come back in input order.
+// Sweep runs the tower family at the given sizes (shared by Remarks 2-4),
+// one Engine.Run per point, in input order.
 func Sweep(ns []int) ([]SweepResult, error) {
 	scs, err := scenario.TowerSweep(ns)
 	if err != nil {
 		return nil, err
 	}
-	insts := make([]core.Instance, len(scs))
-	for i, s := range scs {
-		insts[i] = core.Instance{Name: s.Name, Surface: s.Surface, Config: s.Config(), Seed: 1}
-	}
 	eng := core.NewEngine(rules.StandardLibrary())
-	brs, err := eng.RunBatch(context.Background(), insts)
-	if err != nil {
-		return nil, err
-	}
 	var out []SweepResult
-	for _, br := range brs {
-		if br.Err != nil {
-			return nil, fmt.Errorf("%s: %w", br.Name, br.Err)
+	for _, s := range scs {
+		res, err := eng.Run(context.Background(), s.Surface, s.Config())
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", s.Name, err)
 		}
-		res := br.Result
 		if !res.Success {
-			return nil, fmt.Errorf("%s: reconfiguration failed: %v", br.Name, res)
+			return nil, fmt.Errorf("%s: reconfiguration failed: %v", s.Name, res)
 		}
 		out = append(out, SweepResult{
 			N:        res.Blocks,
@@ -332,26 +323,17 @@ func Lemma1() (string, error) {
 		"seeds", "solved", "path built", "mean rounds", "mean hops")
 	solved, built := 0, 0
 	var rounds, hops []float64
-	insts := make([]core.Instance, 0, seeds)
+	lib := rules.StandardLibrary()
 	for seed := int64(1); seed <= seeds; seed++ {
 		s, err := scenario.RandomStaircase(seed)
 		if err != nil {
 			return "", err
 		}
-		insts = append(insts, core.Instance{
-			Name: fmt.Sprintf("seed-%d", seed), Surface: s.Surface, Config: s.Config(), Seed: seed,
-		})
-	}
-	eng := core.NewEngine(rules.StandardLibrary())
-	brs, err := eng.RunBatch(context.Background(), insts)
-	if err != nil {
-		return "", err
-	}
-	for _, br := range brs {
-		if br.Err != nil {
-			return "", fmt.Errorf("%s: %w", br.Name, br.Err)
+		res, err := core.NewEngine(lib, core.WithSeed(seed)).
+			Run(context.Background(), s.Surface, s.Config())
+		if err != nil {
+			return "", fmt.Errorf("seed-%d: %w", seed, err)
 		}
-		res := br.Result
 		if res.Success {
 			solved++
 		}

@@ -30,17 +30,20 @@ type Config struct {
 	Input, Output geom.Vec
 	// Seed drives per-block randomness.
 	Seed int64
-	// ChannelCap is the capacity of each block's event channel (default
-	// 4096); overflowing events are dropped and counted.
-	ChannelCap int
 	// Constraints are the physics checks applied to motions.
 	Constraints lattice.Constraints
 	// OnApply observes executed motions (called with the surface lock held;
 	// keep it fast and do not touch the engine from it).
 	OnApply func(lattice.ApplyResult)
-	// Timeout is the wall-clock safety bound for Run (default 60s).
+	// Timeout is the wall-clock safety bound for Drive (default 60s).
 	Timeout time.Duration
 }
+
+// channelCap is the capacity of each block's event channel; an event
+// posted to a full channel is dropped and counted. It sits far above the
+// deepest queue a run has reached (under 30 events on fig10, the ridge and
+// slope top=30), so a healthy run drops nothing, at 160 bytes per slot.
+const channelCap = 4096
 
 type eventKind uint8
 
@@ -49,7 +52,6 @@ const (
 	evMessage
 	evMoved
 	evNeighborhood
-	evStop
 )
 
 type event struct {
@@ -82,10 +84,6 @@ type Engine struct {
 	booted  bool
 	started time.Time
 	wall    atomic.Int64 // elapsed ns, frozen when Drive returns
-
-	success atomic.Bool
-	rounds  atomic.Int64
-	fired   atomic.Bool
 }
 
 type host struct {
@@ -100,9 +98,6 @@ type host struct {
 func NewEngine(surf *lattice.Surface, lib *rules.Library, factory exec.CodeFactory, cfg Config) (*Engine, error) {
 	if surf == nil || lib == nil || factory == nil {
 		return nil, fmt.Errorf("runtime: surface, library and factory are required")
-	}
-	if cfg.ChannelCap <= 0 {
-		cfg.ChannelCap = 4096
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 60 * time.Second
@@ -121,31 +116,17 @@ func NewEngine(surf *lattice.Surface, lib *rules.Library, factory exec.CodeFacto
 			eng:  e,
 			id:   id,
 			code: factory(id),
-			ch:   make(chan event, cfg.ChannelCap),
+			ch:   make(chan event, channelCap),
 			rng:  rand.New(rand.NewSource(cfg.Seed ^ int64(id)*0x51d2fa7)),
 		}
 	}
 	return e, nil
 }
 
-// Finish implements exec.Termination: the Root's completion report.
-func (e *Engine) Finish(success bool, rounds int) {
-	e.fired.Store(true)
-	e.success.Store(success)
-	e.rounds.Store(int64(rounds))
+// Finish implements exec.Termination: the Root's completion report stops
+// Drive. The verdict itself is the session layer's to record.
+func (e *Engine) Finish(bool, int) {
 	e.once.Do(func() { close(e.done) })
-}
-
-// Run boots every block and waits for the Root's termination report (or
-// the wall-clock timeout). It returns the Root's verdict.
-func (e *Engine) Run() (success bool, rounds int, err error) {
-	if err := e.Boot(); err != nil {
-		return false, 0, err
-	}
-	if err := e.Drive(context.Background()); err != nil {
-		return false, int(e.rounds.Load()), err
-	}
-	return e.success.Load(), int(e.rounds.Load()), nil
 }
 
 // Boot starts one goroutine per block, in ascending id order, and posts the
@@ -194,18 +175,7 @@ func (e *Engine) Drive(ctx context.Context) error {
 	close(e.stop)
 	e.wg.Wait()
 	e.wall.Store(time.Since(e.started).Nanoseconds())
-	if err != nil {
-		return err
-	}
-	if !e.fired.Load() {
-		return fmt.Errorf("runtime: stopped without termination report")
-	}
-	return nil
-}
-
-// Result returns the Root's verdict after Drive returned.
-func (e *Engine) Result() (success bool, rounds int) {
-	return e.success.Load(), int(e.rounds.Load())
+	return err
 }
 
 // Metrics implements the measurement half of the core.Backend seam. The
@@ -226,19 +196,6 @@ func (e *Engine) Metrics() exec.Metrics {
 	}
 }
 
-// MessagesSent returns accepted Send calls.
-func (e *Engine) MessagesSent() uint64 { return e.sent.Load() }
-
-// MessagesDelivered returns messages handed to BlockCodes.
-func (e *Engine) MessagesDelivered() uint64 { return e.delivered.Load() }
-
-// MessagesDropped returns events lost to a full event channel.
-func (e *Engine) MessagesDropped() uint64 { return e.dropped.Load() }
-
-// Surface exposes the shared surface; callers must not use it while Run is
-// in flight.
-func (e *Engine) Surface() *lattice.Surface { return e.surf }
-
 // loop is the per-block goroutine: it serialises all hooks of one block.
 func (h *host) loop() {
 	defer h.eng.wg.Done()
@@ -258,8 +215,6 @@ func (h *host) loop() {
 				h.code.OnMoved(h, ev.mvFrom, ev.mvTo)
 			case evNeighborhood:
 				h.code.OnNeighborhoodChanged(h)
-			case evStop:
-				return
 			}
 		}
 	}

@@ -69,8 +69,10 @@ func TestAsyncTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, _, err = eng.Run()
-	if err == nil {
+	if err := eng.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Drive(context.Background()); err == nil {
 		t.Fatal("inert system should time out")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -142,12 +144,15 @@ func TestBurstDeliveredWithoutDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.Run(); err != nil {
+	if err := eng.Boot(); err != nil {
 		t.Fatal(err)
 	}
-	if eng.MessagesSent() != burst || eng.MessagesDelivered() != burst || eng.MessagesDropped() != 0 {
+	if err := eng.Drive(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if m := eng.Metrics(); m.MessagesSent != burst || m.MessagesDelivered != burst || m.MessagesDropped != 0 {
 		t.Errorf("sent %d, delivered %d, dropped %d; want %d, %d, 0",
-			eng.MessagesSent(), eng.MessagesDelivered(), eng.MessagesDropped(), burst, burst)
+			m.MessagesSent, m.MessagesDelivered, m.MessagesDropped, burst, burst)
 	}
 	for i, r := range got {
 		if r != uint32(i) {

@@ -41,42 +41,6 @@ func TestSchedulerTypedEventAllocs(t *testing.T) {
 	}
 }
 
-// TestSchedulerFuncEventPooling: the legacy closure API reuses its wrappers
-// — scheduling N sequential After calls must not leak one wrapper per call.
-func TestSchedulerFuncEventPooling(t *testing.T) {
-	s := NewScheduler(1)
-	fired := 0
-	var tick func()
-	tick = func() {
-		fired++
-		if fired < 1000 {
-			s.After(1, tick)
-		}
-	}
-	s.After(0, tick)
-	s.Run(0)
-	if fired != 1000 {
-		t.Fatalf("fired %d of 1000 closure events", fired)
-	}
-	if got := len(s.fpool); got != 1 {
-		t.Fatalf("func-event pool holds %d wrappers after a sequential run, want 1", got)
-	}
-}
-
-// TestSchedulerTypedAndClosureInterleave: both scheduling APIs share one
-// ordered heap.
-func TestSchedulerTypedAndClosureInterleave(t *testing.T) {
-	s := NewScheduler(1)
-	var order []int
-	s.After(10, func() { order = append(order, 2) })
-	s.Schedule(5, eventFunc(func() { order = append(order, 1) }))
-	s.After(20, func() { order = append(order, 3) })
-	s.Run(0)
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("mixed-API order = %v, want [1 2 3]", order)
-	}
-}
-
 // eventFunc adapts a closure to Event for tests (without pooling).
 type eventFunc func()
 

@@ -40,9 +40,9 @@ type Engine struct {
 
 	hosts   map[lattice.BlockID]*host
 	radius  int
-	sent    uint64
-	deliver uint64
-	dropped uint64
+	sent    uint64 // Send calls accepted by ports
+	deliver uint64 // messages handed to OnMessage
+	dropped uint64 // messages whose receiver has no host when they land
 
 	// Per-motion notification scratch, reused across notifyAfterMotion
 	// calls so the hot path performs no map or slice allocations. seen is
@@ -167,12 +167,6 @@ func (e *Engine) Boot() error {
 	return nil
 }
 
-// Run drives the simulation until quiescence or maxEvents (0 = unbounded).
-// It returns the number of events processed by this call.
-func (e *Engine) Run(maxEvents uint64) uint64 {
-	return e.sched.Run(maxEvents)
-}
-
 // driveChunk is how many events Drive executes between context checks: large
 // enough that the ctx.Err() poll vanishes next to the event work, small
 // enough that cancellation lands promptly.
@@ -188,7 +182,7 @@ func (e *Engine) Drive(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if e.Run(driveChunk) < driveChunk {
+		if e.sched.Run(driveChunk) < driveChunk {
 			return nil // quiesced
 		}
 	}
@@ -204,22 +198,6 @@ func (e *Engine) Metrics() exec.Metrics {
 		VirtualTime:       int64(e.sched.Now()),
 	}
 }
-
-// Scheduler exposes the event core (for tests and the harness).
-func (e *Engine) Scheduler() *Scheduler { return e.sched }
-
-// Surface exposes the physical surface (for verification and rendering).
-func (e *Engine) Surface() *lattice.Surface { return e.surf }
-
-// MessagesSent returns the number of Send calls accepted by ports.
-func (e *Engine) MessagesSent() uint64 { return e.sent }
-
-// MessagesDelivered returns the number of messages handed to BlockCodes.
-func (e *Engine) MessagesDelivered() uint64 { return e.deliver }
-
-// MessagesDropped returns messages whose receiver has no host on this
-// engine when they arrive.
-func (e *Engine) MessagesDropped() uint64 { return e.dropped }
 
 // --- exec.Env implementation -----------------------------------------------
 

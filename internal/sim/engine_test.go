@@ -70,16 +70,17 @@ func TestEnginePingPong(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Boot()
-	eng.Run(0)
+	eng.sched.Run(0)
 
-	if eng.MessagesSent() != 11 { // initial ping + 10 replies
-		t.Errorf("MessagesSent = %d, want 11", eng.MessagesSent())
+	m := eng.Metrics()
+	if m.MessagesSent != 11 { // initial ping + 10 replies
+		t.Errorf("MessagesSent = %d, want 11", m.MessagesSent)
 	}
-	if eng.MessagesDelivered() != 11 {
-		t.Errorf("MessagesDelivered = %d", eng.MessagesDelivered())
+	if m.MessagesDelivered != 11 {
+		t.Errorf("MessagesDelivered = %d", m.MessagesDelivered)
 	}
-	if eng.MessagesDropped() != 0 {
-		t.Errorf("MessagesDropped = %d", eng.MessagesDropped())
+	if m.MessagesDropped != 0 {
+		t.Errorf("MessagesDropped = %d", m.MessagesDropped)
 	}
 	max := uint32(0)
 	for _, c := range codes {
@@ -93,7 +94,7 @@ func TestEnginePingPong(t *testing.T) {
 }
 
 func TestEngineDeterministicAcrossRuns(t *testing.T) {
-	run := func() (uint64, Time) {
+	run := func() (uint64, int64) {
 		surf := pairSurface(t)
 		eng, err := NewEngine(surf, rules.StandardLibrary(), func(lattice.BlockID) exec.BlockCode {
 			return &pingPong{limit: 50}
@@ -103,8 +104,9 @@ func TestEngineDeterministicAcrossRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.Boot()
-		eng.Run(0)
-		return eng.Scheduler().Processed(), eng.Scheduler().Now()
+		eng.sched.Run(0)
+		m := eng.Metrics()
+		return m.Events, m.VirtualTime
 	}
 	e1, t1 := run()
 	e2, t2 := run()
@@ -134,7 +136,7 @@ func TestSendRequiresAdjacency(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Boot()
-	eng.Run(0)
+	eng.sched.Run(0)
 	if env == nil {
 		t.Fatal("env not captured")
 	}
@@ -158,7 +160,7 @@ func TestSensingWindowEnforced(t *testing.T) {
 		}}
 	}, Config{Input: geom.V(1, 1), Output: geom.V(5, 5), Seed: 1})
 	eng.Boot()
-	eng.Run(0)
+	eng.sched.Run(0)
 
 	if env.SensingRadius() != 2 {
 		t.Fatalf("SensingRadius = %d, want 2 (3x3 rules + neighbour exchange)", env.SensingRadius())
@@ -217,7 +219,7 @@ func TestMoveTriggersCallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Boot()
-	eng.Run(0)
+	eng.sched.Run(0)
 
 	// Find the env of the block at (1,1) and slide it east.
 	var mover exec.Env
@@ -233,7 +235,7 @@ func TestMoveTriggersCallbacks(t *testing.T) {
 	if err := mover.Move(app); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run(0) // drain callbacks
+	eng.sched.Run(0) // drain callbacks
 
 	if applies != 1 {
 		t.Errorf("OnApply fired %d times", applies)
@@ -271,7 +273,7 @@ func TestMoveRejectsNonMover(t *testing.T) {
 		}}
 	}, Config{Input: geom.V(1, 1), Output: geom.V(5, 5), Seed: 1})
 	eng.Boot()
-	eng.Run(0)
+	eng.sched.Run(0)
 	// An application whose movers do not include this block.
 	app := rules.Application{Rule: rules.EastSliding(), Anchor: geom.V(1, 1)}
 	if err := env.Move(app); err == nil || !strings.Contains(err.Error(), "not a mover") {
@@ -301,19 +303,16 @@ func TestBurstDeliveredWithoutDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Boot()
-	eng.Run(0)
+	eng.sched.Run(0)
 	nb := sender.Neighbors()[geom.East]
 	for i := 0; i < 8; i++ {
 		if err := sender.Send(nb, msg.Message{Type: msg.TypeAck, Round: uint32(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	eng.Run(0)
-	if eng.MessagesDropped() != 0 {
-		t.Errorf("drops = %d, want 0", eng.MessagesDropped())
-	}
-	if eng.MessagesDelivered() != 8 {
-		t.Errorf("delivered = %d, want 8", eng.MessagesDelivered())
+	eng.sched.Run(0)
+	if m := eng.Metrics(); m.MessagesDropped != 0 || m.MessagesDelivered != 8 {
+		t.Errorf("dropped %d, delivered %d; want 0, 8", m.MessagesDropped, m.MessagesDelivered)
 	}
 	for i, r := range got {
 		if r != uint32(i) {

@@ -17,10 +17,9 @@ import (
 type Time int64
 
 // Event is a typed scheduled occurrence: the scheduler invokes Fire at its
-// due time. Implementations that pool themselves (the engine's event arena,
-// the scheduler's own funcEvent wrappers) make steady-state scheduling
-// allocation-free, which is what lets the core sustain the §V-E event rates
-// without GC pressure.
+// due time. Implementations that pool themselves (the engine's event arena)
+// make steady-state scheduling allocation-free, which is what lets the core
+// sustain the §V-E event rates without GC pressure.
 type Event interface {
 	Fire()
 }
@@ -33,34 +32,14 @@ type item struct {
 	ev  Event
 }
 
-// funcEvent adapts a plain closure to Event; instances are recycled through
-// the scheduler's free list so the legacy At/After API costs one wrapper
-// allocation only until the pool warms up.
-type funcEvent struct {
-	s  *Scheduler
-	fn func()
-}
-
-// Fire implements Event: it releases the wrapper before running the closure
-// so a callback that schedules again can reuse it immediately.
-func (e *funcEvent) Fire() {
-	fn := e.fn
-	e.fn = nil
-	e.s.fpool = append(e.s.fpool, e)
-	fn()
-}
-
 // Scheduler is a deterministic discrete-event core: a binary min-heap of
-// events ordered by (time, sequence). The mix of "discrete-event core ...
-// with discrete-time functionalities" of VisibleSim corresponds to Run
-// (event-driven) and RunUntil (advance to a time boundary).
+// events ordered by (time, sequence).
 type Scheduler struct {
 	heap      []item
 	now       Time
 	seq       uint64
 	processed uint64
 	rng       *rand.Rand
-	fpool     []*funcEvent
 }
 
 // NewScheduler returns a scheduler whose randomness derives from seed;
@@ -77,9 +56,6 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 
 // Processed returns the number of events executed so far.
 func (s *Scheduler) Processed() uint64 { return s.processed }
-
-// Pending returns the number of events waiting in the queue.
-func (s *Scheduler) Pending() int { return len(s.heap) }
 
 // ScheduleAt schedules a typed event at absolute time t; scheduling in the
 // past is an error. Pooled events make this path allocation-free.
@@ -100,27 +76,6 @@ func (s *Scheduler) Schedule(d Time, ev Event) {
 	}
 	// ScheduleAt cannot fail for t >= now.
 	_ = s.ScheduleAt(s.now+d, ev)
-}
-
-// At schedules fn at absolute time t; scheduling in the past is an error.
-func (s *Scheduler) At(t Time, fn func()) error {
-	return s.ScheduleAt(t, s.wrap(fn))
-}
-
-// After schedules fn d ticks from now; negative d clamps to now.
-func (s *Scheduler) After(d Time, fn func()) {
-	s.Schedule(d, s.wrap(fn))
-}
-
-// wrap recycles a funcEvent wrapper around fn.
-func (s *Scheduler) wrap(fn func()) *funcEvent {
-	if n := len(s.fpool); n > 0 {
-		e := s.fpool[n-1]
-		s.fpool = s.fpool[:n-1]
-		e.fn = fn
-		return e
-	}
-	return &funcEvent{s: s, fn: fn}
 }
 
 // Step executes the earliest pending event; it reports false when the queue
@@ -147,21 +102,6 @@ func (s *Scheduler) Run(maxEvents uint64) uint64 {
 	return n
 }
 
-// RunUntil executes all events scheduled strictly before t, then advances
-// the clock to t. It returns the number of events executed.
-func (s *Scheduler) RunUntil(t Time) uint64 {
-	var n uint64
-	for len(s.heap) > 0 && s.heap[0].t < t {
-		s.Step()
-		n++
-	}
-	if s.now < t {
-		s.now = t
-	}
-	s.maybeShrink()
-	return n
-}
-
 // shrinkMinCap is the heap capacity below which maybeShrink never bothers:
 // small queues re-grow cheaply and the waste is bounded anyway.
 const shrinkMinCap = 1024
@@ -170,8 +110,8 @@ const shrinkMinCap = 1024
 // dropped far below its capacity. A burst (the boot wave schedules one event
 // per block, then drains to a trickle) would otherwise pin the peak-sized
 // array for the life of the scheduler — at §VI scale, hundreds of MB of dead
-// queue. Run/RunUntil call it once per drive, so the rebound cost is far off
-// the per-event path; the 4x hysteresis keeps steady-state oscillation from
+// queue. Run calls it once on return (Engine.Drive once per driveChunk
+// events), so the rebound cost is far off the per-event path; the 4x hysteresis keeps steady-state oscillation from
 // ever triggering a copy.
 func (s *Scheduler) maybeShrink() {
 	if cap(s.heap) < shrinkMinCap || len(s.heap)*4 > cap(s.heap) {

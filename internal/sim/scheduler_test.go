@@ -9,9 +9,9 @@ import (
 func TestSchedulerOrdersByTime(t *testing.T) {
 	s := NewScheduler(1)
 	var got []int
-	s.After(30, func() { got = append(got, 3) })
-	s.After(10, func() { got = append(got, 1) })
-	s.After(20, func() { got = append(got, 2) })
+	s.Schedule(30, eventFunc(func() { got = append(got, 3) }))
+	s.Schedule(10, eventFunc(func() { got = append(got, 1) }))
+	s.Schedule(20, eventFunc(func() { got = append(got, 2) }))
 	if n := s.Run(0); n != 3 {
 		t.Fatalf("Run = %d events", n)
 	}
@@ -31,7 +31,7 @@ func TestSchedulerFIFOAtSameInstant(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		s.After(5, func() { got = append(got, i) })
+		s.Schedule(5, eventFunc(func() { got = append(got, i) }))
 	}
 	s.Run(0)
 	if !sort.IntsAreSorted(got) {
@@ -42,11 +42,11 @@ func TestSchedulerFIFOAtSameInstant(t *testing.T) {
 func TestSchedulerNestedScheduling(t *testing.T) {
 	s := NewScheduler(1)
 	var got []string
-	s.After(10, func() {
+	s.Schedule(10, eventFunc(func() {
 		got = append(got, "a")
-		s.After(5, func() { got = append(got, "c") })
-		s.After(0, func() { got = append(got, "b") })
-	})
+		s.Schedule(5, eventFunc(func() { got = append(got, "c") }))
+		s.Schedule(0, eventFunc(func() { got = append(got, "b") }))
+	}))
 	s.Run(0)
 	want := []string{"a", "b", "c"}
 	for i := range want {
@@ -58,14 +58,14 @@ func TestSchedulerNestedScheduling(t *testing.T) {
 
 func TestSchedulerPastRejected(t *testing.T) {
 	s := NewScheduler(1)
-	s.After(10, func() {})
+	s.Schedule(10, eventFunc(func() {}))
 	s.Run(0)
-	if err := s.At(5, func() {}); err == nil {
+	if err := s.ScheduleAt(5, eventFunc(func() {})); err == nil {
 		t.Error("scheduling in the past must fail")
 	}
-	// Negative After clamps to now.
+	// A negative delay clamps to now.
 	fired := false
-	s.After(-7, func() { fired = true })
+	s.Schedule(-7, eventFunc(func() { fired = true }))
 	s.Run(0)
 	if !fired {
 		t.Error("clamped event did not fire")
@@ -75,35 +75,13 @@ func TestSchedulerPastRejected(t *testing.T) {
 func TestSchedulerRunBudget(t *testing.T) {
 	s := NewScheduler(1)
 	for i := 0; i < 10; i++ {
-		s.After(Time(i), func() {})
+		s.Schedule(Time(i), eventFunc(func() {}))
 	}
 	if n := s.Run(4); n != 4 {
 		t.Errorf("bounded Run = %d, want 4", n)
 	}
-	if s.Pending() != 6 {
-		t.Errorf("Pending = %d, want 6", s.Pending())
-	}
 	if n := s.Run(0); n != 6 {
 		t.Errorf("drain Run = %d, want 6", n)
-	}
-}
-
-func TestSchedulerRunUntil(t *testing.T) {
-	s := NewScheduler(1)
-	var got []int
-	s.After(10, func() { got = append(got, 10) })
-	s.After(20, func() { got = append(got, 20) })
-	s.After(30, func() { got = append(got, 30) })
-	n := s.RunUntil(25)
-	if n != 2 || len(got) != 2 {
-		t.Errorf("RunUntil ran %d events: %v", n, got)
-	}
-	if s.Now() != 25 {
-		t.Errorf("Now = %d, want 25", s.Now())
-	}
-	s.Run(0)
-	if s.Now() != 30 {
-		t.Errorf("final Now = %d", s.Now())
 	}
 }
 
@@ -114,7 +92,7 @@ func TestSchedulerHeapShrinks(t *testing.T) {
 	s := NewScheduler(1)
 	const burst = 100_000
 	for i := 0; i < burst; i++ {
-		s.After(Time(i), func() {})
+		s.Schedule(Time(i), eventFunc(func() {}))
 	}
 	if cap(s.heap) < burst {
 		t.Fatalf("heap capacity %d never reached the burst size", cap(s.heap))
@@ -128,7 +106,7 @@ func TestSchedulerHeapShrinks(t *testing.T) {
 	// The scheduler must remain fully functional on the rebounded array.
 	fired := 0
 	for i := 0; i < 2000; i++ {
-		s.After(Time(i), func() { fired++ })
+		s.Schedule(Time(i), eventFunc(func() { fired++ }))
 	}
 	if got := s.Run(0); got != 2000 || fired != 2000 {
 		t.Fatalf("post-shrink run processed %d (fired %d), want 2000", got, fired)
@@ -136,17 +114,17 @@ func TestSchedulerHeapShrinks(t *testing.T) {
 }
 
 // TestSchedulerShrinkKeepsPending verifies the shrink copies live items: a
-// RunUntil that leaves events pending must not lose or reorder them.
+// bounded Run that leaves events pending must not lose or reorder them.
 func TestSchedulerShrinkKeepsPending(t *testing.T) {
 	s := NewScheduler(1)
 	var order []int
 	for i := 0; i < 50_000; i++ {
 		i := i
-		s.After(Time(i), func() { order = append(order, i) })
+		s.Schedule(Time(i), eventFunc(func() { order = append(order, i) }))
 	}
-	s.RunUntil(49_900) // drains all but the tail, triggering the shrink
+	s.Run(49_900) // drains all but the tail, triggering the shrink
 	if got := len(order); got != 49_900 {
-		t.Fatalf("RunUntil processed %d, want 49900", got)
+		t.Fatalf("bounded Run processed %d, want 49900", got)
 	}
 	s.Run(0)
 	if got := len(order); got != 50_000 {
@@ -167,7 +145,7 @@ func TestSchedulerHeapStress(t *testing.T) {
 	var fired []Time
 	for i := 0; i < 5000; i++ {
 		at := Time(rng.Int63n(100000))
-		_ = s.At(at, func() { fired = append(fired, s.Now()) })
+		_ = s.ScheduleAt(at, eventFunc(func() { fired = append(fired, s.Now()) }))
 	}
 	s.Run(0)
 	if len(fired) != 5000 {
@@ -191,10 +169,10 @@ func TestSchedulerDeterminism(t *testing.T) {
 		step = func(depth int) {
 			trace = append(trace, s.Now())
 			if depth < 200 {
-				s.After(lat.Delay(s.Rand()), func() { step(depth + 1) })
+				s.Schedule(lat.Delay(s.Rand()), eventFunc(func() { step(depth + 1) }))
 			}
 		}
-		s.After(0, func() { step(0) })
+		s.Schedule(0, eventFunc(func() { step(0) }))
 		s.Run(0)
 		return trace
 	}
@@ -224,60 +202,5 @@ func TestLatencyModels(t *testing.T) {
 	// Degenerate range.
 	if (UniformLatency{Min: 5, Max: 5}).Delay(rng) != 5 {
 		t.Error("degenerate uniform wrong")
-	}
-}
-
-// TestTickerPeriodicFiring: the discrete-time facility fires at exact
-// multiples of the period until stopped.
-func TestTickerPeriodicFiring(t *testing.T) {
-	s := NewScheduler(1)
-	var times []Time
-	tk := NewTicker(s, 10, func(now Time) { times = append(times, now) })
-	s.RunUntil(55)
-	if len(times) != 5 {
-		t.Fatalf("fired %d times, want 5: %v", len(times), times)
-	}
-	for i, ts := range times {
-		if ts != Time(10*(i+1)) {
-			t.Errorf("firing %d at t=%d, want %d", i, ts, 10*(i+1))
-		}
-	}
-	tk.Stop()
-	s.Run(0)
-	if tk.Fired() != 5 {
-		t.Errorf("Fired = %d after stop, want 5", tk.Fired())
-	}
-}
-
-// TestTickerInterleavesWithEvents: discrete-time activity and discrete
-// events share the same clock and ordering.
-func TestTickerInterleavesWithEvents(t *testing.T) {
-	s := NewScheduler(1)
-	var log []string
-	NewTicker(s, 10, func(now Time) { log = append(log, "tick") })
-	s.After(15, func() { log = append(log, "event") })
-	s.RunUntil(21)
-	want := []string{"tick", "event", "tick"}
-	if len(log) != len(want) {
-		t.Fatalf("log = %v", log)
-	}
-	for i := range want {
-		if log[i] != want[i] {
-			t.Errorf("log[%d] = %q, want %q", i, log[i], want[i])
-		}
-	}
-}
-
-// TestTickerDegeneratePeriod: non-positive periods snap to 1 and never
-// wedge the scheduler.
-func TestTickerDegeneratePeriod(t *testing.T) {
-	s := NewScheduler(1)
-	n := 0
-	tk := NewTicker(s, 0, func(Time) { n++ })
-	s.RunUntil(5)
-	tk.Stop()
-	s.Run(0)
-	if n != 4 { // fires at t=1,2,3,4 (strictly before 5)
-		t.Errorf("fired %d times, want 4", n)
 	}
 }

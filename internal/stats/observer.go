@@ -61,8 +61,8 @@ func (h *Hist) UnmarshalJSON(data []byte) error {
 // SessionSummary aggregates a session's Observer stream into the headline
 // counts the report tables print: elections by tier, empty elections,
 // motions (with carries split out), and the engine's final message totals.
-// Attach with core.WithObserver; one summary may absorb a whole RunBatch
-// (events arrive per instance, contiguously).
+// Attach with core.WithObserver; one summary may absorb every session of
+// an engine, concurrent ones included, since its counts only add up.
 //
 // The struct serialises flat: every field carries a snake_case JSON tag and
 // the histograms marshal deterministically (Hist), so a summary can be
@@ -76,7 +76,7 @@ type SessionSummary struct {
 	BatchRounds    int    `json:"batch_rounds"`  // elections that admitted more than one winner
 	Motions        int    `json:"motions"`       // rule applications executed
 	Carries        int    `json:"carries"`       // of which carrying rules
-	Terminations   int    `json:"terminations"`  // Root completion reports seen (one per instance)
+	Terminations   int    `json:"terminations"`  // Root completion reports seen (one per session)
 	Successes      int    `json:"successes"`     // of which successful
 	MessagesSent   uint64 `json:"messages_sent"`
 	MessagesDrop   uint64 `json:"messages_dropped"`

@@ -11,13 +11,14 @@ package repro
 // They exercise the paths the ROADMAP flags at this size: the lazy
 // connectivity rebuild (one full-width band vs column-band sharded), the
 // per-event constrained verdict that must stay flat as the surface grows,
-// and the session layer's batch runner. The sharded fixtures share the flatness
+// and concurrent Engine.Run sessions. The sharded fixtures share the flatness
 // geometry of the sbbench kernels: fixed fill height and band width, so a
 // bigger surface means more bands, not bigger ones.
 
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -233,33 +234,38 @@ func BenchmarkLargeSurfaceShardValidate(b *testing.B) {
 	}
 }
 
-// BenchmarkLargeSurfaceBatch measures the session layer's batch runner on a
-// §VI-style ensemble sweep: 16 independent tower instances fanned across
-// the worker pool by one engine.
+// BenchmarkLargeSurfaceBatch measures a §VI-style ensemble sweep of 16
+// independent tower instances, each an Engine.Run with its own seed on its
+// own goroutine. At most GOMAXPROCS sessions run at once: more only add
+// contention (all 16 at once ran about 10% slower on a 2-vCPU host).
 func BenchmarkLargeSurfaceBatch(b *testing.B) {
-	eng := core.NewEngine(rules.StandardLibrary())
+	lib := rules.StandardLibrary()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		insts := make([]core.Instance, 16)
-		for j := range insts {
-			scs, err := scenario.TowerSweep([]int{48})
+		scs := make([]*scenario.Scenario, 16)
+		for j := range scs {
+			sweep, err := scenario.TowerSweep([]int{48})
 			if err != nil {
 				b.Fatal(err)
 			}
-			insts[j] = core.Instance{
-				Name: fmt.Sprintf("tower-48-%d", j), Surface: scs[0].Surface,
-				Config: scs[0].Config(), Seed: int64(j + 1),
-			}
+			scs[j] = sweep[0]
 		}
 		b.StartTimer()
-		brs, err := eng.RunBatch(context.Background(), insts)
-		if err != nil {
-			b.Fatal(err)
+		slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+		var wg sync.WaitGroup
+		for j, s := range scs {
+			wg.Add(1)
+			slots <- struct{}{}
+			go func() {
+				defer wg.Done()
+				defer func() { <-slots }()
+				res, err := core.NewEngine(lib, core.WithSeed(int64(j+1))).
+					Run(context.Background(), s.Surface, s.Config())
+				if err != nil || !res.Success {
+					b.Errorf("tower-48-%d: err=%v res=%v", j, err, res)
+				}
+			}()
 		}
-		for _, br := range brs {
-			if br.Err != nil || !br.Result.Success {
-				b.Fatalf("%s: err=%v res=%v", br.Name, br.Err, br.Result)
-			}
-		}
+		wg.Wait()
 	}
 }
