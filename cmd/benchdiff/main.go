@@ -24,34 +24,31 @@
 // are deterministic DES counts, immune to runner noise, so they are gated
 // even for ungated kernels. A metric regresses by growing, unless its
 // kernel marks it higher-is-better (e.g. moves_per_round_k4), in which
-// case it regresses by shrinking.
+// case it regresses by shrinking. Metrics are compared only when both
+// records give them the same MetricName: a kernel whose metric was renamed
+// reports both values without gating them.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/experiments"
 )
 
-func load(path string) (experiments.BenchRecord, map[string]experiments.BenchResult, []string, error) {
+func load(path string) (experiments.BenchRecord, error) {
 	var rec experiments.BenchRecord
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return rec, nil, nil, err
+		return rec, err
 	}
 	if err := json.Unmarshal(data, &rec); err != nil {
-		return rec, nil, nil, fmt.Errorf("%s: %w", path, err)
+		return rec, fmt.Errorf("%s: %w", path, err)
 	}
-	out := make(map[string]experiments.BenchResult, len(rec.Results))
-	var order []string
-	for _, r := range rec.Results {
-		out[r.Name] = r
-		order = append(order, r.Name)
-	}
-	return rec, out, order, nil
+	return rec, nil
 }
 
 // host renders a record's host fields on one line. A record written before
@@ -60,6 +57,64 @@ func load(path string) (experiments.BenchRecord, map[string]experiments.BenchRes
 func host(rec experiments.BenchRecord) string {
 	return fmt.Sprintf("%s %s/%s gomaxprocs=%d numcpu=%d cpu=%q",
 		rec.GoVersion, rec.GOOS, rec.GOARCH, rec.GOMAXPROCS, rec.NumCPU, rec.CPU)
+}
+
+// diff writes the comparison table of two records to w, in the new
+// record's kernel order followed by the retired kernels, and returns how
+// many gated comparisons regressed by more than maxRegress percent.
+func diff(w io.Writer, oldRec, newRec experiments.BenchRecord, maxRegress float64) int {
+	oldRes := make(map[string]experiments.BenchResult, len(oldRec.Results))
+	for _, r := range oldRec.Results {
+		oldRes[r.Name] = r
+	}
+	inNew := make(map[string]bool, len(newRec.Results))
+	failed := 0
+	fmt.Fprintf(w, "%-36s %14s %14s %9s\n", "KERNEL", "OLD ns/op", "NEW ns/op", "DELTA")
+	for _, nw := range newRec.Results {
+		inNew[nw.Name] = true
+		ol, ok := oldRes[nw.Name]
+		if !ok {
+			fmt.Fprintf(w, "%-36s %14s %14.1f %9s\n", nw.Name, "-", nw.NsPerOp, "new")
+			continue
+		}
+		delta := (nw.NsPerOp - ol.NsPerOp) / ol.NsPerOp * 100
+		verdict := ""
+		switch {
+		case nw.Ungated:
+			verdict = "(not gated)"
+		case delta > maxRegress:
+			verdict = "REGRESSED"
+			failed++
+		}
+		fmt.Fprintf(w, "%-36s %14.1f %14.1f %+8.1f%% %s\n", nw.Name, ol.NsPerOp, nw.NsPerOp, delta, verdict)
+		// Deterministic metric gate: both records must carry the same metric.
+		switch {
+		case ol.Metric == 0 || nw.Metric == 0:
+		case ol.MetricName != nw.MetricName:
+			fmt.Fprintf(w, "%-36s %14.2f %14.2f %9s (not gated)\n",
+				"  metric:"+ol.MetricName+" -> "+nw.MetricName, ol.Metric, nw.Metric, "renamed")
+		default:
+			mDelta := (nw.Metric - ol.Metric) / ol.Metric * 100
+			mVerdict := ""
+			if nw.HigherIsBetter {
+				if mDelta < -maxRegress {
+					mVerdict = "METRIC REGRESSED"
+					failed++
+				}
+			} else if mDelta > maxRegress {
+				mVerdict = "METRIC REGRESSED"
+				failed++
+			}
+			fmt.Fprintf(w, "%-36s %14.2f %14.2f %+8.1f%% %s\n",
+				"  metric:"+nw.MetricName, ol.Metric, nw.Metric, mDelta, mVerdict)
+		}
+	}
+	for _, ol := range oldRec.Results {
+		if !inNew[ol.Name] {
+			fmt.Fprintf(w, "%-36s %14.1f %14s %9s\n", ol.Name, ol.NsPerOp, "-", "retired")
+		}
+	}
+	return failed
 }
 
 func main() {
@@ -73,59 +128,18 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	oldRec, oldRes, _, err := load(*oldPath)
+	oldRec, err := load(*oldPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(1)
 	}
-	newRec, newRes, newOrder, err := load(*newPath)
+	newRec, err := load(*newPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Printf("old host: %s\nnew host: %s\n\n", host(oldRec), host(newRec))
-	failed := 0
-	fmt.Printf("%-36s %14s %14s %9s\n", "KERNEL", "OLD ns/op", "NEW ns/op", "DELTA")
-	for _, name := range newOrder {
-		nw := newRes[name]
-		ol, ok := oldRes[name]
-		if !ok {
-			fmt.Printf("%-36s %14s %14.1f %9s\n", name, "-", nw.NsPerOp, "new")
-			continue
-		}
-		delta := (nw.NsPerOp - ol.NsPerOp) / ol.NsPerOp * 100
-		verdict := ""
-		switch {
-		case nw.Ungated:
-			verdict = "(not gated)"
-		case delta > *maxRegress:
-			verdict = "REGRESSED"
-			failed++
-		}
-		fmt.Printf("%-36s %14.1f %14.1f %+8.1f%% %s\n", name, ol.NsPerOp, nw.NsPerOp, delta, verdict)
-		// Deterministic metric gate: both records must carry the metric.
-		if ol.Metric != 0 && nw.Metric != 0 {
-			mDelta := (nw.Metric - ol.Metric) / ol.Metric * 100
-			mVerdict := ""
-			if nw.HigherIsBetter {
-				if mDelta < -*maxRegress {
-					mVerdict = "METRIC REGRESSED"
-					failed++
-				}
-			} else if mDelta > *maxRegress {
-				mVerdict = "METRIC REGRESSED"
-				failed++
-			}
-			fmt.Printf("%-36s %14.2f %14.2f %+8.1f%% %s\n",
-				"  metric:"+nw.MetricName, ol.Metric, nw.Metric, mDelta, mVerdict)
-		}
-	}
-	for name := range oldRes {
-		if _, ok := newRes[name]; !ok {
-			fmt.Printf("%-36s %14.1f %14s %9s\n", name, oldRes[name].NsPerOp, "-", "retired")
-		}
-	}
-	if failed > 0 {
+	if failed := diff(os.Stdout, oldRec, newRec, *maxRegress); failed > 0 {
 		fmt.Fprintf(os.Stderr, "benchdiff: %d kernel(s) regressed more than %.0f%% (label the PR bench-regression-ok to override)\n", failed, *maxRegress)
 		os.Exit(1)
 	}

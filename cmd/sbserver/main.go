@@ -4,15 +4,15 @@
 // Deterministic (DES) runs are memoized in a content-addressed result
 // cache and concurrent identical requests share one engine run
 // (singleflight); every response says how it was served in its X-Cache
-// header. With -slo set, an AIMD admission controller adapts
-// the pending-request limit to keep the run-phase p95 within the target,
-// shedding overload as 429s, with the bulk class (?class=bulk) degrading
-// first. See internal/server for the service itself and
-// cmd/sbserver/README.md for a curl quickstart.
+// header. Admission is a fixed limit per class: interactive requests may
+// hold -queue slots and bulk requests (?class=bulk) the -bulk-share of them,
+// at least one; a request over its class's limit is answered 429. See
+// internal/server for the service itself and cmd/sbserver/README.md for a
+// curl quickstart.
 //
 // Usage:
 //
-//	sbserver [-addr :8080] [-queue 64] [-seed 1] [-drain 10s] [-slo 0]
+//	sbserver [-addr :8080] [-queue 64] [-seed 1] [-drain 10s]
 //	         [-cache-bytes 67108864] [-bulk-share 0.5] [-peer-probe]
 //
 // With -peer-probe (off by default), a replica running behind cmd/sbgate
@@ -46,12 +46,11 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		queue     = flag.Int("queue", 64, "admission queue capacity (overflow answers 429)")
+		queue     = flag.Int("queue", 64, "pending requests the interactive class may hold (overflow answers 429)")
 		seed      = flag.Int64("seed", 1, "engine base seed (per-request seeds override)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
-		slo       = flag.Duration("slo", 0, "target p95 for the interactive run phase (0 = static admission)")
 		cacheB    = flag.Int64("cache-bytes", 64<<20, "result cache budget in bytes (negative disables)")
-		bulkShare = flag.Float64("bulk-share", 0.5, "fraction of the admission limit the bulk class may use")
+		bulkShare = flag.Float64("bulk-share", 0.5, "fraction of -queue the bulk class may hold (at least one)")
 		peerProbe = flag.Bool("peer-probe", false, "honour X-Peer-Probe headers (cache peering behind sbgate only)")
 		peerTO    = flag.Duration("peer-timeout", 750*time.Millisecond, "per peer-probe budget")
 	)
@@ -60,7 +59,6 @@ func main() {
 	s := server.New(server.Config{
 		QueueCap: *queue,
 		Seed:     *seed,
-		SLO:      *slo,
 		CacheBytes: func() int64 {
 			if *cacheB == 0 {
 				return -1 // flag 0 means "no cache", Config 0 means "default"
@@ -75,8 +73,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "sbserver: listening on %s (queue=%d slo=%v cache=%dB peer-probe=%v)\n",
-		*addr, *queue, *slo, *cacheB, *peerProbe)
+	fmt.Fprintf(os.Stderr, "sbserver: listening on %s (queue=%d cache=%dB peer-probe=%v)\n",
+		*addr, *queue, *cacheB, *peerProbe)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)

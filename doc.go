@@ -211,9 +211,9 @@
 // (speckey.Decode): any other field, a negative value or data after the
 // object gets a 400. The goroutine runtime stays a library backend
 // (examples/asyncrt, smartconvey -engine async) and is never served.
-// Admission is a bounded pending count, and it is the only bound on runs in
-// flight: beyond the limit the server answers 429 immediately rather than
-// queueing unboundedly. Every engine run is a flight — the server's record
+// Admission is a bounded pending count per class, and it is the only bound
+// on runs in flight: beyond the limit the server answers 429 immediately
+// rather than queueing unboundedly. Every engine run is a flight — the server's record
 // of one run, its event history and the clients attached to it — whose
 // context derives from the server's run context: when a run's last client
 // disconnects (or Shutdown forces it) that run alone is cancelled
@@ -243,13 +243,11 @@
 // specs coalesce in flight (singleflight): the first request leads the
 // one engine run and every follower tails its append-only event history
 // from index zero, with the run's lifetime tied to the set of attached
-// clients — it cancels only when the last one disconnects. Admission is
-// SLO-driven: with -slo set, an AIMD controller (additive +1,
-// multiplicative x0.7) adapts the pending-request limit to keep the
-// windowed run-phase p95 inside the target, shedding overload as cheap
-// 429s, and two weighted-fair priority classes (interactive, and
-// ?class=bulk at half the limit) let parameter sweeps soak idle capacity
-// without starving interactive traffic.
+// clients — it cancels only when the last one disconnects. Admission is a
+// fixed pending limit per priority class: interactive requests may hold
+// -queue slots and ?class=bulk requests -bulk-share of them (half, at
+// least one), so parameter sweeps are shed as 429s before they can starve
+// interactive traffic.
 //
 // Every request is timed through three phases (enqueue → run → respond)
 // aggregated as fixed-bucket streaming histograms with interpolated

@@ -45,7 +45,6 @@ type BlockCode struct {
 	// Root-only sequencing state.
 	isRoot        bool
 	roundsRun     int
-	gotSelectAck  bool
 	electionsLeft int // MaxRounds budget; <0 means unlimited
 	// moveSet is the round's admitted winners in admission order (the
 	// paper's single GO generalised to a batch), moveWaves their parallel
@@ -207,7 +206,6 @@ func (b *BlockCode) startElection(env exec.Env, tier msg.Tier) {
 	}
 	b.round++
 	b.tier = tier
-	b.gotSelectAck = false
 	b.moveSet = b.moveSet[:0]
 	b.movesReported = 0
 	b.batchReachedO = false
@@ -741,7 +739,6 @@ func (b *BlockCode) repushFloods(env exec.Env) {
 func (b *BlockCode) onSelectAck(env exec.Env, from lattice.BlockID, m msg.Message) {
 	if b.isRoot {
 		if m.Round == b.round {
-			b.gotSelectAck = true
 			b.maybeAdvance(env)
 		}
 		return

@@ -69,7 +69,6 @@ func Async(p BackendParams) (Backend, error) {
 	return asyncrt.NewEngine(p.Surface, p.Library, p.Factory, asyncrt.Config{
 		Input:       p.Config.Input,
 		Output:      p.Config.Output,
-		Seed:        p.Seed,
 		Constraints: p.Constraints,
 		OnApply:     p.OnApply,
 		Timeout:     p.Timeout,
@@ -94,8 +93,9 @@ type Option func(*options)
 // WithBackend selects the execution backend (default DES).
 func WithBackend(b BackendFactory) Option { return func(o *options) { o.backend = b } }
 
-// WithSeed sets the seed driving all randomness of a run (default 1, so the
-// zero-option Engine is reproducible).
+// WithSeed sets the DES's seed, which drives its latency draws (default 1,
+// so the zero-option Engine is reproducible). The Async backend has no
+// seeded randomness: its delays are real goroutine scheduling.
 func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
 
 // WithLatency sets the DES link-latency model (default: uniform 500..1500

@@ -7,8 +7,6 @@
 package exec
 
 import (
-	"math/rand"
-
 	"repro/internal/geom"
 	"repro/internal/lattice"
 	"repro/internal/msg"
@@ -80,11 +78,6 @@ type Env interface {
 	// surface (including the global connectivity guard of Remark 1) and
 	// executes it atomically; helpers move in the same instant.
 	Move(app rules.Application) error
-
-	// Rand returns this block's deterministic random source (seeded from
-	// the engine seed and the block id); the Root uses it for the paper's
-	// random tie-break among equally distant blocks.
-	Rand() *rand.Rand
 }
 
 // BlockCode is the per-block program, named after VisibleSim's concept of

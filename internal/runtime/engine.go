@@ -11,7 +11,6 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,8 +27,6 @@ import (
 type Config struct {
 	// Input and Output are the I and O cells.
 	Input, Output geom.Vec
-	// Seed drives per-block randomness.
-	Seed int64
 	// Constraints are the physics checks applied to motions.
 	Constraints lattice.Constraints
 	// OnApply observes executed motions (called with the surface lock held;
@@ -40,10 +37,11 @@ type Config struct {
 }
 
 // channelCap is the capacity of each block's event channel; an event
-// posted to a full channel is dropped and counted. It sits far above the
-// deepest queue a run has reached (under 30 events on fig10, the ridge and
-// slope top=30), so a healthy run drops nothing, at 160 bytes per slot.
-const channelCap = 4096
+// posted to a full channel is dropped and counted. The deepest queue
+// measured is under 90 events, on slope top=30 at k=16 (under 10 on fig10
+// and slope top=30 at k=1, 25 on the ridge), so 1,024 slots leave 11x
+// headroom and a healthy run drops nothing, at 160 bytes per slot.
+const channelCap = 1024
 
 type eventKind uint8
 
@@ -91,7 +89,6 @@ type host struct {
 	id   lattice.BlockID
 	code exec.BlockCode
 	ch   chan event
-	rng  *rand.Rand
 }
 
 // NewEngine builds the asynchronous engine over a populated surface.
@@ -117,7 +114,6 @@ func NewEngine(surf *lattice.Surface, lib *rules.Library, factory exec.CodeFacto
 			id:   id,
 			code: factory(id),
 			ch:   make(chan event, channelCap),
-			rng:  rand.New(rand.NewSource(cfg.Seed ^ int64(id)*0x51d2fa7)),
 		}
 	}
 	return e, nil
@@ -384,8 +380,6 @@ func (h *host) Move(app rules.Application) error {
 	}
 	return nil
 }
-
-func (h *host) Rand() *rand.Rand { return h.rng }
 
 var _ exec.Env = (*host)(nil)
 var _ exec.Termination = (*Engine)(nil)

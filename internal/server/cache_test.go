@@ -267,43 +267,67 @@ func TestServerSingleflightCoalescing(t *testing.T) {
 	}
 }
 
-// TestServerClassIsolation: the bulk class has its own (smaller) admission
-// limit — saturating it rejects further bulk work with 429 while
-// interactive requests keep being admitted, and vice versa interactive
-// pressure never blocks on bulk's counter.
+// TestServerClassIsolation: each class has its own fixed admission limit,
+// QueueCap for interactive and max(1, BulkShare x QueueCap) for bulk, and
+// /metrics reports both. A class at its limit gets a 429 that is filed
+// under that class, while the other class is still admitted. QueueCap 1
+// pins bulk's one-slot floor: half of one slot would round down to none.
 func TestServerClassIsolation(t *testing.T) {
-	s, ts := testServer(t, Config{QueueCap: 8})
-	// Bulk limit = 8 * 0.5 = 4. Pin bulk at its limit.
-	s.pending[classBulk].Store(4)
-	body, _ := json.Marshal(RunSpec{Scenario: "fig10"})
+	for _, tc := range []struct {
+		queueCap int
+		want     AdmissionSnapshot
+	}{
+		{queueCap: 8, want: AdmissionSnapshot{Limit: 8, BulkLimit: 4}},
+		{queueCap: 1, want: AdmissionSnapshot{Limit: 1, BulkLimit: 1}},
+	} {
+		t.Run(fmt.Sprintf("queue=%d", tc.queueCap), func(t *testing.T) {
+			s, ts := testServer(t, Config{QueueCap: tc.queueCap})
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap MetricsSnapshot
+			err = json.NewDecoder(resp.Body).Decode(&snap)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Admission != tc.want {
+				t.Fatalf("/metrics admission = %+v, want %+v", snap.Admission, tc.want)
+			}
 
-	resp, err := http.Post(ts.URL+"/v1/runs?class=bulk&cache=bypass", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("bulk over its limit: status=%d, want 429", resp.StatusCode)
-	}
-
-	// Interactive still has 8 slots of headroom.
-	st, _, _ := postRaw(t, ts, "/v1/runs", RunSpec{Scenario: "fig10"})
-	if st != http.StatusOK {
-		t.Fatalf("interactive while bulk saturated: status=%d, want 200", st)
-	}
-	s.pending[classBulk].Store(0)
-
-	// The rejection is attributed to the bulk class.
-	snap := s.Metrics().Snapshot()
-	if snap.Classes["bulk"].Rejected != 1 || snap.Classes["interactive"].Rejected != 0 {
-		t.Errorf("per-class rejects = %+v, want bulk:1 interactive:0", snap.Classes)
-	}
-	if snap.Classes["interactive"].Completed != 1 {
-		t.Errorf("interactive completed = %d, want 1", snap.Classes["interactive"].Completed)
+			limits := [numClasses]int64{tc.want.Limit, tc.want.BulkLimit}
+			run := func(class int) int {
+				st, _, _ := postRaw(t, ts, "/v1/runs?cache=bypass&stream=none&class="+classNames[class],
+					RunSpec{Scenario: "fig10"})
+				s.inflight.Wait() // the admitted run has released its slot
+				return st
+			}
+			for full := 0; full < numClasses; full++ {
+				other := numClasses - 1 - full
+				s.pending[full].Store(limits[full])
+				if st := run(full); st != http.StatusTooManyRequests {
+					t.Errorf("%s at its limit: status=%d, want 429", classNames[full], st)
+				}
+				if st := run(other); st != http.StatusOK {
+					t.Errorf("%s while %s is at its limit: status=%d, want 200",
+						classNames[other], classNames[full], st)
+				}
+				s.pending[full].Store(0)
+			}
+			snap = s.Metrics().Snapshot()
+			for _, name := range classNames {
+				if c := snap.Classes[name]; c.Rejected != 1 || c.Completed != 1 {
+					t.Errorf("%s counters = %+v, want 1 rejected and 1 completed", name, c)
+				}
+			}
+		})
 	}
 
 	// An unknown class is a client error.
-	resp, err = http.Post(ts.URL+"/v1/runs?class=background", "application/json", bytes.NewReader(body))
+	_, ts := testServer(t, Config{})
+	body, _ := json.Marshal(RunSpec{Scenario: "fig10"})
+	resp, err := http.Post(ts.URL+"/v1/runs?class=background", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,6 +55,20 @@ func streamMode(r *http.Request) string {
 	return "ndjson"
 }
 
+// Request priority classes. Interactive is the default: streamed runs a
+// human (or a latency-sensitive caller) is waiting on. Bulk (?class=bulk)
+// is for parameter sweeps and batch jobs that care about aggregate
+// throughput, not tail latency. Each class has its own fixed admission
+// limit (see Config.QueueCap): bulk's is the smaller share, and a sweep
+// that fills it never takes an interactive request's slot.
+const (
+	classInteractive = iota
+	classBulk
+	numClasses
+)
+
+var classNames = [numClasses]string{"interactive", "bulk"}
+
 // classOf resolves the request's priority class (?class=bulk demotes).
 func classOf(r *http.Request) (int, error) {
 	switch r.URL.Query().Get("class") {

@@ -6,8 +6,7 @@ import "time"
 // upper bounds doubling from 16µs, which spans microsecond enqueue waits
 // up to minute-scale runs in histBuckets buckets. Fixed buckets keep
 // the fold O(1) per sample and make snapshots mergeable; the resolution
-// (2x per bucket, interpolated) is plenty for an admission controller that
-// only needs to know which side of the SLO the p95 sits on.
+// is 2x per bucket, interpolated.
 const (
 	histBuckets  = 28
 	histFirstUB  = int64(16 * time.Microsecond) // upper bound of bucket 0
@@ -38,7 +37,7 @@ func histUpperBound(i int) int64 {
 
 // latencyHist is a fixed-bucket streaming histogram: counts per bucket plus
 // the flat aggregate, from which Quantile interpolates p50/p95 estimates.
-// Not self-locking — the Metrics mutex (or a controller's) serializes it.
+// Not self-locking — the Metrics mutex serializes it.
 type latencyHist struct {
 	counts [histBuckets]uint64
 	count  uint64

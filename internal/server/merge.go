@@ -9,8 +9,7 @@ import "repro/internal/stats"
 // layout (hist.go): the merged histogram is exactly what one replica
 // would have recorded had it seen all the samples, and the re-derived
 // p50/p95 carry the same interpolation error as a single replica's.
-// Admission limits sum (fleet capacity); window p95 takes the worst
-// replica (the fleet is as slow as its slowest member for SLO purposes).
+// Admission limits sum (fleet capacity).
 func MergeSnapshots(snaps []MetricsSnapshot) MetricsSnapshot {
 	var out MetricsSnapshot
 	out.Classes = make(map[string]ClassCounters, numClasses)
@@ -67,21 +66,8 @@ func mergeCache(dst *CacheSnapshot, s CacheSnapshot) {
 }
 
 func mergeAdmission(dst *AdmissionSnapshot, s AdmissionSnapshot) {
-	if s.SLONS > dst.SLONS {
-		dst.SLONS = s.SLONS
-	}
 	dst.Limit += s.Limit
 	dst.BulkLimit += s.BulkLimit
-	dst.MaxLimit += s.MaxLimit
-	dst.MinLimit += s.MinLimit
-	if s.WindowP95NS > dst.WindowP95NS {
-		dst.WindowP95NS = s.WindowP95NS
-	}
-	dst.WindowSamples += s.WindowSamples
-	dst.Adaptive = dst.Adaptive || s.Adaptive
-	if s.BulkSharePercent > dst.BulkSharePercent {
-		dst.BulkSharePercent = s.BulkSharePercent
-	}
 }
 
 func mergeEngine(dst *stats.SessionSummary, s stats.SessionSummary) {

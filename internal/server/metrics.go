@@ -27,8 +27,8 @@ var phaseNames = [numPhases]string{"enqueue", "run", "respond"}
 // latencyAgg is one phase's aggregate: the flat fields plus streaming
 // p50/p95 estimates from the fixed-bucket histogram behind them (min, max
 // and the quantiles are meaningful only when Count > 0). The buckets exist
-// because flat min/max/mean can't drive the AIMD admission controller or
-// the SLO bench kernel — both need tail estimates.
+// because flat min/max/mean give no tail estimate, and because bucket
+// counts merge exactly across replicas (MergeSnapshots).
 type latencyAgg struct {
 	Count  uint64 `json:"count"`
 	SumNS  int64  `json:"sum_ns"`
@@ -83,6 +83,14 @@ type ClassCounters struct {
 	Rejected  uint64 `json:"rejected"`
 }
 
+// AdmissionSnapshot is the /metrics view of admission: how many requests
+// each class may have admitted and not yet answered. Both limits are fixed
+// when the server is built.
+type AdmissionSnapshot struct {
+	Limit     int64 `json:"limit"`
+	BulkLimit int64 `json:"bulk_limit"`
+}
+
 // Metrics aggregates the service's counters: request outcomes (total and
 // per priority class), cache traffic, per-phase latency histograms and
 // the engine-level session summary (every instance's observer events fold
@@ -104,10 +112,10 @@ type Metrics struct {
 	phases    [numPhases]latencyAgg
 	engine    stats.SessionSummary
 
-	// cache and ctrl are set by the server so the snapshot can fold their
-	// state in; nil in isolated unit tests.
-	cache *resultCache
-	ctrl  *admission
+	// cache and admission are set by the server so the snapshot can fold
+	// them in; unset in isolated unit tests.
+	cache     *resultCache
+	admission AdmissionSnapshot
 }
 
 func newMetrics() *Metrics {
@@ -226,6 +234,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		Failed:    m.failed,
 		Rejected:  m.rejected,
 		Classes:   make(map[string]ClassCounters, numClasses),
+		Admission: m.admission,
 		Latency:   make(map[string]latencyAgg, numPhases),
 		Engine:    m.engine,
 	}
@@ -242,7 +251,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		snap.Latency[phaseNames[p]] = a
 	}
 	coalesced, bypass, peers := m.coalesced, m.bypass, m.peers
-	cache, ctrl := m.cache, m.ctrl
+	cache := m.cache
 	m.mu.Unlock()
 
 	if cache != nil {
@@ -251,9 +260,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	snap.Cache.Coalesced = coalesced
 	snap.Cache.Bypass = bypass
 	snap.Cache.PeerHits = peers
-	if ctrl != nil {
-		snap.Admission = ctrl.snapshot()
-	}
 	return snap
 }
 
@@ -314,7 +320,6 @@ func (s MetricsSnapshot) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE sbserver_cache_entries gauge\nsbserver_cache_entries %d\n", s.Cache.Entries)
 	fmt.Fprintf(w, "# TYPE sbserver_admission_limit gauge\nsbserver_admission_limit %d\n", s.Admission.Limit)
 	fmt.Fprintf(w, "# TYPE sbserver_admission_bulk_limit gauge\nsbserver_admission_bulk_limit %d\n", s.Admission.BulkLimit)
-	fmt.Fprintf(w, "# TYPE sbserver_admission_window_p95_ns gauge\nsbserver_admission_window_p95_ns %d\n", s.Admission.WindowP95NS)
 	fmt.Fprintf(w, "# TYPE sbserver_phase_latency_ns histogram\n")
 	for _, name := range phaseNames {
 		a := s.Latency[name]

@@ -10,7 +10,6 @@
 //   - stream.go   — the wire schema (RunSpec in, event/result records out)
 //   - server.go   — admission, dispatch (one Engine.Run per admitted
 //     request), graceful shutdown
-//   - admission.go — the SLO-driven admission limit and priority classes
 //   - flight.go   — the flight: one engine run, its event history and the
 //     clients attached to it; every engine run is one
 //   - cache.go, peer.go — the result cache and cross-replica cache peering
@@ -51,26 +50,20 @@ type Config struct {
 	// Deprecated: BatchWait is ignored; every admitted request runs on its
 	// own. It is kept only because e2ebench/serve.go still sets it.
 	BatchWait time.Duration
-	// QueueCap bounds the requests admitted but not yet answered; an
-	// overflowing submission is rejected with 429 (default 64). It is the
-	// admission controller's ceiling: with an SLO configured the live
-	// limit adapts between min(8, QueueCap) and QueueCap.
+	// QueueCap bounds the requests of each class admitted but not yet
+	// answered: interactive requests may hold QueueCap slots, bulk requests
+	// max(1, BulkShare x QueueCap). A submission over its class's limit is
+	// rejected with 429 (default 64).
 	QueueCap int
 	// Seed is the engine's base seed; per-request seeds override it
 	// (default 1, the evaluation's golden seed).
 	Seed int64
-	// SLO is the target p95 for the interactive run phase. Non-zero
-	// activates the AIMD admission controller: while the windowed p95
-	// stays within the SLO the limit creeps up additively, past it the
-	// limit backs off multiplicatively, shedding load as 429s before
-	// queueing blows the tail. Zero keeps the static QueueCap behaviour.
-	SLO time.Duration
 	// CacheBytes is the result cache's budget (default 64 MiB; negative
 	// disables caching — singleflight coalescing stays active).
 	CacheBytes int64
-	// BulkShare is the fraction of the admission limit the bulk class may
-	// occupy (default 0.5). Interactive always has the full limit, so
-	// sweeps degrade gracefully instead of starving interactive traffic.
+	// BulkShare is the fraction of QueueCap the bulk class may occupy
+	// (default 0.5). Interactive always has the full QueueCap, so sweeps
+	// degrade gracefully instead of starving interactive traffic.
 	BulkShare float64
 	// PeerProbe enables cross-replica cache peering: on an engine-path
 	// miss, when the request carries an X-Peer-Probe header (set by the
@@ -130,13 +123,14 @@ func (r *runReq) timing() wireTiming {
 
 // Server is the reconfiguration service: the rule library every run's DES
 // engine is built over, the content-addressed result cache with its
-// singleflight table, the admission controller, and the metrics registry.
+// singleflight table, the per-class admission limits, and the metrics
+// registry.
 type Server struct {
 	cfg     Config
 	lib     *rules.Library
 	cache   *resultCache
 	flights *flightTable
-	ctrl    *admission
+	limits  [numClasses]int64 // pending requests each class may hold
 	metrics *Metrics
 	mux     *http.ServeMux
 
@@ -163,10 +157,13 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		lib:     rules.StandardLibrary(),
-		cache:   newResultCache(cfg.CacheBytes),
-		ctrl:    newAdmission(cfg.SLO, cfg.QueueCap, cfg.BulkShare),
+		cfg:   cfg,
+		lib:   rules.StandardLibrary(),
+		cache: newResultCache(cfg.CacheBytes),
+		limits: [numClasses]int64{
+			classInteractive: int64(cfg.QueueCap),
+			classBulk:        max(1, int64(cfg.BulkShare*float64(cfg.QueueCap))),
+		},
 		metrics: newMetrics(),
 		mux:     http.NewServeMux(),
 		peerClient: &http.Client{Transport: &http.Transport{
@@ -175,7 +172,7 @@ func New(cfg Config) *Server {
 		}},
 	}
 	s.metrics.cache = s.cache
-	s.metrics.ctrl = s.ctrl
+	s.metrics.admission = AdmissionSnapshot{Limit: s.limits[classInteractive], BulkLimit: s.limits[classBulk]}
 	s.runCtx, s.force = context.WithCancel(context.Background())
 	s.flights = newFlightTable(s.runCtx)
 	s.routes()
@@ -188,8 +185,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Metrics exposes the registry (the bench kernels read it in-process).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// submit admits one request, counted against its class's live admission
-// limit, and starts its run. On success the request's flight WILL be
+// submit admits one request, counted against its class's admission limit,
+// and starts its run. On success the request's flight WILL be
 // completed with exactly one outcome; every error path here releases the
 // admission slot.
 func (s *Server) submit(req *runReq) error {
@@ -198,8 +195,7 @@ func (s *Server) submit(req *runReq) error {
 	if s.draining.Load() {
 		return ErrStopped
 	}
-	limit := s.ctrl.limitFor(req.class)
-	if n := s.pending[req.class].Add(1); n > limit {
+	if n := s.pending[req.class].Add(1); n > s.limits[req.class] {
 		s.pending[req.class].Add(-1)
 		return ErrQueueFull
 	}
@@ -225,12 +221,8 @@ func (s *Server) execute(r *runReq) {
 		core.WithObserver(core.MultiObserver(r.flight, s.metrics, s.observe))).
 		Run(r.flight.ctx, r.scen.Surface, r.cfg)
 	r.tRunEnd = time.Now()
-	out := runOutcome{res: res, err: err}
 	s.metrics.recordPhases(r)
-	if out.err == nil && r.class == classInteractive {
-		s.ctrl.observe(r.tRunEnd.Sub(r.tRunStart))
-	}
-	s.finishFlight(r.flight, out, r.timing())
+	s.finishFlight(r.flight, runOutcome{res: res, err: err}, r.timing())
 	s.pending[r.class].Add(-1)
 	s.inflight.Done()
 }

@@ -777,27 +777,25 @@ func TestFlightTableReplacesAbandonedFlight(t *testing.T) {
 	fresh.detach()
 }
 
-// TestLoadgen: the closed-loop generator drives the service end to end
-// and accounts for every request, in three shapes. Cached is a small load
-// on one spec. Bypass has 32 clients each make one engine run at once on
-// the default config, and all of them must complete: admission must not
-// refuse them and no run may fail. SLO mixes a quarter bulk requests into
-// 16 engine runs under a 5 s run-phase SLO: overload may shed as 429s but
-// never as failures, and interactive requests are never refused.
+// TestLoadgen: the closed-loop generator drives the service end to end on
+// the default config and accounts for every request, in three shapes.
+// Cached is a small load on one spec. Bypass has 32 clients each make one
+// engine run at once, and all of them must complete: admission must not
+// refuse them and no run may fail. Mixed makes a quarter of 16 engine runs
+// bulk: overload may shed as 429s but never as failures, and interactive
+// requests are never refused.
 func TestLoadgen(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
-		cfg         Config
 		load        LoadConfig
 		allComplete bool // no request may be refused either
 	}{
 		{name: "cached", load: LoadConfig{Clients: 4, PerClient: 2}, allComplete: true},
 		{name: "bypass", load: LoadConfig{Clients: 32, PerClient: 1, CacheMode: "bypass"}, allComplete: true},
-		{name: "slo", cfg: Config{SLO: 5 * time.Second},
-			load: LoadConfig{Clients: 16, PerClient: 1, CacheMode: "bypass", BulkFraction: 0.25}},
+		{name: "mixed", load: LoadConfig{Clients: 16, PerClient: 1, CacheMode: "bypass", BulkFraction: 0.25}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, ts := testServer(t, tc.cfg)
+			_, ts := testServer(t, Config{})
 			lc := tc.load
 			lc.BaseURL, lc.Client, lc.Spec = ts.URL, ts.Client(), RunSpec{Scenario: "fig10"}
 			rep, err := RunLoad(context.Background(), lc)

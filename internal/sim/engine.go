@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"repro/internal/exec"
@@ -17,8 +16,8 @@ import (
 type Config struct {
 	// Input and Output are the I and O cells of the trajectory problem.
 	Input, Output geom.Vec
-	// Seed drives every random source of the run (scheduler, per-block
-	// rngs, latency jitter); equal seeds give identical runs.
+	// Seed drives the scheduler's random source, from which every link
+	// latency is drawn; equal seeds give identical runs.
 	Seed int64
 	// Latency is the link latency model; nil defaults to FixedLatency(1000).
 	Latency LatencyModel
@@ -117,7 +116,6 @@ type host struct {
 	eng  *Engine
 	id   lattice.BlockID
 	code exec.BlockCode
-	rng  *rand.Rand
 }
 
 // NewEngine builds an engine over the given surface and rule library. The
@@ -148,7 +146,6 @@ func NewEngine(surf *lattice.Surface, lib *rules.Library, factory exec.CodeFacto
 			eng:  e,
 			id:   id,
 			code: factory(id),
-			rng:  rand.New(rand.NewSource(cfg.Seed ^ int64(id)*0x7f4a7c15)),
 		}
 	}
 	return e, nil
@@ -390,7 +387,5 @@ func (e *Engine) mark(id lattice.BlockID) bool {
 	e.seen[id] = e.epoch
 	return true
 }
-
-func (h *host) Rand() *rand.Rand { return h.rng }
 
 var _ exec.Env = (*host)(nil)
