@@ -27,7 +27,9 @@
 // occupied / empty, wildcards masked out), maintained in sync with the
 // code grid; the lattice keeps a row-bitset occupancy mirror of the id
 // grid, from which Surface.OccWindow extracts a block's sensing window
-// with a handful of word operations. A validation is then two AND/compare
+// with a handful of word operations; a block's planner reads each rule
+// window that way, through exec.Env.SenseWindow, on either engine. A
+// validation is then two AND/compare
 // instructions, and rule enumeration (Library.ApplicationsFor /
 // ApplicationsOn) allocates nothing until a match is found. The original
 // matrix objects remain the display, XML and teaching API; a differential

@@ -35,8 +35,10 @@ type BlockCode struct {
 	ds dsterm.Tracker[lattice.BlockID]
 	// agg folds this node's bid with its children's acks; it also keeps the
 	// routing pointer (Via) the Select message follows. It survives
-	// disengagement until the next round overwrites it.
-	agg *election.Aggregator
+	// disengagement until the next round resets it, and only its methods
+	// read it (ackFather copies the kept list out), so one aggregator
+	// serves every round.
+	agg election.Aggregator
 
 	round  uint32
 	tier   msg.Tier
@@ -150,6 +152,10 @@ type BlockCode struct {
 	bidPos   geom.Vec
 	bidApp   rules.Application
 	hasBid   bool
+
+	// win is the planner's view of the sensing window; plan points it at
+	// the running hook's Env, so an enumeration allocates no window source.
+	win sensed
 }
 
 // avoidCell returns the planner exclusion for this block at the given tier;
@@ -160,6 +166,13 @@ func (b *BlockCode) avoidCell(tier msg.Tier) *geom.Vec {
 	}
 	v := b.noReturnTo
 	return &v
+}
+
+// plan enumerates this block's admissible moves from pos at the given tier
+// (planCandidates), reading the sensing window through env.
+func (b *BlockCode) plan(env exec.Env, pos geom.Vec, tier msg.Tier) []CandidateMove {
+	b.win.env = env
+	return planCandidates(b.sh.cfg, env.Library(), pos, &b.win, tier, b.avoidCell(tier))
 }
 
 // newObservedFactory returns the exec.CodeFactory for one run of the
@@ -220,7 +233,7 @@ func (b *BlockCode) startElection(env exec.Env, tier msg.Tier) {
 		return
 	}
 	// The Root is pinned on I (Lemma 1(b)) and never a candidate.
-	b.agg = election.NewAggregator(election.Neutral(), b.foldWidth())
+	b.agg.Reset(election.Neutral(), b.foldWidth())
 
 	init := msg.Message{
 		Type:   msg.TypeActivate,
@@ -280,7 +293,7 @@ func (b *BlockCode) onActivate(env exec.Env, from lattice.BlockID, m msg.Message
 		// the flood that would have released it).
 		b.pendingHop = false
 		own := b.ownCandidate(env, m.Round, m.Tier)
-		b.agg = election.NewAggregator(own, b.foldWidth())
+		b.agg.Reset(own, b.foldWidth())
 
 		fwd := m
 		fwd.Father = b.id
@@ -774,7 +787,7 @@ func (b *BlockCode) performHop(env exec.Env, tier msg.Tier, waveMember bool) {
 		}
 		b.pendingOwnMove = false
 	}
-	cands := planCandidates(b.sh.cfg, env.Library(), from, env.Sense, tier, b.avoidCell(tier))
+	cands := b.plan(env, from, tier)
 	for _, c := range cands {
 		b.pendingOwnMove = true
 		if err := env.Move(c.App); err == nil {
@@ -1014,7 +1027,7 @@ func (b *BlockCode) ownCandidate(env exec.Env, round uint32, tier msg.Tier) elec
 	hasMove := false
 	var planned *CandidateMove
 	if !cfg.Frozen(pos) && !suppressed {
-		cands := planCandidates(cfg, env.Library(), pos, env.Sense, tier, b.avoidCell(tier))
+		cands := b.plan(env, pos, tier)
 		hasMove = len(cands) > 0
 		if hasMove && cfg.parallelK() > 1 {
 			planned = &cands[0]

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"repro/internal/exec"
 	"repro/internal/geom"
 	"repro/internal/msg"
 	"repro/internal/rules"
@@ -38,10 +39,21 @@ type CandidateMove struct {
 // The result is ordered best-first: nearer destination, then fewer moved
 // blocks (a plain slide beats a carry when both reach the same cell, to
 // minimise total block moves), then a stable deterministic key.
-func planCandidates(cfg Config, lib *rules.Library, pos geom.Vec, sense func(geom.Vec) bool, tier msg.Tier, avoid *geom.Vec) []CandidateMove {
+func planCandidates(cfg Config, lib *rules.Library, pos geom.Vec, src rules.WindowSource, tier msg.Tier, avoid *geom.Vec) []CandidateMove {
 	cfg.Counters.CandidateEnumerations.Add(1)
-	return filterCandidates(cfg, lib.ApplicationsFor(pos, sense), pos, tier, avoid)
+	return filterCandidates(cfg, lib.ApplicationsOn(pos, src), pos, tier, avoid)
 }
+
+// sensed reads a block's sensing window as a rules.WindowSource: each
+// rule's window through Env.SenseWindow, and single cells (the fallback for
+// rules wider than a bitboard) through Env.Sense.
+type sensed struct{ env exec.Env }
+
+func (s *sensed) OccWindow(anchor geom.Vec, radius int) uint64 {
+	return s.env.SenseWindow(anchor, radius)
+}
+
+func (s *sensed) Occupied(v geom.Vec) bool { return s.env.Sense(v) }
 
 // admissibleMove applies the tier/freeze/avoid admissibility rules of
 // eq. (9) to one physics-valid application, without allocating: the moves

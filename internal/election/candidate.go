@@ -139,19 +139,19 @@ type slot struct {
 	via lattice.BlockID // neighbour that reported c; lattice.None = self
 }
 
-// NewAggregator starts an aggregation with the node's own bid, keeping the
-// best k candidates (k < 1 is treated as 1; k is capped at msg.MaxBatch,
-// the wire format's candidate-list bound).
-func NewAggregator(own Candidate, k int) *Aggregator {
-	if k < 1 {
-		k = 1
+// Reset starts a new aggregation with the node's own bid, keeping the best
+// k candidates (k < 1 is treated as 1; k is capped at msg.MaxBatch, the
+// wire format's candidate-list bound). It reuses the storage of the
+// previous aggregation, so a node that folds one election per round
+// allocates its entries once. The zero Aggregator keeps nothing until
+// Reset.
+func (a *Aggregator) Reset(own Candidate, k int) {
+	a.k = min(max(k, 1), msg.MaxBatch)
+	if cap(a.entries) < a.k {
+		a.entries = make([]slot, 0, a.k)
 	}
-	if k > msg.MaxBatch {
-		k = msg.MaxBatch
-	}
-	a := &Aggregator{k: k, entries: make([]slot, 0, k)}
+	a.entries = a.entries[:0]
 	a.Fold(own, lattice.None)
-	return a
 }
 
 // Fold merges a candidate reported by neighbour `from` into the top-K set

@@ -73,6 +73,7 @@ func TestBetterOrdering(t *testing.T) {
 // global minimum and routes via the correct neighbour.
 func TestFoldMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	var agg Aggregator
 	for trial := 0; trial < 200; trial++ {
 		own := randCandidate(rng)
 		n := rng.Intn(6)
@@ -84,7 +85,7 @@ func TestFoldMatchesLinearScan(t *testing.T) {
 		for i := range reports {
 			reports[i] = report{randCandidate(rng), lattice.BlockID(100 + i)}
 		}
-		agg := NewAggregator(own, 1)
+		agg.Reset(own, 1)
 		for _, i := range rng.Perm(n) {
 			agg.Fold(reports[i].c, reports[i].from)
 		}
@@ -109,6 +110,9 @@ func TestFoldMatchesLinearScan(t *testing.T) {
 // and every kept candidate routes via the neighbour that reported it.
 func TestTopKFoldOrderInsensitive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	// One aggregator serves every trial, as one serves every round of a
+	// block: Reset must forget the previous fold, whatever its width.
+	var agg Aggregator
 	for trial := 0; trial < 300; trial++ {
 		k := 1 + rng.Intn(4)
 		n := rng.Intn(10)
@@ -128,7 +132,7 @@ func TestTopKFoldOrderInsensitive(t *testing.T) {
 			used[c.ID] = true
 			reports[i] = report{c, lattice.BlockID(100 + i)}
 		}
-		agg := NewAggregator(Neutral(), k)
+		agg.Reset(Neutral(), k)
 		for _, i := range rng.Perm(n) {
 			agg.Fold(reports[i].c, reports[i].from)
 		}

@@ -48,6 +48,21 @@ type Env interface {
 	// chain-carry extension). Cells outside the window panic: the hardware
 	// has no way to observe them.
 	Sense(v geom.Vec) bool
+	// SenseWindow reports the occupancy of the square of the given radius
+	// around anchor as one bitboard, in rules.WindowAround's bit layout:
+	// the readings one Sense per cell would give, in one read. Rule
+	// matching (MM⊗MP) reads its windows this way, and both engines answer
+	// it with word operations on the lattice's row bitsets. The square must
+	// lie inside the sensing window (anchor's Chebyshev distance from the
+	// block plus radius at most SensingRadius) and fit a bitboard (radius
+	// at most rules.MaxWindowRadius); otherwise it panics, as Sense does.
+	//
+	// Sense stays beside it for the single readings that remain: rules
+	// whose matrices are wider than a bitboard are matched cell by cell,
+	// and a wrapper that perturbs or observes readings one cell at a time
+	// (the fault layer's flaky sensors) answers SenseWindow through its own
+	// Sense, so both paths see the same readings.
+	SenseWindow(anchor geom.Vec, radius int) uint64
 	// SensingRadius returns the window radius (2 x the max rule radius).
 	SensingRadius() int
 

@@ -69,10 +69,11 @@ func (f *flakyCode) OnNeighborhoodChanged(e exec.Env) {
 	f.inner.OnNeighborhoodChanged(f.env(e))
 }
 
-// flakyEnv intercepts Sense and flips readings with probability p. The
-// block's own cell and its four lateral contacts stay truthful: contact
-// sensors are redundant with the communication ports, so their failure
-// modes are separate (DeadBlocks covers losing a neighbour entirely).
+// flakyEnv intercepts Sense and SenseWindow and flips readings with
+// probability p. The block's own cell and its four lateral contacts stay
+// truthful: contact sensors are redundant with the communication ports, so
+// their failure modes are separate (DeadBlocks covers losing a neighbour
+// entirely).
 type flakyEnv struct {
 	exec.Env
 	f *flakyCode
@@ -98,6 +99,13 @@ func (e *flakyEnv) Sense(v geom.Vec) bool {
 		return !truth
 	}
 	return truth
+}
+
+// SenseWindow implements exec.Env through Sense, so the noise is drawn per
+// cell in rules.WindowAround's order, exactly as a cell-by-cell reader of
+// the same window draws it.
+func (e *flakyEnv) SenseWindow(anchor geom.Vec, radius int) uint64 {
+	return rules.WindowAround(anchor, radius, e.Sense)
 }
 
 // DeadBlocks wraps a CodeFactory so the listed blocks are crash-faulty:

@@ -6,9 +6,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/geom"
 	"repro/internal/lattice"
 	"repro/internal/rules"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // TestFlakySensorsToleratedAtLowRates: with a few percent of long-range
@@ -47,6 +49,64 @@ func TestFlakySensorsToleratedAtLowRates(t *testing.T) {
 		if ok < trials-1 {
 			t.Errorf("p=%v: only %d/%d flaky runs completed", p, ok, trials)
 		}
+	}
+}
+
+// TestFlakyWindowMatchesCellReads: a flaky block that reads a rule window
+// in one SenseWindow call sees exactly what a twin with the same seed sees
+// reading the same cells one Sense at a time, and both tallies count the
+// same reads and flips, so the fault study's numbers do not depend on how
+// the planner reads its windows.
+func TestFlakyWindowMatchesCellReads(t *testing.T) {
+	s, err := scenario.Fig10()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var host exec.Env
+	eng, err := sim.NewEngine(s.Surface, rules.StandardLibrary(), func(id lattice.BlockID) exec.BlockCode {
+		return exec.BlockCodeFuncs{Start: func(e exec.Env) {
+			if e.Position() == geom.V(2, 2) {
+				host = e
+			}
+		}}
+	}, sim.Config{Input: s.Input, Output: s.Output, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Drive(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if host == nil {
+		t.Fatal("no block at (2,2)")
+	}
+	var windowTally, cellTally Tally
+	flaky := func(tally *Tally) *flakyEnv {
+		code := CountingFlakySensors(func(lattice.BlockID) exec.BlockCode { return silentCode{} }, 0.3, 7, tally)(host.ID())
+		return &flakyEnv{Env: host, f: code.(*flakyCode)}
+	}
+	byWindow, byCell := flaky(&windowTally), flaky(&cellTally)
+	p, r := host.Position(), host.SensingRadius()
+	for dy := -r; dy <= r; dy++ {
+		for dx := -r; dx <= r; dx++ {
+			anchor := p.Add(geom.V(dx, dy))
+			for radius := 0; anchor.Chebyshev(p)+radius <= r; radius++ {
+				got := byWindow.SenseWindow(anchor, radius)
+				want := rules.WindowAround(anchor, radius, byCell.Sense)
+				if got != want {
+					t.Fatalf("SenseWindow(%v, %d) = %#x, cell by cell %#x", anchor, radius, got, want)
+				}
+			}
+		}
+	}
+	if windowTally.Flips() == 0 {
+		t.Fatal("no reading was flipped")
+	}
+	if windowTally.Reads() != cellTally.Reads() || windowTally.Flips() != cellTally.Flips() {
+		t.Errorf("window reader tallied %d reads, %d flips; cell reader %d reads, %d flips",
+			windowTally.Reads(), windowTally.Flips(), cellTally.Reads(), cellTally.Flips())
 	}
 }
 

@@ -274,15 +274,18 @@ func (h *host) Send(to lattice.BlockID, m msg.Message) error {
 	return nil
 }
 
-func (h *host) Sense(v geom.Vec) bool {
+func (h *host) Sense(v geom.Vec) bool { return h.SenseWindow(v, 0) != 0 }
+
+func (h *host) SenseWindow(anchor geom.Vec, radius int) uint64 {
 	e := h.eng
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	p, _ := e.surf.PositionOf(h.id)
-	if v.Chebyshev(p) > e.radius {
-		panic(fmt.Sprintf("runtime: block %d sensing %v beyond radius %d", h.id, v, e.radius))
+	if anchor.Chebyshev(p)+radius > e.radius {
+		panic(fmt.Sprintf("runtime: block %d sensing the radius-%d square around %v, beyond radius %d",
+			h.id, radius, anchor, e.radius))
 	}
-	return e.surf.Occupied(v)
+	return e.surf.OccWindow(anchor, radius)
 }
 
 func (h *host) SensingRadius() int { return h.eng.radius }

@@ -160,3 +160,76 @@ func TestBurstDeliveredWithoutDrops(t *testing.T) {
 		}
 	}
 }
+
+// TestSensingWindowEnforced is the goroutine runtime's twin of the DES
+// test of the same name: inside the block's own goroutine, the window read
+// equals the cell-by-cell rules.WindowAround over Sense, and over the
+// surface's own occupancy, for every anchor and radius inside the sensing
+// window, and panics for every square that reaches one cell past it. No
+// block moves, so reading the surface unlocked is safe.
+func TestSensingWindowEnforced(t *testing.T) {
+	surf, err := lattice.NewSurface(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []geom.Vec{geom.V(1, 1), geom.V(2, 1), geom.V(1, 2), geom.V(0, 3), geom.V(3, 0)} {
+		if _, err := surf.Place(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var eng *runtime.Engine
+	checked := 0 // written only by the checking block's goroutine
+	factory := func(lattice.BlockID) exec.BlockCode {
+		return exec.BlockCodeFuncs{Start: func(e exec.Env) {
+			if e.Position() != geom.V(1, 1) {
+				return
+			}
+			defer eng.Finish(true, 0)
+			p, r := e.Position(), e.SensingRadius()
+			if r != 2 {
+				t.Errorf("SensingRadius = %d, want 2", r)
+			}
+			for dy := -r; dy <= r; dy++ {
+				for dx := -r; dx <= r; dx++ {
+					anchor := p.Add(geom.V(dx, dy))
+					d := anchor.Chebyshev(p)
+					for radius := 0; d+radius <= r; radius++ {
+						got := e.SenseWindow(anchor, radius)
+						if want := rules.WindowAround(anchor, radius, e.Sense); got != want {
+							t.Errorf("SenseWindow(%v, %d) = %#x, Sense cell by cell %#x", anchor, radius, got, want)
+						}
+						if want := rules.WindowAround(anchor, radius, surf.Occupied); got != want {
+							t.Errorf("SenseWindow(%v, %d) = %#x, surface %#x", anchor, radius, got, want)
+						}
+						checked++
+					}
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Errorf("SenseWindow(%v, %d) reaches past radius %d but did not panic", anchor, r-d+1, r)
+							}
+						}()
+						e.SenseWindow(anchor, r-d+1)
+					}()
+				}
+			}
+		}}
+	}
+	eng, err = runtime.NewEngine(surf, rules.StandardLibrary(), factory, runtime.Config{
+		Input:   geom.V(1, 1),
+		Output:  geom.V(5, 5),
+		Timeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Drive(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("the block at (1,1) checked no window")
+	}
+}

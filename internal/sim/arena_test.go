@@ -20,14 +20,14 @@ func (e *reschedulingEvent) Fire() {
 }
 
 // TestSchedulerTypedEventAllocs pins the typed event ring's contract: once
-// the heap and pools are warm, firing and rescheduling typed events
+// the node slab and pools are warm, firing and rescheduling typed events
 // allocates nothing (the ROADMAP's scheduler-arena item; the old design
 // paid one closure allocation per scheduled event).
 func TestSchedulerTypedEventAllocs(t *testing.T) {
 	s := NewScheduler(1)
 	ev := &reschedulingEvent{s: s, remaining: 1 << 30}
 	s.Schedule(0, ev)
-	// Warm up: grow the heap backing array and the event pool.
+	// Warm up: grow the node slab and the event pool.
 	for i := 0; i < 64; i++ {
 		s.Step()
 	}

@@ -37,7 +37,9 @@ type Engine struct {
 	lib   *rules.Library
 	cfg   Config
 
-	hosts   map[lattice.BlockID]*host
+	// hosts is indexed by BlockID (surface ids are small and dense, as for
+	// seen); nil marks an id with no host.
+	hosts   []*host
 	radius  int
 	sent    uint64 // Send calls accepted by ports
 	deliver uint64 // messages handed to OnMessage
@@ -132,14 +134,15 @@ func NewEngine(surf *lattice.Surface, lib *rules.Library, factory exec.CodeFacto
 		surf:   surf,
 		lib:    lib,
 		cfg:    cfg,
-		hosts:  make(map[lattice.BlockID]*host, surf.NumBlocks()),
 		radius: 2 * lib.MaxRadius(),
 	}
 	ids := surf.Blocks()
 	if len(ids) > 0 {
-		// Pre-size the notification scratch for every block already placed
-		// (ids ascend, so the last is the max).
-		e.seen = make([]uint32, int(ids[len(ids)-1])+1)
+		// Size the host table and the notification scratch for every block
+		// already placed (ids ascend, so the last is the max).
+		n := int(ids[len(ids)-1]) + 1
+		e.hosts = make([]*host, n)
+		e.seen = make([]uint32, n)
 	}
 	for _, id := range ids {
 		e.hosts[id] = &host{
@@ -158,7 +161,7 @@ func (e *Engine) Boot() error {
 	ids := e.surf.Blocks()
 	for _, id := range ids {
 		ev := e.newEvent(evStart)
-		ev.h = e.hosts[id]
+		ev.h = e.hostOf(id)
 		e.sched.Schedule(0, ev)
 	}
 	return nil
@@ -238,13 +241,21 @@ func (h *host) Send(to lattice.BlockID, m msg.Message) error {
 // after the send (e.g. the elected block's SelectAck racing its own hop).
 // Each message is its own event and is handed to OnMessage as it lands.
 func (e *Engine) deliverTo(from, to lattice.BlockID, m msg.Message) {
-	h, ok := e.hosts[to]
-	if !ok {
+	h := e.hostOf(to)
+	if h == nil {
 		e.dropped++
 		return
 	}
 	e.deliver++
 	h.code.OnMessage(h, from, m)
+}
+
+// hostOf returns id's host, or nil when id has none.
+func (e *Engine) hostOf(id lattice.BlockID) *host {
+	if uint(id) < uint(len(e.hosts)) {
+		return e.hosts[id]
+	}
+	return nil
 }
 
 // portBetween returns an error unless the blocks are in lateral contact.
@@ -263,17 +274,16 @@ func portBetween(surf *lattice.Surface, from, to lattice.BlockID) error {
 	return nil
 }
 
-func (h *host) Sense(v geom.Vec) bool {
+func (h *host) Sense(v geom.Vec) bool { return h.SenseWindow(v, 0) != 0 }
+
+func (h *host) SenseWindow(anchor geom.Vec, radius int) uint64 {
 	e := h.eng
-	p, ok := e.surf.PositionOf(h.id)
-	if !ok {
-		panic(fmt.Sprintf("sim: block %d vanished from the surface", h.id))
+	p := h.Position()
+	if anchor.Chebyshev(p)+radius > e.radius {
+		panic(fmt.Sprintf("sim: block %d at %v sensing the radius-%d square around %v, beyond radius %d",
+			h.id, p, radius, anchor, e.radius))
 	}
-	if v.Chebyshev(p) > e.radius {
-		panic(fmt.Sprintf("sim: block %d sensing %v beyond radius %d from %v",
-			h.id, v, e.radius, p))
-	}
-	return e.surf.Occupied(v)
+	return e.surf.OccWindow(anchor, radius)
 }
 
 func (h *host) SensingRadius() int { return h.eng.radius }
@@ -328,12 +338,12 @@ func (e *Engine) notifyAfterMotion(res lattice.ApplyResult) {
 			continue
 		}
 		ev := e.newEvent(evMoved)
-		ev.h, ev.vFrom, ev.vTo = e.hosts[id], from, to
+		ev.h, ev.vFrom, ev.vTo = e.hostOf(id), from, to
 		e.sched.Schedule(0, ev)
 	}
 	for _, id := range e.affectedBlocks(e.changedBuf) {
 		ev := e.newEvent(evNeighborhood)
-		ev.h = e.hosts[id]
+		ev.h = e.hostOf(id)
 		e.sched.Schedule(0, ev)
 	}
 }

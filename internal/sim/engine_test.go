@@ -151,6 +151,12 @@ func TestSendRequiresAdjacency(t *testing.T) {
 
 func TestSensingWindowEnforced(t *testing.T) {
 	surf := pairSurface(t)
+	// A few more blocks, so the windows below mix occupied and empty cells.
+	for _, v := range []geom.Vec{geom.V(1, 2), geom.V(0, 3), geom.V(3, 0)} {
+		if _, err := surf.Place(v); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var env exec.Env
 	eng, _ := NewEngine(surf, rules.StandardLibrary(), func(id lattice.BlockID) exec.BlockCode {
 		return exec.BlockCodeFuncs{Start: func(e exec.Env) {
@@ -171,12 +177,45 @@ func TestSensingWindowEnforced(t *testing.T) {
 	if env.Sense(geom.V(3, 3)) {
 		t.Error("empty in-window cell should be sensed empty")
 	}
+	checkWindowReads(t, env, surf.Occupied)
 	defer func() {
 		if recover() == nil {
 			t.Error("sensing beyond the window must panic")
 		}
 	}()
 	env.Sense(geom.V(5, 1))
+}
+
+// checkWindowReads asserts that env's window read equals the cell-by-cell
+// rules.WindowAround over Sense, and over the surface's own occupancy, for
+// every anchor and radius inside the sensing window, and panics for every
+// square that reaches one cell past it.
+func checkWindowReads(t *testing.T, env exec.Env, occupied func(geom.Vec) bool) {
+	t.Helper()
+	p, r := env.Position(), env.SensingRadius()
+	for dy := -r; dy <= r; dy++ {
+		for dx := -r; dx <= r; dx++ {
+			anchor := p.Add(geom.V(dx, dy))
+			d := anchor.Chebyshev(p)
+			for radius := 0; d+radius <= r; radius++ {
+				got := env.SenseWindow(anchor, radius)
+				if want := rules.WindowAround(anchor, radius, env.Sense); got != want {
+					t.Errorf("SenseWindow(%v, %d) = %#x, Sense cell by cell %#x", anchor, radius, got, want)
+				}
+				if want := rules.WindowAround(anchor, radius, occupied); got != want {
+					t.Errorf("SenseWindow(%v, %d) = %#x, surface %#x", anchor, radius, got, want)
+				}
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("SenseWindow(%v, %d) reaches past radius %d but did not panic", anchor, r-d+1, r)
+					}
+				}()
+				env.SenseWindow(anchor, r-d+1)
+			}()
+		}
+	}
 }
 
 // TestMoveTriggersCallbacks: executing a motion calls OnMoved on the movers

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -85,25 +87,27 @@ func TestSchedulerRunBudget(t *testing.T) {
 	}
 }
 
-// TestSchedulerHeapShrinks pins the retention fix: after a large burst
-// drains, Run rebounds the heap's backing array instead of pinning the
-// peak-sized allocation for the scheduler's lifetime.
-func TestSchedulerHeapShrinks(t *testing.T) {
+// TestSchedulerRingShrinks pins the retention fix: after a large burst
+// drains, Run releases the peak-sized node slab and ring instead of pinning
+// them for the scheduler's lifetime.
+func TestSchedulerRingShrinks(t *testing.T) {
 	s := NewScheduler(1)
 	const burst = 100_000
 	for i := 0; i < burst; i++ {
 		s.Schedule(Time(i), eventFunc(func() {}))
 	}
-	if cap(s.heap) < burst {
-		t.Fatalf("heap capacity %d never reached the burst size", cap(s.heap))
+	if cap(s.nodes) < burst || len(s.head) < burst {
+		t.Fatalf("slab capacity %d and ring length %d never reached the burst size",
+			cap(s.nodes), len(s.head))
 	}
 	if got := s.Run(0); got != burst {
 		t.Fatalf("Run processed %d events, want %d", got, burst)
 	}
-	if cap(s.heap) >= burst/4 {
-		t.Fatalf("heap capacity %d retained after drain (want < %d)", cap(s.heap), burst/4)
+	if cap(s.nodes) >= burst/4 || len(s.head) >= burst/4 {
+		t.Fatalf("slab capacity %d and ring length %d retained after drain (want < %d)",
+			cap(s.nodes), len(s.head), burst/4)
 	}
-	// The scheduler must remain fully functional on the rebounded array.
+	// The scheduler must remain fully functional on the rebuilt stores.
 	fired := 0
 	for i := 0; i < 2000; i++ {
 		s.Schedule(Time(i), eventFunc(func() { fired++ }))
@@ -113,7 +117,7 @@ func TestSchedulerHeapShrinks(t *testing.T) {
 	}
 }
 
-// TestSchedulerShrinkKeepsPending verifies the shrink copies live items: a
+// TestSchedulerShrinkKeepsPending verifies the shrink moves live events: a
 // bounded Run that leaves events pending must not lose or reorder them.
 func TestSchedulerShrinkKeepsPending(t *testing.T) {
 	s := NewScheduler(1)
@@ -137,9 +141,9 @@ func TestSchedulerShrinkKeepsPending(t *testing.T) {
 	}
 }
 
-// TestSchedulerHeapStress exercises the heap with random times and checks
-// global ordering.
-func TestSchedulerHeapStress(t *testing.T) {
+// TestSchedulerStress exercises the queue with random times up to 100,000
+// ticks ahead and checks global ordering.
+func TestSchedulerStress(t *testing.T) {
 	s := NewScheduler(42)
 	rng := rand.New(rand.NewSource(9))
 	var fired []Time
@@ -155,6 +159,119 @@ func TestSchedulerHeapStress(t *testing.T) {
 		if fired[i] < fired[i-1] {
 			t.Fatalf("time went backwards at %d: %d -> %d", i, fired[i-1], fired[i])
 		}
+	}
+}
+
+// TestSchedulerMatchesSortedOrder is a differential test against the
+// definition of the queue's order: every scheduled event fires exactly once,
+// at its tick, and the firing sequence is the scheduled events sorted by
+// (time, scheduling order). Each phase raises the largest delay, so the
+// ring grows mid-run; events schedule further events as they fire, many at
+// the tick they fire in; and the drive alternates bounded Run calls, on
+// whose return the stores may shrink under pending events, with scheduling
+// from outside.
+func TestSchedulerMatchesSortedOrder(t *testing.T) {
+	type rec struct {
+		t   Time
+		seq int
+	}
+	const limit = 60_000
+	s := NewScheduler(1)
+	rng := rand.New(rand.NewSource(5))
+	var scheduled, fired []rec
+	maxDelay := Time(0)
+	delay := func() Time {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return Time(rng.Intn(4))
+		}
+		return Time(rng.Int63n(int64(maxDelay) + 1))
+	}
+	var schedule func(d Time)
+	schedule = func(d Time) {
+		r := rec{t: s.Now() + d, seq: len(scheduled)}
+		scheduled = append(scheduled, r)
+		s.Schedule(d, eventFunc(func() {
+			if s.Now() != r.t {
+				t.Fatalf("event %d due at %d fired at %d", r.seq, r.t, s.Now())
+			}
+			fired = append(fired, r)
+			for n := rng.Intn(3); n > 0 && len(scheduled) < limit; n-- {
+				schedule(delay())
+			}
+		}))
+	}
+	grew, shrank := false, false
+	for _, maxDelay = range []Time{40, 3_000, 70_000, 500} {
+		ring := len(s.head)
+		for i := 0; i < 6_000; i++ {
+			schedule(delay())
+		}
+		grew = grew || len(s.head) > ring
+		for s.pending > 0 {
+			ring, slab := len(s.head), cap(s.nodes)
+			s.Run(uint64(1 + rng.Intn(2_000)))
+			if s.pending > 0 && (len(s.head) < ring || cap(s.nodes) < slab) {
+				shrank = true
+			}
+			if rng.Intn(8) == 0 {
+				schedule(delay())
+			}
+		}
+	}
+	if !grew || !shrank {
+		t.Fatalf("the drive never grew the ring (%v) or shrank under pending events (%v)", grew, shrank)
+	}
+	if len(fired) != len(scheduled) {
+		t.Fatalf("fired %d of %d scheduled events", len(fired), len(scheduled))
+	}
+	want := slices.Clone(scheduled)
+	slices.SortFunc(want, func(a, b rec) int {
+		if a.t != b.t {
+			return cmp.Compare(a.t, b.t)
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("firing %d is event %d at %d, want event %d at %d",
+				i, fired[i].seq, fired[i].t, want[i].seq, want[i].t)
+		}
+	}
+}
+
+// TestSchedulerHorizon checks that a delay past the horizon fails
+// explicitly and leaves the queue as it was, while the last tick inside the
+// horizon is accepted.
+func TestSchedulerHorizon(t *testing.T) {
+	s := NewScheduler(1)
+	s.Schedule(10, eventFunc(func() {}))
+	s.Run(0)
+	if err := s.ScheduleAt(s.Now()+horizon, eventFunc(func() {})); err == nil {
+		t.Error("ScheduleAt past the horizon must fail")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Schedule past the horizon must panic")
+			}
+		}()
+		s.Schedule(horizon, eventFunc(func() {}))
+	}()
+	if s.pending != 0 || len(s.head) != minRing {
+		t.Fatalf("refused events left %d pending and a %d-bucket ring", s.pending, len(s.head))
+	}
+	fired := false
+	if err := s.ScheduleAt(s.Now()+horizon-1, eventFunc(func() { fired = true })); err != nil {
+		t.Fatalf("last tick inside the horizon refused: %v", err)
+	}
+	if len(s.head) != int(horizon) {
+		t.Errorf("ring length %d, want the %d-bucket cap", len(s.head), horizon)
+	}
+	if s.Run(0); !fired || s.Now() != 10+horizon-1 {
+		t.Errorf("fired %v at %d, want true at %d", fired, s.Now(), 10+horizon-1)
 	}
 }
 
