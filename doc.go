@@ -58,7 +58,9 @@
 // metrics filled in (virtual ticks on the DES, wall-clock nanoseconds and
 // dispatched events on the runtime). Both backends implement the same
 // three-method Backend seam (Boot, Drive, Metrics); nothing outside their
-// own packages constructs sim.Engine or runtime.Engine directly. The model
+// own packages constructs sim.Engine or runtime.Engine directly. Both
+// answer exec.Env from the one exec.World that Run builds per session, so
+// ports, sensing, motion and its notifications have one model. The model
 // delivers one message per event, as if each reception buffer of the
 // paper's memory organisation (§V-B, Fig. 8) were drained on arrival.
 //

@@ -34,45 +34,30 @@ type Backend interface {
 // engine. The session layer fills it from the algorithm Config and the
 // Engine options.
 type BackendParams struct {
-	Surface     *lattice.Surface
-	Library     *rules.Library
-	Factory     exec.CodeFactory
-	Config      Config
-	Seed        int64
-	Latency     sim.LatencyModel
-	Timeout     time.Duration
-	Constraints lattice.Constraints
-	OnApply     func(lattice.ApplyResult)
+	// World is the run's physical layer: surface, rule library, I and O,
+	// motion constraints and the applied-motion hook.
+	World   *exec.World
+	Factory exec.CodeFactory
+	Seed    int64
+	Latency sim.LatencyModel
+	Timeout time.Duration
 }
 
 // BackendFactory builds the Backend for one run. DES and Async are the two
-// in-tree implementations; experiments may inject instrumented ones.
+// in-tree implementations; the end-to-end benchmark wraps DES to time it.
 type BackendFactory func(p BackendParams) (Backend, error)
 
 // DES builds the deterministic discrete-event backend (the VisibleSim
 // substitute of §V-E): virtual time, seeded latency, reproducible runs.
 func DES(p BackendParams) (Backend, error) {
-	return sim.NewEngine(p.Surface, p.Library, p.Factory, sim.Config{
-		Input:       p.Config.Input,
-		Output:      p.Config.Output,
-		Seed:        p.Seed,
-		Latency:     p.Latency,
-		Constraints: p.Constraints,
-		OnApply:     p.OnApply,
-	})
+	return sim.NewEngine(p.World, p.Factory, sim.Config{Seed: p.Seed, Latency: p.Latency})
 }
 
 // Async builds the goroutine-runtime backend: one goroutine per block,
 // channels as the lateral ports of Fig. 8, real concurrency (Assumption 3's
 // finite unordered delays).
 func Async(p BackendParams) (Backend, error) {
-	return asyncrt.NewEngine(p.Surface, p.Library, p.Factory, asyncrt.Config{
-		Input:       p.Config.Input,
-		Output:      p.Config.Output,
-		Constraints: p.Constraints,
-		OnApply:     p.OnApply,
-		Timeout:     p.Timeout,
-	})
+	return asyncrt.NewEngine(p.World, p.Factory, p.Timeout)
 }
 
 // options is the resolved functional-option set of an Engine.
@@ -202,7 +187,14 @@ func (e *Engine) Run(ctx context.Context, surf *lattice.Surface, cfg Config) (Re
 
 	em := newEmitter(e.opts.observer, &e.obsMu)
 	rec := &sessionRecorder{}
-	constraints := BuildConstraints(cfg, surf, e.lib)
+	var onApply func(lattice.ApplyResult)
+	if em != nil {
+		onApply = func(r lattice.ApplyResult) { em.emit(Event{Kind: EventMotionApplied, Apply: r}) }
+	}
+	world, err := exec.NewWorld(surf, e.lib, cfg.Input, cfg.Output, BuildConstraints(cfg, surf, e.lib), onApply)
+	if err != nil {
+		return Result{}, err
+	}
 	// Build the connectivity cache at boot: the first constrained Validate
 	// of every round then runs on warm articulation state instead of paying
 	// the O(N) rebuild inside the measured run.
@@ -212,21 +204,12 @@ func (e *Engine) Run(ctx context.Context, surf *lattice.Surface, cfg Config) (Re
 		factory = e.opts.wrap(factory)
 	}
 
-	var onApply func(lattice.ApplyResult)
-	if em != nil {
-		onApply = func(r lattice.ApplyResult) { em.emit(Event{Kind: EventMotionApplied, Apply: r}) }
-	}
-
 	backend, err := e.opts.backend(BackendParams{
-		Surface:     surf,
-		Library:     e.lib,
-		Factory:     factory,
-		Config:      cfg,
-		Seed:        seed,
-		Latency:     e.opts.latency,
-		Timeout:     e.opts.timeout,
-		Constraints: constraints,
-		OnApply:     onApply,
+		World:   world,
+		Factory: factory,
+		Seed:    seed,
+		Latency: e.opts.latency,
+		Timeout: e.opts.timeout,
 	})
 	if err != nil {
 		return Result{}, err

@@ -4,6 +4,8 @@
 // goroutine runtime (internal/runtime). A per-block program — the paper
 // calls it a BlockCode — is written once against these interfaces and runs
 // unchanged on either engine.
+// The hardware is modelled once too: World is a run's physical layer, and
+// both engines answer every Env method from it except message delivery.
 package exec
 
 import (
@@ -51,8 +53,8 @@ type Env interface {
 	// SenseWindow reports the occupancy of the square of the given radius
 	// around anchor as one bitboard, in rules.WindowAround's bit layout:
 	// the readings one Sense per cell would give, in one read. Rule
-	// matching (MM⊗MP) reads its windows this way, and both engines answer
-	// it with word operations on the lattice's row bitsets. The square must
+	// matching (MM⊗MP) reads its windows this way, and the World answers it
+	// with word operations on the lattice's row bitsets. The square must
 	// lie inside the sensing window (anchor's Chebyshev distance from the
 	// block plus radius at most SensingRadius) and fit a bitboard (radius
 	// at most rules.MaxWindowRadius); otherwise it panics, as Sense does.
@@ -71,7 +73,7 @@ type Env interface {
 	// surface into disconnected pieces. In hardware this is the
 	// electro-permanent latching interlock's "load-bearing" signal — the
 	// same layer that refuses disconnecting motions (Remark 1) can tell a
-	// block it is one. In the reproduction both engines answer it from the
+	// block it is one. In the reproduction the World answers it from the
 	// lattice's incremental articulation cache. Blocks include the bit in
 	// their election bids so the Root's parallel-moves interference filter
 	// can admit extra winners without risking a connectivity interaction.

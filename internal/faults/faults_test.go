@@ -62,14 +62,18 @@ func TestFlakyWindowMatchesCellReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	world, err := exec.NewWorld(s.Surface, rules.StandardLibrary(), s.Input, s.Output, lattice.Constraints{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var host exec.Env
-	eng, err := sim.NewEngine(s.Surface, rules.StandardLibrary(), func(id lattice.BlockID) exec.BlockCode {
+	eng, err := sim.NewEngine(world, func(id lattice.BlockID) exec.BlockCode {
 		return exec.BlockCodeFuncs{Start: func(e exec.Env) {
 			if e.Position() == geom.V(2, 2) {
 				host = e
 			}
 		}}
-	}, sim.Config{Input: s.Input, Output: s.Output, Seed: 1})
+	}, sim.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

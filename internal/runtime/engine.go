@@ -1,17 +1,17 @@
 // Package runtime is the second execution engine: real asynchrony. Every
 // block runs as its own goroutine; lateral ports post into the receiver's
 // event channel, whose goroutine hands each message to OnMessage as it takes
-// it; the shared surface is the physical world, guarded by a lock the way
-// physics guards atomicity. The same BlockCode that runs on the
-// deterministic DES (internal/sim) runs here unchanged — goroutines and
-// channels map directly to the paper's per-module processes and
-// finite-delay links (Assumption 3).
+// it. The engine owns only those goroutines, their channels and one lock:
+// the run's exec.World is the physical world, and every Env call reaches it
+// under that lock, the way physics guards atomicity. The same BlockCode
+// that runs on the deterministic DES (internal/sim) runs here unchanged —
+// goroutines and channels map directly to the paper's per-module processes
+// and finite-delay links (Assumption 3).
 package runtime
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,19 +22,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/rules"
 )
-
-// Config parameterises an asynchronous run.
-type Config struct {
-	// Input and Output are the I and O cells.
-	Input, Output geom.Vec
-	// Constraints are the physics checks applied to motions.
-	Constraints lattice.Constraints
-	// OnApply observes executed motions (called with the surface lock held;
-	// keep it fast and do not touch the engine from it).
-	OnApply func(lattice.ApplyResult)
-	// Timeout is the wall-clock safety bound for Drive (default 60s).
-	Timeout time.Duration
-}
 
 // channelCap is the capacity of each block's event channel; an event
 // posted to a full channel is dropped and counted. The deepest queue
@@ -59,15 +46,15 @@ type event struct {
 	mvFrom, mvTo geom.Vec
 }
 
-// Engine hosts one goroutine per block over a shared surface.
+// Engine hosts one goroutine per block on a shared World.
 type Engine struct {
-	mu   sync.RWMutex // guards surf
-	surf *lattice.Surface
-	lib  *rules.Library
-	cfg  Config
+	mu      sync.RWMutex // guards world
+	world   *exec.World
+	timeout time.Duration
 
-	hosts  map[lattice.BlockID]*host
-	radius int
+	// hosts is indexed by BlockID (surface ids are small and dense); nil
+	// marks an id with no host.
+	hosts []*host
 
 	sent      atomic.Uint64
 	delivered atomic.Uint64
@@ -89,32 +76,31 @@ type host struct {
 	id   lattice.BlockID
 	code exec.BlockCode
 	ch   chan event
+
+	// moved and observers hold a Move's notifications from under the lock
+	// until they are delivered; only this block's goroutine touches them.
+	moved     []exec.Displacement
+	observers []lattice.BlockID
 }
 
-// NewEngine builds the asynchronous engine over a populated surface.
-func NewEngine(surf *lattice.Surface, lib *rules.Library, factory exec.CodeFactory, cfg Config) (*Engine, error) {
-	if surf == nil || lib == nil || factory == nil {
-		return nil, fmt.Errorf("runtime: surface, library and factory are required")
+// NewEngine builds the asynchronous engine over world. timeout is the
+// wall-clock safety bound for Drive; zero or less means 60s.
+func NewEngine(world *exec.World, factory exec.CodeFactory, timeout time.Duration) (*Engine, error) {
+	if world == nil || factory == nil {
+		return nil, fmt.Errorf("runtime: world and factory are required")
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 60 * time.Second
+	if timeout <= 0 {
+		timeout = 60 * time.Second
 	}
 	e := &Engine{
-		surf:   surf,
-		lib:    lib,
-		cfg:    cfg,
-		hosts:  make(map[lattice.BlockID]*host, surf.NumBlocks()),
-		radius: 2 * lib.MaxRadius(),
-		done:   make(chan struct{}),
-		stop:   make(chan struct{}),
+		world:   world,
+		timeout: timeout,
+		done:    make(chan struct{}),
+		stop:    make(chan struct{}),
 	}
-	for _, id := range surf.Blocks() {
-		e.hosts[id] = &host{
-			eng:  e,
-			id:   id,
-			code: factory(id),
-			ch:   make(chan event, channelCap),
-		}
+	for _, id := range world.Blocks() {
+		e.hosts = append(e.hosts, make([]*host, int(id)+1-len(e.hosts))...) // ids ascend
+		e.hosts[id] = &host{eng: e, id: id, code: factory(id), ch: make(chan event, channelCap)}
 	}
 	return e, nil
 }
@@ -134,23 +120,19 @@ func (e *Engine) Boot() error {
 	}
 	e.booted = true
 	e.started = time.Now()
-	ids := make([]lattice.BlockID, 0, len(e.hosts))
-	for id := range e.hosts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		h := e.hosts[id]
-		e.wg.Add(1)
-		go h.loop()
-		h.ch <- event{kind: evStart}
+	for _, h := range e.hosts {
+		if h != nil {
+			e.wg.Add(1)
+			go h.loop()
+			h.ch <- event{kind: evStart}
+		}
 	}
 	return nil
 }
 
 // Drive waits for the Root's termination report, the wall-clock timeout, or
 // context cancellation, then stops every block goroutine and waits for them
-// to exit. A Move in flight always completes under the surface lock, so on
+// to exit. A Move in flight always completes under the engine lock, so on
 // any exit path the surface is physically consistent (connected, fully
 // rolled back). Channels are never closed: late posts simply stay in
 // channels nobody drains.
@@ -158,7 +140,7 @@ func (e *Engine) Drive(ctx context.Context) error {
 	if !e.booted {
 		return fmt.Errorf("runtime: Drive before Boot")
 	}
-	timer := time.NewTimer(e.cfg.Timeout)
+	timer := time.NewTimer(e.timeout)
 	defer timer.Stop()
 	var err error
 	select {
@@ -166,7 +148,7 @@ func (e *Engine) Drive(ctx context.Context) error {
 	case <-ctx.Done():
 		err = ctx.Err()
 	case <-timer.C:
-		err = fmt.Errorf("runtime: timeout after %v", e.cfg.Timeout)
+		err = fmt.Errorf("runtime: timeout after %v", e.timeout)
 	}
 	close(e.stop)
 	e.wg.Wait()
@@ -226,47 +208,45 @@ func (h *host) post(ev event) {
 	}
 }
 
+// hostOf returns id's host, or nil when id has none.
+func (e *Engine) hostOf(id lattice.BlockID) *host {
+	if uint(id) < uint(len(e.hosts)) {
+		return e.hosts[id]
+	}
+	return nil
+}
+
 // --- exec.Env implementation ------------------------------------------------
 
-func (h *host) ID() lattice.BlockID { return h.id }
+// The identity, I, O, library and radius are fixed for the run: no lock.
+func (h *host) ID() lattice.BlockID     { return h.id }
+func (h *host) Input() geom.Vec         { return h.eng.world.Input() }
+func (h *host) Output() geom.Vec        { return h.eng.world.Output() }
+func (h *host) Library() *rules.Library { return h.eng.world.Library() }
+func (h *host) SensingRadius() int      { return h.eng.world.SensingRadius() }
 
 func (h *host) Position() geom.Vec {
 	h.eng.mu.RLock()
 	defer h.eng.mu.RUnlock()
-	v, ok := h.eng.surf.PositionOf(h.id)
-	if !ok {
-		panic(fmt.Sprintf("runtime: block %d vanished", h.id))
-	}
-	return v
+	return h.eng.world.Position(h.id)
 }
-
-func (h *host) Input() geom.Vec  { return h.eng.cfg.Input }
-func (h *host) Output() geom.Vec { return h.eng.cfg.Output }
 
 func (h *host) Neighbors() [geom.NumDirs]lattice.BlockID {
 	h.eng.mu.RLock()
 	defer h.eng.mu.RUnlock()
-	nt, err := h.eng.surf.Neighbors(h.id)
-	if err != nil {
-		panic(err)
-	}
-	return nt
+	return h.eng.world.Neighbors(h.id)
 }
 
 func (h *host) Send(to lattice.BlockID, m msg.Message) error {
 	e := h.eng
 	e.mu.RLock()
-	pf, ok1 := e.surf.PositionOf(h.id)
-	pt, ok2 := e.surf.PositionOf(to)
+	err := e.world.Port(h.id, to)
 	e.mu.RUnlock()
-	if !ok1 || !ok2 {
-		return fmt.Errorf("runtime: sender or receiver off-surface")
+	if err != nil {
+		return err
 	}
-	if _, ok := geom.DirOf(pt, pf); !ok {
-		return fmt.Errorf("runtime: blocks %d and %d are not adjacent", h.id, to)
-	}
-	target, ok := e.hosts[to]
-	if !ok {
+	target := e.hostOf(to)
+	if target == nil {
 		return fmt.Errorf("runtime: unknown block %d", to)
 	}
 	e.sent.Add(1)
@@ -277,110 +257,53 @@ func (h *host) Send(to lattice.BlockID, m msg.Message) error {
 func (h *host) Sense(v geom.Vec) bool { return h.SenseWindow(v, 0) != 0 }
 
 func (h *host) SenseWindow(anchor geom.Vec, radius int) uint64 {
-	e := h.eng
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	p, _ := e.surf.PositionOf(h.id)
-	if anchor.Chebyshev(p)+radius > e.radius {
-		panic(fmt.Sprintf("runtime: block %d sensing the radius-%d square around %v, beyond radius %d",
-			h.id, radius, anchor, e.radius))
-	}
-	return e.surf.OccWindow(anchor, radius)
+	h.eng.mu.RLock()
+	defer h.eng.mu.RUnlock()
+	return h.eng.world.SenseWindow(h.id, anchor, radius)
 }
 
-func (h *host) SensingRadius() int { return h.eng.radius }
-
+// CutVertex and ValidateMoveSet take the full lock (see exec.World).
 func (h *host) CutVertex() bool {
-	e := h.eng
-	// Full lock: the articulation query may lazily rebuild the connectivity
-	// cache, which mutates surface-internal state.
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	p, ok := e.surf.PositionOf(h.id)
-	if !ok {
-		return false
-	}
-	return e.surf.IsArticulation(p)
+	h.eng.mu.Lock()
+	defer h.eng.mu.Unlock()
+	return h.eng.world.CutVertex(h.id)
 }
 
 func (h *host) ValidateMoveSet(moves []lattice.PlannedMove) int {
-	e := h.eng
-	// Full lock: the batched what-if may lazily rebuild connectivity caches.
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.surf.ValidateMoveSet(moves)
+	h.eng.mu.Lock()
+	defer h.eng.mu.Unlock()
+	return h.eng.world.ValidateMoveSet(moves)
 }
-
-func (h *host) Library() *rules.Library { return h.eng.lib }
 
 func (h *host) Move(app rules.Application) error {
 	e := h.eng
 	e.mu.Lock()
-	pos, ok := e.surf.PositionOf(h.id)
-	if !ok {
-		e.mu.Unlock()
-		return fmt.Errorf("runtime: block %d off-surface", h.id)
-	}
-	if _, isMover := app.MoveOf(pos); !isMover {
-		e.mu.Unlock()
-		return fmt.Errorf("runtime: block %d at %v is not a mover of %s", h.id, pos, app)
-	}
-	res, err := e.surf.Apply(app, e.cfg.Constraints)
+	moved, observers, err := e.world.Move(h.id, app)
+	h.moved = append(h.moved[:0], moved...)
+	h.observers = append(h.observers[:0], observers...)
+	e.mu.Unlock()
 	if err != nil {
-		e.mu.Unlock()
 		return err
 	}
-	if e.cfg.OnApply != nil {
-		e.cfg.OnApply(res)
-	}
-	// Collect notifications while still consistent.
-	type movedNote struct {
-		id       lattice.BlockID
-		from, to geom.Vec
-	}
-	var movedNotes []movedNote
-	changed := make([]geom.Vec, 0, 4)
-	for _, m := range app.AbsMoves() {
-		changed = append(changed, m.From, m.To)
-		if id, ok := e.surf.BlockAt(m.To); ok {
-			movedNotes = append(movedNotes, movedNote{id: id, from: m.From, to: m.To})
-		}
-	}
-	movedSet := map[lattice.BlockID]bool{}
-	for _, mn := range movedNotes {
-		movedSet[mn.id] = true
-	}
-	var observers []lattice.BlockID
-	seen := map[lattice.BlockID]bool{}
-	for _, c := range changed {
-		for dy := -e.radius; dy <= e.radius; dy++ {
-			for dx := -e.radius; dx <= e.radius; dx++ {
-				if id, ok := e.surf.BlockAt(c.Add(geom.V(dx, dy))); ok && !movedSet[id] && !seen[id] {
-					seen[id] = true
-					observers = append(observers, id)
-				}
-			}
-		}
-	}
-	e.mu.Unlock()
-
-	sort.Slice(observers, func(i, j int) bool { return observers[i] < observers[j] })
-	for _, mn := range movedNotes {
-		if mh, ok := e.hosts[mn.id]; ok {
-			if mn.id == h.id {
-				// The initiator's own OnMoved runs inline to preserve the
-				// hook ordering the DES engine provides.
-				h.code.OnMoved(h, mn.from, mn.to)
-			} else {
-				mh.post(event{kind: evMoved, mvFrom: mn.from, mvTo: mn.to})
-			}
+	// Deliver from the host's buffers, detached while they are read: the
+	// inline OnMoved below may Move again, which refills them.
+	moved, observers = h.moved, h.observers
+	h.moved, h.observers = nil, nil
+	for _, d := range moved {
+		if d.ID == h.id {
+			// The initiator's own OnMoved runs inline to preserve the hook
+			// ordering the DES engine provides.
+			h.code.OnMoved(h, d.From, d.To)
+		} else if mh := e.hostOf(d.ID); mh != nil {
+			mh.post(event{kind: evMoved, mvFrom: d.From, mvTo: d.To})
 		}
 	}
 	for _, id := range observers {
-		if oh, ok := e.hosts[id]; ok {
+		if oh := e.hostOf(id); oh != nil {
 			oh.post(event{kind: evNeighborhood})
 		}
 	}
+	h.moved, h.observers = moved, observers
 	return nil
 }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/geom"
@@ -14,46 +13,25 @@ import (
 
 // Config parameterises a simulation run.
 type Config struct {
-	// Input and Output are the I and O cells of the trajectory problem.
-	Input, Output geom.Vec
 	// Seed drives the scheduler's random source, from which every link
 	// latency is drawn; equal seeds give identical runs.
 	Seed int64
 	// Latency is the link latency model; nil defaults to FixedLatency(1000).
 	Latency LatencyModel
-	// Constraints are the physics-level checks applied to every motion
-	// (connectivity, frozen blocks, blocking veto); supplied by the
-	// algorithm layer.
-	Constraints lattice.Constraints
-	// OnApply, when non-nil, observes every executed rule application (the
-	// trace recorder and the statistics harness hook in here).
-	OnApply func(lattice.ApplyResult)
 }
 
-// Engine hosts BlockCodes on a surface and simulates their execution.
+// Engine hosts BlockCodes on a World and simulates their execution.
 type Engine struct {
-	sched *Scheduler
-	surf  *lattice.Surface
-	lib   *rules.Library
-	cfg   Config
+	sched   *Scheduler
+	world   *exec.World
+	latency LatencyModel
 
-	// hosts is indexed by BlockID (surface ids are small and dense, as for
-	// seen); nil marks an id with no host.
+	// hosts is indexed by BlockID (surface ids are small and dense); nil
+	// marks an id with no host.
 	hosts   []*host
-	radius  int
 	sent    uint64 // Send calls accepted by ports
 	deliver uint64 // messages handed to OnMessage
 	dropped uint64 // messages whose receiver has no host when they land
-
-	// Per-motion notification scratch, reused across notifyAfterMotion
-	// calls so the hot path performs no map or slice allocations. seen is
-	// an epoch-stamped dense array indexed by BlockID (surface ids are
-	// small and dense); a block is marked in the current motion iff
-	// seen[id] == epoch.
-	seen       []uint32
-	epoch      uint32
-	changedBuf []geom.Vec
-	idBuf      []lattice.BlockID
 
 	// pool is the typed event arena: fired engEvents return here, so the
 	// deliver/moved/neighborhood hot paths schedule without allocating once
@@ -120,36 +98,22 @@ type host struct {
 	code exec.BlockCode
 }
 
-// NewEngine builds an engine over the given surface and rule library. The
-// surface must already hold the initial block configuration.
-func NewEngine(surf *lattice.Surface, lib *rules.Library, factory exec.CodeFactory, cfg Config) (*Engine, error) {
-	if surf == nil || lib == nil || factory == nil {
-		return nil, fmt.Errorf("sim: surface, library and factory are required")
+// NewEngine builds an engine that hosts one BlockCode per block of world.
+func NewEngine(world *exec.World, factory exec.CodeFactory, cfg Config) (*Engine, error) {
+	if world == nil || factory == nil {
+		return nil, fmt.Errorf("sim: world and factory are required")
 	}
 	if cfg.Latency == nil {
 		cfg.Latency = FixedLatency(1000)
 	}
 	e := &Engine{
-		sched:  NewScheduler(cfg.Seed),
-		surf:   surf,
-		lib:    lib,
-		cfg:    cfg,
-		radius: 2 * lib.MaxRadius(),
+		sched:   NewScheduler(cfg.Seed),
+		world:   world,
+		latency: cfg.Latency,
 	}
-	ids := surf.Blocks()
-	if len(ids) > 0 {
-		// Size the host table and the notification scratch for every block
-		// already placed (ids ascend, so the last is the max).
-		n := int(ids[len(ids)-1]) + 1
-		e.hosts = make([]*host, n)
-		e.seen = make([]uint32, n)
-	}
-	for _, id := range ids {
-		e.hosts[id] = &host{
-			eng:  e,
-			id:   id,
-			code: factory(id),
-		}
+	for _, id := range world.Blocks() {
+		e.hosts = append(e.hosts, make([]*host, int(id)+1-len(e.hosts))...) // ids ascend
+		e.hosts[id] = &host{eng: e, id: id, code: factory(id)}
 	}
 	return e, nil
 }
@@ -158,11 +122,12 @@ func NewEngine(surf *lattice.Surface, lib *rules.Library, factory exec.CodeFacto
 // It implements the Boot half of the core.Backend seam (the error return is
 // for symmetry with backends whose boot can fail).
 func (e *Engine) Boot() error {
-	ids := e.surf.Blocks()
-	for _, id := range ids {
-		ev := e.newEvent(evStart)
-		ev.h = e.hostOf(id)
-		e.sched.Schedule(0, ev)
+	for _, h := range e.hosts {
+		if h != nil {
+			ev := e.newEvent(evStart)
+			ev.h = h
+			e.sched.Schedule(0, ev)
+		}
 	}
 	return nil
 }
@@ -201,36 +166,22 @@ func (e *Engine) Metrics() exec.Metrics {
 
 // --- exec.Env implementation -----------------------------------------------
 
-func (h *host) ID() lattice.BlockID { return h.id }
-
-func (h *host) Position() geom.Vec {
-	v, ok := h.eng.surf.PositionOf(h.id)
-	if !ok {
-		panic(fmt.Sprintf("sim: block %d vanished from the surface", h.id))
-	}
-	return v
-}
-
-func (h *host) Input() geom.Vec  { return h.eng.cfg.Input }
-func (h *host) Output() geom.Vec { return h.eng.cfg.Output }
-
-func (h *host) Neighbors() [geom.NumDirs]lattice.BlockID {
-	nt, err := h.eng.surf.Neighbors(h.id)
-	if err != nil {
-		panic(err)
-	}
-	return nt
-}
+func (h *host) ID() lattice.BlockID                      { return h.id }
+func (h *host) Position() geom.Vec                       { return h.eng.world.Position(h.id) }
+func (h *host) Input() geom.Vec                          { return h.eng.world.Input() }
+func (h *host) Output() geom.Vec                         { return h.eng.world.Output() }
+func (h *host) Neighbors() [geom.NumDirs]lattice.BlockID { return h.eng.world.Neighbors(h.id) }
+func (h *host) Library() *rules.Library                  { return h.eng.world.Library() }
 
 func (h *host) Send(to lattice.BlockID, m msg.Message) error {
 	e := h.eng
-	if err := portBetween(e.surf, h.id, to); err != nil {
+	if err := e.world.Port(h.id, to); err != nil {
 		return err
 	}
 	e.sent++
 	ev := e.newEvent(evDeliver)
 	ev.from, ev.to, ev.m = h.id, to, m
-	e.sched.Schedule(e.cfg.Latency.Delay(e.sched.Rand()), ev)
+	e.sched.Schedule(e.latency.Delay(e.sched.Rand()), ev)
 	return nil
 }
 
@@ -258,144 +209,38 @@ func (e *Engine) hostOf(id lattice.BlockID) *host {
 	return nil
 }
 
-// portBetween returns an error unless the blocks are in lateral contact.
-func portBetween(surf *lattice.Surface, from, to lattice.BlockID) error {
-	pf, ok := surf.PositionOf(from)
-	if !ok {
-		return fmt.Errorf("sim: sender %d not on surface", from)
-	}
-	pt, ok := surf.PositionOf(to)
-	if !ok {
-		return fmt.Errorf("sim: receiver %d not on surface", to)
-	}
-	if _, ok := geom.DirOf(pt, pf); !ok {
-		return fmt.Errorf("sim: blocks %d and %d are not adjacent", from, to)
-	}
-	return nil
-}
-
 func (h *host) Sense(v geom.Vec) bool { return h.SenseWindow(v, 0) != 0 }
 
 func (h *host) SenseWindow(anchor geom.Vec, radius int) uint64 {
-	e := h.eng
-	p := h.Position()
-	if anchor.Chebyshev(p)+radius > e.radius {
-		panic(fmt.Sprintf("sim: block %d at %v sensing the radius-%d square around %v, beyond radius %d",
-			h.id, p, radius, anchor, e.radius))
-	}
-	return e.surf.OccWindow(anchor, radius)
+	return h.eng.world.SenseWindow(h.id, anchor, radius)
 }
 
-func (h *host) SensingRadius() int { return h.eng.radius }
-
-func (h *host) CutVertex() bool {
-	return h.eng.surf.IsArticulation(h.Position())
-}
+func (h *host) SensingRadius() int { return h.eng.world.SensingRadius() }
+func (h *host) CutVertex() bool    { return h.eng.world.CutVertex(h.id) }
 
 func (h *host) ValidateMoveSet(moves []lattice.PlannedMove) int {
-	return h.eng.surf.ValidateMoveSet(moves)
+	return h.eng.world.ValidateMoveSet(moves)
 }
 
-func (h *host) Library() *rules.Library { return h.eng.lib }
-
+// Move executes the motion in the World, then schedules its notifications
+// in the World's order, on pooled typed events.
 func (h *host) Move(app rules.Application) error {
 	e := h.eng
-	pos := h.Position()
-	if _, ok := app.MoveOf(pos); !ok {
-		return fmt.Errorf("sim: block %d at %v is not a mover of %s", h.id, pos, app)
-	}
-	res, err := e.surf.Apply(app, e.cfg.Constraints)
+	moved, observers, err := e.world.Move(h.id, app)
 	if err != nil {
 		return err
 	}
-	if e.cfg.OnApply != nil {
-		e.cfg.OnApply(res)
-	}
-	e.notifyAfterMotion(res)
-	return nil
-}
-
-// notifyAfterMotion schedules OnMoved for every displaced block and
-// OnNeighborhoodChanged for every block whose sensing window saw a cell
-// change, preserving deterministic order. The block-set bookkeeping runs on
-// the engine's reusable scratch buffers (an epoch-stamped dense id array
-// instead of a per-motion map) and the notifications on pooled typed events,
-// so the whole path performs no transient allocations.
-func (e *Engine) notifyAfterMotion(res lattice.ApplyResult) {
-	e.nextEpoch()
-	for _, id := range res.Moved {
-		e.mark(id) // movers are excluded from the observer scan
-	}
-	anchor := res.App.Anchor
-	e.changedBuf = e.changedBuf[:0]
-	for _, m := range res.App.Rule.Moves {
-		from, to := anchor.Add(m.From), anchor.Add(m.To)
-		e.changedBuf = append(e.changedBuf, from, to)
-		// After execution each destination holds exactly the block that
-		// moved onto it.
-		id, ok := e.surf.BlockAt(to)
-		if !ok {
-			continue
-		}
+	for _, d := range moved {
 		ev := e.newEvent(evMoved)
-		ev.h, ev.vFrom, ev.vTo = e.hostOf(id), from, to
+		ev.h, ev.vFrom, ev.vTo = e.hostOf(d.ID), d.From, d.To
 		e.sched.Schedule(0, ev)
 	}
-	for _, id := range e.affectedBlocks(e.changedBuf) {
+	for _, id := range observers {
 		ev := e.newEvent(evNeighborhood)
 		ev.h = e.hostOf(id)
 		e.sched.Schedule(0, ev)
 	}
-}
-
-// affectedBlocks lists blocks whose sensing window covers one of the
-// changed cells and that are not already marked in the current epoch
-// (the movers), in ascending id order. The returned slice is the engine's
-// scratch buffer, valid until the next call.
-func (e *Engine) affectedBlocks(changed []geom.Vec) []lattice.BlockID {
-	e.idBuf = e.idBuf[:0]
-	for _, c := range changed {
-		for dy := -e.radius; dy <= e.radius; dy++ {
-			for dx := -e.radius; dx <= e.radius; dx++ {
-				if id, ok := e.surf.BlockAt(c.Add(geom.V(dx, dy))); ok && e.mark(id) {
-					e.idBuf = append(e.idBuf, id)
-				}
-			}
-		}
-	}
-	slices.Sort(e.idBuf)
-	return e.idBuf
-}
-
-// nextEpoch starts a new scratch generation; on wrap-around the stamp array
-// is zeroed so stale marks can never alias the new epoch.
-func (e *Engine) nextEpoch() {
-	e.epoch++
-	if e.epoch == 0 {
-		clear(e.seen)
-		e.epoch = 1
-	}
-}
-
-// mark stamps id in the current epoch; it reports whether the id was not
-// yet marked (i.e. this call claimed it). The stamp array is pre-sized in
-// NewEngine; growth (ids placed after construction) doubles so repeated
-// ascending ids stay amortised O(1).
-func (e *Engine) mark(id lattice.BlockID) bool {
-	if int(id) >= len(e.seen) {
-		n := 2 * len(e.seen)
-		if n <= int(id) {
-			n = int(id) + 1
-		}
-		grown := make([]uint32, n)
-		copy(grown, e.seen)
-		e.seen = grown
-	}
-	if e.seen[id] == e.epoch {
-		return false
-	}
-	e.seen[id] = e.epoch
-	return true
+	return nil
 }
 
 var _ exec.Env = (*host)(nil)

@@ -58,14 +58,25 @@ func pairSurface(t *testing.T) *lattice.Surface {
 	return s
 }
 
+// pairWorld builds the physical layer of a toy run on surf: the standard
+// library, I at (1,1), O at (5,5), no motion constraints.
+func pairWorld(t *testing.T, surf *lattice.Surface) *exec.World {
+	t.Helper()
+	w, err := exec.NewWorld(surf, rules.StandardLibrary(), geom.V(1, 1), geom.V(5, 5), lattice.Constraints{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 func TestEnginePingPong(t *testing.T) {
 	surf := pairSurface(t)
 	codes := map[lattice.BlockID]*pingPong{}
-	eng, err := NewEngine(surf, rules.StandardLibrary(), func(id lattice.BlockID) exec.BlockCode {
+	eng, err := NewEngine(pairWorld(t, surf), func(id lattice.BlockID) exec.BlockCode {
 		c := &pingPong{limit: 10}
 		codes[id] = c
 		return c
-	}, Config{Input: geom.V(1, 1), Output: geom.V(5, 5), Seed: 1})
+	}, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +107,9 @@ func TestEnginePingPong(t *testing.T) {
 func TestEngineDeterministicAcrossRuns(t *testing.T) {
 	run := func() (uint64, int64) {
 		surf := pairSurface(t)
-		eng, err := NewEngine(surf, rules.StandardLibrary(), func(lattice.BlockID) exec.BlockCode {
+		eng, err := NewEngine(pairWorld(t, surf), func(lattice.BlockID) exec.BlockCode {
 			return &pingPong{limit: 50}
-		}, Config{Input: geom.V(1, 1), Output: geom.V(5, 5), Seed: 99,
-			Latency: UniformLatency{Min: 100, Max: 900}})
+		}, Config{Seed: 99, Latency: UniformLatency{Min: 100, Max: 900}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +133,7 @@ func TestSendRequiresAdjacency(t *testing.T) {
 		t.Fatal(err)
 	}
 	var env exec.Env
-	eng, err := NewEngine(surf, rules.StandardLibrary(), func(id lattice.BlockID) exec.BlockCode {
+	eng, err := NewEngine(pairWorld(t, surf), func(id lattice.BlockID) exec.BlockCode {
 		return exec.BlockCodeFuncs{
 			Start: func(e exec.Env) {
 				if e.Position() == geom.V(1, 1) {
@@ -131,7 +141,7 @@ func TestSendRequiresAdjacency(t *testing.T) {
 				}
 			},
 		}
-	}, Config{Input: geom.V(1, 1), Output: geom.V(5, 5), Seed: 1})
+	}, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,13 +168,13 @@ func TestSensingWindowEnforced(t *testing.T) {
 		}
 	}
 	var env exec.Env
-	eng, _ := NewEngine(surf, rules.StandardLibrary(), func(id lattice.BlockID) exec.BlockCode {
+	eng, _ := NewEngine(pairWorld(t, surf), func(id lattice.BlockID) exec.BlockCode {
 		return exec.BlockCodeFuncs{Start: func(e exec.Env) {
 			if e.Position() == geom.V(1, 1) {
 				env = e
 			}
 		}}
-	}, Config{Input: geom.V(1, 1), Output: geom.V(5, 5), Seed: 1})
+	}, Config{Seed: 1})
 	eng.Boot()
 	eng.sched.Run(0)
 
@@ -240,8 +250,14 @@ func TestMoveTriggersCallbacks(t *testing.T) {
 	notified := map[lattice.BlockID]int{}
 	var applies int
 
+	world, err := exec.NewWorld(surf, rules.StandardLibrary(), geom.V(0, 0), geom.V(7, 0),
+		lattice.Constraints{RequireConnectivity: true},
+		func(lattice.ApplyResult) { applies++ })
+	if err != nil {
+		t.Fatal(err)
+	}
 	var envs []exec.Env
-	eng, err := NewEngine(surf, rules.StandardLibrary(), func(id lattice.BlockID) exec.BlockCode {
+	eng, err := NewEngine(world, func(id lattice.BlockID) exec.BlockCode {
 		return exec.BlockCodeFuncs{
 			Start: func(e exec.Env) { envs = append(envs, e) },
 			Moved: func(e exec.Env, from, to geom.Vec) {
@@ -249,11 +265,7 @@ func TestMoveTriggersCallbacks(t *testing.T) {
 			},
 			NeighborhoodChanged: func(e exec.Env) { notified[e.ID()]++ },
 		}
-	}, Config{
-		Input: geom.V(0, 0), Output: geom.V(7, 0), Seed: 1,
-		Constraints: lattice.Constraints{RequireConnectivity: true},
-		OnApply:     func(lattice.ApplyResult) { applies++ },
-	})
+	}, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,13 +316,13 @@ func TestMoveTriggersCallbacks(t *testing.T) {
 func TestMoveRejectsNonMover(t *testing.T) {
 	surf := pairSurface(t)
 	var env exec.Env
-	eng, _ := NewEngine(surf, rules.StandardLibrary(), func(id lattice.BlockID) exec.BlockCode {
+	eng, _ := NewEngine(pairWorld(t, surf), func(id lattice.BlockID) exec.BlockCode {
 		return exec.BlockCodeFuncs{Start: func(e exec.Env) {
 			if e.Position() == geom.V(2, 1) {
 				env = e
 			}
 		}}
-	}, Config{Input: geom.V(1, 1), Output: geom.V(5, 5), Seed: 1})
+	}, Config{Seed: 1})
 	eng.Boot()
 	eng.sched.Run(0)
 	// An application whose movers do not include this block.
@@ -327,7 +339,7 @@ func TestBurstDeliveredWithoutDrops(t *testing.T) {
 	surf := pairSurface(t)
 	var sender exec.Env
 	var got []uint32
-	eng, err := NewEngine(surf, rules.StandardLibrary(), func(id lattice.BlockID) exec.BlockCode {
+	eng, err := NewEngine(pairWorld(t, surf), func(id lattice.BlockID) exec.BlockCode {
 		return exec.BlockCodeFuncs{
 			Start: func(e exec.Env) {
 				if e.Position() == geom.V(1, 1) {
@@ -336,8 +348,7 @@ func TestBurstDeliveredWithoutDrops(t *testing.T) {
 			},
 			Message: func(_ exec.Env, _ lattice.BlockID, m msg.Message) { got = append(got, m.Round) },
 		}
-	}, Config{Input: geom.V(1, 1), Output: geom.V(5, 5), Seed: 1,
-		Latency: FixedLatency(100)})
+	}, Config{Seed: 1, Latency: FixedLatency(100)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,13 +374,16 @@ func TestBurstDeliveredWithoutDrops(t *testing.T) {
 // TestEngineRequiresComponents: constructor validation.
 func TestEngineRequiresComponents(t *testing.T) {
 	surf := pairSurface(t)
-	if _, err := NewEngine(nil, rules.StandardLibrary(), func(lattice.BlockID) exec.BlockCode { return nil }, Config{}); err == nil {
+	if _, err := exec.NewWorld(nil, rules.StandardLibrary(), geom.V(1, 1), geom.V(5, 5), lattice.Constraints{}, nil); err == nil {
 		t.Error("nil surface must be rejected")
 	}
-	if _, err := NewEngine(surf, nil, func(lattice.BlockID) exec.BlockCode { return nil }, Config{}); err == nil {
+	if _, err := exec.NewWorld(surf, nil, geom.V(1, 1), geom.V(5, 5), lattice.Constraints{}, nil); err == nil {
 		t.Error("nil library must be rejected")
 	}
-	if _, err := NewEngine(surf, rules.StandardLibrary(), nil, Config{}); err == nil {
+	if _, err := NewEngine(nil, func(lattice.BlockID) exec.BlockCode { return nil }, Config{}); err == nil {
+		t.Error("nil world must be rejected")
+	}
+	if _, err := NewEngine(pairWorld(t, surf), nil, Config{}); err == nil {
 		t.Error("nil factory must be rejected")
 	}
 }

@@ -6,6 +6,10 @@
 // rate of ~650k events/s; experiment E13 reproduces the throughput shape on
 // this core (BenchmarkSimThroughput*).
 //
+// The Engine owns only time: the scheduler, the seeded link latencies and
+// the events that deliver messages and motion notifications. The run's
+// exec.World answers everything physical.
+//
 // The event core (Scheduler) is a ring of FIFO buckets, one per tick of
 // virtual time: scheduling an event and popping the earliest one take
 // constant time plus a bitmap scan to the next busy tick. It holds 24 bytes
