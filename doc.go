@@ -27,18 +27,20 @@
 // occupied / empty, wildcards masked out), maintained in sync with the
 // code grid; the lattice keeps a row-bitset occupancy mirror of the id
 // grid, from which Surface.OccWindow extracts a block's sensing window
-// with a handful of word operations; a block's planner reads each rule
-// window that way, through exec.Env.SenseWindow, on either engine. A
-// validation is then two AND/compare
-// instructions, and rule enumeration (Library.ApplicationsFor /
+// with a handful of word operations. Library.Add moves each (rule, mover)
+// placement's masks into the frame of the sensing window centred on the
+// mover, so a plan reads that window once, through exec.Env.SenseWindow
+// on either engine, and validates every placement against it with two
+// AND/compare instructions; rule enumeration (Library.ApplicationsFor /
 // ApplicationsOn) allocates nothing until a match is found. The original
-// matrix objects remain the display, XML and teaching API; a differential
-// property test (internal/rules/compiled_test.go) pins the compiled
-// matcher to the reference entry-wise operator for every library rule
-// under all D4 transforms. Run `go run ./cmd/sbbench -json` for a
-// machine-readable snapshot of the hot-path kernel timings; CI diffs that
-// record against the previous PR's artifact (cmd/benchdiff) and fails on
-// >10% hot-path regressions.
+// matrix objects remain the display, XML and teaching API; differential
+// property tests pin the compiled matcher to the reference entry-wise
+// operator for every library rule under all D4 transforms
+// (internal/rules/compiled_test.go) and the one-read enumeration to the
+// per-cell one (internal/rules/oneread_test.go). Run
+// `go run ./cmd/sbbench -json` for a machine-readable snapshot of the
+// hot-path kernel timings; CI diffs that record against the previous PR's
+// artifact (cmd/benchdiff) and fails on >10% hot-path regressions.
 //
 // # The run layer: core.Engine sessions
 //

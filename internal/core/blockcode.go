@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/dsterm"
@@ -85,6 +86,15 @@ type BlockCode struct {
 	moveDoneRound  uint32
 	moveDoneMovers []lattice.BlockID
 	moveDoneMsgs   []msg.Message
+	// synced lists the neighbours known to hold every flood this block
+	// retains (goMsg and each of moveDoneMsgs), lattice.None elsewhere. It
+	// starts as the whole Neighbor Table, since a booting block retains
+	// nothing; a neighbour leaves it when this block forwards or originates
+	// a GO or MoveDone flood that the neighbour did not receive, and joins
+	// it when repushFloods re-sends it the retained floods. repushFloods
+	// skips it. A send the port accepts is delivered (links are reliable,
+	// Assumption 3), so a neighbour it reached holds the flood.
+	synced [geom.NumDirs]lattice.BlockID
 
 	// Batch-round GO flood state: in parallel-moves rounds the Root floods
 	// the move-set (one Select message carrying all winners) instead of
@@ -193,6 +203,8 @@ func newObservedFactory(cfg Config, term exec.Termination, em *emitter) exec.Cod
 // OnStart implements exec.BlockCode: the block on I assumes the Root role
 // and opens the first election.
 func (b *BlockCode) OnStart(env exec.Env) {
+	// A block that retains no flood yet is synced with every neighbour.
+	b.synced = env.Neighbors()
 	if env.Position() != env.Input() {
 		return
 	}
@@ -245,7 +257,7 @@ func (b *BlockCode) startElection(env exec.Env, tier msg.Tier) {
 		ShortestDistance: b.sh.cfg.InitialShortestDistance(),
 		IDShortest:       b.id,
 	}
-	sent := b.sendToNeighbors(env, init, lattice.None)
+	sent := b.sendToNeighbors(env, &init, lattice.None)
 	if done, err := b.ds.RecordSent(sent); err != nil || done {
 		// A Root with no neighbours cannot build anything (excluded by
 		// Assumption 2, handled defensively).
@@ -254,30 +266,31 @@ func (b *BlockCode) startElection(env exec.Env, tier msg.Tier) {
 	}
 }
 
-// OnMessage implements exec.BlockCode.
+// OnMessage implements exec.BlockCode. The handlers read the message
+// through a pointer and copy only what they keep or send on.
 func (b *BlockCode) OnMessage(env exec.Env, from lattice.BlockID, m msg.Message) {
 	if b.done {
 		return
 	}
 	switch m.Type {
 	case msg.TypeActivate:
-		b.onActivate(env, from, m)
+		b.onActivate(env, from, &m)
 	case msg.TypeAck:
-		b.onAck(env, from, m)
+		b.onAck(env, from, &m)
 	case msg.TypeSelect:
-		b.onSelect(env, from, m)
+		b.onSelect(env, from, &m)
 	case msg.TypeSelectAck:
-		b.onSelectAck(env, from, m)
+		b.onSelectAck(env, from, &m)
 	case msg.TypeMoveDone:
-		b.onMoveDoneFlood(env, from, m)
+		b.onMoveDoneFlood(env, from, &m)
 	case msg.TypeFinished:
-		b.onFinishedFlood(env, from, m)
+		b.onFinishedFlood(env, from, &m)
 	}
 }
 
 // onActivate handles the first phase of the election: engagement in the
 // activity graph, bid computation and activation forwarding.
-func (b *BlockCode) onActivate(env exec.Env, from lattice.BlockID, m msg.Message) {
+func (b *BlockCode) onActivate(env exec.Env, from lattice.BlockID, m *msg.Message) {
 	class, err := b.ds.OnActivate(m.Round, from)
 	if err != nil {
 		return
@@ -295,14 +308,14 @@ func (b *BlockCode) onActivate(env exec.Env, from lattice.BlockID, m msg.Message
 		own := b.ownCandidate(env, m.Round, m.Tier)
 		b.agg.Reset(own, b.foldWidth())
 
-		fwd := m
+		fwd := *m
 		fwd.Father = b.id
 		// Keep the paper's running-best fields current on the way down.
 		if !own.IsNeutral() && own.Distance < m.ShortestDistance {
 			fwd.ShortestDistance = own.Distance
 			fwd.IDShortest = b.id
 		}
-		sent := b.sendToNeighbors(env, fwd, from)
+		sent := b.sendToNeighbors(env, &fwd, from)
 		if done, err := b.ds.RecordSent(sent); err == nil && done {
 			b.ackFather(env)
 		}
@@ -336,14 +349,15 @@ func (b *BlockCode) foldWidth() int {
 // candidate list; a serial or neutral ack degenerates to the legacy
 // (ShortestDistance, IDshortest) pair. Priorities are recomputed from the
 // public (round, id) pair, so the wire never carries them.
-func (b *BlockCode) onAck(env exec.Env, from lattice.BlockID, m msg.Message) {
+func (b *BlockCode) onAck(env exec.Env, from lattice.BlockID, m *msg.Message) {
 	done, err := b.ds.OnAck(m.Round)
 	if err != nil {
 		return
 	}
 	if len(m.Cands) > 0 {
-		for _, c := range m.Cands {
-			kept := b.agg.Fold(election.Candidate{
+		for i := range m.Cands {
+			c := &m.Cands[i]
+			kept := b.agg.Fold(&election.Candidate{
 				Distance: c.Distance,
 				Priority: election.PriorityFor(b.sh.cfg.TieBreak, m.Round, c.ID),
 				ID:       c.ID,
@@ -362,7 +376,7 @@ func (b *BlockCode) onAck(env exec.Env, from lattice.BlockID, m msg.Message) {
 			}
 		}
 	} else {
-		b.agg.Fold(election.Candidate{
+		b.agg.Fold(&election.Candidate{
 			Distance: m.ShortestDistance,
 			Priority: election.PriorityFor(b.sh.cfg.TieBreak, m.Round, m.IDShortest),
 			ID:       m.IDShortest,
@@ -472,7 +486,7 @@ func (b *BlockCode) onElectionComplete(env exec.Env) {
 		goMsg.Cands[i] = msg.Cand{ID: id, Wave: b.moveWaves[i]}
 	}
 	b.selectRound, b.seenSelect, b.goMsg = b.round, true, goMsg
-	b.sendToNeighbors(env, goMsg, lattice.None)
+	b.forwardFlood(env, &b.goMsg, lattice.None)
 }
 
 // admitWinners filters the aggregated top-K candidates into the round's
@@ -633,7 +647,7 @@ func (b *BlockCode) admitWinners(env exec.Env, dst []lattice.BlockID) []lattice.
 // list) is routed down the father/son tree exactly as the paper specifies.
 // A batch GO (a non-empty candidate list) is a flood: forward once per round,
 // and hop if this block is in the move-set.
-func (b *BlockCode) onSelect(env exec.Env, from lattice.BlockID, m msg.Message) {
+func (b *BlockCode) onSelect(env exec.Env, from lattice.BlockID, m *msg.Message) {
 	if len(m.Cands) > 0 {
 		b.onGoFlood(env, from, m)
 		return
@@ -646,7 +660,7 @@ func (b *BlockCode) onSelect(env exec.Env, from lattice.BlockID, m msg.Message) 
 		if !ok || via == lattice.None {
 			return
 		}
-		_ = env.Send(via, m)
+		_ = env.Send(via, *m)
 		return
 	}
 	// Elected. First acknowledge the Root (ends the distributed election,
@@ -660,12 +674,12 @@ func (b *BlockCode) onSelect(env exec.Env, from lattice.BlockID, m msg.Message) 
 // onGoFlood handles a batch round's move-set broadcast: forward the flood
 // once per round, remember it for re-pushing on topology changes, and if
 // this block is one of the winners, acknowledge the Root and hop.
-func (b *BlockCode) onGoFlood(env exec.Env, from lattice.BlockID, m msg.Message) {
+func (b *BlockCode) onGoFlood(env exec.Env, from lattice.BlockID, m *msg.Message) {
 	if m.Round < b.selectRound || (m.Round == b.selectRound && b.seenSelect) {
 		return // stale round or already forwarded
 	}
-	b.selectRound, b.seenSelect, b.goMsg = m.Round, true, m
-	b.sendToNeighbors(env, m, from)
+	b.selectRound, b.seenSelect, b.goMsg = m.Round, true, *m
+	b.forwardFlood(env, m, from)
 	if m.Round != b.round {
 		return
 	}
@@ -703,7 +717,7 @@ func (b *BlockCode) tryPendingHop(env exec.Env) {
 	if !b.pendingHop || b.done {
 		return
 	}
-	m := b.goMsg
+	m := &b.goMsg
 	for _, c := range m.Cands {
 		if c.ID == b.id || c.Wave >= b.pendingHopStamp {
 			continue
@@ -728,35 +742,65 @@ func (b *BlockCode) seenMoveDone(id lattice.BlockID) bool {
 }
 
 // repushFloods re-sends the current round's remembered GO and MoveDone
-// floods to every present neighbour. Batch rounds call it whenever the
-// local topology changed (this block moved, or a sensed cell changed):
-// concurrent motion can put a block next to a neighbour that never received
-// a flood — the tree/flood frontier passed before the adjacency existed —
-// and without the re-push the Root could wait forever for a MoveDone that
-// died in a severed region. Receivers deduplicate, so re-pushing is
-// idempotent; the serial protocol (one mover, sequenced) never needs it and
-// never calls it.
+// floods to every present neighbour outside synced, then makes the
+// neighbours it reached synced. Batch rounds call it whenever the local
+// topology changed (this block moved, or a sensed cell changed): concurrent
+// motion can put a block next to a neighbour that never received a flood —
+// the tree/flood frontier passed before the adjacency existed — and without
+// the re-push the Root could wait forever for a MoveDone that died in a
+// severed region. Every change to the Neighbor Table reaches the block as
+// OnMoved or OnNeighborhoodChanged, so a new neighbour gets every retained
+// flood, and one that left and came back is re-sent what it missed.
+// Receivers deduplicate, so re-pushing is idempotent; the serial protocol
+// (one mover, sequenced) never needs it and never calls it.
 func (b *BlockCode) repushFloods(env exec.Env) {
 	if b.done {
 		return
 	}
-	if b.seenSelect {
-		b.sendToNeighbors(env, b.goMsg, lattice.None)
+	nt := env.Neighbors()
+	lacking := nt
+	for d, nb := range nt {
+		if slices.Contains(b.synced[:], nb) {
+			lacking[d] = lattice.None
+		}
 	}
-	for _, m := range b.moveDoneMsgs {
-		b.sendToNeighbors(env, m, lattice.None)
+	reached := lacking
+	if b.seenSelect {
+		sendTo(env, &b.goMsg, &reached, lattice.None)
+	}
+	for i := range b.moveDoneMsgs {
+		sendTo(env, &b.moveDoneMsgs[i], &reached, lattice.None)
+	}
+	for d := range nt {
+		if reached[d] != lacking[d] {
+			nt[d] = lattice.None // its port refused a re-push
+		}
+	}
+	b.synced = nt
+}
+
+// forwardFlood sends a GO or MoveDone flood to every adjacent block except
+// `except`, which sent it, and keeps in synced only the neighbours that now
+// hold it.
+func (b *BlockCode) forwardFlood(env exec.Env, m *msg.Message, except lattice.BlockID) {
+	holders := env.Neighbors()
+	sendTo(env, m, &holders, except)
+	for i, id := range b.synced {
+		if id != except && !slices.Contains(holders[:], id) {
+			b.synced[i] = lattice.None
+		}
 	}
 }
 
 // onSelectAck forwards the elected block's acknowledgement up to the Root.
-func (b *BlockCode) onSelectAck(env exec.Env, from lattice.BlockID, m msg.Message) {
+func (b *BlockCode) onSelectAck(env exec.Env, from lattice.BlockID, m *msg.Message) {
 	if b.isRoot {
 		if m.Round == b.round {
 			b.maybeAdvance(env)
 		}
 		return
 	}
-	_ = env.Send(b.father, m)
+	_ = env.Send(b.father, *m)
 }
 
 // performHop executes the elected block's hop: the best admissible candidate
@@ -827,8 +871,8 @@ func (b *BlockCode) floodMoveDone(env exec.Env, from, to geom.Vec, success bool)
 		Type: msg.TypeMoveDone, Round: b.round, Tier: b.tier,
 		Mover: b.id, From: from, To: to, Success: success,
 	}
-	b.markMoveDone(m)
-	b.sendToNeighbors(env, m, lattice.None)
+	b.markMoveDone(&m)
+	b.forwardFlood(env, &m, lattice.None)
 	// A mover that is its own only witness (no Root elsewhere) cannot
 	// happen: the Root exists and the graph is connected.
 }
@@ -837,7 +881,7 @@ func (b *BlockCode) floodMoveDone(env exec.Env, from, to geom.Vec, success bool)
 // the given mover's flood of the given round; it reports whether the flood
 // was new. Round numbers strictly increase, so a younger round resets the
 // per-round mover list. The message itself is retained for repushFloods.
-func (b *BlockCode) markMoveDone(m msg.Message) bool {
+func (b *BlockCode) markMoveDone(m *msg.Message) bool {
 	if m.Round > b.moveDoneRound {
 		b.moveDoneRound = m.Round
 		b.moveDoneMovers = b.moveDoneMovers[:0]
@@ -849,14 +893,14 @@ func (b *BlockCode) markMoveDone(m msg.Message) bool {
 		}
 	}
 	b.moveDoneMovers = append(b.moveDoneMovers, m.Mover)
-	b.moveDoneMsgs = append(b.moveDoneMsgs, m)
+	b.moveDoneMsgs = append(b.moveDoneMsgs, *m)
 	return true
 }
 
 // onMoveDoneFlood forwards each (round, mover) flood once and lets the Root
 // sequence the next iteration of Algorithm 1 when the round's whole
 // move-set has reported.
-func (b *BlockCode) onMoveDoneFlood(env exec.Env, from lattice.BlockID, m msg.Message) {
+func (b *BlockCode) onMoveDoneFlood(env exec.Env, from lattice.BlockID, m *msg.Message) {
 	if m.Round < b.moveDoneRound {
 		return // stale round (rounds strictly increase)
 	}
@@ -868,7 +912,7 @@ func (b *BlockCode) onMoveDoneFlood(env exec.Env, from lattice.BlockID, m msg.Me
 		// possible, so suppressed blocks bid again.
 		b.liftSuppression()
 	}
-	b.sendToNeighbors(env, m, from)
+	b.forwardFlood(env, m, from)
 	// A deferred wave hop may have just become ready.
 	b.tryPendingHop(env)
 	if b.isRoot && m.Round == b.round {
@@ -933,7 +977,7 @@ func (b *BlockCode) finish(env exec.Env, success bool) {
 		return
 	}
 	b.done = true
-	b.sendToNeighbors(env, msg.Message{
+	b.sendToNeighbors(env, &msg.Message{
 		Type: msg.TypeFinished, Round: b.round, Success: success,
 	}, lattice.None)
 	if b.sh.finished.CompareAndSwap(false, true) {
@@ -945,7 +989,7 @@ func (b *BlockCode) finish(env exec.Env, success bool) {
 }
 
 // onFinishedFlood spreads termination; every block shuts down.
-func (b *BlockCode) onFinishedFlood(env exec.Env, from lattice.BlockID, m msg.Message) {
+func (b *BlockCode) onFinishedFlood(env exec.Env, from lattice.BlockID, m *msg.Message) {
 	b.done = true
 	b.sendToNeighbors(env, m, from)
 }
@@ -1087,23 +1131,36 @@ func windowBit(rel geom.Vec, r, size int) uint64 {
 	return 1 << uint((r-rel.Y)*size+(rel.X+r))
 }
 
-// sendToNeighbors sends m to every adjacent block except `except`,
+// sendToNeighbors sends *m to every adjacent block except `except`,
 // returning the number of messages sent.
-func (b *BlockCode) sendToNeighbors(env exec.Env, m msg.Message, except lattice.BlockID) int {
+func (b *BlockCode) sendToNeighbors(env exec.Env, m *msg.Message, except lattice.BlockID) int {
 	nt := env.Neighbors()
+	return sendTo(env, m, &nt, except)
+}
+
+// sendTo sends *m through every port of nt that holds a block other than
+// `except`, and clears from nt each port that refused it (on the goroutine
+// runtime a neighbour can move away between the table read and the send).
+// It returns the number of messages sent. An Activate goes out as one copy
+// whose Son is each receiver in turn; *m itself is never written.
+func sendTo(env exec.Env, m *msg.Message, nt *[geom.NumDirs]lattice.BlockID, except lattice.BlockID) int {
+	if m.Type == msg.TypeActivate {
+		act := *m
+		m = &act
+	}
 	sent := 0
-	for _, d := range geom.Dirs() {
-		nb := nt[d]
+	for d, nb := range nt {
 		if nb == lattice.None || nb == except {
 			continue
 		}
-		mm := m
-		if mm.Type == msg.TypeActivate {
-			mm.Son = nb
+		if m.Type == msg.TypeActivate {
+			m.Son = nb
 		}
-		if env.Send(nb, mm) == nil {
-			sent++
+		if env.Send(nb, *m) != nil {
+			nt[d] = lattice.None
+			continue
 		}
+		sent++
 	}
 	return sent
 }

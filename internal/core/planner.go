@@ -44,9 +44,10 @@ func planCandidates(cfg Config, lib *rules.Library, pos geom.Vec, src rules.Wind
 	return filterCandidates(cfg, lib.ApplicationsOn(pos, src), pos, tier, avoid)
 }
 
-// sensed reads a block's sensing window as a rules.WindowSource: each
-// rule's window through Env.SenseWindow, and single cells (the fallback for
-// rules wider than a bitboard) through Env.Sense.
+// sensed reads a block's sensing window as a rules.WindowSource: windows
+// through Env.SenseWindow (one per plan for the standard library), and
+// single cells (the fallback for rules wider than a bitboard) through
+// Env.Sense.
 type sensed struct{ env exec.Env }
 
 func (s *sensed) OccWindow(anchor geom.Vec, radius int) uint64 {

@@ -73,7 +73,10 @@ func (c Candidate) IsNeutral() bool { return c.Distance == msg.InfiniteDistance 
 
 // Better reports whether c strictly precedes o in election order:
 // smaller distance, then smaller priority, then smaller id.
-func (c Candidate) Better(o Candidate) bool {
+func (c Candidate) Better(o Candidate) bool { return better(&c, &o) }
+
+// better is Better on pointers, so Fold compares kept slots in place.
+func better(c, o *Candidate) bool {
 	if c.Distance != o.Distance {
 		return c.Distance < o.Distance
 	}
@@ -151,16 +154,17 @@ func (a *Aggregator) Reset(own Candidate, k int) {
 		a.entries = make([]slot, 0, a.k)
 	}
 	a.entries = a.entries[:0]
-	a.Fold(own, lattice.None)
+	a.Fold(&own, lattice.None)
 }
 
 // Fold merges a candidate reported by neighbour `from` into the top-K set
-// and reports whether it was kept. Neutral candidates are the fold identity:
-// never kept, but not a drop either (they lost nothing). A false return for
-// a non-neutral candidate means the bounded top-K truncated it — callers
-// that care about silent truncation at the wire bound count these.
-func (a *Aggregator) Fold(c Candidate, from lattice.BlockID) bool {
-	if c.IsNeutral() {
+// and reports whether it was kept; it copies *c only into a kept slot.
+// Neutral candidates are the fold identity: never kept, but not a drop
+// either (they lost nothing). A false return for a non-neutral candidate
+// means the bounded top-K truncated it — callers that care about silent
+// truncation at the wire bound count these.
+func (a *Aggregator) Fold(c *Candidate, from lattice.BlockID) bool {
+	if c.Distance == msg.InfiniteDistance { // c.IsNeutral() would copy *c
 		return true
 	}
 	// Find the insertion point in the Better order (entries are tiny: k <=
@@ -168,7 +172,7 @@ func (a *Aggregator) Fold(c Candidate, from lattice.BlockID) bool {
 	// every kept entry it does not strictly beat, so on an exact duplicate
 	// the first-reported entry keeps its slot, like the serial max-fold.
 	i := 0
-	for i < len(a.entries) && !c.Better(a.entries[i].c) {
+	for i < len(a.entries) && !better(c, &a.entries[i].c) {
 		i++
 	}
 	if i == a.k {
@@ -178,7 +182,7 @@ func (a *Aggregator) Fold(c Candidate, from lattice.BlockID) bool {
 		a.entries = append(a.entries, slot{})
 	}
 	copy(a.entries[i+1:], a.entries[i:])
-	a.entries[i] = slot{c: c, via: from}
+	a.entries[i].c, a.entries[i].via = *c, from
 	return true
 }
 

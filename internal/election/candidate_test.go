@@ -87,7 +87,7 @@ func TestFoldMatchesLinearScan(t *testing.T) {
 		}
 		agg.Reset(own, 1)
 		for _, i := range rng.Perm(n) {
-			agg.Fold(reports[i].c, reports[i].from)
+			agg.Fold(&reports[i].c, reports[i].from)
 		}
 		// Linear scan reference.
 		best, via := own, lattice.None
@@ -134,7 +134,7 @@ func TestTopKFoldOrderInsensitive(t *testing.T) {
 		}
 		agg.Reset(Neutral(), k)
 		for _, i := range rng.Perm(n) {
-			agg.Fold(reports[i].c, reports[i].from)
+			agg.Fold(&reports[i].c, reports[i].from)
 		}
 		// Reference: sort the non-neutral reports by Better, take k.
 		var ref []report

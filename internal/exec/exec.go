@@ -34,7 +34,9 @@ type Env interface {
 	Output() geom.Vec
 
 	// Neighbors returns the Neighbor Table NT: the adjacent block on each
-	// lateral side, or lattice.None (§V-B).
+	// lateral side, or lattice.None (§V-B). Every change to it reaches the
+	// block as OnMoved or OnNeighborhoodChanged, since a lateral cell lies
+	// inside the sensing window.
 	Neighbors() [geom.NumDirs]lattice.BlockID
 	// Send transmits a message through the port facing the given adjacent
 	// block. Sending to a non-adjacent block fails: ports are physical
@@ -53,14 +55,17 @@ type Env interface {
 	// SenseWindow reports the occupancy of the square of the given radius
 	// around anchor as one bitboard, in rules.WindowAround's bit layout:
 	// the readings one Sense per cell would give, in one read. Rule
-	// matching (MM⊗MP) reads its windows this way, and the World answers it
-	// with word operations on the lattice's row bitsets. The square must
-	// lie inside the sensing window (anchor's Chebyshev distance from the
-	// block plus radius at most SensingRadius) and fit a bitboard (radius
-	// at most rules.MaxWindowRadius); otherwise it panics, as Sense does.
+	// matching (MM⊗MP) reads its windows this way: a plan over the paper's
+	// 3x3 rules reads the whole sensing window centred on the block once,
+	// and the World answers it with word operations on the lattice's row
+	// bitsets. The square must lie inside the sensing window (anchor's
+	// Chebyshev distance from the block plus radius at most SensingRadius)
+	// and fit a bitboard (radius at most rules.MaxWindowRadius); otherwise
+	// it panics, as Sense does.
 	//
 	// Sense stays beside it for the single readings that remain: rules
-	// whose matrices are wider than a bitboard are matched cell by cell,
+	// whose matrices are wider than a bitboard are matched cell by cell
+	// (a library with one reads one window per rule placement),
 	// and a wrapper that perturbs or observes readings one cell at a time
 	// (the fault layer's flaky sensors) answers SenseWindow through its own
 	// Sense, so both paths see the same readings.

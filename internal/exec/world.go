@@ -22,6 +22,10 @@ import (
 // World's scratch. The DES calls the World from the goroutine that drives
 // it; the goroutine runtime calls it under its engine lock, read-locked for
 // reads and fully locked for the other three.
+//
+// The World keeps every block's Neighbor Table and refreshes the tables a
+// motion changes inside Move, so Neighbors and the port check are array
+// reads.
 type World struct {
 	surf          *lattice.Surface
 	lib           *rules.Library
@@ -29,6 +33,10 @@ type World struct {
 	constraints   lattice.Constraints
 	onApply       func(lattice.ApplyResult)
 	radius        int
+
+	// nt is indexed by BlockID: nt[id] is block id's Neighbor Table, all
+	// lattice.None for an id off the surface.
+	nt [][geom.NumDirs]lattice.BlockID
 
 	// Move's scratch: the two lists it returns, and the epoch stamps of the
 	// blocks already listed (seen[id] == epoch; surface ids are small and
@@ -56,8 +64,25 @@ func NewWorld(surf *lattice.Surface, lib *rules.Library, input, output geom.Vec,
 	if surf == nil || lib == nil {
 		return nil, fmt.Errorf("exec: a world needs a surface and a rule library")
 	}
-	return &World{surf: surf, lib: lib, input: input, output: output,
-		constraints: constraints, onApply: onApply, radius: 2 * lib.MaxRadius()}, nil
+	w := &World{surf: surf, lib: lib, input: input, output: output,
+		constraints: constraints, onApply: onApply, radius: 2 * lib.MaxRadius()}
+	ids := surf.Blocks()
+	if len(ids) > 0 {
+		w.nt = make([][geom.NumDirs]lattice.BlockID, ids[len(ids)-1]+1) // ids ascend
+	}
+	for _, id := range ids {
+		w.refresh(id)
+	}
+	return w, nil
+}
+
+// refresh rereads block id's Neighbor Table from the surface.
+func (w *World) refresh(id lattice.BlockID) {
+	nt, err := w.surf.Neighbors(id)
+	if err != nil {
+		panic(err)
+	}
+	w.nt[id] = nt
 }
 
 // Blocks returns every block id on the surface, in ascending order.
@@ -88,25 +113,21 @@ func (w *World) Position(id lattice.BlockID) geom.Vec {
 
 // Neighbors returns block id's Neighbor Table.
 func (w *World) Neighbors(id lattice.BlockID) [geom.NumDirs]lattice.BlockID {
-	nt, err := w.surf.Neighbors(id)
-	if err != nil {
-		panic(err)
-	}
-	return nt
+	return w.nt[id]
 }
 
 // Port returns an error unless blocks from and to are in lateral contact:
 // ports are physical contacts (§II), so Send checks it before every message.
 func (w *World) Port(from, to lattice.BlockID) error {
-	pf, okf := w.surf.PositionOf(from)
-	pt, okt := w.surf.PositionOf(to)
+	if to != lattice.None && uint(from) < uint(len(w.nt)) && slices.Contains(w.nt[from][:], to) {
+		return nil
+	}
+	_, okf := w.surf.PositionOf(from)
+	_, okt := w.surf.PositionOf(to)
 	if !okf || !okt {
 		return fmt.Errorf("exec: blocks %d and %d are not both on the surface", from, to)
 	}
-	if _, ok := geom.DirOf(pt, pf); !ok {
-		return fmt.Errorf("exec: blocks %d and %d are not adjacent", from, to)
-	}
-	return nil
+	return fmt.Errorf("exec: blocks %d and %d are not adjacent", from, to)
 }
 
 // SenseWindow answers Env.SenseWindow for block id.
@@ -170,6 +191,15 @@ func (w *World) Move(id lattice.BlockID, app rules.Application) ([]Displacement,
 		w.observe(to)
 	}
 	slices.Sort(w.observers)
+	// Only a displaced block or one next to a vacated or filled cell can
+	// have a new Neighbor Table, and the sensing radius is at least 1, so
+	// the observers include every such block.
+	for _, d := range w.displaced {
+		w.refresh(d.ID)
+	}
+	for _, id := range w.observers {
+		w.refresh(id)
+	}
 	return w.displaced, w.observers, nil
 }
 

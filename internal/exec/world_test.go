@@ -34,7 +34,9 @@ var connected = lattice.Constraints{RequireConnectivity: true}
 // lists Move returns against the surface: the displaced blocks are the
 // blocks at the rule's destinations, in move order, and the observers are
 // every other block within the sensing radius of a vacated or filled cell,
-// found by a brute-force scan, in ascending id order.
+// found by a brute-force scan, in ascending id order. Before and after each
+// motion the World's Neighbor Tables and port rule must agree with the
+// surface (checkTables).
 func TestWorldMoveNotifies(t *testing.T) {
 	lib := rules.StandardLibrary()
 	for _, s := range worldFixtures(t) {
@@ -67,10 +69,12 @@ func checkMove(t *testing.T, s *scenario.Scenario, lib *rules.Library, id lattic
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTables(t, w, surf, s.Name+": before "+app.String())
 	moved, observers, err := w.Move(id, app)
 	if err != nil {
 		t.Fatalf("%s: block %d: %s: %v", s.Name, id, app, err)
 	}
+	checkTables(t, w, surf, s.Name+": after "+app.String())
 	if applied != 1 {
 		t.Errorf("%s: %s: onApply ran %d times", s.Name, app, applied)
 	}
@@ -108,6 +112,42 @@ func checkMove(t *testing.T, s *scenario.Scenario, lib *rules.Library, id lattic
 	}
 	if !slices.Equal(observers, brute) {
 		t.Errorf("%s: %s: observers %v, brute-force scan %v", s.Name, app, observers, brute)
+	}
+}
+
+// checkTables checks the World's Neighbor Tables and port rule against the
+// surface: every block's table is the surface's, Port accepts exactly the
+// pairs geom.DirOf finds laterally adjacent among the blocks within
+// Chebyshev distance 2 of each other, and it refuses an id off the surface
+// and lattice.None, which marks an empty port in a table.
+func checkTables(t *testing.T, w *exec.World, surf *lattice.Surface, what string) {
+	t.Helper()
+	const offSurface = lattice.BlockID(1 << 20)
+	for _, a := range surf.Blocks() {
+		want, err := surf.Neighbors(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := w.Neighbors(a); got != want {
+			t.Errorf("%s: block %d: World Neighbor Table %v, surface %v", what, a, got, want)
+		}
+		pa, _ := surf.PositionOf(a)
+		for dy := -2; dy <= 2; dy++ {
+			for dx := -2; dx <= 2; dx++ {
+				pb := pa.Add(geom.V(dx, dy))
+				b, ok := surf.BlockAt(pb)
+				if !ok {
+					continue
+				}
+				_, adjacent := geom.DirOf(pa, pb)
+				if err := w.Port(a, b); (err == nil) != adjacent {
+					t.Errorf("%s: Port(%d at %v, %d at %v) = %v, adjacent %t", what, a, pa, b, pb, err, adjacent)
+				}
+			}
+		}
+		if w.Port(a, offSurface) == nil || w.Port(offSurface, a) == nil || w.Port(a, lattice.None) == nil {
+			t.Errorf("%s: a port between block %d and an id off the surface was accepted", what, a)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/event"
@@ -14,28 +15,42 @@ import (
 // exactly as a VisibleSim BlockCode "can access the list of possible motions
 // that are stored in the XML code" (§V-E).
 //
-// At Add time every rule is compiled into a matcher record: its radius and
-// mover offsets are precomputed (so a rule's move list must not change
-// after Add), and matching reads the rule's live Motion Matrix requirement
-// masks (see matrix.Motion.Masks). ApplicationsFor thereby validates each
-// candidate anchor with a window bitboard and two word operations instead
-// of materialising Presence matrices — zero heap allocations until a match
-// is found.
+// Add compiles every rule into a matcher record: its radius, its mover
+// offsets and, for each (rule, mover) placement, the Motion Matrix
+// requirement masks (see matrix.Motion.Masks) moved into the frame of the
+// sensing window centred on the mover. Matching reads these snapshots, so a
+// rule must not change after Add. When the sensing window fits a bitboard,
+// AppendApplicationsOn thereby reads it once and validates every placement
+// with two word operations instead of materialising Presence matrices —
+// zero heap allocations until a match is found.
 type Library struct {
-	rules    []*Rule
-	compiled []compiledRule
-	byName   map[string]*Rule
+	rules     []*Rule
+	compiled  []compiledRule
+	byName    map[string]*Rule
+	maxRadius int
+	// placements is every (rule, mover) placement in library order, then
+	// mover order, with its masks in the frame of the radius-2·maxRadius
+	// window centred on the mover. It is empty when that window exceeds
+	// MaxWindowRadius (the extended library's 5x5 chain carry needs an
+	// 81-cell window), and matching then reads one window per placement.
+	placements []placement
 }
 
-// compiledRule is the packed matcher form of one rule: the radius and mover
-// offsets are snapshotted at Add time (a rule's move list must not change
-// after Add); the Motion Matrix masks are read live from the rule, which
-// keeps them in sync with any Motion.Set mutation.
+// compiledRule is the packed matcher form of one rule, snapshotted at Add.
 type compiledRule struct {
 	rule    *Rule
 	radius  int
 	movers  []geom.Vec
 	compact bool // matrix fits a 64-bit window, masks usable
+}
+
+// placement is one (rule, mover) pair compiled for the one-read matcher:
+// the rule validates with the mover on pos when pos's sensing window w has
+// w&mustOcc == mustOcc and w&mustEmpty == 0.
+type placement struct {
+	rule               *Rule
+	mover              geom.Vec
+	mustOcc, mustEmpty uint64
 }
 
 // NewLibrary builds a library from rules, rejecting duplicate names.
@@ -65,7 +80,49 @@ func (l *Library) Add(r *Rule) error {
 		compact: r.MM.Compact(),
 	})
 	l.byName[r.Name] = r
+	if rad := r.MM.Radius(); rad > l.maxRadius {
+		// A wider rule widens the sensing window: recompile every placement.
+		l.maxRadius = rad
+		l.placements = l.placements[:0]
+		for i := range l.compiled[:len(l.compiled)-1] {
+			l.placements = l.compiled[i].appendPlacements(l.placements, 2*rad)
+		}
+	}
+	l.placements = l.compiled[len(l.compiled)-1].appendPlacements(l.placements, 2*l.maxRadius)
 	return nil
+}
+
+// appendPlacements appends c's placements, one per mover, compiled into the
+// frame of the radius-R window centred on the mover. It appends nothing when
+// that window does not fit a bitboard. Every rule of a library whose window
+// fits is compact: R = 2·MaxRadius <= MaxWindowRadius bounds each rule to a
+// 3x3 matrix.
+func (c *compiledRule) appendPlacements(dst []placement, R int) []placement {
+	if R > MaxWindowRadius {
+		return dst
+	}
+	occ, empty := c.rule.MM.Masks()
+	for _, m := range c.movers {
+		dst = append(dst, placement{rule: c.rule, mover: m,
+			mustOcc: relocate(occ, c.radius, m, R), mustEmpty: relocate(empty, c.radius, m, R)})
+	}
+	return dst
+}
+
+// relocate moves a mask of a radius-r window centred on a rule's anchor into
+// the radius-R window centred on the mover at offset m from that anchor.
+// Both use WindowAround's layout: bit row*size+col, row 0 = north. Cell
+// (dx, dy) from the anchor sits at (dx-m.X, dy-m.Y) from the mover, which
+// R >= 2r keeps inside the window.
+func relocate(mask uint64, r int, m geom.Vec, R int) uint64 {
+	size, Size := 2*r+1, 2*R+1
+	var out uint64
+	for b := mask; b != 0; b &= b - 1 {
+		i := bits.TrailingZeros64(b)
+		row, col := i/size, i%size // dy = r-row, dx = col-r
+		out |= 1 << uint((R-r+row+m.Y)*Size+R-r+col-m.X)
+	}
+	return out
 }
 
 // Rules returns the rules in insertion order. The slice is shared; callers
@@ -83,15 +140,7 @@ func (l *Library) Len() int { return len(l.rules) }
 
 // MaxRadius returns the largest matrix radius across the library; the
 // sensing window a block needs to evaluate every rule.
-func (l *Library) MaxRadius() int {
-	max := 0
-	for _, r := range l.rules {
-		if r.MM.Radius() > max {
-			max = r.MM.Radius()
-		}
-	}
-	return max
-}
+func (l *Library) MaxRadius() int { return l.maxRadius }
 
 // Names returns the sorted rule names.
 func (l *Library) Names() []string {
@@ -255,8 +304,8 @@ func (l *Library) ApplicationsFor(pos geom.Vec, occ func(geom.Vec) bool) []Appli
 }
 
 // ApplicationsOn is ApplicationsFor over a WindowSource: the sensing window
-// of each candidate anchor is extracted with word operations from the
-// source's occupancy bitsets instead of per-cell predicate calls.
+// is extracted with word operations from the source's occupancy bitsets
+// instead of per-cell predicate calls (see AppendApplicationsOn).
 func (l *Library) ApplicationsOn(pos geom.Vec, src WindowSource) []Application {
 	return l.AppendApplicationsOn(nil, pos, src)
 }
@@ -265,7 +314,22 @@ func (l *Library) ApplicationsOn(pos geom.Vec, src WindowSource) []Application {
 // the extended slice, in the same deterministic order as ApplicationsOn.
 // Hot paths that probe mobility per candidate (the planner's blocking veto)
 // pass a reused buffer so the enumeration allocates nothing once warm.
+//
+// When the sensing window (radius 2·MaxRadius) fits a bitboard, it reads
+// that window once, src.OccWindow(pos, 2·MaxRadius), and tests every
+// compiled placement against it; otherwise it reads each placement's window
+// around its anchor.
 func (l *Library) AppendApplicationsOn(dst []Application, pos geom.Vec, src WindowSource) []Application {
+	if len(l.placements) > 0 {
+		w := src.OccWindow(pos, 2*l.maxRadius)
+		for i := range l.placements {
+			p := &l.placements[i]
+			if w&p.mustOcc == p.mustOcc && w&p.mustEmpty == 0 {
+				dst = append(dst, Application{Rule: p.rule, Anchor: pos.Sub(p.mover)})
+			}
+		}
+		return dst
+	}
 	for i := range l.compiled {
 		c := &l.compiled[i]
 		for _, mover := range c.movers {

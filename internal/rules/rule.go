@@ -12,15 +12,17 @@
 // Matrix carries a compiled form of the Table II truth table — a pair of
 // uint64 masks of the cells that must start occupied / must start empty,
 // wildcards masked out, maintained in sync with the code grid — and
-// Library.Add snapshots the rule's radius and mover offsets into a packed
-// matcher record alongside it.
+// Library.Add snapshots the rule's radius, its mover offsets and, per
+// mover, those masks moved into the frame of the sensing window centred on
+// the mover.
 // Validating a candidate placement is then: build a window bitboard of the
 // sensed neighbourhood (WindowAround over an occupancy predicate, or
 // Surface.OccWindow extracting words from the lattice row bitsets) and test
-// it with two AND/compare word operations (Rule.MatchesWindow). Rules whose
-// matrices exceed 64 cells fall back to the reference entry-wise operator,
-// which stays pinned to the compiled matcher by a differential property
-// test.
+// it with two AND/compare word operations. Library.AppendApplicationsOn
+// reads a block's whole sensing window once and tests every placement
+// against it. Rules whose matrices exceed 64 cells fall back to the
+// reference entry-wise operator, which stays pinned to the compiled matcher
+// by a differential property test.
 package rules
 
 import (

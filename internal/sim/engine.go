@@ -67,16 +67,17 @@ func (ev *engEvent) Fire() {
 	case evStart:
 		ev.h.code.OnStart(ev.h)
 	case evDeliver:
-		e.deliverTo(ev.from, ev.to, ev.m)
+		e.deliverTo(ev.from, ev.to, &ev.m)
 	case evMoved:
 		ev.h.code.OnMoved(ev.h, ev.vFrom, ev.vTo)
 	case evNeighborhood:
 		ev.h.code.OnNeighborhoodChanged(ev.h)
 	}
-	// Clear the target and message, so a pooled event keeps neither a host
-	// nor a candidate list reachable.
+	// Clear the target and the message's candidate list, the one field that
+	// keeps memory reachable, so a pooled event holds neither. Send writes
+	// the whole message again.
 	ev.h = nil
-	ev.m = msg.Message{}
+	ev.m.Cands = nil
 	e.pool = append(e.pool, ev)
 }
 
@@ -191,14 +192,14 @@ func (h *host) Send(to lattice.BlockID, m msg.Message) error {
 // processing delay. A message therefore survives the sender moving away
 // after the send (e.g. the elected block's SelectAck racing its own hop).
 // Each message is its own event and is handed to OnMessage as it lands.
-func (e *Engine) deliverTo(from, to lattice.BlockID, m msg.Message) {
+func (e *Engine) deliverTo(from, to lattice.BlockID, m *msg.Message) {
 	h := e.hostOf(to)
 	if h == nil {
 		e.dropped++
 		return
 	}
 	e.deliver++
-	h.code.OnMessage(h, from, m)
+	h.code.OnMessage(h, from, *m)
 }
 
 // hostOf returns id's host, or nil when id has none.
