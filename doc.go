@@ -115,15 +115,23 @@
 // (lattice.Surface.ValidateMoveSet, shard-local, nothing mutated). A
 // head-to-tail write overlap is legal only as the train handoff: the
 // follower enters exactly the cell its predecessor vacates. Wave members
-// carry their stamp in the GO flood and hop only after every lower-stamped
-// winner reported MoveDone, so coupled hops execute in admission order and
-// the round stays equivalent to a serial execution.
+// carry their stamp in the GO flood and hop only when the Root floods their
+// release, which it does once every lower-stamped winner has reported
+// MoveDone, so coupled hops execute in admission order and the round stays
+// equivalent to a serial execution.
 //
 // The admitted move-set is flooded as one GO message — a same-batch motion
 // can sever the father/son tree mid-round, so batch rounds replace
 // tree-routed Selects with a flood, and every block re-pushes the round's
 // floods to its neighbours whenever its local topology changes — and the
-// Root opens the next round once every winner's MoveDone flood arrived.
+// Root opens the next round once every winner's MoveDone report arrived.
+// A report is not flooded: at every k, the mover and each relay hand it to
+// one neighbour strictly nearer I (blocks know their cell and I,
+// Assumption 2), and only a block with no nearer neighbour floods it,
+// which reaches the Root because the ensemble stays connected (Remark 1).
+// The Root carries the round's count of successful hops on the next
+// Activate, and each block lifts its suppression backoff once per success
+// before it bids.
 // One guard backs the whole ladder at the physical layer: batch
 // interleavings (unlike any serial schedule) can pinch off an enclosed
 // pocket of empty cells that no rule application can ever reach again, so

@@ -52,48 +52,55 @@ type BlockCode struct {
 	// moveSet is the round's admitted winners in admission order (the
 	// paper's single GO generalised to a batch), moveWaves their parallel
 	// wave ordering stamps (0 = unordered, s >= 1 = s-th member of the
-	// round's wave); movesReported counts the distinct in-set movers whose
-	// MoveDone flood arrived, and batchReachedO remembers whether any of
-	// them landed on O.
+	// round's wave). reported is a bit set over moveSet indices (a round
+	// has at most msg.MaxBatch winners): the winners whose MoveDone report
+	// arrived, routed or flooded, each counted once. batchReachedO
+	// remembers whether any reported hop landed on O.
 	moveSet       []lattice.BlockID
 	moveWaves     []uint8
-	movesReported int
+	reported      uint32
 	batchReachedO bool
-	// roundHadSuccess records whether any in-set mover's MoveDone of the
-	// current round reported a successful hop; failStreak counts consecutive
-	// completed rounds without one (batch runs only). A batch trajectory can
-	// reach states where the same few blocks — each holding a bid whose
-	// every candidate the physical layer rejects — cycle through the
-	// suppression backoff and monopolise tier-0 elections forever, a
-	// livelock the empty-election ladder never sees because the elections
-	// are not empty. The Root breaks it by escalating the election tier on
-	// the failure streak, which widens the stuck blocks' own candidate
-	// lists with retreat moves. The serial protocol never consults either
-	// field, so k = 1 stays bit-identical to the paper's sequencing.
-	roundHadSuccess bool
-	failStreak      int
+	// roundHops counts the current round's reported successful hops; the
+	// next Activate carries it (msg.Message.Hops), so every block lifts its
+	// suppression once per success before it bids again. failStreak counts
+	// consecutive completed rounds without one (batch runs only). A batch
+	// trajectory can reach states where the same few blocks — each holding
+	// a bid whose every candidate the physical layer rejects — cycle
+	// through the suppression backoff and monopolise tier-0 elections
+	// forever, a livelock the empty-election ladder never sees because the
+	// elections are not empty. The Root breaks it by escalating the
+	// election tier on the failure streak, which widens the stuck blocks'
+	// own candidate lists with retreat moves. The serial protocol never
+	// consults the streak, so k = 1 stays bit-identical to the paper's
+	// sequencing.
+	roundHops  int
+	failStreak int
 	// emptyStreak counts consecutive all-tier election ladders that found
 	// nobody electable. The Root only declares a blocking after several
 	// empty ladders: a single empty sweep can be transient (suppression
 	// backoff in flight, sensor faults), and retrying re-reads the world.
 	emptyStreak int
 
-	// Flood deduplication: with up to K movers per round a block forwards
-	// one flood per (round, mover). Round numbers strictly increase, so the
-	// mover list resets whenever a younger round's flood arrives. The seen
-	// messages themselves are retained for the round (moveDoneMsgs), because
-	// batch rounds re-push them on topology changes (see repushFloods).
-	moveDoneRound  uint32
-	moveDoneMovers []lattice.BlockID
-	moveDoneMsgs   []msg.Message
+	// MoveDone flood deduplication: a block forwards each flooded MoveDone
+	// of a round once — a report from a dead end (see routeReport) or a
+	// wave release from the Root — and retains it in moveDoneMsgs, because
+	// batch rounds re-push it on topology changes (see repushFloods).
+	// Round numbers strictly increase, so the list resets whenever a
+	// younger round's flood arrives. Routed reports are neither deduplicated
+	// nor retained: each travels one path, and a block that relayed one must
+	// still forward the flood a dead end further on makes of it.
+	moveDoneRound uint32
+	moveDoneMsgs  []msg.Message
 	// synced lists the neighbours known to hold every flood this block
 	// retains (goMsg and each of moveDoneMsgs), lattice.None elsewhere. It
 	// starts as the whole Neighbor Table, since a booting block retains
 	// nothing; a neighbour leaves it when this block forwards or originates
-	// a GO or MoveDone flood that the neighbour did not receive, and joins
-	// it when repushFloods re-sends it the retained floods. repushFloods
-	// skips it. A send the port accepts is delivered (links are reliable,
-	// Assumption 3), so a neighbour it reached holds the flood.
+	// a GO, a dead-end report or a release that the neighbour did not
+	// receive (a routed report is never retained, so it changes nothing),
+	// and joins it when repushFloods re-sends it the retained floods.
+	// repushFloods skips it. A send the port accepts is delivered (links
+	// are reliable, Assumption 3), so a neighbour it reached holds the
+	// flood.
 	synced [geom.NumDirs]lattice.BlockID
 
 	// Batch-round GO flood state: in parallel-moves rounds the Root floods
@@ -109,21 +116,22 @@ type BlockCode struct {
 	goMsg msg.Message
 
 	// Deferred wave execution: a winner whose GO entry carries wave stamp
-	// s > 1 acknowledges the Root immediately but holds its hop until the
-	// MoveDone flood of every lower-stamped wave member arrived — the wave
-	// validated as an ordered what-if, so executing in stamp order is what
-	// makes overlapping same-direction moves commute (the conveyor). The
-	// stamp is remembered here; onMoveDoneFlood re-checks readiness.
-	pendingHop      bool
-	pendingHopTier  msg.Tier
-	pendingHopStamp uint8
+	// s >= 1 acknowledges the Root immediately but holds its hop until the
+	// Root floods its release, which the Root does once every lower-stamped
+	// winner has reported — the wave validated as an ordered what-if, so
+	// executing in stamp order is what makes overlapping same-direction
+	// moves commute (the conveyor). A release can overtake the GO, so
+	// tryPendingHop runs when either arrives.
+	pendingHop     bool
+	pendingHopTier msg.Tier
 
 	// suppressedFor marks a block whose elected move attempt was entirely
 	// rejected by the physical layer: it bids neutral for that many
 	// upcoming elections, so the Root immediately tries someone else. The
 	// counter decays (a bounded retry backoff: rejection can be transient,
 	// e.g. under sensor faults) and clears at once when the neighbourhood
-	// changes or any block moves (MoveDone flood).
+	// changes or any block moved in the previous round (the Activate's
+	// hop count).
 	suppressedFor int
 	// hopFailStreak counts this block's consecutive fully rejected hop
 	// attempts. In batch runs the backoff doubles with the streak and a
@@ -231,10 +239,11 @@ func (b *BlockCode) startElection(env exec.Env, tier msg.Tier) {
 	}
 	b.round++
 	b.tier = tier
+	hops := b.roundHops
 	b.moveSet = b.moveSet[:0]
-	b.movesReported = 0
+	b.reported = 0
 	b.batchReachedO = false
-	b.roundHadSuccess = false
+	b.roundHops = 0
 	if tier == msg.TierRetreat {
 		b.sh.cfg.Counters.EscapeElections.Add(1)
 	}
@@ -256,6 +265,7 @@ func (b *BlockCode) startElection(env exec.Env, tier msg.Tier) {
 		// Eqs. (6)-(7): the initial bound is |O-I| attributed to the Root.
 		ShortestDistance: b.sh.cfg.InitialShortestDistance(),
 		IDShortest:       b.id,
+		Hops:             uint8(hops),
 	}
 	sent := b.sendToNeighbors(env, &init, lattice.None)
 	if done, err := b.ds.RecordSent(sent); err != nil || done {
@@ -282,7 +292,7 @@ func (b *BlockCode) OnMessage(env exec.Env, from lattice.BlockID, m msg.Message)
 	case msg.TypeSelectAck:
 		b.onSelectAck(env, from, &m)
 	case msg.TypeMoveDone:
-		b.onMoveDoneFlood(env, from, &m)
+		b.onMoveDone(env, from, &m)
 	case msg.TypeFinished:
 		b.onFinishedFlood(env, from, &m)
 	}
@@ -303,8 +313,14 @@ func (b *BlockCode) onActivate(env exec.Env, from lattice.BlockID, m *msg.Messag
 		// A new round begins: a hop still pending from an older round's wave
 		// must never fire into it (cannot normally happen — the Root waits
 		// for every winner's MoveDone — but a fault-injected run can drop
-		// the flood that would have released it).
+		// the release that would have let it go).
 		b.pendingHop = false
+		// Every success of the previous round is global progress: any
+		// previously impossible move may have become possible, so the
+		// backoff lifts once per reported hop before this block bids.
+		for range m.Hops {
+			b.liftSuppression()
+		}
 		own := b.ownCandidate(env, m.Round, m.Tier)
 		b.agg.Reset(own, b.foldWidth())
 
@@ -479,10 +495,9 @@ func (b *BlockCode) onElectionComplete(env exec.Env) {
 	}
 	for i, id := range b.moveSet {
 		// Each GO entry carries the winner's wave ordering stamp; executors
-		// with stamp s >= 1 hold their hop until every lower-stamped member
-		// (the unordered stamp-0 winners included) flooded MoveDone.
-		// Re-pushed floods (repushFloods) retain the full goMsg, so wave
-		// prefixes survive topology changes.
+		// with stamp s >= 1 hold their hop until the Root floods their
+		// release (see releaseWaves). Re-pushed floods (repushFloods) retain
+		// the full goMsg, so wave prefixes survive topology changes.
 		goMsg.Cands[i] = msg.Cand{ID: id, Wave: b.moveWaves[i]}
 	}
 	b.selectRound, b.seenSelect, b.goMsg = b.round, true, goMsg
@@ -518,9 +533,9 @@ func (b *BlockCode) onElectionComplete(env exec.Env) {
 // the whole planned prefix validates as a batched what-if in admission
 // order (exec.Env.ValidateMoveSet on the connectivity overlay). A stamped
 // winner hops only after every lower-stamped winner — including all
-// stamp-0 winners — reported MoveDone, so coupled hops execute
-// sequentially and each replans over a settled window: the round stays
-// equivalent to a serial execution.
+// stamp-0 winners — reported MoveDone to the Root and the Root released
+// it, so coupled hops execute sequentially and each replans over a settled
+// window: the round stays equivalent to a serial execution.
 //
 // Everything else is rejected: a written cell clashes, a coupling opposes
 // or crosses the train direction, the what-if fails, a carry couples (its
@@ -691,12 +706,12 @@ func (b *BlockCode) onGoFlood(env exec.Env, from lattice.BlockID, m *msg.Message
 			Type: msg.TypeSelectAck, Round: m.Round, Tier: m.Tier, IDShortest: b.id,
 		})
 		if c.Wave >= 1 {
-			// Ordered wave member: hop only after every lower-stamped
-			// member — including every unordered (stamp-0) winner — flooded
-			// MoveDone, so this mover replans over a settled window. The
-			// acknowledgement above already ended the election for the Root;
-			// the hop itself waits.
-			b.pendingHop, b.pendingHopTier, b.pendingHopStamp = true, m.Tier, c.Wave
+			// Ordered wave member: hop only on the Root's release, which
+			// follows the reports of every lower-stamped member — including
+			// every unordered (stamp-0) winner — so this mover replans over a
+			// settled window. The acknowledgement above already ended the
+			// election for the Root; the hop itself waits.
+			b.pendingHop, b.pendingHopTier = true, m.Tier
 			b.tryPendingHop(env)
 			return
 		}
@@ -705,52 +720,40 @@ func (b *BlockCode) onGoFlood(env exec.Env, from lattice.BlockID, m *msg.Message
 	}
 }
 
-// tryPendingHop executes a deferred wave hop once every lower-stamped
-// member of the round's GO — the unordered stamp-0 winners and every wave
-// member with a smaller stamp — has flooded its MoveDone. Safe to call
-// eagerly: it is a no-op unless a hop is pending and ready. Deadlock-free
-// because stamp-0 winners never wait, every winner floods MoveDone on
-// success and failure alike, floods are re-pushed on topology changes, and
-// the Root cannot advance the round (which would reset the flood state)
-// before this member's own MoveDone.
+// tryPendingHop executes a deferred wave hop once this block holds both
+// its GO and the Root's release of it for the same round; the release can
+// arrive first, so both handlers call it. It is a no-op unless a hop is
+// pending and released. Deadlock-free because stamp-0 winners never wait,
+// every winner reports on success and failure alike, the Root releases
+// each stamp as soon as the lower stamps have reported, floods are
+// re-pushed on topology changes, and the Root cannot advance the round
+// (which would reset the flood state) before this member's own report.
 func (b *BlockCode) tryPendingHop(env exec.Env) {
-	if !b.pendingHop || b.done {
+	if !b.pendingHop || b.done || b.moveDoneRound != b.goMsg.Round {
 		return
 	}
-	m := &b.goMsg
-	for _, c := range m.Cands {
-		if c.ID == b.id || c.Wave >= b.pendingHopStamp {
-			continue
-		}
-		if b.moveDoneRound != m.Round || !b.seenMoveDone(c.ID) {
-			return // a predecessor has not reported yet
+	for i := range b.moveDoneMsgs {
+		if r := &b.moveDoneMsgs[i]; r.Mover == lattice.None && r.IDShortest == b.id {
+			b.pendingHop = false
+			b.performHop(env, b.pendingHopTier, true)
+			return
 		}
 	}
-	b.pendingHop = false
-	b.performHop(env, b.pendingHopTier, true)
 }
 
-// seenMoveDone reports whether the given mover's MoveDone flood of the
-// current flood round was recorded.
-func (b *BlockCode) seenMoveDone(id lattice.BlockID) bool {
-	for _, seen := range b.moveDoneMovers {
-		if seen == id {
-			return true
-		}
-	}
-	return false
-}
-
-// repushFloods re-sends the current round's remembered GO and MoveDone
-// floods to every present neighbour outside synced, then makes the
-// neighbours it reached synced. Batch rounds call it whenever the local
-// topology changed (this block moved, or a sensed cell changed): concurrent
-// motion can put a block next to a neighbour that never received a flood —
-// the tree/flood frontier passed before the adjacency existed — and without
-// the re-push the Root could wait forever for a MoveDone that died in a
-// severed region. Every change to the Neighbor Table reaches the block as
-// OnMoved or OnNeighborhoodChanged, so a new neighbour gets every retained
-// flood, and one that left and came back is re-sent what it missed.
+// repushFloods re-sends the current round's remembered floods — the GO,
+// dead-end reports and wave releases — to every present neighbour outside
+// synced, then makes the neighbours it reached synced. Batch rounds call it
+// whenever the local topology changed (this block moved, or a sensed cell
+// changed): concurrent motion can put a block next to a neighbour that
+// never received a flood — the tree/flood frontier passed before the
+// adjacency existed — and without the re-push the Root could wait forever
+// for a report or a wave member for a release that died in a severed
+// region. Routed reports need no re-push: each is one accepted send to a
+// neighbour, and an accepted send is delivered. Every change to the
+// Neighbor Table reaches the block as OnMoved or OnNeighborhoodChanged, so
+// a new neighbour gets every retained flood, and one that left and came
+// back is re-sent what it missed.
 // Receivers deduplicate, so re-pushing is idempotent; the serial protocol
 // (one mover, sequenced) never needs it and never calls it.
 func (b *BlockCode) repushFloods(env exec.Env) {
@@ -826,7 +829,7 @@ func (b *BlockCode) performHop(env exec.Env, tier msg.Tier, waveMember bool) {
 			b.hasNoReturn = true
 			b.noReturnTo = from
 			b.hopFailStreak = 0
-			b.floodMoveDone(env, from, to, true)
+			b.reportOutcome(env, from, to, true)
 			return
 		}
 		b.pendingOwnMove = false
@@ -840,14 +843,14 @@ func (b *BlockCode) performHop(env exec.Env, tier msg.Tier, waveMember bool) {
 			b.hasNoReturn = true
 			b.noReturnTo = from
 			b.hopFailStreak = 0
-			b.floodMoveDone(env, from, to, true)
+			b.reportOutcome(env, from, to, true)
 			return
 		}
 		b.pendingOwnMove = false
 	}
 	b.sh.cfg.Counters.MoveFailures.Add(1)
 	if waveMember {
-		b.floodMoveDone(env, from, from, false)
+		b.reportOutcome(env, from, from, false)
 		return
 	}
 	b.hopFailStreak++
@@ -862,72 +865,148 @@ func (b *BlockCode) performHop(env exec.Env, tier msg.Tier, waveMember bool) {
 		backoff = suppressionRounds << shift
 	}
 	b.suppressedFor = backoff
-	b.floodMoveDone(env, from, from, false)
+	b.reportOutcome(env, from, from, false)
 }
 
-// floodMoveDone starts the round-completion flood from the mover.
-func (b *BlockCode) floodMoveDone(env exec.Env, from, to geom.Vec, success bool) {
-	m := msg.Message{
+// reportOutcome sends this winner's hop outcome towards the Root.
+func (b *BlockCode) reportOutcome(env exec.Env, from, to geom.Vec, success bool) {
+	b.routeReport(env, &msg.Message{
 		Type: msg.TypeMoveDone, Round: b.round, Tier: b.tier,
 		Mover: b.id, From: from, To: to, Success: success,
-	}
-	b.markMoveDone(&m)
-	b.forwardFlood(env, &m, lattice.None)
-	// A mover that is its own only witness (no Root elsewhere) cannot
-	// happen: the Root exists and the graph is connected.
+	})
 }
 
-// markMoveDone records that this block has seen (and will not re-forward)
-// the given mover's flood of the given round; it reports whether the flood
-// was new. Round numbers strictly increase, so a younger round resets the
-// per-round mover list. The message itself is retained for repushFloods.
-func (b *BlockCode) markMoveDone(m *msg.Message) bool {
+// routeReport hands a MoveDone report to one adjacent block strictly nearer
+// I in Manhattan distance, naming it in Son. Blocks know their own cell and
+// I (Assumption 2) and the side of each neighbour, so every relay strictly
+// lowers the distance and the report either reaches the Root, pinned on I,
+// or stops at a dead end: a block whose nearer cells are empty, or whose
+// nearer neighbours' ports all refused (on the goroutine runtime a
+// neighbour can move away between the table read and the send). A dead end
+// floods the report instead; the ensemble is connected (Remark 1), so the
+// flood reaches the Root.
+func (b *BlockCode) routeReport(env exec.Env, m *msg.Message) {
+	nt := env.Neighbors()
+	sides, n := towardsInput(env.Position(), env.Input())
+	for _, d := range sides[:n] {
+		if nb := nt[d]; nb != lattice.None {
+			m.Son = nb
+			if env.Send(nb, *m) == nil {
+				return
+			}
+		}
+	}
+	b.sh.cfg.Counters.DeadEndFloods.Add(1)
+	m.Son = lattice.None
+	if b.keepFlood(m) {
+		b.forwardFlood(env, m, lattice.None)
+	}
+}
+
+// towardsInput returns the n sides of pos whose cells are nearer to in:
+// none on in itself, one when pos shares a row or column with in, two
+// otherwise. The axis with the larger remaining gap comes first, which
+// keeps a route near the diagonal, where both sides stay open longest.
+func towardsInput(pos, in geom.Vec) (sides [2]geom.Dir, n int) {
+	dx, dy := in.X-pos.X, in.Y-pos.Y
+	x, y := geom.East, geom.North
+	if dx < 0 {
+		x, dx = geom.West, -dx
+	}
+	if dy < 0 {
+		y, dy = geom.South, -dy
+	}
+	if dy > dx {
+		x, y, dx, dy = y, x, dy, dx
+	}
+	if dx > 0 {
+		sides[n] = x
+		n++
+	}
+	if dy > 0 {
+		sides[n] = y
+		n++
+	}
+	return sides, n
+}
+
+// keepFlood records a flooded MoveDone — a dead-end report or a wave
+// release — and reports whether it is new for its round. A report is keyed
+// by its Mover and a release by the block it releases (Mover None), so
+// neither hides the other. Round numbers strictly increase, so a younger
+// round's flood resets the list; the kept messages are what repushFloods
+// re-sends.
+func (b *BlockCode) keepFlood(m *msg.Message) bool {
+	if m.Round < b.moveDoneRound {
+		return false
+	}
 	if m.Round > b.moveDoneRound {
 		b.moveDoneRound = m.Round
-		b.moveDoneMovers = b.moveDoneMovers[:0]
 		b.moveDoneMsgs = b.moveDoneMsgs[:0]
 	}
-	for _, seen := range b.moveDoneMovers {
-		if seen == m.Mover {
+	for i := range b.moveDoneMsgs {
+		if k := &b.moveDoneMsgs[i]; k.Mover == m.Mover && k.IDShortest == m.IDShortest {
 			return false
 		}
 	}
-	b.moveDoneMovers = append(b.moveDoneMovers, m.Mover)
 	b.moveDoneMsgs = append(b.moveDoneMsgs, *m)
 	return true
 }
 
-// onMoveDoneFlood forwards each (round, mover) flood once and lets the Root
-// sequence the next iteration of Algorithm 1 when the round's whole
-// move-set has reported.
-func (b *BlockCode) onMoveDoneFlood(env exec.Env, from lattice.BlockID, m *msg.Message) {
-	if m.Round < b.moveDoneRound {
-		return // stale round (rounds strictly increase)
+// onMoveDone handles the three kinds of MoveDone: the Root takes in every
+// report, a routed report (Son names this block) travels on towards I, and
+// a flooded report or wave release is forwarded once per round. Only the
+// Root reads a report; a release may be for this block.
+func (b *BlockCode) onMoveDone(env exec.Env, from lattice.BlockID, m *msg.Message) {
+	switch {
+	case b.isRoot && m.Mover != lattice.None:
+		b.onReport(env, m)
+	case m.Son != lattice.None:
+		b.routeReport(env, m)
+	case b.keepFlood(m):
+		b.forwardFlood(env, m, from)
+		b.tryPendingHop(env)
 	}
-	if !b.markMoveDone(m) {
-		return // already forwarded this mover's flood
+}
+
+// onReport records a winner's outcome at the Root once, whichever way it
+// came, releases the wave members it unblocks and lets the Root sequence
+// the next iteration of Algorithm 1 when the round's whole move-set has
+// reported.
+func (b *BlockCode) onReport(env exec.Env, m *msg.Message) {
+	i := slices.Index(b.moveSet, m.Mover)
+	if m.Round != b.round || i < 0 || b.reported&(1<<i) != 0 {
+		return
 	}
+	b.reported |= 1 << i
 	if m.Success {
-		// Global progress: any previously impossible move may have become
-		// possible, so suppressed blocks bid again.
-		b.liftSuppression()
+		b.roundHops++
+		if m.To == b.sh.cfg.Output {
+			b.batchReachedO = true
+		}
 	}
-	b.forwardFlood(env, m, from)
-	// A deferred wave hop may have just become ready.
-	b.tryPendingHop(env)
-	if b.isRoot && m.Round == b.round {
-		for _, id := range b.moveSet {
-			if id == m.Mover {
-				b.movesReported++
-				if m.Success {
-					b.roundHadSuccess = true
-					if m.To == b.sh.cfg.Output {
-						b.batchReachedO = true
-					}
-				}
-				b.maybeAdvance(env)
-				break
+	b.releaseWaves(env)
+	b.maybeAdvance(env)
+}
+
+// releaseWaves floods a release to each ordered wave member whose every
+// lower-stamped winner has reported, once (keepFlood remembers it), in
+// stamp order: a member's release needs its predecessor's report, which
+// needs the predecessor's release.
+func (b *BlockCode) releaseWaves(env exec.Env) {
+	for i, s := range b.moveWaves {
+		if s == 0 {
+			continue
+		}
+		for j, t := range b.moveWaves {
+			if t < s && b.reported&(1<<j) == 0 {
+				return
 			}
+		}
+		rel := msg.Message{Type: msg.TypeMoveDone, Round: b.round, Tier: b.tier,
+			IDShortest: b.moveSet[i]}
+		if b.keepFlood(&rel) {
+			b.forwardFlood(env, &rel, lattice.None)
 		}
 	}
 }
@@ -937,11 +1016,12 @@ func (b *BlockCode) onMoveDoneFlood(env exec.Env, from lattice.BlockID, m *msg.M
 // inactive on the elected block's acknowledgement; that ack climbs the
 // father/son tree, and the tree can be severed by the very motion the
 // election triggered (a carried helper may be a relay). Sequencing
-// therefore keys on the MoveDone floods, which survive any topology change
-// of a still-connected ensemble; the SelectAck remains the paper's
+// therefore keys on the MoveDone reports, which reach the Root across any
+// topology change of a still-connected ensemble (routed, or flooded and
+// re-pushed from a dead end); the SelectAck remains the paper's
 // election-termination signal and is tracked on a best-effort basis.
 func (b *BlockCode) maybeAdvance(env exec.Env) {
-	if b.movesReported < len(b.moveSet) {
+	if bits.OnesCount32(b.reported) < len(b.moveSet) {
 		return
 	}
 	if b.batchReachedO {
@@ -956,7 +1036,7 @@ func (b *BlockCode) maybeAdvance(env exec.Env) {
 		// the streak, and a persistent streak escalates the next election's
 		// tier so the stuck bidders' own candidate lists widen beyond the
 		// rejected move. Any successful hop resets the ladder.
-		if b.roundHadSuccess {
+		if b.roundHops > 0 {
 			b.failStreak = 0
 		} else {
 			b.failStreak++

@@ -183,6 +183,10 @@ type Counters struct {
 	// count surfaces in the Observer's message-stats event so silent
 	// truncation is visible.
 	CandidatesDropped atomic.Int64
+	// DeadEndFloods counts MoveDone reports that met a block with no
+	// adjacent block nearer I (or whose nearer ports all refused) on their
+	// way to the Root and were flooded from there.
+	DeadEndFloods atomic.Int64
 }
 
 // Snapshot returns a plain-struct copy of the counters.
@@ -195,6 +199,7 @@ func (c *Counters) Snapshot() CounterValues {
 		MoveFailures:          c.MoveFailures.Load(),
 		CandidateEnumerations: c.CandidateEnumerations.Load(),
 		CandidatesDropped:     c.CandidatesDropped.Load(),
+		DeadEndFloods:         c.DeadEndFloods.Load(),
 	}
 }
 
@@ -207,4 +212,5 @@ type CounterValues struct {
 	MoveFailures          int64
 	CandidateEnumerations int64
 	CandidatesDropped     int64
+	DeadEndFloods         int64
 }

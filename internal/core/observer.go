@@ -71,7 +71,8 @@ type Event struct {
 	// WaveStamps aligns with Winners: each admitted winner's wave ordering
 	// stamp — 0 for an unordered (footprint-disjoint) winner, s >= 1 for the
 	// s-th member of the round's ordered conveyor wave, which executes only
-	// after every lower-stamped member's MoveDone (ElectionDecided).
+	// on the Root's release, after every lower-stamped member's MoveDone
+	// report (ElectionDecided).
 	WaveStamps []uint8
 	// Batch is len(Winners) on ElectionDecided — the round's admitted
 	// winner count — and the configured parallel-moves width K on

@@ -140,9 +140,10 @@ var ErrActuatorDead = errors.New("faults: actuator dead, motion refused")
 // every Move attempt fails without touching the surface — the
 // electro-permanent latching never engages. This is the "killed mid-batch"
 // fault of the parallel-moves studies: an elected block that cannot execute
-// its hop floods a failed MoveDone and self-suppresses, and the batch
-// round's accounting must absorb the loss without stalling or leaving a
-// half-applied motion behind (Surface.Apply's undo-log atomicity).
+// its hop reports a failed MoveDone to the Root and self-suppresses, and
+// the batch round's accounting must absorb the loss without stalling or
+// leaving a half-applied motion behind (Surface.Apply's undo-log
+// atomicity).
 func DeadActuators(inner exec.CodeFactory, dead ...lattice.BlockID) exec.CodeFactory {
 	set := make(map[lattice.BlockID]bool, len(dead))
 	for _, id := range dead {

@@ -5,10 +5,15 @@
 //	Activate[Father, Son, O, ShortestDistance, IDshortest]
 //	Ack[Son, Father, ShortestDistance, IDshortest]
 //
-// plus the Select message of the second phase, its acknowledgement, and the
-// round-completion floods (MoveDone, Finished) that let the Root sequence
-// Algorithm 1's iterations. For parallel-moves runs an Ack additionally
-// carries the subtree's top-K candidate list (up to MaxBatch entries).
+// plus the Select message of the second phase, its acknowledgement, the
+// MoveDone report each elected block sends the Root after its hop attempt,
+// and the Finished flood with which the Root ends Algorithm 1. A MoveDone
+// report travels to the Root along strictly decreasing distance to I and
+// is flooded only from a block with no nearer neighbour; the Root carries
+// the round's count of successful hops on the next Activate (Hops), and in
+// parallel-moves rounds it floods a MoveDone release to each ordered wave
+// member. For parallel-moves runs an Ack additionally carries the
+// subtree's top-K candidate list (up to MaxBatch entries).
 // Messages marshal to a variable-length wire format bounded by MaxWireSize:
 // Smart Blocks have small memories, so the codec keeps every message
 // byte-bounded.
@@ -41,8 +46,15 @@ const (
 	// TypeSelectAck is the elected block's acknowledgement, routed back up
 	// to the Root; its reception ends the distributed election.
 	TypeSelectAck
-	// TypeMoveDone is flooded by the elected block after its hop attempt,
-	// carrying the outcome; the Root starts the next iteration on reception.
+	// TypeMoveDone carries an elected block's hop outcome (Mover, From, To,
+	// Success) to the Root, which starts the next iteration once every
+	// winner of the round has reported. The report is routed: each holder
+	// hands it to one adjacent block strictly nearer I in Manhattan
+	// distance, naming that block in Son, and a holder with no nearer
+	// neighbour floods it (Son = lattice.None); the ensemble is connected
+	// (Remark 1), so the flood reaches the Root on I. The Root also floods
+	// a release (Mover = lattice.None, IDShortest = the released block) to
+	// let an ordered wave member of a parallel-moves round hop.
 	TypeMoveDone
 	// TypeFinished is flooded by the Root when Algorithm 1 terminates.
 	TypeFinished
@@ -184,8 +196,8 @@ func (f Footprint) TouchesWindow(center geom.Vec, radius int) bool {
 // of the planned move. In a GO flood the Root reuses the entry to carry each
 // winner's wave ordering stamp (Wave; 0 = unordered — no other admitted
 // winner's writes touch this winner's sensing window or vice versa; s >= 1 —
-// the s-th ordered wave member, which hops only after every lower-stamped
-// member reported MoveDone).
+// the s-th ordered wave member, which hops only when the Root floods its
+// release, once every lower-stamped member has reported its MoveDone).
 type Cand struct {
 	ID       lattice.BlockID
 	Distance int32
@@ -202,13 +214,18 @@ type Message struct {
 	Type  Type
 	Round uint32 // election iteration k of Algorithm 1
 	Tier  Tier   // move tier of this election round
+	// Hops is the number of successful hops the previous round's winners
+	// reported (Activate): each engaging block lifts its suppression
+	// backoff once per hop before it bids. A round has at most MaxBatch
+	// winners.
+	Hops uint8
 
 	// Election fields (Activate/Ack/Select/SelectAck).
 	Father           lattice.BlockID // sender for Activate; destination for Ack
-	Son              lattice.BlockID // destination for Activate; sender for Ack
+	Son              lattice.BlockID // destination for Activate and a routed MoveDone; sender for Ack
 	Output           geom.Vec        // position of O (Activate; Assumption 2 state)
 	ShortestDistance int32           // current best distance to O
-	IDShortest       lattice.BlockID // block achieving ShortestDistance
+	IDShortest       lattice.BlockID // block achieving ShortestDistance; the elected or released block
 
 	// Top-K candidate list (Ack and batch GO, parallel-moves runs): exactly
 	// the entries carried, in election order, at most MaxBatch of them. It
@@ -221,8 +238,8 @@ type Message struct {
 	// many goroutines).
 	Cands []Cand
 
-	// Flood fields (MoveDone/Finished).
-	Mover    lattice.BlockID // block that moved (MoveDone)
+	// Outcome fields (MoveDone/Finished).
+	Mover    lattice.BlockID // block that moved (MoveDone); None on a release
 	From, To geom.Vec        // executed hop (MoveDone)
 	Success  bool            // MoveDone: hop executed; Finished: path built
 }
@@ -231,8 +248,12 @@ type Message struct {
 func (m Message) String() string {
 	switch m.Type {
 	case TypeActivate:
-		return fmt.Sprintf("Activate[r%d %d->%d O=%s d=%s id=%d]",
-			m.Round, m.Father, m.Son, m.Output, distString(m.ShortestDistance), m.IDShortest)
+		hops := ""
+		if m.Hops > 0 {
+			hops = fmt.Sprintf(" hops=%d", m.Hops)
+		}
+		return fmt.Sprintf("Activate[r%d %d->%d O=%s d=%s id=%d%s]",
+			m.Round, m.Father, m.Son, m.Output, distString(m.ShortestDistance), m.IDShortest, hops)
 	case TypeAck:
 		if len(m.Cands) > 0 {
 			return fmt.Sprintf("Ack[r%d %d->%d d=%s id=%d cands=%d]",
@@ -245,8 +266,11 @@ func (m Message) String() string {
 	case TypeSelectAck:
 		return fmt.Sprintf("SelectAck[r%d elected=%d]", m.Round, m.IDShortest)
 	case TypeMoveDone:
-		return fmt.Sprintf("MoveDone[r%d block=%d %s->%s ok=%t]",
-			m.Round, m.Mover, m.From, m.To, m.Success)
+		if m.Mover == lattice.None {
+			return fmt.Sprintf("MoveDone[r%d release=%d]", m.Round, m.IDShortest)
+		}
+		return fmt.Sprintf("MoveDone[r%d block=%d %s->%s ok=%t via=%d]",
+			m.Round, m.Mover, m.From, m.To, m.Success, m.Son)
 	case TypeFinished:
 		return fmt.Sprintf("Finished[r%d ok=%t]", m.Round, m.Success)
 	}
@@ -256,7 +280,7 @@ func (m Message) String() string {
 // Equal reports whether m and o carry the same header fields and the same
 // candidate list. A nil list equals an empty one: neither is on the wire.
 func (m Message) Equal(o Message) bool {
-	return m.Type == o.Type && m.Round == o.Round && m.Tier == o.Tier &&
+	return m.Type == o.Type && m.Round == o.Round && m.Tier == o.Tier && m.Hops == o.Hops &&
 		m.Father == o.Father && m.Son == o.Son && m.Output == o.Output &&
 		m.ShortestDistance == o.ShortestDistance && m.IDShortest == o.IDShortest &&
 		m.Mover == o.Mover && m.From == o.From && m.To == o.To &&
@@ -271,18 +295,19 @@ func distString(d int32) string {
 }
 
 // BaseWireSize is the encoded size of a Message carrying no candidate list:
-// the fixed 44-byte header of the serial protocol plus the candidate count
-// byte. Each candidate entry adds CandWireSize bytes.
+// the fixed 44-byte header of the serial protocol, the candidate count byte
+// and the Hops byte. Each candidate entry adds CandWireSize bytes.
 const (
-	BaseWireSize = 45
+	BaseWireSize = 46
 	CandWireSize = 31
 	// MaxWireSize bounds every encoded message: a full MaxBatch candidate
 	// list on top of the base header.
 	MaxWireSize = BaseWireSize + MaxBatch*CandWireSize
 	// WireVersion stamps every encoded frame (header byte 3, zero — and
 	// unchecked — before footprints were added). Version 2 widened the
-	// candidate entry with the planned destination, wave stamp and footprint.
-	WireVersion = 2
+	// candidate entry with the planned destination, wave stamp and footprint;
+	// version 3 added the Hops byte to the header.
+	WireVersion = 3
 )
 
 // WireSize returns the encoded size of m in bytes: the base header plus the
@@ -290,8 +315,8 @@ const (
 func (m Message) WireSize() int { return BaseWireSize + len(m.Cands)*CandWireSize }
 
 // MarshalBinary encodes m into the variable-length wire format: the 44-byte
-// serial header, the candidate count, then len(m.Cands) packed candidate
-// entries.
+// serial header, the candidate count, the hop count, then len(m.Cands)
+// packed candidate entries.
 func (m Message) MarshalBinary() ([]byte, error) {
 	if !m.Type.Valid() {
 		return nil, fmt.Errorf("msg: cannot marshal invalid type %d", m.Type)
@@ -316,6 +341,7 @@ func (m Message) MarshalBinary() ([]byte, error) {
 	putVec(b[36:], m.From)
 	putVec(b[40:], m.To)
 	b[44] = uint8(len(m.Cands))
+	b[45] = m.Hops
 	for i, c := range m.Cands {
 		off := BaseWireSize + i*CandWireSize
 		binary.LittleEndian.PutUint32(b[off:], uint32(c.ID))
@@ -367,6 +393,7 @@ func (m *Message) UnmarshalBinary(data []byte) error {
 	m.Mover = lattice.BlockID(binary.LittleEndian.Uint32(data[32:]))
 	m.From = getVec(data[36:])
 	m.To = getVec(data[40:])
+	m.Hops = data[45]
 	if n > 0 {
 		m.Cands = make([]Cand, n)
 	}

@@ -20,6 +20,11 @@ func TestMarshalRoundTrip(t *testing.T) {
 			ShortestDistance: 11, IDShortest: 7,
 		},
 		{
+			Type: TypeActivate, Round: 4, Tier: TierRetreat, Hops: MaxBatch,
+			Father: 7, Son: 12, Output: geom.V(2, 11),
+			ShortestDistance: 11, IDShortest: 7,
+		},
+		{
 			Type: TypeAck, Round: 3, Father: 7, Son: 12,
 			ShortestDistance: InfiniteDistance, IDShortest: 0,
 		},
@@ -30,7 +35,8 @@ func TestMarshalRoundTrip(t *testing.T) {
 			From: geom.V(3, 4), To: geom.V(3, 5), Success: true,
 		},
 		{Type: TypeFinished, Round: 55, Success: true},
-		{Type: TypeMoveDone, Round: 1, Mover: 2, From: geom.V(0, 0), To: geom.V(5, 7)},
+		{Type: TypeMoveDone, Round: 1, Mover: 2, From: geom.V(0, 0), To: geom.V(5, 7), Son: 8},
+		{Type: TypeMoveDone, Round: 2, IDShortest: 6},
 		{
 			Type: TypeAck, Round: 4, Father: 2, Son: 9,
 			ShortestDistance: 3, IDShortest: 9,
@@ -76,6 +82,7 @@ func TestMarshalRoundTripProperty(t *testing.T) {
 			Type:             Type(1 + rng.Intn(numTypes)),
 			Round:            rng.Uint32(),
 			Tier:             Tier(rng.Intn(2)),
+			Hops:             uint8(rng.Intn(256)),
 			Father:           lattice.BlockID(rng.Int31()),
 			Son:              lattice.BlockID(rng.Int31()),
 			Output:           geom.V(rng.Intn(4000)-2000, rng.Intn(4000)-2000),
@@ -162,7 +169,7 @@ func TestMessageSize(t *testing.T) {
 
 func TestMessageEqual(t *testing.T) {
 	base := Message{
-		Type: TypeAck, Round: 4, Tier: TierRetreat,
+		Type: TypeAck, Round: 4, Tier: TierRetreat, Hops: 2,
 		Father: 2, Son: 9, Output: geom.V(1, 2),
 		ShortestDistance: 3, IDShortest: 9,
 		Cands: []Cand{{ID: 9, Distance: 3, Pos: geom.V(4, 5)}, {ID: 11, Distance: 4}},
@@ -183,6 +190,7 @@ func TestMessageEqual(t *testing.T) {
 		{"Type", func(m *Message) { m.Type = TypeSelect }},
 		{"Round", func(m *Message) { m.Round++ }},
 		{"Tier", func(m *Message) { m.Tier = TierDesperate }},
+		{"Hops", func(m *Message) { m.Hops++ }},
 		{"Father", func(m *Message) { m.Father++ }},
 		{"Son", func(m *Message) { m.Son++ }},
 		{"Output", func(m *Message) { m.Output.X++ }},
@@ -260,6 +268,9 @@ func TestMessageStringPerType(t *testing.T) {
 		want string
 	}{
 		{Message{Type: TypeActivate, Round: 1, Father: 2, Son: 3, Output: geom.V(2, 11), ShortestDistance: 11, IDShortest: 2}, "Activate[r1 2->3 O=(2,11) d=11 id=2]"},
+		{Message{Type: TypeActivate, Round: 2, Father: 2, Son: 3, Output: geom.V(2, 11), ShortestDistance: 11, IDShortest: 2, Hops: 3}, "Activate[r2 2->3 O=(2,11) d=11 id=2 hops=3]"},
+		{Message{Type: TypeMoveDone, Round: 6, Mover: 4, From: geom.V(1, 1), To: geom.V(1, 2), Success: true, Son: 8}, "MoveDone[r6 block=4 (1,1)->(1,2) ok=true via=8]"},
+		{Message{Type: TypeMoveDone, Round: 6, IDShortest: 5}, "MoveDone[r6 release=5]"},
 		{Message{Type: TypeAck, Round: 1, Father: 2, Son: 3, ShortestDistance: InfiniteDistance}, "Ack[r1 3->2 d=inf id=0]"},
 		{Message{Type: TypeSelect, Round: 4, IDShortest: 9}, "Select[r4 elected=9]"},
 		{Message{Type: TypeFinished, Round: 5, Success: true}, "Finished[r5 ok=true]"},
