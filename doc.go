@@ -155,7 +155,16 @@
 // # Incremental connectivity and atomic application
 //
 // The other half of motion validation is the Remark 1 invariant: no motion
-// may disconnect the ensemble. The lattice answers it from an incrementally
+// may disconnect the ensemble. The lattice first asks the mover's 3×3 ring
+// (internal/lattice/ring.go): while the ensemble is known to be one
+// component, a block whose side neighbours lie in one run of consecutive
+// occupied cells of its 8-cell ring can leave without cutting anything off
+// (the simple-point test of digital topology for 4-connected blocks and an
+// 8-connected empty region), and the move is safe when its destination
+// touches a block. The ring lies inside every block's sensing window, so
+// most Remark 1 verdicts are decided from what the mover could sense, with
+// no global structure read and none rebuilt after the last motion. When
+// the ring cannot decide, the lattice answers from an incrementally
 // maintained articulation-point cache over its occupancy bitsets
 // (internal/lattice/connectivity.go) rather than by cloning the surface and
 // rerunning a DFS per candidate: a connectivity-constrained verdict is
@@ -164,7 +173,8 @@
 // DFS piece labels (parent, subtree size) retained from the Tarjan pass —
 // allocation-free, with a what-if Tarjan pass over the delta overlaid, on
 // reusable scratch, only for multi-cell deltas and fault-injected
-// fragmented surfaces. Connected() remains the reference oracle, with a
+// fragmented surfaces. Surface.ConnStats counts which rung answered each
+// verdict, and core.Result carries one run's counts. Connected() remains the reference oracle, with a
 // property test pinning the cache to it across randomized motion/fault
 // sequences. Surface.Apply is atomic under failure: Validate
 // replays multi-step move schedules against the evolving occupancy before
@@ -198,19 +208,21 @@
 //
 // Queries climb an escalation ladder whose every rung is exact — the lower
 // rungs only answer when their verdict cannot be wrong, otherwise they fall
-// through: (1) band-local fast paths, O(window) — an interior non-articulation
-// mover, or an in-band articulation mover whose destination re-covers every
-// separated DFS piece (on one band the core spans the surface, so its
-// articulation verdicts are final either way); (2) the contraction graph's
-// cached component count for occupancy-preserving deltas; (3) a bounded
-// overlay rebuild — what-if band cores for the bands the delta actually
-// touches, composed with every untouched band's cached labels and boundary
-// edges — exact for arbitrary deltas and never O(surface) once the surface
-// has more than one band. The band count therefore changes where verdicts
-// are computed, never what they are: the golden differential and a
-// band-edge-concentrated property test over band counts from one up pin the
-// ladder to the Connected() oracle, and runs over several bands are
-// bit-identical to one-band runs.
+// through: (0) the mover's 3×3 ring, O(1), while the occupancy is known to
+// be one component, which answers "stays connected" or "not a cut vertex"
+// without reading a band core; (1) band-local fast paths, O(window) — an
+// interior non-articulation mover, or an in-band articulation mover whose
+// destination re-covers every separated DFS piece (on one band the core
+// spans the surface, so its articulation verdicts are final either way);
+// (2) the contraction graph's cached component count for
+// occupancy-preserving deltas; (3) a bounded overlay rebuild — what-if band
+// cores for the bands the delta actually touches, composed with every
+// untouched band's cached labels and boundary edges — exact for arbitrary
+// deltas and never O(surface) once the surface has more than one band. The
+// band count therefore changes where verdicts are computed, never what they
+// are: the golden differential and a band-edge-concentrated property test
+// over band counts from one up pin the ladder to the Connected() oracle,
+// and runs over several bands are bit-identical to one-band runs.
 //
 // # Reconfiguration as a service: cmd/sbserver
 //

@@ -198,6 +198,7 @@ func (e *Engine) Run(ctx context.Context, surf *lattice.Surface, cfg Config) (Re
 	// Build the connectivity cache at boot: the first constrained Validate
 	// of every round then runs on warm articulation state instead of paying
 	// the O(N) rebuild inside the measured run.
+	conn0 := surf.ConnStats()
 	surf.WarmConnectivity()
 	factory := newObservedFactory(cfg, rec, em)
 	if e.opts.wrap != nil {
@@ -245,6 +246,7 @@ func (e *Engine) Run(ctx context.Context, surf *lattice.Surface, cfg Config) (Re
 		PathLength:      cfg.Input.Manhattan(cfg.Output),
 		VirtualTime:     sim.Time(m.VirtualTime),
 		Events:          m.Events,
+		Conn:            surf.ConnStats().Sub(conn0),
 	}
 	if driveErr != nil {
 		return res, driveErr

@@ -43,6 +43,10 @@ type Result struct {
 	// the DES backend, dispatched per-block events on the goroutine
 	// runtime.
 	Events uint64
+	// Conn counts the run's connectivity work on the surface: which rung of
+	// the lattice's ladder answered each Remark 1 verdict, wave step and
+	// cut-vertex query, and the Tarjan band passes and cavity scans.
+	Conn lattice.ConnStats
 }
 
 // MovesPerRound is the realised batch parallelism of the run: admitted

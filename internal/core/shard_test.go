@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lattice"
 	"repro/internal/rules"
+	"repro/internal/scenario"
 )
 
 // TestFig10ShardsBitIdentical: column-band sharding changes where
@@ -117,5 +118,49 @@ func TestGoldenDifferentialWithShards(t *testing.T) {
 	}
 	if replayed == 0 {
 		t.Fatal("golden file holds no DES runs to replay")
+	}
+}
+
+// TestRingAnswersRemark1 pins where a batch run's connectivity verdicts come
+// from. On slope top=30 at k=16 (seed 1) the mover's 3×3 ring, rung 0 of the
+// lattice's ladder, answers nine in ten motion verdicts and wave steps and
+// three in four cut-vertex queries, so the run makes far fewer Tarjan band
+// passes than the 418 it made before the ring (cached and what-if passes
+// alike), and it keeps its 48 rounds and 333 hops.
+func TestRingAnswersRemark1(t *testing.T) {
+	s, err := scenario.SlopeStaircase(30, 36)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := s.Config()
+	cfg.ParallelMoves = 16
+	res, err := core.NewEngine(rules.StandardLibrary(), core.WithSeed(1)).
+		Run(context.Background(), s.Surface, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds != 48 || res.Hops != 333 {
+		t.Fatalf("rounds %d, hops %d; want 48 and 333", res.Rounds, res.Hops)
+	}
+	c := res.Conn
+	for _, k := range []struct {
+		name     string
+		r        lattice.Rungs
+		num, den int // the ring must answer at least num/den of them
+	}{
+		{"motion verdicts", c.Moves, 9, 10},
+		{"wave steps", c.WaveSteps, 9, 10},
+		{"cut-vertex queries", c.CutVertices, 3, 4},
+	} {
+		total := k.r.Ring + k.r.Band + k.r.Contraction + k.r.Overlay
+		if total == 0 || k.r.Ring*k.den < total*k.num {
+			t.Errorf("%s: the ring answered %d of %d, want at least %d/%d", k.name, k.r.Ring, total, k.num, k.den)
+		}
+	}
+	if c.Rebuilds == 0 || c.Rebuilds > 100 {
+		t.Errorf("%d Tarjan band passes, want between 1 and 100", c.Rebuilds)
+	}
+	if c.CavityScans == 0 {
+		t.Error("no cavity scans counted on a batch run")
 	}
 }

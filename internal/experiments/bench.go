@@ -158,8 +158,11 @@ func RunBenchJSONWith(opts BenchOpts) ([]byte, error) {
 			}
 		}),
 		timeKernel("validate_connectivity", func() {
-			// The Remark 1 guard on the incremental articulation cache: the
-			// verdict the planner pays for every candidate motion.
+			// The Remark 1 guard: the verdict the planner pays for every
+			// candidate motion. The tower stays one component, so after
+			// the first call the lane block's 3×3 ring (rung 0) answers
+			// it; before the ring, the warm band core's articulation bit
+			// (rung 1) did.
 			if err := surf.Validate(app, lattice.Constraints{RequireConnectivity: true}); err != nil {
 				panic(err)
 			}
@@ -187,9 +190,12 @@ func RunBenchJSONWith(opts BenchOpts) ([]byte, error) {
 		}),
 	)
 
-	// The articulation-mover connectivity verdict on the retained piece
-	// labels (rung 1 of the ladder); BenchmarkArticulationMoveCheck in
-	// internal/lattice sets it against the what-if overlay of rung 3.
+	// The articulation-mover connectivity verdict. The bridging destination
+	// is in the mover's ring, so on the connected chain the ring (rung 0)
+	// answers it; before the ring, the retained piece labels (rung 1) did.
+	// BenchmarkArticulationMoveCheck in internal/lattice measures all three
+	// rungs that can answer it: the ring, the piece labels and the what-if
+	// overlay of rung 3.
 	artic, err := articFixture()
 	if err != nil {
 		return nil, err
@@ -462,6 +468,12 @@ func shardRebuildKernels() ([]BenchResult, error) {
 // (shard_validate_*), and the full single-move Apply round trip under the
 // Remark 1 guard (shard_apply_*, two applies per op). With height and band
 // width fixed, both must stay flat across the 5e5 -> 8e6 sweep.
+// shard_validate_*'s Place clears the surface's one-component flag, as
+// every Place does, so the ring is off and the rebuilt band's fast path
+// (rung 1) answers. shard_apply_*'s fixture
+// stays one component after its first op, so the rider's 3×3 ring (rung 0)
+// answers every later Apply and no band is rebuilt; before the ring, each
+// Apply paid the rebuild of the rider's band.
 func shardEventKernels(sc shardScale) ([]BenchResult, error) {
 	fx, err := shardFixture(sc.cols, sc.cols/lattice.BandWidth)
 	if err != nil {

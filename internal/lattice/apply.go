@@ -14,9 +14,10 @@ import (
 // and a scenario-specific veto (the Remark 1 line/column blocking guard).
 type Constraints struct {
 	// RequireConnectivity rejects motions after which the ensemble is no
-	// longer one 4-connected component (Remark 1). The check runs on the
-	// incremental connectivity cache (connectivity.go): no surface clone,
-	// no fresh DFS, and no allocation on the boolean verdict.
+	// longer one 4-connected component (Remark 1). The check asks the
+	// mover's 3×3 ring first (ring.go), then the incremental connectivity
+	// cache (connectivity.go): no surface clone, no fresh DFS, and no
+	// allocation on the boolean verdict.
 	RequireConnectivity bool
 	// Immobile reports blocks that must not move (nor be carried): blocks
 	// frozen on the path under construction, and the Root pinned on I.
@@ -28,13 +29,15 @@ type Constraints struct {
 	// the caller rolls the motion back — no surface clone. The veto must
 	// only read the surface it is handed.
 	Veto func(after *Surface) error
-	// ForbidCavity rejects, at Apply time only, motions that seal an
-	// enclosed pocket of empty cells (see cavityAfterMove). The serial
-	// algorithm never produces such motions, but interleaved batch rounds
-	// can reach configurations where an individually legal move pinches the
-	// empty region — and a sealed pocket is permanent, leaving gradient
-	// descent to orbit its perimeter forever. Enforced on execution rather
-	// than in validate so candidate enumeration stays allocation-free.
+	// ForbidCavity rejects motions that seal an enclosed pocket of empty
+	// cells (see cavityAfterMove). The serial algorithm never produces such
+	// motions, but interleaved batch rounds can reach configurations where
+	// an individually legal move pinches the empty region — and a sealed
+	// pocket is permanent, leaving gradient descent to orbit its perimeter
+	// forever. It is checked once the connectivity ladder, the mover's ring
+	// first, has accepted the motion, and it stays a bounded scan of the
+	// empty region around the destination rather than a ring test, because
+	// it also rejects an already enclosed pocket the motion touches.
 	ForbidCavity bool
 }
 
@@ -57,8 +60,13 @@ type applyScratch struct {
 	added   []geom.Vec    // net filled cells of the candidate motion
 	undo    []cellSave    // execution rollback log (Apply atomicity, veto rollback)
 	ids     []BlockID     // lifted movers of the executing time step
-	cavSeen []geom.Vec    // visited empty cells of the cavity scan
-	cavTodo []geom.Vec    // DFS frontier of the cavity scan
+	conn1   bool          // the connectivity cache's conn1 before execution, restored by a rollback
+	// The cavity scan's marks: cavMark[y*w+x] == cavEpoch for the empty
+	// cells the current scan visited, allocated by the first scan (a
+	// surface that never scans pays nothing).
+	cavMark  []uint32
+	cavEpoch uint32
+	cavTodo  []geom.Vec // DFS frontier of the cavity scan
 }
 
 // overlayCell is one occupancy override: during the schedule replay the
@@ -211,6 +219,7 @@ func (s *Surface) validate(app rules.Application, c Constraints) (violation, geo
 	//    No clone — the veto pass reuses the same scratch-backed execution
 	//    the real Apply uses, so a vetoed candidate allocates nothing.
 	if c.Veto != nil {
+		// rollbackCells restores conn1 along with the occupancy.
 		wasValid := s.shconn.valid
 		if v, at := s.executeCore(app, nil); v != vOK {
 			// Unreachable after the physics checks above; roll back and
@@ -370,9 +379,14 @@ func (s *Surface) Apply(app rules.Application, c Constraints) (ApplyResult, erro
 	if err := s.Validate(app, c); err != nil {
 		return ApplyResult{}, err
 	}
+	conn1 := s.shconn.conn1
 	moved, err := s.executeTracked(app)
 	if err != nil {
 		return ApplyResult{}, err
+	}
+	if c.RequireConnectivity {
+		// Validated connected: one component before is one component after.
+		s.shconn.conn1 = conn1
 	}
 	s.hops += len(moved)
 	s.applications++
@@ -429,6 +443,7 @@ func (s *Surface) executeCore(app rules.Application, moved *[]BlockID) (violatio
 		}
 	}
 	sc.undo = sc.undo[:0]
+	sc.conn1 = s.shconn.conn1
 	if cap(sc.ids) < len(sc.moves) {
 		sc.ids = make([]BlockID, len(sc.moves))
 	}
@@ -485,7 +500,8 @@ func (s *Surface) saveCell(v geom.Vec) {
 
 // rollbackCells restores every cell of the undo log to its original
 // occupant — grid, row bitsets and position registers — leaving the surface
-// exactly as before the failed execution.
+// exactly as before the failed execution, and with it the connectivity
+// cache's conn1 flag.
 func (s *Surface) rollbackCells() {
 	sc := &s.scratch
 	for _, u := range sc.undo {
@@ -498,6 +514,7 @@ func (s *Surface) rollbackCells() {
 		}
 	}
 	sc.undo = sc.undo[:0]
+	s.shconn.conn1 = sc.conn1
 }
 
 // ApplicationsFor returns every rule application from lib in which block id
@@ -547,6 +564,7 @@ func (s *Surface) MoveTeleport(id BlockID, to geom.Vec, c Constraints) error {
 			return fmt.Errorf("%w: teleport %d to %v", ErrDisconnects, id, to)
 		}
 	}
+	conn1 := s.shconn.conn1
 	if c.Veto != nil {
 		// Same undo discipline as the rule-application veto: move in place,
 		// inspect, move back, and keep the connectivity cache warm (the
@@ -559,11 +577,15 @@ func (s *Surface) MoveTeleport(id BlockID, to geom.Vec, c Constraints) error {
 		if wasValid && !rebuilt {
 			s.shconn.revalidate()
 		}
+		s.shconn.conn1 = conn1
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrVetoed, err)
 		}
 	}
 	s.teleport(id, from, to)
+	if c.RequireConnectivity {
+		s.shconn.conn1 = conn1 // validated connected, as in Apply
+	}
 	s.hops += from.Manhattan(to) // a free move of k cells costs k hops
 	s.applications++
 	return nil

@@ -35,10 +35,14 @@ import (
 //     component after simultaneously clearing `removed` and filling `added`
 //     cells?" by climbing the band layout's escalation ladder (shard.go). For
 //     the common single-displacement case (every slide, every carry and
-//     every teleport nets one cell removed and one added) the answer is
-//     O(window): if the vacated cell is not an articulation point the
-//     remainder is connected, and the destination only needs any remaining
-//     4-neighbour.
+//     every teleport nets one cell removed and one added) the first rung asks
+//     the mover's 3×3 ring (ring.go) while the occupancy is known to be one
+//     component: if the mover's side blocks lie in one run of its ring and
+//     the destination touches a block, the move is safe, with no band core
+//     read and so no rebuild after the last motion. Otherwise the answer is
+//     still O(window) on a rebuilt core: if the vacated cell is not an
+//     articulation point the remainder is connected, and the destination
+//     only needs any remaining 4-neighbour.
 //
 //   - when the vacated cell IS an articulation point, the piece labels
 //     retained from the Tarjan pass answer the question in O(window) too
@@ -98,6 +102,47 @@ type apFrame struct {
 	children int16
 }
 
+// ConnStats counts the connectivity work of a surface since it was built or
+// cloned: for each kind of query, how many verdicts each rung of the ladder
+// answered, and the Tarjan passes and cavity scans behind them. The counts
+// are plain ints, written only by the calls that may rebuild the caches
+// (Validate and the calls built on it, MoveTeleport, IsArticulation,
+// ValidateMoveSet, WarmConnectivity), which the goroutine runtime makes
+// under its full engine lock.
+type ConnStats struct {
+	Moves       Rungs // Remark 1 verdicts on a motion's net delta: Validate, Apply, MoveTeleport, ConnectedAfterDisplacement
+	WaveSteps   Rungs // ValidateMoveSet steps
+	CutVertices Rungs // IsArticulation queries
+	Rebuilds    int   // Tarjan passes over one band, cached or what-if
+	CavityScans int   // cavity checks (ForbidCavity, ValidateMoveSet)
+}
+
+// Rungs counts verdicts by the rung of the ladder that answered them.
+type Rungs struct {
+	Ring        int // rung 0: the mover's 3×3 ring
+	Band        int // rung 1: a band core's articulation bit or piece labels
+	Contraction int // rung 2: the contraction graph's component count
+	Overlay     int // rung 3: a what-if overlay rebuild
+}
+
+// Sub returns the counts accrued since the earlier snapshot o.
+func (c ConnStats) Sub(o ConnStats) ConnStats {
+	return ConnStats{
+		Moves:       c.Moves.sub(o.Moves),
+		WaveSteps:   c.WaveSteps.sub(o.WaveSteps),
+		CutVertices: c.CutVertices.sub(o.CutVertices),
+		Rebuilds:    c.Rebuilds - o.Rebuilds,
+		CavityScans: c.CavityScans - o.CavityScans,
+	}
+}
+
+func (r Rungs) sub(o Rungs) Rungs {
+	return Rungs{r.Ring - o.Ring, r.Band - o.Band, r.Contraction - o.Contraction, r.Overlay - o.Overlay}
+}
+
+// ConnStats returns the surface's connectivity counts.
+func (s *Surface) ConnStats() ConnStats { return s.stats }
+
 // invalidateConnAt drops the cached connectivity state covering cell v;
 // called by every occupancy mutation (setOcc/clearOcc). Only the owning
 // column band is dropped, plus the boundary edges its labels feed.
@@ -118,6 +163,7 @@ func (s *Surface) WarmConnectivity() { s.shconn.ensure(s) }
 // occupied cells of the band. All state lives in flat reusable arrays; the
 // only allocations are the one-time scratch growths.
 func (c *connCore) rebuild(s *Surface) {
+	s.stats.Rebuilds++
 	c.bw = c.x1 - c.x0
 	c.aw = (c.bw + 63) / 64
 	cells := c.bw * s.h
@@ -327,12 +373,18 @@ func (s *Surface) ConnectedAfterDisplacement(from, to geom.Vec) bool {
 // degenerate inputs: <= 1 block after the move counts as connected, and
 // moves applied to an already-disconnected surface (fault injection) may
 // reconnect it. The band layout's escalation ladder (shard.go) answers every
-// other input, bounded by the band size, never the surface size.
+// other input, bounded by the band size, never the surface size. The verdict
+// counts in ConnStats.Moves.
 func (s *Surface) connectedAfterMove(removed, added []geom.Vec) bool {
+	return s.connectedAfter(removed, added, &s.stats.Moves)
+}
+
+// connectedAfter is connectedAfterMove counting the answering rung in n.
+func (s *Surface) connectedAfter(removed, added []geom.Vec, n *Rungs) bool {
 	if s.nblk-len(removed)+len(added) <= 1 {
 		return true
 	}
-	return s.shconn.connectedAfterMove(s, removed, added)
+	return s.shconn.connectedAfterMove(s, removed, added, n)
 }
 
 // articMoveFast decides connectivity for a single-displacement move whose

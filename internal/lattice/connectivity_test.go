@@ -197,11 +197,11 @@ func TestArticulationMoverCanStillMove(t *testing.T) {
 }
 
 // TestConstrainedValidateZeroAllocs asserts the connectivity-constrained
-// boolean verdict allocates nothing: on the O(window) fast path
-// (non-articulation mover), on the piece labels (articulation mover), and
-// on rung 3's what-if overlay (multi-cell deltas on one and on three bands),
-// the last two checked through the unexported core so no error is
-// materialised.
+// boolean verdict allocates nothing: on the mover's ring (rung 0, with the
+// cavity check too once its marks exist), on the piece labels (articulation
+// mover), and on rung 3's what-if overlay (multi-cell deltas on one and on
+// three bands), the last two checked through the unexported core so no
+// error is materialised.
 func TestConstrainedValidateZeroAllocs(t *testing.T) {
 	s, err := NewSurface(8, 5)
 	if err != nil {
@@ -214,8 +214,16 @@ func TestConstrainedValidateZeroAllocs(t *testing.T) {
 	}
 	app := slideApp(geom.V(1, 1))
 	cons := Constraints{RequireConnectivity: true}
+	cavity := Constraints{RequireConnectivity: true, ForbidCavity: true}
+	// The first cavity scan allocates the surface's marks.
+	if err := s.Validate(app, cavity); err != nil {
+		t.Fatal(err)
+	}
 	if n := testing.AllocsPerRun(200, func() {
 		if err := s.Validate(app, cons); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Validate(app, cavity); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -380,7 +388,9 @@ func BenchmarkApplicationsForConstrained(b *testing.B) {
 
 // TestArticulationMoveFastPath pins the piece-label fast path on
 // articulation movers whose destination does or does not bridge the pieces
-// their departure creates, including a DFS-root articulation point.
+// their departure creates, including a DFS-root articulation point. Rung 0
+// answers the bridging move before the piece labels are read, so each case
+// also asks articMoveFast directly.
 func TestArticulationMoveFastPath(t *testing.T) {
 	// A 1-high chain: every interior cell is an articulation point.
 	chain := func(t *testing.T, extra ...geom.Vec) *Surface {
@@ -421,6 +431,9 @@ func TestArticulationMoveFastPath(t *testing.T) {
 		if got != want {
 			t.Fatalf("connectedAfterMove(%v -> %v) = %t, want %t", removed, added, got, want)
 		}
+		if got := s.shconn.shards[0].core.articMoveFast(s, removed, added); got != want {
+			t.Fatalf("articMoveFast(%v -> %v) = %t, want %t", removed, added, got, want)
+		}
 	}
 
 	// Mid-chain mover, destination bridges both pieces from above.
@@ -432,11 +445,12 @@ func TestArticulationMoveFastPath(t *testing.T) {
 	check(t, chain(t), geom.V(1, 0), geom.V(0, 1), false)
 }
 
-// BenchmarkArticulationMoveCheck measures the cut-vertex mover verdict:
-// the retained piece labels (rung 1) against rung 3's what-if overlay, the
-// Tarjan pass over the band with the delta overlaid that multi-cell deltas
-// take. sbbench tracks the fast path across PRs as the artic_fastpath
-// kernel; the overlay baseline lives only here.
+// BenchmarkArticulationMoveCheck measures the cut-vertex mover verdict of
+// a bridging move: the mover's ring (rung 0), which answers it first on a
+// connected surface, the retained piece labels (rung 1) that answered it
+// before, and rung 3's what-if overlay, the Tarjan pass over the band with
+// the delta overlaid that multi-cell deltas take. sbbench tracks the first
+// across PRs as the artic_fastpath kernel; the other two live only here.
 func BenchmarkArticulationMoveCheck(b *testing.B) {
 	s, err := NewSurface(64, 4)
 	if err != nil {
@@ -462,10 +476,19 @@ func BenchmarkArticulationMoveCheck(b *testing.B) {
 		b.Fatal("fixture: bridge move must stay connected")
 	}
 
-	b.Run("piece-labels", func(b *testing.B) {
+	b.Run("ring", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if !s.connectedAfterMove(removed, added) {
+				b.Fatal("must stay connected")
+			}
+		}
+	})
+	b.Run("piece-labels", func(b *testing.B) {
+		core := &s.shconn.shards[0].core
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if !core.articMoveFast(s, removed[0], added[0]) {
 				b.Fatal("must stay connected")
 			}
 		}

@@ -14,10 +14,14 @@ type PlannedMove struct {
 // longest valid prefix (len(moves) when the whole wave validates). Each step
 // is checked under the cumulative occupancy overlay of the steps before it —
 // the source must still be occupied, the destination in bounds and empty —
-// and every intermediate surface must stay connected, answered by the same
-// bounded connectivity what-if the single-move path uses (connectedAfterMove,
-// local to the bands the wave touches). Nothing mutates: the overlay is a
-// pair of net-delta slices, exactly the shape connectedAfterMove consumes.
+// and every intermediate surface must stay connected. Once the surface
+// before a step is known to be one component (the step before it passed,
+// or the first step's connectivity cache says so), the step's mover's 3×3
+// ring is asked first, read through the overlay; otherwise, or when the
+// ring cannot decide, the same bounded connectivity what-if the
+// single-move path uses answers (connectedAfterMove, local to the bands the
+// wave touches). Nothing mutates: the overlay is a pair of net-delta
+// slices, exactly the shape connectedAfterMove consumes.
 //
 // The check is a planning aid, not the safety guard: every admitted hop is
 // still validated against the live surface when it executes. A prefix that
@@ -38,9 +42,14 @@ func (s *Surface) ValidateMoveSet(moves []PlannedMove) int {
 		if !s.occAfter(mv.From, removed, added) || s.occAfter(mv.To, removed, added) {
 			return k
 		}
+		// The prefix passed, so its surface is one component (induction);
+		// the first step's rung 0 runs inside connectedAfter, on conn1.
+		ring := k > 0 && s.ringJoins(mv.From, mv.To, removed, added)
 		removed, added = deltaClear(removed, added, mv.From)
 		removed, added = deltaSet(removed, added, mv.To)
-		if !s.connectedAfterMove(removed, added) {
+		if ring && s.touchesAfter(mv.To, removed, added) {
+			s.stats.WaveSteps.Ring++
+		} else if !s.connectedAfter(removed, added, &s.stats.WaveSteps) {
 			return k
 		}
 		if s.cavityAfterMove(removed, added, mv.To) {
@@ -48,6 +57,17 @@ func (s *Surface) ValidateMoveSet(moves []PlannedMove) int {
 		}
 	}
 	return len(moves)
+}
+
+// touchesAfter reports whether cell d has an occupied 4-neighbour under the
+// delta removed/added.
+func (s *Surface) touchesAfter(d geom.Vec, removed, added []geom.Vec) bool {
+	for _, nb := range geom.Neighbors4(d) {
+		if s.occAfter(nb, removed, added) {
+			return true
+		}
+	}
+	return false
 }
 
 // cavityScanCap bounds the cavity scan: a pocket counts as "enclosed" only
@@ -68,16 +88,24 @@ const cavityScanCap = 64
 // the 4-connected block ensemble, and the convex-corner rules do carry
 // blocks through diagonal gaps), so only genuinely sealed pockets reject.
 // The scan runs on the surface's scratch buffers and allocates nothing once
-// warm.
+// warm. A cell visited while scanning an earlier start's region stays
+// visited for the later starts of the same call.
 func (s *Surface) cavityAfterMove(removed, added []geom.Vec, dst geom.Vec) bool {
+	s.stats.CavityScans++
 	sc := &s.scratch
-	sc.cavSeen = sc.cavSeen[:0]
+	if sc.cavMark == nil {
+		sc.cavMark = make([]uint32, s.w*s.h)
+	}
+	if sc.cavEpoch++; sc.cavEpoch == 0 {
+		// Wrapped: zero the stamps so stale marks cannot alias the new epoch.
+		clear(sc.cavMark)
+		sc.cavEpoch = 1
+	}
 	for _, start := range neighbors8(dst) {
-		if !s.InBounds(start) || s.occAfter(start, removed, added) || cavityVisited(sc.cavSeen, start) {
+		if !s.InBounds(start) || s.occAfter(start, removed, added) || !s.cavityVisit(start) {
 			continue
 		}
-		regionStart := len(sc.cavSeen)
-		sc.cavSeen = append(sc.cavSeen, start)
+		region := 1 // cells of this start's region visited so far
 		sc.cavTodo = append(sc.cavTodo[:0], start)
 		open := false
 	scan:
@@ -90,11 +118,10 @@ func (s *Surface) cavityAfterMove(removed, added []geom.Vec, dst geom.Vec) bool 
 					open = true
 					break scan
 				}
-				if s.occAfter(nb, removed, added) || cavityVisited(sc.cavSeen, nb) {
+				if s.occAfter(nb, removed, added) || !s.cavityVisit(nb) {
 					continue
 				}
-				sc.cavSeen = append(sc.cavSeen, nb)
-				if len(sc.cavSeen)-regionStart > cavityScanCap {
+				if region++; region > cavityScanCap {
 					open = true
 					break scan
 				}
@@ -108,15 +135,16 @@ func (s *Surface) cavityAfterMove(removed, added []geom.Vec, dst geom.Vec) bool 
 	return false
 }
 
-// cavityVisited reports whether v is already in the visited list. The list
-// is capped at cavityScanCap entries, so a linear scan beats a map.
-func cavityVisited(seen []geom.Vec, v geom.Vec) bool {
-	for _, e := range seen {
-		if e == v {
-			return true
-		}
+// cavityVisit marks the in-bounds cell v visited by the current cavity scan
+// and reports whether this call marked it (false: already visited).
+func (s *Surface) cavityVisit(v geom.Vec) bool {
+	sc := &s.scratch
+	i := v.Y*s.w + v.X
+	if sc.cavMark[i] == sc.cavEpoch {
+		return false
 	}
-	return false
+	sc.cavMark[i] = sc.cavEpoch
+	return true
 }
 
 // neighbors8 returns the eight cells surrounding v in deterministic order.

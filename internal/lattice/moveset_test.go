@@ -126,3 +126,39 @@ func TestValidateMoveSetBands(t *testing.T) {
 		}
 	}
 }
+
+// TestCavityScanCap pins the cavity verdict at the scan's cap: filling the
+// last gap in a wall around cavityScanCap empty cells seals a cavity, and
+// one more cell inside the wall makes it open space.
+func TestCavityScanCap(t *testing.T) {
+	for _, notch := range []bool{false, true} {
+		// A wall around the 8x8 interior x, y in [2, 9], with a gap at
+		// (1,5) and a block at (0,5) ready to fill it. The notch opens the
+		// wall at (5,10) and closes it one row up, adding one inner cell.
+		s := mustSurface(t, 12, 12, geom.V(0, 6), geom.V(0, 5))
+		for y := 1; y <= 10; y++ {
+			for x := 1; x <= 10; x++ {
+				wall := x == 1 || x == 10 || y == 1 || y == 10
+				if !wall || (x == 1 && y == 5) || (notch && x == 5 && y == 10) {
+					continue
+				}
+				if _, err := s.Place(geom.V(x, y)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want := 0
+		if notch {
+			for _, v := range []geom.Vec{geom.V(4, 11), geom.V(5, 11), geom.V(6, 11)} {
+				if _, err := s.Place(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want = 1
+		}
+		wave := []PlannedMove{{From: geom.V(0, 5), To: geom.V(1, 5)}}
+		if got := s.ValidateMoveSet(wave); got != want {
+			t.Errorf("notch %t: ValidateMoveSet(%v) = %d, want %d", notch, wave, got, want)
+		}
+	}
+}

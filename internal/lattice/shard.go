@@ -21,6 +21,12 @@ import "repro/internal/geom"
 //
 // Queries climb an escalation ladder, cheapest exact rung first:
 //
+//  0. the mover's 3×3 ring (ring.go), O(1), and only while conn1 says the
+//     occupancy is one component: a single displacement whose mover's side
+//     blocks lie in one run of its ring, and whose destination touches a
+//     block, keeps the ensemble connected; a cut-vertex query whose side
+//     blocks lie in one run is answered "not a cut vertex". Neither reads a
+//     band core, so a "yes" needs no rebuild after a motion.
 //  1. band-local fast path, O(window): an interior cell (no cross-band
 //     edges) that is not a band-local articulation point can vacate without
 //     changing any band's component structure or any boundary edge, so the
@@ -38,8 +44,8 @@ import "repro/internal/geom"
 //     including multi-cell deltas and fragmented surfaces; on one band it is
 //     a what-if Tarjan pass over the surface.
 //
-// The ladder never answers from a heuristic: rungs 1–2 only return when
-// their verdict is exact, otherwise they fall through to rung 3.
+// The ladder never answers from a heuristic: rungs 0–2 only return when
+// their verdict is exact, otherwise they fall through to the next rung.
 type shardedConn struct {
 	bw     int // nominal band width; the last band may be narrower
 	shards []shardState
@@ -48,6 +54,13 @@ type shardedConn struct {
 	// contraction graph match the current occupancy: a warm ensure is one
 	// branch, and a rolled-back veto can restore the whole cache at once.
 	valid bool
+	// conn1 reports that the occupancy is one 4-connected component, which
+	// rung 0 needs. A rebuild that counts one component sets it, and every
+	// occupancy mutation clears it. The motions that are validated
+	// connected (Apply and MoveTeleport under RequireConnectivity) put it
+	// back as it was before them, and so do the rollbacks that restore the
+	// occupancy exactly (a veto's, a failed execution's).
+	conn1 bool
 
 	// Escalation scratch: what-if band cores and the union-find arrays of
 	// overlayComps, reused across queries.
@@ -132,7 +145,7 @@ func (sc *shardedConn) shardOf(x int) int {
 // lists derived from its labels.
 func (sc *shardedConn) invalidateCol(x int) {
 	si := sc.shardOf(x)
-	sc.valid = false
+	sc.valid, sc.conn1 = false, false
 	sc.shards[si].valid = false
 	if si > 0 {
 		sc.contr.edges[si-1].valid = false
@@ -144,7 +157,7 @@ func (sc *shardedConn) invalidateCol(x int) {
 
 // invalidateCols drops every band cache overlapping columns [x0, x1].
 func (sc *shardedConn) invalidateCols(x0, x1 int) {
-	sc.valid = false
+	sc.valid, sc.conn1 = false, false
 	for si := sc.shardOf(x0); si <= sc.shardOf(x1); si++ {
 		sc.shards[si].valid = false
 		if si > 0 {
@@ -176,6 +189,7 @@ func (sc *shardedConn) rebuild(s *Surface) {
 	}
 	sc.contr.rebuild(s, sc)
 	sc.valid = true
+	sc.conn1 = sc.contr.comps == 1
 }
 
 // revalidate marks every band core, edge list and the contraction graph
@@ -200,14 +214,25 @@ func hasCrossEdge(s *Surface, core *connCore, v geom.Vec) bool {
 
 // connectedAfterMove is the ladder behind Surface.connectedAfterMove: does
 // the occupancy stay one 4-connected component after the delta? The caller
-// has already handled the <= 1 block degenerate case.
-func (sc *shardedConn) connectedAfterMove(s *Surface, removed, added []geom.Vec) bool {
+// has already handled the <= 1 block degenerate case. n counts the rung that
+// answered.
+func (sc *shardedConn) connectedAfterMove(s *Surface, removed, added []geom.Vec, n *Rungs) bool {
+	single := len(removed) == 1 && len(added) == 1
+	if single && sc.conn1 {
+		if u, d := removed[0], added[0]; s.ringJoins(u, d, nil, nil) && s.touchesBlock(d, u) {
+			// Rung 0: exact on a connected occupancy, and it reads no band
+			// core.
+			n.Ring++
+			return true
+		}
+	}
 	sc.ensure(s)
 	if len(removed) == 0 && len(added) == 0 {
 		// Pure occupancy rotation: connectivity is unchanged.
+		n.Contraction++
 		return sc.contr.comps <= 1
 	}
-	if sc.contr.comps == 1 && len(removed) == 1 && len(added) == 1 {
+	if sc.contr.comps == 1 && single {
 		u, d := removed[0], added[0]
 		core := &sc.shards[sc.shardOf(u.X)].core
 		if !hasCrossEdge(s, core, u) {
@@ -217,12 +242,8 @@ func (sc *shardedConn) connectedAfterMove(s *Surface, removed, added []geom.Vec)
 				// The band component survives u's removal intact and every
 				// boundary edge is preserved, so the remainder is one global
 				// component; the move is safe iff the destination touches it.
-				for _, nb := range geom.Neighbors4(d) {
-					if nb != u && s.Occupied(nb) {
-						return true
-					}
-				}
-				return false
+				n.Band++
+				return s.touchesBlock(d, u)
 			}
 			if d.X >= core.x0 && d.X < core.x1 {
 				// Band-local articulation mover. True means d re-covers every
@@ -233,28 +254,38 @@ func (sc *shardedConn) connectedAfterMove(s *Surface, removed, added []geom.Vec)
 				// miss reconnection through a neighbouring band, so it falls
 				// through to the overlay.
 				if ok := core.articMoveFast(s, u, d); ok || len(sc.shards) == 1 {
+					n.Band++
 					return ok
 				}
 			}
 		}
 	}
 	// Rung 3: bounded exact overlay over the affected bands.
+	n.Overlay++
 	return sc.overlayComps(s, removed, added) <= 1
 }
 
 // isArticulation is the ladder behind Surface.IsArticulation: would
-// removing the occupant of v alone split its component?
-func (sc *shardedConn) isArticulation(s *Surface, v geom.Vec) bool {
+// removing the occupant of v alone split its component? n counts the rung
+// that answered.
+func (sc *shardedConn) isArticulation(s *Surface, v geom.Vec, n *Rungs) bool {
+	if sc.conn1 && s.ringNotCut(v) {
+		// Rung 0: exact on a connected occupancy, and it reads no band core.
+		n.Ring++
+		return false
+	}
 	sc.ensure(s)
 	core := &sc.shards[sc.shardOf(v.X)].core
 	if len(sc.shards) == 1 {
 		// The band is the whole surface: its articulation bit is exact.
+		n.Band++
 		return core.isArtic(v)
 	}
 	if !core.isArtic(v) {
 		if !hasCrossEdge(s, core, v) {
 			// Interior non-articulation cell: its band component survives its
 			// removal and no boundary edge is lost. Exact false.
+			n.Band++
 			return false
 		}
 		// Boundary cell: removal also deletes its cross-band edges. If there
@@ -262,11 +293,13 @@ func (sc *shardedConn) isArticulation(s *Surface, v geom.Vec) bool {
 		crossL := v.X == core.x0 && core.x0 > 0 && s.Occupied(geom.V(v.X-1, v.Y))
 		crossR := v.X == core.x1-1 && core.x1 < s.w && s.Occupied(geom.V(v.X+1, v.Y))
 		if !crossL && !crossR {
+			n.Band++
 			return false
 		}
 	}
 	// Exact: v splits its component iff the global component count rises
 	// when v is vacated (a single-cell component merely disappears).
+	n.Overlay++
 	sc.owned[0] = v
 	return sc.overlayComps(s, sc.owned[:1], nil) > sc.contr.comps
 }

@@ -10,16 +10,20 @@
 //
 // Two guarantees back those invariants. The connectivity guard runs on an
 // incrementally maintained articulation-point cache over the row bitsets
-// (connectivity.go): the boolean verdict of a connectivity-constrained
-// Validate is allocation-free and O(window) for single-displacement motions,
-// with Connected() kept as the reference DFS oracle. The cache is one layout
-// of column bands composed through a boundary contraction graph (shard.go,
-// contraction.go): bands of at most BandWidth columns, so on a wide
-// surface a mutation invalidates one band instead of the whole surface. And
-// Apply is atomic under failure: Validate replays the full move schedule
-// against the evolving occupancy before anything mutates, and execution
-// keeps an undo log, so a rejected or failed application leaves grid,
-// bitsets, positions and counters exactly as they were.
+// (connectivity.go), asked only after the mover's 3×3 ring (ring.go) could
+// not decide: while the ensemble is known to be one component, a mover whose
+// side blocks lie in one run of its ring can leave without disconnecting it,
+// which needs neither the cache nor its rebuild after the last motion. The
+// boolean verdict of a connectivity-constrained Validate is thus
+// allocation-free and O(window) for single-displacement motions, with
+// Connected() kept as the reference DFS oracle. The cache is one layout of
+// column bands composed through a boundary contraction graph (shard.go,
+// contraction.go): bands of at most BandWidth columns, so on a wide surface
+// a mutation invalidates one band instead of the whole surface. And Apply is
+// atomic under failure: Validate replays the full move schedule against the
+// evolving occupancy before anything mutates, and execution keeps an undo
+// log, so a rejected or failed application leaves grid, bitsets, positions
+// and counters exactly as they were.
 package lattice
 
 import (
@@ -84,6 +88,8 @@ type Surface struct {
 	// invalidated by the occupancy mutations in its columns. Clone copies the
 	// band count, not the contents.
 	shconn *shardedConn
+	// stats counts the connectivity ladder's work (see ConnStats).
+	stats ConnStats
 	// scratch holds the reusable buffers of the validation and execution
 	// paths (apply.go), so the boolean Validate verdict allocates nothing.
 	scratch applyScratch
@@ -383,13 +389,15 @@ func (s *Surface) AppendPositions(dst []geom.Vec) []geom.Vec {
 // IsArticulation reports whether the occupied cell v is currently an
 // articulation point of the block ensemble: removing its occupant alone
 // would split the (single-component) surface. Unoccupied cells report false.
-// The answer comes from the incremental connectivity cache; after the
-// amortised rebuild it is O(1) per query on one band. With more bands the
-// band-local bitset answers "not an articulation point" for interior cells
-// in O(1), and only band-splitting or boundary-column cells escalate to the
-// what-if overlay (O(band), never O(N)).
+// While the ensemble is known to be one component, v's 3×3 ring answers
+// "not a cut vertex" in O(1) whenever v's side blocks lie in one run of it.
+// Otherwise the incremental connectivity cache answers; after the amortised
+// rebuild it is O(1) per query on one band. With more bands the band-local
+// bitset answers "not an articulation point" for interior cells in O(1),
+// and only band-splitting or boundary-column cells escalate to the what-if
+// overlay (O(band), never O(N)).
 func (s *Surface) IsArticulation(v geom.Vec) bool {
-	return s.Occupied(v) && s.shconn.isArticulation(s, v)
+	return s.Occupied(v) && s.shconn.isArticulation(s, v, &s.stats.CutVertices)
 }
 
 // Neighbors returns the per-side neighbour table of block id: for each of
@@ -462,9 +470,10 @@ func (s *Surface) reachableFrom(start geom.Vec) int {
 
 func (s *Surface) idx(v geom.Vec) int { return v.Y*s.w + v.X }
 
-// Clone returns a deep copy of the surface (counters included). The
-// connectivity cache is deliberately not copied — clones rebuild on first
-// use — but its band count is preserved.
+// Clone returns a deep copy of the surface (hop and application counters
+// included). The connectivity cache and its ConnStats are deliberately not
+// copied — clones rebuild on first use and count their own work — but its
+// band count is preserved.
 func (s *Surface) Clone() *Surface {
 	out := &Surface{
 		w: s.w, h: s.h,
