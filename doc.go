@@ -115,21 +115,28 @@
 // (lattice.Surface.ValidateMoveSet, shard-local, nothing mutated). A
 // head-to-tail write overlap is legal only as the train handoff: the
 // follower enters exactly the cell its predecessor vacates. Wave members
-// carry their stamp in the GO flood and hop only when the Root floods their
-// release, which it does once every lower-stamped winner has reported
-// MoveDone, so coupled hops execute in admission order and the round stays
-// equivalent to a serial execution.
+// carry their stamp in their GO entry and hop only on the Root's release,
+// which it sends once every lower-stamped winner has reported MoveDone, so
+// coupled hops execute in admission order and the round stays equivalent
+// to a serial execution.
 //
-// The admitted move-set is flooded as one GO message — a same-batch motion
-// can sever the father/son tree mid-round, so batch rounds replace
-// tree-routed Selects with a flood, and every block re-pushes the round's
-// floods to its neighbours whenever its local topology changes — and the
-// Root opens the next round once every winner's MoveDone report arrived.
-// A report is not flooded: at every k, the mover and each relay hand it to
-// one neighbour strictly nearer I (blocks know their cell and I,
-// Assumption 2), and only a block with no nearer neighbour floods it,
-// which reaches the Root because the ensemble stays connected (Remark 1).
-// The Root carries the round's count of successful hops on the next
+// Every batch message travels by one routing rule. A same-batch motion can
+// sever the father/son tree mid-round, so the Root does not route the
+// batch's Selects down the tree: it sends each admitted winner its own GO
+// entry (a Select carrying the winner's wave stamp) towards the cell the
+// winner bid from, and each wave release towards its member's cell. A
+// winner does not move before its entry arrives, and admission never lets
+// one winner's planned move displace another, so the cell is a fixed
+// target. At every k a hop's MoveDone report travels the other way,
+// towards I. Each holder hands the message to one neighbour strictly
+// nearer its target (blocks know their cell and I, Assumption 2, and the
+// Root knows each winner's cell from its bid), and only a dead end — a
+// block with no nearer neighbour, or a block on the target that is not the
+// recipient — floods it, which reaches the recipient because the ensemble
+// stays connected (Remark 1). Blocks re-push a dead end's flood to their
+// neighbours whenever their local topology changes. Batch winners send no
+// SelectAck; the Root opens the next round once every winner's report
+// arrived, carries the round's count of successful hops on the next
 // Activate, and each block lifts its suppression backoff once per success
 // before it bids.
 // One guard backs the whole ladder at the physical layer: batch

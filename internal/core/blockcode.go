@@ -52,13 +52,17 @@ type BlockCode struct {
 	// moveSet is the round's admitted winners in admission order (the
 	// paper's single GO generalised to a batch), moveWaves their parallel
 	// wave ordering stamps (0 = unordered, s >= 1 = s-th member of the
-	// round's wave). reported is a bit set over moveSet indices (a round
-	// has at most msg.MaxBatch winners): the winners whose MoveDone report
-	// arrived, routed or flooded, each counted once. batchReachedO
-	// remembers whether any reported hop landed on O.
+	// round's wave) and moveCells the cells they bid from, where their GO
+	// entries and releases are routed. reported and released are bit sets
+	// over moveSet indices (a round has at most msg.MaxBatch winners): the
+	// winners whose MoveDone report arrived, routed or flooded, each
+	// counted once, and the wave members the Root has released.
+	// batchReachedO remembers whether any reported hop landed on O.
 	moveSet       []lattice.BlockID
 	moveWaves     []uint8
+	moveCells     []geom.Vec
 	reported      uint32
+	released      uint32
 	batchReachedO bool
 	// roundHops counts the current round's reported successful hops; the
 	// next Activate carries it (msg.Message.Hops), so every block lifts its
@@ -81,49 +85,39 @@ type BlockCode struct {
 	// backoff in flight, sensor faults), and retrying re-reads the world.
 	emptyStreak int
 
-	// MoveDone flood deduplication: a block forwards each flooded MoveDone
-	// of a round once — a report from a dead end (see routeReport) or a
-	// wave release from the Root — and retains it in moveDoneMsgs, because
-	// batch rounds re-push it on topology changes (see repushFloods).
-	// Round numbers strictly increase, so the list resets whenever a
-	// younger round's flood arrives. Routed reports are neither deduplicated
-	// nor retained: each travels one path, and a block that relayed one must
-	// still forward the flood a dead end further on makes of it.
-	moveDoneRound uint32
-	moveDoneMsgs  []msg.Message
+	// Dead-end flood deduplication: a routed message (see route) that meets
+	// a dead end is flooded from there — a MoveDone report, a batch GO entry
+	// or a wave release. A block forwards each such flood of a round once
+	// and retains it in floods, because batch rounds re-push it on topology
+	// changes (see repushFloods). Round numbers strictly increase, so the
+	// list resets whenever a younger round's flood arrives. Routed copies
+	// are neither deduplicated nor retained: each travels one path, and a
+	// block that relayed one must still forward the flood a dead end
+	// further on makes of it.
+	floodRound uint32
+	floods     []msg.Message
 	// synced lists the neighbours known to hold every flood this block
-	// retains (goMsg and each of moveDoneMsgs), lattice.None elsewhere. It
-	// starts as the whole Neighbor Table, since a booting block retains
-	// nothing; a neighbour leaves it when this block forwards or originates
-	// a GO, a dead-end report or a release that the neighbour did not
-	// receive (a routed report is never retained, so it changes nothing),
-	// and joins it when repushFloods re-sends it the retained floods.
-	// repushFloods skips it. A send the port accepts is delivered (links
-	// are reliable, Assumption 3), so a neighbour it reached holds the
-	// flood.
+	// retains, lattice.None elsewhere. It starts as the whole Neighbor
+	// Table, since a booting block retains nothing; a neighbour leaves it
+	// when this block forwards or starts a dead-end flood that the
+	// neighbour did not receive (a routed copy is never retained, so it
+	// changes nothing), and joins it when repushFloods re-sends it the
+	// retained floods. repushFloods skips it. A send the port accepts is
+	// delivered (links are reliable, Assumption 3), so a neighbour it
+	// reached holds the flood.
 	synced [geom.NumDirs]lattice.BlockID
 
-	// Batch-round GO flood state: in parallel-moves rounds the Root floods
-	// the move-set (one Select message carrying all winners) instead of
-	// routing one Select down the father/son tree — a same-batch motion can
-	// sever the tree mid-round, and a flood survives any topology change of
-	// a still-connected ensemble. seenSelect dedups the flood per round.
-	selectRound uint32
-	seenSelect  bool
-	// goMsg is the round's GO as this block sent or received it. Its
-	// candidate list is the Root's array, shared by every block (on the
-	// goroutine runtime, across goroutines), so it is only ever read.
-	goMsg msg.Message
-
 	// Deferred wave execution: a winner whose GO entry carries wave stamp
-	// s >= 1 acknowledges the Root immediately but holds its hop until the
-	// Root floods its release, which the Root does once every lower-stamped
-	// winner has reported — the wave validated as an ordered what-if, so
-	// executing in stamp order is what makes overlapping same-direction
-	// moves commute (the conveyor). A release can overtake the GO, so
-	// tryPendingHop runs when either arrives.
+	// s >= 1 holds its hop until the Root releases it, which the Root does
+	// once every lower-stamped winner has reported — the wave validated as
+	// an ordered what-if, so executing in stamp order is what makes
+	// overlapping same-direction moves commute (the conveyor). pendingHop
+	// marks a held hop of the current round; releaseRound is the round of
+	// the last release this block received. A release can overtake the
+	// entry, so tryPendingHop runs when either arrives.
 	pendingHop     bool
 	pendingHopTier msg.Tier
+	releaseRound   uint32
 
 	// suppressedFor marks a block whose elected move attempt was entirely
 	// rejected by the physical layer: it bids neutral for that many
@@ -241,7 +235,7 @@ func (b *BlockCode) startElection(env exec.Env, tier msg.Tier) {
 	b.tier = tier
 	hops := b.roundHops
 	b.moveSet = b.moveSet[:0]
-	b.reported = 0
+	b.reported, b.released = 0, 0
 	b.batchReachedO = false
 	b.roundHops = 0
 	if tier == msg.TierRetreat {
@@ -433,7 +427,7 @@ func (b *BlockCode) ackFather(env exec.Env) {
 // onElectionComplete runs at the Root when its deficit clears: the first
 // phase is over, every block has been activated and acknowledged, and the
 // Root holds the global top-K. It admits a batch of non-interfering winners
-// and broadcasts the move-set (one routed Select per winner), or escalates.
+// and routes each its Select, or escalates.
 func (b *BlockCode) onElectionComplete(env exec.Env) {
 	b.ds.Disengage()
 	b.sh.cfg.Counters.Elections.Add(1)
@@ -484,29 +478,26 @@ func (b *BlockCode) onElectionComplete(env exec.Env) {
 		})
 		return
 	}
-	// Batch round: flood the move-set. Tree routing is not safe here — the
-	// first winner's hop can sever the father/son tree while the other
-	// Selects are still travelling, and a lost Select would stall the round
-	// forever. The flood (plus re-pushing on topology changes, repushFloods)
-	// reaches every block of an always-connected ensemble.
-	goMsg := msg.Message{
-		Type: msg.TypeSelect, Round: b.round, Tier: b.tier,
-		IDShortest: best.ID, Cands: make([]msg.Cand, len(b.moveSet)),
-	}
+	// Batch round: route each winner its own GO entry, a Select whose
+	// one-entry list carries the winner's wave ordering stamp, to the cell
+	// it bid from. Tree routing is not safe here — the first winner's hop
+	// can sever the father/son tree while the other Selects are still
+	// travelling — but the bid cell is a fixed target: a winner does not
+	// move before its entry arrives, and admission never lets one winner's
+	// planned move displace another. An entry that meets a dead end floods,
+	// and a flood reaches every block of an always-connected ensemble.
+	entries := make([]msg.Cand, len(b.moveSet))
 	for i, id := range b.moveSet {
-		// Each GO entry carries the winner's wave ordering stamp; executors
-		// with stamp s >= 1 hold their hop until the Root floods their
-		// release (see releaseWaves). Re-pushed floods (repushFloods) retain
-		// the full goMsg, so wave prefixes survive topology changes.
-		goMsg.Cands[i] = msg.Cand{ID: id, Wave: b.moveWaves[i]}
+		entries[i] = msg.Cand{ID: id, Wave: b.moveWaves[i]}
+		b.route(env, &msg.Message{Type: msg.TypeSelect, Round: b.round, Tier: b.tier,
+			IDShortest: id, To: b.moveCells[i], Cands: entries[i : i+1 : i+1]}, b.moveCells[i])
 	}
-	b.selectRound, b.seenSelect, b.goMsg = b.round, true, goMsg
-	b.forwardFlood(env, &b.goMsg, lattice.None)
 }
 
 // admitWinners filters the aggregated top-K candidates into the round's
 // move-set through a two-pass footprint admission ladder, filling
-// b.moveWaves with each admitted winner's wave ordering stamp. The best
+// b.moveWaves with each admitted winner's wave ordering stamp and
+// b.moveCells with the cell it bid from. The best
 // candidate is always admitted (so a batch round makes at least the serial
 // protocol's progress, and K = 1 degenerates to it exactly); candidates
 // are tested, in election order, against all previously admitted winners
@@ -549,7 +540,7 @@ func (b *BlockCode) onElectionComplete(env exec.Env) {
 func (b *BlockCode) admitWinners(env exec.Env, dst []lattice.BlockID) []lattice.BlockID {
 	k := b.sh.cfg.parallelK()
 	radius := env.SensingRadius()
-	b.moveWaves = b.moveWaves[:0]
+	b.moveWaves, b.moveCells = b.moveWaves[:0], b.moveCells[:0]
 	var admitted [msg.MaxBatch]election.Candidate
 	var planned [msg.MaxBatch]lattice.PlannedMove
 	var taken [msg.MaxBatch]bool
@@ -592,6 +583,7 @@ func (b *BlockCode) admitWinners(env exec.Env, dst []lattice.BlockID) []lattice.
 		n++
 		dst = append(dst, c.ID)
 		b.moveWaves = append(b.moveWaves, 0)
+		b.moveCells = append(b.moveCells, c.Pos)
 	}
 	// Pass 2: conveyor fill. Remaining candidates join as ordered wave
 	// members when every admitted winner they are coupled with is a
@@ -653,6 +645,7 @@ func (b *BlockCode) admitWinners(env exec.Env, dst []lattice.BlockID) []lattice.
 		n++
 		dst = append(dst, c.ID)
 		b.moveWaves = append(b.moveWaves, nextStamp)
+		b.moveCells = append(b.moveCells, c.Pos)
 		nextStamp++
 	}
 	return dst
@@ -660,11 +653,11 @@ func (b *BlockCode) admitWinners(env exec.Env, dst []lattice.BlockID) []lattice.
 
 // onSelect handles the second election phase. A serial Select (no candidate
 // list) is routed down the father/son tree exactly as the paper specifies.
-// A batch GO (a non-empty candidate list) is a flood: forward once per round,
-// and hop if this block is in the move-set.
+// A batch GO entry (a one-entry candidate list) is routed towards its
+// winner's bid cell, or flooded from a dead end; the winner hops on it.
 func (b *BlockCode) onSelect(env exec.Env, from lattice.BlockID, m *msg.Message) {
 	if len(m.Cands) > 0 {
-		b.onGoFlood(env, from, m)
+		b.onGoEntry(env, from, m)
 		return
 	}
 	if m.Round != b.round {
@@ -686,73 +679,71 @@ func (b *BlockCode) onSelect(env exec.Env, from lattice.BlockID, m *msg.Message)
 	b.performHop(env, m.Tier, false)
 }
 
-// onGoFlood handles a batch round's move-set broadcast: forward the flood
-// once per round, remember it for re-pushing on topology changes, and if
-// this block is one of the winners, acknowledge the Root and hop.
-func (b *BlockCode) onGoFlood(env exec.Env, from lattice.BlockID, m *msg.Message) {
-	if m.Round < b.selectRound || (m.Round == b.selectRound && b.seenSelect) {
-		return // stale round or already forwarded
+// onGoEntry handles one winner's batch GO entry: relayed on towards the
+// winner's bid cell (To) unless this block is the winner, which hops on the
+// current round's entry. Batch winners send no SelectAck: the Root
+// sequences on the MoveDone reports (see maybeAdvance).
+func (b *BlockCode) onGoEntry(env exec.Env, from lattice.BlockID, m *msg.Message) {
+	if !b.relay(env, from, m, m.To, m.IDShortest == b.id) || m.Round != b.round {
+		return
 	}
-	b.selectRound, b.seenSelect, b.goMsg = m.Round, true, *m
+	if m.Cands[0].Wave >= 1 {
+		// Ordered wave member: hop only on the Root's release, which follows
+		// the reports of every lower-stamped member — including every
+		// unordered (stamp-0) winner — so this mover replans over a settled
+		// window.
+		b.pendingHop, b.pendingHopTier = true, m.Tier
+		b.tryPendingHop(env)
+		return
+	}
+	b.performHop(env, m.Tier, false)
+}
+
+// relay passes on a routed or flooded copy of a report, a GO entry or a
+// release, and reports whether this block, the message's recipient (mine),
+// should act on it. A routed copy for another block travels on towards
+// target; a flooded one is forwarded once per round, and the recipient
+// acts on its first copy.
+func (b *BlockCode) relay(env exec.Env, from lattice.BlockID, m *msg.Message, target geom.Vec, mine bool) bool {
+	if m.Son != lattice.None {
+		if !mine {
+			b.route(env, m, target)
+		}
+		return mine
+	}
+	if !b.keepFlood(m) {
+		return false
+	}
 	b.forwardFlood(env, m, from)
-	if m.Round != b.round {
-		return
-	}
-	for _, c := range m.Cands {
-		if c.ID != b.id {
-			continue
-		}
-		_ = env.Send(b.father, msg.Message{
-			Type: msg.TypeSelectAck, Round: m.Round, Tier: m.Tier, IDShortest: b.id,
-		})
-		if c.Wave >= 1 {
-			// Ordered wave member: hop only on the Root's release, which
-			// follows the reports of every lower-stamped member — including
-			// every unordered (stamp-0) winner — so this mover replans over a
-			// settled window. The acknowledgement above already ended the
-			// election for the Root; the hop itself waits.
-			b.pendingHop, b.pendingHopTier = true, m.Tier
-			b.tryPendingHop(env)
-			return
-		}
-		b.performHop(env, m.Tier, false)
-		return
-	}
+	return mine
 }
 
 // tryPendingHop executes a deferred wave hop once this block holds both
-// its GO and the Root's release of it for the same round; the release can
-// arrive first, so both handlers call it. It is a no-op unless a hop is
-// pending and released. Deadlock-free because stamp-0 winners never wait,
-// every winner reports on success and failure alike, the Root releases
-// each stamp as soon as the lower stamps have reported, floods are
-// re-pushed on topology changes, and the Root cannot advance the round
-// (which would reset the flood state) before this member's own report.
+// its GO entry and the Root's release of it for the current round; the
+// release can arrive first, so both handlers call it. Deadlock-free
+// because stamp-0 winners never wait, every winner reports on success and
+// failure alike, the Root releases each stamp as soon as the lower stamps
+// have reported, a dead end's flood is re-pushed on topology changes, and
+// the Root cannot advance the round before this member's own report.
 func (b *BlockCode) tryPendingHop(env exec.Env) {
-	if !b.pendingHop || b.done || b.moveDoneRound != b.goMsg.Round {
-		return
-	}
-	for i := range b.moveDoneMsgs {
-		if r := &b.moveDoneMsgs[i]; r.Mover == lattice.None && r.IDShortest == b.id {
-			b.pendingHop = false
-			b.performHop(env, b.pendingHopTier, true)
-			return
-		}
+	if b.pendingHop && b.releaseRound == b.round {
+		b.pendingHop = false
+		b.performHop(env, b.pendingHopTier, true)
 	}
 }
 
-// repushFloods re-sends the current round's remembered floods — the GO,
-// dead-end reports and wave releases — to every present neighbour outside
-// synced, then makes the neighbours it reached synced. Batch rounds call it
-// whenever the local topology changed (this block moved, or a sensed cell
-// changed): concurrent motion can put a block next to a neighbour that
-// never received a flood — the tree/flood frontier passed before the
-// adjacency existed — and without the re-push the Root could wait forever
-// for a report or a wave member for a release that died in a severed
-// region. Routed reports need no re-push: each is one accepted send to a
-// neighbour, and an accepted send is delivered. Every change to the
-// Neighbor Table reaches the block as OnMoved or OnNeighborhoodChanged, so
-// a new neighbour gets every retained flood, and one that left and came
+// repushFloods re-sends the current round's retained dead-end floods —
+// reports, GO entries and wave releases — to every present neighbour
+// outside synced, then makes the neighbours it reached synced. Batch rounds
+// call it whenever the local topology changed (this block moved, or a
+// sensed cell changed): concurrent motion can put a block next to a
+// neighbour that never received a flood — the flood frontier passed before
+// the adjacency existed — and without the re-push the Root could wait
+// forever for a report, or a winner for an entry or a release, that died
+// in a severed region. Routed copies need no re-push: each is one accepted
+// send to a neighbour, and an accepted send is delivered. Every change to
+// the Neighbor Table reaches the block as OnMoved or OnNeighborhoodChanged,
+// so a new neighbour gets every retained flood, and one that left and came
 // back is re-sent what it missed.
 // Receivers deduplicate, so re-pushing is idempotent; the serial protocol
 // (one mover, sequenced) never needs it and never calls it.
@@ -768,11 +759,8 @@ func (b *BlockCode) repushFloods(env exec.Env) {
 		}
 	}
 	reached := lacking
-	if b.seenSelect {
-		sendTo(env, &b.goMsg, &reached, lattice.None)
-	}
-	for i := range b.moveDoneMsgs {
-		sendTo(env, &b.moveDoneMsgs[i], &reached, lattice.None)
+	for i := range b.floods {
+		sendTo(env, &b.floods[i], &reached, lattice.None)
 	}
 	for d := range nt {
 		if reached[d] != lacking[d] {
@@ -782,7 +770,7 @@ func (b *BlockCode) repushFloods(env exec.Env) {
 	b.synced = nt
 }
 
-// forwardFlood sends a GO or MoveDone flood to every adjacent block except
+// forwardFlood sends a dead-end flood to every adjacent block except
 // `except`, which sent it, and keeps in synced only the neighbours that now
 // hold it.
 func (b *BlockCode) forwardFlood(env exec.Env, m *msg.Message, except lattice.BlockID) {
@@ -870,24 +858,26 @@ func (b *BlockCode) performHop(env exec.Env, tier msg.Tier, waveMember bool) {
 
 // reportOutcome sends this winner's hop outcome towards the Root.
 func (b *BlockCode) reportOutcome(env exec.Env, from, to geom.Vec, success bool) {
-	b.routeReport(env, &msg.Message{
+	b.route(env, &msg.Message{
 		Type: msg.TypeMoveDone, Round: b.round, Tier: b.tier,
 		Mover: b.id, From: from, To: to, Success: success,
-	})
+	}, env.Input())
 }
 
-// routeReport hands a MoveDone report to one adjacent block strictly nearer
-// I in Manhattan distance, naming it in Son. Blocks know their own cell and
-// I (Assumption 2) and the side of each neighbour, so every relay strictly
-// lowers the distance and the report either reaches the Root, pinned on I,
-// or stops at a dead end: a block whose nearer cells are empty, or whose
-// nearer neighbours' ports all refused (on the goroutine runtime a
-// neighbour can move away between the table read and the send). A dead end
-// floods the report instead; the ensemble is connected (Remark 1), so the
-// flood reaches the Root.
-func (b *BlockCode) routeReport(env exec.Env, m *msg.Message) {
+// route hands m to one adjacent block strictly nearer target in Manhattan
+// distance, naming it in Son: a MoveDone report travels to I, a batch GO
+// entry or a wave release to its recipient's bid cell. Blocks know their
+// own cell and the side of each neighbour, so every relay strictly lowers
+// the distance and m either reaches its recipient or stops at a dead end:
+// a block whose nearer cells are empty, or whose nearer neighbours' ports
+// all refused (on the goroutine runtime a neighbour can move away between
+// the table read and the send), or a block on target that is not the
+// recipient (a winner's replanned move displaced it). A dead end floods m
+// instead; the ensemble is connected (Remark 1), so the flood reaches the
+// recipient.
+func (b *BlockCode) route(env exec.Env, m *msg.Message, target geom.Vec) {
 	nt := env.Neighbors()
-	sides, n := towardsInput(env.Position(), env.Input())
+	sides, n := towards(env.Position(), target)
 	for _, d := range sides[:n] {
 		if nb := nt[d]; nb != lattice.None {
 			m.Son = nb
@@ -896,19 +886,27 @@ func (b *BlockCode) routeReport(env exec.Env, m *msg.Message) {
 			}
 		}
 	}
-	b.sh.cfg.Counters.DeadEndFloods.Add(1)
+	c := b.sh.cfg.Counters
+	switch {
+	case m.Type == msg.TypeSelect:
+		c.DeadEndEntries.Add(1)
+	case m.Mover == lattice.None:
+		c.DeadEndReleases.Add(1)
+	default:
+		c.DeadEndReports.Add(1)
+	}
 	m.Son = lattice.None
 	if b.keepFlood(m) {
 		b.forwardFlood(env, m, lattice.None)
 	}
 }
 
-// towardsInput returns the n sides of pos whose cells are nearer to in:
-// none on in itself, one when pos shares a row or column with in, two
+// towards returns the n sides of pos whose cells are nearer to target:
+// none on target itself, one when pos shares a row or column with it, two
 // otherwise. The axis with the larger remaining gap comes first, which
 // keeps a route near the diagonal, where both sides stay open longest.
-func towardsInput(pos, in geom.Vec) (sides [2]geom.Dir, n int) {
-	dx, dy := in.X-pos.X, in.Y-pos.Y
+func towards(pos, target geom.Vec) (sides [2]geom.Dir, n int) {
+	dx, dy := target.X-pos.X, target.Y-pos.Y
 	x, y := geom.East, geom.North
 	if dx < 0 {
 		x, dx = geom.West, -dx
@@ -930,42 +928,44 @@ func towardsInput(pos, in geom.Vec) (sides [2]geom.Dir, n int) {
 	return sides, n
 }
 
-// keepFlood records a flooded MoveDone — a dead-end report or a wave
+// keepFlood records a dead-end flood — a report, a GO entry or a wave
 // release — and reports whether it is new for its round. A report is keyed
-// by its Mover and a release by the block it releases (Mover None), so
-// neither hides the other. Round numbers strictly increase, so a younger
-// round's flood resets the list; the kept messages are what repushFloods
-// re-sends.
+// by its Mover, an entry or a release by its recipient (IDShortest, Mover
+// None) and its type, so none hides another. Round numbers strictly
+// increase, so a younger round's flood resets the list; the kept messages
+// are what repushFloods re-sends.
 func (b *BlockCode) keepFlood(m *msg.Message) bool {
-	if m.Round < b.moveDoneRound {
+	if m.Round < b.floodRound {
 		return false
 	}
-	if m.Round > b.moveDoneRound {
-		b.moveDoneRound = m.Round
-		b.moveDoneMsgs = b.moveDoneMsgs[:0]
+	if m.Round > b.floodRound {
+		b.floodRound = m.Round
+		b.floods = b.floods[:0]
 	}
-	for i := range b.moveDoneMsgs {
-		if k := &b.moveDoneMsgs[i]; k.Mover == m.Mover && k.IDShortest == m.IDShortest {
+	for i := range b.floods {
+		if k := &b.floods[i]; k.Type == m.Type && k.Mover == m.Mover && k.IDShortest == m.IDShortest {
 			return false
 		}
 	}
-	b.moveDoneMsgs = append(b.moveDoneMsgs, *m)
+	b.floods = append(b.floods, *m)
 	return true
 }
 
-// onMoveDone handles the three kinds of MoveDone: the Root takes in every
-// report, a routed report (Son names this block) travels on towards I, and
-// a flooded report or wave release is forwarded once per round. Only the
-// Root reads a report; a release may be for this block.
+// onMoveDone handles both kinds of MoveDone. The Root takes in every
+// report, and any other block relays it towards I. A release (Mover None)
+// is relayed towards its member's bid cell (To), and the member holds it
+// for its pending wave hop.
 func (b *BlockCode) onMoveDone(env exec.Env, from lattice.BlockID, m *msg.Message) {
 	switch {
-	case b.isRoot && m.Mover != lattice.None:
+	case m.Mover == lattice.None:
+		if b.relay(env, from, m, m.To, m.IDShortest == b.id) && m.Round == b.round {
+			b.releaseRound = m.Round
+			b.tryPendingHop(env)
+		}
+	case b.isRoot:
 		b.onReport(env, m)
-	case m.Son != lattice.None:
-		b.routeReport(env, m)
-	case b.keepFlood(m):
-		b.forwardFlood(env, m, from)
-		b.tryPendingHop(env)
+	default:
+		b.relay(env, from, m, env.Input(), false)
 	}
 }
 
@@ -989,13 +989,13 @@ func (b *BlockCode) onReport(env exec.Env, m *msg.Message) {
 	b.maybeAdvance(env)
 }
 
-// releaseWaves floods a release to each ordered wave member whose every
-// lower-stamped winner has reported, once (keepFlood remembers it), in
-// stamp order: a member's release needs its predecessor's report, which
-// needs the predecessor's release.
+// releaseWaves routes a release to the bid cell of each ordered wave member
+// whose every lower-stamped winner has reported, once (released remembers
+// it), in stamp order: a member's release needs its predecessor's report,
+// which needs the predecessor's release.
 func (b *BlockCode) releaseWaves(env exec.Env) {
 	for i, s := range b.moveWaves {
-		if s == 0 {
+		if s == 0 || b.released&(1<<i) != 0 {
 			continue
 		}
 		for j, t := range b.moveWaves {
@@ -1003,11 +1003,9 @@ func (b *BlockCode) releaseWaves(env exec.Env) {
 				return
 			}
 		}
-		rel := msg.Message{Type: msg.TypeMoveDone, Round: b.round, Tier: b.tier,
-			IDShortest: b.moveSet[i]}
-		if b.keepFlood(&rel) {
-			b.forwardFlood(env, &rel, lattice.None)
-		}
+		b.released |= 1 << i
+		b.route(env, &msg.Message{Type: msg.TypeMoveDone, Round: b.round, Tier: b.tier,
+			IDShortest: b.moveSet[i], To: b.moveCells[i]}, b.moveCells[i])
 	}
 }
 
@@ -1018,8 +1016,9 @@ func (b *BlockCode) releaseWaves(env exec.Env) {
 // election triggered (a carried helper may be a relay). Sequencing
 // therefore keys on the MoveDone reports, which reach the Root across any
 // topology change of a still-connected ensemble (routed, or flooded and
-// re-pushed from a dead end); the SelectAck remains the paper's
-// election-termination signal and is tracked on a best-effort basis.
+// re-pushed from a dead end). The serial protocol keeps the SelectAck as
+// the paper's election-termination signal, but it never advances a round:
+// the hop's report does. Batch winners do not send it.
 func (b *BlockCode) maybeAdvance(env exec.Env) {
 	if bits.OnesCount32(b.reported) < len(b.moveSet) {
 		return

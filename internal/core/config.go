@@ -183,15 +183,19 @@ type Counters struct {
 	// count surfaces in the Observer's message-stats event so silent
 	// truncation is visible.
 	CandidatesDropped atomic.Int64
-	// DeadEndFloods counts MoveDone reports that met a block with no
-	// adjacent block nearer I (or whose nearer ports all refused) on their
-	// way to the Root and were flooded from there.
-	DeadEndFloods atomic.Int64
+	// DeadEndReports, DeadEndEntries and DeadEndReleases count the routed
+	// messages of each kind that met a dead end (see CounterValues.
+	// DeadEndFloods) and were flooded from there: MoveDone reports on their
+	// way to the Root, batch GO entries and wave releases on their way to a
+	// winner's bid cell.
+	DeadEndReports  atomic.Int64
+	DeadEndEntries  atomic.Int64
+	DeadEndReleases atomic.Int64
 }
 
 // Snapshot returns a plain-struct copy of the counters.
 func (c *Counters) Snapshot() CounterValues {
-	return CounterValues{
+	v := CounterValues{
 		DistanceComputations:  c.DistanceComputations.Load(),
 		Elections:             c.Elections.Load(),
 		EscapeElections:       c.EscapeElections.Load(),
@@ -199,8 +203,12 @@ func (c *Counters) Snapshot() CounterValues {
 		MoveFailures:          c.MoveFailures.Load(),
 		CandidateEnumerations: c.CandidateEnumerations.Load(),
 		CandidatesDropped:     c.CandidatesDropped.Load(),
-		DeadEndFloods:         c.DeadEndFloods.Load(),
+		DeadEndReports:        c.DeadEndReports.Load(),
+		DeadEndEntries:        c.DeadEndEntries.Load(),
+		DeadEndReleases:       c.DeadEndReleases.Load(),
 	}
+	v.DeadEndFloods = v.DeadEndReports + v.DeadEndEntries + v.DeadEndReleases
+	return v
 }
 
 // CounterValues is a point-in-time copy of Counters.
@@ -212,5 +220,12 @@ type CounterValues struct {
 	MoveFailures          int64
 	CandidateEnumerations int64
 	CandidatesDropped     int64
-	DeadEndFloods         int64
+	// DeadEndFloods counts every routed message that met a dead end and
+	// was flooded from there: a block with no adjacent block nearer the
+	// message's target, or whose nearer ports all refused, or a block on
+	// the target that is not the recipient. It sums the three kinds below.
+	DeadEndFloods   int64
+	DeadEndReports  int64
+	DeadEndEntries  int64
+	DeadEndReleases int64
 }

@@ -140,6 +140,15 @@ func TestValidateInstanceErrors(t *testing.T) {
 		{"disconnected", func(t *testing.T) (*lattice.Surface, Config) {
 			return surfaceWith(t, 6, 6, geom.V(1, 1), geom.V(2, 1), geom.V(4, 4)), Config{Input: geom.V(1, 1), Output: geom.V(1, 3)}
 		}, "not connected"},
+		// Assumption 1 is decided before collinearity.
+		{"disconnected and collinear", func(t *testing.T) (*lattice.Surface, Config) {
+			return surfaceWith(t, 6, 6, geom.V(1, 1), geom.V(2, 1), geom.V(4, 1)), Config{Input: geom.V(1, 1), Output: geom.V(1, 4)}
+		}, "not connected"},
+		// Two blocks in different column bands (lattice.BandWidth).
+		{"disconnected across bands", func(t *testing.T) (*lattice.Surface, Config) {
+			return surfaceWith(t, 2*lattice.BandWidth+10, 4, geom.V(1, 1), geom.V(2, 1), geom.V(1, 2),
+				geom.V(lattice.BandWidth+5, 1)), Config{Input: geom.V(1, 1), Output: geom.V(1, 3)}
+		}, "not connected"},
 		{"collinear", func(t *testing.T) (*lattice.Surface, Config) {
 			return surfaceWith(t, 6, 6, geom.V(1, 1), geom.V(2, 1), geom.V(3, 1)), Config{Input: geom.V(1, 1), Output: geom.V(1, 4)}
 		}, "line or column"},
@@ -154,6 +163,12 @@ func TestValidateInstanceErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
+		// Engine.Run decides Assumption 1 from its connectivity cache
+		// instead of the oracle, with the same errors in the same order.
+		_, runErr := NewEngine(rules.StandardLibrary()).Run(context.Background(), surf, cfg.WithDefaults())
+		if runErr == nil || runErr.Error() != err.Error() {
+			t.Errorf("%s: Engine.Run error %v, want %q", c.name, runErr, err)
+		}
 	}
 	// A valid instance passes.
 	surf := surfaceWith(t, 6, 8, geom.V(1, 0), geom.V(2, 0), geom.V(1, 1), geom.V(2, 1))
@@ -162,13 +177,14 @@ func TestValidateInstanceErrors(t *testing.T) {
 	}
 }
 
-// TestRunRejectsInvalidInstance: Engine.Run surfaces validation errors.
+// TestRunRejectsInvalidInstance: Engine.Run gives a disconnected instance
+// the Assumption 1 error.
 func TestRunRejectsInvalidInstance(t *testing.T) {
 	surf := surfaceWith(t, 6, 6, geom.V(1, 1), geom.V(3, 3))
 	_, err := NewEngine(rules.StandardLibrary()).
 		Run(context.Background(), surf, NewConfig(geom.V(1, 1), geom.V(1, 4)))
-	if err == nil {
-		t.Fatal("Engine.Run must reject a disconnected instance")
+	if err == nil || !strings.Contains(err.Error(), "not connected (Assumption 1)") {
+		t.Fatalf("Engine.Run on a disconnected instance: error %v, want the Assumption 1 error", err)
 	}
 }
 

@@ -134,9 +134,13 @@ func TestCountersSnapshot(t *testing.T) {
 	c.EscapeElections.Add(1)
 	c.MoveFailures.Add(4)
 	c.CandidateEnumerations.Add(5)
+	c.DeadEndReports.Add(6)
+	c.DeadEndEntries.Add(7)
+	c.DeadEndReleases.Add(8)
 	s := c.Snapshot()
 	if s.DistanceComputations != 3 || s.Elections != 2 || s.EscapeElections != 1 ||
-		s.MoveFailures != 4 || s.CandidateEnumerations != 5 {
+		s.MoveFailures != 4 || s.CandidateEnumerations != 5 ||
+		s.DeadEndReports != 6 || s.DeadEndEntries != 7 || s.DeadEndReleases != 8 || s.DeadEndFloods != 21 {
 		t.Errorf("snapshot = %+v", s)
 	}
 }

@@ -176,7 +176,13 @@ func (e *Engine) Run(ctx context.Context, surf *lattice.Surface, cfg Config) (Re
 	if surf == nil {
 		return Result{}, fmt.Errorf("core: engine requires a surface")
 	}
-	if err := ValidateInstance(surf, cfg); err != nil {
+	// Build the connectivity cache at boot: the first constrained Validate
+	// of every round then runs on warm articulation state instead of paying
+	// the O(N) rebuild inside the measured run, and its component count
+	// decides Assumption 1.
+	conn0 := surf.ConnStats()
+	comps := surf.WarmConnectivity()
+	if err := validateInstance(surf, cfg, func() bool { return comps <= 1 }); err != nil {
 		return Result{}, err
 	}
 	cfg = cfg.WithRunDefaults(surf)
@@ -195,11 +201,6 @@ func (e *Engine) Run(ctx context.Context, surf *lattice.Surface, cfg Config) (Re
 	if err != nil {
 		return Result{}, err
 	}
-	// Build the connectivity cache at boot: the first constrained Validate
-	// of every round then runs on warm articulation state instead of paying
-	// the O(N) rebuild inside the measured run.
-	conn0 := surf.ConnStats()
-	surf.WarmConnectivity()
 	factory := newObservedFactory(cfg, rec, em)
 	if e.opts.wrap != nil {
 		factory = e.opts.wrap(factory)
@@ -240,6 +241,8 @@ func (e *Engine) Run(ctx context.Context, surf *lattice.Surface, cfg Config) (Re
 		Hops:            surf.Hops(),
 		Applications:    surf.Applications(),
 		MessagesSent:    m.MessagesSent,
+		MessagesByType:  m.SentByType,
+		WireBytes:       m.WireBytes,
 		MessagesDropped: m.MessagesDropped,
 		Counters:        cfg.Counters.Snapshot(),
 		Blocks:          surf.NumBlocks(),

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lattice"
+	"repro/internal/msg"
 	"repro/internal/rules"
 	"repro/internal/scenario"
 )
@@ -200,8 +201,14 @@ func TestEngineBackendsAgreeAcrossSeeds(t *testing.T) {
 }
 
 // TestEngineFillsBackendMetrics: neither backend silently zeroes the
-// virtual-time/event metrics anymore.
+// virtual-time/event metrics, and both split the messages they sent by
+// type, summing to MessagesSent, with their wire bytes. At k=1 the elected
+// block still sends the paper's SelectAck; at k>1 no block sends one. The
+// DES's k=1 message mix is pinned exactly.
 func TestEngineFillsBackendMetrics(t *testing.T) {
+	// fig10's k=1 mix at seed 1, indexed by msg.Type: Activate, Ack,
+	// Select, SelectAck, MoveDone, Finished.
+	fig10Mix := [msg.NumTypes + 1]uint64{0, 1560, 1560, 621, 595, 687, 11}
 	for _, tc := range []struct {
 		name    string
 		backend core.BackendFactory
@@ -210,20 +217,45 @@ func TestEngineFillsBackendMetrics(t *testing.T) {
 		{"async", core.Async},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := scenario.Fig10()
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := core.NewEngine(rules.StandardLibrary(), core.WithBackend(tc.backend)).
-				Run(context.Background(), s.Surface, s.Config())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.VirtualTime == 0 {
-				t.Error("VirtualTime is zero")
-			}
-			if res.Events == 0 {
-				t.Error("Events is zero")
+			for _, k := range []int{1, 4} {
+				t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+					s, err := scenario.Fig10()
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := s.Config()
+					cfg.ParallelMoves = k
+					res, err := core.NewEngine(rules.StandardLibrary(), core.WithBackend(tc.backend)).
+						Run(context.Background(), s.Surface, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.VirtualTime == 0 {
+						t.Error("VirtualTime is zero")
+					}
+					if res.Events == 0 {
+						t.Error("Events is zero")
+					}
+					var sum uint64
+					for _, n := range res.MessagesByType {
+						sum += n
+					}
+					if sum != res.MessagesSent || res.MessagesByType[0] != 0 {
+						t.Errorf("per-type counts %v sum to %d, want MessagesSent %d with no invalid type",
+							res.MessagesByType, sum, res.MessagesSent)
+					}
+					if res.WireBytes < res.MessagesSent*msg.BaseWireSize {
+						t.Errorf("%d wire bytes for %d messages, want at least %d each",
+							res.WireBytes, res.MessagesSent, msg.BaseWireSize)
+					}
+					acks := res.MessagesByType[msg.TypeSelectAck]
+					if k == 1 && acks == 0 || k > 1 && acks != 0 {
+						t.Errorf("%d SelectAcks at k=%d", acks, k)
+					}
+					if tc.name == "des" && k == 1 && res.MessagesByType != fig10Mix {
+						t.Errorf("fig10 k=1 mix %v, want %v", res.MessagesByType, fig10Mix)
+					}
+				})
 			}
 		})
 	}

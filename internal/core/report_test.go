@@ -78,17 +78,17 @@ func TestDeadEndReportReachesRootByFlood(t *testing.T) {
 	mover.round = 3
 	mover.reportOutcome(ms.envs[c], geom.V(2, 3), geom.V(2, 2), true)
 
-	if got, want := ms.envs[c].take(), []sent{routedTo(b, c)}; !slices.Equal(got, want) {
+	if got, want := ms.envs[c].take(), []sent{routed(reportTo(b, c))}; !slices.Equal(got, want) {
 		t.Fatalf("mover sent %v, want %v (west first on a tie)", got, want)
 	}
 	if !ms.runUntil(func() bool { return root.round == 4 }) {
 		t.Fatal("the report never reached the Root: the flood died behind the routed path")
 	}
-	if got, want := ms.envs[b].take(), []sent{routedTo(a, c), reportTo(c, c)}; !slices.Equal(got, want) {
+	if got, want := ms.envs[b].take(), []sent{routed(reportTo(a, c)), reportTo(c, c)}; !slices.Equal(got, want) {
 		t.Errorf("B sent %v, want the routed copy to A, then the flood to C", got)
 	}
-	if got := cfg.Counters.DeadEndFloods.Load(); got != 1 {
-		t.Errorf("DeadEndFloods = %d, want 1", got)
+	if got := cfg.Counters.Snapshot(); got.DeadEndReports != 1 || got.DeadEndFloods != 1 {
+		t.Errorf("dead-end floods: %d reports of %d, want 1 of 1", got.DeadEndReports, got.DeadEndFloods)
 	}
 	// The next election carries the round's one successful hop.
 	if got, want := ms.envs[r].take(), []sent{{to: e, typ: msg.TypeActivate, hops: 1}}; !slices.Equal(got, want) {
@@ -112,8 +112,8 @@ func TestReportTriesNextNearerNeighbourThenFloods(t *testing.T) {
 		refuse []lattice.BlockID
 		want   []sent
 	}{
-		{nil, []sent{routedTo(west, mover)}},
-		{[]lattice.BlockID{west}, []sent{routedTo(south, mover)}},
+		{nil, []sent{routed(reportTo(west, mover))}},
+		{[]lattice.BlockID{west}, []sent{routed(reportTo(south, mover))}},
 		{[]lattice.BlockID{west, south}, []sent{reportTo(east, mover), reportTo(north, mover)}},
 	} {
 		env.refuse = c.refuse
@@ -122,15 +122,16 @@ func TestReportTriesNextNearerNeighbourThenFloods(t *testing.T) {
 			t.Errorf("refusing %v: sent %v, want %v", c.refuse, got, c.want)
 		}
 	}
-	if got := cfg.Counters.DeadEndFloods.Load(); got != 1 {
-		t.Errorf("DeadEndFloods = %d, want 1", got)
+	if got := cfg.Counters.Snapshot(); got.DeadEndReports != 1 || got.DeadEndFloods != 1 {
+		t.Errorf("dead-end floods: %d reports of %d, want 1 of 1", got.DeadEndReports, got.DeadEndFloods)
 	}
 }
 
-// TestRootReleasesWaveMembersInStampOrder: the Root floods a wave member's
-// release only once every lower-stamped winner has reported, counts each
-// winner once however many copies of its report arrive, and carries the
-// round's successful hops on the next Activate.
+// TestRootReleasesWaveMembersInStampOrder: the Root routes a wave member's
+// release towards the member's bid cell only once every lower-stamped
+// winner has reported, releases each member once, counts each winner once
+// however many copies of its report arrive, and carries the round's
+// successful hops on the next Activate.
 func TestRootReleasesWaveMembersInStampOrder(t *testing.T) {
 	cfg := NewConfig(geom.V(0, 0), geom.V(0, 9))
 	cfg.ParallelMoves = 4
@@ -141,6 +142,9 @@ func TestRootReleasesWaveMembersInStampOrder(t *testing.T) {
 	b.isRoot, b.round = true, 3
 	b.moveSet = []lattice.BlockID{20, 21, 22, 23}
 	b.moveWaves = []uint8{0, 0, 1, 2}
+	// 22 bids east of I's diagonal and 23 north of it.
+	c22, c23 := geom.V(6, 2), geom.V(1, 7)
+	b.moveCells = []geom.Vec{geom.V(3, 3), geom.V(4, 3), c22, c23}
 	report := func(mover lattice.BlockID, success bool, son lattice.BlockID) msg.Message {
 		return msg.Message{Type: msg.TypeMoveDone, Round: 3, Mover: mover, Success: success, Son: son}
 	}
@@ -151,9 +155,10 @@ func TestRootReleasesWaveMembersInStampOrder(t *testing.T) {
 	}{
 		{"the first unordered winner", report(20, true, root), nil},
 		{"the second unordered winner", report(21, false, root),
-			[]sent{releaseTo(east, 22), releaseTo(north, 22)}},
+			[]sent{routed(releaseTo(east, 22, c22))}},
 		{"a flooded copy of a counted report", report(20, true, lattice.None), nil},
-		{"stamp 1", report(22, true, root), []sent{releaseTo(east, 23), releaseTo(north, 23)}},
+		{"stamp 1", report(22, true, root), []sent{routed(releaseTo(north, 23, c23))}},
+		{"a second copy of stamp 1's report", report(22, true, lattice.None), nil},
 		{"stamp 2", report(23, true, lattice.None), []sent{
 			{to: east, typ: msg.TypeActivate, hops: 3}, {to: north, typ: msg.TypeActivate, hops: 3}}},
 	}
@@ -168,22 +173,21 @@ func TestRootReleasesWaveMembersInStampOrder(t *testing.T) {
 	}
 }
 
-// TestWaveMemberHopsOnlyOnItsRelease: an ordered wave member acknowledges
-// its GO at once but hops only on its own release, whether the release
-// arrives after the GO or overtakes it.
+// TestWaveMemberHopsOnlyOnItsRelease: an ordered wave member holds its hop
+// until it holds both its GO entry and its own release, in either order,
+// and hops exactly once; a release for another member passes through it.
 func TestWaveMemberHopsOnlyOnItsRelease(t *testing.T) {
-	cfg := NewConfig(geom.V(0, 0), geom.V(0, 9))
-	cfg.ParallelMoves = 4
 	const round = 3
 	const father, other, self lattice.BlockID = 2, 3, 22
-	goMsg := msg.Message{Type: msg.TypeSelect, Round: round,
-		Cands: []msg.Cand{{ID: 20}, {ID: 21, Wave: 1}, {ID: self, Wave: 2}}}
-	release := func(id lattice.BlockID) msg.Message {
-		return msg.Message{Type: msg.TypeMoveDone, Round: round, IDShortest: id}
-	}
-	// member engages in the round; its hop attempt shows as its report.
+	cell := geom.V(5, 5)
+	goEntry := via(entry(round, self, cell, 2), self)
+	mine := via(release(round, self, cell), self)
+	// member engages in the round; its hop attempts show as move failures,
+	// since a scripted block plans no move.
 	member := func() (*BlockCode, *scriptedEnv) {
-		env := &scriptedEnv{id: self, cfg: cfg, pos: geom.V(5, 5), nt: [geom.NumDirs]lattice.BlockID{
+		cfg := NewConfig(geom.V(0, 0), geom.V(0, 9))
+		cfg.ParallelMoves = 4
+		env := &scriptedEnv{id: self, cfg: cfg, pos: cell, nt: [geom.NumDirs]lattice.BlockID{
 			geom.East: father, geom.North: other}}
 		b := newObservedFactory(cfg, nil, nil)(self).(*BlockCode)
 		b.OnStart(env)
@@ -192,31 +196,35 @@ func TestWaveMemberHopsOnlyOnItsRelease(t *testing.T) {
 		env.take()
 		return b, env
 	}
-	hopped := func(env *scriptedEnv) bool {
-		return slices.ContainsFunc(env.take(), func(s sent) bool {
-			return s.typ == msg.TypeMoveDone && s.mover == self
-		})
-	}
+	hops := func(b *BlockCode) int64 { return b.sh.cfg.Counters.MoveFailures.Load() }
 
 	b, env := member()
-	b.OnMessage(env, father, goMsg)
-	b.OnMessage(env, other, release(21))
-	if hopped(env) {
+	b.OnMessage(env, father, goEntry)
+	// 21's release is routed through this block, on to 21's cell north.
+	b.OnMessage(env, father, via(release(round, 21, geom.V(5, 9)), self))
+	if got, want := env.take(), []sent{routed(releaseTo(other, 21, geom.V(5, 9)))}; !slices.Equal(got, want) {
+		t.Errorf("GO first: sent %v before its release, want only %v relayed", got, want)
+	}
+	if hops(b) != 0 {
 		t.Fatal("GO first: the member hopped before its release")
 	}
-	b.OnMessage(env, other, release(self))
-	if !hopped(env) {
-		t.Error("GO first: the member did not hop on its release")
+	b.OnMessage(env, other, mine)
+	b.OnMessage(env, other, release(round, self, cell)) // a flooded copy too
+	if got := hops(b); got != 1 {
+		t.Errorf("GO first: the member hopped %d times on its release, want 1", got)
 	}
 
 	b, env = member()
-	b.OnMessage(env, other, release(self))
-	if hopped(env) {
-		t.Fatal("release first: the member hopped without its GO")
+	b.OnMessage(env, other, mine)
+	if hops(b) != 0 {
+		t.Fatal("release first: the member hopped without its GO entry")
 	}
-	b.OnMessage(env, father, goMsg)
-	if !hopped(env) {
-		t.Error("release first: the member did not hop when its GO arrived")
+	b.OnMessage(env, father, goEntry)
+	if got := hops(b); got != 1 {
+		t.Errorf("release first: the member hopped %d times when its entry arrived, want 1", got)
+	}
+	if slices.ContainsFunc(env.take(), func(s sent) bool { return s.typ == msg.TypeSelectAck }) {
+		t.Error("a batch winner sent a SelectAck")
 	}
 }
 

@@ -17,26 +17,47 @@ type sent struct {
 	to    lattice.BlockID
 	typ   msg.Type
 	mover lattice.BlockID // MoveDone report: the block that hopped
-	son   lattice.BlockID // MoveDone report: the routed copy's next holder
-	id    lattice.BlockID // MoveDone release: the released block
+	son   lattice.BlockID // routed copy: its next holder (None on a flood)
+	id    lattice.BlockID // GO entry or release: its recipient
+	cell  geom.Vec        // GO entry or release: the recipient's bid cell
+	wave  uint8           // GO entry: the recipient's wave stamp
 	hops  uint8           // Activate only
 }
 
-// goTo, reportTo, routedTo and releaseTo build expected sends.
-func goTo(to lattice.BlockID) sent { return sent{to: to, typ: msg.TypeSelect} }
+// entryTo, reportTo and releaseTo build expected flooded sends; routed
+// turns one into the routed copy handed to its receiver.
+func entryTo(to, id lattice.BlockID, cell geom.Vec, wave uint8) sent {
+	return sent{to: to, typ: msg.TypeSelect, id: id, cell: cell, wave: wave}
+}
 
-// reportTo is a flooded copy of mover's report.
 func reportTo(to, mover lattice.BlockID) sent {
 	return sent{to: to, typ: msg.TypeMoveDone, mover: mover}
 }
 
-// routedTo is a routed copy of mover's report.
-func routedTo(to, mover lattice.BlockID) sent {
-	return sent{to: to, typ: msg.TypeMoveDone, mover: mover, son: to}
+func releaseTo(to, id lattice.BlockID, cell geom.Vec) sent {
+	return sent{to: to, typ: msg.TypeMoveDone, id: id, cell: cell}
 }
 
-func releaseTo(to, id lattice.BlockID) sent {
-	return sent{to: to, typ: msg.TypeMoveDone, id: id}
+func routed(s sent) sent {
+	s.son = s.to
+	return s
+}
+
+// entry and release build a batch GO entry and a wave release of round for
+// id at cell, as the Root routes them; flooded clears Son.
+func entry(round uint32, id lattice.BlockID, cell geom.Vec, wave uint8) msg.Message {
+	return msg.Message{Type: msg.TypeSelect, Round: round, IDShortest: id, To: cell,
+		Cands: []msg.Cand{{ID: id, Wave: wave}}}
+}
+
+func release(round uint32, id lattice.BlockID, cell geom.Vec) msg.Message {
+	return msg.Message{Type: msg.TypeMoveDone, Round: round, IDShortest: id, To: cell}
+}
+
+// via returns m as a routed copy handed to son.
+func via(m msg.Message, son lattice.BlockID) msg.Message {
+	m.Son = son
+	return m
 }
 
 // scriptedEnv hosts one BlockCode on a cell and a Neighbor Table the test
@@ -75,8 +96,13 @@ func (e *scriptedEnv) Send(to lattice.BlockID, m msg.Message) error {
 		return errors.New("not adjacent")
 	}
 	rec := sent{to: to, typ: m.Type, mover: m.Mover, hops: m.Hops}
-	if m.Type == msg.TypeMoveDone {
-		rec.son, rec.id = m.Son, m.IDShortest
+	switch {
+	case m.Type == msg.TypeSelect && len(m.Cands) > 0:
+		rec.son, rec.id, rec.cell, rec.wave = m.Son, m.IDShortest, m.To, m.Cands[0].Wave
+	case m.Type == msg.TypeMoveDone && m.Mover == lattice.None:
+		rec.son, rec.id, rec.cell = m.Son, m.IDShortest, m.To
+	case m.Type == msg.TypeMoveDone:
+		rec.son = m.Son
 	}
 	e.sent = append(e.sent, rec)
 	if e.deliver != nil {
@@ -95,11 +121,12 @@ func (e *scriptedEnv) take() []sent {
 var _ exec.Env = (*scriptedEnv)(nil)
 
 // TestRepushOnlyToNeighboursLackingFloods drives one block of a k=4 run
-// through the floods a round retains — the GO, a dead-end MoveDone report
-// and the Root's wave releases — and checks which neighbours repushFloods
-// re-sends them to: none while the table is unchanged, a new neighbour
-// everything the block retains, and a neighbour that left and came back
-// every flood, including the release it missed.
+// through the dead-end floods a round retains — a GO entry, a MoveDone
+// report and a wave release — and a routed entry it relays, and checks
+// which neighbours repushFloods re-sends them to: none while the table is
+// unchanged, a new neighbour every flood the block retains but not the
+// routed entry, and a neighbour that left and came back every flood,
+// including the release it missed.
 func TestRepushOnlyToNeighboursLackingFloods(t *testing.T) {
 	cfg := NewConfig(geom.V(0, 0), geom.V(0, 9))
 	cfg.ParallelMoves = 4
@@ -113,22 +140,22 @@ func TestRepushOnlyToNeighboursLackingFloods(t *testing.T) {
 	b := newObservedFactory(cfg, nil, nil)(self).(*BlockCode)
 	b.OnStart(env)
 
-	release := func(id lattice.BlockID) msg.Message {
-		return msg.Message{Type: msg.TypeMoveDone, Round: round, IDShortest: id}
-	}
-	b.OnMessage(env, east, msg.Message{Type: msg.TypeSelect, Round: round,
-		Cands: []msg.Cand{{ID: 20}, {ID: 21, Wave: 1}, {ID: 22, Wave: 2}}})
+	c20, c21, c22, c23 := geom.V(9, 9), geom.V(1, 2), geom.V(5, 9), geom.V(8, 1)
+	b.OnMessage(env, east, entry(round, 20, c20, 0))
 	// A dead end flooded 20's report (Son = None: a flood, not routed).
 	b.OnMessage(env, north, msg.Message{Type: msg.TypeMoveDone, Round: round, Mover: 20,
 		From: geom.V(1, 1), To: geom.V(1, 2), Success: true})
-	b.OnMessage(env, west, release(21))
+	b.OnMessage(env, west, release(round, 21, c21))
+	// 22's entry is routed through this block, on to the north.
+	b.OnMessage(env, east, via(entry(round, 22, c22, 1), self))
 	want := []sent{
-		goTo(north), goTo(west),
+		entryTo(north, 20, c20, 0), entryTo(west, 20, c20, 0),
 		reportTo(east, 20), reportTo(west, 20),
-		releaseTo(east, 21), releaseTo(north, 21),
+		releaseTo(east, 21, c21), releaseTo(north, 21, c21),
+		routed(entryTo(north, 22, c22, 1)),
 	}
 	if got := env.take(); !slices.Equal(got, want) {
-		t.Fatalf("flood forwards %v, want %v", got, want)
+		t.Fatalf("forwards %v, want %v", got, want)
 	}
 
 	// (a) Every neighbour holds every flood: nothing to re-push.
@@ -137,11 +164,11 @@ func TestRepushOnlyToNeighboursLackingFloods(t *testing.T) {
 		t.Errorf("unchanged table: re-pushed %v, want nothing", got)
 	}
 
-	// (b) A new neighbour gets the GO, the report and the release, and no
-	// one else gets anything.
+	// (b) A new neighbour gets the entry, the report and the release, and
+	// no one else gets anything. The routed entry is not re-pushed.
 	env.nt[geom.South] = newcomer
 	b.OnNeighborhoodChanged(env)
-	want = []sent{goTo(newcomer), reportTo(newcomer, 20), releaseTo(newcomer, 21)}
+	want = []sent{entryTo(newcomer, 20, c20, 0), reportTo(newcomer, 20), releaseTo(newcomer, 21, c21)}
 	if got := env.take(); !slices.Equal(got, want) {
 		t.Errorf("new neighbour: re-pushed %v, want %v", got, want)
 	}
@@ -150,14 +177,15 @@ func TestRepushOnlyToNeighboursLackingFloods(t *testing.T) {
 	// comes back it is re-sent every flood, that release included.
 	env.nt[geom.West] = lattice.None
 	b.OnNeighborhoodChanged(env)
-	b.OnMessage(env, east, release(22))
-	want = []sent{releaseTo(north, 22), releaseTo(newcomer, 22)}
+	b.OnMessage(env, east, release(round, 23, c23))
+	want = []sent{releaseTo(north, 23, c23), releaseTo(newcomer, 23, c23)}
 	if got := env.take(); !slices.Equal(got, want) {
 		t.Fatalf("second release while west is away: sent %v, want %v", got, want)
 	}
 	env.nt[geom.West] = west
 	b.OnNeighborhoodChanged(env)
-	want = []sent{goTo(west), reportTo(west, 20), releaseTo(west, 21), releaseTo(west, 22)}
+	want = []sent{entryTo(west, 20, c20, 0), reportTo(west, 20),
+		releaseTo(west, 21, c21), releaseTo(west, 23, c23)}
 	if got := env.take(); !slices.Equal(got, want) {
 		t.Errorf("returning neighbour: re-pushed %v, want %v", got, want)
 	}

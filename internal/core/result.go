@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/lattice"
+	"repro/internal/msg"
 	"repro/internal/sim"
 )
 
@@ -25,6 +26,12 @@ type Result struct {
 	Applications int
 	// MessagesSent is the total block-to-block message count (Remark 3).
 	MessagesSent uint64
+	// MessagesByType splits MessagesSent by message type, indexed by
+	// msg.Type.Slot (entry 0 counts messages of an invalid type).
+	MessagesByType [msg.NumTypes + 1]uint64
+	// WireBytes is the encoded size of every message sent, summed from
+	// msg.Message.WireSize.
+	WireBytes uint64
 	// MessagesDropped counts messages the backend never delivered: a
 	// receiver with no host on the DES, a full block event channel on the
 	// goroutine runtime (0 in a healthy run).
@@ -70,6 +77,12 @@ func (r Result) String() string {
 // and (unless the instance is the degenerate I == O) the blocks are not all
 // collinear.
 func ValidateInstance(surf *lattice.Surface, cfg Config) error {
+	return validateInstance(surf, cfg, surf.Connected)
+}
+
+// validateInstance is ValidateInstance with Assumption 1 decided by
+// connected, which runs only once the cheaper checks before it passed.
+func validateInstance(surf *lattice.Surface, cfg Config, connected func() bool) error {
 	if !surf.InBounds(cfg.Input) || !surf.InBounds(cfg.Output) {
 		return fmt.Errorf("core: I=%s or O=%s outside the %dx%d surface",
 			cfg.Input, cfg.Output, surf.Width(), surf.Height())
@@ -80,7 +93,7 @@ func ValidateInstance(surf *lattice.Surface, cfg Config) error {
 	if cfg.Input != cfg.Output && surf.Occupied(cfg.Output) {
 		return fmt.Errorf("core: O=%s already occupied", cfg.Output)
 	}
-	if !surf.Connected() {
+	if !connected() {
 		return fmt.Errorf("core: initial ensemble not connected (Assumption 1)")
 	}
 	if surf.NumBlocks() >= 2 && cfg.Input != cfg.Output {

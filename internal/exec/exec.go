@@ -140,6 +140,12 @@ type Termination interface {
 type Metrics struct {
 	// MessagesSent counts Send calls accepted by ports.
 	MessagesSent uint64
+	// SentByType splits MessagesSent by message type, indexed by
+	// msg.Type.Slot: entry t counts the accepted sends of msg.Type t, and
+	// entry 0 those of an invalid type.
+	SentByType [msg.NumTypes + 1]uint64
+	// WireBytes sums msg.Message.WireSize over the accepted sends.
+	WireBytes uint64
 	// MessagesDelivered counts messages handed to BlockCodes.
 	MessagesDelivered uint64
 	// MessagesDropped counts messages never handed to a BlockCode: on the

@@ -156,8 +156,13 @@ func (s *Surface) invalidateConnCols(x0, x1 int) { s.shconn.invalidateCols(x0, x
 // the first constrained validation: every band core and the boundary
 // contraction graph. Harnesses call it once after loading a scenario so the
 // O(N) rebuild happens at boot, not inside the first measured election
-// round.
-func (s *Surface) WarmConnectivity() { s.shconn.ensure(s) }
+// round. It returns the number of 4-connected components the cache counts
+// (0 on an empty surface), so a caller can decide Assumption 1 without a
+// separate traversal.
+func (s *Surface) WarmConnectivity() int {
+	s.shconn.ensure(s)
+	return s.shconn.globalCompCount()
+}
 
 // rebuild runs one iterative Tarjan articulation-point pass over the
 // occupied cells of the band. All state lives in flat reusable arrays; the

@@ -3,8 +3,9 @@ package lattice
 import "repro/internal/geom"
 
 // PlannedMove is one single-block displacement of an ordered wave: the Root's
-// admission ladder validates candidate waves as a whole before flooding the
-// GO, using the positions and destinations the candidates' bids carried.
+// admission ladder validates candidate waves as a whole before sending the
+// winners their GO entries, using the positions and destinations the
+// candidates' bids carried.
 type PlannedMove struct {
 	From, To geom.Vec
 }

@@ -380,9 +380,10 @@ func assertBandsWarm(t *testing.T, s *Surface, after string) {
 	}
 }
 
-// TestShardedGlobalCompCount pins the contraction graph's component count to
-// a direct flood count over configurations engineered to span bands: combs,
-// bridges on boundary columns, and isolated islands per band.
+// TestShardedGlobalCompCount pins the contraction graph's component count,
+// as WarmConnectivity returns it, to a direct flood count over
+// configurations engineered to span bands: combs, bridges on boundary
+// columns, and isolated islands per band.
 func TestShardedGlobalCompCount(t *testing.T) {
 	s, err := NewSurface(30, 10)
 	if err != nil {
@@ -402,8 +403,7 @@ func TestShardedGlobalCompCount(t *testing.T) {
 	if err := s.EnableSharding(3); err != nil { // bands of width 10: x=10, 20 boundaries
 		t.Fatal(err)
 	}
-	s.WarmConnectivity()
-	if got := s.shconn.globalCompCount(); got != 3 {
+	if got := s.WarmConnectivity(); got != 3 {
 		t.Fatalf("3 islands: contraction counts %d components", got)
 	}
 	// Bridge the first gap (columns 8..10 at y=1): one component fewer.
@@ -412,8 +412,7 @@ func TestShardedGlobalCompCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.WarmConnectivity()
-	if got := s.shconn.globalCompCount(); got != 2 {
+	if got := s.WarmConnectivity(); got != 2 {
 		t.Fatalf("bridged islands: contraction counts %d components", got)
 	}
 	if s.Connected() {
@@ -444,8 +443,7 @@ func TestShardedCombBoundary(t *testing.T) {
 		}
 		teeth++
 	}
-	s.WarmConnectivity()
-	if got := s.shconn.globalCompCount(); got != teeth {
+	if got := s.WarmConnectivity(); got != teeth {
 		t.Fatalf("comb: contraction counts %d components, want %d", got, teeth)
 	}
 	if got := len(s.shconn.contr.edges[0].pairs); got != teeth {
@@ -459,8 +457,7 @@ func TestShardedCombBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.WarmConnectivity()
-	if got := s.shconn.globalCompCount(); got != 1 {
+	if got := s.WarmConnectivity(); got != 1 {
 		t.Fatalf("merged comb: contraction counts %d components", got)
 	}
 	if got := len(s.shconn.contr.edges[0].pairs); got != teeth {

@@ -9,11 +9,14 @@
 // MoveDone report each elected block sends the Root after its hop attempt,
 // and the Finished flood with which the Root ends Algorithm 1. A MoveDone
 // report travels to the Root along strictly decreasing distance to I and
-// is flooded only from a block with no nearer neighbour; the Root carries
-// the round's count of successful hops on the next Activate (Hops), and in
-// parallel-moves rounds it floods a MoveDone release to each ordered wave
-// member. For parallel-moves runs an Ack additionally carries the
-// subtree's top-K candidate list (up to MaxBatch entries).
+// is flooded only from a dead end; the Root carries the round's count of
+// successful hops on the next Activate (Hops). In parallel-moves rounds
+// the Root sends each winner its own GO entry (a Select with a one-entry
+// candidate list) and each ordered wave member a MoveDone release, both
+// along strictly decreasing distance to the recipient's bid cell (To) and
+// flooded only from a dead end. For parallel-moves runs an Ack
+// additionally carries the subtree's top-K candidate list (up to MaxBatch
+// entries).
 // Messages marshal to a variable-length wire format bounded by MaxWireSize:
 // Smart Blocks have small memories, so the codec keeps every message
 // byte-bounded.
@@ -41,33 +44,51 @@ const (
 	// subtree's best (distance, id); redundant-activation acks are neutral.
 	TypeAck
 	// TypeSelect is routed from the Root down the father/son tree to the
-	// elected block.
+	// elected block. In a parallel-moves round it is a winner's GO entry
+	// instead: its one-entry candidate list carries the winner's wave
+	// stamp, and it travels like a release (see TypeMoveDone).
 	TypeSelect
 	// TypeSelectAck is the elected block's acknowledgement, routed back up
-	// to the Root; its reception ends the distributed election.
+	// to the Root; its reception ends the distributed election. Only the
+	// serial protocol sends it: the Root sequences rounds on the MoveDone
+	// reports.
 	TypeSelectAck
 	// TypeMoveDone carries an elected block's hop outcome (Mover, From, To,
 	// Success) to the Root, which starts the next iteration once every
 	// winner of the round has reported. The report is routed: each holder
 	// hands it to one adjacent block strictly nearer I in Manhattan
-	// distance, naming that block in Son, and a holder with no nearer
-	// neighbour floods it (Son = lattice.None); the ensemble is connected
-	// (Remark 1), so the flood reaches the Root on I. The Root also floods
-	// a release (Mover = lattice.None, IDShortest = the released block) to
-	// let an ordered wave member of a parallel-moves round hop.
+	// distance, naming that block in Son, and a dead end floods it (Son =
+	// lattice.None); the ensemble is connected (Remark 1), so the flood
+	// reaches the Root on I. The Root also sends a release (Mover =
+	// lattice.None, IDShortest = the released block, To = its bid cell) to
+	// let an ordered wave member of a parallel-moves round hop. A release,
+	// like a GO entry, is routed the same way towards To, and flooded from
+	// a dead end: a block with no nearer neighbour, or a block on To that
+	// is not the recipient.
 	TypeMoveDone
 	// TypeFinished is flooded by the Root when Algorithm 1 terminates.
 	TypeFinished
 
-	numTypes = 6
+	// NumTypes is the number of message types: the valid Types are
+	// 1..NumTypes.
+	NumTypes = 6
 )
 
-var typeNames = [numTypes + 1]string{
+var typeNames = [NumTypes + 1]string{
 	"invalid", "activate", "ack", "select", "select-ack", "move-done", "finished",
 }
 
 // Valid reports whether t is a known message type.
 func (t Type) Valid() bool { return t >= TypeActivate && t <= TypeFinished }
+
+// Slot is t's index in a table with one entry per message type, such as
+// exec.Metrics.SentByType: t itself when valid, 0 for an invalid type.
+func (t Type) Slot() int {
+	if !t.Valid() {
+		return 0
+	}
+	return int(t)
+}
 
 // String implements fmt.Stringer.
 func (t Type) String() string {
@@ -193,11 +214,12 @@ func (f Footprint) TouchesWindow(center geom.Vec, radius int) bool {
 // bidder's position, whether the bidder is currently a cut vertex of the
 // ensemble (its lone departure would split the surface; see
 // exec.Env.CutVertex), the planned destination To and the write footprint Fp
-// of the planned move. In a GO flood the Root reuses the entry to carry each
-// winner's wave ordering stamp (Wave; 0 = unordered — no other admitted
-// winner's writes touch this winner's sensing window or vice versa; s >= 1 —
-// the s-th ordered wave member, which hops only when the Root floods its
-// release, once every lower-stamped member has reported its MoveDone).
+// of the planned move. In a winner's GO entry the Root reuses the entry to
+// carry the winner's wave ordering stamp (Wave; 0 = unordered — no other
+// admitted winner's writes touch this winner's sensing window or vice
+// versa; s >= 1 — the s-th ordered wave member, which hops only on the
+// Root's release, once every lower-stamped member has reported its
+// MoveDone).
 type Cand struct {
 	ID       lattice.BlockID
 	Distance int32
@@ -222,25 +244,26 @@ type Message struct {
 
 	// Election fields (Activate/Ack/Select/SelectAck).
 	Father           lattice.BlockID // sender for Activate; destination for Ack
-	Son              lattice.BlockID // destination for Activate and a routed MoveDone; sender for Ack
+	Son              lattice.BlockID // destination for Activate and a routed MoveDone or GO entry; sender for Ack
 	Output           geom.Vec        // position of O (Activate; Assumption 2 state)
 	ShortestDistance int32           // current best distance to O
 	IDShortest       lattice.BlockID // block achieving ShortestDistance; the elected or released block
 
-	// Top-K candidate list (Ack and batch GO, parallel-moves runs): exactly
-	// the entries carried, in election order, at most MaxBatch of them. It
-	// is nil for every other message; an empty list means a neutral or
-	// serial-protocol ack, and the legacy ShortestDistance/IDShortest pair
-	// always mirrors Cands[0] when the list is not empty. A list is never
-	// written after it is sent: copies of a message share its backing
-	// array, and blocks retain and re-send the GO flood they received, so
-	// one array is read by many blocks (and, on the goroutine runtime, by
-	// many goroutines).
+	// Top-K candidate list (Ack, parallel-moves runs): exactly the entries
+	// carried, in election order, at most MaxBatch of them; a batch GO
+	// entry carries the one entry of its winner. It is nil for every other
+	// message; an empty list means a neutral or serial-protocol ack, and
+	// the legacy ShortestDistance/IDShortest pair always mirrors Cands[0]
+	// when the list is not empty. A list is never written after it is
+	// sent: copies of a message share its backing array — every relay of a
+	// GO entry copies it, and a dead end's flood of it is retained and
+	// re-sent — so one array can be read by several blocks (and, on the
+	// goroutine runtime, by several goroutines).
 	Cands []Cand
 
 	// Outcome fields (MoveDone/Finished).
 	Mover    lattice.BlockID // block that moved (MoveDone); None on a release
-	From, To geom.Vec        // executed hop (MoveDone)
+	From, To geom.Vec        // executed hop (report); To: the bid cell a GO entry or release travels to
 	Success  bool            // MoveDone: hop executed; Finished: path built
 }
 

@@ -37,6 +37,11 @@ func TestMarshalRoundTrip(t *testing.T) {
 		{Type: TypeFinished, Round: 55, Success: true},
 		{Type: TypeMoveDone, Round: 1, Mover: 2, From: geom.V(0, 0), To: geom.V(5, 7), Son: 8},
 		{Type: TypeMoveDone, Round: 2, IDShortest: 6},
+		// A batch GO entry and a wave release, each routed towards its
+		// recipient's bid cell (To) and handed to Son.
+		{Type: TypeSelect, Round: 9, Tier: TierRetreat, Son: 5, IDShortest: 4, To: geom.V(7, 3),
+			Cands: []Cand{{ID: 4, Wave: 2}}},
+		{Type: TypeMoveDone, Round: 9, Son: 5, IDShortest: 4, To: geom.V(7, 3)},
 		{
 			Type: TypeAck, Round: 4, Father: 2, Son: 9,
 			ShortestDistance: 3, IDShortest: 9,
@@ -79,7 +84,7 @@ func TestMarshalRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := Message{
-			Type:             Type(1 + rng.Intn(numTypes)),
+			Type:             Type(1 + rng.Intn(NumTypes)),
 			Round:            rng.Uint32(),
 			Tier:             Tier(rng.Intn(2)),
 			Hops:             uint8(rng.Intn(256)),

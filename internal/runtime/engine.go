@@ -57,6 +57,8 @@ type Engine struct {
 	hosts []*host
 
 	sent      atomic.Uint64
+	byType    [msg.NumTypes + 1]atomic.Uint64
+	wire      atomic.Uint64
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
 	events    atomic.Uint64
@@ -165,13 +167,18 @@ func (e *Engine) Metrics() exec.Metrics {
 	if elapsed == 0 && e.booted {
 		elapsed = time.Since(e.started).Nanoseconds()
 	}
-	return exec.Metrics{
+	m := exec.Metrics{
 		MessagesSent:      e.sent.Load(),
+		WireBytes:         e.wire.Load(),
 		MessagesDelivered: e.delivered.Load(),
 		MessagesDropped:   e.dropped.Load(),
 		Events:            e.events.Load(),
 		VirtualTime:       elapsed,
 	}
+	for t := range e.byType {
+		m.SentByType[t] = e.byType[t].Load()
+	}
+	return m
 }
 
 // loop is the per-block goroutine: it serialises all hooks of one block.
@@ -250,6 +257,8 @@ func (h *host) Send(to lattice.BlockID, m msg.Message) error {
 		return fmt.Errorf("runtime: unknown block %d", to)
 	}
 	e.sent.Add(1)
+	e.byType[m.Type.Slot()].Add(1)
+	e.wire.Add(uint64(m.WireSize()))
 	target.post(event{kind: evMessage, from: h.id, m: m})
 	return nil
 }

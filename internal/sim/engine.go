@@ -32,6 +32,10 @@ type Engine struct {
 	sent    uint64 // Send calls accepted by ports
 	deliver uint64 // messages handed to OnMessage
 	dropped uint64 // messages whose receiver has no host when they land
+	// byType and wire split the accepted sends by type and sum their wire
+	// sizes (see exec.Metrics).
+	byType [msg.NumTypes + 1]uint64
+	wire   uint64
 
 	// pool is the typed event arena: fired engEvents return here, so the
 	// deliver/moved/neighborhood hot paths schedule without allocating once
@@ -158,6 +162,8 @@ func (e *Engine) Drive(ctx context.Context) error {
 func (e *Engine) Metrics() exec.Metrics {
 	return exec.Metrics{
 		MessagesSent:      e.sent,
+		SentByType:        e.byType,
+		WireBytes:         e.wire,
 		MessagesDelivered: e.deliver,
 		MessagesDropped:   e.dropped,
 		Events:            e.sched.Processed(),
@@ -180,6 +186,8 @@ func (h *host) Send(to lattice.BlockID, m msg.Message) error {
 		return err
 	}
 	e.sent++
+	e.byType[m.Type.Slot()]++
+	e.wire += uint64(m.WireSize())
 	ev := e.newEvent(evDeliver)
 	ev.from, ev.to, ev.m = h.id, to, m
 	e.sched.Schedule(e.latency.Delay(e.sched.Rand()), ev)
