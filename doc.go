@@ -9,6 +9,20 @@
 // iterated distributed elections over a Dijkstra-Scholten activity graph,
 // under the support-constrained motion rules of the paper's §IV.
 //
+// In each election the Root floods Activate messages over the blocks'
+// Neighbor Tables. A block engages on its first Activate, whose sender
+// becomes its father, bids, and activates its other neighbours; once each
+// of them has acknowledged, it acks its father with the best bids of its
+// subtree, and the Root's last ack decides the round. A block that is
+// already engaged does nothing with a further Activate, and sends nothing
+// either: its own Activate crossed that one on the same edge, and each of
+// the two acknowledges the other (Chang's echo). So a tree edge carries an
+// Activate and an Ack per round, and any other edge two Activates. The
+// acknowledgement the paper sends for a redundant activation is a neutral
+// Ack, which remains only for an Activate that crossed none: one of an
+// older round, or from a neighbour the block did not activate. Healthy runs
+// never send one (core.Counters.NeutralAcks).
+//
 // The library lives under internal/: geometry (geom), the Table I/II event
 // system (event), Motion/Presence matrices (matrix), the rule library with
 // its Fig. 7 XML format (rules), the surface physics (lattice), the

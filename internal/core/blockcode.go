@@ -34,12 +34,24 @@ type BlockCode struct {
 
 	// Dijkstra–Scholten engagement (one tracker, reused every round).
 	ds dsterm.Tracker[lattice.BlockID]
+	// activated lists the neighbours whose ports accepted this block's
+	// Activate of the current round and that have not acknowledged it yet,
+	// lattice.None elsewhere (the father is never activated). Either
+	// acknowledgement clears a port: the subtree Ack of a neighbour the
+	// Activate engaged, or the crossing Activate of a neighbour that engaged
+	// first (the echo, see onActivate).
+	activated [geom.NumDirs]lattice.BlockID
 	// agg folds this node's bid with its children's acks; it also keeps the
 	// routing pointer (Via) the Select message follows. It survives
 	// disengagement until the next round resets it, and only its methods
 	// read it (ackFather copies the kept list out), so one aggregator
 	// serves every round.
 	agg election.Aggregator
+	// ackCands is the candidate list of this block's last father-ack. A
+	// block acks once per round and its father folds the list before the
+	// Root can open the next round, so ackFather refills the same array
+	// every round.
+	ackCands []msg.Cand
 
 	round  uint32
 	tier   msg.Tier
@@ -167,7 +179,9 @@ type BlockCode struct {
 
 	// win is the planner's view of the sensing window; plan points it at
 	// the running hook's Env, so an enumeration allocates no window source.
-	win sensed
+	// plans holds every plan's applications and candidates.
+	win   sensed
+	plans planBuf
 }
 
 // avoidCell returns the planner exclusion for this block at the given tier;
@@ -181,10 +195,11 @@ func (b *BlockCode) avoidCell(tier msg.Tier) *geom.Vec {
 }
 
 // plan enumerates this block's admissible moves from pos at the given tier
-// (planCandidates), reading the sensing window through env.
+// (planCandidates), reading the sensing window through env. The list is
+// valid until the block's next plan.
 func (b *BlockCode) plan(env exec.Env, pos geom.Vec, tier msg.Tier) []CandidateMove {
 	b.win.env = env
-	return planCandidates(b.sh.cfg, env.Library(), pos, &b.win, tier, b.avoidCell(tier))
+	return planCandidates(b.sh.cfg, env.Library(), pos, &b.win, tier, b.avoidCell(tier), &b.plans)
 }
 
 // newObservedFactory returns the exec.CodeFactory for one run of the
@@ -244,6 +259,7 @@ func (b *BlockCode) startElection(env exec.Env, tier msg.Tier) {
 	b.sh.emit.emit(Event{Kind: EventRoundStarted, Round: int(b.round), Tier: tier,
 		Batch: b.sh.cfg.parallelK()})
 	if err := b.ds.BeginRoot(b.round); err != nil {
+		b.sh.cfg.Counters.RootBeginFailures.Add(1)
 		b.finish(env, false)
 		return
 	}
@@ -261,7 +277,7 @@ func (b *BlockCode) startElection(env exec.Env, tier msg.Tier) {
 		IDShortest:       b.id,
 		Hops:             uint8(hops),
 	}
-	sent := b.sendToNeighbors(env, &init, lattice.None)
+	sent := b.activate(env, &init, lattice.None)
 	if done, err := b.ds.RecordSent(sent); err != nil || done {
 		// A Root with no neighbours cannot build anything (excluded by
 		// Assumption 2, handled defensively).
@@ -297,6 +313,7 @@ func (b *BlockCode) OnMessage(env exec.Env, from lattice.BlockID, m msg.Message)
 func (b *BlockCode) onActivate(env exec.Env, from lattice.BlockID, m *msg.Message) {
 	class, err := b.ds.OnActivate(m.Round, from)
 	if err != nil {
+		b.sh.cfg.Counters.RejectedActivates.Add(1)
 		return
 	}
 	switch class {
@@ -325,20 +342,75 @@ func (b *BlockCode) onActivate(env exec.Env, from lattice.BlockID, m *msg.Messag
 			fwd.ShortestDistance = own.Distance
 			fwd.IDShortest = b.id
 		}
-		sent := b.sendToNeighbors(env, &fwd, from)
-		if done, err := b.ds.RecordSent(sent); err == nil && done {
+		done, err := b.ds.RecordSent(b.activate(env, &fwd, from))
+		switch {
+		case err != nil:
+			b.sh.cfg.Counters.RejectedActivates.Add(1)
+		case done:
 			b.ackFather(env)
 		}
-	case dsterm.Redundant, dsterm.Stale:
-		// "An active block ... does nothing" — except the acknowledgement
-		// the Dijkstra-Scholten protocol requires, carrying a neutral bid.
-		neutral := election.Neutral()
-		_ = env.Send(from, msg.Message{
-			Type: msg.TypeAck, Round: m.Round, Tier: m.Tier,
-			Father: from, Son: b.id,
-			ShortestDistance: neutral.Distance, IDShortest: neutral.ID,
-		})
+	case dsterm.Redundant:
+		// "An active block ... does nothing." A neighbour engaged in this
+		// round before this block's Activate reached it has sent its own
+		// Activate across the same edge, and each of the two crossing
+		// Activates acknowledges the other (Chang's echo): the edge carries
+		// two messages, and neither side sends an Ack. The Neighbor Tables
+		// are symmetric and still during an election — the Root opens a
+		// round only after every hop of the last one has reported — so on
+		// a healthy run a redundant Activate always comes from a neighbour
+		// this block activated.
+		if !b.clearActivated(from) {
+			b.neutralAck(env, from, m)
+			return
+		}
+		done, err := b.ds.OnAck(m.Round)
+		switch {
+		case err != nil:
+			b.sh.cfg.Counters.RejectedActivates.Add(1)
+		case done:
+			b.complete(env)
+		}
+	case dsterm.Stale:
+		b.neutralAck(env, from, m)
 	}
+}
+
+// neutralAck answers an Activate this block's own Activate did not cross —
+// one from a neighbour it did not activate, or one of an older round — with
+// the acknowledgement the Dijkstra–Scholten protocol requires, carrying a
+// neutral bid. Healthy runs never send one.
+func (b *BlockCode) neutralAck(env exec.Env, from lattice.BlockID, m *msg.Message) {
+	b.sh.cfg.Counters.NeutralAcks.Add(1)
+	neutral := election.Neutral()
+	_ = env.Send(from, msg.Message{
+		Type: msg.TypeAck, Round: m.Round, Tier: m.Tier,
+		Father: from, Son: b.id,
+		ShortestDistance: neutral.Distance, IDShortest: neutral.ID,
+	})
+}
+
+// activate sends the round's Activate *m to every neighbour but father,
+// remembers in activated the ones whose ports accepted it and returns how
+// many did.
+func (b *BlockCode) activate(env exec.Env, m *msg.Message, father lattice.BlockID) int {
+	b.activated = env.Neighbors()
+	sent := sendTo(env, m, &b.activated, father)
+	b.clearActivated(father)
+	return sent
+}
+
+// clearActivated removes nb from activated and reports whether it was
+// there.
+func (b *BlockCode) clearActivated(nb lattice.BlockID) bool {
+	if nb == lattice.None {
+		return false
+	}
+	i := slices.Index(b.activated[:], nb)
+	if i < 0 {
+		return false
+	}
+	b.activated[i] = lattice.None
+	return true
 }
 
 // foldWidth is how many candidates this node's aggregator keeps: the serial
@@ -362,12 +434,14 @@ func (b *BlockCode) foldWidth() int {
 func (b *BlockCode) onAck(env exec.Env, from lattice.BlockID, m *msg.Message) {
 	done, err := b.ds.OnAck(m.Round)
 	if err != nil {
+		b.sh.cfg.Counters.RejectedAcks.Add(1)
 		return
 	}
+	b.clearActivated(from)
 	if len(m.Cands) > 0 {
 		for i := range m.Cands {
 			c := &m.Cands[i]
-			kept := b.agg.Fold(&election.Candidate{
+			if b.agg.Fold(&election.Candidate{
 				Distance: c.Distance,
 				Priority: election.PriorityFor(b.sh.cfg.TieBreak, m.Round, c.ID),
 				ID:       c.ID,
@@ -375,13 +449,13 @@ func (b *BlockCode) onAck(env exec.Env, from lattice.BlockID, m *msg.Message) {
 				Cut:      c.Cut,
 				To:       c.To,
 				Fp:       c.Fp,
-			}, from)
-			if !kept {
-				// The bounded top-K truncated a real bid (the msg.MaxBatch
-				// wire limit). Correctness is unaffected — truncation only
-				// drops candidates worse than every kept one, so the global
-				// best always survives — but the count surfaces in the
-				// message-stats event instead of vanishing silently.
+			}, from) {
+				// The bounded top-K lost a real bid (the msg.MaxBatch wire
+				// limit): this one, or the last kept entry it evicted.
+				// Correctness is unaffected — the lost bid is worse than
+				// every kept one, so the global best always survives — but
+				// the count surfaces in the message-stats event instead of
+				// vanishing silently.
 				b.sh.cfg.Counters.CandidatesDropped.Add(1)
 			}
 		}
@@ -392,9 +466,14 @@ func (b *BlockCode) onAck(env exec.Env, from lattice.BlockID, m *msg.Message) {
 			ID:       m.IDShortest,
 		}, from)
 	}
-	if !done {
-		return
+	if done {
+		b.complete(env)
 	}
+}
+
+// complete runs when this block's deficit clears: the Root's election is
+// decided, and any other block reports its subtree to its father.
+func (b *BlockCode) complete(env exec.Env) {
 	if b.isRoot {
 		b.onElectionComplete(env)
 		return
@@ -413,12 +492,13 @@ func (b *BlockCode) ackFather(env exec.Env) {
 		ShortestDistance: best.Distance, IDShortest: best.ID,
 	}
 	if b.sh.cfg.parallelK() > 1 {
-		m.Cands = make([]msg.Cand, b.agg.Len())
-		for i := range m.Cands {
+		b.ackCands = b.ackCands[:0]
+		for i := range b.agg.Len() {
 			c := b.agg.At(i)
-			m.Cands[i] = msg.Cand{ID: c.ID, Distance: c.Distance, Pos: c.Pos,
-				Cut: c.Cut, To: c.To, Fp: c.Fp}
+			b.ackCands = append(b.ackCands, msg.Cand{ID: c.ID, Distance: c.Distance, Pos: c.Pos,
+				Cut: c.Cut, To: c.To, Fp: c.Fp})
 		}
+		m.Cands = b.ackCands
 	}
 	_ = env.Send(b.father, m)
 	b.ds.Disengage()
@@ -470,6 +550,7 @@ func (b *BlockCode) onElectionComplete(env exec.Env) {
 		via, ok := b.agg.ViaFor(id)
 		if !ok || via == lattice.None {
 			// The Root itself won — impossible, it always bids Neutral.
+			b.sh.cfg.Counters.RootSelfWins.Add(1)
 			b.finish(env, false)
 			return
 		}

@@ -178,11 +178,29 @@ type Counters struct {
 	// CandidateEnumerations counts move-planning passes.
 	CandidateEnumerations atomic.Int64
 	// CandidatesDropped counts non-neutral candidates truncated by the
-	// bounded top-K fold (the msg.MaxBatch wire limit): folds where a bid
-	// was worse than every kept entry of an already-full aggregator. The
-	// count surfaces in the Observer's message-stats event so silent
-	// truncation is visible.
+	// bounded top-K fold (the msg.MaxBatch wire limit): a bid worse than
+	// every kept entry of an already-full aggregator, or the last kept entry
+	// a better bid evicts from it. A node that folds n bids drops
+	// max(0, n-K) of them, whatever order its acks arrive in. The count
+	// surfaces in the Observer's message-stats event so silent truncation
+	// is visible.
 	CandidatesDropped atomic.Int64
+	// NeutralAcks counts the neutral Acks a block sends to an Activate its
+	// own Activate did not cross: one from a neighbour it did not activate,
+	// or one of an older round. A crossing Activate acknowledges its twin,
+	// so healthy runs send none.
+	NeutralAcks atomic.Int64
+	// RejectedActivates and RejectedAcks count the Activates and Acks the
+	// Dijkstra–Scholten tracker refused as protocol violations (see
+	// dsterm's errors), which the block code drops. RootBeginFailures
+	// counts elections the Root could not open because it was still
+	// engaged, and RootSelfWins serial elections the Root itself won,
+	// though it always bids neutral; either ends the run unsuccessfully.
+	// All four read 0 on healthy runs.
+	RejectedActivates atomic.Int64
+	RejectedAcks      atomic.Int64
+	RootBeginFailures atomic.Int64
+	RootSelfWins      atomic.Int64
 	// DeadEndReports, DeadEndEntries and DeadEndReleases count the routed
 	// messages of each kind that met a dead end (see CounterValues.
 	// DeadEndFloods) and were flooded from there: MoveDone reports on their
@@ -203,6 +221,11 @@ func (c *Counters) Snapshot() CounterValues {
 		MoveFailures:          c.MoveFailures.Load(),
 		CandidateEnumerations: c.CandidateEnumerations.Load(),
 		CandidatesDropped:     c.CandidatesDropped.Load(),
+		NeutralAcks:           c.NeutralAcks.Load(),
+		RejectedActivates:     c.RejectedActivates.Load(),
+		RejectedAcks:          c.RejectedAcks.Load(),
+		RootBeginFailures:     c.RootBeginFailures.Load(),
+		RootSelfWins:          c.RootSelfWins.Load(),
 		DeadEndReports:        c.DeadEndReports.Load(),
 		DeadEndEntries:        c.DeadEndEntries.Load(),
 		DeadEndReleases:       c.DeadEndReleases.Load(),
@@ -220,6 +243,11 @@ type CounterValues struct {
 	MoveFailures          int64
 	CandidateEnumerations int64
 	CandidatesDropped     int64
+	NeutralAcks           int64
+	RejectedActivates     int64
+	RejectedAcks          int64
+	RootBeginFailures     int64
+	RootSelfWins          int64
 	// DeadEndFloods counts every routed message that met a dead end and
 	// was flooded from there: a block with no adjacent block nearer the
 	// message's target, or whose nearer ports all refused, or a block on

@@ -93,7 +93,7 @@ func TestLookaheadVeto(t *testing.T) {
 	err := lookaheadVeto(cfg, lib, stuck, sc)
 	anyMobile := false
 	for _, pos := range unfrozenPositions(cfg, stuck) {
-		if len(planCandidates(cfg, lib, pos, stuck, 1, nil)) > 0 {
+		if len(planCandidates(cfg, lib, pos, stuck, 1, nil, &planBuf{})) > 0 {
 			anyMobile = true
 		}
 	}

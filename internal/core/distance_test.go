@@ -137,10 +137,18 @@ func TestCountersSnapshot(t *testing.T) {
 	c.DeadEndReports.Add(6)
 	c.DeadEndEntries.Add(7)
 	c.DeadEndReleases.Add(8)
+	c.NeutralAcks.Add(9)
+	c.RejectedActivates.Add(10)
+	c.RejectedAcks.Add(11)
+	c.RootBeginFailures.Add(12)
+	c.RootSelfWins.Add(13)
+	c.CandidatesDropped.Add(14)
 	s := c.Snapshot()
 	if s.DistanceComputations != 3 || s.Elections != 2 || s.EscapeElections != 1 ||
 		s.MoveFailures != 4 || s.CandidateEnumerations != 5 ||
-		s.DeadEndReports != 6 || s.DeadEndEntries != 7 || s.DeadEndReleases != 8 || s.DeadEndFloods != 21 {
+		s.DeadEndReports != 6 || s.DeadEndEntries != 7 || s.DeadEndReleases != 8 || s.DeadEndFloods != 21 ||
+		s.NeutralAcks != 9 || s.RejectedActivates != 10 || s.RejectedAcks != 11 ||
+		s.RootBeginFailures != 12 || s.RootSelfWins != 13 || s.CandidatesDropped != 14 {
 		t.Errorf("snapshot = %+v", s)
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"repro/internal/exec"
 	"repro/internal/geom"
@@ -39,9 +41,19 @@ type CandidateMove struct {
 // The result is ordered best-first: nearer destination, then fewer moved
 // blocks (a plain slide beats a carry when both reach the same cell, to
 // minimise total block moves), then a stable deterministic key.
-func planCandidates(cfg Config, lib *rules.Library, pos geom.Vec, src rules.WindowSource, tier msg.Tier, avoid *geom.Vec) []CandidateMove {
+func planCandidates(cfg Config, lib *rules.Library, pos geom.Vec, src rules.WindowSource, tier msg.Tier, avoid *geom.Vec, buf *planBuf) []CandidateMove {
 	cfg.Counters.CandidateEnumerations.Add(1)
-	return filterCandidates(cfg, lib.ApplicationsOn(pos, src), pos, tier, avoid)
+	buf.apps = lib.AppendApplicationsOn(buf.apps[:0], pos, src)
+	buf.cands = filterCandidates(cfg, buf.cands[:0], buf.apps, pos, tier, avoid)
+	return buf.cands
+}
+
+// planBuf holds the applications and candidates of a plan. planCandidates
+// appends into it, so a warm plan allocates nothing, and the list it
+// returns is valid until the next plan on the same buffer.
+type planBuf struct {
+	apps  []rules.Application
+	cands []CandidateMove
 }
 
 // sensed reads a block's sensing window as a rules.WindowSource: windows
@@ -106,37 +118,42 @@ func hasAdmissibleOn(cfg Config, lib *rules.Library, pos geom.Vec, src rules.Win
 }
 
 // filterCandidates applies the admissibility rules of eq. (9) to the
-// physics-valid applications and orders the survivors best-first.
-func filterCandidates(cfg Config, apps []rules.Application, pos geom.Vec, tier msg.Tier, avoid *geom.Vec) []CandidateMove {
-	var out []CandidateMove
+// physics-valid applications, appends the survivors to dst and orders them
+// best-first.
+func filterCandidates(cfg Config, dst []CandidateMove, apps []rules.Application, pos geom.Vec, tier msg.Tier, avoid *geom.Vec) []CandidateMove {
 	for _, app := range apps {
 		if mv, ok := admissibleMove(cfg, app, pos, tier, avoid); ok {
-			out = append(out, mv)
+			dst = append(dst, mv)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
+	slices.SortStableFunc(dst, func(a, b CandidateMove) int {
 		// 1. Joining the path beats everything: a block that freezes onto
 		//    a path cell leaves the mobile pool for good (eq. (8)).
-		fi, fj := cfg.Frozen(out[i].To), cfg.Frozen(out[j].To)
-		if fi != fj {
-			return fi
+		if fa, fb := cfg.Frozen(a.To), cfg.Frozen(b.To); fa != fb {
+			if fa {
+				return -1
+			}
+			return 1
 		}
 		// 2. Nearer destination.
-		di := out[i].To.Manhattan(cfg.Output)
-		dj := out[j].To.Manhattan(cfg.Output)
-		if di != dj {
-			return di < dj
+		if c := cmp.Compare(a.To.Manhattan(cfg.Output), b.To.Manhattan(cfg.Output)); c != 0 {
+			return c
 		}
 		// 3. Fewer moved blocks (a slide beats a carry to the same cell).
-		ni, nj := len(out[i].App.Rule.Moves), len(out[j].App.Rule.Moves)
-		if ni != nj {
-			return ni < nj
+		if c := cmp.Compare(len(a.App.Rule.Moves), len(b.App.Rule.Moves)); c != 0 {
+			return c
 		}
 		// 4. Stable deterministic key.
-		if out[i].App.Rule.Name != out[j].App.Rule.Name {
-			return out[i].App.Rule.Name < out[j].App.Rule.Name
+		if c := strings.Compare(a.App.Rule.Name, b.App.Rule.Name); c != 0 {
+			return c
 		}
-		return out[i].App.Anchor.Less(out[j].App.Anchor)
+		switch {
+		case a.App.Anchor.Less(b.App.Anchor):
+			return -1
+		case b.App.Anchor.Less(a.App.Anchor):
+			return 1
+		}
+		return 0
 	})
-	return out
+	return dst
 }

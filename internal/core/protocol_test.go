@@ -2,9 +2,11 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/msg"
 	"repro/internal/rules"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -27,6 +29,52 @@ func TestElectionActivatesEveryBlock(t *testing.T) {
 	if res.Counters.DistanceComputations != want {
 		t.Errorf("distance computations = %d, want rounds*(N-1) = %d",
 			res.Counters.DistanceComputations, want)
+	}
+}
+
+// TestHealthyElectionsEchoEveryRedundantActivate: on healthy runs of
+// both backends — fig10, and slope top=30 at k = 1, 4 and 16 — every
+// redundant Activate crosses the Activate it acknowledges, so no block
+// sends a neutral Ack and every Ack is the one father-ack of a block
+// engaged in its round: Acks equal distance computations. No protocol
+// fault is counted either.
+func TestHealthyElectionsEchoEveryRedundantActivate(t *testing.T) {
+	for _, backend := range []struct {
+		name string
+		f    core.BackendFactory
+	}{{"des", core.DES}, {"async", core.Async}} {
+		for _, c := range []struct {
+			name string
+			k    int
+		}{{"fig10", 1}, {"slope", 1}, {"slope", 4}, {"slope", 16}} {
+			t.Run(fmt.Sprintf("%s/%s/k=%d", backend.name, c.name, c.k), func(t *testing.T) {
+				s, err := scenario.Fig10()
+				if c.name == "slope" {
+					s, err = scenario.Build("slope", scenario.Params{"top": 30})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := s.Config()
+				cfg.ParallelMoves = c.k
+				res, err := core.NewEngine(rules.StandardLibrary(), core.WithBackend(backend.f)).
+					Run(context.Background(), s.Surface, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Success {
+					t.Fatalf("run failed: %v", res)
+				}
+				ctr := res.Counters
+				if ctr.NeutralAcks != 0 || ctr.RejectedActivates != 0 || ctr.RejectedAcks != 0 ||
+					ctr.RootBeginFailures != 0 || ctr.RootSelfWins != 0 {
+					t.Errorf("counters %+v, want no neutral ack and no protocol fault", ctr)
+				}
+				if acks := res.MessagesByType[msg.TypeAck]; acks != uint64(ctr.DistanceComputations) {
+					t.Errorf("%d Acks, want one per distance computation, %d", acks, ctr.DistanceComputations)
+				}
+			})
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ type sent struct {
 	typ   msg.Type
 	mover lattice.BlockID // MoveDone report: the block that hopped
 	son   lattice.BlockID // routed copy: its next holder (None on a flood)
-	id    lattice.BlockID // GO entry or release: its recipient
+	id    lattice.BlockID // GO entry or release: its recipient; Ack: its best bid
 	cell  geom.Vec        // GO entry or release: the recipient's bid cell
 	wave  uint8           // GO entry: the recipient's wave stamp
 	hops  uint8           // Activate only
@@ -103,6 +103,8 @@ func (e *scriptedEnv) Send(to lattice.BlockID, m msg.Message) error {
 		rec.son, rec.id, rec.cell = m.Son, m.IDShortest, m.To
 	case m.Type == msg.TypeMoveDone:
 		rec.son = m.Son
+	case m.Type == msg.TypeAck:
+		rec.id = m.IDShortest
 	}
 	e.sent = append(e.sent, rec)
 	if e.deliver != nil {

@@ -5,7 +5,8 @@
 // neighbours; every activation message must eventually be acknowledged; a
 // node acknowledges its father only after all of its own activations have
 // been acknowledged; when the Root's deficit reaches zero, every node has
-// disengaged and the computation has terminated.
+// disengaged and the computation has terminated. Two activations that
+// cross on one edge may acknowledge each other (see Redundant).
 //
 // The package is transport-agnostic: callers move messages however they
 // like (the DES engine, goroutine channels, or in-process queues in tests)
@@ -36,11 +37,16 @@ const (
 	// Engaged: first activation of this round; the sender becomes the
 	// node's father and the node must now activate its other neighbours.
 	Engaged Classification = iota
-	// Redundant: the node is already engaged in this round; the activation
-	// must be acknowledged immediately with a neutral ack so the sender's
-	// deficit clears (the "if an active block receives an activation
-	// message from a neighbor, then it does nothing" case — nothing except
-	// the protocol-mandated acknowledgement).
+	// Redundant: the node already engaged in this round (the "if an active
+	// block receives an activation message from a neighbor, then it does
+	// nothing" case). On a graph that holds still during the round, the
+	// sender engaged before the node's own activation reached it, so the
+	// two activations cross on their edge: the caller counts the sender's
+	// as the acknowledgement of its own activation to the sender (OnAck)
+	// and sends nothing, and the sender does the same (Chang's echo
+	// algorithm, IEEE TSE 1982). An activation that crossed none — the
+	// node did not activate the sender — must be acknowledged at once with
+	// a neutral ack, so the sender's deficit clears.
 	Redundant
 	// Stale: the activation belongs to an earlier round (possible only if
 	// the transport reorders across rounds); it must be acknowledged
@@ -94,12 +100,13 @@ func (t *Tracker[ID]) BeginRoot(round uint32) error {
 //
 // A node engages at most once per round: late activations arriving after
 // the node already participated (engaged and possibly disengaged) in the
-// round are Redundant and get a neutral ack. Classic Dijkstra–Scholten
-// would re-engage such a node; for a single-shot election per round the
-// node's contribution has already been folded into its first father-ack,
-// and neutral acks preserve the termination guarantee (every activation is
-// acknowledged, and a node still acknowledges its father only after all of
-// its own activations are acknowledged).
+// round are Redundant, and acknowledged by the crossing activation or a
+// neutral ack. Classic Dijkstra–Scholten would re-engage such a node; for
+// a single-shot election per round the node's contribution has already
+// been folded into its first father-ack, and either acknowledgement
+// preserves the termination guarantee (every activation is acknowledged,
+// and a node still acknowledges its father only after all of its own
+// activations are acknowledged).
 func (t *Tracker[ID]) OnActivate(round uint32, from ID) (Classification, error) {
 	switch {
 	case t.started && round < t.round:

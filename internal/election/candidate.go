@@ -158,14 +158,17 @@ func (a *Aggregator) Reset(own Candidate, k int) {
 }
 
 // Fold merges a candidate reported by neighbour `from` into the top-K set
-// and reports whether it was kept; it copies *c only into a kept slot.
-// Neutral candidates are the fold identity: never kept, but not a drop
-// either (they lost nothing). A false return for a non-neutral candidate
-// means the bounded top-K truncated it — callers that care about silent
-// truncation at the wire bound count these.
-func (a *Aggregator) Fold(c *Candidate, from lattice.BlockID) bool {
+// and reports whether the bounded set lost a bid doing so: c itself, when
+// it is worse than every entry of a full set, or the last entry, which c
+// evicts from a full set. Either way one bid is gone for good, since the
+// kept set only improves, so a node that folds n non-neutral bids loses
+// max(0, n-K) of them whatever order they arrive in — callers that care
+// about silent truncation at the wire bound count these. Neutral candidates
+// are the fold identity: never kept, and never a loss. Fold copies *c only
+// into a kept slot.
+func (a *Aggregator) Fold(c *Candidate, from lattice.BlockID) (dropped bool) {
 	if c.Distance == msg.InfiniteDistance { // c.IsNeutral() would copy *c
-		return true
+		return false
 	}
 	// Find the insertion point in the Better order (entries are tiny: k <=
 	// msg.MaxBatch, so a linear scan beats anything clever). c goes after
@@ -176,14 +179,15 @@ func (a *Aggregator) Fold(c *Candidate, from lattice.BlockID) bool {
 		i++
 	}
 	if i == a.k {
-		return false // worse than every kept candidate
+		return true // worse than every kept candidate
 	}
-	if len(a.entries) < a.k {
+	dropped = len(a.entries) == a.k
+	if !dropped {
 		a.entries = append(a.entries, slot{})
 	}
 	copy(a.entries[i+1:], a.entries[i:])
 	a.entries[i].c, a.entries[i].via = *c, from
-	return true
+	return dropped
 }
 
 // Best returns the best kept candidate, or Neutral when nothing was kept.

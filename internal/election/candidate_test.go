@@ -169,6 +169,41 @@ func TestTopKFoldOrderInsensitive(t *testing.T) {
 	}
 }
 
+// TestFoldDropsCountTruncation: over one node's folds, Fold reports
+// max(0, n-K) drops for n non-neutral bids, whatever order they arrive in:
+// a bid that evicts the last kept entry of a full set is a drop, like a bid
+// that loses to every kept entry.
+func TestFoldDropsCountTruncation(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var agg Aggregator
+	for trial := 0; trial < 200; trial++ {
+		k := 1 + rng.Intn(msg.MaxBatch)
+		bids := make([]Candidate, rng.Intn(3*k))
+		n := 0
+		for i := range bids {
+			bids[i] = randCandidate(rng)
+			if !bids[i].IsNeutral() {
+				bids[i].ID = lattice.BlockID(1 + i) // each block bids once
+				n++
+			}
+		}
+		want := max(0, n-k)
+		for shuffle := 0; shuffle < 5; shuffle++ {
+			agg.Reset(Neutral(), k)
+			dropped := 0
+			for _, i := range rng.Perm(len(bids)) {
+				if agg.Fold(&bids[i], lattice.BlockID(100+i)) {
+					dropped++
+				}
+			}
+			if dropped != want || agg.Len() != min(n, k) {
+				t.Fatalf("trial %d, shuffle %d: %d drops and %d kept of %d bids at K=%d, want %d and %d",
+					trial, shuffle, dropped, agg.Len(), n, k, want, min(n, k))
+			}
+		}
+	}
+}
+
 func TestPriorityModes(t *testing.T) {
 	if PriorityFor(TieLowestID, 7, 3) != 0 {
 		t.Error("lowest-id mode must have zero priorities")

@@ -40,8 +40,13 @@ const (
 	// TypeActivate engages a neighbour in the Dijkstra–Scholten diffusing
 	// computation of the current election (paper §V-C).
 	TypeActivate Type = iota + 1
-	// TypeAck acknowledges an activation. First-activation acks carry the
-	// subtree's best (distance, id); redundant-activation acks are neutral.
+	// TypeAck acknowledges the activation that engaged its sender, once
+	// the sender's own activations are acknowledged, and carries the
+	// subtree's best (distance, id). A redundant activation gets no Ack:
+	// it crosses the Activate its receiver sent the other way over the
+	// same edge, and each of the two acknowledges the other (an echo).
+	// Only an activation that crossed none — one of an older round, or
+	// from a sender the receiver did not activate — gets a neutral Ack.
 	TypeAck
 	// TypeSelect is routed from the Root down the father/son tree to the
 	// elected block. In a parallel-moves round it is a winner's GO entry
@@ -254,11 +259,14 @@ type Message struct {
 	// entry carries the one entry of its winner. It is nil for every other
 	// message; an empty list means a neutral or serial-protocol ack, and
 	// the legacy ShortestDistance/IDShortest pair always mirrors Cands[0]
-	// when the list is not empty. A list is never written after it is
-	// sent: copies of a message share its backing array — every relay of a
-	// GO entry copies it, and a dead end's flood of it is retained and
-	// re-sent — so one array can be read by several blocks (and, on the
-	// goroutine runtime, by several goroutines).
+	// when the list is not empty. Copies of a message share its backing
+	// array — every relay of a GO entry copies it, and a dead end's flood
+	// of it is retained and re-sent — so one array can be read by several
+	// blocks (and, on the goroutine runtime, by several goroutines). A GO
+	// entry's list is never written after it is sent. A block reuses one
+	// array for the ack lists of every round: it writes the array again
+	// only for its next round's ack, and the Root cannot open that round
+	// before the father has folded this one.
 	Cands []Cand
 
 	// Outcome fields (MoveDone/Finished).

@@ -12,9 +12,9 @@
 //
 // The event core (Scheduler) is a ring of FIFO buckets, one per tick of
 // virtual time: scheduling an event and popping the earliest one take
-// constant time plus a bitmap scan to the next busy tick. It holds 24 bytes
-// per pending event and 8 bytes per tick of the longest delay scheduled,
-// and refuses delays of 2^20 ticks or more.
+// constant time plus a two-level bitmap scan to the next busy tick. It holds
+// 24 bytes per pending event and 8 bytes per tick of the longest delay
+// scheduled, and refuses delays of 2^20 ticks or more.
 package sim
 
 import (
@@ -58,8 +58,10 @@ type Scheduler struct {
 	// tick t in the window with t&mask == i; head[i] == 0 marks it empty.
 	head, tail []int32
 	mask       Time
-	// busy has bit i set iff bucket i is non-empty.
-	busy []uint64
+	// busy has bit i set iff bucket i is non-empty, and summary has bit w
+	// set iff busy[w] is non-zero, so earliest skips 64 empty words per
+	// summary word it reads.
+	busy, summary []uint64
 	// nodes holds every pending event; nodes[0] is unused, so 0 means "no
 	// node". free heads the list of released nodes, linked through next.
 	nodes []node
@@ -138,6 +140,7 @@ func (s *Scheduler) link(i Time, n int32) {
 	if s.head[i] == 0 {
 		s.head[i] = n
 		s.busy[i>>6] |= 1 << (i & 63)
+		s.summary[i>>12] |= 1 << (i >> 6 & 63)
 	} else {
 		s.nodes[s.tail[i]].next = n
 	}
@@ -157,7 +160,9 @@ func (s *Scheduler) Step() bool {
 	ev := nd.ev
 	s.head[i] = nd.next
 	if nd.next == 0 {
-		s.busy[i>>6] &^= 1 << (i & 63)
+		if s.busy[i>>6] &^= 1 << (i & 63); s.busy[i>>6] == 0 {
+			s.summary[i>>12] &^= 1 << (i >> 6 & 63)
+		}
 	}
 	// Release the node, dropping its Event reference.
 	*nd = node{next: s.free}
@@ -176,16 +181,35 @@ func (s *Scheduler) earliest() Time {
 	start := s.now & s.mask
 	w := int(start >> 6)
 	word := s.busy[w] &^ (1<<(start&63) - 1)
-	for word == 0 {
-		// Back at start's word after the wrap, its low bits are the window's
-		// latest ticks.
-		if w++; w == len(s.busy) {
-			w = 0
+	if word == 0 {
+		// The next busy word after start's, in ring order. Back at start's
+		// word after the wrap, its low bits are the window's latest ticks.
+		next, ok := s.busyWordFrom(w + 1)
+		if !ok {
+			next, _ = s.busyWordFrom(0)
 		}
+		w = next
 		word = s.busy[w]
 	}
 	i := Time(w<<6 + bits.TrailingZeros64(word))
 	return s.now + (i-start)&s.mask
+}
+
+// busyWordFrom returns the first non-zero busy word at or after index w,
+// read off the summary, or false when there is none.
+func (s *Scheduler) busyWordFrom(w int) (int, bool) {
+	j := w >> 6
+	if j >= len(s.summary) {
+		return 0, false
+	}
+	word := s.summary[j] &^ (1<<(w&63) - 1)
+	for word == 0 {
+		if j++; j == len(s.summary) {
+			return 0, false
+		}
+		word = s.summary[j]
+	}
+	return j<<6 + bits.TrailingZeros64(word), true
 }
 
 // Run executes events until the queue drains or maxEvents have run in this
@@ -244,6 +268,7 @@ func (s *Scheduler) rebuild(size, slabCap int) {
 	s.head = make([]int32, size)
 	s.tail = make([]int32, size)
 	s.busy = make([]uint64, (size+63)/64)
+	s.summary = make([]uint64, (len(s.busy)+63)/64)
 	s.mask = Time(size - 1)
 	s.nodes = make([]node, 1, max(slabCap, s.pending+1))
 	s.free = 0

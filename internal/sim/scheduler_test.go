@@ -2,6 +2,7 @@ package sim
 
 import (
 	"cmp"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -239,6 +240,75 @@ func TestSchedulerMatchesSortedOrder(t *testing.T) {
 			t.Fatalf("firing %d is event %d at %d, want event %d at %d",
 				i, fired[i].seq, fired[i].t, want[i].seq, want[i].t)
 		}
+	}
+}
+
+// earliestByScan is earliest without the summary bitmap: it scans the busy
+// words one by one from now's bucket, wrapping once around the ring.
+func earliestByScan(s *Scheduler) Time {
+	start := s.now & s.mask
+	w := int(start >> 6)
+	word := s.busy[w] &^ (1<<(start&63) - 1)
+	for word == 0 {
+		if w++; w == len(s.busy) {
+			w = 0
+		}
+		word = s.busy[w]
+	}
+	i := Time(w<<6 + bits.TrailingZeros64(word))
+	return s.now + (i-start)&s.mask
+}
+
+// TestSchedulerSummaryMatchesLinearScan is a differential test of the
+// summary bitmap over random schedule and pop sequences whose delays wrap
+// the ring, grow it (rebuild) and let it shrink again under pending events
+// (maybeShrink): before every pop, each summary bit says whether its busy
+// word is non-empty, and earliest agrees with a linear scan of the busy
+// words.
+func TestSchedulerSummaryMatchesLinearScan(t *testing.T) {
+	s := NewScheduler(1)
+	rng := rand.New(rand.NewSource(3))
+	pops, wraps, multiWord, shrank := 0, 0, false, false
+	pop := func() {
+		for w, word := range s.busy {
+			if bit := s.summary[w>>6]>>(w&63)&1 == 1; bit != (word != 0) {
+				t.Fatalf("pop %d: summary bit of busy word %d is %t, word %#x", pops, w, bit, word)
+			}
+		}
+		got, want := s.earliest(), earliestByScan(s)
+		if got != want {
+			t.Fatalf("pop %d: earliest = %d, linear scan %d (now %d, ring %d)", pops, got, want, s.now, len(s.head))
+		}
+		if got&s.mask < s.now&s.mask {
+			wraps++
+		}
+		multiWord = multiWord || len(s.summary) > 1
+		if rng.Intn(50) == 0 {
+			ring := len(s.head)
+			s.Run(1) // pops once, then may shrink
+			shrank = shrank || s.pending > 0 && len(s.head) < ring
+		} else {
+			s.Step()
+		}
+		pops++
+	}
+	for _, maxDelay := range []Time{50, 5_000, 300_000, 2_000, 100} {
+		for i := 0; i < 3_000; i++ {
+			s.Schedule(Time(rng.Int63n(int64(maxDelay)+1)), eventFunc(func() {}))
+			if rng.Intn(3) == 0 {
+				pop()
+			}
+		}
+		for s.pending > 0 {
+			pop()
+			if rng.Intn(4) == 0 {
+				s.Schedule(Time(rng.Int63n(int64(maxDelay)+1)), eventFunc(func() {}))
+			}
+		}
+	}
+	if wraps == 0 || !multiWord || !shrank {
+		t.Fatalf("the drive never wrapped (%d), used a multi-word summary (%t) or shrank under pending events (%t)",
+			wraps, multiWord, shrank)
 	}
 }
 
