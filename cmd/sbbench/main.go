@@ -9,7 +9,7 @@
 //	sbbench -list            list the experiments
 //	sbbench -exp fig10       run one experiment
 //	sbbench -exp all         run the full evaluation
-//	sbbench -json            measure the hot-path kernels, write BENCH_33.json
+//	sbbench -json            measure the hot-path kernels, write BENCH_34.json
 //	sbbench -json -scale     add the 5e5/8e6 sharded flatness kernels
 //
 // -cpuprofile/-memprofile write pprof profiles of the measured work, so a
@@ -35,7 +35,7 @@ func main() {
 		jsonMode = flag.Bool("json", false, "emit a machine-readable bench record")
 		// The default tracks the current PR number (BENCH_<N>.json is the
 		// per-PR trajectory convention CI's bench gate diffs against).
-		jsonOut    = flag.String("o", "BENCH_33.json", "output path for -json")
+		jsonOut    = flag.String("o", "BENCH_34.json", "output path for -json")
 		scale      = flag.Bool("scale", false, "include the 5e5/8e6 sharded flatness kernels in -json (slow, hundreds of MB)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile at exit to this file")

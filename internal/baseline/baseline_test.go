@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/lattice"
 	"repro/internal/rules"
 	"repro/internal/scenario"
 )
@@ -166,6 +167,24 @@ func TestFreeMotionFig10(t *testing.T) {
 	// 11 path cells, 5 pre-occupied by the initial column: 6 elections.
 	if res.Rounds != 6 {
 		t.Errorf("rounds = %d, want 6", res.Rounds)
+	}
+}
+
+// TestFreeMotionRejectsSurfaceBeyondWireWidth: the baseline validates its
+// instance as core does, so it refuses a surface with a side over
+// core.MaxSurfaceSide.
+func TestFreeMotionRejectsSurfaceBeyondWireWidth(t *testing.T) {
+	surf, err := lattice.NewSurface(core.MaxSurfaceSide+1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []geom.Vec{geom.V(1, 0), geom.V(2, 0), geom.V(1, 1)} {
+		if _, err := surf.Place(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := RunFreeMotion(surf, geom.V(1, 0), geom.V(1, 2)); err == nil {
+		t.Error("a surface one column over core.MaxSurfaceSide was accepted")
 	}
 }
 

@@ -72,7 +72,7 @@ type BlockCode struct {
 	// batchReachedO remembers whether any reported hop landed on O.
 	moveSet       []lattice.BlockID
 	moveWaves     []uint8
-	moveCells     []geom.Vec
+	moveCells     []msg.Cell
 	reported      uint32
 	released      uint32
 	batchReachedO bool
@@ -199,7 +199,7 @@ func (b *BlockCode) avoidCell(tier msg.Tier) *geom.Vec {
 // valid until the block's next plan.
 func (b *BlockCode) plan(env exec.Env, pos geom.Vec, tier msg.Tier) []CandidateMove {
 	b.win.env = env
-	return planCandidates(b.sh.cfg, env.Library(), pos, &b.win, tier, b.avoidCell(tier), &b.plans)
+	return planCandidates(&b.sh.cfg, env.Library(), pos, &b.win, tier, b.avoidCell(tier), &b.plans)
 }
 
 // newObservedFactory returns the exec.CodeFactory for one run of the
@@ -271,7 +271,7 @@ func (b *BlockCode) startElection(env exec.Env, tier msg.Tier) {
 		Round:  b.round,
 		Tier:   tier,
 		Father: b.id,
-		Output: b.sh.cfg.Output,
+		Output: msg.CellOf(b.sh.cfg.Output),
 		// Eqs. (6)-(7): the initial bound is |O-I| attributed to the Root.
 		ShortestDistance: b.sh.cfg.InitialShortestDistance(),
 		IDShortest:       b.id,
@@ -442,13 +442,8 @@ func (b *BlockCode) onAck(env exec.Env, from lattice.BlockID, m *msg.Message) {
 		for i := range m.Cands {
 			c := &m.Cands[i]
 			if b.agg.Fold(&election.Candidate{
-				Distance: c.Distance,
+				Cand:     *c,
 				Priority: election.PriorityFor(b.sh.cfg.TieBreak, m.Round, c.ID),
-				ID:       c.ID,
-				Pos:      c.Pos,
-				Cut:      c.Cut,
-				To:       c.To,
-				Fp:       c.Fp,
 			}, from) {
 				// The bounded top-K lost a real bid (the msg.MaxBatch wire
 				// limit): this one, or the last kept entry it evicted.
@@ -461,9 +456,8 @@ func (b *BlockCode) onAck(env exec.Env, from lattice.BlockID, m *msg.Message) {
 		}
 	} else {
 		b.agg.Fold(&election.Candidate{
-			Distance: m.ShortestDistance,
+			Cand:     msg.Cand{Distance: m.ShortestDistance, ID: m.IDShortest},
 			Priority: election.PriorityFor(b.sh.cfg.TieBreak, m.Round, m.IDShortest),
-			ID:       m.IDShortest,
 		}, from)
 	}
 	if done {
@@ -492,12 +486,7 @@ func (b *BlockCode) ackFather(env exec.Env) {
 		ShortestDistance: best.Distance, IDShortest: best.ID,
 	}
 	if b.sh.cfg.parallelK() > 1 {
-		b.ackCands = b.ackCands[:0]
-		for i := range b.agg.Len() {
-			c := b.agg.At(i)
-			b.ackCands = append(b.ackCands, msg.Cand{ID: c.ID, Distance: c.Distance, Pos: c.Pos,
-				Cut: c.Cut, To: c.To, Fp: c.Fp})
-		}
+		b.ackCands = b.agg.AppendCands(b.ackCands[:0])
 		m.Cands = b.ackCands
 	}
 	_ = env.Send(b.father, m)
@@ -622,8 +611,10 @@ func (b *BlockCode) admitWinners(env exec.Env, dst []lattice.BlockID) []lattice.
 	k := b.sh.cfg.parallelK()
 	radius := env.SensingRadius()
 	b.moveWaves, b.moveCells = b.moveWaves[:0], b.moveCells[:0]
-	var admitted [msg.MaxBatch]election.Candidate
+	// The admitted winners' planned moves and write footprints, in
+	// admission order.
 	var planned [msg.MaxBatch]lattice.PlannedMove
+	var fps [msg.MaxBatch]msg.Footprint
 	var taken [msg.MaxBatch]bool
 	n := 0
 	// Pass 1: the window-disjoint move-set. The best candidate is admitted
@@ -633,23 +624,23 @@ func (b *BlockCode) admitWinners(env exec.Env, dst []lattice.BlockID) []lattice.
 	// fill slots the disjoint pass left open.
 	for i := 0; i < b.agg.Len() && n < k; i++ {
 		c := b.agg.At(i)
+		pos := c.Pos.Vec()
 		if n > 0 {
 			if c.Cut || c.Fp.Empty() {
 				continue
 			}
 			ok := true
 			for j := 0; j < n; j++ {
-				a := admitted[j]
-				if a.Fp.Empty() {
+				if fps[j].Empty() {
 					// No footprint to test against (non-compact rule):
 					// fall back to the coarse window-vs-window distance.
-					if c.Pos.Chebyshev(a.Pos) <= 2*radius {
+					if pos.Chebyshev(planned[j].From) <= 2*radius {
 						ok = false
 						break
 					}
 					continue
 				}
-				if c.Fp.TouchesWindow(a.Pos, radius) || a.Fp.TouchesWindow(c.Pos, radius) {
+				if c.Fp.TouchesWindow(planned[j].From, radius) || fps[j].TouchesWindow(pos, radius) {
 					ok = false
 					break
 				}
@@ -658,8 +649,8 @@ func (b *BlockCode) admitWinners(env exec.Env, dst []lattice.BlockID) []lattice.
 				continue
 			}
 		}
-		admitted[n] = c
-		planned[n] = lattice.PlannedMove{From: c.Pos, To: c.To}
+		planned[n] = lattice.PlannedMove{From: pos, To: c.To.Vec()}
+		fps[n] = c.Fp
 		taken[i] = true
 		n++
 		dst = append(dst, c.ID)
@@ -684,12 +675,13 @@ func (b *BlockCode) admitWinners(env exec.Env, dst []lattice.BlockID) []lattice.
 		if c.Cut || c.Fp.Empty() || bits.OnesCount64(c.Fp.Write) > 2 {
 			continue
 		}
-		dir := c.To.Sub(c.Pos)
+		move := lattice.PlannedMove{From: c.Pos.Vec(), To: c.To.Vec()}
+		dir := move.To.Sub(move.From)
 		ok := true
 		for j := 0; j < n; j++ {
-			a := admitted[j]
-			overlap := c.Fp.WritesOverlap(a.Fp)
-			if !overlap && !c.Fp.TouchesWindow(a.Pos, radius) && !a.Fp.TouchesWindow(c.Pos, radius) {
+			a := planned[j]
+			overlap := c.Fp.WritesOverlap(fps[j])
+			if !overlap && !c.Fp.TouchesWindow(a.From, radius) && !fps[j].TouchesWindow(move.From, radius) {
 				continue
 			}
 			// The coupled winner must be a member of the train this candidate
@@ -698,10 +690,10 @@ func (b *BlockCode) admitWinners(env exec.Env, dst []lattice.BlockID) []lattice.
 			// product). Oblique couplings — a mover diagonally offset from
 			// the axis — are the ones whose combined surface writes carve
 			// pockets a serial execution never would, so they contend.
-			ahead := a.Pos.Sub(c.Pos)
-			if a.To.Sub(a.Pos) != dir || ahead.X*dir.X+ahead.Y*dir.Y <= 0 ||
+			ahead := a.From.Sub(move.From)
+			if a.To.Sub(a.From) != dir || ahead.X*dir.X+ahead.Y*dir.Y <= 0 ||
 				ahead.X*dir.Y != ahead.Y*dir.X ||
-				bits.OnesCount64(a.Fp.Write) > 2 {
+				bits.OnesCount64(fps[j].Write) > 2 {
 				ok = false
 				break
 			}
@@ -710,7 +702,7 @@ func (b *BlockCode) admitWinners(env exec.Env, dst []lattice.BlockID) []lattice.
 			// predecessor vacates (both are simple two-cell hops, so the
 			// shared cell is the only possible overlap). The what-if below
 			// replays the moves in stamp order, so the vacancy is modelled.
-			if overlap && c.To != a.Pos {
+			if overlap && move.To != a.From {
 				ok = false
 				break
 			}
@@ -718,11 +710,11 @@ func (b *BlockCode) admitWinners(env exec.Env, dst []lattice.BlockID) []lattice.
 		if !ok {
 			continue
 		}
-		planned[n] = lattice.PlannedMove{From: c.Pos, To: c.To}
+		planned[n] = move
 		if env.ValidateMoveSet(planned[:n+1]) != n+1 {
 			continue
 		}
-		admitted[n] = c
+		fps[n] = c.Fp
 		n++
 		dst = append(dst, c.ID)
 		b.moveWaves = append(b.moveWaves, nextStamp)
@@ -733,20 +725,24 @@ func (b *BlockCode) admitWinners(env exec.Env, dst []lattice.BlockID) []lattice.
 }
 
 // onSelect handles the second election phase. A serial Select (no candidate
-// list) is routed down the father/son tree exactly as the paper specifies.
-// A batch GO entry (a one-entry candidate list) is routed towards its
-// winner's bid cell, or flooded from a dead end; the winner hops on it.
+// list) is routed down the father/son tree exactly as the paper specifies;
+// one of another round, or for a winner no subtree of this block reported,
+// is dropped and counted. A batch GO entry (a one-entry candidate list) is
+// routed towards its winner's bid cell, or flooded from a dead end; the
+// winner hops on it.
 func (b *BlockCode) onSelect(env exec.Env, from lattice.BlockID, m *msg.Message) {
 	if len(m.Cands) > 0 {
 		b.onGoEntry(env, from, m)
 		return
 	}
 	if m.Round != b.round {
+		b.sh.cfg.Counters.StaleSelects.Add(1)
 		return
 	}
 	if m.IDShortest != b.id {
 		via, ok := b.agg.ViaFor(m.IDShortest)
 		if !ok || via == lattice.None {
+			b.sh.cfg.Counters.UnroutedSelects.Add(1)
 			return
 		}
 		_ = env.Send(via, *m)
@@ -762,10 +758,15 @@ func (b *BlockCode) onSelect(env exec.Env, from lattice.BlockID, m *msg.Message)
 
 // onGoEntry handles one winner's batch GO entry: relayed on towards the
 // winner's bid cell (To) unless this block is the winner, which hops on the
-// current round's entry. Batch winners send no SelectAck: the Root
-// sequences on the MoveDone reports (see maybeAdvance).
+// current round's entry and drops, counting it, an entry of another round.
+// Batch winners send no SelectAck: the Root sequences on the MoveDone
+// reports (see maybeAdvance).
 func (b *BlockCode) onGoEntry(env exec.Env, from lattice.BlockID, m *msg.Message) {
-	if !b.relay(env, from, m, m.To, m.IDShortest == b.id) || m.Round != b.round {
+	if !b.relay(env, from, m, m.To, m.IDShortest == b.id) {
+		return
+	}
+	if m.Round != b.round {
+		b.sh.cfg.Counters.StaleEntries.Add(1)
 		return
 	}
 	if m.Cands[0].Wave >= 1 {
@@ -785,7 +786,7 @@ func (b *BlockCode) onGoEntry(env exec.Env, from lattice.BlockID, m *msg.Message
 // should act on it. A routed copy for another block travels on towards
 // target; a flooded one is forwarded once per round, and the recipient
 // acts on its first copy.
-func (b *BlockCode) relay(env exec.Env, from lattice.BlockID, m *msg.Message, target geom.Vec, mine bool) bool {
+func (b *BlockCode) relay(env exec.Env, from lattice.BlockID, m *msg.Message, target msg.Cell, mine bool) bool {
 	if m.Son != lattice.None {
 		if !mine {
 			b.route(env, m, target)
@@ -941,8 +942,8 @@ func (b *BlockCode) performHop(env exec.Env, tier msg.Tier, waveMember bool) {
 func (b *BlockCode) reportOutcome(env exec.Env, from, to geom.Vec, success bool) {
 	b.route(env, &msg.Message{
 		Type: msg.TypeMoveDone, Round: b.round, Tier: b.tier,
-		Mover: b.id, From: from, To: to, Success: success,
-	}, env.Input())
+		Mover: b.id, From: msg.CellOf(from), To: msg.CellOf(to), Success: success,
+	}, msg.CellOf(env.Input()))
 }
 
 // route hands m to one adjacent block strictly nearer target in Manhattan
@@ -956,7 +957,7 @@ func (b *BlockCode) reportOutcome(env exec.Env, from, to geom.Vec, success bool)
 // recipient (a winner's replanned move displaced it). A dead end floods m
 // instead; the ensemble is connected (Remark 1), so the flood reaches the
 // recipient.
-func (b *BlockCode) route(env exec.Env, m *msg.Message, target geom.Vec) {
+func (b *BlockCode) route(env exec.Env, m *msg.Message, target msg.Cell) {
 	nt := env.Neighbors()
 	sides, n := towards(env.Position(), target)
 	for _, d := range sides[:n] {
@@ -986,8 +987,8 @@ func (b *BlockCode) route(env exec.Env, m *msg.Message, target geom.Vec) {
 // none on target itself, one when pos shares a row or column with it, two
 // otherwise. The axis with the larger remaining gap comes first, which
 // keeps a route near the diagonal, where both sides stay open longest.
-func towards(pos, target geom.Vec) (sides [2]geom.Dir, n int) {
-	dx, dy := target.X-pos.X, target.Y-pos.Y
+func towards(pos geom.Vec, target msg.Cell) (sides [2]geom.Dir, n int) {
+	dx, dy := int(target.X)-pos.X, int(target.Y)-pos.Y
 	x, y := geom.East, geom.North
 	if dx < 0 {
 		x, dx = geom.West, -dx
@@ -1046,7 +1047,7 @@ func (b *BlockCode) onMoveDone(env exec.Env, from lattice.BlockID, m *msg.Messag
 	case b.isRoot:
 		b.onReport(env, m)
 	default:
-		b.relay(env, from, m, env.Input(), false)
+		b.relay(env, from, m, msg.CellOf(env.Input()), false)
 	}
 }
 
@@ -1062,7 +1063,7 @@ func (b *BlockCode) onReport(env exec.Env, m *msg.Message) {
 	b.reported |= 1 << i
 	if m.Success {
 		b.roundHops++
-		if m.To == b.sh.cfg.Output {
+		if m.To.Vec() == b.sh.cfg.Output {
 			b.batchReachedO = true
 		}
 	}
@@ -1221,7 +1222,7 @@ const failStreakEscalate = 4
 // interference filter consumes (the latter only sampled when a batch run
 // can use it — the serial protocol never reads it).
 func (b *BlockCode) ownCandidate(env exec.Env, round uint32, tier msg.Tier) election.Candidate {
-	cfg := b.sh.cfg
+	cfg := &b.sh.cfg
 	cfg.Counters.DistanceComputations.Add(1)
 	pos := env.Position()
 	suppressed := b.suppressedFor > 0
@@ -1247,18 +1248,15 @@ func (b *BlockCode) ownCandidate(env exec.Env, round uint32, tier msg.Tier) elec
 		cut = env.CutVertex()
 	}
 	c := election.Candidate{
-		Distance: d,
+		Cand:     msg.Cand{ID: b.id, Distance: d, Pos: msg.CellOf(pos), Cut: cut},
 		Priority: election.PriorityFor(cfg.TieBreak, round, b.id),
-		ID:       b.id,
-		Pos:      pos,
-		Cut:      cut,
 	}
 	if planned != nil {
 		// Stamp the bid with the best plan's destination and cell footprint,
 		// so the Root's admission ladder can reason about interference
 		// exactly (only computed when a batch run can consume it — the
 		// serial protocol's bids stay bit-identical to the paper's).
-		c.To = planned.To
+		c.To = msg.CellOf(planned.To)
 		c.Fp = moveFootprint(planned.App)
 	}
 	return c
@@ -1278,7 +1276,7 @@ func moveFootprint(app rules.Application) msg.Footprint {
 	}
 	r := mm.Radius()
 	size := 2*r + 1
-	fp := msg.Footprint{Anchor: app.Anchor, Radius: uint8(r)}
+	fp := msg.Footprint{Anchor: msg.CellOf(app.Anchor), Radius: uint8(r)}
 	for _, m := range app.Rule.Moves {
 		fp.Write |= windowBit(m.From, r, size) | windowBit(m.To, r, size)
 	}
@@ -1301,13 +1299,10 @@ func (b *BlockCode) sendToNeighbors(env exec.Env, m *msg.Message, except lattice
 // sendTo sends *m through every port of nt that holds a block other than
 // `except`, and clears from nt each port that refused it (on the goroutine
 // runtime a neighbour can move away between the table read and the send).
-// It returns the number of messages sent. An Activate goes out as one copy
-// whose Son is each receiver in turn; *m itself is never written.
+// It returns the number of messages sent. An Activate names each receiver
+// in turn in its Son, which sendTo writes into *m: both callers that send
+// one build it for this send alone.
 func sendTo(env exec.Env, m *msg.Message, nt *[geom.NumDirs]lattice.BlockID, except lattice.BlockID) int {
-	if m.Type == msg.TypeActivate {
-		act := *m
-		m = &act
-	}
 	sent := 0
 	for d, nb := range nt {
 		if nb == lattice.None || nb == except {

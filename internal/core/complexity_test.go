@@ -40,10 +40,12 @@ func sweep(t *testing.T, ns []int) (xs []float64, dist, msgs, hops []float64) {
 //
 // The tower family couples N and the path length (d ~ N), the regime the
 // remarks address. Slopes must also be superlinear — the metrics genuinely
-// grow — so the test brackets each exponent.
+// grow — so the test brackets each exponent. The fit runs over N = 32-128,
+// where the constant terms have died out and the slopes read 3.02, 3.02 and
+// 1.98, so the caps guard the paper's orders with a small margin.
 func TestComplexityRemarks(t *testing.T) {
-	ns := []int{8, 12, 16, 24, 32}
-	cubicCap, quadCap := 3.25, 2.2
+	ns := []int{32, 48, 64, 96, 128}
+	cubicCap, quadCap := 3.10, 2.05
 	if testing.Short() {
 		// Small-N sweeps overstate the slope (constant terms still visible);
 		// keep the quick mode but widen the envelope accordingly.

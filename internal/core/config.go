@@ -116,7 +116,7 @@ func (c Config) WithDefaults() Config {
 
 // parallelK is the effective election batch width: unset (0) and 1 are both
 // the serial protocol, larger values cap at msg.MaxBatch.
-func (c Config) parallelK() int {
+func (c *Config) parallelK() int {
 	switch {
 	case c.ParallelMoves < 1:
 		return 1
@@ -201,6 +201,15 @@ type Counters struct {
 	RejectedAcks      atomic.Int64
 	RootBeginFailures atomic.Int64
 	RootSelfWins      atomic.Int64
+	// StaleSelects counts the serial Selects a block dropped because they
+	// belong to a round other than its own, UnroutedSelects the serial
+	// Selects it dropped because no subtree of its reported their winner
+	// (Aggregator.ViaFor misses), and StaleEntries the batch GO entries
+	// whose winner dropped them because they belong to a round other than
+	// its own. All three read 0 on healthy runs.
+	StaleSelects    atomic.Int64
+	UnroutedSelects atomic.Int64
+	StaleEntries    atomic.Int64
 	// DeadEndReports, DeadEndEntries and DeadEndReleases count the routed
 	// messages of each kind that met a dead end (see CounterValues.
 	// DeadEndFloods) and were flooded from there: MoveDone reports on their
@@ -226,6 +235,9 @@ func (c *Counters) Snapshot() CounterValues {
 		RejectedAcks:          c.RejectedAcks.Load(),
 		RootBeginFailures:     c.RootBeginFailures.Load(),
 		RootSelfWins:          c.RootSelfWins.Load(),
+		StaleSelects:          c.StaleSelects.Load(),
+		UnroutedSelects:       c.UnroutedSelects.Load(),
+		StaleEntries:          c.StaleEntries.Load(),
 		DeadEndReports:        c.DeadEndReports.Load(),
 		DeadEndEntries:        c.DeadEndEntries.Load(),
 		DeadEndReleases:       c.DeadEndReleases.Load(),
@@ -248,6 +260,9 @@ type CounterValues struct {
 	RejectedAcks          int64
 	RootBeginFailures     int64
 	RootSelfWins          int64
+	StaleSelects          int64
+	UnroutedSelects       int64
+	StaleEntries          int64
 	// DeadEndFloods counts every routed message that met a dead end and
 	// was flooded from there: a block with no adjacent block nearer the
 	// message's target, or whose nearer ports all refused, or a block on

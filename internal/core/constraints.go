@@ -58,7 +58,7 @@ func blockingVeto(cfg Config, lib *rules.Library) func(after *lattice.Surface) e
 		return func(after *lattice.Surface) error { return lineVeto(cfg, after) }
 	default:
 		sc := &vetoScratch{}
-		return func(after *lattice.Surface) error { return lookaheadVeto(cfg, lib, after, sc) }
+		return func(after *lattice.Surface) error { return lookaheadVeto(&cfg, lib, after, sc) }
 	}
 }
 
@@ -104,7 +104,7 @@ func lineVeto(cfg Config, after *lattice.Surface) error {
 // clone-and-enumerate pass this replaces was the dominant per-round cost);
 // the whole probe runs on the closure's reusable scratch — zero allocations
 // steady-state, with an AllocsPerRun guard pinning it.
-func lookaheadVeto(cfg Config, lib *rules.Library, after *lattice.Surface, sc *vetoScratch) error {
+func lookaheadVeto(cfg *Config, lib *rules.Library, after *lattice.Surface, sc *vetoScratch) error {
 	if after.Occupied(cfg.Output) {
 		return nil
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/geom"
 	"repro/internal/lattice"
 	"repro/internal/rules"
@@ -71,17 +72,17 @@ func TestLookaheadVeto(t *testing.T) {
 	sc := &vetoScratch{}
 	healthy := surfaceWith(t, 6, 8,
 		geom.V(1, 0), geom.V(1, 1), geom.V(2, 0), geom.V(2, 1))
-	if err := lookaheadVeto(cfg, lib, healthy, sc); err != nil {
+	if err := lookaheadVeto(&cfg, lib, healthy, sc); err != nil {
 		t.Errorf("healthy state vetoed: %v", err)
 	}
 	// All blocks frozen, O unoccupied: dead.
 	dead := surfaceWith(t, 6, 8, geom.V(1, 0), geom.V(1, 1), geom.V(1, 2))
-	if err := lookaheadVeto(cfg, lib, dead, sc); err == nil {
+	if err := lookaheadVeto(&cfg, lib, dead, sc); err == nil {
 		t.Error("state with no unfrozen blocks and free O must be vetoed")
 	}
 	// O occupied: always fine.
 	done := surfaceWith(t, 6, 8, geom.V(1, 0), geom.V(1, 5))
-	if err := lookaheadVeto(cfg, lib, done, sc); err != nil {
+	if err := lookaheadVeto(&cfg, lib, done, sc); err != nil {
 		t.Errorf("terminal state vetoed: %v", err)
 	}
 	// An isolated pair beside the column with no possible motion: dead.
@@ -90,10 +91,10 @@ func TestLookaheadVeto(t *testing.T) {
 		geom.V(1, 0), geom.V(1, 1), geom.V(1, 2), geom.V(2, 5), geom.V(2, 6))
 	// (2,5),(2,6) hang beside the frozen column above its top; check the
 	// veto's verdict matches a direct mobility scan.
-	err := lookaheadVeto(cfg, lib, stuck, sc)
+	err := lookaheadVeto(&cfg, lib, stuck, sc)
 	anyMobile := false
 	for _, pos := range unfrozenPositions(cfg, stuck) {
-		if len(planCandidates(cfg, lib, pos, stuck, 1, nil, &planBuf{})) > 0 {
+		if len(planCandidates(&cfg, lib, pos, stuck, 1, nil, &planBuf{})) > 0 {
 			anyMobile = true
 		}
 	}
@@ -152,6 +153,16 @@ func TestValidateInstanceErrors(t *testing.T) {
 		{"collinear", func(t *testing.T) (*lattice.Surface, Config) {
 			return surfaceWith(t, 6, 6, geom.V(1, 1), geom.V(2, 1), geom.V(3, 1)), Config{Input: geom.V(1, 1), Output: geom.V(1, 4)}
 		}, "line or column"},
+		// The side limit is decided first: this instance is also
+		// disconnected.
+		{"wider than a message can address", func(t *testing.T) (*lattice.Surface, Config) {
+			return surfaceWith(t, MaxSurfaceSide+1, 4, geom.V(1, 1), geom.V(2, 1), geom.V(1, 2),
+				geom.V(MaxSurfaceSide, 1)), Config{Input: geom.V(1, 1), Output: geom.V(1, 3)}
+		}, "side over 32765 cells"},
+		{"taller than a message can address", func(t *testing.T) (*lattice.Surface, Config) {
+			return surfaceWith(t, 4, MaxSurfaceSide+1, geom.V(1, 1), geom.V(2, 1), geom.V(1, 2)),
+				Config{Input: geom.V(1, 1), Output: geom.V(1, 3)}
+		}, "side over 32765 cells"},
 	}
 	for _, c := range cases {
 		surf, cfg := c.build(t)
@@ -185,6 +196,38 @@ func TestRunRejectsInvalidInstance(t *testing.T) {
 		Run(context.Background(), surf, NewConfig(geom.V(1, 1), geom.V(1, 4)))
 	if err == nil || !strings.Contains(err.Error(), "not connected (Assumption 1)") {
 		t.Fatalf("Engine.Run on a disconnected instance: error %v, want the Assumption 1 error", err)
+	}
+}
+
+// TestRunRejectsSurfaceBeyondWireWidth: Engine.Run completes an instance
+// whose blocks stand at the far edge of a surface MaxSurfaceSide columns
+// wide, and refuses the same instance one column wider before it builds
+// any block code, let alone boots it.
+func TestRunRejectsSurfaceBeyondWireWidth(t *testing.T) {
+	for _, w := range []int{MaxSurfaceSide, MaxSurfaceSide + 1} {
+		x := w - 3
+		surf := surfaceWith(t, w, 8, geom.V(x, 0), geom.V(x+1, 0), geom.V(x, 1), geom.V(x+1, 1), geom.V(x+1, 2))
+		cfg := NewConfig(geom.V(x, 0), geom.V(x, 3))
+		blocks := 0
+		countBlocks := WithFaultWrap(func(f exec.CodeFactory) exec.CodeFactory {
+			return func(id lattice.BlockID) exec.BlockCode {
+				blocks++
+				return f(id)
+			}
+		})
+		res, err := NewEngine(rules.StandardLibrary(), countBlocks).Run(context.Background(), surf, cfg)
+		if w == MaxSurfaceSide {
+			if err != nil || !res.Success {
+				t.Errorf("%d columns: %v, err %v; want success", w, res, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "more than a message position can address") {
+			t.Errorf("%d columns: error %v, want the surface-side error", w, err)
+		}
+		if blocks != 0 {
+			t.Errorf("%d columns: %d blocks were built before the refusal, want none", w, blocks)
+		}
 	}
 }
 

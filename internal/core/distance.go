@@ -14,7 +14,7 @@ import (
 // By default the rule applies inside the closed I–O rectangle, the region
 // of the paper's oriented graph G (§III); with StrictEq8 it applies
 // everywhere, which is the literal reading of eq. (8).
-func (c Config) Frozen(pos geom.Vec) bool {
+func (c *Config) Frozen(pos geom.Vec) bool {
 	if pos == c.Input {
 		// The Root is pinned on I: position I is the first cell of the
 		// path (Lemma 1(b)) and the Root coordinates every election.
@@ -41,7 +41,7 @@ func (c Config) InitialShortestDistance() int32 {
 //	d = +inf  if the block is frozen by eq. (8) (alignment / Root pinning),
 //	d = +inf  if no move is possible for the block,
 //	d = |O.x - B.x| + |O.y - B.y|  otherwise.
-func (c Config) distanceValue(pos geom.Vec, hasMove bool) int32 {
+func (c *Config) distanceValue(pos geom.Vec, hasMove bool) int32 {
 	if c.Frozen(pos) {
 		return msg.InfiniteDistance
 	}

@@ -143,12 +143,16 @@ func TestCountersSnapshot(t *testing.T) {
 	c.RootBeginFailures.Add(12)
 	c.RootSelfWins.Add(13)
 	c.CandidatesDropped.Add(14)
+	c.StaleSelects.Add(15)
+	c.UnroutedSelects.Add(16)
+	c.StaleEntries.Add(17)
 	s := c.Snapshot()
 	if s.DistanceComputations != 3 || s.Elections != 2 || s.EscapeElections != 1 ||
 		s.MoveFailures != 4 || s.CandidateEnumerations != 5 ||
 		s.DeadEndReports != 6 || s.DeadEndEntries != 7 || s.DeadEndReleases != 8 || s.DeadEndFloods != 21 ||
 		s.NeutralAcks != 9 || s.RejectedActivates != 10 || s.RejectedAcks != 11 ||
-		s.RootBeginFailures != 12 || s.RootSelfWins != 13 || s.CandidatesDropped != 14 {
+		s.RootBeginFailures != 12 || s.RootSelfWins != 13 || s.CandidatesDropped != 14 ||
+		s.StaleSelects != 15 || s.UnroutedSelects != 16 || s.StaleEntries != 17 {
 		t.Errorf("snapshot = %+v", s)
 	}
 }

@@ -168,10 +168,67 @@ func TestProtocolFaultsAreCounted(t *testing.T) {
 	}
 	r = newObservedFactory(cfg, nil, nil)(root).(*BlockCode)
 	r.isRoot = true
-	r.agg.Reset(election.Candidate{Distance: 3, ID: root}, 1)
+	r.agg.Reset(election.Candidate{Cand: msg.Cand{Distance: 3, ID: root}}, 1)
 	r.onElectionComplete(renv)
 	if got := cfg.Counters.RootSelfWins.Load(); got != 1 {
 		t.Errorf("RootSelfWins = %d, want 1", got)
+	}
+}
+
+// TestStaleSelectsAndEntriesAreCounted: a serial Select is routed down the
+// subtree that reported its winner, but one of another round and one for a
+// winner no subtree reported are dropped and counted. A GO entry that
+// reaches its winner in another round is dropped and counted too, and the
+// winner does not hop on it.
+func TestStaleSelectsAndEntriesAreCounted(t *testing.T) {
+	const father, north, self, winner lattice.BlockID = 2, 3, 7, 30
+	nt := [geom.NumDirs]lattice.BlockID{geom.West: father, geom.North: north}
+	serial := NewConfig(geom.V(0, 0), geom.V(0, 9))
+	env := &scriptedEnv{id: self, cfg: serial, pos: geom.V(5, 5), nt: nt}
+	b := newObservedFactory(serial, nil, nil)(self).(*BlockCode)
+	b.OnStart(env)
+	b.round, b.father = 3, father
+	b.agg.Reset(election.Neutral(), 1)
+	b.agg.Fold(&election.Candidate{Cand: msg.Cand{Distance: 4, ID: winner}}, north)
+	sel := func(round uint32, id lattice.BlockID) msg.Message {
+		return msg.Message{Type: msg.TypeSelect, Round: round, IDShortest: id}
+	}
+	steps := []struct {
+		what string
+		m    msg.Message
+		want []sent
+		ctr  CounterValues
+	}{
+		{"the round's Select", sel(3, winner), []sent{{to: north, typ: msg.TypeSelect}}, CounterValues{}},
+		{"an older round's Select", sel(2, winner), nil, CounterValues{StaleSelects: 1}},
+		{"a younger round's Select", sel(4, winner), nil, CounterValues{StaleSelects: 2}},
+		{"a Select for an unreported winner", sel(3, winner+1), nil,
+			CounterValues{StaleSelects: 2, UnroutedSelects: 1}},
+	}
+	for _, s := range steps {
+		b.OnMessage(env, father, s.m)
+		if got := env.take(); !slices.Equal(got, s.want) {
+			t.Errorf("%s: sent %v, want %v", s.what, got, s.want)
+		}
+		if got := serial.Counters.Snapshot(); got != s.ctr {
+			t.Errorf("%s: counters %+v, want %+v", s.what, got, s.ctr)
+		}
+	}
+
+	batch := NewConfig(geom.V(0, 0), geom.V(0, 9))
+	batch.ParallelMoves = 4
+	env = &scriptedEnv{id: self, cfg: batch, pos: geom.V(5, 5), nt: nt}
+	b = newObservedFactory(batch, nil, nil)(self).(*BlockCode)
+	b.OnStart(env)
+	b.round = 3
+	for _, round := range []uint32{2, 4} {
+		b.OnMessage(env, north, via(entry(round, self, env.pos, 0), self))
+	}
+	if got := env.take(); len(got) != 0 {
+		t.Errorf("entries of other rounds: sent %v, want nothing", got)
+	}
+	if got := batch.Counters.Snapshot(); got != (CounterValues{StaleEntries: 2}) {
+		t.Errorf("entries of other rounds: counters %+v, want 2 stale entries and no hop attempt", got)
 	}
 }
 
@@ -229,9 +286,9 @@ func TestWarmPlanAndAckAllocateNothing(t *testing.T) {
 
 	denv := &discardEnv{scriptedEnv: env.scriptedEnv}
 	b.father = 4
-	b.agg.Reset(election.Candidate{Distance: 9, ID: self}, b.foldWidth())
+	b.agg.Reset(election.Candidate{Cand: msg.Cand{Distance: 9, ID: self}}, b.foldWidth())
 	for i := range msg.MaxBatch + 4 {
-		b.agg.Fold(&election.Candidate{Distance: int32(i), ID: lattice.BlockID(100 + i)}, 3)
+		b.agg.Fold(&election.Candidate{Cand: msg.Cand{Distance: int32(i), ID: lattice.BlockID(100 + i)}}, 3)
 	}
 	b.ackFather(denv)
 	if n := len(denv.last.Cands); n != msg.MaxBatch {

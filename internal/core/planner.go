@@ -41,7 +41,7 @@ type CandidateMove struct {
 // The result is ordered best-first: nearer destination, then fewer moved
 // blocks (a plain slide beats a carry when both reach the same cell, to
 // minimise total block moves), then a stable deterministic key.
-func planCandidates(cfg Config, lib *rules.Library, pos geom.Vec, src rules.WindowSource, tier msg.Tier, avoid *geom.Vec, buf *planBuf) []CandidateMove {
+func planCandidates(cfg *Config, lib *rules.Library, pos geom.Vec, src rules.WindowSource, tier msg.Tier, avoid *geom.Vec, buf *planBuf) []CandidateMove {
 	cfg.Counters.CandidateEnumerations.Add(1)
 	buf.apps = lib.AppendApplicationsOn(buf.apps[:0], pos, src)
 	buf.cands = filterCandidates(cfg, buf.cands[:0], buf.apps, pos, tier, avoid)
@@ -71,7 +71,7 @@ func (s *sensed) Occupied(v geom.Vec) bool { return s.env.Sense(v) }
 // admissibleMove applies the tier/freeze/avoid admissibility rules of
 // eq. (9) to one physics-valid application, without allocating: the moves
 // are read straight off the rule rather than through AbsMoves.
-func admissibleMove(cfg Config, app rules.Application, pos geom.Vec, tier msg.Tier, avoid *geom.Vec) (CandidateMove, bool) {
+func admissibleMove(cfg *Config, app rules.Application, pos geom.Vec, tier msg.Tier, avoid *geom.Vec) (CandidateMove, bool) {
 	mv, ok := app.MoveOf(pos)
 	if !ok {
 		return CandidateMove{}, false
@@ -107,7 +107,7 @@ func admissibleMove(cfg Config, app rules.Application, pos geom.Vec, tier msg.Ti
 // at the given tier, streaming the physics-valid applications into a reused
 // buffer: the blocking veto asks this once per mobile block per vetoed
 // candidate, so the probe must not allocate once the buffer is warm.
-func hasAdmissibleOn(cfg Config, lib *rules.Library, pos geom.Vec, src rules.WindowSource, tier msg.Tier, buf *[]rules.Application) bool {
+func hasAdmissibleOn(cfg *Config, lib *rules.Library, pos geom.Vec, src rules.WindowSource, tier msg.Tier, buf *[]rules.Application) bool {
 	*buf = lib.AppendApplicationsOn((*buf)[:0], pos, src)
 	for _, app := range *buf {
 		if _, ok := admissibleMove(cfg, app, pos, tier, nil); ok {
@@ -120,7 +120,7 @@ func hasAdmissibleOn(cfg Config, lib *rules.Library, pos geom.Vec, src rules.Win
 // filterCandidates applies the admissibility rules of eq. (9) to the
 // physics-valid applications, appends the survivors to dst and orders them
 // best-first.
-func filterCandidates(cfg Config, dst []CandidateMove, apps []rules.Application, pos geom.Vec, tier msg.Tier, avoid *geom.Vec) []CandidateMove {
+func filterCandidates(cfg *Config, dst []CandidateMove, apps []rules.Application, pos geom.Vec, tier msg.Tier, avoid *geom.Vec) []CandidateMove {
 	for _, app := range apps {
 		if mv, ok := admissibleMove(cfg, app, pos, tier, avoid); ok {
 			dst = append(dst, mv)

@@ -32,7 +32,7 @@ func TestPlanDecreasingOnly(t *testing.T) {
 		geom.V(1, 0), geom.V(2, 0), geom.V(1, 1), geom.V(2, 1), geom.V(1, 2), geom.V(2, 2))
 	pos := geom.V(2, 2) // top lane block
 	d0 := pos.Manhattan(cfg.Output)
-	cands := planCandidates(cfg, rules.StandardLibrary(), pos, s, msg.TierDecreasing, nil, &planBuf{})
+	cands := planCandidates(&cfg, rules.StandardLibrary(), pos, s, msg.TierDecreasing, nil, &planBuf{})
 	if len(cands) == 0 {
 		t.Fatal("top lane block should have decreasing candidates")
 	}
@@ -54,7 +54,7 @@ func TestPlanRetreatAdmitsStepBack(t *testing.T) {
 	s := surfaceWith(t, 6, 9,
 		geom.V(1, 0), geom.V(1, 1), geom.V(2, 0), geom.V(2, 1), geom.V(2, 2))
 	pos := geom.V(2, 2)
-	dec := planCandidates(cfg, rules.StandardLibrary(), pos, s, msg.TierDecreasing, nil, &planBuf{})
+	dec := planCandidates(&cfg, rules.StandardLibrary(), pos, s, msg.TierDecreasing, nil, &planBuf{})
 	// North slide (2,3) is supported west by (1,2)? (1,2) is empty, and
 	// east support is empty too: no decreasing move. West (1,2) entry:
 	// slide west needs south supports (2,1) and (1,1): both present! That
@@ -72,7 +72,7 @@ func TestPlanRetreatAdmitsStepBack(t *testing.T) {
 	if !foundWest {
 		t.Error("west entry onto the column should be a decreasing candidate")
 	}
-	ret := planCandidates(cfg, rules.StandardLibrary(), pos, s, msg.TierRetreat, nil, &planBuf{})
+	ret := planCandidates(&cfg, rules.StandardLibrary(), pos, s, msg.TierRetreat, nil, &planBuf{})
 	if len(ret) < len(dec) {
 		t.Error("retreat tier must be a superset of the decreasing tier")
 	}
@@ -85,13 +85,13 @@ func TestPlanAvoidExcludesCell(t *testing.T) {
 		geom.V(1, 0), geom.V(1, 1), geom.V(2, 0), geom.V(2, 1), geom.V(2, 2))
 	pos := geom.V(2, 2)
 	avoid := geom.V(1, 2)
-	with := planCandidates(cfg, rules.StandardLibrary(), pos, s, msg.TierDecreasing, &avoid, &planBuf{})
+	with := planCandidates(&cfg, rules.StandardLibrary(), pos, s, msg.TierDecreasing, &avoid, &planBuf{})
 	for _, c := range with {
 		if c.To == avoid {
 			t.Errorf("avoided cell %v still offered", avoid)
 		}
 	}
-	without := planCandidates(cfg, rules.StandardLibrary(), pos, s, msg.TierDecreasing, nil, &planBuf{})
+	without := planCandidates(&cfg, rules.StandardLibrary(), pos, s, msg.TierDecreasing, nil, &planBuf{})
 	if len(without) != len(with)+1 {
 		t.Errorf("avoid should remove exactly the west entry: %d vs %d", len(without), len(with))
 	}
@@ -107,7 +107,7 @@ func TestPlanFrozenMoversExcluded(t *testing.T) {
 	s := surfaceWith(t, 6, 9,
 		geom.V(1, 0), geom.V(1, 1), geom.V(1, 2), geom.V(2, 1), geom.V(2, 2), geom.V(2, 0))
 	for _, frozenPos := range []geom.Vec{geom.V(1, 1), geom.V(1, 2)} {
-		cands := planCandidates(cfg, rules.StandardLibrary(), frozenPos, s, msg.TierRetreat, nil, &planBuf{})
+		cands := planCandidates(&cfg, rules.StandardLibrary(), frozenPos, s, msg.TierRetreat, nil, &planBuf{})
 		if len(cands) != 0 {
 			t.Errorf("frozen block at %v has candidates %v", frozenPos, cands)
 		}
@@ -129,7 +129,7 @@ func TestPlanHelperMustBenefit(t *testing.T) {
 		geom.V(1, 0), geom.V(1, 1), // column stub
 		geom.V(2, 0), geom.V(3, 0), geom.V(4, 0),
 		geom.V(2, 1), geom.V(3, 1))
-	cands := planCandidates(cfg, rules.StandardLibrary(), geom.V(3, 1), s, msg.TierRetreat, nil, &planBuf{})
+	cands := planCandidates(&cfg, rules.StandardLibrary(), geom.V(3, 1), s, msg.TierRetreat, nil, &planBuf{})
 	for _, c := range cands {
 		for _, am := range c.App.AbsMoves() {
 			if am.From != geom.V(3, 1) &&
@@ -148,7 +148,7 @@ func TestPlanScoringPrefersFreezing(t *testing.T) {
 	// any other decreasing move does not. West entry must sort first.
 	s := surfaceWith(t, 6, 9,
 		geom.V(1, 0), geom.V(1, 1), geom.V(2, 0), geom.V(2, 1), geom.V(2, 2))
-	cands := planCandidates(cfg, rules.StandardLibrary(), geom.V(2, 2), s, msg.TierDecreasing, nil, &planBuf{})
+	cands := planCandidates(&cfg, rules.StandardLibrary(), geom.V(2, 2), s, msg.TierDecreasing, nil, &planBuf{})
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -165,8 +165,8 @@ func TestPlanDeterministicOrder(t *testing.T) {
 	cfg := NewConfig(geom.V(1, 0), geom.V(1, 8))
 	s := surfaceWith(t, 8, 10,
 		geom.V(1, 0), geom.V(1, 1), geom.V(2, 0), geom.V(2, 1), geom.V(2, 2), geom.V(3, 0))
-	a := planCandidates(cfg, rules.StandardLibrary(), geom.V(2, 2), s, msg.TierRetreat, nil, &planBuf{})
-	b := planCandidates(cfg, rules.StandardLibrary(), geom.V(2, 2), s, msg.TierRetreat, nil, &planBuf{})
+	a := planCandidates(&cfg, rules.StandardLibrary(), geom.V(2, 2), s, msg.TierRetreat, nil, &planBuf{})
+	b := planCandidates(&cfg, rules.StandardLibrary(), geom.V(2, 2), s, msg.TierRetreat, nil, &planBuf{})
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -182,7 +182,7 @@ func TestPlanCountsEnumerations(t *testing.T) {
 	cfg := NewConfig(geom.V(1, 0), geom.V(1, 6))
 	s := surfaceWith(t, 6, 8, geom.V(1, 0), geom.V(2, 0), geom.V(1, 1), geom.V(2, 1))
 	before := cfg.Counters.CandidateEnumerations.Load()
-	planCandidates(cfg, rules.StandardLibrary(), geom.V(2, 1), s, msg.TierDecreasing, nil, &planBuf{})
+	planCandidates(&cfg, rules.StandardLibrary(), geom.V(2, 1), s, msg.TierDecreasing, nil, &planBuf{})
 	if cfg.Counters.CandidateEnumerations.Load() != before+1 {
 		t.Error("enumeration not counted")
 	}

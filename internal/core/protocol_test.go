@@ -37,7 +37,8 @@ func TestElectionActivatesEveryBlock(t *testing.T) {
 // redundant Activate crosses the Activate it acknowledges, so no block
 // sends a neutral Ack and every Ack is the one father-ack of a block
 // engaged in its round: Acks equal distance computations. No protocol
-// fault is counted either.
+// fault is counted either, and no Select or GO entry arrives in a round
+// other than its receiver's or misses its route.
 func TestHealthyElectionsEchoEveryRedundantActivate(t *testing.T) {
 	for _, backend := range []struct {
 		name string
@@ -67,7 +68,8 @@ func TestHealthyElectionsEchoEveryRedundantActivate(t *testing.T) {
 				}
 				ctr := res.Counters
 				if ctr.NeutralAcks != 0 || ctr.RejectedActivates != 0 || ctr.RejectedAcks != 0 ||
-					ctr.RootBeginFailures != 0 || ctr.RootSelfWins != 0 {
+					ctr.RootBeginFailures != 0 || ctr.RootSelfWins != 0 ||
+					ctr.StaleSelects != 0 || ctr.UnroutedSelects != 0 || ctr.StaleEntries != 0 {
 					t.Errorf("counters %+v, want no neutral ack and no protocol fault", ctr)
 				}
 				if acks := res.MessagesByType[msg.TypeAck]; acks != uint64(ctr.DistanceComputations) {

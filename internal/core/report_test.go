@@ -144,7 +144,7 @@ func TestRootReleasesWaveMembersInStampOrder(t *testing.T) {
 	b.moveWaves = []uint8{0, 0, 1, 2}
 	// 22 bids east of I's diagonal and 23 north of it.
 	c22, c23 := geom.V(6, 2), geom.V(1, 7)
-	b.moveCells = []geom.Vec{geom.V(3, 3), geom.V(4, 3), c22, c23}
+	b.moveCells = []msg.Cell{msg.CellOf(geom.V(3, 3)), msg.CellOf(geom.V(4, 3)), msg.CellOf(c22), msg.CellOf(c23)}
 	report := func(mover lattice.BlockID, success bool, son lattice.BlockID) msg.Message {
 		return msg.Message{Type: msg.TypeMoveDone, Round: 3, Mover: mover, Success: success, Son: son}
 	}

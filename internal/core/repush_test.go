@@ -46,12 +46,12 @@ func routed(s sent) sent {
 // entry and release build a batch GO entry and a wave release of round for
 // id at cell, as the Root routes them; flooded clears Son.
 func entry(round uint32, id lattice.BlockID, cell geom.Vec, wave uint8) msg.Message {
-	return msg.Message{Type: msg.TypeSelect, Round: round, IDShortest: id, To: cell,
+	return msg.Message{Type: msg.TypeSelect, Round: round, IDShortest: id, To: msg.CellOf(cell),
 		Cands: []msg.Cand{{ID: id, Wave: wave}}}
 }
 
 func release(round uint32, id lattice.BlockID, cell geom.Vec) msg.Message {
-	return msg.Message{Type: msg.TypeMoveDone, Round: round, IDShortest: id, To: cell}
+	return msg.Message{Type: msg.TypeMoveDone, Round: round, IDShortest: id, To: msg.CellOf(cell)}
 }
 
 // via returns m as a routed copy handed to son.
@@ -98,9 +98,9 @@ func (e *scriptedEnv) Send(to lattice.BlockID, m msg.Message) error {
 	rec := sent{to: to, typ: m.Type, mover: m.Mover, hops: m.Hops}
 	switch {
 	case m.Type == msg.TypeSelect && len(m.Cands) > 0:
-		rec.son, rec.id, rec.cell, rec.wave = m.Son, m.IDShortest, m.To, m.Cands[0].Wave
+		rec.son, rec.id, rec.cell, rec.wave = m.Son, m.IDShortest, m.To.Vec(), m.Cands[0].Wave
 	case m.Type == msg.TypeMoveDone && m.Mover == lattice.None:
-		rec.son, rec.id, rec.cell = m.Son, m.IDShortest, m.To
+		rec.son, rec.id, rec.cell = m.Son, m.IDShortest, m.To.Vec()
 	case m.Type == msg.TypeMoveDone:
 		rec.son = m.Son
 	case m.Type == msg.TypeAck:
@@ -146,7 +146,7 @@ func TestRepushOnlyToNeighboursLackingFloods(t *testing.T) {
 	b.OnMessage(env, east, entry(round, 20, c20, 0))
 	// A dead end flooded 20's report (Son = None: a flood, not routed).
 	b.OnMessage(env, north, msg.Message{Type: msg.TypeMoveDone, Round: round, Mover: 20,
-		From: geom.V(1, 1), To: geom.V(1, 2), Success: true})
+		From: msg.CellOf(geom.V(1, 1)), To: msg.CellOf(geom.V(1, 2)), Success: true})
 	b.OnMessage(env, west, release(round, 21, c21))
 	// 22's entry is routed through this block, on to the north.
 	b.OnMessage(env, east, via(entry(round, 22, c22, 1), self))

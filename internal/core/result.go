@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/lattice"
 	"repro/internal/msg"
+	"repro/internal/rules"
 	"repro/internal/sim"
 )
 
@@ -72,10 +73,17 @@ func (r Result) String() string {
 		r.Applications, r.MovesPerRound(), r.MessagesSent, r.Counters.DistanceComputations)
 }
 
+// MaxSurfaceSide is the largest width and height of a surface a run
+// accepts. Messages carry every position as a msg.Cell of two int16
+// coordinates, and a footprint's anchor can lie up to rules.MaxWindowRadius
+// cells past the surface's edge, so this bound keeps every cell a message
+// names exact.
+const MaxSurfaceSide = 1<<15 - rules.MaxWindowRadius
+
 // ValidateInstance checks the preconditions of Assumption 2 on a surface:
 // the ensemble is connected, a block occupies I, O is a free surface cell,
 // and (unless the instance is the degenerate I == O) the blocks are not all
-// collinear.
+// collinear. It also rejects a surface wider or taller than MaxSurfaceSide.
 func ValidateInstance(surf *lattice.Surface, cfg Config) error {
 	return validateInstance(surf, cfg, surf.Connected)
 }
@@ -83,6 +91,10 @@ func ValidateInstance(surf *lattice.Surface, cfg Config) error {
 // validateInstance is ValidateInstance with Assumption 1 decided by
 // connected, which runs only once the cheaper checks before it passed.
 func validateInstance(surf *lattice.Surface, cfg Config, connected func() bool) error {
+	if surf.Width() > MaxSurfaceSide || surf.Height() > MaxSurfaceSide {
+		return fmt.Errorf("core: the %dx%d surface has a side over %d cells, more than a message position can address",
+			surf.Width(), surf.Height(), MaxSurfaceSide)
+	}
 	if !surf.InBounds(cfg.Input) || !surf.InBounds(cfg.Output) {
 		return fmt.Errorf("core: I=%s or O=%s outside the %dx%d surface",
 			cfg.Input, cfg.Output, surf.Width(), surf.Height())

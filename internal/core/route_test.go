@@ -12,7 +12,7 @@ import (
 
 // hopFootprint is the write footprint of a simple hop from pos by d.
 func hopFootprint(pos geom.Vec, d geom.Vec) msg.Footprint {
-	return msg.Footprint{Anchor: pos, Radius: 1,
+	return msg.Footprint{Anchor: msg.CellOf(pos), Radius: 1,
 		Write: windowBit(geom.V(0, 0), 1, 3) | windowBit(d, 1, 3)}
 }
 
@@ -42,8 +42,8 @@ func TestRootRoutesOneSelectPerWinner(t *testing.T) {
 		{22, geom.V(6, 1), 7, east},
 	}
 	for _, c := range bids {
-		b.agg.Fold(&election.Candidate{Distance: c.distance, ID: c.id, Pos: c.pos,
-			To: c.pos.Add(up), Fp: hopFootprint(c.pos, up)}, c.from)
+		b.agg.Fold(&election.Candidate{Cand: msg.Cand{ID: c.id, Distance: c.distance, Pos: msg.CellOf(c.pos),
+			To: msg.CellOf(c.pos.Add(up)), Fp: hopFootprint(c.pos, up)}}, c.from)
 	}
 	b.onElectionComplete(env)
 	if !slices.Equal(b.moveSet, []lattice.BlockID{20, 21, 22}) || !slices.Equal(b.moveWaves, []uint8{0, 0, 1}) {

@@ -47,9 +47,8 @@ apps:
 		return election.Candidate{}, false
 	}
 	return election.Candidate{
-		Distance: int32(pos.Manhattan(cfg.Output)),
+		Cand:     msg.Cand{ID: id, Distance: int32(pos.Manhattan(cfg.Output))},
 		Priority: election.PriorityFor(cfg.TieBreak, round, id),
-		ID:       id,
 	}, true
 }
 

@@ -17,7 +17,6 @@ package election
 import (
 	"fmt"
 
-	"repro/internal/geom"
 	"repro/internal/lattice"
 	"repro/internal/msg"
 )
@@ -44,28 +43,26 @@ func (t TieBreak) String() string {
 	return fmt.Sprintf("TieBreak(%d)", int(t))
 }
 
-// Candidate is a block's bid in one election. Beyond the paper's
-// (ShortestDistance, IDshortest) pair it carries what the Root's
+// Candidate is a block's bid in one election: its wire entry (msg.Cand)
+// plus the tie-break priority, which every block recomputes from the public
+// (round, id) pair, so the wire never carries it. Beyond the paper's
+// (ShortestDistance, IDshortest) pair the entry carries what the Root's
 // parallel-moves admission ladder consumes: the bidder's position, whether
 // the bidder is currently a cut vertex of the ensemble (exec.Env.CutVertex),
 // the planned destination of its best move and that move's full cell
 // footprint (msg.Footprint, computed once at the proposer from the
 // bitboard-compiled rule). None of the extra fields participates in the
-// election order.
+// election order. A bid's wave stamp is always 0: only a GO entry carries
+// one.
 type Candidate struct {
-	Distance int32 // hops to the output O, or msg.InfiniteDistance
+	msg.Cand
 	Priority uint64
-	ID       lattice.BlockID
-	Pos      geom.Vec // bidder's cell at bid time
-	Cut      bool     // bidder is an articulation point of the ensemble
-	To       geom.Vec // planned destination of the bidder's best move
-	Fp       msg.Footprint
 }
 
 // Neutral returns the identity element of Merge: an infinitely distant
 // non-block. Blocks with d = +inf (eqs. (8)–(9)) bid Neutral.
 func Neutral() Candidate {
-	return Candidate{Distance: msg.InfiniteDistance, Priority: ^uint64(0), ID: lattice.None}
+	return Candidate{Cand: msg.Cand{Distance: msg.InfiniteDistance, ID: lattice.None}, Priority: ^uint64(0)}
 }
 
 // IsNeutral reports whether c can never win an election.
@@ -223,3 +220,12 @@ func (a *Aggregator) Len() int { return len(a.entries) }
 
 // At returns the i-th kept candidate in Better order.
 func (a *Aggregator) At(i int) Candidate { return a.entries[i].c }
+
+// AppendCands appends the wire entries of the kept candidates to dst in
+// Better order and returns the extended slice.
+func (a *Aggregator) AppendCands(dst []msg.Cand) []msg.Cand {
+	for i := range a.entries {
+		dst = append(dst, a.entries[i].c.Cand)
+	}
+	return dst
+}

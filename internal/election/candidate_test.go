@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/lattice"
 	"repro/internal/msg"
@@ -13,11 +14,12 @@ func randCandidate(rng *rand.Rand) Candidate {
 	if rng.Intn(5) == 0 {
 		return Neutral()
 	}
-	return Candidate{
-		Distance: int32(rng.Intn(100)),
-		Priority: uint64(rng.Intn(8)),
-		ID:       lattice.BlockID(1 + rng.Intn(50)),
-	}
+	return bid(int32(rng.Intn(100)), uint64(rng.Intn(8)), lattice.BlockID(1+rng.Intn(50)))
+}
+
+// bid builds a candidate with the given order key and no further fields.
+func bid(distance int32, priority uint64, id lattice.BlockID) Candidate {
+	return Candidate{Cand: msg.Cand{Distance: distance, ID: id}, Priority: priority}
 }
 
 // TestMergeSemilattice: Merge is commutative, associative, idempotent and
@@ -44,17 +46,17 @@ func TestMergeSemilattice(t *testing.T) {
 }
 
 func TestBetterOrdering(t *testing.T) {
-	near := Candidate{Distance: 3, ID: 9}
-	far := Candidate{Distance: 8, ID: 1}
+	near := bid(3, 0, 9)
+	far := bid(8, 0, 1)
 	if !near.Better(far) || far.Better(near) {
 		t.Error("distance must dominate")
 	}
-	a := Candidate{Distance: 3, Priority: 1, ID: 9}
-	b := Candidate{Distance: 3, Priority: 2, ID: 1}
+	a := bid(3, 1, 9)
+	b := bid(3, 2, 1)
 	if !a.Better(b) {
 		t.Error("priority must break distance ties")
 	}
-	c := Candidate{Distance: 3, Priority: 1, ID: 2}
+	c := bid(3, 1, 2)
 	if !c.Better(a) {
 		t.Error("id must break (distance,priority) ties")
 	}
@@ -154,9 +156,18 @@ func TestTopKFoldOrderInsensitive(t *testing.T) {
 		if agg.Len() != len(ref) {
 			t.Fatalf("trial %d: kept %d candidates, want %d", trial, agg.Len(), len(ref))
 		}
+		// The wire entries come out whole, after whatever dst held.
+		head := msg.Cand{ID: 7777}
+		wire := agg.AppendCands([]msg.Cand{head})
+		if len(wire) != 1+len(ref) || wire[0] != head {
+			t.Fatalf("trial %d: AppendCands gave %v after %v, want %d entries after it", trial, wire, head, len(ref))
+		}
 		for i, r := range ref {
 			if agg.At(i) != r.c {
 				t.Fatalf("trial %d: At(%d) = %v, want %v", trial, i, agg.At(i), r.c)
+			}
+			if wire[1+i] != r.c.Cand {
+				t.Fatalf("trial %d: AppendCands entry %d = %+v, want %+v", trial, i, wire[1+i], r.c.Cand)
 			}
 			via, ok := agg.ViaFor(r.c.ID)
 			if !ok || via != r.from {
@@ -204,6 +215,15 @@ func TestFoldDropsCountTruncation(t *testing.T) {
 	}
 }
 
+// TestCandidateSize pins a bid's in-memory size: its 40-byte wire entry
+// plus the priority. Every fold copies a bid into a kept slot, and every
+// insertion shifts the slots behind it.
+func TestCandidateSize(t *testing.T) {
+	if got := unsafe.Sizeof(Candidate{}); got > 48 {
+		t.Errorf("unsafe.Sizeof(Candidate{}) = %d bytes, want <= 48", got)
+	}
+}
+
 func TestPriorityModes(t *testing.T) {
 	if PriorityFor(TieLowestID, 7, 3) != 0 {
 		t.Error("lowest-id mode must have zero priorities")
@@ -229,7 +249,7 @@ func TestRandomTieBreakIsFairAcrossRounds(t *testing.T) {
 	for round := uint32(1); round <= 500; round++ {
 		best := Neutral()
 		for _, id := range ids {
-			c := Candidate{Distance: 4, Priority: PriorityFor(TieRandom, round, id), ID: id}
+			c := bid(4, PriorityFor(TieRandom, round, id), id)
 			best = Merge(best, c)
 		}
 		wins[best.ID]++
@@ -263,7 +283,7 @@ func TestStrings(t *testing.T) {
 	if Neutral().String() != "candidate<none>" {
 		t.Error("neutral string wrong")
 	}
-	c := Candidate{Distance: 4, ID: 11}
+	c := bid(4, 0, 11)
 	if c.String() != "candidate<d=4 id=11>" {
 		t.Errorf("candidate string = %q", c.String())
 	}

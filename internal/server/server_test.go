@@ -184,6 +184,8 @@ func TestServerValidation(t *testing.T) {
 		`{"scenario":"no-such-scenario"}`,
 		`{"scenario":"tower","params":{"blocks":8}}`, // unknown param
 		`{"scenario":"tower","params":{"n":7}}`,      // generator rejects odd towers
+		// A side over core.MaxSurfaceSide, within the size budget.
+		`{"scenario":"ridge","params":{"width":32800}}`,
 		// Fields the spec does not hold, a misspelt seed, negative values
 		// and data after the object.
 		`{"scenario":"fig10","shards":2}`,
