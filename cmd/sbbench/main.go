@@ -9,7 +9,7 @@
 //	sbbench -list            list the experiments
 //	sbbench -exp fig10       run one experiment
 //	sbbench -exp all         run the full evaluation
-//	sbbench -json            measure the hot-path kernels, write BENCH_34.json
+//	sbbench -json            measure the hot-path kernels, write BENCH_NEW.json
 //	sbbench -json -scale     add the 5e5/8e6 sharded flatness kernels
 //
 // -cpuprofile/-memprofile write pprof profiles of the measured work, so a
@@ -33,9 +33,9 @@ func main() {
 		list     = flag.Bool("list", false, "list the experiments")
 		exp      = flag.String("exp", "", "experiment id, or 'all'")
 		jsonMode = flag.Bool("json", false, "emit a machine-readable bench record")
-		// The default tracks the current PR number (BENCH_<N>.json is the
-		// per-PR trajectory convention CI's bench gate diffs against).
-		jsonOut    = flag.String("o", "BENCH_34.json", "output path for -json")
+		// A record checked in as a point of the trajectory is written
+		// with an explicit -o BENCH_<N>.json; CI uploads the default.
+		jsonOut    = flag.String("o", "BENCH_NEW.json", "output path for -json")
 		scale      = flag.Bool("scale", false, "include the 5e5/8e6 sharded flatness kernels in -json (slow, hundreds of MB)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile at exit to this file")

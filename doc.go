@@ -189,17 +189,16 @@
 // maintained articulation-point cache over its occupancy bitsets
 // (internal/lattice/connectivity.go) rather than by cloning the surface and
 // rerunning a DFS per candidate: a connectivity-constrained verdict is
-// O(window) for single-displacement motions (every slide, carry and
-// teleport) — including cut-vertex movers, which are classified against the
-// DFS piece labels (parent, subtree size) retained from the Tarjan pass —
-// allocation-free, with a what-if Tarjan pass over the delta overlaid, on
-// reusable scratch, only for multi-cell deltas and fault-injected
-// fragmented surfaces. Surface.ConnStats counts which rung answered each
-// verdict, and core.Result carries one run's counts. Connected() remains the reference oracle, with a
-// property test pinning the cache to it across randomized motion/fault
-// sequences. Surface.Apply is atomic under failure: Validate
-// replays multi-step move schedules against the evolving occupancy before
-// anything mutates, and the executor keeps an undo log, so a rejected
+// O(window) and allocation-free for a single-displacement motion (every
+// slide, carry and teleport) whose mover is not a cut vertex, and a
+// cut-vertex mover, a multi-cell delta or a fault-injected fragmented
+// surface takes a what-if Tarjan pass with the delta overlaid, on reusable
+// scratch, over the bands the delta touches. Surface.ConnStats counts which
+// rung answered each verdict, and core.Result carries one run's counts.
+// Connected() remains the reference oracle, with a property test pinning
+// the cache to it across randomized motion/fault sequences. Surface.Apply
+// is atomic under failure: Validate replays multi-step move schedules
+// against the evolving occupancy before anything mutates, and the executor keeps an undo log, so a rejected
 // application leaves no partial state behind. The same undo log now backs
 // the Remark 1 blocking veto: a candidate motion is applied in place,
 // inspected, and rolled back — the clone-and-enumerate lookahead is gone,
@@ -227,21 +226,19 @@
 // flat 5e5 -> 8e6 sweep, and BENCH_10 an 18x cheaper rebuild at 2e6 on
 // 150-column bands than on one band).
 //
-// Queries climb an escalation ladder whose every rung is exact — the lower
-// rungs only answer when their verdict cannot be wrong, otherwise they fall
-// through: (0) the mover's 3×3 ring, O(1), while the occupancy is known to
-// be one component, which answers "stays connected" or "not a cut vertex"
-// without reading a band core; (1) band-local fast paths, O(window) — an
-// interior non-articulation mover, or an in-band articulation mover whose
-// destination re-covers every separated DFS piece (on one band the core
-// spans the surface, so its articulation verdicts are final either way);
-// (2) the contraction graph's cached component count for
-// occupancy-preserving deltas; (3) a bounded overlay rebuild — what-if band
+// Queries climb a ladder of three exact rungs — the lower rungs only answer
+// when their verdict cannot be wrong, otherwise they fall through: (0) the
+// mover's 3×3 ring, O(1), while the occupancy is known to be one
+// component, which answers "stays connected" or "not a cut vertex" without
+// reading a band core; (1) a band core's articulation bit, O(window), for a
+// mover that is not a band-local cut vertex and has no block across a band
+// boundary (on one band the core spans the surface, so its bit answers a
+// cut-vertex query either way); (2) the what-if overlay — what-if band
 // cores for the bands the delta actually touches, composed with every
-// untouched band's cached labels and boundary edges — exact for arbitrary
-// deltas and never O(surface) once the surface has more than one band. The
-// band count therefore changes where verdicts are computed, never what they
-// are: the golden differential and a band-edge-concentrated property test
+// untouched band's cached labels and boundary edges by the same union-find
+// that composes the cached global count — exact for arbitrary deltas and
+// never O(surface) once the surface has more than one band. The band count
+// therefore changes where verdicts are computed, never what they are: the golden differential and a band-edge-concentrated property test
 // over band counts from one up pin the ladder to the Connected() oracle,
 // and runs over several bands are bit-identical to one-band runs.
 //

@@ -65,7 +65,9 @@ type BlockCode struct {
 	// paper's single GO generalised to a batch), moveWaves their parallel
 	// wave ordering stamps (0 = unordered, s >= 1 = s-th member of the
 	// round's wave) and moveCells the cells they bid from, where their GO
-	// entries and releases are routed. reported and released are bit sets
+	// entries and releases are routed; movePlans holds their planned moves,
+	// which admission tests and what-if validates (admitWinners' scratch,
+	// reused across rounds). reported and released are bit sets
 	// over moveSet indices (a round has at most msg.MaxBatch winners): the
 	// winners whose MoveDone report arrived, routed or flooded, each
 	// counted once, and the wave members the Root has released.
@@ -73,6 +75,7 @@ type BlockCode struct {
 	moveSet       []lattice.BlockID
 	moveWaves     []uint8
 	moveCells     []msg.Cell
+	movePlans     []lattice.PlannedMove
 	reported      uint32
 	released      uint32
 	batchReachedO bool
@@ -611,9 +614,9 @@ func (b *BlockCode) admitWinners(env exec.Env, dst []lattice.BlockID) []lattice.
 	k := b.sh.cfg.parallelK()
 	radius := env.SensingRadius()
 	b.moveWaves, b.moveCells = b.moveWaves[:0], b.moveCells[:0]
-	// The admitted winners' planned moves and write footprints, in
-	// admission order.
-	var planned [msg.MaxBatch]lattice.PlannedMove
+	// The admitted winners' planned moves (b.movePlans) and write
+	// footprints, in admission order.
+	planned := b.movePlans[:0]
 	var fps [msg.MaxBatch]msg.Footprint
 	var taken [msg.MaxBatch]bool
 	n := 0
@@ -649,7 +652,7 @@ func (b *BlockCode) admitWinners(env exec.Env, dst []lattice.BlockID) []lattice.
 				continue
 			}
 		}
-		planned[n] = lattice.PlannedMove{From: pos, To: c.To.Vec()}
+		planned = append(planned, lattice.PlannedMove{From: pos, To: c.To.Vec()})
 		fps[n] = c.Fp
 		taken[i] = true
 		n++
@@ -710,8 +713,9 @@ func (b *BlockCode) admitWinners(env exec.Env, dst []lattice.BlockID) []lattice.
 		if !ok {
 			continue
 		}
-		planned[n] = move
-		if env.ValidateMoveSet(planned[:n+1]) != n+1 {
+		planned = append(planned, move)
+		if env.ValidateMoveSet(planned) != n+1 {
+			planned = planned[:n]
 			continue
 		}
 		fps[n] = c.Fp
@@ -721,6 +725,7 @@ func (b *BlockCode) admitWinners(env exec.Env, dst []lattice.BlockID) []lattice.
 		b.moveCells = append(b.moveCells, c.Pos)
 		nextStamp++
 	}
+	b.movePlans = planned
 	return dst
 }
 

@@ -261,8 +261,8 @@ func (e *discardEnv) Send(_ lattice.BlockID, m msg.Message) error {
 }
 
 // TestWarmPlanAndAckAllocateNothing: at k=16 a block's warm plan and its
-// father-ack reuse the block's buffers, so a round's bids and acks
-// allocate nothing.
+// father-ack reuse the block's buffers, and so does the Root's admission of
+// the winners, so a round's bids, acks and election allocate nothing.
 func TestWarmPlanAndAckAllocateNothing(t *testing.T) {
 	cfg := NewConfig(geom.V(1, 0), geom.V(1, 6))
 	cfg.ParallelMoves = 16
@@ -296,5 +296,28 @@ func TestWarmPlanAndAckAllocateNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { b.ackFather(denv) }); n != 0 {
 		t.Errorf("warm ackFather: %v allocations, want 0", n)
+	}
+
+	// The Root's admission reuses its buffers as well: eight eastward movers
+	// ten columns apart pass the disjoint pass, and the follower behind each
+	// joins its conveyor wave through the what-if (which denv accepts).
+	slide := func(id lattice.BlockID, from geom.Vec, dist int32) *election.Candidate {
+		return &election.Candidate{Cand: msg.Cand{ID: id, Distance: dist,
+			Pos: msg.CellOf(from), To: msg.CellOf(from.Add(geom.V(1, 0))),
+			Fp: msg.Footprint{Write: 1<<4 | 1<<5, Anchor: msg.CellOf(from), Radius: 1}}}
+	}
+	b.agg.Reset(*slide(100, geom.V(10, 20), 1), b.foldWidth())
+	for i := range 8 {
+		if i > 0 {
+			b.agg.Fold(slide(lattice.BlockID(100+i), geom.V(10*(i+1), 20), int32(1+i)), 3)
+		}
+		b.agg.Fold(slide(lattice.BlockID(200+i), geom.V(10*(i+1)-1, 20), int32(9+i)), 3)
+	}
+	b.moveSet = b.admitWinners(denv, b.moveSet[:0])
+	if len(b.moveSet) != 16 || b.moveWaves[15] != 8 {
+		t.Fatalf("admitted %v with stamps %v, want 8 disjoint winners and 8 wave members", b.moveSet, b.moveWaves)
+	}
+	if n := testing.AllocsPerRun(100, func() { b.moveSet = b.admitWinners(denv, b.moveSet[:0]) }); n != 0 {
+		t.Errorf("warm admitWinners: %v allocations, want 0", n)
 	}
 }

@@ -152,7 +152,7 @@ func TestRingAnswersRemark1(t *testing.T) {
 		{"wave steps", c.WaveSteps, 9, 10},
 		{"cut-vertex queries", c.CutVertices, 3, 4},
 	} {
-		total := k.r.Ring + k.r.Band + k.r.Contraction + k.r.Overlay
+		total := k.r.Ring + k.r.Band + k.r.Overlay
 		if total == 0 || k.r.Ring*k.den < total*k.num {
 			t.Errorf("%s: the ring answered %d of %d, want at least %d/%d", k.name, k.r.Ring, total, k.num, k.den)
 		}

@@ -192,10 +192,9 @@ func RunBenchJSONWith(opts BenchOpts) ([]byte, error) {
 
 	// The articulation-mover connectivity verdict. The bridging destination
 	// is in the mover's ring, so on the connected chain the ring (rung 0)
-	// answers it; before the ring, the retained piece labels (rung 1) did.
-	// BenchmarkArticulationMoveCheck in internal/lattice measures all three
-	// rungs that can answer it: the ring, the piece labels and the what-if
-	// overlay of rung 3.
+	// answers it. A cut-vertex mover the ring cannot decide takes the
+	// what-if overlay (rung 2); BenchmarkArticulationMoveCheck in
+	// internal/lattice measures both.
 	artic, err := articFixture()
 	if err != nil {
 		return nil, err
@@ -426,8 +425,8 @@ func appMoving(lib *rules.Library, surf *lattice.Surface, from, to geom.Vec) (ru
 // shardRebuildKernels is the headline pair at 2e6 modules: the cost of the
 // first connectivity query after an occupancy mutation, paying a
 // full-surface Tarjan rebuild on a one-band surface
-// (mono_rebuild_2e6) vs one narrow band's rebuild plus the contraction
-// recompute (shard_rebuild_2e6). The target regime is the band fraction
+// (mono_rebuild_2e6) vs one narrow band's rebuild plus the boundary
+// composition (shard_rebuild_2e6). The target regime is the band fraction
 // (20 bands -> ~20x).
 func shardRebuildKernels() ([]BenchResult, error) {
 	const cols = 3000 // ~2e6 modules
@@ -509,8 +508,8 @@ func shardEventKernels(sc shardScale) ([]BenchResult, error) {
 
 // articFixture builds the cut-vertex mover workload of the artic_fastpath
 // kernel: a long 1-high chain (every interior cell an articulation point)
-// with a bridging destination above, so the verdict exercises the retained
-// piece labels rather than the non-articulation fast path.
+// with a bridging destination above, which the mover's ring answers
+// although the band core's articulation bit could not.
 type articWorkload struct {
 	surf     *lattice.Surface
 	from, to geom.Vec

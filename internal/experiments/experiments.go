@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/baseline"
@@ -268,6 +269,12 @@ func Sweep(ns []int) ([]SweepResult, error) {
 // DefaultSweepSizes is the N range of the complexity experiments.
 var DefaultSweepSizes = []int{8, 12, 16, 24, 32, 48, 64, 96, 128}
 
+// defaultSweep runs Sweep(DefaultSweepSizes) once per process. The sweep is
+// deterministic, and Remarks 2-4 read three columns of its rows.
+var defaultSweep = sync.OnceValues(func() ([]SweepResult, error) {
+	return Sweep(DefaultSweepSizes)
+})
+
 // fitFrom is the smallest N of a growth-order fit: below it the constant
 // terms still steepen the log-log curve, which converges to the paper's
 // orders as N grows.
@@ -275,7 +282,7 @@ const fitFrom = 32
 
 func remark(metric string, bound string, wantSlope float64,
 	pick func(SweepResult) float64) (string, error) {
-	rs, err := Sweep(DefaultSweepSizes)
+	rs, err := defaultSweep()
 	if err != nil {
 		return "", err
 	}

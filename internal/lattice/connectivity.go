@@ -21,40 +21,34 @@ import (
 // maintained structure over the existing row bitsets:
 //
 //   - connCore is one Tarjan articulation pass over a column band [x0, x1):
-//     component count, component labels, an articulation-point bitset and the
-//     DFS piece labels (parent + subtree size), all in flat int32 scratch with
-//     no per-node allocation. Every surface keeps its cores in one band
-//     layout (shardedConn, shard.go): ceil(w/BandWidth) column bands, one
-//     on a surface at most BandWidth wide, composed through the boundary
-//     contraction graph (contraction.go). A core is rebuilt lazily and
-//     invalidated by every setOcc/clearOcc in its columns. Because a round of
-//     the algorithm validates many candidates between consecutive surface
-//     mutations, the rebuild amortises to a small constant per validation.
+//     component count, component labels and an articulation-point bitset,
+//     in flat int32 scratch with no per-node allocation. Every surface keeps
+//     its cores in one band layout (shardedConn, shard.go): ceil(w/BandWidth)
+//     column bands, one on a surface at most BandWidth wide, composed
+//     through the boundary contraction graph (contraction.go). A core is
+//     rebuilt lazily and invalidated by every setOcc/clearOcc in its
+//     columns. Because a round of the algorithm validates many candidates
+//     between consecutive surface mutations, the rebuild amortises to a
+//     small constant per validation.
 //
 //   - connectedAfterMove answers "is the occupancy still one 4-connected
 //     component after simultaneously clearing `removed` and filling `added`
-//     cells?" by climbing the band layout's escalation ladder (shard.go). For
-//     the common single-displacement case (every slide, every carry and
-//     every teleport nets one cell removed and one added) the first rung asks
-//     the mover's 3×3 ring (ring.go) while the occupancy is known to be one
+//     cells?" by climbing the band layout's three-rung ladder (shard.go).
+//     For the common single-displacement case (every slide, every carry and
+//     every teleport nets one cell removed and one added) rung 0 asks the
+//     mover's 3×3 ring (ring.go) while the occupancy is known to be one
 //     component: if the mover's side blocks lie in one run of its ring and
 //     the destination touches a block, the move is safe, with no band core
-//     read and so no rebuild after the last motion. Otherwise the answer is
+//     read and so no rebuild after the last motion. Otherwise rung 1 is
 //     still O(window) on a rebuilt core: if the vacated cell is not an
 //     articulation point the remainder is connected, and the destination
 //     only needs any remaining 4-neighbour.
 //
-//   - when the vacated cell IS an articulation point, the piece labels
-//     retained from the Tarjan pass answer the question in O(window) too
-//     (articMoveFast): removing the cell splits its component into the
-//     subtrees of its separating DFS children plus (for a non-root) the rest;
-//     the move preserves connectivity iff the destination's remaining
-//     neighbours cover every piece, and membership of a neighbour in a child
-//     subtree is one disc-interval test. Multi-cell deltas and fault-injected
-//     already-disconnected surfaces take the what-if overlay (overlayComps):
-//     a Tarjan pass over the bands the delta touches with the delta overlaid,
-//     run entirely on reusable scratch (no Clone, no map, zero allocations
-//     once warm).
+//   - articulation movers, multi-cell deltas and fault-injected
+//     already-disconnected surfaces take rung 2, the what-if overlay
+//     (compose): a Tarjan pass over the bands the delta touches with the
+//     delta overlaid, run entirely on reusable scratch (no Clone, no map,
+//     zero allocations once warm).
 //
 // Connected() in surface.go stays as the reference oracle; the property
 // tests in connectivity_test.go and shard_test.go pin the ladder to it, over
@@ -73,21 +67,16 @@ type connCore struct {
 	comps int      // number of 4-connected components within the band
 	artic []uint64 // band-local articulation bitset (aw words per row)
 
-	// Piece labels retained between rebuilds: parent is the DFS tree parent
-	// (band-local index, -1 at a component root), size the DFS subtree size,
-	// comp the component label (0..comps-1). Together they classify any band
-	// cell against the pieces an articulation point's removal creates
-	// (articMoveFast) and map boundary cells to contraction-graph nodes.
+	// Tarjan's discovery times and low links, and the component label
+	// (0..comps-1) that maps a boundary cell to its contraction-graph node.
 	disc   []int32
 	low    []int32
-	parent []int32
-	size   []int32
 	comp   []int32
 	frames []apFrame
 
 	// ovR/ovA, when non-nil, overlay a move delta on the occupancy the pass
-	// reads: removed cells read empty, added cells occupied. Rung 3 of the
-	// ladder (overlayComps, shard.go) uses them to rebuild a what-if band
+	// reads: removed cells read empty, added cells occupied. Rung 2 of the
+	// ladder (compose, contraction.go) uses them to rebuild a what-if band
 	// core without mutating the surface; they are nil on every cached core.
 	ovR, ovA []geom.Vec
 }
@@ -119,10 +108,9 @@ type ConnStats struct {
 
 // Rungs counts verdicts by the rung of the ladder that answered them.
 type Rungs struct {
-	Ring        int // rung 0: the mover's 3×3 ring
-	Band        int // rung 1: a band core's articulation bit or piece labels
-	Contraction int // rung 2: the contraction graph's component count
-	Overlay     int // rung 3: a what-if overlay rebuild
+	Ring    int // rung 0: the mover's 3×3 ring
+	Band    int // rung 1: a band core's articulation bit
+	Overlay int // rung 2: a what-if overlay rebuild
 }
 
 // Sub returns the counts accrued since the earlier snapshot o.
@@ -137,31 +125,22 @@ func (c ConnStats) Sub(o ConnStats) ConnStats {
 }
 
 func (r Rungs) sub(o Rungs) Rungs {
-	return Rungs{r.Ring - o.Ring, r.Band - o.Band, r.Contraction - o.Contraction, r.Overlay - o.Overlay}
+	return Rungs{r.Ring - o.Ring, r.Band - o.Band, r.Overlay - o.Overlay}
 }
 
 // ConnStats returns the surface's connectivity counts.
 func (s *Surface) ConnStats() ConnStats { return s.stats }
 
-// invalidateConnAt drops the cached connectivity state covering cell v;
-// called by every occupancy mutation (setOcc/clearOcc). Only the owning
-// column band is dropped, plus the boundary edges its labels feed.
-func (s *Surface) invalidateConnAt(v geom.Vec) { s.shconn.invalidateCol(v.X) }
-
-// invalidateConnCols drops the cached connectivity state for every column of
-// [x0, x1] at once (bulk mutations such as FillRect).
-func (s *Surface) invalidateConnCols(x0, x1 int) { s.shconn.invalidateCols(x0, x1) }
-
 // WarmConnectivity builds the connectivity cache now instead of lazily on
-// the first constrained validation: every band core and the boundary
-// contraction graph. Harnesses call it once after loading a scenario so the
-// O(N) rebuild happens at boot, not inside the first measured election
-// round. It returns the number of 4-connected components the cache counts
+// the first constrained validation: every band core and boundary edge list,
+// composed into the global component count. Harnesses call it once after
+// loading a scenario so the O(N) rebuild happens at boot, not inside the
+// first measured election round. It returns the number of 4-connected components the cache counts
 // (0 on an empty surface), so a caller can decide Assumption 1 without a
 // separate traversal.
 func (s *Surface) WarmConnectivity() int {
 	s.shconn.ensure(s)
-	return s.shconn.globalCompCount()
+	return s.shconn.comps
 }
 
 // rebuild runs one iterative Tarjan articulation-point pass over the
@@ -176,14 +155,10 @@ func (c *connCore) rebuild(s *Surface) {
 	if cap(c.disc) < cells {
 		c.disc = make([]int32, cells)
 		c.low = make([]int32, cells)
-		c.parent = make([]int32, cells)
-		c.size = make([]int32, cells)
 		c.comp = make([]int32, cells)
 	} else {
 		c.disc = c.disc[:cells]
 		c.low = c.low[:cells]
-		c.parent = c.parent[:cells]
-		c.size = c.size[:cells]
 		c.comp = c.comp[:cells]
 		for i := range c.disc {
 			c.disc[i] = 0
@@ -235,8 +210,6 @@ func (c *connCore) dfsFrom(s *Surface, start, timer int32) int32 {
 	c.comps++
 	c.disc[start] = timer
 	c.low[start] = timer
-	c.parent[start] = -1
-	c.size[start] = 1
 	c.comp[start] = label
 	timer++
 	c.frames = append(c.frames, apFrame{cell: start, parent: -1})
@@ -260,8 +233,6 @@ func (c *connCore) dfsFrom(s *Surface, start, timer int32) int32 {
 			}
 			c.disc[nb] = timer
 			c.low[nb] = timer
-			c.parent[nb] = f.cell
-			c.size[nb] = 1
 			c.comp[nb] = label
 			timer++
 			c.frames = append(c.frames, apFrame{cell: nb, parent: f.cell})
@@ -279,7 +250,6 @@ func (c *connCore) dfsFrom(s *Surface, start, timer int32) int32 {
 		}
 		pf := &c.frames[len(c.frames)-1] // stack discipline: parent frame is below
 		pf.children++
-		c.size[parent] += c.size[cell]
 		if c.low[cell] < c.low[parent] {
 			c.low[parent] = c.low[cell]
 		}
@@ -355,10 +325,9 @@ func (c *connCore) compAt(v geom.Vec) int32 { return c.comp[c.localIdx(v)] }
 // 4-connected component after moving the occupant of `from` onto the empty
 // in-bounds cell `to`, without mutating the surface. It is the exported
 // form of the planner's single-displacement connectivity query: O(window)
-// for non-articulation movers, and — via the piece labels retained from the
-// Tarjan pass — O(window) for articulation movers too. Inputs violating the
-// contract (vacant origin, occupied or out-of-bounds destination) report
-// false.
+// for non-articulation movers, and a what-if Tarjan pass over the bands the
+// move touches for articulation movers. Inputs violating the contract
+// (vacant origin, occupied or out-of-bounds destination) report false.
 func (s *Surface) ConnectedAfterDisplacement(from, to geom.Vec) bool {
 	if !s.Occupied(from) || s.Occupied(to) || !s.InBounds(to) {
 		return false
@@ -390,81 +359,6 @@ func (s *Surface) connectedAfter(removed, added []geom.Vec, n *Rungs) bool {
 		return true
 	}
 	return s.shconn.connectedAfterMove(s, removed, added, n)
-}
-
-// articMoveFast decides connectivity for a single-displacement move whose
-// vacated cell v is an articulation point of the (single-component)
-// occupancy, using the DFS labels retained from the Tarjan pass. Removing v
-// splits its component into the subtrees of v's separating DFS children
-// (low[c] >= disc[v]; at a DFS root every child separates) plus, for a
-// non-root v, the rest of the component. The move keeps the ensemble
-// connected iff the destination d has at least one remaining neighbour in
-// every piece. Membership is one preorder-interval test — a DFS subtree
-// occupies the contiguous disc range [disc[c], disc[c]+size[c]) — and DFS
-// tree edges are grid edges, so v's children are found among its four
-// neighbours. Everything is O(1) lookups on the retained flat arrays.
-//
-// On a band core the analysis sees only in-band cells: a true verdict means
-// the band-local component survives intact and is exact; a false verdict may
-// miss reconnection through neighbouring bands, so with more than one band
-// the caller treats false as "escalate", never as a final answer. On a
-// full-width core (a one-band surface) both verdicts are exact. d must lie
-// inside the band.
-func (c *connCore) articMoveFast(s *Surface, v, d geom.Vec) bool {
-	// The core is valid (ensured by the caller), so disc doubles as the
-	// band-local occupancy: nonzero iff the cell held a block at rebuild.
-	// Reading it — and deriving neighbours from the coordinates the caller
-	// already has — keeps this path free of the div/mod address translation.
-	vi := c.localIdx(v)
-	var lo, hi [4]int32 // disc intervals of the separated child subtrees
-	pieces := 0
-	for _, nv := range [4]geom.Vec{{X: v.X + 1, Y: v.Y}, {X: v.X, Y: v.Y + 1}, {X: v.X - 1, Y: v.Y}, {X: v.X, Y: v.Y - 1}} {
-		if nv.X < c.x0 || nv.X >= c.x1 || nv.Y < 0 || nv.Y >= s.h {
-			continue
-		}
-		nb := c.localIdx(nv)
-		if c.disc[nb] == 0 || c.parent[nb] != vi {
-			continue
-		}
-		if c.low[nb] >= c.disc[vi] {
-			lo[pieces], hi[pieces] = c.disc[nb], c.disc[nb]+c.size[nb]
-			pieces++
-		}
-	}
-	rest := c.parent[vi] >= 0 // non-root v: the piece holding its DFS parent
-	total := pieces
-	if rest {
-		total++
-	}
-	var covered [5]bool // pieces 0..3, index `pieces` = the rest
-	got := 0
-	for _, nv := range [4]geom.Vec{{X: d.X + 1, Y: d.Y}, {X: d.X, Y: d.Y + 1}, {X: d.X - 1, Y: d.Y}, {X: d.X, Y: d.Y - 1}} {
-		if nv.X < c.x0 || nv.X >= c.x1 || nv.Y < 0 || nv.Y >= s.h {
-			continue
-		}
-		nb := c.localIdx(nv)
-		if nb == vi || c.disc[nb] == 0 {
-			continue
-		}
-		piece := pieces // the rest, unless inside a separated subtree
-		for i := 0; i < pieces; i++ {
-			if c.disc[nb] >= lo[i] && c.disc[nb] < hi[i] {
-				piece = i
-				break
-			}
-		}
-		if piece == pieces && !rest {
-			// v is a DFS root, so every other cell lies in some child
-			// subtree; with all root children separating this is
-			// unreachable, kept as a defensive guard.
-			continue
-		}
-		if !covered[piece] {
-			covered[piece] = true
-			got++
-		}
-	}
-	return got == total
 }
 
 // occAfter is the post-move occupancy: the row bitsets with the delta

@@ -1,6 +1,7 @@
 package lattice
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -198,10 +199,9 @@ func TestArticulationMoverCanStillMove(t *testing.T) {
 
 // TestConstrainedValidateZeroAllocs asserts the connectivity-constrained
 // boolean verdict allocates nothing: on the mover's ring (rung 0, with the
-// cavity check too once its marks exist), on the piece labels (articulation
-// mover), and on rung 3's what-if overlay (multi-cell deltas on one and on
-// three bands), the last two checked through the unexported core so no
-// error is materialised.
+// cavity check too once its marks exist) and on rung 2's what-if overlay
+// (an articulation mover, and multi-cell deltas on one and on three bands),
+// the last checked through the unexported core so no error is materialised.
 func TestConstrainedValidateZeroAllocs(t *testing.T) {
 	s, err := NewSurface(8, 5)
 	if err != nil {
@@ -230,9 +230,9 @@ func TestConstrainedValidateZeroAllocs(t *testing.T) {
 		t.Errorf("connectivity-constrained Validate allocates %v/op, want 0", n)
 	}
 
-	// The L-tromino cut vertex is answered from the piece labels; the
-	// multi-cell deltas take the overlay, on one band and across three
-	// 2-column bands (the split delta touches bands 0 and 2).
+	// The L-tromino cut vertex and the multi-cell deltas take the overlay,
+	// on one band and across three 2-column bands (the split delta touches
+	// bands 0 and 2).
 	tromino := []geom.Vec{geom.V(0, 0), geom.V(1, 0), geom.V(1, 1)}
 	l := mustSurface(t, 6, 6, tromino...)
 	banded := mustSurface(t, 6, 6, tromino...)
@@ -386,71 +386,87 @@ func BenchmarkApplicationsForConstrained(b *testing.B) {
 	})
 }
 
-// TestArticulationMoveFastPath pins the piece-label fast path on
-// articulation movers whose destination does or does not bridge the pieces
-// their departure creates, including a DFS-root articulation point. Rung 0
-// answers the bridging move before the piece labels are read, so each case
-// also asks articMoveFast directly.
-func TestArticulationMoveFastPath(t *testing.T) {
-	// A 1-high chain: every interior cell is an articulation point.
-	chain := func(t *testing.T, extra ...geom.Vec) *Surface {
-		t.Helper()
-		s, err := NewSurface(32, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for x := 0; x < 9; x++ {
-			if _, err := s.Place(geom.V(x, 0)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, v := range extra {
-			if _, err := s.Place(v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return s
+// TestArticulationMoversByBandCount pins single-displacement verdicts on
+// one band and on three 4-column bands that a 1-high chain crosses at
+// columns 3|4 and 7|8. Every verdict must match the Clone + Connected()
+// oracle, and each case names the rung that must answer it on each layout:
+// the mover's ring decides a bridge inside it; past the ring, an
+// articulation mover takes the what-if overlay, and a non-articulation
+// mover whose side blocks join only through a loop takes the band core's
+// bit unless it has a block across a band boundary.
+func TestArticulationMoversByBandCount(t *testing.T) {
+	type rung int
+	const (
+		ring rung = iota
+		band
+		overlay
+	)
+	cases := []struct {
+		name     string
+		extra    []geom.Vec // blocks besides the chain (0,0)..(8,0)
+		from, to geom.Vec
+		want     bool
+		rung     [2]rung // on one band, on three
+	}{
+		{"bridge inside the ring", []geom.Vec{geom.V(4, 1), geom.V(6, 1)},
+			geom.V(5, 0), geom.V(5, 1), true, [2]rung{ring, ring}},
+		{"west piece only", []geom.Vec{geom.V(4, 1)},
+			geom.V(5, 0), geom.V(5, 1), false, [2]rung{overlay, overlay}},
+		{"bridge beyond the ring", []geom.Vec{geom.V(4, 1), geom.V(4, 2), geom.V(6, 1), geom.V(6, 2)},
+			geom.V(5, 0), geom.V(5, 2), true, [2]rung{overlay, overlay}},
+		{"chain end stranded", nil,
+			geom.V(1, 0), geom.V(0, 1), false, [2]rung{overlay, overlay}},
+		{"loop inside a band", []geom.Vec{geom.V(4, 1), geom.V(4, 2), geom.V(5, 2), geom.V(6, 2), geom.V(6, 1)},
+			geom.V(5, 0), geom.V(9, 0), true, [2]rung{band, band}},
+		{"loop across a boundary", []geom.Vec{geom.V(3, 1), geom.V(3, 2), geom.V(4, 2), geom.V(5, 2), geom.V(5, 1)},
+			geom.V(4, 0), geom.V(9, 0), true, [2]rung{band, overlay}},
 	}
-
-	check := func(t *testing.T, s *Surface, removed, added geom.Vec, want bool) {
-		t.Helper()
-		s.WarmConnectivity()
-		if !s.IsArticulation(removed) {
-			t.Fatalf("%v is not an articulation point; fixture broken", removed)
-		}
-		got := s.connectedAfterMove([]geom.Vec{removed}, []geom.Vec{added})
-		// Oracle: clone, move, full DFS.
-		after := s.Clone()
-		id, _ := after.BlockAt(removed)
-		if err := after.MoveTeleport(id, added, Constraints{}); err != nil {
-			t.Fatal(err)
-		}
-		if oracle := after.Connected(); oracle != want {
-			t.Fatalf("fixture expectation %t disagrees with the oracle %t", want, oracle)
-		}
-		if got != want {
-			t.Fatalf("connectedAfterMove(%v -> %v) = %t, want %t", removed, added, got, want)
-		}
-		if got := s.shconn.shards[0].core.articMoveFast(s, removed, added); got != want {
-			t.Fatalf("articMoveFast(%v -> %v) = %t, want %t", removed, added, got, want)
-		}
+	for li, bands := range []int{1, 3} {
+		t.Run(fmt.Sprintf("bands=%d", bands), func(t *testing.T) {
+			for _, tc := range cases {
+				s, err := NewSurface(12, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.EnableSharding(bands); err != nil {
+					t.Fatal(err)
+				}
+				for x := 0; x < 9; x++ {
+					if _, err := s.Place(geom.V(x, 0)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, v := range tc.extra {
+					if _, err := s.Place(v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if s.WarmConnectivity() != 1 {
+					t.Fatalf("%s: fixture is not one component", tc.name)
+				}
+				removed, added := []geom.Vec{tc.from}, []geom.Vec{tc.to}
+				if oracle := oracleConnectedAfter(t, s, removed, added); oracle != tc.want {
+					t.Fatalf("%s: fixture expectation %t disagrees with the oracle %t", tc.name, tc.want, oracle)
+				}
+				before := s.ConnStats().Moves
+				if got := s.connectedAfterMove(removed, added); got != tc.want {
+					t.Fatalf("%s: connectedAfterMove(%v -> %v) = %t, want %t", tc.name, tc.from, tc.to, got, tc.want)
+				}
+				n := s.ConnStats().Moves.sub(before)
+				if got := [3]int{n.Ring, n.Band, n.Overlay}; got[tc.rung[li]] != 1 || n.Ring+n.Band+n.Overlay != 1 {
+					t.Errorf("%s: rungs (ring, band, overlay) answered %v, want rung %d alone", tc.name, got, tc.rung[li])
+				}
+			}
+		})
 	}
-
-	// Mid-chain mover, destination bridges both pieces from above.
-	check(t, chain(t, geom.V(3, 1), geom.V(5, 1)), geom.V(4, 0), geom.V(4, 1), true)
-	// Mid-chain mover, destination touches only the west piece.
-	check(t, chain(t, geom.V(3, 1)), geom.V(4, 0), geom.V(4, 1), false)
-	// Chain-end neighbour: the mover is the DFS-root candidate of its
-	// component on some rebuilds; the destination strands the far piece.
-	check(t, chain(t), geom.V(1, 0), geom.V(0, 1), false)
 }
 
 // BenchmarkArticulationMoveCheck measures the cut-vertex mover verdict of
 // a bridging move: the mover's ring (rung 0), which answers it first on a
-// connected surface, the retained piece labels (rung 1) that answered it
-// before, and rung 3's what-if overlay, the Tarjan pass over the band with
-// the delta overlaid that multi-cell deltas take. sbbench tracks the first
-// across PRs as the artic_fastpath kernel; the other two live only here.
+// connected surface, and rung 2's what-if overlay (compose), the Tarjan pass
+// over the band with the delta overlaid, which answers it when the ring
+// cannot. sbbench tracks the first across PRs as the artic_fastpath kernel;
+// the second lives only here.
 func BenchmarkArticulationMoveCheck(b *testing.B) {
 	s, err := NewSurface(64, 4)
 	if err != nil {
@@ -484,19 +500,10 @@ func BenchmarkArticulationMoveCheck(b *testing.B) {
 			}
 		}
 	})
-	b.Run("piece-labels", func(b *testing.B) {
-		core := &s.shconn.shards[0].core
+	b.Run("compose", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if !core.articMoveFast(s, removed[0], added[0]) {
-				b.Fatal("must stay connected")
-			}
-		}
-	})
-	b.Run("overlay-comps", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if s.shconn.overlayComps(s, removed, added) != 1 {
+			if s.shconn.compose(s, removed, added) != 1 {
 				b.Fatal("must stay connected")
 			}
 		}

@@ -18,23 +18,12 @@ import (
 // 4-adjacency crosses a boundary column pair by construction.
 //
 // The graph is tiny (a dense slab contributes one node per band and one edge
-// per boundary), so it is stored as a union-find over the concatenated label
-// spaces plus one cached, deduplicated edge list per boundary. An edge list
-// is invalidated only when one of its two adjacent bands rebuilds (its labels
-// are meaningless afterwards); the union-find is recomputed whole on every
-// rebuild, which is O(nodes + edges) — negligible next to a band pass.
-//
-// The graph's own validity is the band layout's all-valid flag
-// (shardedConn.valid): any band invalidation clears it.
-type contraction struct {
-	comps int // global 4-connected component count
-
-	// nodeBase[i] is the first union-find slot of band i's component labels;
-	// nodeBase[len(shards)] is the total node count.
-	nodeBase []int32
-	uf       []int32
-	edges    []boundaryEdges // edges[i] spans bands i and i+1
-}
+// per boundary). Each boundary caches its deduplicated edge list, which is
+// invalidated only when one of its two adjacent bands rebuilds (its labels
+// are meaningless afterwards). compose counts the graph's components with a
+// union-find over the concatenated label spaces, O(nodes + edges) —
+// negligible next to a band pass — for the cached occupancy and for every
+// what-if delta alike.
 
 // boundaryEdges caches the deduplicated component-label adjacencies across
 // one internal band boundary.
@@ -47,52 +36,16 @@ type boundaryEdges struct {
 // component label b of the right band.
 type edgePair struct{ a, b int32 }
 
-// rebuild refreshes the contraction graph after band rebuilds: rescan the
-// invalidated boundary edge lists, then recompute the union-find whole.
-// Bands must all be valid (ensure runs them first).
-func (ct *contraction) rebuild(s *Surface, sc *shardedConn) {
-	ns := len(sc.shards)
-	if cap(ct.nodeBase) < ns+1 {
-		ct.nodeBase = make([]int32, ns+1)
-	}
-	ct.nodeBase = ct.nodeBase[:ns+1]
-	total := int32(0)
-	for i := 0; i < ns; i++ {
-		ct.nodeBase[i] = total
-		total += int32(sc.shards[i].core.comps)
-	}
-	ct.nodeBase[ns] = total
-	if cap(ct.uf) < int(total) {
-		ct.uf = make([]int32, total)
-	}
-	ct.uf = ct.uf[:total]
-	for i := range ct.uf {
-		ct.uf[i] = int32(i)
-	}
-	comps := int(total)
-	for bi := 0; bi < ns-1; bi++ {
-		be := &ct.edges[bi]
-		if !be.valid {
-			be.scan(s, &sc.shards[bi].core, &sc.shards[bi+1].core)
-		}
-		for _, p := range be.pairs {
-			if ufUnion(ct.uf, ct.nodeBase[bi]+p.a, ct.nodeBase[bi+1]+p.b) {
-				comps--
-			}
-		}
-	}
-	ct.comps = comps
-}
-
 // scan rebuilds the deduplicated edge list across the boundary between the
-// two (valid) band cores: one O(H) sweep of the facing column pair.
-func (be *boundaryEdges) scan(s *Surface, l, r *connCore) {
+// band cores l and r, reading the occupancy with the delta removed/added
+// overlaid: one O(H) sweep of the facing column pair.
+func (be *boundaryEdges) scan(s *Surface, l, r *connCore, removed, added []geom.Vec) {
 	be.pairs = be.pairs[:0]
 	xl, xr := l.x1-1, r.x0
 	last := edgePair{-1, -1}
 	for y := 0; y < s.h; y++ {
 		vl, vr := geom.V(xl, y), geom.V(xr, y)
-		if !s.Occupied(vl) || !s.Occupied(vr) {
+		if !s.occAfter(vl, removed, added) || !s.occAfter(vr, removed, added) {
 			continue
 		}
 		p := edgePair{l.compAt(vl), r.compAt(vr)}
@@ -112,11 +65,67 @@ func (be *boundaryEdges) scan(s *Surface, l, r *connCore) {
 		return cmp.Compare(p.b, q.b)
 	})
 	be.pairs = slices.Compact(be.pairs)
-	be.valid = true
 }
 
-// globalCompCount returns the cached global component count (ensure first).
-func (sc *shardedConn) globalCompCount() int { return sc.contr.comps }
+// compose returns the exact global component count of the occupancy with
+// the delta removed/added overlaid, without mutating the surface; every band
+// core and boundary edge list must be valid (ensure). Each band a delta cell
+// lies in is re-analysed by a what-if connCore reading through the overlay,
+// and each boundary beside one is rescanned; every other band and boundary
+// contributes its cached labels and edges. Cost: O(bandWidth x H) per
+// affected band plus an O(H) scan per boundary beside one — bounded by the
+// delta footprint, never by the surface. An empty delta composes the cached
+// count.
+func (sc *shardedConn) compose(s *Surface, removed, added []geom.Vec) int {
+	if n := len(removed) + len(added); len(sc.wc) < n {
+		sc.wc = append(sc.wc, make([]connCore, n-len(sc.wc))...)
+	}
+	sc.cores = sc.cores[:0]
+	for i := range sc.shards {
+		sc.cores = append(sc.cores, &sc.shards[i].core)
+	}
+	cached := func(si int) bool { return sc.cores[si] == &sc.shards[si].core }
+	nw := 0
+	for _, delta := range [2][]geom.Vec{removed, added} {
+		for _, v := range delta {
+			si := sc.shardOf(v.X)
+			if !cached(si) {
+				continue // this band's what-if core is built already
+			}
+			wc := &sc.wc[nw]
+			nw++
+			wc.x0, wc.x1 = sc.cores[si].x0, sc.cores[si].x1
+			wc.ovR, wc.ovA = removed, added
+			wc.rebuild(s)
+			wc.ovR, wc.ovA = nil, nil
+			sc.cores[si] = wc
+		}
+	}
+	// One union-find slot per band-local component, then one union per
+	// contraction edge.
+	sc.base = sc.base[:0]
+	sc.uf = sc.uf[:0]
+	for _, c := range sc.cores {
+		sc.base = append(sc.base, int32(len(sc.uf)))
+		for range c.comps {
+			sc.uf = append(sc.uf, int32(len(sc.uf)))
+		}
+	}
+	comps := len(sc.uf)
+	for bi := range sc.edges {
+		be := &sc.edges[bi]
+		if !cached(bi) || !cached(bi+1) {
+			be = &sc.wedge
+			be.scan(s, sc.cores[bi], sc.cores[bi+1], removed, added)
+		}
+		for _, p := range be.pairs {
+			if ufUnion(sc.uf, sc.base[bi]+p.a, sc.base[bi+1]+p.b) {
+				comps--
+			}
+		}
+	}
+	return comps
+}
 
 // ufFind resolves x's root with path halving.
 func ufFind(uf []int32, x int32) int32 {

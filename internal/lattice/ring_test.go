@@ -484,7 +484,7 @@ func TestConnectedWalkMatchesOracle(t *testing.T) {
 				st := s.ConnStats()
 				for i, r := range [3]Rungs{st.Moves, st.WaveSteps, st.CutVertices} {
 					ring[i] += r.Ring
-					above[i] += r.Band + r.Contraction + r.Overlay
+					above[i] += r.Band + r.Overlay
 				}
 			}
 			for i, kind := range [3]string{"moves", "wave steps", "cut vertices"} {

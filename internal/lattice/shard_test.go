@@ -272,8 +272,8 @@ func TestConnectivityLadderMatchesOracle(t *testing.T) {
 					}
 				}
 			}
-			// An occupancy-preserving delta answers from the contraction
-			// graph's component count.
+			// An empty delta composes the cached contraction graph's
+			// component count.
 			if got, want := s.connectedAfterMove(nil, nil), s.Connected(); got != want {
 				t.Fatalf("trial %d step %d: contraction graph says connected=%v, oracle %v",
 					trial, step, got, want)
@@ -328,8 +328,8 @@ func componentCount(s *Surface) int {
 // TestVetoKeepsBandsWarm: the in-place vetoes of Validate and MoveTeleport
 // apply the motion, run the veto and roll it back. A veto that reads no
 // connectivity must leave a warm cache warm — every band, every boundary
-// edge list and the contraction graph — so the next query rebuilds nothing,
-// and the revalidated cache must still answer like a fresh one.
+// edge list and the composed component count — so the next query rebuilds
+// nothing, and the revalidated cache must still answer like a fresh one.
 func TestVetoKeepsBandsWarm(t *testing.T) {
 	errNo := errors.New("no")
 	cons := Constraints{
@@ -366,15 +366,15 @@ func assertBandsWarm(t *testing.T, s *Surface, after string) {
 	t.Helper()
 	sc := s.shconn
 	if !sc.valid {
-		t.Errorf("after %s: contraction graph invalid", after)
+		t.Errorf("after %s: composed component count invalid", after)
 	}
 	for i := range sc.shards {
 		if !sc.shards[i].valid {
 			t.Errorf("after %s: band %d invalid", after, i)
 		}
 	}
-	for i := range sc.contr.edges {
-		if !sc.contr.edges[i].valid {
+	for i := range sc.edges {
+		if !sc.edges[i].valid {
 			t.Errorf("after %s: boundary edge list %d invalid", after, i)
 		}
 	}
@@ -446,7 +446,7 @@ func TestShardedCombBoundary(t *testing.T) {
 	if got := s.WarmConnectivity(); got != teeth {
 		t.Fatalf("comb: contraction counts %d components, want %d", got, teeth)
 	}
-	if got := len(s.shconn.contr.edges[0].pairs); got != teeth {
+	if got := len(s.shconn.edges[0].pairs); got != teeth {
 		t.Fatalf("comb: %d boundary pairs, want %d distinct", got, teeth)
 	}
 	// Fill the left boundary column: the left band collapses to one
@@ -460,7 +460,7 @@ func TestShardedCombBoundary(t *testing.T) {
 	if got := s.WarmConnectivity(); got != 1 {
 		t.Fatalf("merged comb: contraction counts %d components", got)
 	}
-	if got := len(s.shconn.contr.edges[0].pairs); got != teeth {
+	if got := len(s.shconn.edges[0].pairs); got != teeth {
 		t.Fatalf("merged comb: %d boundary pairs, want %d", got, teeth)
 	}
 	if !s.Connected() {

@@ -153,14 +153,14 @@ func (s *Surface) posClear(id BlockID) { s.pos[id] = posNone }
 // connectivity cache covering it.
 func (s *Surface) setOcc(v geom.Vec) {
 	s.occ[v.Y*s.occW+v.X>>6] |= 1 << (uint(v.X) & 63)
-	s.invalidateConnAt(v)
+	s.shconn.invalidateCols(v.X, v.X)
 }
 
 // clearOcc marks cell v empty in the row bitset and invalidates the
 // connectivity cache covering it.
 func (s *Surface) clearOcc(v geom.Vec) {
 	s.occ[v.Y*s.occW+v.X>>6] &^= 1 << (uint(v.X) & 63)
-	s.invalidateConnAt(v)
+	s.shconn.invalidateCols(v.X, v.X)
 }
 
 // Width returns the surface width W.
@@ -267,7 +267,7 @@ func (s *Surface) FillRect(r geom.Rect) (int, error) {
 	}
 	s.next = id
 	s.nblk += n
-	s.invalidateConnCols(r.Min.X, r.Max.X)
+	s.shconn.invalidateCols(r.Min.X, r.Max.X)
 	return n, nil
 }
 
@@ -393,9 +393,9 @@ func (s *Surface) AppendPositions(dst []geom.Vec) []geom.Vec {
 // "not a cut vertex" in O(1) whenever v's side blocks lie in one run of it.
 // Otherwise the incremental connectivity cache answers; after the amortised
 // rebuild it is O(1) per query on one band. With more bands the band-local
-// bitset answers "not an articulation point" for interior cells in O(1),
-// and only band-splitting or boundary-column cells escalate to the what-if
-// overlay (O(band), never O(N)).
+// bitset answers "not an articulation point" in O(1) for a cell with no
+// block across a band boundary, and only band-local articulation points
+// and boundary cells escalate to the what-if overlay (O(band), never O(N)).
 func (s *Surface) IsArticulation(v geom.Vec) bool {
 	return s.Occupied(v) && s.shconn.isArticulation(s, v, &s.stats.CutVertices)
 }

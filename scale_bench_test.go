@@ -172,7 +172,7 @@ func shardBenchSurface(b *testing.B, cols int) (*lattice.Surface, lattice.BlockI
 }
 
 // BenchmarkLargeSurfaceShardRebuild measures the cost the sharded cache
-// pays after a mutation: one band rebuild plus the contraction recompute,
+// pays after a mutation: one band rebuild plus the boundary composition,
 // at every scale of the sweep. Flat ns/op across the sub-benchmarks is the
 // headline (the one-band RebuildConn above grows linearly instead).
 func BenchmarkLargeSurfaceShardRebuild(b *testing.B) {
