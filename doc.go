@@ -46,7 +46,10 @@
 // mover, so a plan reads that window once, through exec.Env.SenseWindow
 // on either engine, and validates every placement against it with two
 // AND/compare instructions; rule enumeration (Library.ApplicationsFor /
-// ApplicationsOn) allocates nothing until a match is found. The original
+// ApplicationsOn) allocates nothing until a match is found. A block also
+// remembers its last plan: when its position, its sensing window, the tier
+// and its no-return cell are all as they were, the plan is the same, and
+// the block reuses it without matching again. The original
 // matrix objects remain the display, XML and teaching API; differential
 // property tests pin the compiled matcher to the reference entry-wise
 // operator for every library rule under all D4 transforms
@@ -193,7 +196,13 @@
 // slide, carry and teleport) whose mover is not a cut vertex, and a
 // cut-vertex mover, a multi-cell delta or a fault-injected fragmented
 // surface takes a what-if Tarjan pass with the delta overlaid, on reusable
-// scratch, over the bands the delta touches. Surface.ConnStats counts which
+// scratch, over the bands the delta touches. A cut-vertex query that the
+// ring cannot decide while the cache is stale (a motion since its last
+// rebuild) first searches the occupancy without the block from each of
+// its side neighbours, at most 64 blocks per search: a search that reaches
+// every side neighbour clears the block, one that runs out of blocks first
+// proves it a cut vertex, and only a query whose every search hits the
+// bound rebuilds the cache. Surface.ConnStats counts which
 // rung answered each verdict, and core.Result carries one run's counts.
 // Connected() remains the reference oracle, with a property test pinning
 // the cache to it across randomized motion/fault sequences. Surface.Apply
@@ -203,7 +212,9 @@
 // the Remark 1 blocking veto: a candidate motion is applied in place,
 // inspected, and rolled back — the clone-and-enumerate lookahead is gone,
 // and the per-candidate veto is allocation-free steady-state
-// (TestLookaheadVetoZeroAllocs pins it at 0 allocs).
+// (TestLookaheadVetoZeroAllocs pins it at 0 allocs). The veto asks the
+// last mobile block it found first, and scans every block only when that
+// witness is gone, frozen or immobile.
 //
 // # Sharded surfaces: column bands and boundary composition
 //
@@ -230,7 +241,8 @@
 // when their verdict cannot be wrong, otherwise they fall through: (0) the
 // mover's 3×3 ring, O(1), while the occupancy is known to be one
 // component, which answers "stays connected" or "not a cut vertex" without
-// reading a band core; (1) a band core's articulation bit, O(window), for a
+// reading a band core, followed for a cut-vertex query on a stale cache by
+// the bounded search above; (1) a band core's articulation bit, O(window), for a
 // mover that is not a band-local cut vertex and has no block across a band
 // boundary (on one band the core spans the surface, so its bit answers a
 // cut-vertex query either way); (2) the what-if overlay — what-if band

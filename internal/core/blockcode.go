@@ -180,9 +180,10 @@ type BlockCode struct {
 	bidApp   rules.Application
 	hasBid   bool
 
-	// win is the planner's view of the sensing window; plan points it at
-	// the running hook's Env, so an enumeration allocates no window source.
-	// plans holds every plan's applications and candidates.
+	// win is the planner's view of the sensing window of a library whose
+	// window does not fit a bitboard; plan points it at the running hook's
+	// Env, so an enumeration allocates no window source. plans holds every
+	// plan's applications and candidates, and the key of the last plan.
 	win   sensed
 	plans planBuf
 }
@@ -197,12 +198,19 @@ func (b *BlockCode) avoidCell(tier msg.Tier) *geom.Vec {
 	return &v
 }
 
-// plan enumerates this block's admissible moves from pos at the given tier
-// (planCandidates), reading the sensing window through env. The list is
-// valid until the block's next plan.
+// plan enumerates this block's admissible moves from pos at the given tier,
+// reading the sensing window through env. When the library matches one
+// window, plan reads it once and planWindow re-matches only when the
+// window, position, tier or no-return cell changed since the block's last
+// plan; otherwise planCandidates reads it per placement. The list is valid
+// until the block's next plan.
 func (b *BlockCode) plan(env exec.Env, pos geom.Vec, tier msg.Tier) []CandidateMove {
+	lib := env.Library()
+	if r, ok := lib.WindowRadius(); ok {
+		return planWindow(&b.sh.cfg, lib, pos, env.SenseWindow(pos, r), tier, b.avoidCell(tier), &b.plans)
+	}
 	b.win.env = env
-	return planCandidates(&b.sh.cfg, env.Library(), pos, &b.win, tier, b.avoidCell(tier), &b.plans)
+	return planCandidates(&b.sh.cfg, lib, pos, &b.win, tier, b.avoidCell(tier), &b.plans)
 }
 
 // newObservedFactory returns the exec.CodeFactory for one run of the

@@ -62,12 +62,14 @@ func blockingVeto(cfg Config, lib *rules.Library) func(after *lattice.Surface) e
 	}
 }
 
-// vetoScratch holds the reusable buffers of one lookahead veto closure: the
-// occupied-cell scan and the per-block application probe reuse them across
-// every candidate the veto inspects.
+// vetoScratch holds the reusable state of one lookahead veto closure: the
+// occupied-cell scan and the per-block application probe reuse its buffers
+// across every candidate the veto inspects, and witness is the last mobile
+// unfrozen block the veto found (lattice.None before the first).
 type vetoScratch struct {
-	cells []geom.Vec
-	apps  []rules.Application
+	cells   []geom.Vec
+	apps    []rules.Application
+	witness lattice.BlockID
 }
 
 // lineVeto is the literal Remark 1 prohibition: after the motion, the
@@ -99,11 +101,14 @@ func lineVeto(cfg Config, after *lattice.Surface) error {
 // lookaheadVeto generalises Remark 1: the motion must not leave the system
 // in a state where O is unoccupied and yet no unfrozen block has any
 // admissible move (at the most permissive tier the configuration allows).
-// It short-circuits on the first mobile block found. The surface it inspects
-// is the live one with the candidate motion applied via the undo log (the
-// clone-and-enumerate pass this replaces was the dominant per-round cost);
-// the whole probe runs on the closure's reusable scratch — zero allocations
-// steady-state, with an AllocsPerRun guard pinning it.
+// It short-circuits on the first mobile block found, and asks the last one
+// it found (the witness) first: one motion seldom immobilises it, so most
+// vetoes probe one block instead of scanning the surface. Only when the
+// witness is gone, frozen or immobile does it scan every block. The surface
+// it inspects is the live one with the candidate motion applied via the
+// undo log (the clone-and-enumerate pass this replaces was the dominant
+// per-round cost); the whole probe runs on the closure's reusable scratch —
+// zero allocations steady-state, with an AllocsPerRun guard pinning it.
 func lookaheadVeto(cfg *Config, lib *rules.Library, after *lattice.Surface, sc *vetoScratch) error {
 	if after.Occupied(cfg.Output) {
 		return nil
@@ -116,6 +121,10 @@ func lookaheadVeto(cfg *Config, lib *rules.Library, after *lattice.Surface, sc *
 	// checked for local validity only, which is exactly the mobility notion
 	// of eq. (9). The surface is real, so each block's sensing window comes
 	// straight off the row bitsets.
+	if pos, ok := after.PositionOf(sc.witness); ok && !cfg.Frozen(pos) &&
+		hasAdmissibleOn(cfg, lib, pos, after, tier, &sc.apps) {
+		return nil
+	}
 	sc.cells = after.AppendPositions(sc.cells[:0])
 	unfrozen := 0
 	for _, pos := range sc.cells {
@@ -124,6 +133,7 @@ func lookaheadVeto(cfg *Config, lib *rules.Library, after *lattice.Surface, sc *
 		}
 		unfrozen++
 		if hasAdmissibleOn(cfg, lib, pos, after, tier, &sc.apps) {
+			sc.witness, _ = after.BlockAt(pos)
 			return nil
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -101,6 +102,88 @@ func TestLookaheadVeto(t *testing.T) {
 	if (err == nil) != anyMobile {
 		t.Errorf("veto verdict %v inconsistent with mobility scan %v", err, anyMobile)
 	}
+}
+
+// TestVetoWitnessMatchesFullScan walks small random surfaces through
+// random motions, placements and removals, and asks the lookahead veto of
+// every state twice: through one closure's scratch, whose witness carries
+// over from the states before, and through a fresh scratch, which has no
+// witness and scans every block. The verdicts and error texts must match.
+func TestVetoWitnessMatchesFullScan(t *testing.T) {
+	lib := rules.StandardLibrary()
+	cons := lattice.Constraints{RequireConnectivity: true}
+	rng := rand.New(rand.NewSource(11))
+	var kept, rescanned, vetoed int
+	for trial := 0; trial < 60; trial++ {
+		cfg := NewConfig(geom.V(1, 0), geom.V(1, 5+rng.Intn(3)))
+		cfg.AllowRetreat = rng.Intn(2) == 0
+		surf := surfaceWith(t, 5, 9, cfg.Input)
+		for n := 2 + rng.Intn(10); surf.NumBlocks() < n; {
+			v := geom.V(rng.Intn(5), rng.Intn(9))
+			if !surf.Occupied(v) && touchesOccupied(surf, v) {
+				if _, err := surf.Place(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		sc := &vetoScratch{}
+		for step := 0; step < 40; step++ {
+			ids := surf.Blocks()
+			id := ids[rng.Intn(len(ids))]
+			switch op := rng.Intn(8); {
+			case op < 6:
+				apps, err := surf.ApplicationsFor(id, lib, cons)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(apps) > 0 {
+					if _, err := surf.Apply(apps[rng.Intn(len(apps))], cons); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case op == 6:
+				if pos, _ := surf.PositionOf(id); pos != cfg.Input && len(ids) > 1 {
+					if err := surf.Remove(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+			default:
+				v := geom.V(rng.Intn(5), rng.Intn(9))
+				if !surf.Occupied(v) && touchesOccupied(surf, v) {
+					if _, err := surf.Place(v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			witness := sc.witness
+			got := lookaheadVeto(&cfg, lib, surf, sc)
+			want := lookaheadVeto(&cfg, lib, surf, &vetoScratch{})
+			if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+				t.Fatalf("trial %d step %d: witness-first veto %v, full scan %v", trial, step, got, want)
+			}
+			switch {
+			case got != nil:
+				vetoed++
+			case witness != lattice.None && sc.witness == witness:
+				kept++
+			case witness != lattice.None:
+				rescanned++
+			}
+		}
+	}
+	if vetoed == 0 || kept == 0 || rescanned == 0 {
+		t.Errorf("%d vetoes, %d passes the witness kept and %d it lost, want some of each", vetoed, kept, rescanned)
+	}
+}
+
+// touchesOccupied reports whether v has an occupied 4-neighbour.
+func touchesOccupied(s *lattice.Surface, v geom.Vec) bool {
+	for _, nb := range geom.Neighbors4(v) {
+		if s.Occupied(nb) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestVetoModeWiring: blockingVeto dispatches per mode.

@@ -43,23 +43,59 @@ type CandidateMove struct {
 // minimise total block moves), then a stable deterministic key.
 func planCandidates(cfg *Config, lib *rules.Library, pos geom.Vec, src rules.WindowSource, tier msg.Tier, avoid *geom.Vec, buf *planBuf) []CandidateMove {
 	cfg.Counters.CandidateEnumerations.Add(1)
+	buf.hasKey = false
 	buf.apps = lib.AppendApplicationsOn(buf.apps[:0], pos, src)
 	buf.cands = filterCandidates(cfg, buf.cands[:0], buf.apps, pos, tier, avoid)
 	return buf.cands
 }
 
-// planBuf holds the applications and candidates of a plan. planCandidates
-// appends into it, so a warm plan allocates nothing, and the list it
-// returns is valid until the next plan on the same buffer.
-type planBuf struct {
-	apps  []rules.Application
-	cands []CandidateMove
+// planWindow is planCandidates on the block's sensing window w, already
+// read (radius lib.WindowRadius() around pos, which must fit a bitboard).
+// A plan's outcome is a function of its planKey alone, since the
+// configuration and the library are fixed for a run, so when the key equals
+// the last plan's on the same buffer planWindow returns that plan's list
+// without matching the rule placements again. It counts a planning pass
+// either way.
+func planWindow(cfg *Config, lib *rules.Library, pos geom.Vec, w uint64, tier msg.Tier, avoid *geom.Vec, buf *planBuf) []CandidateMove {
+	cfg.Counters.CandidateEnumerations.Add(1)
+	key := planKey{pos: pos, win: w, tier: tier}
+	if avoid != nil {
+		key.avoid, key.hasAvoid = *avoid, true
+	}
+	if buf.hasKey && key == buf.key {
+		return buf.cands
+	}
+	buf.key, buf.hasKey = key, true
+	buf.apps = lib.AppendApplicationsIn(buf.apps[:0], pos, w)
+	buf.cands = filterCandidates(cfg, buf.cands[:0], buf.apps, pos, tier, avoid)
+	return buf.cands
 }
 
-// sensed reads a block's sensing window as a rules.WindowSource: windows
-// through Env.SenseWindow (one per plan for the standard library), and
-// single cells (the fallback for rules wider than a bitboard) through
-// Env.Sense.
+// planKey is what a plan reads besides the run's configuration and
+// library: the block's position, its sensing window, the tier and the
+// no-return cell, if any.
+type planKey struct {
+	pos, avoid geom.Vec
+	win        uint64
+	tier       msg.Tier
+	hasAvoid   bool
+}
+
+// planBuf holds the applications and candidates of a plan, and the key
+// they were planned from when planWindow planned them. planCandidates and
+// planWindow append into it, so a warm plan allocates nothing, and the list
+// they return is valid until the next plan on the same buffer.
+type planBuf struct {
+	apps   []rules.Application
+	cands  []CandidateMove
+	key    planKey
+	hasKey bool
+}
+
+// sensed reads a block's sensing window as a rules.WindowSource for a
+// library whose window does not fit a bitboard: windows through
+// Env.SenseWindow, one per rule placement, and single cells (the fallback
+// for rules wider than a bitboard) through Env.Sense.
 type sensed struct{ env exec.Env }
 
 func (s *sensed) OccWindow(anchor geom.Vec, radius int) uint64 {

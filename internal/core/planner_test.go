@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -185,5 +187,78 @@ func TestPlanCountsEnumerations(t *testing.T) {
 	planCandidates(&cfg, rules.StandardLibrary(), geom.V(2, 1), s, msg.TierDecreasing, nil, &planBuf{})
 	if cfg.Counters.CandidateEnumerations.Load() != before+1 {
 		t.Error("enumeration not counted")
+	}
+}
+
+// TestPlanMemoMatchesFreshPlan drives one block's plan through a random
+// sequence of inputs: each step keeps the last plan's inputs or changes one
+// of them (a cell of the sensing window, the position, the tier or the
+// no-return cell), so the memo both answers and must notice every kind of
+// change. Every list must equal a fresh planCandidates enumeration, and
+// every plan, remembered or not, counts one planning pass.
+func TestPlanMemoMatchesFreshPlan(t *testing.T) {
+	cfg := NewConfig(geom.V(0, 0), geom.V(9, 9))
+	ref := NewConfig(cfg.Input, cfg.Output)
+	lib := rules.StandardLibrary()
+	r, ok := lib.WindowRadius()
+	if !ok {
+		t.Fatal("the standard library's window does not fit a bitboard")
+	}
+	pos := geom.V(4, 4)
+	surf := surfaceWith(t, 10, 10, pos, geom.V(4, 3), geom.V(3, 3), geom.V(5, 3))
+	env := &surfaceEnv{scriptedEnv: &scriptedEnv{id: 7, cfg: cfg}, surf: surf, lib: lib}
+	b := newObservedFactory(cfg, nil, nil)(7).(*BlockCode)
+	rng := rand.New(rand.NewSource(3))
+	tiers := []msg.Tier{msg.TierDecreasing, msg.TierRetreat, msg.TierDesperate}
+	tier := msg.TierRetreat
+	const plans = 4000
+	repeats, moves := 0, 0
+	for i := 0; i < plans; i++ {
+		switch rng.Intn(6) {
+		case 0, 1:
+			repeats++
+		case 2: // flip one cell of the window other than the block's own
+			v := pos.Add(geom.V(rng.Intn(2*r+1)-r, rng.Intn(2*r+1)-r))
+			if id, occ := surf.BlockAt(v); occ && v != pos {
+				if err := surf.Remove(id); err != nil {
+					t.Fatal(err)
+				}
+			} else if !occ {
+				if _, err := surf.Place(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case 3: // the block moves to a neighbouring cell
+			to := pos.Add(geom.V(rng.Intn(3)-1, rng.Intn(3)-1))
+			if to.X >= 3 && to.X <= 6 && to.Y >= 3 && to.Y <= 6 && !surf.Occupied(to) {
+				id, _ := surf.BlockAt(pos)
+				if err := surf.Remove(id); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := surf.Place(to); err != nil {
+					t.Fatal(err)
+				}
+				pos = to
+			}
+		case 4:
+			tier = tiers[rng.Intn(len(tiers))]
+		default:
+			b.hasNoReturn = rng.Intn(3) != 0
+			b.noReturnTo = pos.Add(geom.V(rng.Intn(3)-1, rng.Intn(3)-1))
+		}
+		got := b.plan(env, pos, tier)
+		want := planCandidates(&ref, lib, pos, surf, tier, b.avoidCell(tier), &planBuf{})
+		if !slices.Equal(got, want) {
+			t.Fatalf("plan %d at %v, tier %d: memoised plan %v, fresh plan %v", i, pos, tier, got, want)
+		}
+		if len(got) > 0 {
+			moves++
+		}
+	}
+	if n := cfg.Counters.CandidateEnumerations.Load(); n != plans {
+		t.Errorf("%d planning passes counted for %d plans", n, plans)
+	}
+	if repeats == 0 || moves == 0 || moves == plans {
+		t.Errorf("%d repeated inputs and %d plans with a move of %d, want some of each", repeats, moves, plans)
 	}
 }

@@ -124,9 +124,11 @@ func TestGoldenDifferentialWithShards(t *testing.T) {
 // TestRingAnswersRemark1 pins where a batch run's connectivity verdicts come
 // from. On slope top=30 at k=16 (seed 1) the mover's 3×3 ring, rung 0 of the
 // lattice's ladder, answers nine in ten motion verdicts and wave steps and
-// three in four cut-vertex queries, so the run makes far fewer Tarjan band
-// passes than the 418 it made before the ring (cached and what-if passes
-// alike), and it keeps its 48 rounds and 333 hops.
+// three in four cut-vertex queries. The bounded search answers almost every
+// cut-vertex query the ring leaves on a stale cache, so at most five reach a
+// band core. The run thus makes far fewer Tarjan band passes than the 418 it
+// made before the ring and the 58 it made before the search (cached and
+// what-if passes alike), and it keeps its 48 rounds and 333 hops.
 func TestRingAnswersRemark1(t *testing.T) {
 	s, err := scenario.SlopeStaircase(30, 36)
 	if err != nil {
@@ -152,13 +154,17 @@ func TestRingAnswersRemark1(t *testing.T) {
 		{"wave steps", c.WaveSteps, 9, 10},
 		{"cut-vertex queries", c.CutVertices, 3, 4},
 	} {
-		total := k.r.Ring + k.r.Band + k.r.Overlay
+		total := k.r.Ring + k.r.Search + k.r.Band + k.r.Overlay
 		if total == 0 || k.r.Ring*k.den < total*k.num {
 			t.Errorf("%s: the ring answered %d of %d, want at least %d/%d", k.name, k.r.Ring, total, k.num, k.den)
 		}
 	}
-	if c.Rebuilds == 0 || c.Rebuilds > 100 {
-		t.Errorf("%d Tarjan band passes, want between 1 and 100", c.Rebuilds)
+	if cv := c.CutVertices; cv.Search == 0 || cv.Band > 5 {
+		t.Errorf("cut-vertex queries: the search answered %d and band cores %d, want the search used and at most 5 band answers",
+			cv.Search, cv.Band)
+	}
+	if c.Rebuilds == 0 || c.Rebuilds > 30 {
+		t.Errorf("%d Tarjan band passes, want between 1 and 30", c.Rebuilds)
 	}
 	if c.CavityScans == 0 {
 		t.Error("no cavity scans counted on a batch run")

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/gate"
@@ -262,30 +264,46 @@ func gateDrainKernel() (BenchResult, error) {
 	}
 	defer cleanup()
 
-	// Drain one replica shortly after the load starts. The load runs for
-	// hundreds of milliseconds (the cold working set alone costs ~100ms of
-	// engine time), so the drain always lands mid-flight; correctness does
-	// not depend on how much of the working set was warm by then.
+	// Drain replica 0 once the load has made progress, not after a fixed
+	// time, so the drain lands mid-load on any host: once a quarter of the
+	// requests have come back, at least one of them from replica 0, so that
+	// replica is in rotation and three quarters of the load still follow.
+	// Correctness does not depend on how much of the working set was warm
+	// by then.
+	total := clients * perClient
+	replica0 := g.Metrics().Replicas[0].URL
 	drained := make(chan error, 1)
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		drained <- srvs[0].Shutdown(ctx)
-	}()
+	tr := &drainTrigger{
+		base: &http.Transport{MaxIdleConnsPerHost: clients}, replica: replica0, at: int64(total / 4),
+		fire: func() {
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				defer cancel()
+				drained <- srvs[0].Shutdown(ctx)
+			}()
+			// Hold this response until replica 0 refuses new runs.
+			for !srvs[0].Draining() {
+				time.Sleep(100 * time.Microsecond)
+			}
+		},
+	}
+	defer tr.base.CloseIdleConnections()
 
 	rep, err := server.RunLoad(context.Background(), server.LoadConfig{
 		BaseURL: gw.URL, Clients: clients, PerClient: perClient,
 		Spec: server.RunSpec{Scenario: "fig10"}, ZipfN: nSpecs, ZipfS: 1.2,
+		Client: &http.Client{Transport: tr},
 	})
 	if err != nil {
 		return BenchResult{}, fmt.Errorf("bench: drain load: %w", err)
+	}
+	if !srvs[0].Draining() {
+		return BenchResult{}, fmt.Errorf("bench: replica 0 served none of the drain load, so it was never drained")
 	}
 	if err := <-drained; err != nil {
 		return BenchResult{}, fmt.Errorf("bench: drain: %w", err)
 	}
 
-	total := clients * perClient
 	if rep.Completed != total || rep.Failed > 0 || rep.Rejected > 0 {
 		return BenchResult{}, fmt.Errorf("bench: drained fleet completed %d/%d (failed %d, rejected %d), want zero loss",
 			rep.Completed, total, rep.Failed, rep.Rejected)
@@ -302,4 +320,33 @@ func gateDrainKernel() (BenchResult, error) {
 		Ungated:        true,
 		HigherIsBetter: true,
 	}, nil
+}
+
+// drainTrigger is the drain kernel's client transport. It counts the
+// responses the gateway returns and calls fire, once, on the response that
+// brings the count to at if replica has served one of them by then, or on
+// the first later response that does; fire runs before that response
+// reaches the load's client.
+type drainTrigger struct {
+	base    *http.Transport
+	replica string // the X-Replica header of the replica to drain
+	at      int64
+	fire    func()
+	done    atomic.Int64
+	seen    atomic.Bool
+	once    sync.Once
+}
+
+func (d *drainTrigger) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := d.base.RoundTrip(req)
+	if err != nil {
+		return resp, err
+	}
+	if resp.Header.Get("X-Replica") == d.replica {
+		d.seen.Store(true)
+	}
+	if d.done.Add(1) >= d.at && d.seen.Load() {
+		d.once.Do(d.fire)
+	}
+	return resp, nil
 }

@@ -56,17 +56,18 @@ type ApplyResult struct {
 type applyScratch struct {
 	moves   []rules.Move  // time-sorted copy of the rule's move list (replay + execution)
 	overlay []overlayCell // occupancy overrides while replaying the schedule
-	removed []geom.Vec    // net vacated cells of the candidate motion
-	added   []geom.Vec    // net filled cells of the candidate motion
+	removed []geom.Vec    // net vacated cells of the candidate motion or wave (ValidateMoveSet)
+	added   []geom.Vec    // net filled cells of the candidate motion or wave
 	undo    []cellSave    // execution rollback log (Apply atomicity, veto rollback)
 	ids     []BlockID     // lifted movers of the executing time step
 	conn1   bool          // the connectivity cache's conn1 before execution, restored by a rollback
-	// The cavity scan's marks: cavMark[y*w+x] == cavEpoch for the empty
-	// cells the current scan visited, allocated by the first scan (a
-	// surface that never scans pays nothing).
-	cavMark  []uint32
-	cavEpoch uint32
-	cavTodo  []geom.Vec // DFS frontier of the cavity scan
+	// The marks of the bounded scans, the cavity scan over empty cells and
+	// the cut-vertex search over blocks: mark[y*w+x] == epoch for the cells
+	// the current scan visited, allocated by the first scan (a surface that
+	// never scans pays nothing).
+	mark  []uint32
+	epoch uint32
+	todo  []geom.Vec // DFS frontier of the current scan
 }
 
 // overlayCell is one occupancy override: during the schedule replay the

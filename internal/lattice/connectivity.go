@@ -109,6 +109,7 @@ type ConnStats struct {
 // Rungs counts verdicts by the rung of the ladder that answered them.
 type Rungs struct {
 	Ring    int // rung 0: the mover's 3×3 ring
+	Search  int // the bounded search after rung 0 (cut-vertex queries on a stale cache)
 	Band    int // rung 1: a band core's articulation bit
 	Overlay int // rung 2: a what-if overlay rebuild
 }
@@ -125,7 +126,7 @@ func (c ConnStats) Sub(o ConnStats) ConnStats {
 }
 
 func (r Rungs) sub(o Rungs) Rungs {
-	return Rungs{r.Ring - o.Ring, r.Band - o.Band, r.Overlay - o.Overlay}
+	return Rungs{r.Ring - o.Ring, r.Search - o.Search, r.Band - o.Band, r.Overlay - o.Overlay}
 }
 
 // ConnStats returns the surface's connectivity counts.

@@ -22,7 +22,8 @@ type PlannedMove struct {
 // ring cannot decide, the same bounded connectivity what-if the
 // single-move path uses answers (connectedAfterMove, local to the bands the
 // wave touches). Nothing mutates: the overlay is a pair of net-delta
-// slices, exactly the shape connectedAfterMove consumes.
+// slices in the surface's scratch, exactly the shape connectedAfterMove
+// consumes, so a warm call allocates nothing.
 //
 // The check is a planning aid, not the safety guard: every admitted hop is
 // still validated against the live surface when it executes. A prefix that
@@ -34,8 +35,14 @@ func (s *Surface) ValidateMoveSet(moves []PlannedMove) int {
 	}
 	// Net delta relative to the real surface: removed ⊆ currently occupied,
 	// added ⊆ currently empty — the invariant connectedAfterMove expects.
-	removed := make([]geom.Vec, 0, len(moves))
-	added := make([]geom.Vec, 0, len(moves))
+	// Each list holds at most one cell per step, so once both have room for
+	// the whole wave no append reallocates them.
+	sc := &s.scratch
+	if cap(sc.removed) < len(moves) || cap(sc.added) < len(moves) {
+		sc.removed = make([]geom.Vec, 0, len(moves))
+		sc.added = make([]geom.Vec, 0, len(moves))
+	}
+	removed, added := sc.removed[:0], sc.added[:0]
 	for k, mv := range moves {
 		if mv.From == mv.To || !s.InBounds(mv.To) {
 			return k
@@ -94,39 +101,32 @@ const cavityScanCap = 64
 func (s *Surface) cavityAfterMove(removed, added []geom.Vec, dst geom.Vec) bool {
 	s.stats.CavityScans++
 	sc := &s.scratch
-	if sc.cavMark == nil {
-		sc.cavMark = make([]uint32, s.w*s.h)
-	}
-	if sc.cavEpoch++; sc.cavEpoch == 0 {
-		// Wrapped: zero the stamps so stale marks cannot alias the new epoch.
-		clear(sc.cavMark)
-		sc.cavEpoch = 1
-	}
+	s.beginScan()
 	for _, start := range neighbors8(dst) {
-		if !s.InBounds(start) || s.occAfter(start, removed, added) || !s.cavityVisit(start) {
+		if !s.InBounds(start) || s.occAfter(start, removed, added) || !s.visit(start) {
 			continue
 		}
 		region := 1 // cells of this start's region visited so far
-		sc.cavTodo = append(sc.cavTodo[:0], start)
+		sc.todo = append(sc.todo[:0], start)
 		open := false
 	scan:
-		for len(sc.cavTodo) > 0 {
-			v := sc.cavTodo[len(sc.cavTodo)-1]
-			sc.cavTodo = sc.cavTodo[:len(sc.cavTodo)-1]
+		for len(sc.todo) > 0 {
+			v := sc.todo[len(sc.todo)-1]
+			sc.todo = sc.todo[:len(sc.todo)-1]
 			for _, nb := range neighbors8(v) {
 				if !s.InBounds(nb) {
 					// Off the surface edge: open sky.
 					open = true
 					break scan
 				}
-				if s.occAfter(nb, removed, added) || !s.cavityVisit(nb) {
+				if s.occAfter(nb, removed, added) || !s.visit(nb) {
 					continue
 				}
 				if region++; region > cavityScanCap {
 					open = true
 					break scan
 				}
-				sc.cavTodo = append(sc.cavTodo, nb)
+				sc.todo = append(sc.todo, nb)
 			}
 		}
 		if !open {
@@ -136,15 +136,29 @@ func (s *Surface) cavityAfterMove(removed, added []geom.Vec, dst geom.Vec) bool 
 	return false
 }
 
-// cavityVisit marks the in-bounds cell v visited by the current cavity scan
-// and reports whether this call marked it (false: already visited).
-func (s *Surface) cavityVisit(v geom.Vec) bool {
+// beginScan starts a bounded scan (the cavity scan, the cut-vertex search):
+// afterwards every cell reads unvisited.
+func (s *Surface) beginScan() {
+	sc := &s.scratch
+	if sc.mark == nil {
+		sc.mark = make([]uint32, s.w*s.h)
+	}
+	if sc.epoch++; sc.epoch == 0 {
+		// Wrapped: zero the stamps so stale marks cannot alias the new epoch.
+		clear(sc.mark)
+		sc.epoch = 1
+	}
+}
+
+// visit marks the in-bounds cell v visited by the current scan and reports
+// whether this call marked it (false: already visited).
+func (s *Surface) visit(v geom.Vec) bool {
 	sc := &s.scratch
 	i := v.Y*s.w + v.X
-	if sc.cavMark[i] == sc.cavEpoch {
+	if sc.mark[i] == sc.epoch {
 		return false
 	}
-	sc.cavMark[i] = sc.cavEpoch
+	sc.mark[i] = sc.epoch
 	return true
 }
 

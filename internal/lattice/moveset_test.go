@@ -77,6 +77,34 @@ func TestValidateMoveSetPrefixSemantics(t *testing.T) {
 	}
 }
 
+// TestValidateMoveSetZeroAllocs: a warm two-step wave allocates nothing.
+// Its net delta lives in the surface's scratch, and the second step, whose
+// mover leaves a block behind on the cell it vacates, escalates past the
+// ring to the what-if overlay, which reads the delta through what-if band
+// cores without keeping it.
+func TestValidateMoveSetZeroAllocs(t *testing.T) {
+	s := rowSurface(t, 12, 4)
+	wave := []PlannedMove{
+		{From: geom.V(4, 2), To: geom.V(5, 2)},
+		{From: geom.V(1, 2), To: geom.V(1, 3)},
+	}
+	if got := s.ValidateMoveSet(wave); got != 1 {
+		t.Fatalf("warm-up validated prefix %d, want 1", got)
+	}
+	overlay := s.ConnStats().WaveSteps.Overlay
+	if n := testing.AllocsPerRun(100, func() { s.ValidateMoveSet(wave) }); n != 0 {
+		t.Errorf("ValidateMoveSet allocates %v/op warm, want 0", n)
+	}
+	if s.ConnStats().WaveSteps.Overlay == overlay {
+		t.Error("the second step never reached the what-if overlay")
+	}
+	for _, c := range s.shconn.wc {
+		if c.ovR != nil || c.ovA != nil {
+			t.Error("a what-if core kept the wave's delta after the call")
+		}
+	}
+}
+
 // TestValidateMoveSetNoMutation: the what-if leaves the surface untouched.
 func TestValidateMoveSetNoMutation(t *testing.T) {
 	s := rowSurface(t, 12, 4)

@@ -31,6 +31,13 @@ import (
 //     block, keeps the ensemble connected; a cut-vertex query whose side
 //     blocks lie in one run is answered "not a cut vertex". Neither reads a
 //     band core, so a "yes" needs no rebuild after a motion.
+//     A cut-vertex query the ring cannot decide, on a connected occupancy
+//     whose cache is stale, first takes the bounded search (searchCut,
+//     counted as Rungs.Search): from each of v's side blocks in turn, a
+//     search of the occupancy without v that visits at most cutSearchCap
+//     blocks. Reaching every side block proves v is not a cut vertex, and
+//     running out of blocks first proves it is one; only when every search
+//     hits the cap does the query climb to rung 1 and its rebuild.
 //  1. a band core's articulation bit, O(window): a cell that is not a
 //     band-local articulation point and has no occupied neighbour across a
 //     band boundary can vacate without changing any band's component
@@ -43,8 +50,8 @@ import (
 //     including articulation movers, multi-cell deltas and fragmented
 //     surfaces; on one band it is a what-if Tarjan pass over the surface.
 //
-// Rungs 0 and 1 only return when their verdict is exact, otherwise they fall
-// through to the next rung.
+// Rungs 0 and 1 and the search only return when their verdict is exact,
+// otherwise they fall through to the next rung.
 type shardedConn struct {
 	bw     int // nominal band width; the last band may be narrower
 	shards []shardState
@@ -229,10 +236,21 @@ func (sc *shardedConn) connectedAfterMove(s *Surface, removed, added []geom.Vec,
 // removing the occupant of v alone split its component? n counts the rung
 // that answered.
 func (sc *shardedConn) isArticulation(s *Surface, v geom.Vec, n *Rungs) bool {
-	if sc.conn1 && s.ringNotCut(v) {
-		// Rung 0: exact on a connected occupancy, and it reads no band core.
-		n.Ring++
-		return false
+	if sc.conn1 {
+		if s.ringNotCut(v) {
+			// Rung 0: exact on a connected occupancy, and it reads no band
+			// core.
+			n.Ring++
+			return false
+		}
+		if !sc.valid {
+			// The bounded search: exact, and cheaper than the rebuild a stale
+			// cache needs, unless every side of v holds many blocks.
+			if cut, ok := s.searchCut(v); ok {
+				n.Search++
+				return cut
+			}
+		}
 	}
 	sc.ensure(s)
 	core := &sc.shards[sc.shardOf(v.X)].core
@@ -247,4 +265,68 @@ func (sc *shardedConn) isArticulation(s *Surface, v geom.Vec, n *Rungs) bool {
 	n.Overlay++
 	sc.owned[0] = v
 	return sc.compose(s, sc.owned[:1], nil) > sc.comps
+}
+
+// cutSearchCap bounds each search of searchCut: a search that finds more
+// blocks than this gives up.
+const cutSearchCap = 64
+
+// searchCut decides whether the occupied cell v is a cut vertex by
+// searching the occupancy without v from each of v's side blocks in turn.
+// Every block of v's component reaches v through a side block, so a search
+// that reaches every side block proves v is not a cut vertex, and one that
+// runs out of blocks before it does has found a piece that v alone joins to
+// the rest: v is a cut vertex. ok is false when every search hit
+// cutSearchCap first. The search reads only the occupancy, on the
+// surface's scan scratch, so it allocates nothing once warm.
+func (s *Surface) searchCut(v geom.Vec) (cut, ok bool) {
+	var sides [geom.NumDirs]geom.Vec
+	n := 0
+	for _, nb := range geom.Neighbors4(v) {
+		if s.Occupied(nb) {
+			sides[n] = nb
+			n++
+		}
+	}
+	for _, start := range sides[:n] {
+		switch r := s.sideSearch(v, start, n); {
+		case r == n:
+			return false, true
+		case r > 0:
+			return true, true
+		}
+	}
+	return false, false
+}
+
+// sideSearch searches the occupancy without v from v's side block start,
+// visiting at most cutSearchCap blocks, and returns how many of v's n side
+// blocks it reached, start included: n as soon as it has reached them all,
+// fewer when it ran out of blocks first, and 0 when it hit the cap first.
+func (s *Surface) sideSearch(v, start geom.Vec, n int) int {
+	sc := &s.scratch
+	s.beginScan()
+	s.visit(v)
+	s.visit(start)
+	sc.todo = append(sc.todo[:0], start)
+	reached, visited := 1, 1
+	for len(sc.todo) > 0 {
+		u := sc.todo[len(sc.todo)-1]
+		sc.todo = sc.todo[:len(sc.todo)-1]
+		for _, nb := range geom.Neighbors4(u) {
+			if !s.Occupied(nb) || !s.visit(nb) {
+				continue
+			}
+			if nb.Manhattan(v) == 1 {
+				if reached++; reached == n {
+					return n
+				}
+			}
+			if visited++; visited > cutSearchCap {
+				return 0
+			}
+			sc.todo = append(sc.todo, nb)
+		}
+	}
+	return reached
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -282,6 +283,184 @@ func TestConnectivityLadderMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestStaleCutSearchMatchesOracle walks connected surfaces on one and on
+// three bands and asks IsArticulation with the cache made stale before
+// every query, as a motion leaves it, so every query the ring cannot decide
+// takes the bounded search first. Every verdict must equal the Clone +
+// Connected() oracle, and the rung that answered must be the one the
+// pieces of the surface without v call for: the search answers a cut
+// vertex when one of its pieces holds at most cutSearchCap blocks, and a
+// non-cut vertex whose remainder does; a cut vertex whose pieces are all
+// larger climbs to the band core.
+func TestStaleCutSearchMatchesOracle(t *testing.T) {
+	lib := rules.StandardLibrary()
+	cons := Constraints{RequireConnectivity: true}
+	for _, bands := range []int{1, 3} {
+		t.Run(fmt.Sprintf("bands=%d", bands), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(91 + bands)))
+			var searchCut, searchNot, climbed int
+			for trial := 0; trial < 10; trial++ {
+				s := randomConnectedSurface(t, rng, 30, 14, 40+rng.Intn(160))
+				// Punch holes, so that some vertices the ring cannot decide
+				// lie on cycles.
+				for range s.NumBlocks() / 4 {
+					occ := s.Positions()
+					id, _ := s.BlockAt(occ[rng.Intn(len(occ))])
+					c := s.Clone()
+					if err := c.Remove(id); err != nil {
+						t.Fatal(err)
+					}
+					if c.Connected() {
+						if err := s.Remove(id); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if err := s.EnableSharding(bands); err != nil {
+					t.Fatal(err)
+				}
+				s.WarmConnectivity()
+				for step := 0; step < 25; step++ {
+					occ := s.Positions()
+					for q := 0; q < 8; q++ {
+						v := occ[rng.Intn(len(occ))]
+						s.shconn.invalidateCols(0, s.Width()-1)
+						s.shconn.conn1 = true // the walk keeps the surface connected
+						before := s.ConnStats().CutVertices
+						got := s.IsArticulation(v)
+						n := s.ConnStats().CutVertices.sub(before)
+						rest := s.Clone()
+						if id, ok := rest.BlockAt(v); ok {
+							if err := rest.Remove(id); err != nil {
+								t.Fatal(err)
+							}
+						}
+						pieces := pieceSizes(rest)
+						if want := !rest.Connected(); got != want {
+							t.Fatalf("trial %d step %d: IsArticulation(%v) = %t, oracle %t", trial, step, v, got, want)
+						}
+						smallest := slices.Min(append(pieces, s.NumBlocks()))
+						switch {
+						case n.Ring == 1: // the ring decided it
+						case n.Search == 1:
+							if len(pieces) > 1 && smallest > cutSearchCap {
+								t.Fatalf("trial %d step %d: the search answered cut vertex %v, whose pieces %v all exceed the cap", trial, step, v, pieces)
+							}
+							if got {
+								searchCut++
+							} else {
+								searchNot++
+							}
+						default:
+							if smallest <= cutSearchCap {
+								t.Fatalf("trial %d step %d: %v climbed past the search with a piece of %d blocks (rungs %+v)", trial, step, v, smallest, n)
+							}
+							climbed++
+						}
+					}
+					// One validated step of the walk.
+					id := s.Blocks()[rng.Intn(s.NumBlocks())]
+					apps, err := s.ApplicationsFor(id, lib, cons)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(apps) > 0 {
+						if _, err := s.Apply(apps[rng.Intn(len(apps))], cons); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if !s.Connected() {
+						t.Fatalf("trial %d step %d: the walk disconnected the surface", trial, step)
+					}
+				}
+			}
+			if searchCut == 0 || searchNot == 0 || climbed == 0 {
+				t.Errorf("the search answered %d cut and %d non-cut vertices and %d queries climbed past it, want all three kinds",
+					searchCut, searchNot, climbed)
+			}
+		})
+	}
+}
+
+// TestCutSearchRungs pins the rung that answers stale cut-vertex queries on
+// one band. On a 14-block surface, a 4x4 loop with a two-block appendix,
+// the search clears a loop cell whose ring cannot decide it and finds the
+// appendix's neck a cut vertex. The bridge of a dumbbell whose halves hold
+// more than cutSearchCap blocks each climbs to the band core, and so does
+// one whose smaller half holds one block more than the cap; with exactly
+// the cap the search finds it.
+func TestCutSearchRungs(t *testing.T) {
+	loop := filledSurface(t, 8, 6,
+		geom.RectSpanning(geom.V(0, 0), geom.V(3, 0)),
+		geom.RectSpanning(geom.V(0, 3), geom.V(3, 3)),
+		geom.RectSpanning(geom.V(0, 1), geom.V(0, 2)),
+		geom.RectSpanning(geom.V(3, 1), geom.V(3, 2)),
+		geom.RectSpanning(geom.V(4, 1), geom.V(5, 1)))
+
+	// Two 9x9 squares (81 blocks each) joined by a three-cell bridge, and
+	// an 8x8 square (64 blocks, cutSearchCap) joined to a 9x9 one by a
+	// one-cell bridge, then the same with a 65th block on the small square.
+	dumbbell := filledSurface(t, 24, 12,
+		geom.RectSpanning(geom.V(0, 0), geom.V(8, 8)),
+		geom.RectSpanning(geom.V(12, 0), geom.V(20, 8)),
+		geom.RectSpanning(geom.V(9, 4), geom.V(11, 4)))
+	atCap := filledSurface(t, 24, 12,
+		geom.RectSpanning(geom.V(0, 0), geom.V(7, 7)),
+		geom.RectSpanning(geom.V(8, 4), geom.V(8, 4)),
+		geom.RectSpanning(geom.V(9, 0), geom.V(17, 8)))
+	overCap := filledSurface(t, 24, 12,
+		geom.RectSpanning(geom.V(0, 0), geom.V(7, 7)),
+		geom.RectSpanning(geom.V(0, 8), geom.V(0, 8)),
+		geom.RectSpanning(geom.V(8, 4), geom.V(8, 4)),
+		geom.RectSpanning(geom.V(9, 0), geom.V(17, 8)))
+	for _, c := range []struct {
+		s    *Surface
+		v    geom.Vec
+		cut  bool
+		want Rungs
+	}{
+		{loop, geom.V(1, 3), false, Rungs{Search: 1}},
+		{loop, geom.V(4, 1), true, Rungs{Search: 1}},
+		{dumbbell, geom.V(10, 4), true, Rungs{Band: 1}},
+		{atCap, geom.V(8, 4), true, Rungs{Search: 1}},
+		{overCap, geom.V(8, 4), true, Rungs{Band: 1}},
+	} {
+		c.s.WarmConnectivity()
+		c.s.shconn.invalidateCols(0, c.s.Width()-1)
+		c.s.shconn.conn1 = true
+		before := c.s.ConnStats().CutVertices
+		if got := c.s.IsArticulation(c.v); got != c.cut {
+			t.Errorf("IsArticulation(%v) = %t, want %t", c.v, got, c.cut)
+		}
+		if n := c.s.ConnStats().CutVertices.sub(before); n != c.want {
+			t.Errorf("IsArticulation(%v) answered by %+v, want %+v", c.v, n, c.want)
+		}
+	}
+	// A warm search allocates nothing.
+	if n := testing.AllocsPerRun(50, func() {
+		loop.shconn.invalidateCols(0, loop.Width()-1)
+		loop.shconn.conn1 = true
+		loop.IsArticulation(geom.V(4, 1))
+	}); n != 0 {
+		t.Errorf("a warm cut-vertex search allocates %v/op, want 0", n)
+	}
+}
+
+// filledSurface fills the given rectangles of a new w x h surface.
+func filledSurface(t *testing.T, w, h int, rects ...geom.Rect) *Surface {
+	t.Helper()
+	s, err := NewSurface(w, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rects {
+		if _, err := s.FillRect(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
 // oracleIsArticulation answers IsArticulation with the reference machinery:
 // v is a cut vertex iff removing its block from a clone raises the
 // component count. Counting, rather than asking Connected(), keeps the
@@ -301,28 +480,32 @@ func oracleIsArticulation(t *testing.T, s *Surface, v geom.Vec) bool {
 
 // componentCount counts the 4-connected components with a map-based flood
 // from every unvisited block.
-func componentCount(s *Surface) int {
+func componentCount(s *Surface) int { return len(pieceSizes(s)) }
+
+// pieceSizes returns the block counts of the 4-connected components of c.
+func pieceSizes(c *Surface) []int {
 	seen := map[geom.Vec]bool{}
-	n := 0
-	for _, start := range s.Positions() {
+	var sizes []int
+	for _, start := range c.Positions() {
 		if seen[start] {
 			continue
 		}
-		n++
 		seen[start] = true
-		stack := []geom.Vec{start}
+		stack, n := []geom.Vec{start}, 0
 		for len(stack) > 0 {
-			v := stack[len(stack)-1]
+			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, nb := range geom.Neighbors4(v) {
-				if s.Occupied(nb) && !seen[nb] {
+			n++
+			for _, nb := range geom.Neighbors4(u) {
+				if c.Occupied(nb) && !seen[nb] {
 					seen[nb] = true
 					stack = append(stack, nb)
 				}
 			}
 		}
+		sizes = append(sizes, n)
 	}
-	return n
+	return sizes
 }
 
 // TestVetoKeepsBandsWarm: the in-place vetoes of Validate and MoveTeleport

@@ -390,7 +390,9 @@ func (s *Surface) AppendPositions(dst []geom.Vec) []geom.Vec {
 // articulation point of the block ensemble: removing its occupant alone
 // would split the (single-component) surface. Unoccupied cells report false.
 // While the ensemble is known to be one component, v's 3×3 ring answers
-// "not a cut vertex" in O(1) whenever v's side blocks lie in one run of it.
+// "not a cut vertex" in O(1) whenever v's side blocks lie in one run of it,
+// and when the cache is stale a search of at most 64 blocks from each of
+// v's side blocks answers whenever one of them decides (searchCut).
 // Otherwise the incremental connectivity cache answers; after the amortised
 // rebuild it is O(1) per query on one band. With more bands the band-local
 // bitset answers "not an articulation point" in O(1) for a cell with no

@@ -321,14 +321,7 @@ func (l *Library) ApplicationsOn(pos geom.Vec, src WindowSource) []Application {
 // around its anchor.
 func (l *Library) AppendApplicationsOn(dst []Application, pos geom.Vec, src WindowSource) []Application {
 	if len(l.placements) > 0 {
-		w := src.OccWindow(pos, 2*l.maxRadius)
-		for i := range l.placements {
-			p := &l.placements[i]
-			if w&p.mustOcc == p.mustOcc && w&p.mustEmpty == 0 {
-				dst = append(dst, Application{Rule: p.rule, Anchor: pos.Sub(p.mover)})
-			}
-		}
-		return dst
+		return l.AppendApplicationsIn(dst, pos, src.OccWindow(pos, 2*l.maxRadius))
 	}
 	for i := range l.compiled {
 		c := &l.compiled[i]
@@ -337,6 +330,28 @@ func (l *Library) AppendApplicationsOn(dst []Application, pos geom.Vec, src Wind
 			if c.matchesOn(anchor, src) {
 				dst = append(dst, Application{Rule: c.rule, Anchor: anchor})
 			}
+		}
+	}
+	return dst
+}
+
+// WindowRadius returns the radius of the one sensing window
+// AppendApplicationsOn reads around a block, 2·MaxRadius, and whether that
+// window fits a bitboard. When it does not, matching reads one window per
+// placement and AppendApplicationsIn must not be used.
+func (l *Library) WindowRadius() (int, bool) {
+	return 2 * l.maxRadius, len(l.placements) > 0
+}
+
+// AppendApplicationsIn is AppendApplicationsOn on a sensing window already
+// read: w is the radius-WindowRadius occupancy window centred on pos. It
+// tests every compiled placement against w and appends the matches in
+// AppendApplicationsOn's order.
+func (l *Library) AppendApplicationsIn(dst []Application, pos geom.Vec, w uint64) []Application {
+	for i := range l.placements {
+		p := &l.placements[i]
+		if w&p.mustOcc == p.mustOcc && w&p.mustEmpty == 0 {
+			dst = append(dst, Application{Rule: p.rule, Anchor: pos.Sub(p.mover)})
 		}
 	}
 	return dst
